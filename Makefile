@@ -1,4 +1,4 @@
-.PHONY: build test race vet fmt fmtcheck bench benchgate benchboard benchboard-md tracesmoke tracedemo fuzz regionsmoke faultsmoke compresssmoke scalesmoke profile replay gobench sim sched
+.PHONY: build test race vet fmt fmtcheck bench benchgate benchboard benchboard-md tracedemo fuzz profile replay gobench sim sched
 
 # Bench samples per nondeterministic suite (S2/S6): `make bench K=3`
 # reruns them K times and appends min/median noise entries to the history.
@@ -82,13 +82,6 @@ benchboard-md:
 	go run ./cmd/benchboard -extract \
 		-md artifacts/bench/board/TRAJECTORY.md -svg artifacts/bench/board
 
-# Trace/metrics smoke: deterministic trace export (two paced runs are
-# byte-identical), the zero-overhead disabled path, span-sum conservation
-# against the scheduler's Stats accounting, the metrics registry and the
-# gated S9 SLO replay, under the race detector.
-tracesmoke:
-	go test -run 'Trace|Metrics|SLO' -race ./...
-
 # Render a Perfetto-loadable Chrome trace of the S8 paired drive (the
 # densest deterministic load-path exercise: differential, compressed and
 # DMA-overlapped streams on sibling regions). Open artifacts/trace/s8.json
@@ -109,29 +102,6 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzLoaderDifferentialStream -fuzztime 10s ./internal/bitstream
 	go test -run '^$$' -fuzz FuzzCompressedStream -fuzztime 10s ./internal/bitstream
 	go test -run '^$$' -fuzz FuzzRegionPlanner -fuzztime 10s ./internal/plan
-
-# Multi-region smoke: the per-region hazard gate, sibling-region hits and
-# speculative byte conservation under the race detector.
-regionsmoke:
-	go test -run Region -race ./...
-
-# Fault smoke: injection, readback scrubbing, quarantine/repair and the
-# scrub/abort interaction, under the race detector.
-faultsmoke:
-	go test -run 'Fault|Scrub' -race ./...
-
-# Compression/DMA smoke: the compressed codec round trip, the planner's
-# fourth stream kind, decode-side hazard gating and sibling-region DMA
-# overlap, under the race detector.
-compresssmoke:
-	go test -run 'Compress|DMA' -race ./...
-
-# Sharded-dispatch smoke: work-stealing FIFO order, cross-shard
-# conservation laws and the S6 open-loop scaling drives, under the race
-# detector (the speedup bar is waived under -race; see
-# internal/bench/race_off.go).
-scalesmoke:
-	go test -run 'Shard|Scaling' -race ./...
 
 # Profile the sharded dispatcher under a saturating open-loop drive: CPU
 # and mutex-contention profiles land in artifacts/profile for

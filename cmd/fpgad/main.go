@@ -15,7 +15,6 @@
 //	fpgad -prefetch -predictor freq              # frequency instead of markov
 //	fpgad -regions 2                             # two dynamic regions per member
 //	fpgad -regions 2 floorplan                   # print the pool's floorplans and exit
-//	fpgad -arrivals                              # open-loop S5 latency percentiles
 //	fpgad -shards 4                              # sharded dispatch (per-shard run queues)
 //	fpgad -shards 4 -rate 200000                 # open-loop drive, sojourn percentiles
 //	fpgad -pprof localhost:6060                  # live net/http/pprof + /metrics with mutex profiling
@@ -73,8 +72,6 @@ func run(args []string, out, errw io.Writer) int {
 		"max outstanding requests, submitted closed-loop (0 = submit all upfront)")
 	regions := fs.Int("regions", 1,
 		"independently reconfigurable regions per member (1 = the paper's fixed dynamic area)")
-	arrivals := fs.Bool("arrivals", false,
-		"also replay the measured service trace under open-loop Poisson/bursty arrivals (table S5)")
 	shards := fs.Int("shards", 1,
 		"independently locked scheduler shards, each owning a subset of the pool's members (1 = the single-mutex dispatcher)")
 	rate := fs.Float64("rate", 0,
@@ -213,8 +210,8 @@ func run(args []string, out, errw io.Writer) int {
 		// The comparisons sweep every policy × stream-mode × prefetch ×
 		// region configuration themselves, so a single-run selection would
 		// be misleading.
-		if *policyName != "lru" || !*planOn || *prefetchOn || *window != 0 || *regions != 1 || *arrivals || *shards != 1 || *rate != 0 {
-			fmt.Fprintln(errw, "fpgad: -compare runs all configurations (the S6 sweep varies shard count and offered load itself); -policy/-plan/-prefetch/-window/-regions/-arrivals/-shards/-rate only apply to single runs")
+		if *policyName != "lru" || !*planOn || *prefetchOn || *window != 0 || *regions != 1 || *shards != 1 || *rate != 0 {
+			fmt.Fprintln(errw, "fpgad: -compare runs all configurations (the S6 sweep varies shard count and offered load itself); -policy/-plan/-prefetch/-window/-regions/-shards/-rate only apply to single runs")
 			return 2
 		}
 		return runCompare(spec, *jsonPath, *historyPath, *shaFlag, tracer, *tracePath, *samples, out, errw)
@@ -317,15 +314,6 @@ func run(args []string, out, errw io.Writer) int {
 		}
 		fmt.Fprintln(out)
 	}
-	var arrivalRuns []bench.ArrivalRun
-	if *arrivals {
-		arrivalRuns, err = bench.ArrivalRuns(spec, *seed, []float64{0.7, 0.95})
-		if err != nil {
-			fmt.Fprintln(errw, "fpgad:", err)
-			return 1
-		}
-		bench.ArrivalTableFromRuns(arrivalRuns).Format(out)
-	}
 	if *prefetchOn {
 		fmt.Fprintf(out, "prefetch: %d issued, %d hits, %d aborted; hidden config %v, speculative %d B (%d B wasted)\n",
 			st.PrefetchIssued, st.PrefetchHits, st.PrefetchAborted,
@@ -403,9 +391,6 @@ func run(args []string, out, errw io.Writer) int {
 			}
 		}
 		w := bench.NewWriter(rec)
-		// A single run's -arrivals replay rides along as typed S5 rows:
-		// the one latency table the -compare sweep does not emit.
-		bench.AddRecords(w, bench.ArrivalRecords(arrivalRuns))
 		if err := w.WriteFile(*jsonPath); err != nil {
 			fmt.Fprintln(errw, "fpgad:", err)
 			return 1

@@ -142,19 +142,3 @@ func TestRunFloorplanSubcommand(t *testing.T) {
 		}
 	}
 }
-
-// TestRunArrivals appends the open-loop S5 latency table.
-func TestRunArrivals(t *testing.T) {
-	var out, errw bytes.Buffer
-	code := run([]string{"-sys32", "1", "-n", "6", "-mix", "brightness=1,fade=1",
-		"-seed", "3", "-arrivals"}, &out, &errw)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, errw.String())
-	}
-	got := out.String()
-	for _, want := range []string{"S5 —", "poisson", "bursty", "p99"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -64,67 +63,5 @@ func TestReplayOpenLoopQueueing(t *testing.T) {
 	}
 	if p := Percentile(soj, 0.50); p != 10 {
 		t.Fatalf("p50 %v, want 10", p)
-	}
-}
-
-// TestArrivalTableShape builds S5 over a small paced trace: one row per
-// (load, process), p99 raw values present, and heavier load never improves
-// the p99 of the same process.
-func TestArrivalTableShape(t *testing.T) {
-	spec := DefaultPlacementSpec()
-	spec.N = 24
-	tb, err := ArrivalTable(spec, 5, []float64{0.5, 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows := 2 * len(ArrivalProcesses())
-	if len(tb.Rows) != wantRows || len(tb.Raw()) != wantRows {
-		t.Fatalf("table has %d rows / %d raw, want %d", len(tb.Rows), len(tb.Raw()), wantRows)
-	}
-	procs := len(ArrivalProcesses())
-	for i := 0; i < procs; i++ {
-		if tb.Raw()[i] > tb.Raw()[i+procs] {
-			t.Errorf("%s: p99 at load 0.5 (%v) exceeds p99 at 0.9 (%v)",
-				tb.Rows[i][0], tb.Raw()[i], tb.Raw()[i+procs])
-		}
-	}
-}
-
-// TestArrivalRecords: the S5 rows become typed records — one per
-// (process, rho), deterministic at the 15% band, with the table built
-// from the same runs matching the direct ArrivalTable path.
-func TestArrivalRecords(t *testing.T) {
-	spec := DefaultPlacementSpec()
-	spec.N = 24
-	runs, err := ArrivalRuns(spec, 5, []float64{0.5, 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := ArrivalRecords(runs)
-	if len(recs) != 2*len(ArrivalProcesses()) {
-		t.Fatalf("%d records, want one per (rho, process)", len(recs))
-	}
-	for _, r := range recs {
-		if r.Suite() != "S5" || !r.Deterministic() || r.Tolerance() != 15 {
-			t.Fatalf("record %s: suite %s det %v tol %v, want S5/true/15", r.Key(), r.Suite(), r.Deterministic(), r.Tolerance())
-		}
-		if r.Process == "" || r.P99Ms < r.P50Ms || r.SimThroughputRPS <= 0 {
-			t.Errorf("record %s implausible: %+v", r.Key(), r)
-		}
-		w := r.Wire()
-		if w.Table != "S5" || w.Label != r.Label {
-			t.Errorf("wire lowering lost identity: %+v", w)
-		}
-	}
-	var direct strings.Builder
-	tb, err := ArrivalTable(spec, 5, []float64{0.5, 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb.Format(&direct)
-	var fromRuns strings.Builder
-	ArrivalTableFromRuns(runs).Format(&fromRuns)
-	if direct.String() != fromRuns.String() {
-		t.Error("ArrivalTable and ArrivalTableFromRuns render differently for the same inputs")
 	}
 }

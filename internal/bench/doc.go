@@ -7,14 +7,14 @@
 //   - The paper tables (T1–T12, A1/A2): one generator per artifact,
 //     shared by the fpgasim command and the Go benchmark harness.
 //
-//   - The scheduler suites (S1–S8): seeded, reproducible drives of the
+//   - The scheduler suites (S1–S9): seeded, reproducible drives of the
 //     multi-system pool — S2 placement, S3 prefetch, S4 region
-//     granularity, S5 open-loop arrival replay, S6 sharded-dispatch
-//     scaling, S7 fault availability, S8 compressed/DMA load paths.
+//     granularity, S6 sharded-dispatch scaling, S7 fault availability,
+//     S8 compressed/DMA load paths, S9 latency SLOs.
 //
 // Each suite renders a human-readable Table and converts its runs into
 // typed records (ScheduleRecord, PrefetchRecord, RegionRecord,
-// ArrivalRecord, ScalingRecord, FaultRecord, CompressRecord) implementing
+// ScalingRecord, FaultRecord, CompressRecord, SLORecord) implementing
 // the Record interface. A Writer emits records in two on-disk forms: the
 // committed BENCH_sched.json baseline that cmd/benchdiff gates CI on, and
 // the append-only per-commit history store (artifacts/bench/

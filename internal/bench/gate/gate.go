@@ -93,7 +93,7 @@ func CheckHigherBetter(base, fresh, allowedPct float64) Verdict {
 // bytes_streamed, but their measured fields swing with the host.
 func SuiteDeterministic(suite string) bool {
 	switch suite {
-	case "S3", "S4", "S5", "S7", "S8", "S9":
+	case "S3", "S4", "S7", "S8", "S9":
 		return true
 	default:
 		return false

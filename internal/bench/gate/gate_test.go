@@ -78,7 +78,7 @@ func TestAllowed(t *testing.T) {
 }
 
 func TestSuiteDeterministic(t *testing.T) {
-	for _, s := range []string{"S3", "S4", "S5", "S7", "S8"} {
+	for _, s := range []string{"S3", "S4", "S7", "S8", "S9"} {
 		if !SuiteDeterministic(s) {
 			t.Errorf("%s must gate as deterministic", s)
 		}

@@ -17,8 +17,8 @@ type Metric struct {
 
 // Record is one bench table row in typed form. Every suite's rows —
 // ScheduleRecord (S2), PrefetchRecord (S3), RegionRecord (S4),
-// ArrivalRecord (S5), ScalingRecord (S6), FaultRecord (S7),
-// CompressRecord (S8), SLORecord (S9) — implement it, as does the raw wire row itself
+// ScalingRecord (S6), FaultRecord (S7), CompressRecord (S8),
+// SLORecord (S9) — implement it, as does the raw wire row itself
 // (PlacementRecord) for ad-hoc single runs. The Writer consumes Records
 // to emit both the committed BENCH_sched.json layout and the history
 // store.
@@ -261,46 +261,6 @@ func (r RegionRecord) Wire() PlacementRecord {
 	return w
 }
 
-// ArrivalRecord is one S5 row: the measured service trace replayed
-// through the virtual k-server queue under one open-loop arrival process
-// and offered load. The replay is pure arithmetic over a deterministic
-// trace, so the rows reproduce exactly; the scheduler-economics fields of
-// Base describe the single paced run the whole table replays.
-type ArrivalRecord struct {
-	Base
-	Process          string
-	OfferedLoad      float64
-	P50Ms            float64
-	P95Ms            float64
-	P99Ms            float64
-	SimThroughputRPS float64
-}
-
-// Suite implements Record.
-func (ArrivalRecord) Suite() string { return "S5" }
-
-// Deterministic implements Record.
-func (ArrivalRecord) Deterministic() bool { return true }
-
-// Metrics implements Record.
-func (r ArrivalRecord) Metrics() []Metric {
-	return append(r.metrics(),
-		Metric{Name: "p99_ms", Value: r.P99Ms, Unit: "ms"},
-		Metric{Name: "sim_throughput_rps", Value: r.SimThroughputRPS, Unit: "req/s"})
-}
-
-// Wire implements Record.
-func (r ArrivalRecord) Wire() PlacementRecord {
-	w := r.wire("S5")
-	w.ArrivalProcess = r.Process
-	w.OfferedLoad = r.OfferedLoad
-	w.P50Ms = r.P50Ms
-	w.P95Ms = r.P95Ms
-	w.P99Ms = r.P99Ms
-	w.SimThroughputRPS = r.SimThroughputRPS
-	return w
-}
-
 // ScalingRecord is one S6 scaling-sweep cell: the sharded dispatcher
 // under an open-loop all-hit capacity drive at one (shard count, offered
 // load) point.
@@ -504,16 +464,6 @@ func FromWire(w PlacementRecord) Record {
 		return PrefetchRecord{Base: baseOf(w), Speculation: speculationOf(w)}
 	case "S4":
 		return RegionRecord{Base: baseOf(w), Speculation: speculationOf(w)}
-	case "S5":
-		return ArrivalRecord{
-			Base:             baseOf(w),
-			Process:          w.ArrivalProcess,
-			OfferedLoad:      w.OfferedLoad,
-			P50Ms:            w.P50Ms,
-			P95Ms:            w.P95Ms,
-			P99Ms:            w.P99Ms,
-			SimThroughputRPS: w.SimThroughputRPS,
-		}
 	case "S6":
 		return ScalingRecord{
 			Base:             baseOf(w),

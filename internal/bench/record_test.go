@@ -46,7 +46,6 @@ func TestFromWireSuites(t *testing.T) {
 		{"S2", "bench.ScheduleRecord"},
 		{"S3", "bench.PrefetchRecord"},
 		{"S4", "bench.RegionRecord"},
-		{"S5", "bench.ArrivalRecord"},
 		{"S6", "bench.ScalingRecord"},
 		{"S7", "bench.FaultRecord"},
 		{"S8", "bench.CompressRecord"},

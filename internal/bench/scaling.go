@@ -279,7 +279,7 @@ func ScalingTable(runs []ScalingRun) *Table {
 		"all-hit capacity drive: the module is pre-warmed into every slot, so the request path streams zero configuration bytes and real throughput isolates the dispatcher",
 		"sojourn percentiles (queue wait + service) come from the scheduler's simulated wall-clock overlay over the generated arrival stamps; real throughput is host wall-clock and never gated",
 		"submission is back-to-back from concurrent feeders — open-loop in simulated time — so every cell measures dispatch capacity under a fully backlogged queue",
-		"under full backlog, placement is completion-driven and bursts onto whichever member last freed, so the sojourn chains concentrate beyond the balanced k-server ideal the S5 replay assumes — the S5/S6 percentile gap is that imbalance, measured")
+		"under full backlog, placement is completion-driven and bursts onto whichever member last freed, so the sojourn chains concentrate beyond the balanced k-server ideal the S9 replay assumes — the S9/S6 percentile gap is that imbalance, measured")
 	return t
 }
 

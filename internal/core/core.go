@@ -459,7 +459,8 @@ func (m *Manager) Load(name string) (sim.Time, error) {
 	if m.current == name && m.residentOK && !m.corrupted {
 		return 0, nil
 	}
-	return m.stream(e.assembled.Stream, false)
+	t, _, err := m.stream(e.assembled.Stream.Words, plan.StreamComplete, nil)
+	return t, err
 }
 
 // LoadDifferential loads the cached differential configuration for the
@@ -472,14 +473,14 @@ func (m *Manager) LoadDifferential(name, assumed string) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.stream(res.Stream, true)
+	t, _, err := m.stream(res.Stream.Words, plan.StreamDifferential, nil)
+	return t, err
 }
 
-// LoadPlanned executes a plan produced by plan.Planner. The safety gate of
-// §2.2 lives here: a differential stream is only issued when the plan's
-// assumed from-state still matches the authoritative resident state —
-// otherwise LoadPlanned refuses without touching the ICAP, and the caller
-// must re-plan against the current state.
+// LoadPlanned executes a plan produced by plan.Planner through CPU stores.
+// The safety gate of §2.2 (see resolve) refuses a stale plan without
+// touching the ICAP, and the caller must re-plan against the current
+// state.
 func (m *Manager) LoadPlanned(p plan.Plan) (sim.Time, error) {
 	t, _, err := m.LoadPlannedAbortable(p, nil)
 	return t, err
@@ -493,61 +494,74 @@ func (m *Manager) LoadPlanned(p plan.Plan) (sim.Time, error) {
 // demoted to non-authoritative (partial region content), and ErrAborted is
 // returned. bytes reports the words actually streamed, complete or not.
 func (m *Manager) LoadPlannedAbortable(p plan.Plan, stop func() bool) (elapsed sim.Time, bytes int, err error) {
-	e, ok := m.modules[p.Module]
-	if !ok {
-		return 0, 0, fmt.Errorf("core: unknown module %s", p.Module)
-	}
 	if stop != nil && stop() {
 		return 0, 0, ErrAborted
 	}
+	words, kind, err := m.resolve(p)
+	if err != nil || kind == plan.StreamNone {
+		return 0, 0, err
+	}
+	return m.stream(words, kind, stop)
+}
+
+// resolve applies the §2.2 gate to a plan and returns the words to stream
+// and the stream kind to book them under (no words and StreamNone for a
+// verified no-op). A no-op, differential or differential-based compressed
+// plan whose assumed state no longer matches the authoritative resident
+// state is refused before any configuration port is touched; complete
+// streams, plain or compressed, carry no configuration-memory references
+// and need no gate. Both transports, CPU stores and dock DMA, resolve
+// their plans here, so every refusal is decided and reported in one place.
+func (m *Manager) resolve(p plan.Plan) ([]uint32, plan.StreamKind, error) {
+	e, ok := m.modules[p.Module]
+	if !ok {
+		return nil, 0, fmt.Errorf("core: unknown module %s", p.Module)
+	}
 	resident, authoritative := m.ResidentState()
+	stale := func(reason, what string) error {
+		m.event("hazard", reason)
+		return fmt.Errorf("core: stale plan: %s but resident state is %q (authoritative=%v)",
+			what, resident, authoritative)
+	}
+	fromOK := authoritative && resident == p.From
 	switch p.Kind {
 	case plan.StreamNone:
 		if !authoritative || resident != p.Module {
-			m.event("hazard", "stale-noop")
-			return 0, 0, fmt.Errorf("core: stale plan: no-op for %s but resident state is %q (authoritative=%v)",
-				p.Module, resident, authoritative)
+			return nil, 0, stale("stale-noop", "no-op for "+p.Module)
 		}
-		return 0, 0, nil
+		return nil, plan.StreamNone, nil
+	case plan.StreamComplete:
+		return e.assembled.Stream.Words, plan.StreamComplete, nil
 	case plan.StreamDifferential:
-		if !authoritative || resident != p.From {
-			m.event("hazard", "stale-differential")
-			return 0, 0, fmt.Errorf("core: stale plan: differential %q -> %s but resident state is %q (authoritative=%v)",
-				p.From, p.Module, resident, authoritative)
+		if !fromOK {
+			return nil, 0, stale("stale-differential", fmt.Sprintf("differential %q -> %s", p.From, p.Module))
 		}
 		res, err := m.differential(p.From, p.Module)
 		if err != nil {
-			return 0, 0, err
+			return nil, 0, err
 		}
-		return m.streamAbortable(res.Stream, true, stop)
-	case plan.StreamComplete:
-		return m.streamAbortable(e.assembled.Stream, false, stop)
+		return res.Stream.Words, plan.StreamDifferential, nil
 	case plan.StreamCompressed:
-		z, err := m.planContainer(p, resident, authoritative)
+		// A container is gated like the stream it encodes.
+		var z *bitstream.Compressed
+		var err error
+		switch p.Base {
+		case plan.StreamDifferential:
+			if !fromOK {
+				return nil, 0, stale("stale-compressed", fmt.Sprintf("compressed differential %q -> %s", p.From, p.Module))
+			}
+			z, err = m.compressedDiff(p.From, p.Module)
+		case plan.StreamComplete:
+			z, err = m.compressedFull(p.Module)
+		default:
+			return nil, 0, fmt.Errorf("core: compressed plan with base %v", p.Base)
+		}
 		if err != nil {
-			return 0, 0, err
+			return nil, 0, err
 		}
-		return m.streamCompressedAbortable(z, stop)
+		return z.Words, plan.StreamCompressed, nil
 	}
-	return 0, 0, fmt.Errorf("core: unknown stream kind %v", p.Kind)
-}
-
-// planContainer resolves a compressed plan to its container, enforcing the
-// §2.2 gate for differential-based ones. Complete-based containers carry no
-// configuration-memory references and need no gate.
-func (m *Manager) planContainer(p plan.Plan, resident string, authoritative bool) (*bitstream.Compressed, error) {
-	switch p.Base {
-	case plan.StreamDifferential:
-		if !authoritative || resident != p.From {
-			m.event("hazard", "stale-compressed")
-			return nil, fmt.Errorf("core: stale plan: compressed differential %q -> %s but resident state is %q (authoritative=%v)",
-				p.From, p.Module, resident, authoritative)
-		}
-		return m.compressedDiff(p.From, p.Module)
-	case plan.StreamComplete:
-		return m.compressedFull(p.Module)
-	}
-	return nil, fmt.Errorf("core: compressed plan with base %v", p.Base)
+	return nil, 0, fmt.Errorf("core: unknown stream kind %v", p.Kind)
 }
 
 // PendingLoad is one in-flight DMA load. The stream content is already
@@ -564,65 +578,23 @@ type PendingLoad struct {
 // Bytes reports the wire bytes the transfer moved.
 func (pl *PendingLoad) Bytes() int { return pl.bytes }
 
-// BeginPlanned starts a plan's stream on a dock DMA engine. The same §2.2
-// gates as LoadPlannedAbortable apply — a differential-based stream (plain
-// or compressed) is refused unless the plan's assumed from-state still
-// matches the authoritative resident state. The returned PendingLoad's port
+// BeginPlanned starts a plan's stream on a dock DMA engine, behind the same
+// §2.2 gate as LoadPlanned (see resolve). The returned PendingLoad's port
 // window overlaps sibling engines' windows and CPU work; call FinishLoad
 // before using the loaded module. A configuration error is returned
 // immediately (the engine resets the loader) and demotes the resident
 // state, exactly like a CPU-path failure.
 func (m *Manager) BeginPlanned(p plan.Plan, eng *icap.DMA) (*PendingLoad, error) {
-	e, ok := m.modules[p.Module]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown module %s", p.Module)
+	words, kind, err := m.resolve(p)
+	if err != nil {
+		return nil, err
 	}
-	resident, authoritative := m.ResidentState()
-	var words []uint32
-	compressed := false
-	switch p.Kind {
-	case plan.StreamNone:
-		if !authoritative || resident != p.Module {
-			m.event("hazard", "stale-noop")
-			return nil, fmt.Errorf("core: stale plan: no-op for %s but resident state is %q (authoritative=%v)",
-				p.Module, resident, authoritative)
-		}
+	if kind == plan.StreamNone {
 		return &PendingLoad{Plan: p, none: true}, nil
-	case plan.StreamDifferential:
-		if !authoritative || resident != p.From {
-			m.event("hazard", "stale-differential")
-			return nil, fmt.Errorf("core: stale plan: differential %q -> %s but resident state is %q (authoritative=%v)",
-				p.From, p.Module, resident, authoritative)
-		}
-		res, err := m.differential(p.From, p.Module)
-		if err != nil {
-			return nil, err
-		}
-		words = res.Stream.Words
-	case plan.StreamComplete:
-		words = e.assembled.Stream.Words
-	case plan.StreamCompressed:
-		z, err := m.planContainer(p, resident, authoritative)
-		if err != nil {
-			return nil, err
-		}
-		words, compressed = z.Words, true
-	default:
-		return nil, fmt.Errorf("core: unknown stream kind %v", p.Kind)
 	}
-	start, done, err := eng.Begin(words, compressed)
-	m.loadCount++
+	start, done, err := eng.Begin(words, kind == plan.StreamCompressed)
+	m.book(kind, 4*len(words), done-start)
 	m.dmaLoads++
-	m.loadTime += done - start
-	m.bytesStreamed += uint64(4 * len(words))
-	switch {
-	case compressed:
-		m.compressedLoads++
-	case p.Kind == plan.StreamDifferential:
-		m.diffLoads++
-	default:
-		m.completeLoads++
-	}
 	if err != nil {
 		m.demote("dma-error")
 		return nil, fmt.Errorf("core: dma load of %s: %w", p.Module, err)
@@ -663,7 +635,8 @@ func (m *Manager) LoadNaive(name string) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.stream(res.Stream, false)
+	t, _, err := m.stream(res.Stream.Words, plan.StreamComplete, nil)
+	return t, err
 }
 
 // abortCheckWords is how often an abortable stream polls its stop
@@ -671,33 +644,37 @@ func (m *Manager) LoadNaive(name string) (sim.Time, error) {
 // request preempts a speculative stream within microseconds of real time.
 const abortCheckWords = 256
 
-// stream drives the words through the HWICAP with CPU stores and checks the
-// completion status.
-func (m *Manager) stream(s *bitstream.Stream, differential bool) (sim.Time, error) {
-	t, _, err := m.streamAbortable(s, differential, nil)
-	return t, err
-}
-
-// streamAbortable streams like stream, polling stop at chunk boundaries.
-// An aborted stream resets the configuration logic (so the next load finds
-// the packet state machine at power-up, as a real HWICAP abort does),
+// stream drives the words through the HWICAP with CPU stores, checks the
+// completion status and books the load under kind. A compressed container
+// is pushed with the decoder front-end armed: wire bytes are what software
+// streamed and what the byte counters book, while the port time is bound
+// by the decoded words, which the armed HWICAP charges per expansion.
+//
+// A non-nil stop is polled at chunk boundaries. An aborted stream resets
+// the configuration logic (so the next load finds the packet state machine
+// at power-up, as a real HWICAP abort does, and the decoder disarmed),
 // counts the words it actually pushed, and leaves the resident state
 // non-authoritative: some frames may have been committed without a rebind.
 // The §2.2 hazard gate then refuses any differential against this region
 // until a complete load restores a verified state, so an abort can waste
 // stream bytes but can never corrupt an execution.
-func (m *Manager) streamAbortable(s *bitstream.Stream, differential bool, stop func() bool) (sim.Time, int, error) {
+func (m *Manager) stream(words []uint32, kind plan.StreamKind, stop func() bool) (sim.Time, int, error) {
+	compressed := kind == plan.StreamCompressed
+	if compressed && m.cfg.ICAP == nil {
+		return 0, 0, fmt.Errorf("core: compressed load without an HWICAP decoder front-end")
+	}
 	c := m.cfg.CPU
 	start := m.cfg.Kernel.Now()
-	for i, w := range s.Words {
+	if compressed {
+		m.cfg.ICAP.ArmDecoder()
+	}
+	for i, w := range words {
 		if stop != nil && i > 0 && i%abortCheckWords == 0 && stop() {
 			c.SW(m.cfg.ICAPBase+icap.RegControl, icap.CtrlReset)
 			c.Sync()
 			elapsed := m.cfg.Kernel.Now() - start
-			m.loadCount++
+			m.book(plan.StreamNone, 4*i, elapsed)
 			m.abortedLoads++
-			m.loadTime += elapsed
-			m.bytesStreamed += uint64(4 * i)
 			m.demote("abort")
 			return elapsed, 4 * i, ErrAborted
 		}
@@ -710,80 +687,42 @@ func (m *Manager) streamAbortable(s *bitstream.Stream, differential bool, stop f
 		status = c.LW(m.cfg.ICAPBase + icap.RegStatus)
 		return status&(icap.StatDone|icap.StatError) != 0 && status&icap.StatBusy == 0
 	})
-	elapsed := m.cfg.Kernel.Now() - start
-	m.loadCount++
-	m.loadTime += elapsed
-	m.bytesStreamed += uint64(s.SizeBytes())
-	if differential {
-		m.diffLoads++
-	} else {
-		m.completeLoads++
+	if compressed {
+		if derr := m.cfg.ICAP.DisarmDecoder(); err == nil && derr != nil {
+			err = fmt.Errorf("core: compressed stream: %w", derr)
+		}
 	}
+	elapsed := m.cfg.Kernel.Now() - start
+	bytes := 4 * len(words)
+	m.book(kind, bytes, elapsed)
 	if err != nil {
 		// The sequence never completed: frames may have been committed
 		// without a rebind, so the tracked state is no longer trustworthy.
 		m.demote("stream-error")
-		return elapsed, s.SizeBytes(), err
+		return elapsed, bytes, err
 	}
 	if status&icap.StatError != 0 {
 		m.demote("config-error")
-		return elapsed, s.SizeBytes(), fmt.Errorf("core: configuration error reported by HWICAP")
+		return elapsed, bytes, fmt.Errorf("core: configuration error reported by HWICAP")
 	}
-	return elapsed, s.SizeBytes(), nil
+	return elapsed, bytes, nil
 }
 
-// streamCompressedAbortable pushes a compressed container through the
-// HWICAP with the decoder front-end armed, polling stop at the same
-// 256-word FIFO-write boundaries as an uncompressed stream — an abort
-// resets the configuration logic (which also disarms the decoder), so the
-// abort-demote semantics are unchanged. Wire bytes are what software
-// streamed and what the byte counters book; the port time is bound by the
-// decoded words, which the armed HWICAP charges per expansion.
-func (m *Manager) streamCompressedAbortable(z *bitstream.Compressed, stop func() bool) (sim.Time, int, error) {
-	if m.cfg.ICAP == nil {
-		return 0, 0, fmt.Errorf("core: compressed load without an HWICAP decoder front-end")
-	}
-	c := m.cfg.CPU
-	start := m.cfg.Kernel.Now()
-	m.cfg.ICAP.ArmDecoder()
-	for i, w := range z.Words {
-		if stop != nil && i > 0 && i%abortCheckWords == 0 && stop() {
-			c.SW(m.cfg.ICAPBase+icap.RegControl, icap.CtrlReset)
-			c.Sync()
-			elapsed := m.cfg.Kernel.Now() - start
-			m.loadCount++
-			m.abortedLoads++
-			m.loadTime += elapsed
-			m.bytesStreamed += uint64(4 * i)
-			m.demote("abort")
-			return elapsed, 4 * i, ErrAborted
-		}
-		c.SW(m.cfg.ICAPBase+icap.RegWriteFIFO, w)
-	}
-	c.Sync()
-	var status uint32
-	err := c.Spin(32, func() bool {
-		status = c.LW(m.cfg.ICAPBase + icap.RegStatus)
-		return status&(icap.StatDone|icap.StatError) != 0 && status&icap.StatBusy == 0
-	})
-	derr := m.cfg.ICAP.DisarmDecoder()
-	elapsed := m.cfg.Kernel.Now() - start
+// book counts one load that occupied a configuration port for elapsed and
+// moved bytes, under its stream kind (StreamNone, for an aborted stream,
+// counts under no kind).
+func (m *Manager) book(kind plan.StreamKind, bytes int, elapsed sim.Time) {
 	m.loadCount++
 	m.loadTime += elapsed
-	m.bytesStreamed += uint64(z.SizeBytes())
-	m.compressedLoads++
-	if err == nil && derr != nil {
-		err = fmt.Errorf("core: compressed stream: %w", derr)
+	m.bytesStreamed += uint64(bytes)
+	switch kind {
+	case plan.StreamDifferential:
+		m.diffLoads++
+	case plan.StreamComplete:
+		m.completeLoads++
+	case plan.StreamCompressed:
+		m.compressedLoads++
 	}
-	if err != nil {
-		m.demote("stream-error")
-		return elapsed, z.SizeBytes(), err
-	}
-	if status&icap.StatError != 0 {
-		m.demote("config-error")
-		return elapsed, z.SizeBytes(), fmt.Errorf("core: configuration error reported by HWICAP")
-	}
-	return elapsed, z.SizeBytes(), nil
 }
 
 // rebind runs after every completed configuration sequence: it hashes the

@@ -406,3 +406,67 @@ func TestStaleNoOpPlanRefused(t *testing.T) {
 		t.Fatal("stale no-op plan accepted while beta is resident")
 	}
 }
+
+// TestStalePlansRefusedOnBothTransports sends every gated plan kind, made
+// stale by a later load, through both transports: CPU stores (LoadPlanned)
+// and a dock DMA engine (BeginPlanned). Each must be refused without
+// touching a configuration port and report the same hazard reason.
+func TestStalePlansRefusedOnBothTransports(t *testing.T) {
+	mgr, _, region, _ := rig(t)
+	for i, name := range []string{"alpha", "beta", "gamma"} {
+		id := uint64(i + 1)
+		if err := mgr.Register(testComponent(name, region), func() hw.Core { return &testCore{id: id} }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every plan below assumes alpha is resident; gamma is.
+	if _, err := mgr.Load("gamma"); err != nil {
+		t.Fatal(err)
+	}
+	var events []string
+	mgr.SetNotify(func(event, reason string) { events = append(events, event+":"+reason) })
+	eng := icap.NewDMA(mgr.cfg.Kernel, sim.NewClock("bus", 50_000_000), mgr.cfg.Loader)
+	transports := []struct {
+		name string
+		load func(plan.Plan) error
+	}{
+		{"cpu", func(p plan.Plan) error { _, err := mgr.LoadPlanned(p); return err }},
+		{"dma", func(p plan.Plan) error { _, err := mgr.BeginPlanned(p, eng); return err }},
+	}
+	cases := []struct {
+		name   string
+		p      plan.Plan
+		reason string
+	}{
+		{"no-op", plan.Plan{Module: "alpha", From: "alpha", Kind: plan.StreamNone}, "stale-noop"},
+		{"differential", plan.Plan{Module: "beta", From: "alpha", Kind: plan.StreamDifferential}, "stale-differential"},
+		{"compressed differential", plan.Plan{Module: "beta", From: "alpha",
+			Kind: plan.StreamCompressed, Base: plan.StreamDifferential}, "stale-compressed"},
+	}
+	for _, tc := range cases {
+		for _, tr := range transports {
+			loads, total, bytes := mgr.Stats()
+			dmaLoads := mgr.DMALoads()
+			events = nil
+			if err := tr.load(tc.p); err == nil {
+				t.Errorf("%s via %s: stale plan accepted", tc.name, tr.name)
+			}
+			if l, tt, b := mgr.Stats(); l != loads || tt != total || b != bytes {
+				t.Errorf("%s via %s: stale plan touched the port: loads %d->%d time %v->%v bytes %d->%d",
+					tc.name, tr.name, loads, l, total, tt, bytes, b)
+			}
+			if got := mgr.DMALoads(); got != dmaLoads {
+				t.Errorf("%s via %s: DMALoads %d->%d", tc.name, tr.name, dmaLoads, got)
+			}
+			if want := "hazard:" + tc.reason; len(events) != 1 || events[0] != want {
+				t.Errorf("%s via %s: notify saw %q, want [%q]", tc.name, tr.name, events, want)
+			}
+		}
+	}
+	if transfers, _ := eng.Stats(); transfers != 0 {
+		t.Errorf("DMA engine ran %d transfers for refused plans", transfers)
+	}
+	if cur, ok := mgr.ResidentState(); !ok || cur != "gamma" {
+		t.Errorf("resident state (%q, %v) after refusals, want authoritative gamma", cur, ok)
+	}
+}

@@ -261,17 +261,23 @@ func (s *System) planFor(rs *regionSlot, module string, usePlanner bool) (plan.P
 // Must run under the system lock (or on a single-threaded system):
 // planning and loading are one atomic step, so the plan's assumed
 // from-state cannot go stale between the choice and the stream — the
-// manager still re-verifies it.
-func (s *System) loadWith(rs *regionSlot, name string, usePlanner bool) (ConfigReport, error) {
-	at := s.K.Now()
+// manager still re-verifies it. A non-nil stop makes the stream abortable
+// (see LoadSpeculativeOn): an abort reports Aborted with the bytes actually
+// pushed and returns core.ErrAborted.
+func (s *System) loadWith(rs *regionSlot, name string, usePlanner bool, stop func() bool) (ConfigReport, error) {
+	r := ConfigReport{Module: name, Region: rs.area.R.Name, At: s.K.Now()}
+	if stop != nil && stop() {
+		r.Aborted = true
+		return r, core.ErrAborted
+	}
 	p, err := s.planFor(rs, name, usePlanner)
 	if err != nil {
-		return ConfigReport{Module: name, Region: rs.area.R.Name, At: at}, err
+		return r, err
 	}
-	t, err := rs.mgr.LoadPlanned(p)
-	r := ConfigReport{Module: name, Region: rs.area.R.Name,
-		Kind: p.Kind, Bytes: p.Bytes, Frames: p.Frames, Time: t, At: at}
+	r.Kind, r.Frames = p.Kind, p.Frames
+	r.Time, r.Bytes, err = rs.mgr.LoadPlannedAbortable(p, stop)
 	if err != nil {
+		r.Aborted = errors.Is(err, core.ErrAborted)
 		return r, err
 	}
 	if rs.mgr.Current() != name {
@@ -282,7 +288,7 @@ func (s *System) loadWith(rs *regionSlot, name string, usePlanner bool) (ConfigR
 		// Calibrate on the DECODED bytes the port consumed, not the wire
 		// size: a compressed load's wire bytes would read ~3x slower per
 		// byte and skew every differential estimate.
-		rs.planner.Observe(p.Raw, t)
+		rs.planner.Observe(p.Raw, r.Time)
 	}
 	return r, nil
 }
@@ -330,33 +336,7 @@ func (s *System) LoadSpeculativeOn(ri int, name string, stop func() bool) (Confi
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rs := s.regions[ri]
-	at := s.K.Now()
-	if stop != nil && stop() {
-		return ConfigReport{Module: name, Region: rs.area.R.Name, Aborted: true, At: at}, core.ErrAborted
-	}
-	p, err := s.planFor(rs, name, rs.planning)
-	if err != nil {
-		return ConfigReport{Module: name, Region: rs.area.R.Name, At: at}, err
-	}
-	t, bytes, err := rs.mgr.LoadPlannedAbortable(p, stop)
-	r := ConfigReport{Module: name, Region: rs.area.R.Name,
-		Kind: p.Kind, Bytes: bytes, Frames: p.Frames, Time: t, At: at}
-	if errors.Is(err, core.ErrAborted) {
-		r.Aborted = true
-		return r, err
-	}
-	if err != nil {
-		return r, err
-	}
-	if rs.mgr.Current() != name {
-		return r, fmt.Errorf("platform: after speculative load of %s region %s binds %q",
-			name, rs.area.R.Name, rs.mgr.Current())
-	}
-	if p.Kind != plan.StreamNone {
-		// Completed loads calibrate on decoded bytes (see loadWith).
-		rs.planner.Observe(p.Raw, t)
-	}
-	return r, nil
+	return s.loadWith(rs, name, rs.planning, stop)
 }
 
 // Execute runs the module on region 0; see ExecuteOn.
@@ -377,7 +357,7 @@ func (s *System) ExecuteOn(ri int, module string, fn func() error) (ExecReport, 
 	defer s.mu.Unlock()
 	rs := s.regions[ri]
 	s.active = ri
-	cfg, err := s.loadWith(rs, module, rs.planning)
+	cfg, err := s.loadWith(rs, module, rs.planning, nil)
 	r := ExecReport{
 		Module: module,
 		Region: rs.area.R.Name,

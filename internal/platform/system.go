@@ -472,7 +472,7 @@ func (s *System) LoadModuleOn(ri int, name string) (ConfigReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rs := s.regions[ri]
-	return s.loadWith(rs, name, rs.planning)
+	return s.loadWith(rs, name, rs.planning, nil)
 }
 
 // LoadComplete reconfigures region 0 with the module's complete
@@ -481,7 +481,7 @@ func (s *System) LoadModuleOn(ri int, name string) (ConfigReport, error) {
 func (s *System) LoadComplete(name string) (ConfigReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.loadWith(s.regions[0], name, false)
+	return s.loadWith(s.regions[0], name, false, nil)
 }
 
 // WriteMem loads bytes into external memory functionally (test and

@@ -27,17 +27,20 @@ func pairWorkload(rounds int) [][]tasks.Runner {
 	return out
 }
 
-func runPaired(t *testing.T, s *Scheduler, rounds int) {
+func runPaired(t *testing.T, s *Scheduler, rounds int) []Result {
 	t.Helper()
+	var out []Result
 	for _, pair := range pairWorkload(rounds) {
 		for _, r := range collect(t, s.SubmitBatch(pair)) {
 			if r.Err != nil {
 				t.Fatalf("%s: %v", r.Task, r.Err)
 			}
+			out = append(out, r)
 		}
 		quiesce(t, s)
 	}
 	s.Wait()
+	return out
 }
 
 // TestDMAGangOverlap: in DMA mode with the gang policy, a batch of two
@@ -78,26 +81,38 @@ func TestDMAGangOverlap(t *testing.T) {
 
 // TestDMAByteConservation: wire bytes booked by the scheduler equal the
 // bytes the members' own configuration-port counters saw, DMA or not —
-// the accounting law the CPU path already obeys.
+// the accounting law the CPU path already obeys — across the {DMA, Scrub}
+// matrix: dispatch scrubbing never takes a miss off the DMA engines.
 func TestDMAByteConservation(t *testing.T) {
-	for _, dma := range []bool{false, true} {
+	for _, c := range []struct{ dma, scrub bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
 		p := pool64x2(t, 2)
 		gang, _ := PolicyByName("gang")
-		s := New(p, Options{DMA: dma, Policy: gang})
-		runPaired(t, s, 6)
+		s := New(p, Options{DMA: c.dma, Scrub: c.scrub, Policy: gang})
+		res := runPaired(t, s, 6)
 		st := s.Stats()
 		var member uint64
 		for _, m := range p.Members() {
 			member += m.Sys.Status().StreamedBytes
 		}
 		if st.BytesStreamed != member {
-			t.Errorf("dma=%v: scheduler booked %d B, members streamed %d B", dma, st.BytesStreamed, member)
+			t.Errorf("%+v: scheduler booked %d B, members streamed %d B", c, st.BytesStreamed, member)
 		}
-		if dma && st.DMALoads == 0 {
-			t.Error("no DMA loads in DMA mode")
+		if c.dma && st.DMALoads == 0 {
+			t.Errorf("%+v: no DMA loads in DMA mode", c)
 		}
-		if !dma && (st.DMALoads != 0 || st.OverlapConfig != 0) {
-			t.Errorf("CPU mode booked DMA counters: %d loads, %v overlap", st.DMALoads, st.OverlapConfig)
+		if !c.dma && (st.DMALoads != 0 || st.OverlapConfig != 0) {
+			t.Errorf("%+v: CPU mode booked DMA counters: %d loads, %v overlap", c, st.DMALoads, st.OverlapConfig)
+		}
+		for _, r := range res {
+			if !r.Report.CacheHit && r.Report.DMA != c.dma {
+				t.Errorf("%+v: request %d (%s) missed with Report.DMA = %v", c, r.ID, r.Task, r.Report.DMA)
+			}
+		}
+		if c.scrub && st.ScrubPasses == 0 {
+			t.Errorf("%+v: no dispatch scrub passes", c)
+		}
+		if st.FaultsDetected != st.Repairs {
+			t.Errorf("%+v: %d faults detected != %d repairs", c, st.FaultsDetected, st.Repairs)
 		}
 	}
 }

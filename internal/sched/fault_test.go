@@ -61,46 +61,62 @@ func TestScrubQuarantineRepairReturnsSlotToService(t *testing.T) {
 // slot a request was placed on (a cache hit on the corrupted resident),
 // requeues the request, and dispatch serves it from a healthy slot while
 // the faulted one repairs in the background. The request completes
-// cleanly — the fault cost a requeue and a stream, never correctness.
+// cleanly — the fault cost a requeue and a stream, never correctness. With
+// DMA on, every miss (the requeued one included) still streams through
+// the dock engines: the scrub runs before any stream begins.
 func TestFaultRequeueOnDispatchScrub(t *testing.T) {
-	p := pool64x2(t, 1)
-	s := New(p, Options{Scrub: true})
-	warm := <-s.Submit(tasks.JenkinsRun{Seed: 1, Len: 256, InitVal: 3})
-	if warm.Err != nil {
-		t.Fatal(warm.Err)
+	for _, dma := range []bool{false, true} {
+		p := pool64x2(t, 1)
+		s := New(p, Options{Scrub: true, DMA: dma})
+		warm := <-s.Submit(tasks.JenkinsRun{Seed: 1, Len: 256, InitVal: 3})
+		if warm.Err != nil {
+			t.Fatal(warm.Err)
+		}
+		quiesce(t, s)
+		other := <-s.Submit(tasks.FadeRun{Seed: 2, N: 256, F: 9})
+		if other.Err != nil {
+			t.Fatal(other.Err)
+		}
+		quiesce(t, s)
+		if warm.Region == other.Region {
+			t.Fatalf("dma=%v: warmup landed both modules on region %d", dma, warm.Region)
+		}
+		if err := p.Members()[0].Sys.InjectFaultOn(warm.Region, 1, 1, 7); err != nil {
+			t.Fatal(err)
+		}
+		// The jenkins request is dispatched to its (corrupted) resident
+		// slot; the dispatch scrub bounces it to the fade slot.
+		r := <-s.Submit(tasks.JenkinsRun{Seed: 3, Len: 256, InitVal: 3})
+		if r.Err != nil {
+			t.Fatalf("dma=%v: requeued request failed: %v", dma, r.Err)
+		}
+		if r.Region != other.Region || r.Report.CacheHit {
+			t.Fatalf("dma=%v: requeued request ran on region %d (%+v), want a miss on healthy region %d",
+				dma, r.Region, r.Report, other.Region)
+		}
+		for _, res := range []Result{warm, other, r} {
+			if res.Report.DMA != dma {
+				t.Errorf("dma=%v: request %d (%s) missed with Report.DMA = %v", dma, res.ID, res.Task, res.Report.DMA)
+			}
+		}
+		quiesce(t, s)
+		st := s.Stats()
+		if st.Requeues != 1 || st.FaultsDetected != 1 || st.Repairs != 1 {
+			t.Fatalf("dma=%v: requeues %d / detected %d / repairs %d, want 1 / 1 / 1",
+				dma, st.Requeues, st.FaultsDetected, st.Repairs)
+		}
+		if st.Done != 3 || st.Errors != 0 {
+			t.Fatalf("dma=%v: stats %+v, want 3 clean completions", dma, st)
+		}
+		wantDMA := uint64(0)
+		if dma {
+			wantDMA = 3
+		}
+		if st.DMALoads != wantDMA {
+			t.Errorf("dma=%v: DMALoads = %d, want %d (one per miss)", dma, st.DMALoads, wantDMA)
+		}
+		s.Wait()
 	}
-	quiesce(t, s)
-	other := <-s.Submit(tasks.FadeRun{Seed: 2, N: 256, F: 9})
-	if other.Err != nil {
-		t.Fatal(other.Err)
-	}
-	quiesce(t, s)
-	if warm.Region == other.Region {
-		t.Fatalf("warmup landed both modules on region %d", warm.Region)
-	}
-	if err := p.Members()[0].Sys.InjectFaultOn(warm.Region, 1, 1, 7); err != nil {
-		t.Fatal(err)
-	}
-	// The jenkins request is dispatched to its (corrupted) resident slot;
-	// the dispatch scrub bounces it to the fade slot.
-	r := <-s.Submit(tasks.JenkinsRun{Seed: 3, Len: 256, InitVal: 3})
-	if r.Err != nil {
-		t.Fatalf("requeued request failed: %v", r.Err)
-	}
-	if r.Region != other.Region || r.Report.CacheHit {
-		t.Fatalf("requeued request ran on region %d (%+v), want a miss on healthy region %d",
-			r.Region, r.Report, other.Region)
-	}
-	quiesce(t, s)
-	st := s.Stats()
-	if st.Requeues != 1 || st.FaultsDetected != 1 || st.Repairs != 1 {
-		t.Fatalf("requeues %d / detected %d / repairs %d, want 1 / 1 / 1",
-			st.Requeues, st.FaultsDetected, st.Repairs)
-	}
-	if st.Done != 3 || st.Errors != 0 {
-		t.Fatalf("stats %+v, want 3 clean completions", st)
-	}
-	s.Wait()
 }
 
 // TestScrubRaceKeepsSpeculativeByteConservation is the scrub/abort

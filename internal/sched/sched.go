@@ -88,8 +88,9 @@ type Options struct {
 	// same member opens its port window before any of them settles, so
 	// sibling regions' configurations overlap in simulated time — the
 	// overlapped part is reported per request as ConfigHidden and summed
-	// into Stats.OverlapConfig. Ignored while Scrub is set (the
-	// scrub-on-dispatch pass needs the CPU path's pre-execution check).
+	// into Stats.OverlapConfig. With Scrub also set, each member's round
+	// runs scrub → Begin → settle: the scrub reads every slot before any
+	// stream starts, and only the batches it clears open a port window.
 	DMA bool
 	// Trace records the run's event stream: submit/dispatch/steal/
 	// config/compute/complete spans plus prefetch, scrub, quarantine and

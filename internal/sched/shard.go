@@ -42,8 +42,7 @@ type shard struct {
 	stealTick uint64
 	// freeAt is the open-loop wall-clock overlay: per member, the simulated
 	// time its timeline frees up. Sibling regions serialize on the member's
-	// single kernel, so the overlay is per member, matching the S5 replay's
-	// k = members rationale.
+	// single kernel, so the overlay is per member.
 	freeAt map[*pool.Member]sim.Time
 }
 
@@ -128,9 +127,6 @@ func (sh *shard) submitLocked(t tasks.Runner, arrival sim.Time, openLoop bool) <
 // dispatch round, so a failed steal cannot spin.
 func (sh *shard) dispatchLocked() {
 	sc := sh.sc
-	// Scrub-on-dispatch needs the CPU path's pre-execution pass, so DMA
-	// dispatch yields to it.
-	useDMA := sc.opts.DMA && !sc.opts.Scrub
 	var round []assignment
 	assigned := make(map[int]bool)
 	stole := false
@@ -186,11 +182,7 @@ func (sh *shard) dispatchLocked() {
 		// One goroutine per member: a member's assignments of this round
 		// run in assignment order on its serialized timeline (so a
 		// multi-assignment round is deterministic), while different
-		// members' groups proceed independently. In DMA mode the group
-		// additionally Begins every head's stream back to back before any
-		// settles — sibling regions' port windows open together and
-		// overlap. A round launched one assignment at a time (the common
-		// case: requests arrive singly) behaves exactly as before.
+		// members' groups proceed independently (see runGroup).
 		var order []*pool.Member
 		byMember := make(map[*pool.Member][]assignment)
 		for _, a := range round {
@@ -200,7 +192,7 @@ func (sh *shard) dispatchLocked() {
 			byMember[a.ss.m] = append(byMember[a.ss.m], a)
 		}
 		for _, m := range order {
-			go sh.runGroup(byMember[m], useDMA)
+			go sh.runGroup(byMember[m])
 		}
 	}
 	sh.prefetchLocked()
@@ -569,108 +561,95 @@ func (sh *shard) runSpeculative(ss *slotState, mod string, tok *abortToken) {
 	}
 }
 
-func (sh *shard) runBatch(ss *slotState, si int, batch []*request) {
+// runGroup runs one member's assignments of a dispatch round in order on
+// the member's serialized timeline. With Options.Scrub every slot is
+// scrubbed first, and a detection bounces its batch back to the queue.
+// With Options.DMA every surviving head's stream then Begins before any
+// assignment settles, so sibling regions' port windows overlap. Finally
+// each assignment settles its window (or loads through CPU stores), runs
+// its batch and releases its slot.
+func (sh *shard) runGroup(group []assignment) {
 	sc := sh.sc
 	if sc.opts.Scrub {
-		// Scrub-on-dispatch: verify the slot's region before trusting its
-		// resident. The pass takes the member's lock — a speculative
-		// stream in flight on this slot is serialized out first, and an
-		// aborted one reads as already-demoted, never as a fresh fault.
-		rep := ss.m.Sys.ScrubOn(ss.ri)
-		sh.mu.Lock()
-		sh.stats.ScrubPasses++
-		if tr := sc.opts.Trace; tr != nil {
-			arg := int64(0)
-			if rep.Detected {
-				arg = 1
-			}
-			tr.Emit(trace.Event{Ts: sc.clock.Now(), Kind: trace.KindScrub,
-				Member: int32(ss.m.ID), Region: int32(ss.ri), Name: rep.Module, Arg: arg})
-		}
-		if rep.Detected {
-			// The batch never ran: bounce it back to the head of the queue
-			// in order, take the slot out of service, and let dispatch
-			// place the requests elsewhere (or wait out the repair).
-			sh.stats.Requeues += uint64(len(batch))
-			sh.pending = append(append([]*request(nil), batch...), sh.pending...)
-			sh.quarantineLocked(ss, rep.Module)
-			ss.busy = false
-			sh.dispatchLocked()
-			sh.mu.Unlock()
-			return
-		}
-		sh.mu.Unlock()
-	}
-	for _, req := range batch {
-		t := req.task
-		sys := ss.m.Sys
-		rep, err := sys.ExecuteOn(ss.ri, t.Module(), func() error { return t.Run(sys) })
-		res := Result{ID: req.id, Task: t.Name(), Module: t.Module(),
-			Member: ss.m.ID, Region: ss.ri, System: sys.Name, Report: rep, Err: err}
-		sh.record(si, &res, req)
-		req.ch <- res
-		sc.inflight.Add(-1)
-		sc.wg.Done()
-	}
-	sh.mu.Lock()
-	ss.busy = false
-	sh.dispatchLocked()
-	sh.mu.Unlock()
-}
-
-// runGroup runs one member's assignments of a dispatch round in order. In
-// DMA mode every head's stream Begins before any assignment settles, so
-// sibling regions' port windows overlap; then each assignment settles its
-// window, runs its batch and releases its slot on the member's serialized
-// timeline. On the CPU path the assignments simply run back to back.
-func (sh *shard) runGroup(group []assignment, dma bool) {
-	if !dma {
+		kept := group[:0]
 		for _, a := range group {
-			sh.runBatch(a.ss, a.si, a.batch)
+			// Scrub-on-dispatch: verify the slot's region before trusting
+			// its resident. The pass takes the member's lock — a
+			// speculative stream in flight on this slot is serialized out
+			// first, and an aborted one reads as already-demoted, never as
+			// a fresh fault.
+			rep := a.ss.m.Sys.ScrubOn(a.ss.ri)
+			sh.mu.Lock()
+			if sh.bookScrubLocked(a.ss, rep) {
+				// The batch never ran: bounce it back to the head of the
+				// queue in order and let dispatch place the requests
+				// elsewhere (or wait out the repair).
+				sh.stats.Requeues += uint64(len(a.batch))
+				sh.pending = append(append([]*request(nil), a.batch...), sh.pending...)
+				a.ss.busy = false
+				sh.dispatchLocked()
+			} else {
+				kept = append(kept, a)
+			}
+			sh.mu.Unlock()
 		}
-		return
+		group = kept
 	}
 	tickets := make([]*platform.LoadTicket, len(group))
-	for i, a := range group {
-		tk, err := a.ss.m.Sys.BeginExecuteOn(a.ss.ri, a.batch[0].task.Module())
-		if err == nil {
-			tickets[i] = tk
+	if sc.opts.DMA {
+		for i, a := range group {
+			// On a Begin error the ticket stays nil and the head falls back
+			// to ExecuteOn, which re-plans after the demotion and reports
+			// whatever happens through the normal path.
+			tickets[i], _ = a.ss.m.Sys.BeginExecuteOn(a.ss.ri, a.batch[0].task.Module())
 		}
-		// On a Begin error the ticket stays nil and the run phase falls
-		// back to the CPU path's ExecuteOn, which re-plans after the
-		// demotion and reports whatever happens through the normal path.
 	}
 	for i, a := range group {
-		sh.runAssignment(a, tickets[i])
+		ss, sys := a.ss, a.ss.m.Sys
+		for bi, req := range a.batch {
+			t := req.task
+			run := func() error { return t.Run(sys) }
+			var rep platform.ExecReport
+			var err error
+			if bi == 0 && tickets[i] != nil {
+				rep, err = sys.FinishExecuteOn(tickets[i], run)
+			} else {
+				// Batch riders behind the head take the ordinary load
+				// path — for riders a zero-stream cache hit.
+				rep, err = sys.ExecuteOn(ss.ri, t.Module(), run)
+			}
+			res := Result{ID: req.id, Task: t.Name(), Module: t.Module(),
+				Member: ss.m.ID, Region: ss.ri, System: sys.Name, Report: rep, Err: err}
+			sh.record(a.si, &res, req)
+			req.ch <- res
+			sc.inflight.Add(-1)
+			sc.wg.Done()
+		}
+		sh.mu.Lock()
+		ss.busy = false
+		sh.dispatchLocked()
+		sh.mu.Unlock()
 	}
 }
 
-func (sh *shard) runAssignment(a assignment, tk *platform.LoadTicket) {
-	sc := sh.sc
-	ss, si := a.ss, a.si
-	sys := ss.m.Sys
-	for bi, req := range a.batch {
-		t := req.task
-		var rep platform.ExecReport
-		var err error
-		if bi == 0 && tk != nil {
-			rep, err = sys.FinishExecuteOn(tk, func() error { return t.Run(sys) })
-		} else {
-			// Batch riders behind the head (and Begin-error fallbacks) take
-			// the ordinary load path — for riders a zero-stream cache hit.
-			rep, err = sys.ExecuteOn(ss.ri, t.Module(), func() error { return t.Run(sys) })
+// bookScrubLocked books one readback scrub pass over the slot: it counts
+// the pass, emits its trace event and, on a detection, quarantines the
+// slot. Reports whether the pass detected corruption. Called with sh.mu
+// held, after the pass itself ran under the member's lock.
+func (sh *shard) bookScrubLocked(ss *slotState, rep platform.ScrubReport) bool {
+	sh.stats.ScrubPasses++
+	if tr := sh.sc.opts.Trace; tr != nil {
+		arg := int64(0)
+		if rep.Detected {
+			arg = 1
 		}
-		res := Result{ID: req.id, Task: t.Name(), Module: t.Module(),
-			Member: ss.m.ID, Region: ss.ri, System: sys.Name, Report: rep, Err: err}
-		sh.record(si, &res, req)
-		req.ch <- res
-		sc.inflight.Add(-1)
-		sc.wg.Done()
+		tr.Emit(trace.Event{Ts: sh.sc.clock.Now(), Kind: trace.KindScrub,
+			Member: int32(ss.m.ID), Region: int32(ss.ri), Name: rep.Module, Arg: arg})
 	}
-	sh.mu.Lock()
-	ss.busy = false
-	sh.dispatchLocked()
-	sh.mu.Unlock()
+	if rep.Detected {
+		sh.quarantineLocked(ss, rep.Module)
+	}
+	return rep.Detected
 }
 
 // quarantineLocked takes a corruption-detected slot out of service and
@@ -753,18 +732,8 @@ func (sh *shard) scrubAll() int {
 		rep := ss.m.Sys.ScrubOn(ss.ri)
 		sh.mu.Lock()
 		ss.scrubbing = false
-		sh.stats.ScrubPasses++
-		if tr := sh.sc.opts.Trace; tr != nil {
-			arg := int64(0)
-			if rep.Detected {
-				arg = 1
-			}
-			tr.Emit(trace.Event{Ts: sh.sc.clock.Now(), Kind: trace.KindScrub,
-				Member: int32(ss.m.ID), Region: int32(ss.ri), Name: rep.Module, Arg: arg})
-		}
-		if rep.Detected {
+		if sh.bookScrubLocked(ss, rep) {
 			detected++
-			sh.quarantineLocked(ss, rep.Module)
 		}
 		sh.dispatchLocked()
 		sh.mu.Unlock()
