@@ -44,8 +44,7 @@ fmtcheck: fmt
 # baseline rewrites.
 bench:
 	mkdir -p artifacts/bench
-	go run ./cmd/fpgad -compare -json BENCH_sched.json -sys32 2 -sys64 2 -n 60 -seed 7 -batch 4 \
-		-mix "sha1=1,jenkins=2,patternmatch=1,brightness=2,blend=2,fade=2,transfer=1" \
+	go run ./cmd/fpgad -compare -json BENCH_sched.json \
 		-history artifacts/bench/history.jsonl -sha $$(git rev-parse --short HEAD) -samples $(K)
 	cp BENCH_sched.json artifacts/bench/BENCH_sched.$$(git rev-parse --short HEAD).json
 	go run ./cmd/benchboard -prune $(KEEP) -readme README.md
@@ -62,8 +61,7 @@ bench:
 # p50/p95/p99 columns — the repo's latency SLOs.
 benchgate:
 	mkdir -p artifacts/bench
-	go run ./cmd/fpgad -compare -json BENCH_fresh.json -sys32 2 -sys64 2 -n 60 -seed 7 -batch 4 \
-		-mix "sha1=1,jenkins=2,patternmatch=1,brightness=2,blend=2,fade=2,transfer=1"
+	go run ./cmd/fpgad -compare -json BENCH_fresh.json
 	go run ./cmd/benchdiff -baseline BENCH_sched.json -fresh BENCH_fresh.json -max-regress 15 \
 		-history artifacts/bench/history.jsonl -sha $$(git rev-parse --short HEAD); \
 		rc=$$?; rm -f BENCH_fresh.json; exit $$rc
@@ -88,10 +86,7 @@ benchboard-md:
 # in https://ui.perfetto.dev or chrome://tracing.
 tracedemo:
 	mkdir -p artifacts/trace
-	go run ./cmd/fpgad -compare -trace artifacts/trace/s8.json \
-		-sys32 2 -sys64 2 -n 60 -seed 7 -batch 4 \
-		-mix "sha1=1,jenkins=2,patternmatch=1,brightness=2,blend=2,fade=2,transfer=1" \
-		> /dev/null
+	go run ./cmd/fpgad -compare -trace artifacts/trace/s8.json > /dev/null
 	@echo "trace: artifacts/trace/s8.json"
 
 # Fuzz smoke: the loader must reject damaged differential streams without

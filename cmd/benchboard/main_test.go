@@ -15,13 +15,10 @@ import (
 // snapshot writes a fake archived BENCH_sched.<sha>.json with one S4 row.
 func snapshot(t *testing.T, dir, sha string, configMs float64, bytesStreamed uint64) {
 	t.Helper()
-	w := bench.NewWriter()
-	bench.AddRecords(w, []bench.RegionRecord{{
-		Base: bench.Base{
-			Label: "paired", Policy: "mincost", Planner: true,
-			ConfigMs: configMs, BytesStreamed: bytesStreamed, TolerancePct: 15,
-		},
-	}})
+	w := bench.NewWriter(bench.Row{
+		Table: "S4", Label: "paired", Policy: "mincost", Planner: true,
+		ConfigMs: configMs, BytesStreamed: bytesStreamed, TolerancePct: 15,
+	})
 	if err := w.WriteFile(filepath.Join(dir, "BENCH_sched."+sha+".json")); err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ import (
 	"repro/internal/bench/gate"
 )
 
-// record is the subset of bench.PlacementRecord the gate reads. Records
+// record is the subset of bench.Row the gate reads. Records
 // written before the table field existed key on ("", label) and still
 // match themselves. A baseline record may carry its own tolerance band
 // (tolerance_pct) when its configuration is inherently noisy — the

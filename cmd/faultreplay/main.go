@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/fault"
+	"repro/internal/pool"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -34,7 +35,7 @@ func run(args []string, out, errw io.Writer) int {
 	seed := fs.Int64("seed", 7, "campaign and workload seed")
 	boards := fs.Int("boards", 2, "64-bit boards in the pool")
 	regions := fs.Int("regions", 2, "dynamic regions per board")
-	mixSpec := fs.String("mix", bench.DefaultFaultSpec().Mix, "workload mix as name=weight,...")
+	mixSpec := fs.String("mix", bench.Mix, "workload mix as name=weight,...")
 	batch := fs.Int("batch", 4, "same-module batch window")
 	outPath := fs.String("out", "", "generate the campaign and write it to this JSONL artifact")
 	replayPath := fs.String("replay", "", "replay the campaigns from this JSONL artifact")
@@ -57,25 +58,18 @@ func run(args []string, out, errw io.Writer) int {
 		fmt.Fprintf(errw, "faultreplay: -n %d -boards %d -regions %d: all must be positive\n", *n, *boards, *regions)
 		return 2
 	}
-	spec := bench.FaultSpec{
-		Boards:   *boards,
-		Regions:  *regions,
-		Seed:     *seed,
-		N:        *n,
-		Mix:      *mixSpec,
-		Batch:    *batch,
-		Scenario: *scenario,
-	}
+	w := bench.Workload{Seed: *seed, N: *n, Mix: *mixSpec, Batch: *batch}
+	cfg := pool.Config{Sys64: *boards, Regions: *regions}
 	if *outPath != "" {
-		return runGenerate(spec, *outPath, out, errw)
+		return runGenerate(w, cfg, *scenario, *outPath, out, errw)
 	}
-	return runReplay(spec, *replayPath, *jsonPath, out, errw)
+	return runReplay(w, cfg, *replayPath, *jsonPath, out, errw)
 }
 
-// runGenerate expands the campaign preset against the spec's pool
-// geometry and writes the JSONL artifact.
-func runGenerate(spec bench.FaultSpec, path string, out, errw io.Writer) int {
-	scenarios, err := bench.FaultScenarios(spec)
+// runGenerate expands the campaign preset against the pool geometry and
+// writes the JSONL artifact.
+func runGenerate(w bench.Workload, cfg pool.Config, campaign, path string, out, errw io.Writer) int {
+	scenarios, err := bench.FaultScenarios(w, cfg, campaign)
 	if err != nil {
 		fmt.Fprintln(errw, "faultreplay:", err)
 		return 2
@@ -99,13 +93,13 @@ func runGenerate(spec bench.FaultSpec, path string, out, errw io.Writer) int {
 		events += len(sc.Events)
 	}
 	fmt.Fprintf(out, "wrote %s: %d scenario(s), %d fault event(s) (campaign %s, seed %d, %d requests over %dx%d-region pool)\n",
-		path, len(scenarios), events, spec.Scenario, spec.Seed, spec.N, spec.Boards, spec.Regions)
+		path, len(scenarios), events, campaign, w.Seed, w.N, cfg.Sys64, cfg.Regions)
 	return 0
 }
 
 // runReplay reads the artifact and drives the S7 workload once per
 // scenario, printing the availability table.
-func runReplay(spec bench.FaultSpec, path, jsonPath string, out, errw io.Writer) int {
+func runReplay(w bench.Workload, cfg pool.Config, path, jsonPath string, out, errw io.Writer) int {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(errw, "faultreplay:", err)
@@ -122,21 +116,16 @@ func runReplay(spec bench.FaultSpec, path, jsonPath string, out, errw io.Writer)
 		return 1
 	}
 	fmt.Fprintf(out, "replaying %d scenario(s) from %s: %d request(s), mix %s, batch %d, seed %d, %dx%d-region pool\n\n",
-		len(scenarios), path, spec.N, spec.Mix, spec.Batch, spec.Seed, spec.Boards, spec.Regions)
-	runs := make([]bench.FaultRun, 0, len(scenarios))
-	for _, sc := range scenarios {
-		r, err := bench.RunFault(spec, sc)
-		if err != nil {
-			fmt.Fprintf(errw, "faultreplay: scenario %s: %v\n", sc.Name, err)
-			return 1
-		}
-		runs = append(runs, r)
+		len(scenarios), path, w.N, w.Mix, w.Batch, w.Seed, cfg.Sys64, cfg.Regions)
+	s := bench.FaultSuite(w, cfg, scenarios)
+	runs, err := s.Run()
+	if err != nil {
+		fmt.Fprintln(errw, "faultreplay:", err)
+		return 1
 	}
-	bench.FaultTable(runs).Format(out)
+	s.Table(runs).Format(out)
 	if jsonPath != "" {
-		w := bench.NewWriter()
-		bench.AddRecords(w, bench.FaultRecords(runs))
-		if err := w.WriteFile(jsonPath); err != nil {
+		if err := bench.NewWriter(s.Rows(runs)...).WriteFile(jsonPath); err != nil {
 			fmt.Fprintln(errw, "faultreplay:", err)
 			return 1
 		}

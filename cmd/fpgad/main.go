@@ -20,7 +20,7 @@
 //	fpgad -pprof localhost:6060                  # live net/http/pprof + /metrics with mutex profiling
 //	fpgad -cpuprofile cpu.out -mutexprofile mtx.out
 //	fpgad -trace trace.json                      # Chrome trace-event JSON (Perfetto/chrome://tracing)
-//	fpgad -compare -json BENCH_sched.json        # S2 + S3 + S4 + S6 + S7 + S8 + S9 comparisons
+//	fpgad -compare -json BENCH_sched.json        # S2 + S3 + S4 + S6 + S7 + S8 + S9 on the committed workload
 //	fpgad -compare -json BENCH_sched.json -history artifacts/bench/history.jsonl -sha abc1234
 //	fpgad -compare -history ... -sha ... -samples 3   # + min/median noise entries for S2/S6
 package main
@@ -81,7 +81,7 @@ func run(args []string, out, errw io.Writer) int {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	mutexProfile := fs.String("mutexprofile", "", "write a mutex-contention profile of the whole run to this file")
 	compare := fs.Bool("compare", false,
-		"run the S2 placement, S3 prefetch, S4 region, S6 scaling, S7 fault and S8 compression comparisons instead of a single run")
+		"run the S2 placement, S3 prefetch, S4 region, S6 scaling, S7 fault, S8 compression and S9 latency-SLO suites on their committed workloads instead of a single run")
 	jsonPath := fs.String("json", "", "write machine-readable per-configuration records to this file")
 	historyPath := fs.String("history", "",
 		"append every emitted record's metrics to this per-commit history file (JSONL; plotted by cmd/benchboard)")
@@ -186,15 +186,28 @@ func run(args []string, out, errw io.Writer) int {
 			}
 		}()
 	}
-	spec := bench.PlacementSpec{
-		Pool:  pool.Config{Sys32: *sys32, Sys64: *sys64, Regions: *regions},
-		Seed:  *seed,
-		N:     *n,
-		Mix:   *mixSpec,
-		Batch: *batch,
-	}
+	cfg := pool.Config{Sys32: *sys32, Sys64: *sys64, Regions: *regions}
 	if fs.Arg(0) == "floorplan" {
-		return runFloorplan(spec.Pool, out, errw)
+		return runFloorplan(cfg, out, errw)
+	}
+	if *compare {
+		// The suites run their committed workloads and sweep every policy
+		// × stream-mode × prefetch × region × shard configuration
+		// themselves, so any single-run selection would be misleading.
+		var single []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "sys32", "sys64", "n", "seed", "batch", "mix",
+				"policy", "plan", "prefetch", "window", "regions", "shards", "rate":
+				single = append(single, "-"+f.Name)
+			}
+		})
+		if len(single) > 0 {
+			fmt.Fprintf(errw, "fpgad: -compare runs the committed workload and configurations; %s only apply to single runs\n",
+				strings.Join(single, " "))
+			return 2
+		}
+		return runCompare(*jsonPath, *historyPath, *shaFlag, tracer, *tracePath, *samples, out, errw)
 	}
 	policy, err := sched.PolicyByName(*policyName)
 	if err != nil {
@@ -205,16 +218,6 @@ func run(args []string, out, errw io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(errw, "fpgad:", err)
 		return 2
-	}
-	if *compare {
-		// The comparisons sweep every policy × stream-mode × prefetch ×
-		// region configuration themselves, so a single-run selection would
-		// be misleading.
-		if *policyName != "lru" || !*planOn || *prefetchOn || *window != 0 || *regions != 1 || *shards != 1 || *rate != 0 {
-			fmt.Fprintln(errw, "fpgad: -compare runs all configurations (the S6 sweep varies shard count and offered load itself); -policy/-plan/-prefetch/-window/-regions/-shards/-rate only apply to single runs")
-			return 2
-		}
-		return runCompare(spec, *jsonPath, *historyPath, *shaFlag, tracer, *tracePath, *samples, out, errw)
 	}
 	opts := sched.Options{Batch: *batch, Policy: policy, Shards: *shards, Trace: tracer}
 	if *prefetchOn {
@@ -230,7 +233,7 @@ func run(args []string, out, errw io.Writer) int {
 		fmt.Fprintln(errw, "fpgad:", err)
 		return 2
 	}
-	p, err := pool.New(spec.Pool)
+	p, err := pool.New(cfg)
 	if err != nil {
 		fmt.Fprintln(errw, "fpgad:", err)
 		return 2
@@ -346,12 +349,14 @@ func run(args []string, out, errw io.Writer) int {
 		// run is a different experiment than the canonical SubmitAll S2
 		// series: it keys under its own table and label and drops the S2
 		// rows' noise-tolerance band.
-		label := policy.Name() + "+complete-only"
+		c := bench.Case{Label: policy.Name() + "+complete-only", Policy: policy.Name(), CompleteOnly: !*planOn}
 		if *planOn {
-			label = policy.Name() + "+planner"
+			c.Label = policy.Name() + "+planner"
 		}
-		run := bench.PlacementRun{Label: label, Policy: policy.Name(), Planner: *planOn, Stats: st}
-		rec := bench.ScheduleRecords([]bench.PlacementRun{run})[0].Wire()
+		if *prefetchOn {
+			c.Predictor = *predictorName
+		}
+		rec := bench.PlacementSuite(bench.Workload{Seed: *seed, N: *n, Mix: *mixSpec, Batch: *batch}).Row(bench.Run{Case: c, Stats: st})
 		if *prefetchOn || *window > 0 || *regions != 1 || *shards != 1 || *rate > 0 {
 			r := &rec
 			r.Table = "single"
@@ -362,8 +367,6 @@ func run(args []string, out, errw io.Writer) int {
 			if *shards != 1 {
 				r.Label += fmt.Sprintf("+shards%d", *shards)
 				r.Shards = *shards
-				r.Steals = st.Steals
-				r.StolenRequests = st.StolenRequests
 			}
 			if *rate > 0 {
 				r.Label += fmt.Sprintf("+rate%g", *rate)
@@ -382,12 +385,6 @@ func run(args []string, out, errw io.Writer) int {
 			}
 			if *prefetchOn {
 				r.Label += "+prefetch-" + *predictorName
-				r.Predictor = *predictorName
-				r.PrefetchHits = st.PrefetchHits
-				r.PrefetchAborted = st.PrefetchAborted
-				r.PrefetchBytes = st.PrefetchBytes
-				r.PrefetchWastedBytes = st.PrefetchWasted
-				r.HiddenMs = float64(st.HiddenConfig.Microseconds()) / 1e3
 			}
 		}
 		w := bench.NewWriter(rec)
@@ -410,67 +407,42 @@ func run(args []string, out, errw io.Writer) int {
 	return 0
 }
 
-// runCompare drives the same seeded workload under each placement
-// configuration (table S2), each prefetch configuration (table S3), each
-// region granularity (table S4), each shard count and offered load (table
-// S6, on its own committed capacity spec), each fault-injection rate
-// (table S7), each configuration load path (table S8) and the
-// deterministic latency-SLO replay (table S9), optionally emitting the
-// combined JSON records the CI bench gate diffs and appending their
-// metrics to the per-commit history store. A non-empty tracePath records
-// the S8 paired drive (the densest deterministic load-path exercise)
-// through the tracer as Chrome trace-event JSON; samples > 1 reruns the
+// runCompare runs every committed S-suite in table order — S2 placement,
+// S3 prefetch, S4 region granularity, S6 shard scaling, S7 fault
+// availability, S8 load paths, S9 latency SLOs — printing each table and
+// optionally emitting the combined rows the CI bench gate diffs and
+// appending their metrics to the per-commit history store. A non-empty
+// tracePath records the S8 paired drive (the densest deterministic
+// load-path exercise) as Chrome trace-event JSON; samples > 1 reruns the
 // nondeterministic suites and appends min/median noise entries.
-func runCompare(spec bench.PlacementSpec, jsonPath, historyPath, sha string,
+func runCompare(jsonPath, historyPath, sha string,
 	tracer *trace.Tracer, tracePath string, samples int, out, errw io.Writer) int {
-	fmt.Fprintf(out, "comparing configurations on the same workload: pool %d+%d, %d request(s), mix %s, batch %d, seed %d\n\n",
-		spec.Pool.Sys32, spec.Pool.Sys64, spec.N, spec.Mix, spec.Batch, spec.Seed)
-	runs, err := bench.PlacementRuns(spec)
+	w := bench.DefaultWorkload()
+	fmt.Fprintf(out, "comparing configurations on the committed workload: %d request(s), mix %s, batch %d, seed %d\n\n",
+		w.N, w.Mix, w.Batch, w.Seed)
+	suites, err := bench.Suites(w)
 	if err != nil {
 		fmt.Fprintln(errw, "fpgad:", err)
 		return 1
 	}
-	bench.PlacementTable(runs).Format(out)
-	pspec := bench.PrefetchSpec{PlacementSpec: spec, Window: bench.DefaultPrefetchSpec().Window}
-	pruns, err := bench.PrefetchRuns(pspec)
-	if err != nil {
-		fmt.Fprintln(errw, "fpgad:", err)
-		return 1
+	var rows bench.Writer
+	for _, s := range suites {
+		if s.ID == "S8" {
+			// Attach whenever a tracer exists: a -trace export gets the S8
+			// paired drive, and a -pprof /metrics scrape sees the same
+			// events live.
+			for i := range s.Cases {
+				s.Cases[i].Trace = tracer
+			}
+		}
+		runs, err := s.Run()
+		if err != nil {
+			fmt.Fprintln(errw, "fpgad:", err)
+			return 1
+		}
+		s.Table(runs).Format(out)
+		rows = append(rows, s.Rows(runs)...)
 	}
-	bench.PrefetchTable(pruns).Format(out)
-	rspec := bench.DefaultRegionSpec()
-	rspec.Seed, rspec.N, rspec.Mix, rspec.Batch = spec.Seed, spec.N, spec.Mix, spec.Batch
-	rruns, err := bench.RegionRuns(rspec)
-	if err != nil {
-		fmt.Fprintln(errw, "fpgad:", err)
-		return 1
-	}
-	bench.RegionTable(rruns).Format(out)
-	sruns, err := bench.ScalingRuns(bench.DefaultScalingSpec())
-	if err != nil {
-		fmt.Fprintln(errw, "fpgad:", err)
-		return 1
-	}
-	bench.ScalingTable(sruns).Format(out)
-	fspec := bench.DefaultFaultSpec()
-	fspec.Seed, fspec.N, fspec.Mix, fspec.Batch = spec.Seed, spec.N, spec.Mix, spec.Batch
-	fruns, err := bench.FaultRuns(fspec)
-	if err != nil {
-		fmt.Fprintln(errw, "fpgad:", err)
-		return 1
-	}
-	bench.FaultTable(fruns).Format(out)
-	cspec := bench.DefaultCompressSpec()
-	cspec.Seed, cspec.N, cspec.Mix, cspec.Batch = spec.Seed, spec.N, spec.Mix, spec.Batch
-	// Attach whenever a tracer exists: a -trace export gets the S8 paired
-	// drive, and a -pprof /metrics scrape sees the same events live.
-	cspec.Trace = tracer
-	cruns, err := bench.CompressRuns(cspec)
-	if err != nil {
-		fmt.Fprintln(errw, "fpgad:", err)
-		return 1
-	}
-	bench.CompressTable(cruns).Format(out)
 	if tracePath != "" {
 		if err := writeTrace(tracer, tracePath); err != nil {
 			fmt.Fprintln(errw, "fpgad:", err)
@@ -478,63 +450,47 @@ func runCompare(spec bench.PlacementSpec, jsonPath, historyPath, sha string,
 		}
 		fmt.Fprintf(out, "trace: wrote %s (%d event(s), S8 paired drive)\n", tracePath, tracer.Len())
 	}
-	slruns, err := bench.SLORuns(bench.DefaultSLOSpec())
-	if err != nil {
-		fmt.Fprintln(errw, "fpgad:", err)
-		return 1
-	}
-	bench.SLOTable(slruns).Format(out)
-	if jsonPath != "" || historyPath != "" {
-		w := bench.NewWriter()
-		bench.AddRecords(w, bench.ScheduleRecords(runs))
-		bench.AddRecords(w, bench.PrefetchRecords(pruns))
-		bench.AddRecords(w, bench.RegionRecords(rruns))
-		bench.AddRecords(w, bench.ScalingRecords(sruns))
-		bench.AddRecords(w, bench.FaultRecords(fruns))
-		bench.AddRecords(w, bench.CompressRecords(cruns))
-		bench.AddRecords(w, bench.SLORecords(slruns))
-		if jsonPath != "" {
-			if err := w.WriteFile(jsonPath); err != nil {
-				fmt.Fprintln(errw, "fpgad:", err)
-				return 1
-			}
-			fmt.Fprintf(out, "wrote %s\n", jsonPath)
+	if jsonPath != "" {
+		if err := rows.WriteFile(jsonPath); err != nil {
+			fmt.Fprintln(errw, "fpgad:", err)
+			return 1
 		}
-		if historyPath != "" {
-			if err := w.AppendHistory(historyPath, sha); err != nil {
+		fmt.Fprintf(out, "wrote %s\n", jsonPath)
+	}
+	if historyPath != "" {
+		if err := rows.AppendHistory(historyPath, sha); err != nil {
+			fmt.Fprintln(errw, "fpgad:", err)
+			return 1
+		}
+		fmt.Fprintf(out, "appended %d metric(s) to %s @ %s\n", len(rows.HistoryEntries(sha)), historyPath, sha)
+		if samples > 1 {
+			if err := appendNoise(suites, rows, samples, historyPath, sha, out); err != nil {
 				fmt.Fprintln(errw, "fpgad:", err)
 				return 1
-			}
-			fmt.Fprintf(out, "appended %d metric(s) to %s @ %s\n", len(w.HistoryEntries(sha)), historyPath, sha)
-			if samples > 1 {
-				if err := appendNoise(spec, w.Records(), samples, historyPath, sha, out); err != nil {
-					fmt.Fprintln(errw, "fpgad:", err)
-					return 1
-				}
 			}
 		}
 	}
 	return 0
 }
 
-// appendNoise estimates run-to-run noise on the nondeterministic suites:
-// it reruns S2 (concurrent SubmitAll placement) and S6 (real-throughput
-// capacity drive) samples-1 more times, then appends one "min" and one
+// appendNoise estimates run-to-run noise on the nondeterministic suites
+// (S2's concurrent placement, S6's real-throughput capacity drive): it
+// reruns them samples-1 more times, then appends one "min" and one
 // "median" history entry per metric over all the samples. The median is
 // the lower middle of the sorted values, so it is always a measured value,
 // never an interpolation. Deterministic suites reproduce byte-identically
 // and would sample to K copies of one number, so they are skipped.
-func appendNoise(spec bench.PlacementSpec, first []bench.Record, samples int, historyPath, sha string, out io.Writer) error {
+func appendNoise(suites []bench.Suite, first []bench.Row, samples int, historyPath, sha string, out io.Writer) error {
 	type key struct{ suite, metric, unit string }
 	vals := make(map[key][]float64)
 	var order []key
-	add := func(recs []bench.Record) {
-		for _, r := range recs {
-			if s := r.Suite(); s != "S2" && s != "S6" {
+	add := func(rows []bench.Row) {
+		for _, r := range rows {
+			if r.Deterministic() {
 				continue
 			}
 			for _, m := range r.Metrics() {
-				k := key{r.Suite(), r.Key() + "/" + m.Name, m.Unit}
+				k := key{r.Suite(), r.Label + "/" + m.Name, m.Unit}
 				if _, ok := vals[k]; !ok {
 					order = append(order, k)
 				}
@@ -543,19 +499,19 @@ func appendNoise(spec bench.PlacementSpec, first []bench.Record, samples int, hi
 		}
 	}
 	add(first)
-	for i := 1; i < samples; i++ {
-		runs, err := bench.PlacementRuns(spec)
-		if err != nil {
-			return err
+	var noisy []string
+	for _, s := range suites {
+		if gate.SuiteDeterministic(s.ID) {
+			continue
 		}
-		sruns, err := bench.ScalingRuns(bench.DefaultScalingSpec())
-		if err != nil {
-			return err
+		noisy = append(noisy, s.ID)
+		for i := 1; i < samples; i++ {
+			runs, err := s.Run()
+			if err != nil {
+				return err
+			}
+			add(s.Rows(runs))
 		}
-		w := bench.NewWriter()
-		bench.AddRecords(w, bench.ScheduleRecords(runs))
-		bench.AddRecords(w, bench.ScalingRecords(sruns))
-		add(w.Records())
 	}
 	var entries []gate.Entry
 	for _, k := range order {
@@ -574,8 +530,8 @@ func appendNoise(spec bench.PlacementSpec, first []bench.Record, samples int, hi
 	if err := gate.AppendEntries(historyPath, entries); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "noise: %d sample(s) of S2+S6 — appended %d min/median entries to %s\n",
-		samples, len(entries), historyPath)
+	fmt.Fprintf(out, "noise: %d sample(s) of %s — appended %d min/median entries to %s\n",
+		samples, strings.Join(noisy, "+"), len(entries), historyPath)
 	return nil
 }
 

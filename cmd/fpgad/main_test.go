@@ -44,6 +44,7 @@ func TestRunFlagAndMixParsing(t *testing.T) {
 		{"compare excludes prefetch", []string{"-compare", "-prefetch"}, "-compare"},
 		{"compare excludes window", []string{"-compare", "-window", "2"}, "-compare"},
 		{"compare excludes regions", []string{"-compare", "-regions", "2"}, "-compare"},
+		{"compare excludes workload", []string{"-compare", "-sys32", "2", "-n", "60", "-seed", "7", "-mix", "fade"}, "-mix -n -seed -sys32 only apply"},
 		{"zero regions", []string{"-regions", "0"}, "at least one region"},
 		{"oversplit regions", []string{"-sys32", "1", "-regions", "20", "-n", "2"}, "cannot host"},
 	}

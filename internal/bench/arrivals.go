@@ -5,23 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"time"
 
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
 // ArrivalProcesses lists the open-loop arrival generators.
 func ArrivalProcesses() []string { return []string{"uniform", "poisson", "bursty"} }
-
-// settle busy-waits until the scheduler has fully drained — no pending
-// requests, no executing slot, no speculative stream in flight — the
-// reproducibility discipline every paced bench run shares.
-func settle(s *sched.Scheduler) {
-	for !s.Drained() {
-		time.Sleep(50 * time.Microsecond)
-	}
-}
 
 // burstLen is the bursty process's on-phase length: arrivals come in
 // back-to-back groups of this size separated by long off gaps, keeping the

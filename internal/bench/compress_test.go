@@ -2,7 +2,7 @@ package bench
 
 import "testing"
 
-// TestCompressRunsAcceptance runs the S8 comparison on a reduced spec and
+// TestCompressRunsAcceptance runs the S8 comparison on a reduced workload and
 // checks the relations the full benchmark is gated on: the compressed
 // load path cuts wire bytes well below the differential planner's, and
 // DMA overlap cuts visible configuration time below the CPU load path.
@@ -10,14 +10,11 @@ func TestCompressRunsAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives four full pool workloads")
 	}
-	spec := DefaultCompressSpec()
-	spec.N = 24
-	runs, err := CompressRuns(spec)
+	w := DefaultWorkload()
+	w.N = 24
+	runs, err := CompressSuite(w).Run()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(runs) != 4 {
-		t.Fatalf("got %d runs, want 4", len(runs))
 	}
 	complete, diff, comp, dma := runs[0].Stats, runs[1].Stats, runs[2].Stats, runs[3].Stats
 
@@ -45,24 +42,14 @@ func TestCompressRunsAcceptance(t *testing.T) {
 		t.Errorf("DMA row: %d DMA loads, %v overlap — want both nonzero", dma.DMALoads, dma.OverlapConfig)
 	}
 	for i, r := range runs {
-		if r.Availability <= 0 || r.Availability > 1 {
-			t.Errorf("run %d (%s): availability %v out of range", i, r.Label, r.Availability)
+		if a := r.Availability(); a <= 0 || a > 1 {
+			t.Errorf("run %d (%s): availability %v out of range", i, r.Label, a)
 		}
 	}
 	// The DMA row does the same work with less visible configuration, so
 	// its availability is at least the CPU compressed row's.
-	if runs[3].Availability < runs[2].Availability {
+	if runs[3].Availability() < runs[2].Availability() {
 		t.Errorf("compressed+dma availability %.4f below compressed %.4f",
-			runs[3].Availability, runs[2].Availability)
-	}
-
-	recs := CompressRecords(runs)
-	for i, rec := range recs {
-		if rec.Suite() != "S8" || rec.TolerancePct != 15 {
-			t.Errorf("record %d: table %q tolerance %v, want S8/15", i, rec.Suite(), rec.TolerancePct)
-		}
-	}
-	if recs[3].OverlapMs <= 0 || recs[3].DMALoads == 0 {
-		t.Errorf("dma record: overlap %.3f ms, %d DMA loads", recs[3].OverlapMs, recs[3].DMALoads)
+			runs[3].Availability(), runs[2].Availability())
 	}
 }

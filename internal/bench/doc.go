@@ -12,13 +12,15 @@
 //     granularity, S6 sharded-dispatch scaling, S7 fault availability,
 //     S8 compressed/DMA load paths, S9 latency SLOs.
 //
-// Each suite renders a human-readable Table and converts its runs into
-// typed records (ScheduleRecord, PrefetchRecord, RegionRecord,
-// ScalingRecord, FaultRecord, CompressRecord, SLORecord) implementing
-// the Record interface. A Writer emits records in two on-disk forms: the
-// committed BENCH_sched.json baseline that cmd/benchdiff gates CI on, and
-// the append-only per-commit history store (artifacts/bench/
-// history.jsonl) that cmd/benchboard plots as the repo's perf trajectory.
-// The tolerance rules both consumers share live in the nested package
+// Each suite is one Suite value: a Workload, a list of Cases (one table
+// row each) and the functions that read a Run's scheduler Stats into
+// table cells and notes. Drive is the one boot → submit → quiesce path
+// every case runs through; only its submit loop depends on the case's
+// DriveKind. A suite lowers its runs to Rows, the single wire record
+// type, and a Writer emits rows in two on-disk forms: the committed
+// BENCH_sched.json baseline that cmd/benchdiff gates CI on, and the
+// append-only per-commit history store (artifacts/bench/history.jsonl)
+// that cmd/benchboard plots as the repo's perf trajectory. The tolerance
+// rules both consumers share live in the nested package
 // internal/bench/gate.
 package bench

@@ -5,197 +5,60 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/pool"
-	"repro/internal/sched"
-	"repro/internal/sim"
 )
 
-// FaultSpec pins the S7 availability evaluation: the S2/S3 seeded mixed
-// workload driven closed-loop over a dual-region pool while a seeded
-// fault scenario flips configuration bits between completions and the
-// scrub/quarantine/repair loop cleans up. Scenario names a fault.Campaign
-// preset; the default sweep reports availability and tail latency against
-// the upset rate.
-type FaultSpec struct {
-	Boards   int
-	Regions  int
-	Seed     int64
-	N        int
-	Mix      string
-	Batch    int
-	Scenario string
-}
+// faultPool is the committed S7 pool: two dual-region 64-bit boards.
+var faultPool = pool.Config{Sys64: 2, Regions: 2}
 
-// DefaultFaultSpec is the committed S7 configuration: the seeded
-// 60-request mixed workload over a 2x2-region pool under the rate sweep.
-func DefaultFaultSpec() FaultSpec {
-	return FaultSpec{
-		Boards:   2,
-		Regions:  2,
-		Seed:     7,
-		N:        60,
-		Mix:      "sha1=1,jenkins=2,patternmatch=1,brightness=2,blend=2,fade=2,transfer=1",
-		Batch:    4,
-		Scenario: "sweep",
-	}
-}
-
-func (spec FaultSpec) pool() pool.Config {
-	return pool.Config{Sys64: spec.Boards, Regions: spec.Regions}
-}
-
-// FaultScenarios expands the spec's campaign preset against the spec's
-// pool geometry. A scratch pool is booted only to measure each region's
-// fault space; the replay runs boot their own.
-func FaultScenarios(spec FaultSpec) ([]fault.Scenario, error) {
-	p, err := pool.New(spec.pool())
+// FaultScenarios expands the named fault.Campaign preset for the
+// workload against the pool's geometry. A scratch pool is booted only to
+// measure each region's fault space; the suite's runs boot their own.
+func FaultScenarios(w Workload, cfg pool.Config, campaign string) ([]fault.Scenario, error) {
+	p, err := pool.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return fault.Campaign(spec.Scenario, spec.Seed, spec.N, fault.PoolSlots(p))
+	return fault.Campaign(campaign, w.Seed, w.N, fault.PoolSlots(p))
 }
 
-// FaultRun is one scenario's outcome: the scheduler stats plus the
-// derived availability and latency percentiles.
-type FaultRun struct {
-	Scenario fault.Scenario
-	Stats    sched.Stats
-	// Availability is the fraction of the pool's busy simulated time spent
-	// on useful work rather than configuration — visible, speculative, or
-	// repair streams all count against it.
-	Availability float64
-	P50, P99     sim.Time
-}
-
-// availability derives the useful-work fraction from the stats.
-func availability(st sched.Stats) float64 {
-	total := st.Work + st.Config + st.PrefetchConfig + st.RepairConfig
-	if total <= 0 {
-		return 1
-	}
-	return float64(st.Work) / float64(total)
-}
-
-// RunFault boots a fresh pool and drives the spec's seeded workload
-// closed-loop (window 1, settled between arrivals — the S3 discipline)
-// under mincost placement with dispatch scrubbing on, injecting the
-// scenario's due events after each completion and following every
+// FaultSuite is table S7: availability and tail latency versus upset
+// rate, one row per scenario. Each row drives the workload Paced over
+// the pool under mincost placement with dispatch scrubbing on, injecting
+// the scenario's due events after each completion and following every
 // injection with a full scrub pass. The injection points ride the
-// deterministic completion count, so the same (spec, scenario) always
-// produces the same row.
-func RunFault(spec FaultSpec, sc fault.Scenario) (FaultRun, error) {
-	run := FaultRun{Scenario: sc}
-	policy, err := sched.PolicyByName("mincost")
-	if err != nil {
-		return run, err
+// deterministic completion count, so the same (workload, scenario)
+// always produces the same row.
+func FaultSuite(w Workload, cfg pool.Config, scenarios []fault.Scenario) Suite {
+	cases := make([]Case, len(scenarios))
+	for i, sc := range scenarios {
+		cases[i] = Case{Label: sc.Name + "+scrub", Pool: cfg, Policy: "mincost", Scrub: true, Fault: sc, Drive: Paced}
 	}
-	mix, err := sched.ParseMix(spec.Mix)
-	if err != nil {
-		return run, err
-	}
-	w, err := sched.GenWorkload(spec.Seed, spec.N, mix)
-	if err != nil {
-		return run, err
-	}
-	p, err := pool.New(spec.pool())
-	if err != nil {
-		return run, err
-	}
-	s := sched.New(p, sched.Options{Batch: spec.Batch, Policy: policy, Scrub: true})
-	cur := sc.Cursor()
-	lats := make([]sim.Time, 0, len(w))
-	done := 0
-	var firstErr error
-	s.SubmitWindowed(w, 1, func(r sched.Result) {
-		if r.Err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("bench: request %d (%s): %w", r.ID, r.Task, r.Err)
-		}
-		lats = append(lats, r.Latency())
-		settle(s)
-		done++
-		due := cur.Due(done)
-		for _, e := range due {
-			if err := fault.Apply(p, e); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("bench: fault after request %d: %w", done, err)
+	return Suite{
+		ID:        "S7",
+		Title:     "Availability under injected configuration upsets with readback scrubbing",
+		Columns:   []string{"scenario", "rate", "injected", "detected", "requeued", "repaired", "availability", "config time", "repair time", "p99 latency"},
+		Workload:  w,
+		Cases:     cases,
+		Tolerance: 15,
+		cells: func(r Run) []string {
+			st := r.Stats
+			return []string{r.Fault.Name, fmt.Sprintf("%.2g", r.Fault.Rate),
+				fmt.Sprint(len(r.Fault.Events)), fmt.Sprint(st.FaultsDetected),
+				fmt.Sprint(st.Requeues), fmt.Sprint(st.Repairs),
+				fmt.Sprintf("%.3f", r.Availability()),
+				fmtNS(float64(st.Config)), fmtNS(float64(st.RepairConfig)),
+				fmtNS(float64(r.Pct(0.99)[0]))}
+		},
+		notes: func([]Run) []string {
+			return []string{
+				"rate is the per-completion upset probability; every injected flip lands inside a region band (recoverable by a complete reload)",
+				"an upset costs availability (repair streams) and tail latency (requeues), never correctness: all requests complete, the static design stays intact",
+				"detected can trail injected: a flip overwritten by the region's next complete stream is healed before any readback sees it",
 			}
-		}
-		if len(due) > 0 {
-			s.ScrubAll()
-			settle(s)
-		}
-	})
-	settle(s)
-	s.Wait()
-	if firstErr != nil {
-		return run, firstErr
+		},
+		fill: func(row *Row, r Run) {
+			row.Availability = r.Availability()
+			row.P99Ms = ms(r.Pct(0.99)[0])
+		},
 	}
-	for _, m := range p.Snapshot() {
-		if m.Corrupted {
-			return run, fmt.Errorf("bench: member %d corrupted under scenario %s", m.ID, sc.Name)
-		}
-	}
-	run.Stats = s.Stats()
-	run.Availability = availability(run.Stats)
-	pct := Percentiles(lats, 0.50, 0.99)
-	run.P50, run.P99 = pct[0], pct[1]
-	return run, nil
-}
-
-// FaultRuns executes the spec's whole campaign, one run per scenario.
-func FaultRuns(spec FaultSpec) ([]FaultRun, error) {
-	scenarios, err := FaultScenarios(spec)
-	if err != nil {
-		return nil, err
-	}
-	runs := make([]FaultRun, 0, len(scenarios))
-	for _, sc := range scenarios {
-		r, err := RunFault(spec, sc)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, r)
-	}
-	return runs, nil
-}
-
-// FaultTable renders fault runs as table S7: availability and tail
-// latency versus upset rate under the scrub/quarantine/repair loop.
-// Raw() carries each row's availability.
-func FaultTable(runs []FaultRun) *Table {
-	t := &Table{ID: "S7", Title: "Availability under injected configuration upsets with readback scrubbing",
-		Columns: []string{"scenario", "rate", "injected", "detected", "requeued", "repaired", "availability", "config time", "repair time", "p99 latency"}}
-	for _, r := range runs {
-		st := r.Stats
-		t.AddRow(r.Scenario.Name, fmt.Sprintf("%.2g", r.Scenario.Rate),
-			fmt.Sprint(len(r.Scenario.Events)), fmt.Sprint(st.FaultsDetected),
-			fmt.Sprint(st.Requeues), fmt.Sprint(st.Repairs),
-			fmt.Sprintf("%.3f", r.Availability),
-			fmtNS(float64(st.Config)), fmtNS(float64(st.RepairConfig)),
-			fmtNS(float64(r.P99)))
-		t.rawNS = append(t.rawNS, r.Availability)
-	}
-	t.Notes = append(t.Notes,
-		"rate is the per-completion upset probability; every injected flip lands inside a region band (recoverable by a complete reload)",
-		"an upset costs availability (repair streams) and tail latency (requeues), never correctness: all requests complete, the static design stays intact",
-		"detected can trail injected: a flip overwritten by the region's next complete stream is healed before any readback sees it")
-	return t
-}
-
-// FaultRecords converts fault runs into typed S7 records. The paced drive
-// and seeded scenarios make the rows deterministic.
-func FaultRecords(runs []FaultRun) []FaultRecord {
-	out := make([]FaultRecord, 0, len(runs))
-	for _, r := range runs {
-		st := r.Stats
-		out = append(out, FaultRecord{
-			Base:           baseFromRun(PlacementRun{Label: r.Scenario.Name + "+scrub", Policy: "mincost", Planner: true, Stats: st}, 15),
-			FaultsInjected: uint64(len(r.Scenario.Events)),
-			FaultsDetected: st.FaultsDetected,
-			Requeues:       st.Requeues,
-			Repairs:        st.Repairs,
-			RepairMs:       float64(st.RepairConfig.Microseconds()) / 1e3,
-			Availability:   r.Availability,
-			P99Ms:          float64(r.P99.Microseconds()) / 1e3,
-		})
-	}
-	return out
 }

@@ -14,79 +14,66 @@ func TestFaultSweepAvailability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full S7 sweep")
 	}
-	spec := DefaultFaultSpec()
-	runs, err := FaultRuns(spec)
+	w := DefaultWorkload()
+	scenarios, err := FaultScenarios(w, faultPool, "sweep")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 4 {
-		t.Fatalf("sweep produced %d runs, want 4", len(runs))
+	if len(scenarios) != 4 {
+		t.Fatalf("sweep produced %d scenarios, want 4", len(scenarios))
+	}
+	runs, err := FaultSuite(w, faultPool, scenarios).Run()
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i, r := range runs {
 		st := r.Stats
-		if st.Done != uint64(spec.N) || st.Errors != 0 {
-			t.Fatalf("%s: %d done / %d errors, want %d clean completions", r.Scenario.Name, st.Done, st.Errors, spec.N)
+		if st.Done != uint64(w.N) || st.Errors != 0 {
+			t.Fatalf("%s: %d done / %d errors, want %d clean completions", r.Fault.Name, st.Done, st.Errors, w.N)
 		}
 		if st.FaultsDetected != st.Repairs {
-			t.Fatalf("%s: %d detected != %d repaired", r.Scenario.Name, st.FaultsDetected, st.Repairs)
+			t.Fatalf("%s: %d detected != %d repaired", r.Fault.Name, st.FaultsDetected, st.Repairs)
 		}
 		if st.PrefetchBytes != st.PrefetchConsumed+st.PrefetchWasted+st.PrefetchPending {
-			t.Fatalf("%s: speculative byte conservation broken: %+v", r.Scenario.Name, st)
+			t.Fatalf("%s: speculative byte conservation broken: %+v", r.Fault.Name, st)
 		}
-		if r.Availability <= 0 || r.Availability > 1 {
-			t.Fatalf("%s: availability %v outside (0, 1]", r.Scenario.Name, r.Availability)
+		if a := r.Availability(); a <= 0 || a > 1 {
+			t.Fatalf("%s: availability %v outside (0, 1]", r.Fault.Name, a)
 		}
-		if i > 0 && r.Availability > runs[i-1].Availability+1e-9 {
+		if i > 0 && r.Availability() > runs[i-1].Availability()+1e-9 {
 			t.Fatalf("availability improved with upset rate: %s %.4f -> %s %.4f",
-				runs[i-1].Scenario.Name, runs[i-1].Availability, r.Scenario.Name, r.Availability)
+				runs[i-1].Fault.Name, runs[i-1].Availability(), r.Fault.Name, r.Availability())
 		}
 	}
 	clean, top := runs[0], runs[len(runs)-1]
-	if n := len(clean.Scenario.Events); n != 0 || clean.Stats.FaultsDetected != 0 {
+	if n := len(clean.Fault.Events); n != 0 || clean.Stats.FaultsDetected != 0 {
 		t.Fatalf("rate-0 run injected %d / detected %d", n, clean.Stats.FaultsDetected)
 	}
-	if len(top.Scenario.Events) == 0 || top.Stats.FaultsDetected == 0 {
+	if len(top.Fault.Events) == 0 || top.Stats.FaultsDetected == 0 {
 		t.Fatalf("top-rate run injected %d / detected %d, want fault activity",
-			len(top.Scenario.Events), top.Stats.FaultsDetected)
+			len(top.Fault.Events), top.Stats.FaultsDetected)
 	}
 	if top.Stats.RepairConfig == 0 || top.Stats.RepairBytes == 0 {
 		t.Fatalf("top-rate run repaired for free: %+v", top.Stats)
 	}
-
-	table := FaultTable(runs)
-	if table.ID != "S7" || len(table.Rows) != len(runs) || len(table.Raw()) != len(runs) {
-		t.Fatalf("table shape: id %q, %d rows, %d raw", table.ID, len(table.Rows), len(table.Raw()))
-	}
-	recs := FaultRecords(runs)
-	if len(recs) != len(runs) {
-		t.Fatalf("%d records for %d runs", len(recs), len(runs))
-	}
-	for i, rec := range recs {
-		if rec.Suite() != "S7" || rec.TolerancePct != 15 {
-			t.Fatalf("record %d gate tags: %+v", i, rec)
-		}
-		if rec.Availability != runs[i].Availability || rec.Repairs != runs[i].Stats.Repairs {
-			t.Fatalf("record %d diverges from run: %+v vs %+v", i, rec, runs[i].Stats)
-		}
-	}
 }
 
-// TestFaultRunDeterministic: the same spec and scenario reproduce the
+// TestFaultRunDeterministic: the same workload and scenario reproduce the
 // same stats bit for bit — the property the committed S7 rows and the
 // replay artifact depend on.
 func TestFaultRunDeterministic(t *testing.T) {
-	spec := DefaultFaultSpec()
-	spec.N = 12
-	spec.Scenario = "uniform"
-	scs, err := FaultScenarios(spec)
+	w := DefaultWorkload()
+	w.N = 12
+	scs, err := FaultScenarios(w, faultPool, "uniform")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := RunFault(spec, scs[0])
+	c := FaultSuite(w, faultPool, scs).Cases[0]
+	a, err := Drive(w, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFault(spec, scs[0])
+	b, err := Drive(w, c)
 	if err != nil {
 		t.Fatal(err)
 	}

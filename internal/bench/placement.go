@@ -4,212 +4,54 @@ import (
 	"fmt"
 
 	"repro/internal/pool"
-	"repro/internal/sched"
 )
 
-// PlacementSpec pins one seeded scheduler workload so different placement
-// configurations can be compared run-for-run.
-type PlacementSpec struct {
-	Pool  pool.Config
-	Seed  int64
-	N     int
-	Mix   string
-	Batch int
-}
-
-// DefaultPlacementSpec is the seeded 60-request mixed workload of the
-// placement evaluation: a 2+2 pool under the full module mix.
-func DefaultPlacementSpec() PlacementSpec {
-	return PlacementSpec{
-		Pool:  pool.Config{Sys32: 2, Sys64: 2},
-		Seed:  7,
-		N:     60,
-		Mix:   "sha1=1,jenkins=2,patternmatch=1,brightness=2,blend=2,fade=2,transfer=1",
-		Batch: 4,
+// PlacementSuite is table S2: how the differential-bitstream planner and
+// cost-aware placement change the configuration bill for the same seeded
+// workload over a 2+2 pool — the PR 1 baseline (lru placement, complete
+// streams only), the planner under the same placement, and the planner
+// with cost-aware placement. The drive is concurrent, so placement
+// follows goroutine completion order and rows swing up to ~30% run to
+// run: they carry a wide tolerance band, still far inside the 5x
+// planner-vs-complete signal they guard.
+func PlacementSuite(w Workload) Suite {
+	cfg := pool.Config{Sys32: 2, Sys64: 2}
+	return Suite{
+		ID:        "S2",
+		Title:     "Placement policy and stream planning on the same seeded workload",
+		Columns:   []string{"configuration", "hits", "misses", "diff", "complete", "config time", "bytes streamed", "busy time"},
+		Workload:  w,
+		Tolerance: 40,
+		Cases: []Case{
+			{Label: "lru+complete-only", Pool: cfg, Policy: "lru", CompleteOnly: true},
+			{Label: "lru+planner", Pool: cfg, Policy: "lru"},
+			{Label: "mincost+planner", Pool: cfg, Policy: "mincost"},
+		},
+		cells: func(r Run) []string {
+			st := r.Stats
+			var busy float64
+			for _, b := range st.BusyTime {
+				busy += float64(b)
+			}
+			return []string{r.Label,
+				fmt.Sprint(st.Hits), fmt.Sprint(st.Misses),
+				fmt.Sprint(st.DiffLoads), fmt.Sprint(st.CompleteLoads),
+				fmtNS(float64(st.Config)), fmt.Sprintf("%d B", st.BytesStreamed), fmtNS(busy)}
+		},
+		notes: func(runs []Run) []string {
+			var notes []string
+			if len(runs) > 1 {
+				base, best := runs[0].Stats, runs[len(runs)-1].Stats
+				if best.Config > 0 && best.BytesStreamed > 0 {
+					notes = append(notes, fmt.Sprintf(
+						"%s vs %s: %.1fx less simulated configuration time, %.1fx fewer bytes streamed",
+						runs[len(runs)-1].Label, runs[0].Label,
+						float64(base.Config)/float64(best.Config),
+						float64(base.BytesStreamed)/float64(best.BytesStreamed)))
+				}
+			}
+			return append(notes,
+				"a differential miss streams only the frames that differ from the member's verified resident state (§2.2)")
+		},
 	}
-}
-
-// PlacementRun is one placement configuration's aggregate outcome over a
-// spec's workload.
-type PlacementRun struct {
-	Label   string
-	Policy  string
-	Planner bool
-	Stats   sched.Stats
-}
-
-// RunPlacement boots a fresh pool, applies the planner mode and placement
-// policy, and drives the spec's seeded workload to completion.
-func RunPlacement(spec PlacementSpec, policyName string, planner bool) (PlacementRun, error) {
-	label := policyName + "+complete-only"
-	if planner {
-		label = policyName + "+planner"
-	}
-	run := PlacementRun{Label: label, Policy: policyName, Planner: planner}
-	policy, err := sched.PolicyByName(policyName)
-	if err != nil {
-		return run, err
-	}
-	mix, err := sched.ParseMix(spec.Mix)
-	if err != nil {
-		return run, err
-	}
-	w, err := sched.GenWorkload(spec.Seed, spec.N, mix)
-	if err != nil {
-		return run, err
-	}
-	p, err := pool.New(spec.Pool)
-	if err != nil {
-		return run, err
-	}
-	p.SetPlanning(planner)
-	s := sched.New(p, sched.Options{Batch: spec.Batch, Policy: policy})
-	for _, ch := range s.SubmitAll(w) {
-		if r := <-ch; r.Err != nil {
-			return run, fmt.Errorf("bench: request %d (%s): %w", r.ID, r.Task, r.Err)
-		}
-	}
-	s.Wait()
-	run.Stats = s.Stats()
-	return run, nil
-}
-
-// PlacementRuns executes the canonical comparison on one spec: the PR 1
-// baseline (lru placement, complete streams only), the planner under the
-// same placement, and the planner with cost-aware placement.
-func PlacementRuns(spec PlacementSpec) ([]PlacementRun, error) {
-	configs := []struct {
-		policy  string
-		planner bool
-	}{
-		{"lru", false},
-		{"lru", true},
-		{"mincost", true},
-	}
-	runs := make([]PlacementRun, 0, len(configs))
-	for _, c := range configs {
-		r, err := RunPlacement(spec, c.policy, c.planner)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, r)
-	}
-	return runs, nil
-}
-
-// PlacementTable renders placement runs as table S2: how the
-// differential-bitstream planner and cost-aware placement change the
-// configuration bill for the same seeded workload. Raw() carries each
-// run's total simulated configuration time in femtoseconds, in row order.
-func PlacementTable(runs []PlacementRun) *Table {
-	t := &Table{ID: "S2", Title: "Placement policy and stream planning on the same seeded workload",
-		Columns: []string{"configuration", "hits", "misses", "diff", "complete", "config time", "bytes streamed", "busy time"}}
-	for _, r := range runs {
-		st := r.Stats
-		var busy float64
-		for _, b := range st.BusyTime {
-			busy += float64(b)
-		}
-		t.AddRow(r.Label,
-			fmt.Sprint(st.Hits), fmt.Sprint(st.Misses),
-			fmt.Sprint(st.DiffLoads), fmt.Sprint(st.CompleteLoads),
-			fmtNS(float64(st.Config)), fmt.Sprintf("%d B", st.BytesStreamed), fmtNS(busy))
-		t.rawNS = append(t.rawNS, float64(st.Config))
-	}
-	if len(runs) > 1 {
-		base, best := runs[0].Stats, runs[len(runs)-1].Stats
-		if best.Config > 0 && best.BytesStreamed > 0 {
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"%s vs %s: %.1fx less simulated configuration time, %.1fx fewer bytes streamed",
-				runs[len(runs)-1].Label, runs[0].Label,
-				float64(base.Config)/float64(best.Config),
-				float64(base.BytesStreamed)/float64(best.BytesStreamed)))
-		}
-	}
-	t.Notes = append(t.Notes,
-		"a differential miss streams only the frames that differ from the member's verified resident state (§2.2)")
-	return t
-}
-
-// PlacementRecord is the on-disk wire layout of one bench row — the
-// BENCH_sched.json format the CI bench gate (cmd/benchdiff) keys on
-// table+label and diffs config_ms / bytes_streamed against. Every suite's
-// typed record (see Record in record.go) lowers to this struct via
-// Wire(); the field ORDER and omitempty tags are load-bearing, because
-// the committed baseline is diffed byte-for-byte (a golden test pins the
-// round trip). New suites add typed records, not more optional field
-// blocks here.
-type PlacementRecord struct {
-	Table         string  `json:"table"`
-	Label         string  `json:"label"`
-	Policy        string  `json:"policy"`
-	Planner       bool    `json:"planner"`
-	Requests      uint64  `json:"requests"`
-	Hits          uint64  `json:"hits"`
-	Misses        uint64  `json:"misses"`
-	HitRate       float64 `json:"hit_rate"`
-	DiffLoads     uint64  `json:"diff_loads"`
-	CompleteLoads uint64  `json:"complete_loads"`
-	ConfigMs      float64 `json:"config_ms"`
-	WorkMs        float64 `json:"work_ms"`
-	BusyMs        float64 `json:"busy_ms"`
-	BytesStreamed uint64  `json:"bytes_streamed"`
-	SimUsPerReq   float64 `json:"sim_us_per_req"`
-
-	Window              int     `json:"window,omitempty"`
-	Predictor           string  `json:"predictor,omitempty"`
-	PrefetchHits        uint64  `json:"prefetch_hits,omitempty"`
-	PrefetchAborted     uint64  `json:"prefetch_aborted,omitempty"`
-	PrefetchBytes       uint64  `json:"prefetch_bytes,omitempty"`
-	PrefetchWastedBytes uint64  `json:"prefetch_wasted_bytes,omitempty"`
-	HiddenMs            float64 `json:"hidden_ms,omitempty"`
-
-	// S8 compressed/DMA load-path fields; zero for the other tables.
-	CompressedLoads uint64  `json:"compressed_loads,omitempty"`
-	DMALoads        uint64  `json:"dma_loads,omitempty"`
-	OverlapMs       float64 `json:"overlap_ms,omitempty"`
-
-	// S6 open-loop scaling fields; zero for the other tables. The
-	// throughput fields are host wall-clock measurements and the
-	// percentiles depend on concurrent placement, so none of them are
-	// gated — the gate pins S6 through its zero config_ms/bytes_streamed
-	// (the all-hit invariant of the capacity drive).
-	Shards           int     `json:"shards,omitempty"`
-	OfferedLoad      float64 `json:"offered_load,omitempty"`
-	ArrivalProcess   string  `json:"arrival_process,omitempty"`
-	ThroughputRPS    float64 `json:"throughput_rps,omitempty"`
-	SimThroughputRPS float64 `json:"sim_throughput_rps,omitempty"`
-	P50Ms            float64 `json:"p50_ms,omitempty"`
-	P95Ms            float64 `json:"p95_ms,omitempty"`
-	Steals           uint64  `json:"steals,omitempty"`
-	StolenRequests   uint64  `json:"stolen_requests,omitempty"`
-
-	// S7 fault-replay fields; zero for the other tables.
-	FaultsInjected uint64  `json:"faults_injected,omitempty"`
-	FaultsDetected uint64  `json:"faults_detected,omitempty"`
-	Requeues       uint64  `json:"requeues,omitempty"`
-	Repairs        uint64  `json:"repairs,omitempty"`
-	RepairMs       float64 `json:"repair_ms,omitempty"`
-	Availability   float64 `json:"availability,omitempty"`
-	P99Ms          float64 `json:"p99_ms,omitempty"`
-
-	// TolerancePct is how much this configuration may regress before the
-	// CI gate (cmd/benchdiff) fails, overriding the gate's default. The
-	// paced S3 rows are deterministic and gate tight; the SubmitAll S2
-	// rows react to goroutine completion order (placement follows whoever
-	// finishes first) and swing up to ~30% run to run, so they carry a
-	// wider band — still far inside the 5x planner-vs-complete signal
-	// they guard.
-	TolerancePct float64 `json:"tolerance_pct,omitempty"`
-}
-
-// ScheduleRecords converts placement runs into typed S2 records. The
-// concurrent SubmitAll drive is noisy, so the rows carry a wide tolerance
-// band (see Base.TolerancePct).
-func ScheduleRecords(runs []PlacementRun) []ScheduleRecord {
-	out := make([]ScheduleRecord, 0, len(runs))
-	for _, r := range runs {
-		out = append(out, ScheduleRecord{Base: baseFromRun(r, 40)})
-	}
-	return out
 }

@@ -9,11 +9,11 @@ import (
 // seeded paced workload, prefetching with the markov predictor must hide
 // at least 30% of the visible configuration time the PR 2 configuration
 // (mincost placement + differential planner, no prefetch) still pays —
-// with every request verifying and no member corrupted (RunPrefetch fails
-// on either, so a hazard-gate violation is a hard test failure).
+// with every request verifying and no member corrupted (Drive fails on
+// either, so a hazard-gate violation is a hard test failure).
 func TestPrefetchHidesVisibleConfigTime(t *testing.T) {
-	spec := DefaultPrefetchSpec()
-	base, err := RunPrefetch(spec, "mincost", "")
+	s := PrefetchSuite(DefaultWorkload())
+	base, err := Drive(s.Workload, s.Cases[0]) // mincost+noprefetch
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,13 +21,13 @@ func TestPrefetchHidesVisibleConfigTime(t *testing.T) {
 	// workload draws tasks i.i.d., so there is no transition structure for
 	// markov to exploit (it shrinks toward the same frequency estimates,
 	// with residual sampling noise).
-	pref, err := RunPrefetch(spec, "mincost", "freq")
+	pref, err := Drive(s.Workload, s.Cases[1]) // mincost+prefetch-freq
 	if err != nil {
 		t.Fatal(err)
 	}
 	bs, ps := base.Stats, pref.Stats
-	if bs.Done != uint64(spec.N) || ps.Done != uint64(spec.N) {
-		t.Fatalf("incomplete runs: base %d, prefetch %d of %d", bs.Done, ps.Done, spec.N)
+	if bs.Done != uint64(s.Workload.N) || ps.Done != uint64(s.Workload.N) {
+		t.Fatalf("incomplete runs: base %d, prefetch %d of %d", bs.Done, ps.Done, s.Workload.N)
 	}
 	if bs.Config == 0 {
 		t.Fatal("baseline has no visible configuration time to hide")
@@ -43,38 +43,27 @@ func TestPrefetchHidesVisibleConfigTime(t *testing.T) {
 	}
 }
 
-// TestPrefetchTableShape checks the S3 artifact: one row per
-// configuration, raw visible config times in row order, and the headline
-// hiding note.
+// TestPrefetchTableShape checks the S3 content beyond the shared suite
+// shape: the no-prefetch baseline leads, every prefetch row gets a hiding
+// note against it, and the rows record the paced window and predictor.
 func TestPrefetchTableShape(t *testing.T) {
-	spec := DefaultPrefetchSpec()
-	spec.N = 24 // smaller workload: this test checks shape, not magnitude
-	runs, err := PrefetchRuns(spec)
+	w := DefaultWorkload()
+	w.N = 24 // smaller workload: this test checks content, not magnitude
+	s := PrefetchSuite(w)
+	runs, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(runs) != 4 {
-		t.Fatalf("got %d runs, want 4", len(runs))
 	}
 	if runs[0].Predictor != "" || runs[0].Stats.PrefetchIssued != 0 {
 		t.Fatalf("first run must be the no-prefetch baseline: %+v", runs[0].Label)
 	}
-	tab := PrefetchTable(runs)
-	if tab.ID != "S3" || len(tab.Rows) != 4 || len(tab.Raw()) != 4 {
-		t.Fatalf("table shape: id %s, %d rows, %d raw", tab.ID, len(tab.Rows), len(tab.Raw()))
-	}
 	var sb strings.Builder
-	tab.Format(&sb)
-	for _, want := range []string{"S3", "mincost+noprefetch", "mincost+prefetch-markov", "prefetch+prefetch-markov", "hides"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("formatted table missing %q:\n%s", want, sb.String())
-		}
+	s.Table(runs).Format(&sb)
+	if got := strings.Count(sb.String(), "hides"); got != len(runs)-1 {
+		t.Errorf("%d hiding notes, want one per prefetch row:\n%s", got, sb.String())
 	}
-	recs := PrefetchRecords(runs)
-	if len(recs) != 4 || recs[0].Suite() != "S3" || recs[0].Window != spec.Window {
-		t.Fatalf("records: %+v", recs[:1])
-	}
-	if recs[2].Predictor != "markov" {
-		t.Errorf("record predictor = %q, want markov", recs[2].Predictor)
+	rows := s.Rows(runs)
+	if rows[0].Window != 1 || rows[2].Predictor != "markov" {
+		t.Errorf("rows: window %d, predictor %q; want 1, markov", rows[0].Window, rows[2].Predictor)
 	}
 }

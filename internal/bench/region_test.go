@@ -1,12 +1,22 @@
 package bench
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
-// testRegionSpec is a reduced S4 spec so the acceptance relations are
+// testRegionSuite is a reduced S4 suite so the acceptance relations are
 // asserted in test time; `make bench` commits the full rows.
-func testRegionSpec() RegionSpec {
-	s := DefaultRegionSpec()
-	s.N = 36
+func testRegionSuite(t *testing.T) Suite {
+	t.Helper()
+	w := DefaultWorkload()
+	w.N = 36
+	s, err := RegionSuite(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The three no-prefetch pool shapes: 4x1-half, 2x2-half, 2x1-full.
+	s.Cases = s.Cases[:3]
 	return s
 }
 
@@ -17,23 +27,11 @@ func testRegionSpec() RegionSpec {
 // single regions, the split pool strictly reduces visible configuration
 // time by holding twice the residents.
 func TestRegionGranularityEconomics(t *testing.T) {
-	spec := testRegionSpec()
-	single, dual, full, err := regionPools(spec)
+	runs, err := testRegionSuite(t).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r41, err := RunRegion(spec, single, "4x1", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r22, err := RunRegion(spec, dual, "2x2", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r21, err := RunRegion(spec, full, "2x1-full", "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r41, r22, r21 := runs[0], runs[1], runs[2]
 	if r41.Slots != 4 || r22.Slots != 4 || r21.Slots != 2 {
 		t.Fatalf("slot counts (%d, %d, %d), want (4, 4, 2)", r41.Slots, r22.Slots, r21.Slots)
 	}
@@ -61,31 +59,24 @@ func TestRegionGranularityEconomics(t *testing.T) {
 	}
 }
 
-// TestRegionTableShape: the S4 renderer carries one raw visible-config
-// value per run and the parity/granularity notes.
+// TestRegionTableShape: the S4 table shows each pool's boards and slots
+// and carries the parity and granularity notes.
 func TestRegionTableShape(t *testing.T) {
-	spec := testRegionSpec()
-	_, dual, full, err := regionPools(spec)
+	s := testRegionSuite(t)
+	runs, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := RunRegion(spec, full, "2x1-full+mincost", "")
-	if err != nil {
-		t.Fatal(err)
+	tb := s.Table(runs)
+	for i, want := range [][2]string{{"4", "4"}, {"2", "4"}, {"2", "2"}} {
+		if got := [2]string{tb.Rows[i][1], tb.Rows[i][2]}; got != want {
+			t.Errorf("%s: boards/slots %v, want %v", runs[i].Label, got, want)
+		}
 	}
-	r2, err := RunRegion(spec, dual, "2x2-half+mincost", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := RegionTable([]RegionRun{r1, r2})
-	if len(tb.Rows) != 2 || len(tb.Raw()) != 2 {
-		t.Fatalf("table has %d rows / %d raw values, want 2 / 2", len(tb.Rows), len(tb.Raw()))
-	}
-	if tb.Raw()[0] != float64(r1.Stats.Config) || tb.Raw()[1] != float64(r2.Stats.Config) {
-		t.Fatalf("raw values %v do not carry the runs' visible config times", tb.Raw())
-	}
-	recs := RegionRecords([]RegionRun{r1, r2})
-	if len(recs) != 2 || recs[0].Suite() != "S4" || recs[0].TolerancePct != 15 {
-		t.Fatalf("records %+v, want S4 rows at 15%% tolerance", recs[0])
+	notes := strings.Join(tb.Notes, "\n")
+	for _, want := range []string{"2x2-half+mincost matches 4x1-half+mincost", "on the SAME two boards"} {
+		if !strings.Contains(notes, want) {
+			t.Errorf("notes missing %q:\n%s", want, notes)
+		}
 	}
 }

@@ -2,123 +2,77 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"time"
 
 	"repro/internal/pool"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
-// ScalingSpec pins one S6 open-loop scaling evaluation: a seeded
-// single-module workload driven through the live sharded scheduler at a
-// range of offered loads and shard counts.
+// The open-loop axis S6 and S9 share. At offered load rho the mean
+// inter-arrival gap is meanService/(members*rho), where meanService is
+// the measured mean all-hit jenkins service on the S6 pool (p50 61us, p99
+// 111us). A constant (rather than a per-run calibration) keeps every
+// row's arrival trace byte-identical across runs and machines.
+const (
+	arrivalProcess = "poisson"
+	meanService    = 60 * sim.Microsecond
+	// feeders is the number of concurrent open-loop submitters.
+	feeders = 4
+)
+
+// offeredLoads spans well under capacity to saturating.
+var offeredLoads = []float64{0.25, 1, 4}
+
+// meanGap is the mean inter-arrival gap at offered load rho on a pool of
+// the given member count.
+func meanGap(members int, rho float64) sim.Time {
+	return sim.Time(float64(meanService) / (float64(members) * rho))
+}
+
+// capacityWorkload is the S6/S9 stream: N is deep enough that the
+// 1-shard dispatcher's O(pending x slots) queue scan dominates its
+// request path — the cost the shard sweep exposes — and batch 1 keeps
+// sojourns in arrival order.
+func capacityWorkload() Workload { return Workload{Seed: 7, N: 8000, Mix: "jenkins", Batch: 1} }
+
+// capacityPool is a homogeneous 32-board pool: every member simulates at
+// the same real-time speed. In a mixed pool the wider systems execute
+// their simulation faster and win a disproportionate share of the
+// backlogged queue, skewing the per-member sojourn chains.
+var capacityPool = pool.Config{Sys32: 32}
+
+// scalingCases is the S6 sweep in shard-major order (all offered loads
+// for one shard count, then the next), one fresh pool per cell.
+func scalingCases(cfg pool.Config, shards []int, rhos []float64) []Case {
+	var cases []Case
+	for _, n := range shards {
+		for _, rho := range rhos {
+			cases = append(cases, Case{
+				Label: fmt.Sprintf("shards-%d/rho-%.2g/%s", n, rho, arrivalProcess),
+				Pool:  cfg, Policy: "lru", Pin: "jenkins",
+				Shards: n, Rho: rho, Drive: OpenLoop,
+			})
+		}
+	}
+	return cases
+}
+
+// ScalingSuite is table S6: simulated sojourn percentiles and real
+// throughput of the live sharded scheduler versus offered load and shard
+// count.
 //
 // S6 measures scheduler capacity, so the workload is the dispatch-bound
-// analogue of a null RPC: one module, resident in every slot before the
-// drive starts (the pool is pre-warmed), so every request is a bitstream
-// cache hit and the request path never streams configuration data. Real
-// wall-clock throughput then isolates the dispatcher — queue scans, lock
-// hold times, placement bookkeeping — which is exactly the cost sharding
-// attacks; with misses in the mix the word-serial ICAP stream simulation
-// (tens of real milliseconds per complete load) would swamp that signal
-// three orders of magnitude deep. The pre-warm also makes the gated
-// metrics exact: an S6 row's visible configuration time and request-path
-// bytes are zero by construction, and benchdiff's zero-baseline rule turns
-// any future miss on this drive into a hard gate failure.
-type ScalingSpec struct {
-	Pool    pool.Config
-	Seed    int64
-	N       int
-	Module  string // the single resident module every request runs
-	Batch   int    // 1 = strict FIFO, keeping sojourns in arrival order
-	Policy  string
-	Process string // arrival process (see GenArrivals)
-	Feeders int    // concurrent open-loop submitters
-
-	// MeanService is the calibrated average all-hit service time of the
-	// module, fixing the offered-load axis: at offered load rho the mean
-	// inter-arrival gap is MeanService/(members*rho). A constant (rather
-	// than a per-run calibration) keeps every row's arrival trace
-	// byte-identical across runs and machines.
-	MeanService sim.Time
-
-	Rhos   []float64
-	Shards []int
-}
-
-// DefaultScalingSpec is the committed S6 configuration: a homogeneous
-// 32-board pool under a Poisson open-loop drive, swept over shard counts
-// 1-8 and offered loads from well under capacity to saturating. The pool
-// is homogeneous (all 32-bit boards) so every member simulates at the
-// same real-time speed: in a mixed pool the wider systems execute their
-// simulation faster and win a disproportionate share of the backlogged
-// queue, skewing the per-member sojourn chains. MeanService is the
-// measured mean all-hit jenkins service on this pool (p50 61us, p99
-// 111us). N is deep enough that the 1-shard dispatcher's O(pending x
-// slots) queue scan dominates its request path — the cost the shard
-// sweep exposes.
-func DefaultScalingSpec() ScalingSpec {
-	return ScalingSpec{
-		Pool:        pool.Config{Sys32: 32},
-		Seed:        7,
-		N:           8000,
-		Module:      "jenkins",
-		Batch:       1,
-		Policy:      "lru",
-		Process:     "poisson",
-		Feeders:     4,
-		MeanService: 60 * sim.Microsecond,
-		Rhos:        []float64{0.25, 1, 4},
-		Shards:      []int{1, 2, 4, 8},
-	}
-}
-
-// ScalingRun is one (shard count, offered load) cell of the S6 sweep.
-type ScalingRun struct {
-	Label   string
-	Shards  int
-	Rho     float64
-	Process string
-
-	// Elapsed is the real wall-clock span from first submission to last
-	// delivered result: N/Elapsed is the sustained dispatch rate of the
-	// scheduler itself (host-dependent, so reported but never gated).
-	Elapsed time.Duration
-
-	// P50/P95/P99 are simulated-time sojourn (queue wait + service)
-	// percentiles from the scheduler's open-loop wall-clock overlay, and
-	// Makespan the simulated completion time of the whole trace.
-	P50, P95, P99 sim.Time
-	Makespan      sim.Time
-
-	Stats sched.Stats
-}
-
-// RealThroughput is the sustained real-time dispatch rate in requests per
-// second of host wall-clock time.
-func (r ScalingRun) RealThroughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Stats.Done) / r.Elapsed.Seconds()
-}
-
-// SimThroughput is the trace's completion rate in requests per simulated
-// second.
-func (r ScalingRun) SimThroughput() float64 {
-	if r.Makespan <= 0 {
-		return 0
-	}
-	return float64(r.Stats.Done) / (float64(r.Makespan) / float64(sim.Second))
-}
-
-// RunScaling drives one S6 cell: boot and pre-warm the pool, then submit
-// the seeded workload open-loop — every request carries its generated
-// arrival stamp, and submission never waits for completions — from
-// spec.Feeders concurrent feeders through a scheduler with the given shard
-// count.
+// analogue of a null RPC: one module, pinned in every slot before the
+// drive starts, so every request is a bitstream cache hit and the request
+// path never streams configuration data. Real wall-clock throughput then
+// isolates the dispatcher — queue scans, lock hold times, placement
+// bookkeeping — which is exactly the cost sharding attacks; with misses
+// in the mix the word-serial ICAP stream simulation (tens of real
+// milliseconds per complete load) would swamp that signal three orders
+// of magnitude deep. The pin also makes the gated metrics exact: an S6
+// row's visible configuration time and request-path bytes are zero by
+// construction, and benchdiff's zero-baseline rule (tolerance 0) turns
+// any future miss on this drive into a hard gate failure. Throughput and
+// percentiles are host- or schedule-dependent and informational.
 //
 // The drive is open-loop in simulated time only: feeders submit
 // back-to-back rather than pacing arrival stamps against the host clock,
@@ -127,110 +81,42 @@ func (r ScalingRun) SimThroughput() float64 {
 // comes from the stamps through the scheduler's wall-clock overlay
 // (Result.Sojourn); real elapsed time measures dispatch capacity under a
 // fully backlogged queue — the same saturated regime every cell shares.
-func RunScaling(spec ScalingSpec, shards int, rho float64) (ScalingRun, error) {
-	run := ScalingRun{
-		Label:   fmt.Sprintf("shards-%d/rho-%.2g/%s", shards, rho, spec.Process),
-		Shards:  shards,
-		Rho:     rho,
-		Process: spec.Process,
-	}
-	if rho <= 0 {
-		return run, fmt.Errorf("bench: offered load %v", rho)
-	}
-	policy, err := sched.PolicyByName(spec.Policy)
-	if err != nil {
-		return run, err
-	}
-	mix, err := sched.ParseMix(spec.Module)
-	if err != nil {
-		return run, err
-	}
-	w, err := sched.GenWorkload(spec.Seed, spec.N, mix)
-	if err != nil {
-		return run, err
-	}
-	p, err := pool.New(spec.Pool)
-	if err != nil {
-		return run, err
-	}
-	mean := sim.Time(float64(spec.MeanService) / (float64(p.Size()) * rho))
-	arrivals, err := GenArrivals(spec.Seed, spec.N, spec.Process, mean)
-	if err != nil {
-		return run, err
-	}
-	// Pre-warm: host the module in every slot so the drive is all-hit.
-	for _, m := range p.Members() {
-		for ri := 0; ri < m.Sys.NumRegions(); ri++ {
-			if _, err := m.Sys.LoadModuleOn(ri, spec.Module); err != nil {
-				return run, fmt.Errorf("bench: pre-warm member %d region %d: %w", m.ID, ri, err)
+func ScalingSuite() Suite {
+	return Suite{
+		ID:       "S6",
+		Title:    "Sharded dispatch under open-loop arrivals: latency and throughput vs offered load and shard count",
+		Columns:  []string{"shards", "process", "offered load", "p50", "p95", "p99", "sim throughput", "real throughput", "steals"},
+		Workload: capacityWorkload(),
+		Cases:    scalingCases(capacityPool, []int{1, 2, 4, 8}, offeredLoads),
+		cells: func(r Run) []string {
+			pct := r.Pct(0.50, 0.95, 0.99)
+			return []string{fmt.Sprint(r.Shards), arrivalProcess, fmt.Sprintf("%.2f", r.Rho),
+				fmtNS(float64(pct[0])), fmtNS(float64(pct[1])), fmtNS(float64(pct[2])),
+				fmt.Sprintf("%.0f/s", r.SimThroughput()),
+				fmt.Sprintf("%.0f/s", r.RealThroughput()),
+				fmt.Sprint(r.Stats.Steals)}
+		},
+		notes: func(runs []Run) []string {
+			var notes []string
+			if sp, lo, hi, ok := SaturationSpeedup(runs); ok {
+				notes = append(notes, fmt.Sprintf(
+					"at offered load %.2f, %d shards sustain %.1fx the real dispatch throughput of %d shard(s) (%.0f/s vs %.0f/s)",
+					hi.Rho, hi.Shards, sp, lo.Shards, hi.RealThroughput(), lo.RealThroughput()))
 			}
-		}
+			return append(notes,
+				"all-hit capacity drive: the module is pre-warmed into every slot, so the request path streams zero configuration bytes and real throughput isolates the dispatcher",
+				"sojourn percentiles (queue wait + service) come from the scheduler's simulated wall-clock overlay over the generated arrival stamps; real throughput is host wall-clock and never gated",
+				"submission is back-to-back from concurrent feeders — open-loop in simulated time — so every cell measures dispatch capacity under a fully backlogged queue",
+				"under full backlog, placement is completion-driven and bursts onto whichever member last freed, so the sojourn chains concentrate beyond the balanced k-server ideal the S9 replay assumes — the S9/S6 percentile gap is that imbalance, measured")
+		},
 	}
-	s := sched.New(p, sched.Options{Batch: spec.Batch, Policy: policy, Shards: shards})
-	feeders := spec.Feeders
-	if feeders < 1 {
-		feeders = 1
-	}
-	chs := make([]<-chan sched.Result, spec.N)
-	// Collect the boot and pre-warm garbage now so no cell pays another
-	// cell's GC debt during its timed drive.
-	runtime.GC()
-	start := time.Now()
-	var fwg sync.WaitGroup
-	for f := 0; f < feeders; f++ {
-		fwg.Add(1)
-		go func(f int) {
-			defer fwg.Done()
-			// Striped: each feeder submits its slice of the trace in
-			// increasing-arrival order, so the merged stream is arrival-
-			// ordered up to feeder interleaving (concurrent front-ends).
-			for i := f; i < spec.N; i += feeders {
-				chs[i] = s.SubmitAt(w[i], arrivals[i])
-			}
-		}(f)
-	}
-	fwg.Wait()
-	sojourns := make([]sim.Time, 0, spec.N)
-	for _, ch := range chs {
-		r := <-ch
-		if r.Err != nil {
-			return run, fmt.Errorf("bench: request %d (%s): %w", r.ID, r.Task, r.Err)
-		}
-		if r.DoneAt > run.Makespan {
-			run.Makespan = r.DoneAt
-		}
-		sojourns = append(sojourns, r.Sojourn)
-	}
-	s.Wait()
-	run.Elapsed = time.Since(start)
-	run.Stats = s.Stats()
-	pct := Percentiles(sojourns, 0.50, 0.95, 0.99)
-	run.P50, run.P95, run.P99 = pct[0], pct[1], pct[2]
-	return run, nil
-}
-
-// ScalingRuns executes the full spec sweep, one fresh pool per cell, in
-// shard-major order (all offered loads for one shard count, then the
-// next).
-func ScalingRuns(spec ScalingSpec) ([]ScalingRun, error) {
-	runs := make([]ScalingRun, 0, len(spec.Shards)*len(spec.Rhos))
-	for _, shards := range spec.Shards {
-		for _, rho := range spec.Rhos {
-			r, err := RunScaling(spec, shards, rho)
-			if err != nil {
-				return nil, err
-			}
-			runs = append(runs, r)
-		}
-	}
-	return runs, nil
 }
 
 // SaturationSpeedup reports the sustained real-throughput ratio between
 // the largest and smallest shard count at the highest offered load in the
 // runs — the S6 headline number. ok is false when the runs hold fewer than
 // two shard counts at that load.
-func SaturationSpeedup(runs []ScalingRun) (speedup float64, lo, hi ScalingRun, ok bool) {
+func SaturationSpeedup(runs []Run) (speedup float64, lo, hi Run, ok bool) {
 	maxRho := 0.0
 	for _, r := range runs {
 		if r.Rho > maxRho {
@@ -254,57 +140,4 @@ func SaturationSpeedup(runs []ScalingRun) (speedup float64, lo, hi ScalingRun, o
 		return 0, lo, hi, false
 	}
 	return hi.RealThroughput() / lo.RealThroughput(), lo, hi, true
-}
-
-// ScalingTable renders scaling runs as table S6: simulated sojourn
-// percentiles and throughput versus arrival rate and shard count. Raw()
-// carries each row's sustained real throughput in requests per second.
-func ScalingTable(runs []ScalingRun) *Table {
-	t := &Table{ID: "S6", Title: "Sharded dispatch under open-loop arrivals: latency and throughput vs offered load and shard count",
-		Columns: []string{"shards", "process", "offered load", "p50", "p95", "p99", "sim throughput", "real throughput", "steals"}}
-	for _, r := range runs {
-		t.AddRow(fmt.Sprint(r.Shards), r.Process, fmt.Sprintf("%.2f", r.Rho),
-			fmtNS(float64(r.P50)), fmtNS(float64(r.P95)), fmtNS(float64(r.P99)),
-			fmt.Sprintf("%.0f/s", r.SimThroughput()),
-			fmt.Sprintf("%.0f/s", r.RealThroughput()),
-			fmt.Sprint(r.Stats.Steals))
-		t.rawNS = append(t.rawNS, r.RealThroughput())
-	}
-	if sp, lo, hi, ok := SaturationSpeedup(runs); ok {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"at offered load %.2f, %d shards sustain %.1fx the real dispatch throughput of %d shard(s) (%.0f/s vs %.0f/s)",
-			hi.Rho, hi.Shards, sp, lo.Shards, hi.RealThroughput(), lo.RealThroughput()))
-	}
-	t.Notes = append(t.Notes,
-		"all-hit capacity drive: the module is pre-warmed into every slot, so the request path streams zero configuration bytes and real throughput isolates the dispatcher",
-		"sojourn percentiles (queue wait + service) come from the scheduler's simulated wall-clock overlay over the generated arrival stamps; real throughput is host wall-clock and never gated",
-		"submission is back-to-back from concurrent feeders — open-loop in simulated time — so every cell measures dispatch capacity under a fully backlogged queue",
-		"under full backlog, placement is completion-driven and bursts onto whichever member last freed, so the sojourn chains concentrate beyond the balanced k-server ideal the S9 replay assumes — the S9/S6 percentile gap is that imbalance, measured")
-	return t
-}
-
-// ScalingRecords converts scaling runs for JSON emission. The gated
-// metrics (config_ms, bytes_streamed) are zero by construction for the
-// all-hit drive, so benchdiff's zero-baseline absolute gate pins them: a
-// fresh run that misses even once fails the gate. The throughput and
-// percentile fields are host- or schedule-dependent and informational.
-func ScalingRecords(runs []ScalingRun) []ScalingRecord {
-	out := make([]ScalingRecord, 0, len(runs))
-	for _, r := range runs {
-		out = append(out, ScalingRecord{
-			// Tolerance 0: the zero baselines gate on absolute epsilon.
-			Base:             baseFromRun(PlacementRun{Label: r.Label, Policy: "lru", Planner: true, Stats: r.Stats}, 0),
-			Shards:           r.Shards,
-			OfferedLoad:      r.Rho,
-			Process:          r.Process,
-			ThroughputRPS:    r.RealThroughput(),
-			SimThroughputRPS: r.SimThroughput(),
-			P50Ms:            r.P50.Milliseconds(),
-			P95Ms:            r.P95.Milliseconds(),
-			P99Ms:            r.P99.Milliseconds(),
-			Steals:           r.Stats.Steals,
-			StolenRequests:   r.Stats.StolenRequests,
-		})
-	}
-	return out
 }

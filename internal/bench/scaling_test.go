@@ -2,18 +2,19 @@ package bench
 
 import (
 	"runtime"
-	"strings"
 	"testing"
+
+	"repro/internal/pool"
 )
 
-// scalingTestSpec shrinks the committed S6 sweep to test size while
+// scalingTestSuite shrinks the committed S6 sweep to test size while
 // keeping its invariants: same module, policy, process and service
-// calibration, smaller pool and trace.
-func scalingTestSpec() ScalingSpec {
-	spec := DefaultScalingSpec()
-	spec.Pool.Sys32 = 4
-	spec.N = 240
-	return spec
+// calibration, smaller pool, trace and sweep.
+func scalingTestSuite(n int, cfg pool.Config, shards []int, rhos []float64) Suite {
+	s := ScalingSuite()
+	s.Workload.N = n
+	s.Cases = scalingCases(cfg, shards, rhos)
+	return s
 }
 
 // TestScalingRunAllHit pins the capacity-drive invariant the S6 gate
@@ -22,14 +23,14 @@ func scalingTestSpec() ScalingSpec {
 // streamed bytes — so those two fields gate deterministically in
 // BENCH_sched.json while the throughput fields stay informational.
 func TestScalingRunAllHit(t *testing.T) {
-	spec := scalingTestSpec()
-	run, err := RunScaling(spec, 2, 1)
+	s := scalingTestSuite(240, pool.Config{Sys32: 4}, []int{2}, []float64{1})
+	run, err := Drive(s.Workload, s.Cases[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := run.Stats
-	if st.Done != uint64(spec.N) || st.Errors != 0 {
-		t.Fatalf("done/errors = %d/%d, want %d/0", st.Done, st.Errors, spec.N)
+	if st.Done != uint64(s.Workload.N) || st.Errors != 0 {
+		t.Fatalf("done/errors = %d/%d, want %d/0", st.Done, st.Errors, s.Workload.N)
 	}
 	if st.Hits != st.Done || st.Misses != 0 {
 		t.Fatalf("hits/misses = %d/%d, want all-hit %d/0 (pre-warm failed)", st.Hits, st.Misses, st.Done)
@@ -37,8 +38,8 @@ func TestScalingRunAllHit(t *testing.T) {
 	if st.Config != 0 || st.BytesStreamed != 0 {
 		t.Fatalf("config=%v bytes=%d, want 0/0: the S6 gate pins these at zero", st.Config, st.BytesStreamed)
 	}
-	if run.P50 <= 0 || run.P95 < run.P50 || run.P99 < run.P95 {
-		t.Fatalf("sojourn percentiles p50=%v p95=%v p99=%v, want positive and ordered", run.P50, run.P95, run.P99)
+	if pct := run.Pct(0.50, 0.95, 0.99); pct[0] <= 0 || pct[1] < pct[0] || pct[2] < pct[1] {
+		t.Fatalf("sojourn percentiles p50/p95/p99 = %v, want positive and ordered", pct)
 	}
 	if run.Makespan <= 0 || run.Elapsed <= 0 {
 		t.Fatalf("makespan=%v elapsed=%v, want positive", run.Makespan, run.Elapsed)
@@ -48,48 +49,26 @@ func TestScalingRunAllHit(t *testing.T) {
 	}
 }
 
-// TestScalingRecordsAndTable checks the S6 emission: records keyed for
-// the bench gate (table S6, zero tolerance so the zero baselines gate on
-// benchdiff's absolute epsilon) and a rendered table carrying the
-// speedup note.
+// TestScalingRecordsAndTable checks the S6 rows: zero tolerance, so the
+// all-hit zeros of config_ms and bytes_streamed gate on benchdiff's
+// absolute epsilon, with the informational shard, throughput and
+// percentile fields filled — and the speedup pair the table note cites.
 func TestScalingRecordsAndTable(t *testing.T) {
-	spec := scalingTestSpec()
-	spec.N = 120
-	spec.Shards = []int{1, 2}
-	spec.Rhos = []float64{1}
-	runs, err := ScalingRuns(spec)
+	s := scalingTestSuite(120, pool.Config{Sys32: 4}, []int{1, 2}, []float64{1})
+	runs, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 2 {
-		t.Fatalf("got %d runs, want 2", len(runs))
-	}
-	recs := ScalingRecords(runs)
-	for i, rec := range recs {
-		if rec.Suite() != "S6" || rec.Label != runs[i].Label {
-			t.Fatalf("record %d keyed %s/%s, want S6/%s", i, rec.Suite(), rec.Label, runs[i].Label)
+	for i, row := range s.Rows(runs) {
+		if row.TolerancePct != 0 {
+			t.Fatalf("row %d tolerance %v, want 0 (zero baselines gate absolutely)", i, row.TolerancePct)
 		}
-		if rec.TolerancePct != 0 {
-			t.Fatalf("record %d tolerance %v, want 0 (zero baselines gate absolutely)", i, rec.TolerancePct)
+		if row.ConfigMs != 0 || row.BytesStreamed != 0 {
+			t.Fatalf("row %d config_ms=%v bytes=%d, want the all-hit zeros", i, row.ConfigMs, row.BytesStreamed)
 		}
-		if rec.ConfigMs != 0 || rec.BytesStreamed != 0 {
-			t.Fatalf("record %d config_ms=%v bytes=%d, want the all-hit zeros", i, rec.ConfigMs, rec.BytesStreamed)
+		if row.Shards != runs[i].Shards || row.ThroughputRPS <= 0 || row.P50Ms <= 0 || row.ArrivalProcess != "poisson" {
+			t.Fatalf("row %d = %+v, want shards/throughput/percentiles filled", i, row)
 		}
-		if rec.Shards != runs[i].Shards || rec.ThroughputRPS <= 0 || rec.P50Ms <= 0 {
-			t.Fatalf("record %d = %+v, want shards/throughput/percentiles filled", i, rec)
-		}
-	}
-	tbl := ScalingTable(runs)
-	if tbl.ID != "S6" {
-		t.Fatalf("table ID %s, want S6", tbl.ID)
-	}
-	if len(tbl.Rows) != len(runs) {
-		t.Fatalf("table carries %d rows, want %d", len(tbl.Rows), len(runs))
-	}
-	var buf strings.Builder
-	tbl.Format(&buf)
-	if !strings.Contains(buf.String(), "shards") {
-		t.Fatalf("formatted table missing shard column:\n%s", buf.String())
 	}
 	if _, _, _, ok := SaturationSpeedup(runs); !ok {
 		t.Fatal("SaturationSpeedup found no comparable pair")
@@ -108,21 +87,17 @@ func TestScalingSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("saturating sweep: skipped in short mode")
 	}
-	spec := DefaultScalingSpec()
-	spec.Shards = []int{1, 8}
-	spec.Rhos = []float64{4}
-	spec.N = 2500
+	n, cfg := 2500, capacityPool
 	if raceEnabled {
-		spec.Pool.Sys32 = 8
-		spec.N = 600
+		n, cfg = 600, pool.Config{Sys32: 8}
 	}
-	runs, err := ScalingRuns(spec)
+	runs, err := scalingTestSuite(n, cfg, []int{1, 8}, []float64{4}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range runs {
-		if r.Stats.Done != uint64(spec.N) || r.Stats.Misses != 0 {
-			t.Fatalf("%s: done=%d misses=%d, want all-hit %d", r.Label, r.Stats.Done, r.Stats.Misses, spec.N)
+		if r.Stats.Done != uint64(n) || r.Stats.Misses != 0 {
+			t.Fatalf("%s: done=%d misses=%d, want all-hit %d", r.Label, r.Stats.Done, r.Stats.Misses, n)
 		}
 	}
 	sp, lo, hi, ok := SaturationSpeedup(runs)

@@ -10,13 +10,15 @@ import (
 	"repro/internal/trace"
 )
 
-// reducedSLOSpec keeps the S9 shape (pinned placement, poisson arrivals,
+// reducedSLOSuite keeps the S9 shape (pinned placement, poisson arrivals,
 // three offered loads) at a depth a unit test can afford.
-func reducedSLOSpec() SLOSpec {
-	spec := DefaultSLOSpec()
-	spec.Pool = pool.Config{Sys32: 4}
-	spec.N = 400
-	return spec
+func reducedSLOSuite() Suite {
+	s := SLOSuite()
+	s.Workload.N = 400
+	for i := range s.Cases {
+		s.Cases[i].Pool = pool.Config{Sys32: 4}
+	}
+	return s
 }
 
 // TestSLORunsDeterministic is the property the whole S9 suite stands on:
@@ -27,20 +29,17 @@ func TestSLORunsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives two paced pool workloads")
 	}
-	spec := reducedSLOSpec()
-	a, err := SLORuns(spec)
+	s := reducedSLOSuite()
+	a, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SLORuns(spec)
+	b, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("S9 rows differ between identical evaluations:\n%+v\n%+v", a, b)
-	}
-	if len(a) != len(spec.Rhos) {
-		t.Fatalf("%d rows, want %d", len(a), len(spec.Rhos))
+		t.Fatalf("S9 rows differ between identical evaluations:\n%+v\n%+v", s.Rows(a), s.Rows(b))
 	}
 }
 
@@ -51,18 +50,20 @@ func TestSLORunsShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives a paced pool workload")
 	}
-	runs, err := SLORuns(reducedSLOSpec())
+	runs, err := reducedSLOSuite().Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	byRho := map[float64]SLORun{}
+	byRho := map[float64]sim.Time{}
 	for _, r := range runs {
-		byRho[r.Rho] = r
-		if r.P50 <= 0 || r.P50 > r.P95 || r.P95 > r.P99 || r.P99 > r.Max {
-			t.Errorf("%s: percentiles not ordered: p50 %v p95 %v p99 %v max %v", r.Label, r.P50, r.P95, r.P99, r.Max)
+		pct := r.Pct(0.50, 0.95, 0.99, 1)
+		byRho[r.Rho] = pct[2]
+		if pct[0] <= 0 || pct[0] > pct[1] || pct[1] > pct[2] || pct[2] > pct[3] {
+			t.Errorf("%s: percentiles not ordered: p50/p95/p99/max %v", r.Label, pct)
 		}
-		if r.AvgService <= 0 || r.P50 < r.AvgService/2 {
-			t.Errorf("%s: p50 %v implausibly below avg service %v", r.Label, r.P50, r.AvgService)
+		avg := r.Stats.Work / sim.Time(r.Stats.Done)
+		if avg <= 0 || pct[0] < avg/2 {
+			t.Errorf("%s: p50 %v implausibly below avg service %v", r.Label, pct[0], avg)
 		}
 		if r.SimThroughput() <= 0 {
 			t.Errorf("%s: nonpositive simulated throughput", r.Label)
@@ -74,45 +75,13 @@ func TestSLORunsShape(t *testing.T) {
 				r.Label, r.Stats.Misses, r.Stats.Config, r.Stats.BytesStreamed)
 		}
 	}
-	lo, hi := byRho[0.25], byRho[4]
-	if lo.Label == "" || hi.Label == "" {
-		t.Fatalf("missing committed rho rows: %+v", runs)
+	lo, okLo := byRho[0.25]
+	hi, okHi := byRho[4]
+	if !okLo || !okHi {
+		t.Fatalf("missing committed rho rows: %v", byRho)
 	}
-	if hi.P99 < lo.P99 {
-		t.Errorf("saturated p99 %v below underloaded p99 %v", hi.P99, lo.P99)
-	}
-}
-
-// TestSLORecordWire checks the S9 wire round trip and that the
-// percentiles ride as gated metrics — the suite is deterministic, so
-// benchdiff holds them to its tight SLO band.
-func TestSLORecordWire(t *testing.T) {
-	rec := SLORecord{
-		Base:        Base{Label: "rho-4/poisson", Policy: "lru", Planner: true},
-		Process:     "poisson",
-		OfferedLoad: 4,
-		P50Ms:       0.25, P95Ms: 0.5, P99Ms: 0.75,
-		SimThroughputRPS: 123456,
-	}
-	if rec.Suite() != "S9" || !rec.Deterministic() {
-		t.Fatalf("S9 record: suite %q deterministic %v", rec.Suite(), rec.Deterministic())
-	}
-	names := map[string]float64{}
-	for _, m := range rec.Metrics() {
-		names[m.Name] = m.Value
-	}
-	for name, want := range map[string]float64{"p50_ms": 0.25, "p95_ms": 0.5, "p99_ms": 0.75} {
-		if got, ok := names[name]; !ok || got != want {
-			t.Errorf("metric %s = %v (present %v), want %v", name, got, ok, want)
-		}
-	}
-	w := rec.Wire()
-	back, ok := FromWire(w).(SLORecord)
-	if !ok {
-		t.Fatalf("S9 wire row lowered to %T", FromWire(w))
-	}
-	if !reflect.DeepEqual(rec, back) {
-		t.Fatalf("wire round trip:\n in  %+v\n out %+v", rec, back)
+	if hi < lo {
+		t.Errorf("saturated p99 %v below underloaded p99 %v", hi, lo)
 	}
 }
 
@@ -126,15 +95,16 @@ func TestTraceCompressDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives two full pool workloads")
 	}
-	spec := DefaultCompressSpec()
-	spec.N = 24
+	w := DefaultWorkload()
+	w.N = 24
+	c := CompressSuite(w).Cases[3] // compressed+dma
 	var exports [][]byte
-	var last CompressRun
+	var last Run
 	var lastTr *trace.Tracer
 	for i := 0; i < 2; i++ {
 		tr := trace.New()
-		spec.Trace = tr
-		run, err := RunCompress(spec, "compressed+dma", "gang", true, true, true)
+		c.Trace = tr
+		run, err := Drive(w, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +124,7 @@ func TestTraceCompressDeterministic(t *testing.T) {
 
 	events := lastTr.Events()
 	var config, work, overlap sim.Time
-	for member := int32(0); member < int32(spec.Boards); member++ {
+	for member := int32(0); member < int32(last.Boards); member++ {
 		for ri := int32(0); ri < 2; ri++ {
 			config += trace.SumDur(events, trace.KindConfig, member, ri)
 			work += trace.SumDur(events, trace.KindCompute, member, ri)

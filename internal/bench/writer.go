@@ -2,58 +2,34 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 
 	"repro/internal/bench/gate"
 )
 
-// Writer accumulates typed bench records and emits them in both on-disk
-// forms: the committed BENCH_sched.json layout (byte-compatible with the
-// pre-refactor emitter, so cmd/benchdiff and the committed baseline are
-// untouched) and the append-only per-commit history store
-// (artifacts/bench/history.jsonl) that cmd/benchboard renders.
-type Writer struct {
-	recs []Record
-}
+// Writer emits bench rows in both on-disk forms: the committed
+// BENCH_sched.json layout that cmd/benchdiff gates on, and the
+// append-only per-commit history store (artifacts/bench/history.jsonl)
+// that cmd/benchboard renders.
+type Writer []Row
 
-// NewWriter returns a Writer over any initial records.
-func NewWriter(recs ...Record) *Writer {
-	return &Writer{recs: recs}
-}
+// NewWriter returns a Writer over the rows, in emission order.
+func NewWriter(rows ...Row) Writer { return rows }
 
-// Add appends records in emission order.
-func (w *Writer) Add(recs ...Record) {
-	w.recs = append(w.recs, recs...)
-}
-
-// AddRecords appends a typed slice — the suites return concrete record
-// types, and a []ScheduleRecord is not a []Record.
-func AddRecords[R Record](w *Writer, recs []R) {
-	for _, r := range recs {
-		w.recs = append(w.recs, r)
-	}
-}
-
-// Records returns the accumulated records in emission order.
-func (w *Writer) Records() []Record { return w.recs }
-
-// MarshalWire renders the records in the legacy BENCH_sched.json layout:
-// an indented JSON array of wire rows plus a trailing newline, byte-equal
-// to what the pre-refactor emitter wrote for the same rows.
-func (w *Writer) MarshalWire() ([]byte, error) {
-	wires := make([]PlacementRecord, len(w.recs))
-	for i, r := range w.recs {
-		wires[i] = r.Wire()
-	}
-	data, err := json.MarshalIndent(wires, "", "  ")
+// MarshalWire renders the rows in the BENCH_sched.json layout: an
+// indented JSON array plus a trailing newline.
+func (w Writer) MarshalWire() ([]byte, error) {
+	// Copied into a non-nil slice so no rows marshal as [], not null.
+	data, err := json.MarshalIndent(append([]Row{}, w...), "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(data, '\n'), nil
 }
 
-// WriteFile writes the legacy layout to path.
-func (w *Writer) WriteFile(path string) error {
+// WriteFile writes the BENCH_sched.json layout to path.
+func (w Writer) WriteFile(path string) error {
 	data, err := w.MarshalWire()
 	if err != nil {
 		return err
@@ -61,28 +37,39 @@ func (w *Writer) WriteFile(path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// HistoryEntries renders every record's metrics as history lines keyed by
+// HistoryEntries renders every row's metrics as history lines keyed by
 // the given commit SHA: one entry per (suite, label, metric).
-func (w *Writer) HistoryEntries(sha string) []gate.Entry {
+func (w Writer) HistoryEntries(sha string) []gate.Entry {
 	var out []gate.Entry
-	for _, r := range w.recs {
+	for _, r := range w {
 		for _, m := range r.Metrics() {
 			out = append(out, gate.Entry{
 				SHA:           sha,
 				Suite:         r.Suite(),
-				Metric:        r.Key() + "/" + m.Name,
+				Metric:        r.Label + "/" + m.Name,
 				Value:         m.Value,
 				Unit:          m.Unit,
 				Deterministic: r.Deterministic(),
-				TolerancePct:  r.Tolerance(),
+				TolerancePct:  r.TolerancePct,
 			})
 		}
 	}
 	return out
 }
 
-// AppendHistory appends the records' metrics to the history file under
-// the given commit SHA, creating the file as needed.
-func (w *Writer) AppendHistory(path, sha string) error {
+// AppendHistory appends the rows' metrics to the history file under the
+// given commit SHA, creating the file as needed.
+func (w Writer) AppendHistory(path, sha string) error {
 	return gate.AppendEntries(path, w.HistoryEntries(sha))
+}
+
+// DecodeRecords parses a BENCH_sched.json-layout document into rows —
+// the inverse of MarshalWire, used by cmd/benchboard to lift archived
+// snapshots into the history store.
+func DecodeRecords(data []byte) ([]Row, error) {
+	var rows []Row
+	if err := json.Unmarshal(data, &rows); err != nil {
+		return nil, fmt.Errorf("bench: decode records: %w", err)
+	}
+	return rows, nil
 }

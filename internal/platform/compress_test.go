@@ -80,7 +80,7 @@ func TestCompressedObserveUnskewed(t *testing.T) {
 	}
 	// The first observation sets the rate exactly, so the next plan's
 	// estimate is fully determined by what Observe was fed.
-	p, err := s.PlanFor("blend")
+	p, err := s.PlanForOn(0, "blend")
 	if err != nil {
 		t.Fatal(err)
 	}

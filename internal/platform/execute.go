@@ -70,7 +70,7 @@ func (r ExecReport) Latency() sim.Time { return r.Config + r.Work }
 // authoritative (e.g. after an aborted speculative stream left partial
 // region content), so callers can treat it as a bitstream-cache key.
 // Unlike Mgr.Current it is safe to call while another goroutine is inside
-// Execute.
+// ExecuteOn.
 func (s *System) Resident() string { return s.ResidentOn(0) }
 
 // ResidentOn returns the authoritative resident module of the given
@@ -141,7 +141,7 @@ type RegionStatus struct {
 }
 
 // Status reports the resident module and manager statistics under the
-// system lock, so it is safe while another goroutine is inside Execute.
+// system lock, so it is safe while another goroutine is inside ExecuteOn.
 // Resident follows the same authoritative-only contract as Resident():
 // after an aborted speculative stream the region content is partial, so
 // no module is reported.
@@ -229,15 +229,9 @@ func (s *System) SetCompression(on bool) {
 	}
 }
 
-// PlanFor returns the stream region 0 would issue right now to make the
-// module resident, without loading anything.
-func (s *System) PlanFor(module string) (plan.Plan, error) {
-	return s.PlanForOn(0, module)
-}
-
 // PlanForOn returns the stream the given region would issue right now to
 // make the module resident, without loading anything. Safe to call while
-// another goroutine is inside Execute; cost-aware schedulers use it to
+// another goroutine is inside ExecuteOn; cost-aware schedulers use it to
 // compare idle (member, region) pairs.
 func (s *System) PlanForOn(ri int, module string) (plan.Plan, error) {
 	s.mu.Lock()
@@ -293,11 +287,6 @@ func (s *System) loadWith(rs *regionSlot, name string, usePlanner bool, stop fun
 	return r, nil
 }
 
-// RestoreEstimate returns region 0's state-independent restore estimate.
-func (s *System) RestoreEstimate(module string) (int, error) {
-	return s.RestoreEstimateOn(0, module)
-}
-
 // RestoreEstimateOn returns the planner's state-independent estimate, in
 // wire bytes, of re-hosting the module on the given region later: the
 // (blank → module) differential, falling back to the complete stream when
@@ -313,11 +302,6 @@ func (s *System) RestoreEstimateOn(ri int, module string) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.regions[ri].planner.RestoreBytes(module)
-}
-
-// LoadSpeculative speculatively configures region 0; see LoadSpeculativeOn.
-func (s *System) LoadSpeculative(name string, stop func() bool) (ConfigReport, error) {
-	return s.LoadSpeculativeOn(0, name, stop)
 }
 
 // LoadSpeculativeOn brings a module into the given region ahead of any
@@ -337,11 +321,6 @@ func (s *System) LoadSpeculativeOn(ri int, name string, stop func() bool) (Confi
 	defer s.mu.Unlock()
 	rs := s.regions[ri]
 	return s.loadWith(rs, name, rs.planning, stop)
-}
-
-// Execute runs the module on region 0; see ExecuteOn.
-func (s *System) Execute(module string, fn func() error) (ExecReport, error) {
-	return s.ExecuteOn(0, module, fn)
 }
 
 // ExecuteOn reconfigures the given region with the named module (planner

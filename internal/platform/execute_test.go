@@ -17,14 +17,14 @@ func TestExecuteCacheHitMiss(t *testing.T) {
 		t.Fatalf("Sys32 support: fade=%v sha1=%v, want true/false",
 			s.Supports("fade"), s.Supports("sha1"))
 	}
-	miss, err := s.Execute("fade", func() error { return nil })
+	miss, err := s.ExecuteOn(0, "fade", func() error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if miss.CacheHit || miss.Config == 0 {
 		t.Fatalf("first load: hit=%v config=%v, want miss with nonzero config", miss.CacheHit, miss.Config)
 	}
-	hit, err := s.Execute("fade", func() error { return nil })
+	hit, err := s.ExecuteOn(0, "fade", func() error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestExecuteSerializes(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := s.Execute(mods[i%len(mods)], func() error {
+			_, err := s.ExecuteOn(0, mods[i%len(mods)], func() error {
 				_ = s.Resident // no nested Resident: the lock is held
 				s.CPU.Op(100)
 				return nil

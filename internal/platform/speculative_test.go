@@ -16,7 +16,7 @@ func TestSpeculativeLoadThenHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.LoadSpeculative("fade", func() bool { return false })
+	rep, err := s.LoadSpeculativeOn(0, "fade", func() bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestSpeculativeLoadThenHit(t *testing.T) {
 	if got := s.Resident(); got != "fade" {
 		t.Fatalf("resident %q after speculative load, want fade", got)
 	}
-	er, err := s.Execute("fade", func() error { return nil })
+	er, err := s.ExecuteOn(0, "fade", func() error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSpeculativeLoadThenHit(t *testing.T) {
 
 // TestSpeculativeAbortForcesCompleteReload aborts a speculative stream
 // mid-flight and checks the safety chain end to end at the platform layer:
-// Resident() stops naming the stale module, the next Execute streams a
+// Resident() stops naming the stale module, the next ExecuteOn streams a
 // complete configuration, and the static design stays intact.
 func TestSpeculativeAbortForcesCompleteReload(t *testing.T) {
 	s, err := NewSys32()
@@ -50,7 +50,7 @@ func TestSpeculativeAbortForcesCompleteReload(t *testing.T) {
 	// The first two polls are the entry checks of LoadSpeculative and
 	// LoadPlannedAbortable; the third is the first in-stream boundary.
 	polls := 0
-	rep, err := s.LoadSpeculative("blend", func() bool {
+	rep, err := s.LoadSpeculativeOn(0, "blend", func() bool {
 		polls++
 		return polls >= 3
 	})
@@ -68,7 +68,7 @@ func TestSpeculativeAbortForcesCompleteReload(t *testing.T) {
 		t.Fatalf("status aborted loads = %d, want 1", st.AbortedLoads)
 	}
 
-	er, err := s.Execute("blend", func() error { return nil })
+	er, err := s.ExecuteOn(0, "blend", func() error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSpeculativeAbortBeforeStartIsFree(t *testing.T) {
 	if _, err := s.LoadModule("fade"); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.LoadSpeculative("blend", func() bool { return true })
+	rep, err := s.LoadSpeculativeOn(0, "blend", func() bool { return true })
 	if !errors.Is(err, core.ErrAborted) {
 		t.Fatalf("err = %v, want core.ErrAborted", err)
 	}
@@ -113,12 +113,12 @@ func TestSpeculativeCompressedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainRestore, err := s.RestoreEstimate("fade")
+	plainRestore, err := s.RestoreEstimateOn(0, "fade")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.SetCompression(true)
-	zRestore, err := s.RestoreEstimate("fade")
+	zRestore, err := s.RestoreEstimateOn(0, "fade")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSpeculativeCompressedStream(t *testing.T) {
 		t.Fatalf("compressed restore estimate %d B, want < plain %d B (profit gate must price wire bytes)",
 			zRestore, plainRestore)
 	}
-	rep, err := s.LoadSpeculative("fade", func() bool { return false })
+	rep, err := s.LoadSpeculativeOn(0, "fade", func() bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestSpeculativeCompressedStream(t *testing.T) {
 	if rep.Bytes != zRestore {
 		t.Fatalf("speculative stream %d B, restore estimate priced %d B", rep.Bytes, zRestore)
 	}
-	er, err := s.Execute("fade", func() error { return nil })
+	er, err := s.ExecuteOn(0, "fade", func() error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestSpeculativeCompressedAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	polls := 0
-	rep, err := s.LoadSpeculative("blend", func() bool {
+	rep, err := s.LoadSpeculativeOn(0, "blend", func() bool {
 		polls++
 		return polls >= 3
 	})
@@ -172,7 +172,7 @@ func TestSpeculativeCompressedAbort(t *testing.T) {
 	if got := s.Resident(); got != "" {
 		t.Fatalf("Resident() = %q after abort, want \"\" (non-authoritative)", got)
 	}
-	er, err := s.Execute("blend", func() error { return nil })
+	er, err := s.ExecuteOn(0, "blend", func() error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

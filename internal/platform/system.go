@@ -108,7 +108,7 @@ type System struct {
 
 	// mu serializes simulated activity. A System models one board: its
 	// kernel, CPU and manager are single-threaded, so concurrent users
-	// (the scheduler's pool workers) must go through Execute/Resident,
+	// (the scheduler's pool workers) must go through ExecuteOn/ResidentOn,
 	// which take this lock. Two regions of one board never compute
 	// simultaneously — sibling activity interleaves on this lock.
 	mu sync.Mutex

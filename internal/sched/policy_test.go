@@ -103,11 +103,11 @@ func TestMinCostPlacementPicksCheaperMember(t *testing.T) {
 		t.Fatalf("warmup requests share member %d", r1.Member)
 	}
 	members := p.Members()
-	pl1, err := members[r1.Member].Sys.PlanFor("blend")
+	pl1, err := members[r1.Member].Sys.PlanForOn(0, "blend")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl2, err := members[r2.Member].Sys.PlanFor("blend")
+	pl2, err := members[r2.Member].Sys.PlanForOn(0, "blend")
 	if err != nil {
 		t.Fatal(err)
 	}

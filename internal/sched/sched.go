@@ -361,7 +361,7 @@ type slotState struct {
 	// specBusy marks an in-flight speculative load of specModule;
 	// specAbort is its cancellation token. A real dispatch of a different
 	// module to THIS slot triggers the token and proceeds — a dispatch to
-	// a sibling region leaves the stream running, and Execute serializes
+	// a sibling region leaves the stream running, and ExecuteOn serializes
 	// behind it on the member's own lock.
 	specBusy   bool
 	specModule string

@@ -155,7 +155,7 @@ func (sh *shard) dispatchLocked() {
 		if ss.specBusy {
 			if ss.specModule != head.task.Module() {
 				// Preempt: the speculative stream parks at its next safe
-				// boundary; Execute then serializes behind it on the
+				// boundary; ExecuteOn then serializes behind it on the
 				// member's lock. Sibling regions' streams are left alone.
 				ss.specAbort.trigger()
 			} else {

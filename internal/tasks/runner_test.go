@@ -37,7 +37,7 @@ func TestRunnersVerifyOnBothSystems(t *testing.T) {
 				if !s.Supports(r.Module()) {
 					continue // sha1 does not fit the 32-bit dynamic area
 				}
-				rep, err := s.Execute(r.Module(), func() error { return r.Run(s) })
+				rep, err := s.ExecuteOn(0, r.Module(), func() error { return r.Run(s) })
 				if err != nil {
 					t.Fatalf("%s: %v", r.Name(), err)
 				}
