@@ -326,3 +326,62 @@ func TestBuildLoadProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The table form of the CRC update equals the bit-serial definition: from
+// every one of the 65536 states, for every register address 0-31 with a
+// random data word, plus random (register, data) pairs and the all-ones
+// word.
+func TestCRCTableMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for s := 0; s < 1<<16; s++ {
+		crc := uint16(s)
+		check := func(reg Reg, data uint32) {
+			if got, want := crcUpdate(crc, reg, data), crcSerial(crc, reg, data); got != want {
+				t.Fatalf("crcUpdate(%#04x, %d, %#08x) = %#04x, bit-serial %#04x", crc, reg, data, got, want)
+			}
+		}
+		check(Reg(s%32), rng.Uint32())
+		check(Reg(rng.Intn(32)), rng.Uint32())
+		check(Reg(rng.Intn(32)), rng.Uint32())
+		check(Reg(s%32), 0xFFFFFFFF)
+	}
+}
+
+// Folding a stream through crcStream and FrameCRC gives the same CRC as
+// folding it word by word through the bit-serial definition.
+func TestCRCStreamMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for n := 0; n < 200; n++ {
+		words := randFrame(rng, rng.Intn(300))
+		reg := Reg(rng.Intn(32))
+		start := uint16(rng.Intn(1 << 16))
+		want, wantFDRI := start, start
+		for _, w := range words {
+			want = crcSerial(want, reg, w)
+			wantFDRI = crcSerial(wantFDRI, RegFDRI, w)
+		}
+		if got := crcStream(start, reg, words); got != want {
+			t.Fatalf("crcStream over %d words to reg %d = %#04x, bit-serial %#04x", len(words), reg, got, want)
+		}
+		if got := FrameCRC(start, words); got != wantFDRI {
+			t.Fatalf("FrameCRC over %d words = %#04x, bit-serial %#04x", len(words), got, wantFDRI)
+		}
+	}
+}
+
+// BenchmarkFrameCRC folds one XC2VP30 frame per iteration, the readback
+// scrubber's unit of work, and reports the cost per word.
+func BenchmarkFrameCRC(b *testing.B) {
+	frame := randFrame(rand.New(rand.NewSource(1)), fabric.XC2VP30().FrameLen())
+	b.ReportAllocs()
+	b.ResetTimer()
+	var crc uint16
+	for i := 0; i < b.N; i++ {
+		crc = FrameCRC(crc, frame)
+	}
+	b.StopTimer()
+	crcSink = crc
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(frame)), "ns/word")
+}
+
+var crcSink uint16

@@ -81,7 +81,7 @@ func (br *Bridge) Write(addr uint32, val uint64, size int) int {
 	if len(br.posted) >= br.PostDepth {
 		// Queue full: the PLB side stalls until the oldest write retires.
 		oldest := br.posted[0]
-		br.posted = br.posted[1:]
+		br.posted = append(br.posted[:0], br.posted[1:]...)
 		if now := uint64(br.plb.k.Now()); oldest > now {
 			stall = int(br.plb.clk.CyclesIn(sim.Time(oldest-now))) + 1
 		}
@@ -104,11 +104,13 @@ func (br *Bridge) drainTime() sim.Time {
 	return sim.Time(last - now)
 }
 
+// reapPosted drops the writes that have retired by now. It compacts the
+// queue in place, so its backing array is reused rather than reallocated.
 func (br *Bridge) reapPosted() {
 	now := uint64(br.plb.k.Now())
 	i := 0
 	for i < len(br.posted) && br.posted[i] <= now {
 		i++
 	}
-	br.posted = br.posted[i:]
+	br.posted = append(br.posted[:0], br.posted[i:]...)
 }

@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/memctl"
@@ -287,5 +288,38 @@ func TestBridge64BitSplit(t *testing.T) {
 	}
 	if v != 0x1122334455667788 {
 		t.Fatalf("64-bit bridged roundtrip = %#x", v)
+	}
+}
+
+// Steady-state posted writes reuse the queue's backing array. Re-slicing
+// from the front would shrink its capacity until append reallocates every
+// few writes. testing.AllocsPerRun rounds such a fractional rate down to
+// zero, so the test counts mallocs over the whole run.
+func TestBridgePostedWritesDoNotAllocate(t *testing.T) {
+	k := sim.NewKernel()
+	clk := sim.NewClock("c", 50_000_000)
+	plb := New("plb", k, clk, 8, Params{ArbCycles: 2, ReadExtra: 2, BeatCycles: 1})
+	opb := New("opb", k, clk, 4, Params{ArbCycles: 2, ReadExtra: 1, BeatCycles: 1})
+	if err := opb.Map(0, 1<<20, memctl.NewSRAM()); err != nil {
+		t.Fatal(err)
+	}
+	br := NewBridge(plb, opb, 0, 1, 4)
+	if err := plb.Map(0x2000_0000, 1<<20, br); err != nil {
+		t.Fatal(err)
+	}
+	write := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := plb.Write(0x2000_0000+uint32(4*(i%16)), uint64(i), 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write(100) // warm up: SRAM pages and the queue's first array
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	write(10_000)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 100 {
+		t.Errorf("10000 posted writes made %d mallocs, want at most 100", n)
 	}
 }

@@ -138,53 +138,36 @@ func (cm *ConfigMemory) RegionHash(r Region) uint64 {
 
 // StaticHash hashes every configuration bit not owned by any of the given
 // regions. The platform uses it to detect partial configurations that
-// disturb the static design (the hazard BitLinker exists to prevent).
+// disturb the static design (the hazard BitLinker exists to prevent). A
+// region owns its row band of every frame of the columns it encloses; the
+// owned words of a column are worked out once, then every frame of the
+// column is hashed in word order with them left out.
 func (cm *ConfigMemory) StaticHash(regions ...Region) uint64 {
 	h := uint64(fnvOffset)
-	for col := 0; col < cm.dev.Cols; col++ {
-		for minor := 0; minor < FramesPerCLBColumn; minor++ {
-			f := cm.frame(FAR{Block: BlockCLB, Major: col, Minor: minor})
-			for wi, w := range f {
-				if wordInRegions(cm.dev, regions, col, wi, false, 0) {
-					continue
+	owned := make([]bool, cm.dev.FrameLen())
+	hashColumn := func(b BlockType, major int, encloses func(Region) bool) {
+		clear(owned)
+		for _, r := range regions {
+			if encloses(r) {
+				lo, hi := cm.dev.RowWordRange(r.Row0, r.H)
+				for wi := lo; wi < hi; wi++ {
+					owned[wi] = true
 				}
-				h = fnvWord(h, w)
+			}
+		}
+		for minor := 0; minor < FramesFor(b); minor++ {
+			for wi, w := range cm.frame(FAR{Block: b, Major: major, Minor: minor}) {
+				if !owned[wi] {
+					h = fnvWord(h, w)
+				}
 			}
 		}
 	}
-	for bcol := range cm.dev.BRAMColPos {
-		for minor := 0; minor < FramesPerBRAMColumn; minor++ {
-			f := cm.frame(FAR{Block: BlockBRAM, Major: bcol, Minor: minor})
-			for wi, w := range f {
-				if wordInRegions(cm.dev, regions, 0, wi, true, bcol) {
-					continue
-				}
-				h = fnvWord(h, w)
-			}
-		}
+	for col := 0; col < cm.dev.Cols; col++ {
+		hashColumn(BlockCLB, col, func(r Region) bool { return r.ContainsCol(col) })
+	}
+	for bcol, pos := range cm.dev.BRAMColPos {
+		hashColumn(BlockBRAM, bcol, func(r Region) bool { return r.enclosesBRAM(pos) })
 	}
 	return h
-}
-
-// wordInRegions reports whether frame word index wi of the given column
-// belongs to one of the regions.
-func wordInRegions(d *Device, regions []Region, col, wi int, bram bool, bcol int) bool {
-	for _, r := range regions {
-		lo, hi := d.RowWordRange(r.Row0, r.H)
-		if wi < lo || wi >= hi {
-			continue
-		}
-		if bram {
-			for _, c := range d.BRAMColumns(r) {
-				if c == bcol {
-					return true
-				}
-			}
-			continue
-		}
-		if r.ContainsCol(col) {
-			return true
-		}
-	}
-	return false
 }

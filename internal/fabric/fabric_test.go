@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -265,6 +266,27 @@ func TestRegionHashCoversBRAMColumns(t *testing.T) {
 	}
 }
 
+// A region encloses a BRAM column only when the CLB columns on both sides
+// of it are inside the region; touching it from one side is not enough.
+func TestBRAMColumnsNeedBothNeighbours(t *testing.T) {
+	d := XC2VP7() // BRAM columns sit right of CLB columns 1, 3, 30 and 32
+	for _, c := range []struct {
+		col0, w int
+		want    []int
+	}{
+		{0, 2, nil}, // columns 0-1: left neighbour of BRAM 0 only
+		{2, 2, nil}, // columns 2-3: right of BRAM 0, left of BRAM 1
+		{1, 2, []int{0}},
+		{0, 28, []int{0, 1}},
+		{0, d.Cols, []int{0, 1, 2, 3}},
+	} {
+		r := Region{Name: "r", Col0: c.col0, W: c.w, H: 1}
+		if got := d.BRAMColumns(r); !slices.Equal(got, c.want) {
+			t.Errorf("columns [%d,%d): BRAMColumns = %v, want %v", c.col0, c.col0+c.w, got, c.want)
+		}
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	d := XC2VP7()
 	cm := NewConfigMemory(d)
@@ -418,3 +440,119 @@ func TestSecondDynamicRegion(t *testing.T) {
 		t.Error("static hash (excluding both regions) affected")
 	}
 }
+
+// staticHashPerWord is the reference form of StaticHash: it asks of every
+// frame word whether a region owns it.
+func staticHashPerWord(cm *ConfigMemory, regions ...Region) uint64 {
+	h := uint64(fnvOffset)
+	for col := 0; col < cm.dev.Cols; col++ {
+		for minor := 0; minor < FramesPerCLBColumn; minor++ {
+			f := cm.frame(FAR{Block: BlockCLB, Major: col, Minor: minor})
+			for wi, w := range f {
+				if wordInRegions(cm.dev, regions, col, wi, false, 0) {
+					continue
+				}
+				h = fnvWord(h, w)
+			}
+		}
+	}
+	for bcol := range cm.dev.BRAMColPos {
+		for minor := 0; minor < FramesPerBRAMColumn; minor++ {
+			f := cm.frame(FAR{Block: BlockBRAM, Major: bcol, Minor: minor})
+			for wi, w := range f {
+				if wordInRegions(cm.dev, regions, 0, wi, true, bcol) {
+					continue
+				}
+				h = fnvWord(h, w)
+			}
+		}
+	}
+	return h
+}
+
+// wordInRegions reports whether frame word index wi of the given column
+// belongs to one of the regions.
+func wordInRegions(d *Device, regions []Region, col, wi int, bram bool, bcol int) bool {
+	for _, r := range regions {
+		lo, hi := d.RowWordRange(r.Row0, r.H)
+		if wi < lo || wi >= hi {
+			continue
+		}
+		if bram {
+			for _, c := range d.BRAMColumns(r) {
+				if c == bcol {
+					return true
+				}
+			}
+			continue
+		}
+		if r.ContainsCol(col) {
+			return true
+		}
+	}
+	return false
+}
+
+// StaticHash equals the per-word reference bit for bit, on random frame
+// contents of both devices, for every region set the system uses plus the
+// edge cases: none, the whole device, overlapping regions, and two regions
+// stacked in the same columns with a static gap between their bands.
+func TestStaticHashMatchesPerWordReference(t *testing.T) {
+	whole := func(d *Device) Region { return Region{Name: "whole", W: d.Cols, H: d.Rows} }
+	overlapA := Region{Name: "overlap.a", Col0: 1, Row0: 4, W: 12, H: 20}
+	overlapB := Region{Name: "overlap.b", Col0: 6, Row0: 14, W: 14, H: 18}
+	stackedA := Region{Name: "stacked.a", Col0: 0, Row0: 2, W: 8, H: 6}
+	stackedB := Region{Name: "stacked.b", Col0: 0, Row0: 20, W: 8, H: 6}
+	cases := []struct {
+		dev     *Device
+		regions []Region
+	}{
+		{XC2VP7(), nil},
+		{XC2VP7(), []Region{DynamicRegion32()}},
+		{XC2VP7(), []Region{whole(XC2VP7())}},
+		{XC2VP7(), []Region{overlapA, overlapB}},
+		{XC2VP7(), []Region{stackedB, stackedA}},
+		{XC2VP30(), nil},
+		{XC2VP30(), []Region{DynamicRegion64()}},
+		{XC2VP30(), []Region{DynamicRegion64B()}},
+		{XC2VP30(), []Region{DynamicRegion64(), DynamicRegion64B()}},
+		{XC2VP30(), []Region{whole(XC2VP30())}},
+		{XC2VP30(), []Region{overlapA, overlapB}},
+		{XC2VP30(), []Region{stackedA, stackedB}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range cases {
+		cm := NewConfigMemory(c.dev)
+		for _, f := range cm.frames {
+			for i := range f {
+				f[i] = rng.Uint32()
+			}
+		}
+		if got, want := cm.StaticHash(c.regions...), staticHashPerWord(cm, c.regions...); got != want {
+			t.Errorf("%s %v: StaticHash = %#x, per-word reference = %#x", c.dev.Name, c.regions, got, want)
+		}
+	}
+}
+
+// BenchmarkStaticHash times one static hash of the XC2VP30 with both 64-bit
+// regions left out, the check the 64-bit system runs after a configuration.
+func BenchmarkStaticHash(b *testing.B) {
+	d := XC2VP30()
+	cm := NewConfigMemory(d)
+	rng := rand.New(rand.NewSource(1))
+	for _, f := range cm.frames {
+		for i := range f {
+			f[i] = rng.Uint32()
+		}
+	}
+	regions := []Region{DynamicRegion64(), DynamicRegion64B()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var h uint64
+	for i := 0; i < b.N; i++ {
+		h ^= cm.StaticHash(regions...)
+	}
+	sink = h
+}
+
+var sink uint64

@@ -43,14 +43,16 @@ func (r Region) String() string {
 		r.Name, r.Col0, r.Col0+r.W, r.Row0, r.Row0+r.H, r.CLBs(), r.BRAMBudget)
 }
 
+// enclosesBRAM reports whether the region encloses the BRAM column that sits
+// between CLB columns pos and pos+1: both neighbours must be inside it.
+func (r Region) enclosesBRAM(pos int) bool { return r.ContainsCol(pos) && r.ContainsCol(pos+1) }
+
 // BRAMColumns returns the indices (in the device's BRAM column numbering) of
 // the BRAM columns enclosed by the region.
 func (d *Device) BRAMColumns(r Region) []int {
 	var cols []int
 	for i, p := range d.BRAMColPos {
-		// A BRAM column between CLB columns p and p+1 is enclosed when both
-		// neighbours are inside the region.
-		if r.ContainsCol(p) && r.ContainsCol(p+1) {
+		if r.enclosesBRAM(p) {
 			cols = append(cols, i)
 		}
 	}
