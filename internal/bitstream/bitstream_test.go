@@ -369,8 +369,8 @@ func TestCRCStreamMatchesSerial(t *testing.T) {
 	}
 }
 
-// BenchmarkFrameCRC folds one XC2VP30 frame per iteration, the readback
-// scrubber's unit of work, and reports the cost per word.
+// BenchmarkFrameCRC folds one XC2VP30 frame per iteration, the words the
+// loader folds for each FDRI frame write, and reports the cost per word.
 func BenchmarkFrameCRC(b *testing.B) {
 	frame := randFrame(rand.New(rand.NewSource(1)), fabric.XC2VP30().FrameLen())
 	b.ReportAllocs()

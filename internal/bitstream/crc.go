@@ -78,11 +78,11 @@ func crcStream(crc uint16, reg Reg, words []uint32) uint16 {
 	return crc
 }
 
-// FrameCRC folds one frame's words into a running readback CRC, exactly as
-// the configuration logic would see them arriving at the FDRI register. A
-// readback scrubber folds every frame of a region's spans and compares the
-// result against the value recorded when the region was last verified: the
-// CRC16 catches every single-bit upset.
+// FrameCRC folds one frame's words into a running CRC, exactly as the
+// configuration logic would see them arriving at the FDRI register. It
+// feeds the codec and the benchmark ladder; no scrubber uses it, because a
+// linear CRC16 over many frames is blind to structured pairs of upsets
+// that a region content hash catches.
 func FrameCRC(crc uint16, words []uint32) uint16 {
 	return crcStream(crc, RegFDRI, words)
 }

@@ -27,13 +27,11 @@ import (
 type Config struct {
 	Device *fabric.Device
 	Region fabric.Region
-	// AllRegions lists every dynamic region of the device's floorplan,
-	// including Region itself. The static design is everything outside ALL
-	// of them: a sibling region's reconfiguration must not read as static
-	// corruption here. Empty means Region is the device's only dynamic
-	// area (the paper's fixed floorplan).
-	AllRegions []fabric.Region
-	ConfigMem  *fabric.ConfigMemory
+	// ConfigMem is the device's configuration memory. It must be guarded
+	// (fabric.ConfigMemory.Guard) over every dynamic region of the
+	// floorplan: the static design is everything outside all of them, so a
+	// sibling region's reconfiguration never reads as static corruption.
+	ConfigMem *fabric.ConfigMemory
 	// Baseline is the configuration image right after the initial full
 	// configuration (static design present, region blank).
 	Baseline *fabric.ConfigMemory
@@ -52,43 +50,6 @@ type Config struct {
 	Bind func(hw.Core)
 	// Kernel provides timing for configuration statistics.
 	Kernel *sim.Kernel
-	// StaticHashes, when set, is the device's shared static-hash
-	// memoizer: on a multi-region floorplan every manager's rebind runs
-	// after every configuration sequence, and without sharing each would
-	// recompute the identical O(device) hash. nil means the manager
-	// hashes directly (single-manager setups and tests).
-	StaticHashes *StaticHasher
-}
-
-// StaticHasher memoizes the static hash of one device's configuration
-// memory per completed configuration sequence, shared by every manager of
-// the device. Not safe for concurrent use on its own: callers serialize on
-// the system lock, like all simulated activity.
-type StaticHasher struct {
-	loader  *bitstream.Loader
-	cm      *fabric.ConfigMemory
-	regions []fabric.Region
-	valid   bool
-	configs uint64
-	hash    uint64
-}
-
-// NewStaticHasher returns a memoizer over the configuration memory,
-// excluding the given dynamic regions (the device's whole floorplan).
-func NewStaticHasher(loader *bitstream.Loader, cm *fabric.ConfigMemory, regions []fabric.Region) *StaticHasher {
-	return &StaticHasher{loader: loader, cm: cm, regions: regions}
-}
-
-// Hash returns the static hash as of the loader's current completed
-// configuration count, computing it at most once per sequence.
-func (h *StaticHasher) Hash() uint64 {
-	_, configs, _ := h.loader.Stats()
-	if !h.valid || configs != h.configs {
-		h.hash = h.cm.StaticHash(h.regions...)
-		h.configs = configs
-		h.valid = true
-	}
-	return h.hash
 }
 
 // entry is one registered module.
@@ -108,11 +69,10 @@ type diffKey struct{ from, to string }
 
 // Manager is the run-time reconfiguration manager of one dynamic area.
 type Manager struct {
-	cfg        Config
-	modules    map[string]*entry
-	byHash     map[uint64]*entry
-	current    string
-	staticHash uint64
+	cfg     Config
+	modules map[string]*entry
+	byHash  map[uint64]*entry
+	current string
 
 	// residentOK marks the tracked resident state as authoritative: the
 	// region's content hash matched a registered module (or the blank
@@ -124,7 +84,9 @@ type Manager struct {
 	// multi-region device every manager's rebind runs after every
 	// configuration sequence; an unchanged hash over an authoritative
 	// state means the stream belonged to a sibling region, so this
-	// region's binding and counters are left untouched.
+	// region's binding and counters are left untouched. While the state
+	// is authoritative it is also the verified content a scrub compares
+	// against.
 	lastHash uint64
 
 	// diffs caches assembled differential configurations per transition,
@@ -148,17 +110,15 @@ type Manager struct {
 	abortedLoads    uint64
 	corrupted       bool
 
-	// spans are the region's frame-index intervals — the readback window
-	// of the scrub pass and the injectable surface of the fault campaign.
-	// bandLo/bandHi bound the region's row-band words inside those frames:
-	// faults are confined to the band because a flip outside it (static
-	// content sharing the region's full-height frames) would read as
-	// static-design corruption, which is sticky by design.
+	// spans are the region's frame-index intervals — the injectable
+	// surface of the fault campaign, and the frames whose row band the
+	// scrub's region hash covers. bandLo/bandHi bound the region's
+	// row-band words inside those frames: faults are confined to the band
+	// because a flip outside it (static content sharing the region's
+	// full-height frames) would read as static-design corruption, which
+	// is sticky by design.
 	spans          []region.Span
 	bandLo, bandHi int
-	// goldenCRC is the readback CRC over the span frames as of the last
-	// verified configuration; valid exactly while residentOK holds.
-	goldenCRC      uint16
 	scrubPasses    uint64
 	scrubFaults    uint64
 	faultsInjected uint64
@@ -182,14 +142,13 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg.Bind == nil || cfg.Kernel == nil {
 		return nil, fmt.Errorf("core: incomplete manager configuration")
 	}
-	if len(cfg.AllRegions) == 0 {
-		cfg.AllRegions = []fabric.Region{cfg.Region}
+	if !cfg.ConfigMem.Guarded() {
+		return nil, fmt.Errorf("core: configuration memory has no static-design guard")
 	}
 	m := &Manager{
 		cfg:          cfg,
 		modules:      make(map[string]*entry),
 		byHash:       make(map[uint64]*entry),
-		staticHash:   cfg.Baseline.StaticHash(cfg.AllRegions...),
 		baselineHash: cfg.Baseline.RegionHash(cfg.Region),
 		diffs:        make(map[diffKey]*bitlinker.Result),
 		zdiffs:       make(map[diffKey]*bitstream.Compressed),
@@ -199,7 +158,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	m.lastHash = m.baselineHash
 	m.spans = region.Spans(cfg.Device, cfg.Region)
 	m.bandLo, m.bandHi = cfg.Device.RowWordRange(cfg.Region.Row0, cfg.Region.H)
-	m.goldenCRC = m.readbackCRC()
 	cfg.Loader.OnDone(m.rebind)
 	return m, nil
 }
@@ -739,7 +697,7 @@ func (m *Manager) rebind() {
 		// region's binding, but never skip the static-design check — a
 		// naively assembled stream can zero static rows while reproducing
 		// the resident band content exactly.
-		if m.liveStaticHash() != m.staticHash {
+		if m.cfg.ConfigMem.Disturbed() {
 			m.corrupted = true
 		}
 		return
@@ -749,7 +707,6 @@ func (m *Manager) rebind() {
 		e.loads++
 		m.current = e.comp.Name
 		m.residentOK = true
-		m.goldenCRC = m.readbackCRC()
 		core := e.factory()
 		core.Reset()
 		m.cfg.Bind(core)
@@ -757,7 +714,6 @@ func (m *Manager) rebind() {
 		// The region went back to the blank baseline: tracked and known.
 		m.current = ""
 		m.residentOK = true
-		m.goldenCRC = m.readbackCRC()
 		m.cfg.Bind(hw.NewBrokenCore(h))
 	} else {
 		// Unrecognized content (e.g. a differential stream applied against
@@ -766,47 +722,30 @@ func (m *Manager) rebind() {
 		m.demote("unverified")
 		m.cfg.Bind(hw.NewBrokenCore(h))
 	}
-	if m.liveStaticHash() != m.staticHash {
+	if m.cfg.ConfigMem.Disturbed() {
 		m.corrupted = true
 	}
 }
 
-// readbackCRC folds every frame of the region's spans into one CRC16, the
-// way a readback scrub would see them coming out of the configuration
-// port. The CRC16 detects every single-bit upset in the window.
-func (m *Manager) readbackCRC() uint16 {
-	var crc uint16
-	for _, sp := range m.spans {
-		for fi := sp.Lo; fi < sp.Hi; fi++ {
-			far, err := m.cfg.Device.FARAt(fi)
-			if err != nil {
-				continue // unreachable: spans come from the same device
-			}
-			f, err := m.cfg.ConfigMem.ReadFrame(far)
-			if err != nil {
-				continue
-			}
-			crc = bitstream.FrameCRC(crc, f)
-		}
-	}
-	return crc
-}
-
-// Scrub runs one readback-CRC pass over the region's frame spans. A
-// mismatch against the golden CRC means the resident configuration took a
-// soft error: the tracked resident state is demoted to non-authoritative
+// Scrub runs one readback pass over the region: it hashes the region's
+// content and compares it with lastHash, the hash the last rebind
+// verified. Each FNV-1a step is a bijection, so every single-bit upset
+// changes the hash, and unlike a linear CRC it has no structured blind
+// pairs of flips. A mismatch means the resident configuration took a soft
+// error: the tracked resident state is demoted to non-authoritative
 // (detected=true, module names what was lost — "" for a blank region),
 // and the §2.2 hazard gate forces the region's next load onto a complete
 // stream, which overwrites every span frame and thereby heals the flip. A
 // region whose state is already non-authoritative (aborted speculative
-// stream, earlier detection) is not re-scrubbed: its golden CRC is stale
-// by definition and a second demotion would double-count the same loss.
+// stream, earlier detection) is not re-scrubbed: it has no verified
+// content to compare against, and a second demotion would double-count
+// the same loss.
 func (m *Manager) Scrub() (detected bool, module string) {
 	m.scrubPasses++
 	if !m.residentOK || m.corrupted {
 		return false, ""
 	}
-	if m.readbackCRC() == m.goldenCRC {
+	if m.cfg.ConfigMem.RegionHash(m.cfg.Region) == m.lastHash {
 		return false, ""
 	}
 	m.scrubFaults++
@@ -867,13 +806,4 @@ func (m *Manager) InjectFault(frame, word int, bit uint) error {
 	}
 	m.faultsInjected++
 	return nil
-}
-
-// liveStaticHash is the current static hash, through the shared memoizer
-// when the platform provided one.
-func (m *Manager) liveStaticHash() uint64 {
-	if m.cfg.StaticHashes != nil {
-		return m.cfg.StaticHashes.Hash()
-	}
-	return m.cfg.ConfigMem.StaticHash(m.cfg.AllRegions...)
 }

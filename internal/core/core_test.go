@@ -25,43 +25,10 @@ func (c *testCore) Read() uint64             { return c.id }
 func (c *testCore) PopOut() (uint64, bool)   { return 0, false }
 func (c *testCore) CyclesPerWord() int       { return 1 }
 
-// rig assembles a minimal platform around a manager: CPU, one bus, HWICAP.
+// rig assembles a minimal platform around a manager over an erased XC2VP7.
 func rig(t *testing.T) (*Manager, *fabric.ConfigMemory, fabric.Region, func() hw.Core) {
 	t.Helper()
-	dev := fabric.XC2VP7()
-	region := fabric.DynamicRegion32()
-	cm := fabric.NewConfigMemory(dev)
-	baseline := cm.Clone()
-	loader := bitstream.NewLoader(cm)
-
-	k := sim.NewKernel()
-	busClk := sim.NewClock("bus", 50_000_000)
-	cpuClk := sim.NewClock("cpu", 200_000_000)
-	b := bus.New("plb", k, busClk, 8, bus.Params{ArbCycles: 2, ReadExtra: 2, BeatCycles: 1})
-	hi := icap.New(k, busClk, loader)
-	if err := b.Map(0x4100_0000, 0x100, hi); err != nil {
-		t.Fatal(err)
-	}
-	params := cpu.DefaultParams(cpuClk)
-	params.CacheSize = 0
-	c := cpu.New(k, params, b)
-
-	macro := busmacro.Dock32()
-	asm, err := bitlinker.New(dev, region, baseline, macro)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bound hw.Core
-	mgr, err := NewManager(Config{
-		Device: dev, Region: region, ConfigMem: cm, Baseline: baseline,
-		Assembler: asm, Loader: loader, CPU: c, ICAPBase: 0x4100_0000,
-		Bind:   func(core hw.Core) { bound = core },
-		Kernel: k,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mgr, cm, region, func() hw.Core { return bound }
+	return rigWithState(t, fabric.NewConfigMemory(fabric.XC2VP7()))
 }
 
 func testComponent(name string, region fabric.Region) *bitlinker.Component {
@@ -184,39 +151,64 @@ func TestDifferentialBindsBrokenOnWrongState(t *testing.T) {
 	}
 }
 
+// TestNaiveLoadCorrupts: a naive stream zeroes the static rows sharing the
+// region's frames. It must read as corruption both when it replaces the
+// region's content and when it reproduces the resident module's band
+// exactly, so that rebind keeps the binding as it does for a sibling's
+// stream.
 func TestNaiveLoadCorrupts(t *testing.T) {
-	mgr, cm, region, _ := rig(t)
-	// Give the static area some content so corruption is observable.
-	dev := cm.Device()
-	frame := make([]uint32, dev.FrameLen())
-	for i := range frame {
-		frame[i] = 0xA5A5A5A5
-	}
-	// Write outside the region band only — region columns' band stays blank.
-	far := fabric.FAR{Block: fabric.BlockCLB, Major: region.Col0, Minor: 0}
-	lo, hi := dev.RowWordRange(region.Row0, region.H)
-	for i := lo; i < hi; i++ {
-		frame[i] = 0
-	}
-	if err := cm.WriteFrame(far, frame); err != nil {
-		t.Fatal(err)
-	}
-	// Rebuild the manager against this baseline.
-	_ = mgr
-	mgr2, _, _, _ := rigWithState(t, cm)
-	if err := mgr2.Register(testComponent("alpha", region), func() hw.Core { return &testCore{} }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mgr2.LoadNaive("alpha"); err != nil {
-		t.Fatal(err)
-	}
-	if !mgr2.Corrupted() {
-		t.Fatal("naive load did not corrupt the static design")
+	for _, resident := range []bool{false, true} {
+		// Give the static area some content so corruption is observable:
+		// outside the region band only, the band stays blank.
+		cm := fabric.NewConfigMemory(fabric.XC2VP7())
+		region := fabric.DynamicRegion32()
+		frame := make([]uint32, cm.Device().FrameLen())
+		for i := range frame {
+			frame[i] = 0xA5A5A5A5
+		}
+		lo, hi := cm.Device().RowWordRange(region.Row0, region.H)
+		clear(frame[lo:hi])
+		if err := cm.WriteFrame(fabric.FAR{Block: fabric.BlockCLB, Major: region.Col0}, frame); err != nil {
+			t.Fatal(err)
+		}
+		mgr, _, _, _ := rigWithState(t, cm)
+		if err := mgr.Register(testComponent("alpha", region), func() hw.Core { return &testCore{} }); err != nil {
+			t.Fatal(err)
+		}
+		if resident {
+			if _, err := mgr.Load("alpha"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := mgr.LoadNaive("alpha"); err != nil {
+			t.Fatal(err)
+		}
+		if n := mgr.modules["alpha"].loads; resident && n != 1 {
+			t.Fatalf("alpha bound %d times, want 1: the naive reload did not keep the binding", n)
+		}
+		if !mgr.Corrupted() {
+			t.Fatalf("naive load (alpha resident: %v) did not corrupt the static design", resident)
+		}
 	}
 }
 
-// rigWithState builds a manager over an existing configuration state.
+// rigWithState guards the paper's 32-bit region of an existing
+// configuration state and builds a manager over it.
 func rigWithState(t *testing.T, cm *fabric.ConfigMemory) (*Manager, *fabric.ConfigMemory, fabric.Region, func() hw.Core) {
+	t.Helper()
+	cm.Guard(fabric.DynamicRegion32())
+	cfg, bound := rigConfig(t, cm)
+	mgr, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mgr, cm, cfg.Region, bound
+}
+
+// rigConfig wires a minimal platform around the configuration memory: CPU,
+// one bus, HWICAP, the paper's 32-bit region. The returned function
+// reports the core last bound to the dock.
+func rigConfig(t *testing.T, cm *fabric.ConfigMemory) (Config, func() hw.Core) {
 	t.Helper()
 	dev := cm.Device()
 	region := fabric.DynamicRegion32()
@@ -238,21 +230,31 @@ func rigWithState(t *testing.T, cm *fabric.ConfigMemory) (*Manager, *fabric.Conf
 		t.Fatal(err)
 	}
 	var bound hw.Core
-	mgr, err := NewManager(Config{
+	return Config{
 		Device: dev, Region: region, ConfigMem: cm, Baseline: baseline,
 		Assembler: asm, Loader: loader, CPU: c, ICAPBase: 0x4100_0000,
 		Bind:   func(core hw.Core) { bound = core },
 		Kernel: k,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mgr, cm, region, func() hw.Core { return bound }
+	}, func() hw.Core { return bound }
 }
 
 func TestIncompleteConfigRejected(t *testing.T) {
 	if _, err := NewManager(Config{}); err == nil {
 		t.Fatal("empty config accepted")
+	}
+}
+
+// TestUnguardedMemoryRejected: a manager over a configuration memory with
+// no static-design guard could never see a disturbed static design, so it
+// is refused rather than built blind.
+func TestUnguardedMemoryRejected(t *testing.T) {
+	cfg, _ := rigConfig(t, fabric.NewConfigMemory(fabric.XC2VP7()))
+	if _, err := NewManager(cfg); err == nil {
+		t.Fatal("manager built over an unguarded configuration memory")
+	}
+	cfg.ConfigMem.Guard(cfg.Region)
+	if _, err := NewManager(cfg); err != nil {
+		t.Fatalf("guarded configuration memory refused: %v", err)
 	}
 }
 

@@ -9,6 +9,11 @@ type ConfigMemory struct {
 	dev    *Device
 	frames [][]uint32
 	writes uint64
+	// owned marks, per frame, the words some guarded region owns; every
+	// other word is static design. nil until Guard. disturbed records that
+	// a frame write or bit flip has changed a static word since.
+	owned     [][]bool
+	disturbed bool
 }
 
 // NewConfigMemory returns the configuration memory of an erased device
@@ -41,6 +46,15 @@ func (cm *ConfigMemory) WriteFrame(far FAR, data []uint32) error {
 	if err != nil {
 		return err
 	}
+	if cm.owned != nil && !cm.disturbed {
+		owned := cm.owned[i]
+		for wi, w := range cm.frames[i] {
+			if !owned[wi] && w != data[wi] {
+				cm.disturbed = true
+				break
+			}
+		}
+	}
 	copy(cm.frames[i], data)
 	cm.writes++
 	return nil
@@ -70,6 +84,9 @@ func (cm *ConfigMemory) FlipBit(far FAR, word int, bit uint) error {
 		return fmt.Errorf("fabric: bit (%d,%d) outside the %d-word frame geometry",
 			word, bit, cm.dev.FrameLen())
 	}
+	if cm.owned != nil && !cm.owned[i][word] {
+		cm.disturbed = true
+	}
 	cm.frames[i][word] ^= 1 << bit
 	return nil
 }
@@ -83,8 +100,9 @@ func (cm *ConfigMemory) frame(far FAR) []uint32 {
 	return cm.frames[i]
 }
 
-// Clone returns a deep copy — used to snapshot the static design baseline
-// after the initial full configuration.
+// Clone returns a deep copy of the frames — used to snapshot the static
+// design baseline after the initial full configuration. The copy carries
+// no guard.
 func (cm *ConfigMemory) Clone() *ConfigMemory {
 	out := NewConfigMemory(cm.dev)
 	for i, f := range cm.frames {
@@ -136,17 +154,18 @@ func (cm *ConfigMemory) RegionHash(r Region) uint64 {
 	return h
 }
 
-// StaticHash hashes every configuration bit not owned by any of the given
-// regions. The platform uses it to detect partial configurations that
-// disturb the static design (the hazard BitLinker exists to prevent). A
-// region owns its row band of every frame of the columns it encloses; the
-// owned words of a column are worked out once, then every frame of the
-// column is hashed in word order with them left out.
-func (cm *ConfigMemory) StaticHash(regions ...Region) uint64 {
-	h := uint64(fnvOffset)
-	owned := make([]bool, cm.dev.FrameLen())
-	hashColumn := func(b BlockType, major int, encloses func(Region) bool) {
-		clear(owned)
+// Guard marks every frame word outside the given regions' row bands as
+// static design and clears Disturbed. A region owns its row band of every
+// frame of the columns it encloses; the owned words of a column are worked
+// out once, shared by all its frames. From then on a frame write or bit
+// flip that changes a static word sets Disturbed: the §2.2 hazard of a
+// partial configuration rewriting static rows that share its full-height
+// frames (the hazard BitLinker exists to prevent).
+func (cm *ConfigMemory) Guard(regions ...Region) {
+	cm.owned = make([][]bool, 0, len(cm.frames))
+	// Columns in frame index order: CLB columns, then BRAM columns.
+	guardColumn := func(b BlockType, encloses func(Region) bool) {
+		owned := make([]bool, cm.dev.FrameLen())
 		for _, r := range regions {
 			if encloses(r) {
 				lo, hi := cm.dev.RowWordRange(r.Row0, r.H)
@@ -155,19 +174,23 @@ func (cm *ConfigMemory) StaticHash(regions ...Region) uint64 {
 				}
 			}
 		}
-		for minor := 0; minor < FramesFor(b); minor++ {
-			for wi, w := range cm.frame(FAR{Block: b, Major: major, Minor: minor}) {
-				if !owned[wi] {
-					h = fnvWord(h, w)
-				}
-			}
+		for range FramesFor(b) {
+			cm.owned = append(cm.owned, owned)
 		}
 	}
 	for col := 0; col < cm.dev.Cols; col++ {
-		hashColumn(BlockCLB, col, func(r Region) bool { return r.ContainsCol(col) })
+		guardColumn(BlockCLB, func(r Region) bool { return r.ContainsCol(col) })
 	}
-	for bcol, pos := range cm.dev.BRAMColPos {
-		hashColumn(BlockBRAM, bcol, func(r Region) bool { return r.enclosesBRAM(pos) })
+	for _, pos := range cm.dev.BRAMColPos {
+		guardColumn(BlockBRAM, func(r Region) bool { return r.enclosesBRAM(pos) })
 	}
-	return h
+	cm.disturbed = false
 }
+
+// Guarded reports whether Guard has marked the static design.
+func (cm *ConfigMemory) Guarded() bool { return cm.owned != nil }
+
+// Disturbed reports whether a frame write or bit flip has changed a static
+// word since Guard. It is sticky: writing the old value back does not
+// clear it.
+func (cm *ConfigMemory) Disturbed() bool { return cm.disturbed }

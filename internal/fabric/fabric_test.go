@@ -211,11 +211,11 @@ func TestRegionHashTracksRegionOnly(t *testing.T) {
 	d := XC2VP7()
 	r := DynamicRegion32()
 	cm := NewConfigMemory(d)
+	cm.Guard(r)
 	h0 := cm.RegionHash(r)
-	s0 := cm.StaticHash(r)
 
 	// Writing a frame word inside the region band changes the region hash
-	// but not the static hash.
+	// but does not disturb the static design.
 	far := FAR{Block: BlockCLB, Major: r.Col0 + 2, Minor: 1}
 	frame := make([]uint32, d.FrameLen())
 	lo, _ := d.RowWordRange(r.Row0, r.H)
@@ -226,11 +226,11 @@ func TestRegionHashTracksRegionOnly(t *testing.T) {
 	if cm.RegionHash(r) == h0 {
 		t.Error("region hash unchanged after in-region write")
 	}
-	if cm.StaticHash(r) != s0 {
-		t.Error("static hash changed by in-region write")
+	if cm.Disturbed() {
+		t.Error("in-region write disturbed the static design")
 	}
 
-	// Writing above the band (same column) changes the static hash but
+	// Writing above the band (same column) disturbs the static design but
 	// restores the region hash if the band words are zeroed again.
 	frame2 := make([]uint32, d.FrameLen())
 	_, hi := d.RowWordRange(r.Row0, r.H)
@@ -241,8 +241,8 @@ func TestRegionHashTracksRegionOnly(t *testing.T) {
 	if cm.RegionHash(r) != h0 {
 		t.Error("region hash affected by out-of-band write")
 	}
-	if cm.StaticHash(r) == s0 {
-		t.Error("static hash unchanged after out-of-band write")
+	if !cm.Disturbed() {
+		t.Error("out-of-band write left the static design undisturbed")
 	}
 }
 
@@ -308,7 +308,7 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 // Property: the region hash is a pure function of the region's bits — random
-// writes confined to the region band always leave the static hash intact, and
+// writes confined to the region band never disturb the static design, and
 // restoring the region's frames restores its hash.
 func TestRegionHashProperty(t *testing.T) {
 	d := XC2VP7()
@@ -316,7 +316,7 @@ func TestRegionHashProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cm := NewConfigMemory(d)
-		s0 := cm.StaticHash(r)
+		cm.Guard(r)
 		lo, hi := d.RowWordRange(r.Row0, r.H)
 		for n := 0; n < 10; n++ {
 			col := r.Col0 + rng.Intn(r.W)
@@ -328,7 +328,7 @@ func TestRegionHashProperty(t *testing.T) {
 				return false
 			}
 		}
-		if cm.StaticHash(r) != s0 {
+		if cm.Disturbed() {
 			return false
 		}
 		// Restore: zero the band everywhere in the region.
@@ -422,6 +422,7 @@ func TestSecondDynamicRegion(t *testing.T) {
 	// Both regions' frames hash independently: writing one must not affect
 	// the other.
 	cm := NewConfigMemory(d)
+	cm.Guard(a, b)
 	ha, hb := cm.RegionHash(a), cm.RegionHash(b)
 	lo, _ := d.RowWordRange(b.Row0, b.H)
 	frame := make([]uint32, d.FrameLen())
@@ -435,14 +436,15 @@ func TestSecondDynamicRegion(t *testing.T) {
 	if cm.RegionHash(b) == hb {
 		t.Error("write in region B did not change its own hash")
 	}
-	// The static hash excluding both regions is also unaffected.
-	if cm.StaticHash(a, b) != NewConfigMemory(d).StaticHash(a, b) {
-		t.Error("static hash (excluding both regions) affected")
+	// The static design outside both regions is undisturbed.
+	if cm.Disturbed() {
+		t.Error("write in region B disturbed the static design (excluding both regions)")
 	}
 }
 
-// staticHashPerWord is the reference form of StaticHash: it asks of every
-// frame word whether a region owns it.
+// staticHashPerWord hashes every frame word no region owns, asking of each
+// word whether a region owns it: the reference the guard is checked
+// against.
 func staticHashPerWord(cm *ConfigMemory, regions ...Region) uint64 {
 	h := uint64(fnvOffset)
 	for col := 0; col < cm.dev.Cols; col++ {
@@ -493,11 +495,16 @@ func wordInRegions(d *Device, regions []Region, col, wi int, bram bool, bcol int
 	return false
 }
 
-// StaticHash equals the per-word reference bit for bit, on random frame
-// contents of both devices, for every region set the system uses plus the
-// edge cases: none, the whole device, overlapping regions, and two regions
-// stacked in the same columns with a static gap between their bands.
-func TestStaticHashMatchesPerWordReference(t *testing.T) {
+// Disturbed is true exactly when the per-word reference hash of the static
+// design has changed since Guard, under random frame writes (changing a
+// word, or rewriting the frame unchanged) and bit flips aimed both inside
+// and outside the bands and on their edges, on random frame contents of
+// both devices; and a flip at any band edge of any column disturbs exactly
+// when the reference leaves the word static. The region sets are the ones
+// the system uses plus the edge cases: none, the whole device, overlapping
+// regions, and two regions stacked in the same columns with a static gap
+// between their bands.
+func TestGuardMatchesPerWordReference(t *testing.T) {
 	whole := func(d *Device) Region { return Region{Name: "whole", W: d.Cols, H: d.Rows} }
 	overlapA := Region{Name: "overlap.a", Col0: 1, Row0: 4, W: 12, H: 20}
 	overlapB := Region{Name: "overlap.b", Col0: 6, Row0: 14, W: 14, H: 18}
@@ -520,39 +527,125 @@ func TestStaticHashMatchesPerWordReference(t *testing.T) {
 		{XC2VP30(), []Region{overlapA, overlapB}},
 		{XC2VP30(), []Region{stackedA, stackedB}},
 	}
+	const ops = 5
 	rng := rand.New(rand.NewSource(1))
 	for _, c := range cases {
-		cm := NewConfigMemory(c.dev)
+		d := c.dev
+		cm := NewConfigMemory(d)
 		for _, f := range cm.frames {
 			for i := range f {
 				f[i] = rng.Uint32()
 			}
 		}
-		if got, want := cm.StaticHash(c.regions...), staticHashPerWord(cm, c.regions...); got != want {
-			t.Errorf("%s %v: StaticHash = %#x, per-word reference = %#x", c.dev.Name, c.regions, got, want)
+		// target picks a frame (anywhere, in a random region's columns, or
+		// in a random BRAM column: enclosed, touched from one side, or
+		// apart), a row band (a random region's, or the whole frame) and a
+		// word (inside the band, or on either side of its edges).
+		target := func() (far FAR, wi, lo, hi int) {
+			far, _ = d.FARAt(rng.Intn(d.NumFrames()))
+			lo, hi = 0, d.FrameLen()
+			if len(c.regions) == 0 {
+				return far, rng.Intn(hi), lo, hi
+			}
+			r := c.regions[rng.Intn(len(c.regions))]
+			switch rng.Intn(3) {
+			case 0:
+				far = FAR{Block: BlockCLB, Major: r.Col0 + rng.Intn(r.W), Minor: rng.Intn(FramesPerCLBColumn)}
+			case 1:
+				far = FAR{Block: BlockBRAM, Major: rng.Intn(len(d.BRAMColPos)), Minor: rng.Intn(FramesPerBRAMColumn)}
+			}
+			if rng.Intn(3) > 0 {
+				lo, hi = d.RowWordRange(r.Row0, r.H)
+			}
+			wi = []int{lo + rng.Intn(hi-lo), lo - 1, lo, hi - 1, hi}[rng.Intn(5)]
+			return far, min(max(wi, 0), d.FrameLen()-1), lo, hi
+		}
+		cm.Guard(c.regions...)
+		ref := staticHashPerWord(cm, c.regions...)
+		for op := 0; op < ops; op++ {
+			far, wi, lo, hi := target()
+			frame, err := cm.ReadFrame(far)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kind := []string{"flip", "write word", "rewrite unchanged", "write band"}[rng.Intn(4)]
+			switch kind {
+			case "flip":
+				err = cm.FlipBit(far, wi, uint(rng.Intn(32)))
+			case "write word":
+				frame[wi] = rng.Uint32()
+			case "write band":
+				for i := lo; i < hi; i++ {
+					frame[i] = rng.Uint32()
+				}
+			}
+			if kind != "flip" {
+				err = cm.WriteFrame(far, frame)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			changed := staticHashPerWord(cm, c.regions...) != ref
+			if cm.Disturbed() != changed {
+				t.Fatalf("%s %v op %d (%s at %v word %d, band [%d,%d)): Disturbed = %v, reference hash changed = %v",
+					d.Name, c.regions, op, kind, far, wi, lo, hi, cm.Disturbed(), changed)
+			}
+			if changed {
+				// The flag is sticky: re-guard for a fresh watch.
+				cm.Guard(c.regions...)
+				ref = staticHashPerWord(cm, c.regions...)
+			}
+		}
+		// Every column, at the frame ends and every region's band edges:
+		// a flip disturbs exactly the words the reference leaves static.
+		edges := []int{0, d.FrameLen() - 1}
+		for _, r := range c.regions {
+			lo, hi := d.RowWordRange(r.Row0, r.H)
+			edges = append(edges, lo-1, lo, hi-1, min(hi, d.FrameLen()-1))
+		}
+		for _, b := range []BlockType{BlockCLB, BlockBRAM} {
+			for major := 0; major < d.MajorCount(b); major++ {
+				far := FAR{Block: b, Major: major}
+				for _, wi := range edges {
+					cm.Guard(c.regions...)
+					if err := cm.FlipBit(far, wi, 0); err != nil {
+						t.Fatal(err)
+					}
+					if static := !wordInRegions(d, c.regions, major, wi, b == BlockBRAM, major); cm.Disturbed() != static {
+						t.Fatalf("%s %v: flip at %v word %d: Disturbed = %v, static per reference = %v",
+							d.Name, c.regions, far, wi, cm.Disturbed(), static)
+					}
+				}
+			}
 		}
 	}
 }
 
-// BenchmarkStaticHash times one static hash of the XC2VP30 with both 64-bit
-// regions left out, the check the 64-bit system runs after a configuration.
-func BenchmarkStaticHash(b *testing.B) {
-	d := XC2VP30()
+// A clone copies the frames but not the guard: writes to it disturb
+// nothing, and the original's flag is its own.
+func TestCloneCarriesNoGuard(t *testing.T) {
+	d := XC2VP7()
+	r := DynamicRegion32()
 	cm := NewConfigMemory(d)
-	rng := rand.New(rand.NewSource(1))
-	for _, f := range cm.frames {
-		for i := range f {
-			f[i] = rng.Uint32()
-		}
+	cm.Guard(r)
+	if !cm.Guarded() {
+		t.Fatal("Guard left the memory unguarded")
 	}
-	regions := []Region{DynamicRegion64(), DynamicRegion64B()}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var h uint64
-	for i := 0; i < b.N; i++ {
-		h ^= cm.StaticHash(regions...)
+	far := FAR{Block: BlockCLB, Major: 0, Minor: 0}
+	if err := cm.FlipBit(far, 0, 0); err != nil {
+		t.Fatal(err)
 	}
-	sink = h
+	if !cm.Disturbed() {
+		t.Fatal("flip of a static bit did not disturb the guarded memory")
+	}
+	clone := cm.Clone()
+	if clone.Guarded() || clone.Disturbed() {
+		t.Fatalf("clone carries a guard: Guarded = %v, Disturbed = %v", clone.Guarded(), clone.Disturbed())
+	}
+	if err := clone.FlipBit(far, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if clone.Disturbed() {
+		t.Error("unguarded clone reports a disturbance")
+	}
 }
-
-var sink uint64

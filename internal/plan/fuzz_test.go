@@ -26,11 +26,10 @@ type fuzzArea struct {
 }
 
 type fuzzWorld struct {
-	dev        *fabric.Device
-	fp         region.Floorplan
-	baseline   *fabric.ConfigMemory
-	staticHash uint64
-	areas      []*fuzzArea
+	dev      *fabric.Device
+	fp       region.Floorplan
+	baseline *fabric.ConfigMemory
+	areas    []*fuzzArea
 }
 
 var (
@@ -118,7 +117,7 @@ func buildFuzzWorld() (*fuzzWorld, error) {
 			}
 		}
 	}
-	w := &fuzzWorld{dev: dev, fp: fp, baseline: cm, staticHash: cm.StaticHash(fp.Regions()...)}
+	w := &fuzzWorld{dev: dev, fp: fp, baseline: cm}
 	widths := []int{4, 7, 11, 15}
 	for _, a := range fp.Areas {
 		asm, err := bitlinker.New(dev, a.R, cm, a.Macro)
@@ -213,8 +212,10 @@ func FuzzRegionPlanner(f *testing.F) {
 		if p.Kind == plan.StreamDifferential && p.Bytes != res.Stream.SizeBytes() {
 			t.Fatalf("plan sized %d B, assembled stream is %d B", p.Bytes, res.Stream.SizeBytes())
 		}
-		// Apply the stream to the assumed image and verify frame locality.
+		// Apply the stream to the assumed image, guarded like the
+		// platform's memory, and verify frame locality.
 		img := fa.images[from].Clone()
+		img.Guard(w.fp.Regions()...)
 		if err := bitstream.NewLoader(img).Load(res.Stream); err != nil {
 			t.Fatalf("loading differential %q -> %q: %v", from, to, err)
 		}
@@ -243,7 +244,7 @@ func FuzzRegionPlanner(f *testing.F) {
 		if img.RegionHash(sibling.area.R) != fa.images[from].RegionHash(sibling.area.R) {
 			t.Fatalf("differential %q -> %q disturbed sibling region %s", from, to, sibling.area.R.Name)
 		}
-		if img.StaticHash(w.fp.Regions()...) != w.staticHash {
+		if img.Disturbed() {
 			t.Fatalf("differential %q -> %q disturbed the static design", from, to)
 		}
 	})

@@ -2,19 +2,21 @@ package platform
 
 // Fault injection and readback scrubbing. A System models one board whose
 // configuration SRAM takes soft errors: InjectFaultOn flips a bit inside a
-// dynamic region's frame band, ScrubOn runs the region manager's
-// readback-CRC pass over its frame spans. Detection demotes the region's
-// resident state through the same §2.2 hazard gate an aborted speculative
-// stream uses, so recovery is safe by construction — the next load of the
-// region must stream a complete configuration, which rewrites every span
-// frame and heals the flip as a side effect.
+// dynamic region's frame band, ScrubOn has the region manager hash the
+// region's content and compare it with the hash its last configuration
+// was verified against. Detection demotes the region's resident state
+// through the same §2.2 hazard gate an aborted speculative stream uses, so
+// recovery is safe by construction — the next load of the region must
+// stream a complete configuration, which rewrites every span frame and
+// heals the flip as a side effect.
 
 // ScrubReport is the outcome of one readback scrub of a dynamic region.
 type ScrubReport struct {
 	// Region names the scrubbed dynamic region.
 	Region string
-	// Detected reports a readback-CRC mismatch: the region's resident
-	// state has been demoted and its next load will stream complete.
+	// Detected reports a region content hash that no longer matches the
+	// verified one: the region's resident state has been demoted and its
+	// next load will stream complete.
 	Detected bool
 	// Module is the resident the region lost to the fault ("" when the
 	// region was blank) — what a repair reloads to return the slot to its
@@ -22,10 +24,11 @@ type ScrubReport struct {
 	Module string
 }
 
-// ScrubOn runs one readback-CRC scrub pass over the region's frame spans
-// under the system lock: a scrub racing an in-flight speculative stream
-// serializes behind it (and then sees either the verified post-stream
-// state or an already-demoted aborted one — never a half-written region).
+// ScrubOn runs one readback scrub pass over the region (a content hash
+// compared with the verified one) under the system lock: a scrub racing an
+// in-flight speculative stream serializes behind it (and then sees either
+// the verified post-stream state or an already-demoted aborted one — never
+// a half-written region).
 func (s *System) ScrubOn(ri int) ScrubReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -13,9 +13,10 @@ import (
 // TestDualRegionFaultScrubDemotesOnlyThatRegion is the fault-injection
 // mirror of TestDualRegionAbortDemotesOnlyThatRegion: a bit flipped in
 // region 1's band is detected by region 1's readback scrub and demotes
-// only that region — the sibling's resident and the static hash stay
-// authoritative, region 1's next load is forced onto a complete stream,
-// and that reload heals the flip (a second scrub passes clean).
+// only that region — the sibling's resident stays authoritative and the
+// static design undisturbed, region 1's next load is forced onto a
+// complete stream, and that reload heals the flip (a second scrub passes
+// clean).
 func TestDualRegionFaultScrubDemotesOnlyThatRegion(t *testing.T) {
 	s, err := NewSys64N(2)
 	if err != nil {
@@ -90,7 +91,7 @@ func TestDualRegionFaultScrubDemotesOnlyThatRegion(t *testing.T) {
 // TestScrubAfterAbortDoesNotDoubleDemote pins the scrub/abort interaction:
 // a scrub issued while the region's abortable speculative stream is in
 // flight serializes behind it on the system lock, and when the stream was
-// aborted (state already demoted, golden CRC stale by definition) the
+// aborted (state already demoted, no verified content to compare) the
 // scrub must not report a second loss — recovery still works exactly as
 // for a plain abort.
 func TestScrubAfterAbortDoesNotDoubleDemote(t *testing.T) {

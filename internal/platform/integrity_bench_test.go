@@ -1,0 +1,43 @@
+package platform
+
+import "testing"
+
+// The integrity path on the dual-region 64-bit system: what a scrubbed
+// dispatch pays to check a region, and what a reconfiguration pays to
+// rebind and check the static design afterwards.
+
+// BenchmarkScrub times one readback scrub of a loaded region.
+func BenchmarkScrub(b *testing.B) {
+	s, err := NewSys64N(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.LoadModuleOn(0, "brightness"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep := s.ScrubOn(0); rep.Detected {
+			b.Fatal("clean region scrubbed dirty")
+		}
+	}
+}
+
+// BenchmarkLoadSwap times one load of region 0, alternating brightness
+// and blend: the planner's stream through the loader, then every
+// manager's rebind with its static-design check.
+func BenchmarkLoadSwap(b *testing.B) {
+	s, err := NewSys64N(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mods := [2]string{"brightness", "blend"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.LoadModuleOn(0, mods[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -230,6 +230,7 @@ func build(name string, is64 bool, tm Timing, fp region.Floorplan) (*System, err
 	s.Region = fp.Areas[0].R
 	s.CM = fabric.NewConfigMemory(s.Dev)
 	loadStaticDesign(s.CM, fp.Regions())
+	s.CM.Guard(fp.Regions()...)
 	baseline := s.CM.Clone()
 	loader := bitstream.NewLoader(s.CM)
 	s.ICAP = icap.New(s.K, s.BusClk, loader)
@@ -314,28 +315,25 @@ func build(name string, is64 bool, tm Timing, fp region.Floorplan) (*System, err
 	// registers the modules that fit its region; the §2.2 hazard gate and
 	// resident tracking are therefore per region, and a sibling's
 	// reconfiguration can neither demote this region's state nor read as
-	// static corruption (AllRegions excludes every dynamic area from the
-	// static hash).
-	staticHashes := core.NewStaticHasher(loader, s.CM, fp.Regions())
+	// static corruption (the memory's guard leaves every dynamic area out
+	// of the static design).
 	for _, rs := range s.regions {
 		asm, err := bitlinker.New(s.Dev, rs.area.R, baseline, rs.area.Macro)
 		if err != nil {
 			return nil, err
 		}
 		rs.mgr, err = core.NewManager(core.Config{
-			Device:       s.Dev,
-			Region:       rs.area.R,
-			AllRegions:   fp.Regions(),
-			ConfigMem:    s.CM,
-			Baseline:     baseline,
-			Assembler:    asm,
-			Loader:       loader,
-			CPU:          s.CPU,
-			ICAPBase:     AddrICAP,
-			ICAP:         s.ICAP,
-			Bind:         rs.bind,
-			Kernel:       s.K,
-			StaticHashes: staticHashes,
+			Device:    s.Dev,
+			Region:    rs.area.R,
+			ConfigMem: s.CM,
+			Baseline:  baseline,
+			Assembler: asm,
+			Loader:    loader,
+			CPU:       s.CPU,
+			ICAPBase:  AddrICAP,
+			ICAP:      s.ICAP,
+			Bind:      rs.bind,
+			Kernel:    s.K,
 		})
 		if err != nil {
 			return nil, err

@@ -174,7 +174,7 @@ func TestScrubRaceKeepsSpeculativeByteConservation(t *testing.T) {
 		if i%5 == 4 {
 			// Inject at a quiesced point and force a deterministic look:
 			// either this pass or the hammer's concurrent one detects it
-			// (the CRC16 catches every single-bit flip).
+			// (the region content hash catches every single-bit flip).
 			if err := p.Members()[0].Sys.InjectFaultOn(i/5%2, 0, i, 3); err != nil {
 				t.Fatal(err)
 			}

@@ -71,10 +71,11 @@ type Options struct {
 	// (implementations serialize internally). nil with Prefetch enabled
 	// selects the default markov predictor.
 	Predictor predict.Predictor
-	// Scrub runs a readback-CRC scrub of the dispatched slot before each
-	// batch executes. A detection quarantines the slot, requeues the batch
-	// at the head of the queue, and launches a background repair; see
-	// ScrubAll for the idle-slot scrub loop.
+	// Scrub runs a readback scrub (region content hash against the
+	// verified one) of the dispatched slot before each batch executes. A
+	// detection quarantines the slot, requeues the batch at the head of
+	// the queue, and launches a background repair; see ScrubAll for the
+	// idle-slot scrub loop.
 	Scrub bool
 	// Shards partitions the pool's members into this many independently
 	// locked scheduler shards (run queue + slot set + placement state),

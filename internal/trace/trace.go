@@ -58,7 +58,7 @@ const (
 	KindPrefetchHit
 	// KindPrefetchAbort: a real request preempted the speculative stream.
 	KindPrefetchAbort
-	// KindScrub: one readback-CRC pass over a region (Arg = 1 when the
+	// KindScrub: one readback scrub of a region (Arg = 1 when the
 	// pass detected corruption).
 	KindScrub
 	// KindQuarantine: a faulted slot was pulled from dispatch.
