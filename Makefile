@@ -1,12 +1,4 @@
-.PHONY: build test race vet fmt fmtcheck bench benchgate benchboard benchboard-md tracedemo fuzz profile replay gobench sim sched
-
-# Bench samples per nondeterministic suite (S2/S6): `make bench K=3`
-# reruns them K times and appends min/median noise entries to the history.
-K ?= 1
-
-# Archived per-commit snapshots kept under artifacts/bench; the history
-# store carries the full trajectory, so retention only bounds disk.
-KEEP ?= 10
+.PHONY: build test race vet fmt fmtcheck bench benchgate benchboard-md tracedemo fuzz profile replay gobench sim sched
 
 build:
 	go build ./...
@@ -36,18 +28,13 @@ fmtcheck: fmt
 # with scrubbing), the S8 load-path comparison (complete vs diff vs
 # compressed vs compressed+DMA) on the seeded 60-request mixed workload,
 # and the S9 latency-SLO replay (deterministic sojourn percentiles over
-# the S6 arrival traces), as tables on stdout and BENCH_sched.json. Each
-# refresh is also archived under artifacts/bench keyed by the current
-# commit (pruned to the newest KEEP), every record's metrics are appended
-# to the per-commit history store that cmd/benchboard plots, and the
-# README sparkline section is refreshed — so the perf trajectory survives
-# baseline rewrites.
+# the S6 arrival traces), as tables on stdout and BENCH_sched.json. Every
+# row's metrics are also appended, keyed by the current commit, to the
+# per-commit history store that cmd/benchboard renders — so the perf
+# trajectory survives baseline rewrites.
 bench:
-	mkdir -p artifacts/bench
 	go run ./cmd/fpgad -compare -json BENCH_sched.json \
-		-history artifacts/bench/history.jsonl -sha $$(git rev-parse --short HEAD) -samples $(K)
-	cp BENCH_sched.json artifacts/bench/BENCH_sched.$$(git rev-parse --short HEAD).json
-	go run ./cmd/benchboard -prune $(KEEP) -readme README.md
+		-history artifacts/bench/history.jsonl -sha $$(git rev-parse --short HEAD)
 
 # CI bench-regression gate: rerun the comparison into a scratch file and
 # fail if visible config time or bytes streamed regress past tolerance
@@ -66,19 +53,12 @@ benchgate:
 		-history artifacts/bench/history.jsonl -sha $$(git rev-parse --short HEAD); \
 		rc=$$?; rm -f BENCH_fresh.json; exit $$rc
 
-# Serve the perf-trajectory dashboard: per-commit config-time /
-# wire-bytes / availability / sustained-rate curves from the history
-# store, regression points ringed by the same band math as the gate.
-benchboard:
-	go run ./cmd/benchboard -extract
-	go run ./cmd/benchboard -serve localhost:8321
-
-# Render the trajectory statically: lift any archived snapshots into the
-# history store, then write the markdown table and one SVG per
-# (suite, metric) under artifacts/bench/board (uploaded by CI).
+# Render the perf trajectory from the history store: the markdown table
+# and one SVG per (suite, metric) under artifacts/bench/board (uploaded by
+# CI), with every point the gate would fail against its predecessor
+# flagged.
 benchboard-md:
-	go run ./cmd/benchboard -extract \
-		-md artifacts/bench/board/TRAJECTORY.md -svg artifacts/bench/board
+	go run ./cmd/benchboard -md artifacts/bench/board/TRAJECTORY.md -svg artifacts/bench/board
 
 # Render a Perfetto-loadable Chrome trace of the S8 paired drive (the
 # densest deterministic load-path exercise: differential, compressed and

@@ -3,8 +3,6 @@ package main
 import (
 	"fmt"
 	"html"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,6 +15,7 @@ import (
 type point struct {
 	sha      string
 	value    float64
+	tol      float64 // the row's tolerance_pct (0 = the gate default)
 	flagged  bool    // fails the gate band vs its predecessor (or a recorded benchdiff fail)
 	deltaPct float64 // vs predecessor (0 for the first point / zero baseline)
 }
@@ -68,28 +67,6 @@ func metricRank(name string) int {
 		}
 	}
 	return len(metricOrder)
-}
-
-// higherBetter classifies each metric's regression direction: hidden and
-// overlapped config time, availability and throughput regress by FALLING;
-// everything else (times, bytes) regresses by growing.
-func higherBetter(metric string) bool {
-	switch metric {
-	case "availability", "throughput_rps", "sim_throughput_rps", "hidden_ms", "overlap_ms":
-		return true
-	default:
-		return false
-	}
-}
-
-// zeroEps is the absolute band for zero-baseline predecessor checks.
-func zeroEps(metric string) float64 {
-	switch metric {
-	case "bytes_streamed":
-		return gate.BytesZeroEps
-	default:
-		return gate.ConfigMsZeroEps
-	}
 }
 
 // loadCharts reads the history and assembles the chart panels. Sample
@@ -149,7 +126,7 @@ func loadCharts(path string) ([]*chart, int, error) {
 				c.series = append(c.series, series{label: label})
 			}
 			si := labelSeen[ck][label]
-			c.series[si].points = append(c.series[si].points, point{sha: sha, value: e.Value, flagged: failed[k]})
+			c.series[si].points = append(c.series[si].points, point{sha: sha, value: e.Value, tol: e.TolerancePct, flagged: failed[k]})
 		}
 	}
 	charts := make([]*chart, 0, len(byChart))
@@ -180,21 +157,13 @@ func loadCharts(path string) ([]*chart, int, error) {
 	return charts, skipped, nil
 }
 
-// annotate runs the gate band between consecutive points of a series —
-// the same math cmd/benchdiff applies between fresh run and baseline.
+// annotate holds each point of a series to its predecessor through
+// gate.Compare, as cmd/benchdiff holds a fresh run to its baseline: the
+// predecessor's row tolerance picks the band, as the baseline's does there.
 func annotate(c *chart, s *series) {
 	for i := 1; i < len(s.points); i++ {
-		prev, cur := s.points[i-1].value, s.points[i].value
-		// The per-row tolerance rode the sample entry; a missing one means
-		// the gate default. History entries do not carry it per point, so
-		// the band is resolved per metric sample when present.
-		allowed := gate.Allowed(0)
-		var v gate.Verdict
-		if higherBetter(c.metric) {
-			v = gate.CheckHigherBetter(prev, cur, allowed)
-		} else {
-			v = gate.Check(prev, cur, allowed, zeroEps(c.metric))
-		}
+		prev := s.points[i-1]
+		v := gate.Compare(c.suite, c.metric, prev.tol, prev.value, s.points[i].value)
 		s.points[i].deltaPct = v.DeltaPct
 		if !v.Pass {
 			s.points[i].flagged = true
@@ -262,114 +231,6 @@ func writeMarkdown(path string, charts []*chart) error {
 	return os.WriteFile(path, []byte(b.String()), 0o644)
 }
 
-// sparkTicks are the eight block glyphs a sparkline quantizes into.
-var sparkTicks = []rune("▁▂▃▄▅▆▇█")
-
-// sparkline renders a value series as one glyph per commit, scaled to the
-// series' own min/max; a flat series renders mid-height. A glyph train is
-// a trend cue, not a reading — the precise values stay in the trajectory
-// table and the dashboard.
-func sparkline(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	lo, hi := values[0], values[0]
-	for _, v := range values {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	var b strings.Builder
-	for _, v := range values {
-		i := len(sparkTicks) / 2
-		if hi > lo {
-			i = int((v-lo)/(hi-lo)*float64(len(sparkTicks)-1) + 0.5)
-		}
-		b.WriteRune(sparkTicks[i])
-	}
-	return b.String()
-}
-
-// The sparkline section of a README is regenerated in place between these
-// markers; everything outside them is hand-written and untouched.
-const (
-	readmeBegin = "<!-- benchboard:sparklines:begin -->"
-	readmeEnd   = "<!-- benchboard:sparklines:end -->"
-)
-
-// sparklineSection renders the per-metric sparkline table: one row per
-// (suite, metric, configuration), trend over the commits that measured
-// it, newest value last.
-func sparklineSection(charts []*chart) string {
-	var b strings.Builder
-	b.WriteString(readmeBegin + "\n")
-	b.WriteString("### Bench trajectory\n\n")
-	b.WriteString("Per-commit metric sparklines from `artifacts/bench/history.jsonl`,\n")
-	b.WriteString("refreshed by `cmd/benchboard -readme` (wired into `make bench`). A ⚠ row\n")
-	b.WriteString("ends on a point the CI gate band would fail; host-dependent suites are\n")
-	b.WriteString("marked (host). Full curves: `make benchboard`.\n\n")
-	b.WriteString("| suite | metric | configuration | trend | latest |\n")
-	b.WriteString("|---|---|---|---|---|\n")
-	for _, c := range charts {
-		metric := c.metric
-		if c.unit != "" {
-			metric += " (" + c.unit + ")"
-		}
-		if !c.det {
-			metric += " (host)"
-		}
-		for _, s := range c.series {
-			if len(s.points) == 0 {
-				continue
-			}
-			vals := make([]float64, len(s.points))
-			for i, p := range s.points {
-				vals[i] = p.value
-			}
-			last := s.points[len(s.points)-1]
-			latest := fmtValue(last.value, c.unit)
-			if last.flagged {
-				latest += " ⚠"
-			}
-			fmt.Fprintf(&b, "| %s | %s | %s | %s | %s |\n",
-				c.suite, metric, s.label, sparkline(vals), latest)
-		}
-	}
-	b.WriteString(readmeEnd + "\n")
-	return b.String()
-}
-
-// updateReadme regenerates the sparkline section of the markdown file in
-// place: between the benchboard markers when present, appended when the
-// file exists without them, and as a fresh README otherwise.
-func updateReadme(path string, charts []*chart) error {
-	section := sparklineSection(charts)
-	data, err := os.ReadFile(path)
-	switch {
-	case os.IsNotExist(err):
-		data = []byte("# repro\n\nGrown reproduction of the paper's reconfiguration scheduler;\nsee DESIGN.md and EXPERIMENTS.md.\n\n" + section)
-	case err != nil:
-		return err
-	default:
-		text := string(data)
-		begin := strings.Index(text, readmeBegin)
-		end := strings.Index(text, readmeEnd)
-		if begin >= 0 && end > begin {
-			text = text[:begin] + section + strings.TrimPrefix(text[end+len(readmeEnd):], "\n")
-		} else {
-			if !strings.HasSuffix(text, "\n") {
-				text += "\n"
-			}
-			text += "\n" + section
-		}
-		data = []byte(text)
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
 // seriesColors is a validated categorical palette (fixed assignment
 // order, never cycled): adjacent-pair CVD ΔE ≥ 8 and normal-vision ΔE ≥
 // 15 on the light surface. Identity is never color-alone — every chart
@@ -406,7 +267,7 @@ const (
 // svg renders the chart as a standalone SVG document: one 2px polyline
 // per label, 8px markers, a regression ring + ⚠ on flagged points, a
 // recessive grid, and a text legend. Tooltips ride native <title>
-// elements so the inline dashboard gets a hover layer for free.
+// elements.
 func (c *chart) svg() string {
 	plotW := float64(chartW - marginL - marginR)
 	plotH := float64(chartH - marginT - marginB)
@@ -513,64 +374,3 @@ func (c *chart) svg() string {
 }
 
 func esc(s string) string { return html.EscapeString(s) }
-
-// boardHandler serves the dashboard, re-reading the history per request
-// so a long-lived server picks up fresh appends.
-func boardHandler(historyPath string) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		charts, _, err := loadCharts(historyPath)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		var b strings.Builder
-		b.WriteString(`<!doctype html><html><head><meta charset="utf-8"><title>benchboard</title>`)
-		fmt.Fprintf(&b, `<style>body{font-family:system-ui,sans-serif;background:%s;color:%s;margin:24px;max-width:820px}
-h1{font-size:20px}h2{font-size:15px;margin-top:28px}table{border-collapse:collapse;font-size:12px}
-td,th{border:1px solid %s;padding:3px 8px;text-align:right}th{color:%s}
-.flag{color:%s;font-weight:600}details{margin:6px 0 18px}</style></head><body>`,
-			surface, inkMain, grid, inkSub, flagRed)
-		b.WriteString(`<h1>Bench trajectory</h1><p>Per-commit metrics from <code>`)
-		b.WriteString(esc(historyPath))
-		b.WriteString(`</code>; a ⚠-ringed point fails the CI gate band (internal/bench/gate) vs its predecessor.</p>`)
-		if len(charts) == 0 {
-			b.WriteString(`<p>No metrics yet — run <code>benchboard -extract</code> or <code>make bench</code>.</p>`)
-		}
-		for _, c := range charts {
-			b.WriteString(c.svg())
-			// Table view: the relief layer for every series and any folded
-			// beyond the palette cap.
-			b.WriteString(`<details><summary>table</summary><table><tr><th>commit</th>`)
-			for _, s := range c.series {
-				fmt.Fprintf(&b, "<th>%s</th>", esc(s.label))
-			}
-			b.WriteString("</tr>")
-			for _, sha := range c.shas {
-				fmt.Fprintf(&b, "<tr><td>%s</td>", esc(sha))
-				for _, s := range c.series {
-					cell, class := "", ""
-					for _, p := range s.points {
-						if p.sha == sha {
-							cell = fmtValue(p.value, c.unit)
-							if p.flagged {
-								cell += " ⚠"
-								class = ` class="flag"`
-							}
-							break
-						}
-					}
-					fmt.Fprintf(&b, "<td%s>%s</td>", class, cell)
-				}
-				b.WriteString("</tr>")
-			}
-			b.WriteString(`</table></details>`)
-		}
-		b.WriteString(`</body></html>`)
-		io.WriteString(w, b.String())
-	})
-}

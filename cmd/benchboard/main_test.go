@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,54 +11,42 @@ import (
 	"repro/internal/bench/gate"
 )
 
-// snapshot writes a fake archived BENCH_sched.<sha>.json with one S4 row.
-func snapshot(t *testing.T, dir, sha string, configMs float64, bytesStreamed uint64) {
+// appendRows appends one commit's rows to the history, as
+// `fpgad -compare -history` does.
+func appendRows(t *testing.T, history, sha string, rows ...bench.Row) {
 	t.Helper()
-	w := bench.NewWriter(bench.Row{
-		Table: "S4", Label: "paired", Policy: "mincost", Planner: true,
-		ConfigMs: configMs, BytesStreamed: bytesStreamed, TolerancePct: 15,
-	})
-	if err := w.WriteFile(filepath.Join(dir, "BENCH_sched."+sha+".json")); err != nil {
+	if err := bench.NewWriter(rows...).AppendHistory(history, sha); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestExtractIdempotent(t *testing.T) {
-	dir := t.TempDir()
-	history := filepath.Join(dir, "history.jsonl")
-	snapshot(t, dir, "aaa111", 2.0, 1024)
-	snapshot(t, dir, "bbb222", 2.1, 1024)
-	os.WriteFile(filepath.Join(dir, "BENCH_other.json"), []byte("[]"), 0o644) // must be ignored
+// s4 is one S4 row with the given config time and streamed bytes.
+func s4(configMs float64, bytesStreamed uint64) bench.Row {
+	return bench.Row{
+		Table: "S4", Label: "paired", Policy: "mincost", Planner: true,
+		ConfigMs: configMs, BytesStreamed: bytesStreamed, TolerancePct: 15,
+	}
+}
 
-	added, files, err := extractSnapshots(history, dir)
-	if err != nil {
-		t.Fatalf("extract: %v", err)
+// findChart returns the chart of the suite's metric.
+func findChart(t *testing.T, charts []*chart, suite, metric string) *chart {
+	t.Helper()
+	for _, c := range charts {
+		if c.suite == suite && c.metric == metric {
+			return c
+		}
 	}
-	if files != 2 || added != 6 {
-		t.Fatalf("extracted files=%d added=%d, want 2 snapshots x 3 S4 metrics", files, added)
-	}
-	// Re-extraction appends nothing.
-	added, files, err = extractSnapshots(history, dir)
-	if err != nil || files != 2 || added != 0 {
-		t.Fatalf("re-extract: err=%v files=%d added=%d, want idempotent no-op", err, files, added)
-	}
-	entries, skipped, err := gate.LoadEntries(history)
-	if err != nil || skipped != 0 || len(entries) != 6 {
-		t.Fatalf("history after double extract: err=%v skipped=%d n=%d", err, skipped, len(entries))
-	}
+	t.Fatalf("no %s %s chart", suite, metric)
+	return nil
 }
 
 func TestLoadChartsAndRegressionFlag(t *testing.T) {
-	dir := t.TempDir()
-	history := filepath.Join(dir, "history.jsonl")
+	history := filepath.Join(t.TempDir(), "history.jsonl")
 	// Three commits of one deterministic S4 config: steady, steady, +50%
-	// config-time regression that must trip the default 15% band.
-	snapshot(t, dir, "aaa111", 2.0, 1024)
-	snapshot(t, dir, "bbb222", 2.1, 1024)
-	snapshot(t, dir, "ccc333", 3.0, 1024)
-	if _, _, err := extractSnapshots(history, dir); err != nil {
-		t.Fatal(err)
-	}
+	// config-time regression that must trip the 15% band.
+	appendRows(t, history, "aaa111", s4(2.0, 1024))
+	appendRows(t, history, "bbb222", s4(2.1, 1024))
+	appendRows(t, history, "ccc333", s4(3.0, 1024))
 	charts, skipped, err := loadCharts(history)
 	if err != nil || skipped != 0 {
 		t.Fatalf("loadCharts: err=%v skipped=%d", err, skipped)
@@ -67,14 +54,9 @@ func TestLoadChartsAndRegressionFlag(t *testing.T) {
 	if len(charts) != 3 {
 		t.Fatalf("%d charts, want config_ms, bytes_streamed and hidden_ms", len(charts))
 	}
-	var cfg *chart
-	for _, c := range charts {
-		if c.metric == "config_ms" {
-			cfg = c
-		}
-	}
-	if cfg == nil || cfg.suite != "S4" || !cfg.det {
-		t.Fatalf("config_ms chart missing or misclassified: %+v", cfg)
+	cfg := findChart(t, charts, "S4", "config_ms")
+	if !cfg.det {
+		t.Fatalf("config_ms chart misclassified: %+v", cfg)
 	}
 	if len(cfg.shas) != 3 || cfg.shas[0] != "aaa111" || cfg.shas[2] != "ccc333" {
 		t.Fatalf("sha axis %v, want commit order", cfg.shas)
@@ -108,14 +90,63 @@ func TestLoadChartsRecordedVerdict(t *testing.T) {
 	}
 }
 
+// TestFlagsFollowGateBands: the board holds each point to the band
+// cmd/benchdiff holds the same row to. The four S2 rises of the
+// committed history pass the S2 rows' 40% band, so they render
+// unflagged; a 1.5% rise of an S9 sojourn percentile fails its 1% band.
+func TestFlagsFollowGateBands(t *testing.T) {
+	history := filepath.Join(t.TempDir(), "history.jsonl")
+	s2 := func(label string, configMs float64, bytesStreamed uint64) bench.Row {
+		return bench.Row{Table: "S2", Label: label, ConfigMs: configMs, BytesStreamed: bytesStreamed, TolerancePct: 40}
+	}
+	s9 := func(p99 float64) bench.Row {
+		return bench.Row{Table: "S9", Label: "rho-1/poisson", P50Ms: 0.102, P95Ms: 0.195, P99Ms: p99}
+	}
+	appendRows(t, history, "9234095",
+		s2("lru+complete-only", 152.785, 9153240), s2("lru+planner", 29.525, 1800648),
+		s2("mincost+planner", 27.676354924618, 1745628), s9(0.222))
+	appendRows(t, history, "193d10f",
+		s2("lru+complete-only", 174.482, 11156072), s2("lru+planner", 28.564, 1734468),
+		s2("mincost+planner", 23.039708284771002, 1369680), s9(0.222*1.015))
+	appendRows(t, history, "395b3c0",
+		s2("lru+complete-only", 163.633, 10154656), s2("lru+planner", 31.619, 2056944),
+		s2("mincost+planner", 27.676354924618, 1745628))
+	charts, _, err := loadCharts(history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md := filepath.Join(t.TempDir(), "TRAJECTORY.md")
+	if err := writeMarkdown(md, charts); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(md)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := string(data)
+	for _, row := range []string{
+		"| 193d10f | 11156072 | 1734468 | 1369680 |",
+		"| 395b3c0 | 10154656 | 2056944 | 1745628 |",
+		"| 395b3c0 | 163.633 | 31.619 | 27.676 |",
+	} {
+		if !strings.Contains(out, row) {
+			t.Errorf("markdown lacks the unflagged row %q:\n%s", row, out)
+		}
+	}
+	p99 := findChart(t, charts, "S9", "p99_ms").series[0].points
+	if len(p99) != 2 || !p99[1].flagged {
+		t.Errorf("S9 p99 +1.5%% not flagged: %+v", p99)
+	}
+	if p95 := findChart(t, charts, "S9", "p95_ms").series[0].points; p95[1].flagged {
+		t.Errorf("steady S9 p95 flagged: %+v", p95)
+	}
+}
+
 func TestMarkdownStableAcrossRenders(t *testing.T) {
 	dir := t.TempDir()
 	history := filepath.Join(dir, "history.jsonl")
-	snapshot(t, dir, "aaa111", 2.0, 1024)
-	snapshot(t, dir, "bbb222", 2.6, 2048)
-	if _, _, err := extractSnapshots(history, dir); err != nil {
-		t.Fatal(err)
-	}
+	appendRows(t, history, "aaa111", s4(2.0, 1024))
+	appendRows(t, history, "bbb222", s4(2.6, 2048))
 	md1 := filepath.Join(dir, "t1.md")
 	md2 := filepath.Join(dir, "t2.md")
 	for _, p := range []string{md1, md2} {
@@ -141,13 +172,9 @@ func TestMarkdownStableAcrossRenders(t *testing.T) {
 }
 
 func TestChartSVG(t *testing.T) {
-	dir := t.TempDir()
-	history := filepath.Join(dir, "history.jsonl")
-	snapshot(t, dir, "aaa111", 2.0, 1024)
-	snapshot(t, dir, "bbb222", 3.0, 1024)
-	if _, _, err := extractSnapshots(history, dir); err != nil {
-		t.Fatal(err)
-	}
+	history := filepath.Join(t.TempDir(), "history.jsonl")
+	appendRows(t, history, "aaa111", s4(2.0, 1024))
+	appendRows(t, history, "bbb222", s4(3.0, 1024))
 	charts, _, err := loadCharts(history)
 	if err != nil {
 		t.Fatal(err)
@@ -160,43 +187,12 @@ func TestChartSVG(t *testing.T) {
 			}
 		}
 	}
-	var cfg *chart
-	for _, c := range charts {
-		if c.metric == "config_ms" {
-			cfg = c
-		}
-	}
+	cfg := findChart(t, charts, "S4", "config_ms")
 	if !strings.Contains(cfg.svg(), "REGRESSION") {
 		t.Error("config_ms +50% chart carries no regression annotation")
 	}
 	if cfg.fileName() != "S4_config_ms" {
 		t.Errorf("fileName %q", cfg.fileName())
-	}
-}
-
-func TestBoardHandler(t *testing.T) {
-	dir := t.TempDir()
-	history := filepath.Join(dir, "history.jsonl")
-	snapshot(t, dir, "aaa111", 2.0, 1024)
-	if _, _, err := extractSnapshots(history, dir); err != nil {
-		t.Fatal(err)
-	}
-	h := boardHandler(history)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	if rec.Code != 200 {
-		t.Fatalf("GET /: %d", rec.Code)
-	}
-	body := rec.Body.String()
-	for _, want := range []string{"<svg", "Bench trajectory", "<details>", "paired"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("dashboard missing %q", want)
-		}
-	}
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/nope", nil))
-	if rec.Code != 404 {
-		t.Errorf("GET /nope: %d, want 404", rec.Code)
 	}
 }
 
@@ -210,14 +206,24 @@ func TestRunNothingToDo(t *testing.T) {
 	}
 }
 
-func TestRunExtractAndMd(t *testing.T) {
+// TestRunFlags: benchboard accepts exactly -history, -md and -svg.
+func TestRunFlags(t *testing.T) {
+	for _, args := range [][]string{{"-extract"}, {"-snapshots", "x"}, {"-prune", "1"}, {"-readme", "x"}, {"-serve", "x"}} {
+		var out, errw bytes.Buffer
+		if code := run(args, &out, &errw); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+	}
+}
+
+func TestRunMdAndSvg(t *testing.T) {
 	dir := t.TempDir()
 	history := filepath.Join(dir, "history.jsonl")
-	snapshot(t, dir, "aaa111", 2.0, 1024)
+	appendRows(t, history, "aaa111", s4(2.0, 1024))
 	md := filepath.Join(dir, "TRAJECTORY.md")
 	svgDir := filepath.Join(dir, "board")
 	var out, errw bytes.Buffer
-	code := run([]string{"-history", history, "-extract", "-snapshots", dir, "-md", md, "-svg", svgDir}, &out, &errw)
+	code := run([]string{"-history", history, "-md", md, "-svg", svgDir}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exit %d: %s", code, errw.String())
 	}
@@ -226,5 +232,9 @@ func TestRunExtractAndMd(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(svgDir, "S4_config_ms.svg")); err != nil {
 		t.Errorf("svg not written: %v", err)
+	}
+	errw.Reset()
+	if code := run([]string{"-history", filepath.Join(dir, "absent.jsonl"), "-md", md}, &out, &errw); code != 1 {
+		t.Errorf("empty history: exit %d, want 1", code)
 	}
 }

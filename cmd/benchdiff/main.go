@@ -8,8 +8,8 @@
 // bench grows). A perf improvement is reported as a negative delta — and
 // is the cue to re-commit the baseline so the win is locked in.
 //
-// The band math lives in internal/bench/gate, shared with cmd/benchboard
-// so a dashboard annotation and a gate verdict can never disagree. With
+// Every comparison goes through gate.Compare, which cmd/benchboard calls
+// too, so a trajectory flag and a gate verdict cannot disagree. With
 // -history (plus -sha), every comparison's verdict is appended to the
 // per-commit history store benchboard plots.
 //
@@ -55,18 +55,13 @@ type record struct {
 }
 
 // gatedMetric is one metric comparison: the display name (historic
-// output format), the history metric name (the JSON field), the baseline
-// and fresh values, and the zero-baseline absolute epsilon. A nonzero
-// allowedPct overrides the record's band — the deterministic S9
-// percentiles reproduce byte-identically, so they gate at 1% (any
-// drift at all is a real latency change) instead of the 15% default.
+// output format), the history metric name (the JSON field), and the
+// baseline and fresh values. gate.Compare picks its band and direction.
 type gatedMetric struct {
-	name       string
-	metric     string
-	base, now  float64
-	unit       string
-	zeroEps    float64
-	allowedPct float64
+	name      string
+	metric    string
+	base, now float64
+	unit      string
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -94,6 +89,10 @@ func run(args []string, out, errw io.Writer) int {
 	}
 	if *historyPath != "" && *shaFlag == "" {
 		fmt.Fprintln(errw, "benchdiff: -history needs -sha (the commit id keying the entries)")
+		return 2
+	}
+	if *maxRegress <= 0 {
+		fmt.Fprintf(errw, "benchdiff: -max-regress %g: the band must be positive\n", *maxRegress)
 		return 2
 	}
 	base, err := load(*basePath)
@@ -138,23 +137,19 @@ func run(args []string, out, errw io.Writer) int {
 			allowed = b.TolerancePct
 		}
 		metrics := []gatedMetric{
-			{"config time", "config_ms", b.ConfigMs, f.ConfigMs, "ms", gate.ConfigMsZeroEps, 0},
-			{"bytes streamed", "bytes_streamed", float64(b.BytesStreamed), float64(f.BytesStreamed), "B", gate.BytesZeroEps, 0},
+			{"config time", "config_ms", b.ConfigMs, f.ConfigMs, "ms"},
+			{"bytes streamed", "bytes_streamed", float64(b.BytesStreamed), float64(f.BytesStreamed), "B"},
 		}
 		if b.Table == "S9" {
 			// The deterministic SLO suite promotes its sojourn percentiles
 			// to gated columns; everywhere else they are informational.
 			metrics = append(metrics,
-				gatedMetric{"p50 sojourn", "p50_ms", b.P50Ms, f.P50Ms, "ms", gate.ConfigMsZeroEps, 1},
-				gatedMetric{"p95 sojourn", "p95_ms", b.P95Ms, f.P95Ms, "ms", gate.ConfigMsZeroEps, 1},
-				gatedMetric{"p99 sojourn", "p99_ms", b.P99Ms, f.P99Ms, "ms", gate.ConfigMsZeroEps, 1})
+				gatedMetric{"p50 sojourn", "p50_ms", b.P50Ms, f.P50Ms, "ms"},
+				gatedMetric{"p95 sojourn", "p95_ms", b.P95Ms, f.P95Ms, "ms"},
+				gatedMetric{"p99 sojourn", "p99_ms", b.P99Ms, f.P99Ms, "ms"})
 		}
 		for _, m := range metrics {
-			band := allowed
-			if m.allowedPct > 0 {
-				band = m.allowedPct
-			}
-			v := gate.Check(m.base, m.now, band, m.zeroEps)
+			v := gate.Compare(b.Table, m.metric, allowed, m.base, m.now)
 			status := "ok  "
 			if !v.Pass {
 				status = "FAIL"

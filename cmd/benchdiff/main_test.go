@@ -276,3 +276,18 @@ func TestHistoryNeedsSha(t *testing.T) {
 		t.Fatalf("exit %d, stderr %q", code, errw.String())
 	}
 }
+
+// TestMaxRegressMustBePositive: a row without its own tolerance takes
+// the -max-regress band, and a zero or negative band is a usage error,
+// not a silent fall-back to the gate default.
+func TestMaxRegressMustBePositive(t *testing.T) {
+	dir := t.TempDir()
+	b := write(t, dir, "base.json", baseline)
+	for _, mr := range []string{"0", "-5"} {
+		var out, errw bytes.Buffer
+		code := run([]string{"-baseline", b, "-fresh", b, "-max-regress", mr}, &out, &errw)
+		if code != 2 || !strings.Contains(errw.String(), "must be positive") {
+			t.Errorf("-max-regress %s: exit %d, stderr %q", mr, code, errw.String())
+		}
+	}
+}

@@ -2,11 +2,53 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the testdata goldens from the current campaign generator and replay")
+
+// TestSweepGolden pins both artifacts of `make replay` — the seeded
+// sweep campaign and its replayed S7 records — byte for byte. A change
+// that means to move them reruns the test with -update.
+func TestSweepGolden(t *testing.T) {
+	dir := t.TempDir()
+	campaign := filepath.Join(dir, "fault_scenarios.jsonl")
+	records := filepath.Join(dir, "BENCH_replay.json")
+	sweep := []string{"-scenario", "sweep", "-n", "60", "-seed", "7"}
+	var out, errw bytes.Buffer
+	if code := run(append(sweep, "-out", campaign), &out, &errw); code != 0 {
+		t.Fatalf("generate exit %d, stderr:\n%s", code, errw.String())
+	}
+	if code := run(append(sweep, "-replay", campaign, "-json", records), &out, &errw); code != 0 {
+		t.Fatalf("replay exit %d, stderr:\n%s", code, errw.String())
+	}
+	for _, f := range []struct{ got, golden string }{
+		{campaign, "fault_scenarios.golden.jsonl"},
+		{records, "BENCH_replay.golden.json"},
+	} {
+		got, err := os.ReadFile(f.got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", f.golden)
+		if *update {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read golden (run with -update to capture): %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from %s", filepath.Base(f.got), path)
+		}
+	}
+}
 
 // TestRunFlagParsing is the table-driven gate on the front-end's argument
 // surface: mode confusion and malformed values must be rejected with exit

@@ -22,7 +22,10 @@
 //	fpgad -trace trace.json                      # Chrome trace-event JSON (Perfetto/chrome://tracing)
 //	fpgad -compare -json BENCH_sched.json        # S2 + S3 + S4 + S6 + S7 + S8 + S9 on the committed workload
 //	fpgad -compare -json BENCH_sched.json -history artifacts/bench/history.jsonl -sha abc1234
-//	fpgad -compare -history ... -sha ... -samples 3   # + min/median noise entries for S2/S6
+//
+// -json, -history and -sha apply to -compare only: its rows are the
+// gate baseline (BENCH_sched.json) and the only entries of the
+// per-commit history store that cmd/benchboard renders.
 package main
 
 import (
@@ -34,12 +37,10 @@ import (
 	"os"
 	"runtime"
 	runtimepprof "runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/bench/gate"
 	"repro/internal/metrics"
 	"repro/internal/pool"
 	"repro/internal/predict"
@@ -82,15 +83,13 @@ func run(args []string, out, errw io.Writer) int {
 	mutexProfile := fs.String("mutexprofile", "", "write a mutex-contention profile of the whole run to this file")
 	compare := fs.Bool("compare", false,
 		"run the S2 placement, S3 prefetch, S4 region, S6 scaling, S7 fault, S8 compression and S9 latency-SLO suites on their committed workloads instead of a single run")
-	jsonPath := fs.String("json", "", "write machine-readable per-configuration records to this file")
+	jsonPath := fs.String("json", "", "with -compare, write the suites' rows to this file")
 	historyPath := fs.String("history", "",
-		"append every emitted record's metrics to this per-commit history file (JSONL; plotted by cmd/benchboard)")
+		"with -compare, append every row's metrics to this per-commit history file (JSONL; rendered by cmd/benchboard)")
 	shaFlag := fs.String("sha", "",
 		"commit id keying the -history entries (required with -history)")
 	tracePath := fs.String("trace", "",
 		"write a Chrome trace-event JSON of the run to this file (load in Perfetto/chrome://tracing; with -compare, records the S8 paired drive)")
-	samples := fs.Int("samples", 1,
-		"with -compare and -history: rerun the nondeterministic suites (S2, S6) this many times and append min/median noise-estimation entries per metric")
 	verbose := fs.Bool("v", false, "log every request")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -114,16 +113,21 @@ func run(args []string, out, errw io.Writer) int {
 		fmt.Fprintln(errw, "fpgad: -rate drives open-loop; -window drives closed-loop — pick one")
 		return 2
 	}
+	if !*compare {
+		var rowFlags []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "json", "history", "sha":
+				rowFlags = append(rowFlags, "-"+f.Name)
+			}
+		})
+		if len(rowFlags) > 0 {
+			fmt.Fprintf(errw, "fpgad: %s only apply to -compare: a single run writes no rows\n", strings.Join(rowFlags, " "))
+			return 2
+		}
+	}
 	if *historyPath != "" && *shaFlag == "" {
 		fmt.Fprintln(errw, "fpgad: -history needs -sha (the commit id keying the entries)")
-		return 2
-	}
-	if *samples < 1 {
-		fmt.Fprintf(errw, "fpgad: -samples %d: at least one sample\n", *samples)
-		return 2
-	}
-	if *samples > 1 && (!*compare || *historyPath == "") {
-		fmt.Fprintln(errw, "fpgad: -samples estimates suite noise across -compare reruns and records it in -history — it needs both")
 		return 2
 	}
 	// The tracer exists when anything consumes events: a -trace export, or
@@ -207,7 +211,7 @@ func run(args []string, out, errw io.Writer) int {
 				strings.Join(single, " "))
 			return 2
 		}
-		return runCompare(*jsonPath, *historyPath, *shaFlag, tracer, *tracePath, *samples, out, errw)
+		return runCompare(*jsonPath, *historyPath, *shaFlag, tracer, *tracePath, out, errw)
 	}
 	policy, err := sched.PolicyByName(*policyName)
 	if err != nil {
@@ -275,7 +279,7 @@ func run(args []string, out, errw io.Writer) int {
 		// stamp and submission never waits for completions; the
 		// scheduler's wall-clock overlay turns the stamps into sojourn
 		// (queue wait + service) per request.
-		arr, err := bench.GenArrivals(*seed, *n, "poisson", sim.Time(float64(sim.Second) / *rate))
+		arr, err := bench.GenArrivals(*seed, *n, sim.Time(float64(sim.Second) / *rate))
 		if err != nil {
 			fmt.Fprintln(errw, "fpgad:", err)
 			return 2
@@ -343,63 +347,6 @@ func run(args []string, out, errw io.Writer) int {
 		}
 		fmt.Fprintf(out, "trace: wrote %s (%d event(s))\n", *tracePath, tracer.Len())
 	}
-	if *jsonPath != "" {
-		// Same label scheme as the -compare records, so trajectory
-		// consumers see one series per configuration. A paced or prefetch
-		// run is a different experiment than the canonical SubmitAll S2
-		// series: it keys under its own table and label and drops the S2
-		// rows' noise-tolerance band.
-		c := bench.Case{Label: policy.Name() + "+complete-only", Policy: policy.Name(), CompleteOnly: !*planOn}
-		if *planOn {
-			c.Label = policy.Name() + "+planner"
-		}
-		if *prefetchOn {
-			c.Predictor = *predictorName
-		}
-		rec := bench.PlacementSuite(bench.Workload{Seed: *seed, N: *n, Mix: *mixSpec, Batch: *batch}).Row(bench.Run{Case: c, Stats: st})
-		if *prefetchOn || *window > 0 || *regions != 1 || *shards != 1 || *rate > 0 {
-			r := &rec
-			r.Table = "single"
-			r.TolerancePct = 0
-			if *regions != 1 {
-				r.Label += fmt.Sprintf("+regions%d", *regions)
-			}
-			if *shards != 1 {
-				r.Label += fmt.Sprintf("+shards%d", *shards)
-				r.Shards = *shards
-			}
-			if *rate > 0 {
-				r.Label += fmt.Sprintf("+rate%g", *rate)
-				r.ArrivalProcess = "poisson"
-				r.ThroughputRPS = float64(len(sojourns)) / elapsed.Seconds()
-				if len(sojourns) > 0 {
-					pct := bench.Percentiles(sojourns, 0.50, 0.95, 0.99)
-					r.P50Ms = pct[0].Milliseconds()
-					r.P95Ms = pct[1].Milliseconds()
-					r.P99Ms = pct[2].Milliseconds()
-				}
-			}
-			if *window > 0 {
-				r.Label += fmt.Sprintf("+window%d", *window)
-				r.Window = *window
-			}
-			if *prefetchOn {
-				r.Label += "+prefetch-" + *predictorName
-			}
-		}
-		w := bench.NewWriter(rec)
-		if err := w.WriteFile(*jsonPath); err != nil {
-			fmt.Fprintln(errw, "fpgad:", err)
-			return 1
-		}
-		if *historyPath != "" {
-			if err := w.AppendHistory(*historyPath, *shaFlag); err != nil {
-				fmt.Fprintln(errw, "fpgad:", err)
-				return 1
-			}
-		}
-		fmt.Fprintf(out, "\nwrote %s\n", *jsonPath)
-	}
 	if failed > 0 {
 		fmt.Fprintf(errw, "fpgad: %d request(s) failed\n", failed)
 		return 1
@@ -413,10 +360,9 @@ func run(args []string, out, errw io.Writer) int {
 // optionally emitting the combined rows the CI bench gate diffs and
 // appending their metrics to the per-commit history store. A non-empty
 // tracePath records the S8 paired drive (the densest deterministic
-// load-path exercise) as Chrome trace-event JSON; samples > 1 reruns the
-// nondeterministic suites and appends min/median noise entries.
+// load-path exercise) as Chrome trace-event JSON.
 func runCompare(jsonPath, historyPath, sha string,
-	tracer *trace.Tracer, tracePath string, samples int, out, errw io.Writer) int {
+	tracer *trace.Tracer, tracePath string, out, errw io.Writer) int {
 	w := bench.DefaultWorkload()
 	fmt.Fprintf(out, "comparing configurations on the committed workload: %d request(s), mix %s, batch %d, seed %d\n\n",
 		w.N, w.Mix, w.Batch, w.Seed)
@@ -463,76 +409,8 @@ func runCompare(jsonPath, historyPath, sha string,
 			return 1
 		}
 		fmt.Fprintf(out, "appended %d metric(s) to %s @ %s\n", len(rows.HistoryEntries(sha)), historyPath, sha)
-		if samples > 1 {
-			if err := appendNoise(suites, rows, samples, historyPath, sha, out); err != nil {
-				fmt.Fprintln(errw, "fpgad:", err)
-				return 1
-			}
-		}
 	}
 	return 0
-}
-
-// appendNoise estimates run-to-run noise on the nondeterministic suites
-// (S2's concurrent placement, S6's real-throughput capacity drive): it
-// reruns them samples-1 more times, then appends one "min" and one
-// "median" history entry per metric over all the samples. The median is
-// the lower middle of the sorted values, so it is always a measured value,
-// never an interpolation. Deterministic suites reproduce byte-identically
-// and would sample to K copies of one number, so they are skipped.
-func appendNoise(suites []bench.Suite, first []bench.Row, samples int, historyPath, sha string, out io.Writer) error {
-	type key struct{ suite, metric, unit string }
-	vals := make(map[key][]float64)
-	var order []key
-	add := func(rows []bench.Row) {
-		for _, r := range rows {
-			if r.Deterministic() {
-				continue
-			}
-			for _, m := range r.Metrics() {
-				k := key{r.Suite(), r.Label + "/" + m.Name, m.Unit}
-				if _, ok := vals[k]; !ok {
-					order = append(order, k)
-				}
-				vals[k] = append(vals[k], m.Value)
-			}
-		}
-	}
-	add(first)
-	var noisy []string
-	for _, s := range suites {
-		if gate.SuiteDeterministic(s.ID) {
-			continue
-		}
-		noisy = append(noisy, s.ID)
-		for i := 1; i < samples; i++ {
-			runs, err := s.Run()
-			if err != nil {
-				return err
-			}
-			add(s.Rows(runs))
-		}
-	}
-	var entries []gate.Entry
-	for _, k := range order {
-		v := append([]float64(nil), vals[k]...)
-		sort.Float64s(v)
-		for _, st := range []struct {
-			name string
-			val  float64
-		}{{"min", v[0]}, {"median", v[(len(v)-1)/2]}} {
-			entries = append(entries, gate.Entry{
-				SHA: sha, Suite: k.suite, Metric: k.metric,
-				Value: st.val, Unit: k.unit, Stat: st.name,
-			})
-		}
-	}
-	if err := gate.AppendEntries(historyPath, entries); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "noise: %d sample(s) of %s — appended %d min/median entries to %s\n",
-		samples, strings.Join(noisy, "+"), len(entries), historyPath)
-	return nil
 }
 
 // writeTrace renders the tracer's recorded events as Chrome trace-event

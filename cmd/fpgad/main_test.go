@@ -22,8 +22,8 @@ func TestRunSmallWorkload(t *testing.T) {
 
 // TestRunFlagAndMixParsing is the table-driven gate on the front-end's
 // argument surface: every malformed -mix shape, unknown names for the
-// pluggable pieces, and the -compare flag exclusions must be rejected with
-// exit code 2 and a diagnostic naming the problem.
+// pluggable pieces, and the flags -compare and single runs exclude must
+// be rejected with exit code 2 and a diagnostic naming the problem.
 func TestRunFlagAndMixParsing(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -45,6 +45,7 @@ func TestRunFlagAndMixParsing(t *testing.T) {
 		{"compare excludes window", []string{"-compare", "-window", "2"}, "-compare"},
 		{"compare excludes regions", []string{"-compare", "-regions", "2"}, "-compare"},
 		{"compare excludes workload", []string{"-compare", "-sys32", "2", "-n", "60", "-seed", "7", "-mix", "fade"}, "-mix -n -seed -sys32 only apply"},
+		{"single run excludes rows", []string{"-json", "r.json", "-history", "h.jsonl", "-sha", "abc1234"}, "-history -json -sha only apply to -compare"},
 		{"zero regions", []string{"-regions", "0"}, "at least one region"},
 		{"oversplit regions", []string{"-sys32", "1", "-regions", "20", "-n", "2"}, "cannot host"},
 	}

@@ -2,9 +2,37 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/fpgasim.golden from the current tables and figures")
+
+// TestRunGolden pins the full output — paper tables 1–12, the ablation
+// tables and the figures — byte for byte. A change that means to move a
+// number reruns the test with -update.
+func TestRunGolden(t *testing.T) {
+	var out, errw bytes.Buffer
+	if code := run(nil, &out, &errw); code != 0 {
+		t.Fatalf("exit %d: %s", code, errw.String())
+	}
+	path := filepath.Join("testdata", "fpgasim.golden")
+	if *update {
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to capture): %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("fpgasim output differs from %s:\n got:\n%s", path, out.Bytes())
+	}
+}
 
 func TestRunSingleTable(t *testing.T) {
 	var out, errw bytes.Buffer

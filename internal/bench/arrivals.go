@@ -9,56 +9,19 @@ import (
 	"repro/internal/sim"
 )
 
-// ArrivalProcesses lists the open-loop arrival generators.
-func ArrivalProcesses() []string { return []string{"uniform", "poisson", "bursty"} }
-
-// burstLen is the bursty process's on-phase length: arrivals come in
-// back-to-back groups of this size separated by long off gaps, keeping the
-// configured mean rate.
-const burstLen = 8
-
-// GenArrivals draws n absolute arrival times for the named open-loop
-// process with the given mean inter-arrival gap, from a seeded generator —
-// the same (seed, n, process, mean) always yields the same trace.
-//
-//   - "uniform": fixed gaps (the closed-loop-like baseline)
-//   - "poisson": exponential gaps — independent arrivals at rate 1/mean
-//   - "bursty": on/off — bursts of burstLen arrivals with tenth-gap
-//     spacing, then an off gap restoring the mean rate
-func GenArrivals(seed int64, n int, process string, mean sim.Time) ([]sim.Time, error) {
+// GenArrivals draws n absolute Poisson arrival times — exponential gaps,
+// independent arrivals at rate 1/mean — from a seeded generator: the same
+// (seed, n, mean) always yields the same trace.
+func GenArrivals(seed int64, n int, mean sim.Time) ([]sim.Time, error) {
 	if n <= 0 || mean <= 0 {
 		return nil, fmt.Errorf("bench: bad arrival trace (n=%d mean=%v)", n, mean)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]sim.Time, n)
 	var now sim.Time
-	switch process {
-	case "uniform":
-		for i := range out {
-			out[i] = now
-			now += mean
-		}
-	case "poisson":
-		for i := range out {
-			out[i] = now
-			now += sim.Time(float64(mean) * rng.ExpFloat64())
-		}
-	case "bursty":
-		// Each burst of burstLen arrivals spans (burstLen-1)*mean/10; the
-		// off gap brings the average spacing back to mean.
-		inBurst := mean / 10
-		off := sim.Time(burstLen)*mean - sim.Time(burstLen-1)*inBurst
-		for i := range out {
-			out[i] = now
-			if (i+1)%burstLen == 0 {
-				// Jittered off phase so bursts do not phase-lock.
-				now += sim.Time(float64(off) * (0.5 + rng.Float64()))
-			} else {
-				now += inBurst
-			}
-		}
-	default:
-		return nil, fmt.Errorf("bench: unknown arrival process %q (have %v)", process, ArrivalProcesses())
+	for i := range out {
+		out[i] = now
+		now += sim.Time(float64(mean) * rng.ExpFloat64())
 	}
 	return out, nil
 }

@@ -6,38 +6,34 @@ import (
 	"repro/internal/sim"
 )
 
-// TestGenArrivalsDeterministicAndMonotonic: every process yields a seeded,
-// reproducible, non-decreasing trace at roughly the configured mean rate.
+// TestGenArrivalsDeterministicAndMonotonic: the Poisson trace is seeded,
+// reproducible, non-decreasing and roughly at the configured mean rate.
 func TestGenArrivalsDeterministicAndMonotonic(t *testing.T) {
 	const n = 512
 	mean := sim.Time(1_000_000_000) // 1 us
-	for _, proc := range ArrivalProcesses() {
-		a, err := GenArrivals(11, n, proc, mean)
-		if err != nil {
-			t.Fatalf("%s: %v", proc, err)
+	a, err := GenArrivals(11, n, mean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := GenArrivals(11, n, mean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("trace not reproducible at %d (%v vs %v)", i, a[i], b[i])
 		}
-		b, err := GenArrivals(11, n, proc, mean)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: trace not reproducible at %d (%v vs %v)", proc, i, a[i], b[i])
-			}
-			if i > 0 && a[i] < a[i-1] {
-				t.Fatalf("%s: arrivals not monotonic at %d", proc, i)
-			}
-		}
-		// The realized mean gap stays within 2x of the configured mean
-		// (poisson/bursty jitter, exact for uniform).
-		span := float64(a[n-1] - a[0])
-		got := span / float64(n-1)
-		if got < 0.5*float64(mean) || got > 2*float64(mean) {
-			t.Errorf("%s: realized mean gap %.0f fs, configured %d fs", proc, got, mean)
+		if i > 0 && a[i] < a[i-1] {
+			t.Fatalf("arrivals not monotonic at %d", i)
 		}
 	}
-	if _, err := GenArrivals(1, 8, "nope", mean); err == nil {
-		t.Fatal("unknown process accepted")
+	// The realized mean gap stays within 2x of the configured mean.
+	span := float64(a[n-1] - a[0])
+	if got := span / float64(n-1); got < 0.5*float64(mean) || got > 2*float64(mean) {
+		t.Errorf("realized mean gap %.0f fs, configured %d fs", got, mean)
+	}
+	if _, err := GenArrivals(1, 0, mean); err == nil {
+		t.Fatal("empty trace accepted")
 	}
 }
 

@@ -20,7 +20,7 @@
 // type, and a Writer emits rows in two on-disk forms: the committed
 // BENCH_sched.json baseline that cmd/benchdiff gates CI on, and the
 // append-only per-commit history store (artifacts/bench/history.jsonl)
-// that cmd/benchboard plots as the repo's perf trajectory. The tolerance
+// that cmd/benchboard renders as the repo's perf trajectory. The tolerance
 // rules both consumers share live in the nested package
 // internal/bench/gate.
 package bench

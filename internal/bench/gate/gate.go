@@ -1,10 +1,11 @@
 // Package gate holds the bench-regression tolerance rules and the
 // append-only per-commit metric history shared by the bench tooling:
 // cmd/benchdiff (the CI pass/fail gate), internal/bench's Writer (which
-// appends every refreshed metric to the history), and cmd/benchboard
+// appends every S-suite metric to the history), and cmd/benchboard
 // (which renders the history and flags the points this package would
-// fail). Keeping the band math here means a trajectory annotation and a
-// gate verdict can never disagree about what counts as a regression.
+// fail). Both callers judge a metric through Compare, so a trajectory
+// annotation and a gate verdict cannot disagree about what counts as a
+// regression.
 //
 // Two gating regimes coexist, keyed on the baseline value:
 //
@@ -43,6 +44,53 @@ func Allowed(tolerancePct float64) float64 {
 		return tolerancePct
 	}
 	return DefaultTolerancePct
+}
+
+// SLOTolerancePct is the band of the S9 sojourn percentiles. They
+// reproduce byte-identically, so any drift at all is a real latency
+// change.
+const SLOTolerancePct = 1
+
+// band resolves the relative band, in percent, that a suite's metric is
+// held to: SLOTolerancePct for the S9 sojourn percentiles, otherwise the
+// row's own tolerance, or the default when it carries none.
+func band(suite, metric string, tolerancePct float64) float64 {
+	if suite == "S9" {
+		switch metric {
+		case "p50_ms", "p95_ms", "p99_ms":
+			return SLOTolerancePct
+		}
+	}
+	return Allowed(tolerancePct)
+}
+
+// higherBetter reports whether a metric regresses by falling: hidden and
+// overlapped config time, availability and throughput. Everything else
+// (times, bytes) regresses by growing.
+func higherBetter(metric string) bool {
+	switch metric {
+	case "availability", "throughput_rps", "sim_throughput_rps", "hidden_ms", "overlap_ms":
+		return true
+	default:
+		return false
+	}
+}
+
+// Compare judges a fresh value of a suite's metric against its baseline,
+// in the metric's direction and under the band of the suite, metric and
+// row tolerance (0 = the default). Zero baselines of streamed bytes admit
+// no growth at all; every other zero baseline admits ConfigMsZeroEps.
+// cmd/benchdiff and cmd/benchboard both judge through it.
+func Compare(suite, metric string, tolerancePct, base, fresh float64) Verdict {
+	allowed := band(suite, metric, tolerancePct)
+	if higherBetter(metric) {
+		return CheckHigherBetter(base, fresh, allowed)
+	}
+	eps := ConfigMsZeroEps
+	if metric == "bytes_streamed" {
+		eps = BytesZeroEps
+	}
+	return Check(base, fresh, allowed, eps)
 }
 
 // Verdict is one metric comparison's outcome.
@@ -88,8 +136,7 @@ func CheckHigherBetter(base, fresh, allowedPct float64) Verdict {
 // byte-identically run to run on one machine, which decides how their
 // history gates: deterministic rows hold their tolerance band exactly,
 // while host-dependent rows (concurrent SubmitAll placement in S2, real
-// wall-clock dispatch throughput in S6, ad-hoc single runs) are
-// informational — their gated metrics still pin through config_ms /
+// wall-clock dispatch throughput in S6) are informational — their gated metrics still pin through config_ms /
 // bytes_streamed, but their measured fields swing with the host.
 func SuiteDeterministic(suite string) bool {
 	switch suite {

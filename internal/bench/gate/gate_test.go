@@ -77,6 +77,31 @@ func TestAllowed(t *testing.T) {
 	}
 }
 
+// TestCompare: the band follows the suite, metric and row tolerance, and
+// the direction and zero-baseline epsilon follow the metric.
+func TestCompare(t *testing.T) {
+	cases := []struct {
+		suite, metric  string
+		tol, base, now float64
+		wantPass       bool
+	}{
+		{"S2", "bytes_streamed", 40, 100, 130, true}, // the row's own band
+		{"S3", "config_ms", 0, 100, 116, false},      // the 15% default
+		{"S9", "p99_ms", 0, 100, 101.5, false},       // the 1% SLO band
+		{"S9", "config_ms", 0, 100, 101.5, true},     // S9's other metrics
+		{"S6", "p99_ms", 0, 100, 101.5, true},        // percentiles elsewhere
+		{"S7", "availability", 15, 0.9, 0.7, false},  // falls past the band
+		{"S7", "availability", 15, 0.9, 1.0, true},   // rises
+		{"S6", "bytes_streamed", 0, 0, 1, false},     // any byte on zero
+		{"S6", "config_ms", 0, 0, 0.005, true},       // config-time epsilon
+	}
+	for _, c := range cases {
+		if v := Compare(c.suite, c.metric, c.tol, c.base, c.now); v.Pass != c.wantPass {
+			t.Errorf("%s %s tol %g: %g -> %g: %+v, want pass=%v", c.suite, c.metric, c.tol, c.base, c.now, v, c.wantPass)
+		}
+	}
+}
+
 func TestSuiteDeterministic(t *testing.T) {
 	for _, s := range []string{"S3", "S4", "S7", "S8", "S9"} {
 		if !SuiteDeterministic(s) {

@@ -11,8 +11,8 @@ import (
 
 // Entry is one line of the append-only per-commit metric history
 // (artifacts/bench/history.jsonl): a single measured value keyed by commit
-// SHA, suite and metric. The bench Writer appends one entry per (label,
-// metric) each time a snapshot is refreshed; cmd/benchdiff appends its
+// SHA, suite and metric. `fpgad -compare -history` appends one entry per
+// (label, metric) of every S-suite row; cmd/benchdiff appends its
 // comparison verdicts under the same schema so cmd/benchboard's regression
 // annotations and the CI gate share one record of what happened.
 type Entry struct {
@@ -30,11 +30,6 @@ type Entry struct {
 	Deterministic bool `json:"deterministic"`
 	// TolerancePct is the row's gate band (0 = the gate default).
 	TolerancePct float64 `json:"tolerance_pct,omitempty"`
-
-	// Stat marks multi-sample noise-estimation entries (fpgad -samples K):
-	// "min" and "median" summarize a nondeterministic metric across the K
-	// reruns of its suite. Empty on ordinary single-sample entries.
-	Stat string `json:"stat,omitempty"`
 
 	// Verdict ("ok" or "fail") and DeltaPct are set only on entries
 	// appended by cmd/benchdiff -history: the gate's outcome for this

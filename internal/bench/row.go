@@ -1,7 +1,5 @@
 package bench
 
-import "repro/internal/bench/gate"
-
 // Row is one bench table row in the on-disk layout of BENCH_sched.json —
 // the format the CI bench gate (cmd/benchdiff) keys on table+label and
 // diffs config_ms / bytes_streamed against, and the only record type the
@@ -80,19 +78,6 @@ type Metric struct {
 	Value float64
 	Unit  string
 }
-
-// Suite is the row's table ID ("S2" … "S9"); ad-hoc single runs tag
-// themselves "single" (or leave the table empty in pre-gate files).
-func (r Row) Suite() string {
-	if r.Table == "" {
-		return "single"
-	}
-	return r.Table
-}
-
-// Deterministic reports whether the row reproduces byte-identically run
-// to run on one machine (see gate.SuiteDeterministic).
-func (r Row) Deterministic() bool { return gate.SuiteDeterministic(r.Suite()) }
 
 // Metrics lists the quantities the row contributes to the history: the
 // CI-gated pair the whole bench economy is priced in, then its suite's

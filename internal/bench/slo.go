@@ -80,7 +80,7 @@ func replay(s Suite) ([]Run, error) {
 		r := svc
 		r.Case = c
 		r.MeanGap = meanGap(svc.Boards, c.Rho)
-		arr, err := GenArrivals(s.Workload.Seed, len(svc.Lats), arrivalProcess, r.MeanGap)
+		arr, err := GenArrivals(s.Workload.Seed, len(svc.Lats), r.MeanGap)
 		if err != nil {
 			return nil, err
 		}

@@ -194,7 +194,7 @@ func Drive(w Workload, c Case) (Run, error) {
 			break
 		}
 		run.MeanGap = meanGap(p.Size(), c.Rho)
-		arrivals, err := GenArrivals(w.Seed, len(reqs), arrivalProcess, run.MeanGap)
+		arrivals, err := GenArrivals(w.Seed, len(reqs), run.MeanGap)
 		if err != nil {
 			fail(err)
 			break
@@ -363,14 +363,14 @@ func (s Suite) Table(runs []Run) *Table {
 func (s Suite) Rows(runs []Run) []Row {
 	rows := make([]Row, len(runs))
 	for i, r := range runs {
-		rows[i] = s.Row(r)
+		rows[i] = s.row(r)
 	}
 	return rows
 }
 
-// Row lowers one run to its wire row under the suite's table ID and
+// row lowers one run to its wire row under the suite's table ID and
 // tolerance band.
-func (s Suite) Row(r Run) Row {
+func (s Suite) row(r Run) Row {
 	st := r.Stats
 	var busy float64
 	for _, b := range st.BusyTime {

@@ -1,11 +1,15 @@
 package bench
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bench/gate"
 	"repro/internal/pool"
 )
 
@@ -61,10 +65,36 @@ func TestSuiteShape(t *testing.T) {
 			if !strings.HasPrefix(sb.String(), s.ID+" — "+s.Title) {
 				t.Errorf("table does not open with its ID and title:\n%s", sb.String())
 			}
+			if gate.SuiteDeterministic(s.ID) {
+				checkRowsGolden(t, s.ID, rows)
+			}
 		})
 	}
 	if got := strings.Join(ids, " "); got != "S2 S3 S4 S6 S7 S8 S9" {
 		t.Errorf("suites %s, want S2 S3 S4 S6 S7 S8 S9 in table order", got)
+	}
+}
+
+// checkRowsGolden pins a deterministic suite's rows field for field to
+// testdata/rows_<suite>.golden.json; -update rewrites the file.
+func checkRowsGolden(t *testing.T, suite string, rows []Row) {
+	t.Helper()
+	got, err := NewWriter(rows...).MarshalWire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "rows_"+suite+".golden.json")
+	if *updateHistoryGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to capture): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s rows differ from %s:\n got:\n%s\nwant:\n%s", suite, path, got, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 
 	"repro/internal/bench/gate"
@@ -45,11 +44,11 @@ func (w Writer) HistoryEntries(sha string) []gate.Entry {
 		for _, m := range r.Metrics() {
 			out = append(out, gate.Entry{
 				SHA:           sha,
-				Suite:         r.Suite(),
+				Suite:         r.Table,
 				Metric:        r.Label + "/" + m.Name,
 				Value:         m.Value,
 				Unit:          m.Unit,
-				Deterministic: r.Deterministic(),
+				Deterministic: gate.SuiteDeterministic(r.Table),
 				TolerancePct:  r.TolerancePct,
 			})
 		}
@@ -61,15 +60,4 @@ func (w Writer) HistoryEntries(sha string) []gate.Entry {
 // given commit SHA, creating the file as needed.
 func (w Writer) AppendHistory(path, sha string) error {
 	return gate.AppendEntries(path, w.HistoryEntries(sha))
-}
-
-// DecodeRecords parses a BENCH_sched.json-layout document into rows —
-// the inverse of MarshalWire, used by cmd/benchboard to lift archived
-// snapshots into the history store.
-func DecodeRecords(data []byte) ([]Row, error) {
-	var rows []Row
-	if err := json.Unmarshal(data, &rows); err != nil {
-		return nil, fmt.Errorf("bench: decode records: %w", err)
-	}
-	return rows, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -37,7 +38,17 @@ func TestWriterGoldenByteCompat(t *testing.T) {
 	}
 }
 
-var updateHistoryGolden = flag.Bool("update", false, "rewrite testdata/history.golden.jsonl from the committed BENCH_sched.json")
+var updateHistoryGolden = flag.Bool("update", false, "rewrite the testdata goldens: history.golden.jsonl from the committed BENCH_sched.json, and the deterministic suite rows")
+
+// DecodeRecords parses a BENCH_sched.json-layout document into rows, the
+// inverse of MarshalWire.
+func DecodeRecords(data []byte) ([]Row, error) {
+	var rows []Row
+	if err := json.Unmarshal(data, &rows); err != nil {
+		return nil, fmt.Errorf("bench: decode records: %w", err)
+	}
+	return rows, nil
+}
 
 // TestHistoryEntriesGolden pins every history entry the committed
 // baseline lowers to — suite, label/metric key, value, unit,

@@ -264,24 +264,56 @@ func TestContainerRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: the running CRC distinguishes different register targets for the
-// same data, and is order-sensitive.
+// Property: the running CRC folds the register address in, and the order
+// of two data words matters exactly when linear algebra says it does.
+//
+// The register half always holds: c1 ⊕ c2 is the nonzero constant
+// crcReg[FDRI] ⊕ crcReg[FAR]. The order half cannot be "two different
+// words always give different CRCs in either order" — no linear CRC16 of
+// 32-bit words guarantees that. With crc' = A(crc) ⊕ B(reg) ⊕ D(data)
+// (crc.go), folding a then b differs from folding b then a by
+// A(D(d)) ⊕ D(d) for d = a ⊕ b, so the orders collide exactly when
+// A(D(d)) = D(d). The test checks that statement against crcSerial on a
+// fixed-seed sample and on a known colliding pair.
 func TestCRCProperties(t *testing.T) {
-	f := func(a, b uint32) bool {
-		if a == b {
-			return true
-		}
-		c1 := crcUpdate(0, RegFDRI, a)
-		c2 := crcUpdate(0, RegFAR, a)
-		if c1 == c2 {
-			return false // register address must be folded in
-		}
+	register := func(a uint32) bool {
+		return crcUpdate(0, RegFDRI, a) != crcUpdate(0, RegFAR, a)
+	}
+	if err := quick.Check(register, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+
+	A := func(x uint16) uint16 { return crcSerial(x, 0, 0) }
+	D := func(d uint32) uint16 { return crcSerial(0, 0, d) }
+	collides := func(a, b uint32) bool {
 		o1 := crcUpdate(crcUpdate(0, RegFDRI, a), RegFDRI, b)
 		o2 := crcUpdate(crcUpdate(0, RegFDRI, b), RegFDRI, a)
-		return o1 != o2 || a == b
+		predicted := A(D(a^b)) == D(a^b)
+		if (o1 == o2) != predicted {
+			t.Fatalf("(%#08x, %#08x): orders give %#04x and %#04x, but A(D(d)) = D(d) is %v",
+				a, b, o1, o2, predicted)
+		}
+		return o1 == o2
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
+	const a0, b0 = 0xcdf0318d, 0x5a4b5297
+	if !collides(a0, b0) {
+		t.Fatalf("(%#08x, %#08x) must give the same CRC in both orders", a0, b0)
+	}
+	// Random pairs almost always differ; pairs at the known difference
+	// a0 ⊕ b0 always collide.
+	rng := rand.New(rand.NewSource(1))
+	differ := 0
+	for i := 0; i < 4096; i++ {
+		a, b := rng.Uint32(), rng.Uint32()
+		if a != b && !collides(a, b) {
+			differ++
+		}
+		if !collides(a, a^a0^b0) {
+			t.Fatalf("(%#08x, %#08x) differs by a0 ⊕ b0 but its orders differ", a, a^a0^b0)
+		}
+	}
+	if differ == 0 {
+		t.Fatal("no sampled pair distinguishes the two orders")
 	}
 }
 
