@@ -72,11 +72,14 @@ tracedemo:
 # Fuzz smoke: the loader must reject damaged differential streams without
 # wedging (CRC or state-machine error, never silent misconfiguration),
 # multi-region differentials must stay inside their region's frame spans,
-# and damaged compressed containers must never decode to divergent frames.
+# damaged compressed containers must never decode to divergent frames, and
+# arbitrary words pushed through the bus, bridge, HWICAP and loader by
+# cpu.StoreStream must leave exactly the state one SW per word leaves.
 fuzz:
 	go test -run '^$$' -fuzz FuzzLoaderDifferentialStream -fuzztime 10s ./internal/bitstream
 	go test -run '^$$' -fuzz FuzzCompressedStream -fuzztime 10s ./internal/bitstream
 	go test -run '^$$' -fuzz FuzzRegionPlanner -fuzztime 10s ./internal/plan
+	go test -run '^$$' -fuzz FuzzStoreStream -fuzztime 10s ./internal/cpu
 
 # Profile the sharded dispatcher under a saturating open-loop drive: CPU
 # and mutex-contention profiles land in artifacts/profile for

@@ -37,19 +37,20 @@ func NewBridge(plb, opb *Bus, base uint32, requestCycles, postDepth int) *Bridge
 // Name implements Slave.
 func (br *Bridge) Name() string { return "plb2opb-bridge" }
 
-// Stats reports forwarded transaction counts.
+// Stats reports forwarded transaction counts. A 64-bit access counts as
+// the two 32-bit OPB transfers it is narrowed into, as on the OPB itself.
 func (br *Bridge) Stats() (reads, writes uint64) { return br.reads, br.writes }
 
 // Read implements Slave: the PLB-side wait states cover the complete OPB
 // transaction plus bridge overhead.
 func (br *Bridge) Read(addr uint32, size int) (uint64, int) {
-	br.reads++
 	if size > 4 {
 		// The bridge narrows 64-bit requests into two OPB transfers.
 		lo, w1 := br.Read(addr, 4)
 		hi, w2 := br.Read(addr+4, 4)
 		return lo<<32 | hi, w1 + w2 // big-endian: low address is high half
 	}
+	br.reads++
 	// A read must first drain posted writes (ordering).
 	drain := br.drainTime()
 	v, d, err := br.opb.readTransact(br.base+addr, size)
@@ -65,17 +66,37 @@ func (br *Bridge) Read(addr uint32, size int) (uint64, int) {
 
 // Write implements Slave with posted-write semantics.
 func (br *Bridge) Write(addr uint32, val uint64, size int) int {
-	br.writes++
 	if size > 4 {
 		w1 := br.Write(addr, val>>32, 4)
 		w2 := br.Write(addr+4, val&0xFFFFFFFF, 4)
 		return w1 + w2
 	}
+	br.writes++
 	d, err := br.opb.writeTransact(br.base+addr, val, size)
 	if err != nil {
 		return br.RequestCycles
 	}
 	_, done := br.opb.res.Acquire(d)
+	return br.post(done)
+}
+
+// WriteStream implements StreamSlave: the OPB target is resolved once, and
+// each word is then forwarded and posted exactly as Write does.
+func (br *Bridge) WriteStream(addr uint32, size int) func(val uint64) int {
+	st, err := br.opb.OpenStream(br.base+addr, size)
+	if size > 4 || err != nil {
+		return func(val uint64) int { return br.Write(addr, val, size) }
+	}
+	return func(val uint64) int {
+		br.writes++
+		return br.post(st.Post(val))
+	}
+}
+
+// post queues one forwarded write that retires on the OPB at done and
+// returns the PLB-side wait cycles: the handshake, plus a stall until the
+// oldest write retires when the queue is full.
+func (br *Bridge) post(done sim.Time) int {
 	br.reapPosted()
 	stall := 0
 	if len(br.posted) >= br.PostDepth {

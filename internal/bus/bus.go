@@ -24,6 +24,16 @@ type Slave interface {
 	Write(addr uint32, val uint64, size int) int
 }
 
+// StreamSlave is implemented by slaves that can resolve the target of a run
+// of writes to one address once. WriteStream returns a function with the
+// effect of Write(addr, val, size) for each val; a slave that forwards the
+// run (the bridge) or feeds it to an engine (the HWICAP write FIFO) skips
+// its per-word dispatch.
+type StreamSlave interface {
+	Slave
+	WriteStream(addr uint32, size int) func(val uint64) int
+}
+
 // BurstSlave is implemented by slaves that support multi-beat bursts (memory
 // controllers, the PLB Dock). BurstWaits returns the wait cycles for an
 // n-beat burst in addition to the per-beat cycles.
@@ -195,10 +205,56 @@ func (b *Bus) writeTransact(addr uint32, val uint64, size int) (sim.Time, error)
 	if err != nil {
 		return 0, err
 	}
-	waits := s.Write(off, val, size)
-	cycles := b.p.ArbCycles + waits + b.p.WriteExtra + b.beats(size)*b.p.BeatCycles
+	return b.wrote(b.writeCycles(size), s.Write(off, val, size)), nil
+}
+
+// writeCycles is the protocol cost of one single write of size bytes,
+// before the slave's wait states.
+func (b *Bus) writeCycles(size int) int {
+	return b.p.ArbCycles + b.p.WriteExtra + b.beats(size)*b.p.BeatCycles
+}
+
+// wrote counts one single write that cost cycles plus the slave waits and
+// returns its duration on the bus.
+func (b *Bus) wrote(cycles, waits int) sim.Time {
 	b.writes++
-	return b.clk.Cycles(uint64(cycles)), nil
+	return b.clk.Cycles(uint64(cycles + waits))
+}
+
+// Stream is a run of single writes of one size to one address, with the
+// size check and address decode done once. Each Post has exactly the
+// effect and timing of the matching WritePosted call.
+type Stream struct {
+	b      *Bus
+	cycles int // writeCycles of the access size
+	write  func(val uint64) int
+}
+
+// OpenStream resolves addr for a run of size-byte writes. A StreamSlave
+// resolves its own target once too; any other slave is written per word.
+func (b *Bus) OpenStream(addr uint32, size int) (Stream, error) {
+	if err := b.checkSize(size); err != nil {
+		return Stream{}, err
+	}
+	s, off, err := b.decode(addr)
+	if err != nil {
+		return Stream{}, err
+	}
+	st := Stream{b: b, cycles: b.writeCycles(size)}
+	if ss, ok := s.(StreamSlave); ok {
+		st.write = ss.WriteStream(off, size)
+	} else {
+		st.write = func(val uint64) int { return s.Write(off, val, size) }
+	}
+	return st, nil
+}
+
+// Post is WritePosted for one word of the stream: it performs the write
+// and occupies the bus, and returns the completion time without advancing
+// the kernel.
+func (st Stream) Post(val uint64) sim.Time {
+	_, done := st.b.res.Acquire(st.b.wrote(st.cycles, st.write(val)))
+	return done
 }
 
 // BurstRead performs a functional+timed burst read of beats bus-width beats

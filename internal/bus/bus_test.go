@@ -289,6 +289,14 @@ func TestBridge64BitSplit(t *testing.T) {
 	if v != 0x1122334455667788 {
 		t.Fatalf("64-bit bridged roundtrip = %#x", v)
 	}
+	// Each access is narrowed into two OPB transfers, and the bridge counts
+	// exactly those.
+	if rd, wr := br.Stats(); rd != 2 || wr != 2 {
+		t.Errorf("bridge counts %d reads, %d writes, want 2 and 2", rd, wr)
+	}
+	if rd, wr, _ := opb.Stats(); rd != 2 || wr != 2 {
+		t.Errorf("OPB counts %d reads, %d writes, want 2 and 2", rd, wr)
+	}
 }
 
 // Steady-state posted writes reuse the queue's backing array. Re-slicing

@@ -88,6 +88,11 @@ type Manager struct {
 	// is authoritative it is also the verified content a scrub compares
 	// against.
 	lastHash uint64
+	// hashedAt is the configuration memory's epoch when rebind last hashed
+	// the region (0 until the first hash): lastHash is the region's content
+	// hash as of then, so while no span frame has changed since, a rebind
+	// knows the hash without computing it.
+	hashedAt uint64
 
 	// diffs caches assembled differential configurations per transition,
 	// so planning and repeated loads never re-run AssembleDifferential.
@@ -187,7 +192,9 @@ func (m *Manager) demote(reason string) {
 
 // Register adds a module: its relocatable component and behavioural factory.
 // The complete partial configuration is assembled once and cached; its
-// region hash is indexed for post-configuration binding.
+// region hash is indexed for post-configuration binding. A module whose
+// region hash equals another module's or the blank baseline's is refused:
+// rebind could not tell the two configurations apart.
 func (m *Manager) Register(comp *bitlinker.Component, factory func() hw.Core) error {
 	if _, dup := m.modules[comp.Name]; dup {
 		return fmt.Errorf("core: module %s already registered", comp.Name)
@@ -196,6 +203,12 @@ func (m *Manager) Register(comp *bitlinker.Component, factory func() hw.Core) er
 	res, err := m.cfg.Assembler.Assemble(placed)
 	if err != nil {
 		return fmt.Errorf("core: assembling %s: %w", comp.Name, err)
+	}
+	if other, dup := m.byHash[res.RegionHash]; dup {
+		return fmt.Errorf("core: module %s has the region hash of module %s", comp.Name, other.comp.Name)
+	}
+	if res.RegionHash == m.baselineHash {
+		return fmt.Errorf("core: module %s has the region hash of the blank region", comp.Name)
 	}
 	target := m.cfg.Assembler.Target(placed)
 	e := &entry{comp: comp, factory: factory, assembled: res, target: target}
@@ -602,11 +615,12 @@ func (m *Manager) LoadNaive(name string) (sim.Time, error) {
 // request preempts a speculative stream within microseconds of real time.
 const abortCheckWords = 256
 
-// stream drives the words through the HWICAP with CPU stores, checks the
-// completion status and books the load under kind. A compressed container
-// is pushed with the decoder front-end armed: wire bytes are what software
-// streamed and what the byte counters book, while the port time is bound
-// by the decoded words, which the armed HWICAP charges per expansion.
+// stream drives the words through the HWICAP with CPU stores (see push),
+// checks the completion status and books the load under kind. A
+// compressed container is pushed with the decoder front-end armed: wire
+// bytes are what software streamed and what the byte counters book, while
+// the port time is bound by the decoded words, which the armed HWICAP
+// charges per expansion.
 //
 // A non-nil stop is polled at chunk boundaries. An aborted stream resets
 // the configuration logic (so the next load finds the packet state machine
@@ -626,17 +640,14 @@ func (m *Manager) stream(words []uint32, kind plan.StreamKind, stop func() bool)
 	if compressed {
 		m.cfg.ICAP.ArmDecoder()
 	}
-	for i, w := range words {
-		if stop != nil && i > 0 && i%abortCheckWords == 0 && stop() {
-			c.SW(m.cfg.ICAPBase+icap.RegControl, icap.CtrlReset)
-			c.Sync()
-			elapsed := m.cfg.Kernel.Now() - start
-			m.book(plan.StreamNone, 4*i, elapsed)
-			m.abortedLoads++
-			m.demote("abort")
-			return elapsed, 4 * i, ErrAborted
-		}
-		c.SW(m.cfg.ICAPBase+icap.RegWriteFIFO, w)
+	if n := m.push(words, stop); n < len(words) {
+		c.SW(m.cfg.ICAPBase+icap.RegControl, icap.CtrlReset)
+		c.Sync()
+		elapsed := m.cfg.Kernel.Now() - start
+		m.book(plan.StreamNone, 4*n, elapsed)
+		m.abortedLoads++
+		m.demote("abort")
+		return elapsed, 4 * n, ErrAborted
 	}
 	c.Sync()
 	// Poll the status register until the engine reports done or error.
@@ -666,6 +677,20 @@ func (m *Manager) stream(words []uint32, kind plan.StreamKind, stop func() bool)
 	return elapsed, bytes, nil
 }
 
+// push stores the words into the HWICAP write FIFO, one cpu.StoreStream per
+// abortCheckWords chunk, polling a non-nil stop before every chunk but the
+// first. It returns how many words it pushed: fewer than len(words) when
+// stop tripped.
+func (m *Manager) push(words []uint32, stop func() bool) int {
+	for i := 0; i < len(words); i += abortCheckWords {
+		if stop != nil && i > 0 && stop() {
+			return i
+		}
+		m.cfg.CPU.StoreStream(m.cfg.ICAPBase+icap.RegWriteFIFO, words[i:min(i+abortCheckWords, len(words))])
+	}
+	return len(words)
+}
+
 // book counts one load that occupied a configuration port for elapsed and
 // moved bytes, under its stream kind (StreamNone, for an aborted stream,
 // counts under no kind).
@@ -689,9 +714,15 @@ func (m *Manager) book(kind plan.StreamKind, bytes int, elapsed sim.Time) {
 // fires every region's rebind; a sibling's stream leaves this region's
 // hash unchanged and is skipped, so only the affected region re-binds —
 // and an aborted stream (which never fires rebind) demotes only its own
-// region's resident state.
+// region's resident state. A sibling's stream writes none of this region's
+// span frames, so over an authoritative state the hash is not even
+// computed: it is still lastHash.
 func (m *Manager) rebind() {
-	h := m.cfg.ConfigMem.RegionHash(m.cfg.Region)
+	h := m.lastHash
+	if m.hashedAt == 0 || !m.residentOK || m.corrupted || m.spanChanged() {
+		h = m.cfg.ConfigMem.RegionHash(m.cfg.Region)
+		m.hashedAt = m.cfg.ConfigMem.Epoch()
+	}
 	if h == m.lastHash && m.residentOK && !m.corrupted {
 		// Sibling-region stream (or a band-identical overwrite): keep this
 		// region's binding, but never skip the static-design check — a
@@ -727,11 +758,23 @@ func (m *Manager) rebind() {
 	}
 }
 
+// spanChanged reports whether a frame write or bit flip has touched any of
+// the region's span frames since rebind last hashed them.
+func (m *Manager) spanChanged() bool {
+	for _, sp := range m.spans {
+		if m.cfg.ConfigMem.ChangedSince(sp.Lo, sp.Hi, m.hashedAt) {
+			return true
+		}
+	}
+	return false
+}
+
 // Scrub runs one readback pass over the region: it hashes the region's
-// content and compares it with lastHash, the hash the last rebind
-// verified. Each FNV-1a step is a bijection, so every single-bit upset
-// changes the hash, and unlike a linear CRC it has no structured blind
-// pairs of flips. A mismatch means the resident configuration took a soft
+// content on every pass, whatever the frame epochs say, and compares it
+// with lastHash, the hash the last rebind verified. Each FNV-1a step
+// folds one whole word and is a bijection of the hash state, so every
+// single-word change, and so every single-bit upset, changes the hash,
+// and unlike a linear CRC it has no structured blind pairs of flips. A mismatch means the resident configuration took a soft
 // error: the tracked resident state is demoted to non-authoritative
 // (detected=true, module names what was lost — "" for a blank region),
 // and the §2.2 hazard gate forces the region's next load onto a complete

@@ -197,7 +197,7 @@ func TestNaiveLoadCorrupts(t *testing.T) {
 func rigWithState(t *testing.T, cm *fabric.ConfigMemory) (*Manager, *fabric.ConfigMemory, fabric.Region, func() hw.Core) {
 	t.Helper()
 	cm.Guard(fabric.DynamicRegion32())
-	cfg, bound := rigConfig(t, cm)
+	cfg, bound, _ := rigConfig(t, cm)
 	mgr, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -206,9 +206,10 @@ func rigWithState(t *testing.T, cm *fabric.ConfigMemory) (*Manager, *fabric.Conf
 }
 
 // rigConfig wires a minimal platform around the configuration memory: CPU,
-// one bus, HWICAP, the paper's 32-bit region. The returned function
-// reports the core last bound to the dock.
-func rigConfig(t *testing.T, cm *fabric.ConfigMemory) (Config, func() hw.Core) {
+// one bus, HWICAP, the paper's 32-bit region. The CPU's stores to the
+// HWICAP are posted. The returned function reports the core last bound to
+// the dock; the bus is returned for its counters.
+func rigConfig(t *testing.T, cm *fabric.ConfigMemory) (Config, func() hw.Core, *bus.Bus) {
 	t.Helper()
 	dev := cm.Device()
 	region := fabric.DynamicRegion32()
@@ -232,10 +233,10 @@ func rigConfig(t *testing.T, cm *fabric.ConfigMemory) (Config, func() hw.Core) {
 	var bound hw.Core
 	return Config{
 		Device: dev, Region: region, ConfigMem: cm, Baseline: baseline,
-		Assembler: asm, Loader: loader, CPU: c, ICAPBase: 0x4100_0000,
+		Assembler: asm, Loader: loader, CPU: c, ICAPBase: 0x4100_0000, ICAP: hi,
 		Bind:   func(core hw.Core) { bound = core },
 		Kernel: k,
-	}, func() hw.Core { return bound }
+	}, func() hw.Core { return bound }, b
 }
 
 func TestIncompleteConfigRejected(t *testing.T) {
@@ -248,7 +249,7 @@ func TestIncompleteConfigRejected(t *testing.T) {
 // no static-design guard could never see a disturbed static design, so it
 // is refused rather than built blind.
 func TestUnguardedMemoryRejected(t *testing.T) {
-	cfg, _ := rigConfig(t, fabric.NewConfigMemory(fabric.XC2VP7()))
+	cfg, _, _ := rigConfig(t, fabric.NewConfigMemory(fabric.XC2VP7()))
 	if _, err := NewManager(cfg); err == nil {
 		t.Fatal("manager built over an unguarded configuration memory")
 	}

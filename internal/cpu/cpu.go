@@ -224,8 +224,12 @@ func (c *CPU) store(addr uint32, val uint32, size int) {
 		}
 		return
 	}
-	if c.p.WBufDepth > 0 && !c.guarded(addr) {
-		c.postedWrite(addr, val, size)
+	if c.posts(addr) {
+		done, err := c.bus.WritePosted(addr, uint64(val), size)
+		if err != nil {
+			panic(fmt.Sprintf("cpu: store %#x: %v", addr, err))
+		}
+		c.retire(done)
 		return
 	}
 	if err := c.bus.Write(addr, uint64(val), size); err != nil {
@@ -233,25 +237,51 @@ func (c *CPU) store(addr uint32, val uint32, size int) {
 	}
 }
 
-// postedWrite sends an uncached store through the write buffer: the
-// functional write and bus occupancy happen immediately, the CPU only stalls
-// when the buffer is full.
-func (c *CPU) postedWrite(addr uint32, val uint32, size int) {
-	done, err := c.bus.WritePosted(addr, uint64(val), size)
-	if err != nil {
-		panic(fmt.Sprintf("cpu: store %#x: %v", addr, err))
+// StoreStream stores every word to the one address addr, with the effect
+// and timing of one SW per word: the tick, the bus transaction and, for a
+// posted store, the write-buffer stall. The bus resolves addr once for the
+// whole run — the loop software runs to push a configuration stream into
+// the HWICAP write FIFO.
+func (c *CPU) StoreStream(addr uint32, words []uint32) {
+	st, err := c.bus.OpenStream(addr, 4)
+	if err != nil || c.cacheable(addr) {
+		for _, w := range words {
+			c.SW(addr, w)
+		}
+		return
 	}
-	// Reap retired entries.
+	posted := c.posts(addr)
+	for _, w := range words {
+		c.stats.Stores++
+		c.tick(c.p.StoreCycles)
+		if done := st.Post(uint64(w)); posted {
+			c.retire(done)
+		} else {
+			c.k.AdvanceTo(done)
+		}
+	}
+}
+
+// posts reports whether an uncached store to addr goes through the write
+// buffer: the functional write and bus occupancy happen immediately, and
+// the CPU only stalls when the buffer is full.
+func (c *CPU) posts(addr uint32) bool { return c.p.WBufDepth > 0 && !c.guarded(addr) }
+
+// retire enters a posted store completing at done into the write buffer.
+// Retired entries are reaped first, compacting the buffer in place so its
+// backing array is reused; a full buffer stalls until its oldest entry
+// retires.
+func (c *CPU) retire(done sim.Time) {
 	now := c.k.Now()
 	i := 0
 	for i < len(c.wbuf) && c.wbuf[i] <= now {
 		i++
 	}
-	c.wbuf = c.wbuf[i:]
+	c.wbuf = append(c.wbuf[:0], c.wbuf[i:]...)
 	if len(c.wbuf) >= c.p.WBufDepth {
 		c.stats.PostedStalls++
 		c.k.AdvanceTo(c.wbuf[0])
-		c.wbuf = c.wbuf[1:]
+		c.wbuf = append(c.wbuf[:0], c.wbuf[1:]...)
 	}
 	c.wbuf = append(c.wbuf, done)
 }

@@ -9,6 +9,11 @@ type ConfigMemory struct {
 	dev    *Device
 	frames [][]uint32
 	writes uint64
+	// epoch counts frame writes and bit flips; stamp[i] is its value at
+	// frame i's latest one, so a reader that noted the epoch can tell
+	// whether any frame it covers has changed since.
+	epoch uint64
+	stamp []uint64
 	// owned marks, per frame, the words some guarded region owns; every
 	// other word is static design. nil until Guard. disturbed records that
 	// a frame write or bit flip has changed a static word since.
@@ -25,7 +30,7 @@ func NewConfigMemory(d *Device) *ConfigMemory {
 	for i := range frames {
 		frames[i], backing = backing[:flen:flen], backing[flen:]
 	}
-	return &ConfigMemory{dev: d, frames: frames}
+	return &ConfigMemory{dev: d, frames: frames, stamp: make([]uint64, len(frames))}
 }
 
 // Device returns the device this memory belongs to.
@@ -57,7 +62,30 @@ func (cm *ConfigMemory) WriteFrame(far FAR, data []uint32) error {
 	}
 	copy(cm.frames[i], data)
 	cm.writes++
+	cm.touch(i)
 	return nil
+}
+
+// touch stamps frame i with a new epoch.
+func (cm *ConfigMemory) touch(i int) {
+	cm.epoch++
+	cm.stamp[i] = cm.epoch
+}
+
+// Epoch returns the current modification epoch: the count of frame writes
+// and bit flips so far.
+func (cm *ConfigMemory) Epoch() uint64 { return cm.epoch }
+
+// ChangedSince reports whether a frame write or bit flip has touched any
+// frame with index in [lo, hi) after epoch. A write counts even when it
+// stores the frame's old content.
+func (cm *ConfigMemory) ChangedSince(lo, hi int, epoch uint64) bool {
+	for _, st := range cm.stamp[lo:hi] {
+		if st > epoch {
+			return true
+		}
+	}
+	return false
 }
 
 // ReadFrame returns a copy of the frame at far (configuration readback).
@@ -88,6 +116,7 @@ func (cm *ConfigMemory) FlipBit(far FAR, word int, bit uint) error {
 		cm.disturbed = true
 	}
 	cm.frames[i][word] ^= 1 << bit
+	cm.touch(i)
 	return nil
 }
 
@@ -112,20 +141,18 @@ func (cm *ConfigMemory) Clone() *ConfigMemory {
 	return out
 }
 
-// fnv1a64 is the 64-bit FNV-1a hash, used for content binding. It is not a
-// cryptographic hash; it binds configuration contents to behavioural models.
+// The content binding hash is 64-bit FNV-1a taken over whole 32-bit words
+// instead of bytes. It is not a cryptographic hash; it binds configuration
+// contents to behavioural models.
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 )
 
-func fnvWord(h uint64, w uint32) uint64 {
-	for shift := 0; shift < 32; shift += 8 {
-		h ^= uint64(w >> shift & 0xFF)
-		h *= fnvPrime
-	}
-	return h
-}
+// fnvWord folds one whole 32-bit word into the hash. Each step is a
+// bijection of the state for a fixed word and injective in the word for a
+// fixed state, so changing any single word of a sequence changes its hash.
+func fnvWord(h uint64, w uint32) uint64 { return (h ^ uint64(w)) * fnvPrime }
 
 // RegionHash hashes the configuration bits owned by the region: for every
 // enclosed CLB column, the frame words of the row band across all frames of

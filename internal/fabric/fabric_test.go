@@ -351,6 +351,90 @@ func TestRegionHashProperty(t *testing.T) {
 	}
 }
 
+// TestRegionHashSeesEverySingleWordChange: each FNV-1a step folds one
+// whole word and is a bijection of the state, so changing any single word
+// of a region's band — in a CLB or a BRAM frame, by one bit or by many —
+// changes RegionHash. The first and last band word of every region frame
+// are checked, and a fixed-seed sample of the words between.
+func TestRegionHashSeesEverySingleWordChange(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, c := range []struct {
+		d *Device
+		r Region
+	}{{XC2VP7(), DynamicRegion32()}, {XC2VP30(), DynamicRegion64B()}} {
+		cm := NewConfigMemory(c.d)
+		for _, f := range cm.frames {
+			for i := range f {
+				f[i] = rng.Uint32()
+			}
+		}
+		var frames []int
+		for col := c.r.Col0; col < c.r.Col0+c.r.W; col++ {
+			for minor := range FramesPerCLBColumn {
+				i, _ := c.d.FrameIndex(FAR{Block: BlockCLB, Major: col, Minor: minor})
+				frames = append(frames, i)
+			}
+		}
+		for _, bcol := range c.d.BRAMColumns(c.r) {
+			for minor := range FramesPerBRAMColumn {
+				i, _ := c.d.FrameIndex(FAR{Block: BlockBRAM, Major: bcol, Minor: minor})
+				frames = append(frames, i)
+			}
+		}
+		lo, hi := c.d.RowWordRange(c.r.Row0, c.r.H)
+		h0 := cm.RegionHash(c.r)
+		change := func(fi, wi int, delta uint32) {
+			cm.frames[fi][wi] ^= delta
+			if cm.RegionHash(c.r) == h0 {
+				t.Fatalf("%s: word %d of frame %d ^= %#08x left the region hash unchanged", c.r.Name, wi, fi, delta)
+			}
+			cm.frames[fi][wi] ^= delta
+		}
+		for _, fi := range frames {
+			change(fi, lo, 1<<uint(rng.Intn(32)))
+			change(fi, hi-1, rng.Uint32()|1)
+		}
+		for range 200 {
+			change(frames[rng.Intn(len(frames))], lo+rng.Intn(hi-lo), rng.Uint32()|1<<uint(rng.Intn(32)))
+		}
+		if cm.RegionHash(c.r) != h0 {
+			t.Fatalf("%s: restoring every changed word did not restore the hash", c.r.Name)
+		}
+	}
+}
+
+// TestChangedSinceTracksWritesAndFlips: a frame write or a bit flip stamps
+// exactly the frame it touches, and a write counts even when it stores the
+// frame's old content.
+func TestChangedSinceTracksWritesAndFlips(t *testing.T) {
+	d := XC2VP7()
+	cm := NewConfigMemory(d)
+	far := FAR{Block: BlockCLB, Major: 9, Minor: 4}
+	fi, _ := d.FrameIndex(far)
+	e := cm.Epoch()
+	if cm.ChangedSince(0, d.NumFrames(), e) {
+		t.Fatal("a fresh memory reports a change")
+	}
+	check := func(what string) {
+		t.Helper()
+		if !cm.ChangedSince(fi, fi+1, e) {
+			t.Fatalf("%s: frame %d not stamped", what, fi)
+		}
+		if cm.ChangedSince(0, fi, e) || cm.ChangedSince(fi+1, d.NumFrames(), e) {
+			t.Fatalf("%s stamped a frame it did not touch", what)
+		}
+		e = cm.Epoch()
+	}
+	if err := cm.WriteFrame(far, make([]uint32, d.FrameLen())); err != nil {
+		t.Fatal(err)
+	}
+	check("an unchanged frame write")
+	if err := cm.FlipBit(far, 5, 3); err != nil {
+		t.Fatal(err)
+	}
+	check("a bit flip")
+}
+
 func TestResources(t *testing.T) {
 	a := Resources{Slices: 100, LUTs: 150, FFs: 120, BRAMs: 2}
 	b := Resources{Slices: 50, LUTs: 60, FFs: 70, BRAMs: 1}

@@ -123,36 +123,7 @@ func (h *HWICAP) Read(addr uint32, size int) (uint64, int) {
 func (h *HWICAP) Write(addr uint32, val uint64, size int) int {
 	switch addr {
 	case RegWriteFIFO:
-		h.words++
-		// The engine needs 4 ICAP cycles per word (byte-wide port). If the
-		// write FIFO backlog exceeds the buffer, the OPB side stalls.
-		drain := h.clk.Cycles(4)
-		now := h.k.Now()
-		if h.busyUntil < now {
-			h.busyUntil = now
-		}
-		// The configuration logic consumes the word; errors are reported
-		// via the status register, as on hardware. With the decoder armed
-		// the port drains one slot per DECODED word the container word
-		// expanded into.
-		consumed := 1
-		if h.dec != nil {
-			n, err := h.dec.WriteWord(uint32(val))
-			if err != nil && h.decErr == nil {
-				h.decErr = err
-			}
-			consumed = n
-		} else {
-			_ = h.loader.WriteWord(uint32(val))
-		}
-		h.busyUntil += sim.Time(consumed) * drain
-		waits := 1
-		if backlog := h.busyUntil - now; backlog > sim.Time(h.bufWords)*drain {
-			extra := int(h.clk.CyclesIn(backlog - sim.Time(h.bufWords)*drain))
-			waits += extra
-			h.stalls++
-		}
-		return waits
+		return h.push(val)
 	case RegControl:
 		if val&CtrlReset != 0 {
 			h.loader.Reset()
@@ -163,4 +134,47 @@ func (h *HWICAP) Write(addr uint32, val uint64, size int) int {
 	default:
 		return 1
 	}
+}
+
+// WriteStream implements bus.StreamSlave: a run of writes to the write
+// FIFO pushes each word straight to the engine, as Write does.
+func (h *HWICAP) WriteStream(addr uint32, size int) func(val uint64) int {
+	if addr == RegWriteFIFO {
+		return h.push
+	}
+	return func(val uint64) int { return h.Write(addr, val, size) }
+}
+
+// push accepts one stream word into the write FIFO and returns the OPB
+// wait cycles.
+func (h *HWICAP) push(val uint64) int {
+	h.words++
+	// The engine needs 4 ICAP cycles per word (byte-wide port). If the
+	// write FIFO backlog exceeds the buffer, the OPB side stalls.
+	drain := h.clk.Cycles(4)
+	now := h.k.Now()
+	if h.busyUntil < now {
+		h.busyUntil = now
+	}
+	// The configuration logic consumes the word; errors are reported via
+	// the status register, as on hardware. With the decoder armed the port
+	// drains one slot per DECODED word the container word expanded into.
+	consumed := 1
+	if h.dec != nil {
+		n, err := h.dec.WriteWord(uint32(val))
+		if err != nil && h.decErr == nil {
+			h.decErr = err
+		}
+		consumed = n
+	} else {
+		_ = h.loader.WriteWord(uint32(val))
+	}
+	h.busyUntil += sim.Time(consumed) * drain
+	waits := 1
+	if backlog := h.busyUntil - now; backlog > sim.Time(h.bufWords)*drain {
+		extra := int(h.clk.CyclesIn(backlog - sim.Time(h.bufWords)*drain))
+		waits += extra
+		h.stalls++
+	}
+	return waits
 }

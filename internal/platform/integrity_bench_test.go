@@ -25,19 +25,35 @@ func BenchmarkScrub(b *testing.B) {
 }
 
 // BenchmarkLoadSwap times one load of region 0, alternating brightness
-// and blend: the planner's stream through the loader, then every
-// manager's rebind with its static-design check.
+// and blend: the planner's stream pushed by CPU stores through the bus,
+// bridge and HWICAP into the loader, then every manager's rebind with its
+// static-design check. It runs on both boards and reports the host cost
+// per streamed word (ns/word) beside ns/op.
 func BenchmarkLoadSwap(b *testing.B) {
-	s, err := NewSys64N(2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mods := [2]string{"brightness", "blend"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.LoadModuleOn(0, mods[i%2]); err != nil {
-			b.Fatal(err)
-		}
+	for _, board := range []struct {
+		name string
+		new  func() (*System, error)
+	}{
+		{"sys32", NewSys32},
+		{"sys64x2", func() (*System, error) { return NewSys64N(2) }},
+	} {
+		b.Run(board.name, func(b *testing.B) {
+			s, err := board.new()
+			if err != nil {
+				b.Fatal(err)
+			}
+			mods := [2]string{"brightness", "blend"}
+			words := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, err := s.LoadModuleOn(0, mods[i%2])
+				if err != nil {
+					b.Fatal(err)
+				}
+				words += rep.Bytes / 4
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(words), "ns/word")
+		})
 	}
 }
