@@ -1,4 +1,4 @@
-.PHONY: build test race vet fmt fmtcheck bench benchgate benchboard-md tracedemo fuzz profile replay gobench sim sched
+.PHONY: build test race vet fmt loc bench benchgate benchboard-md tracedemo fuzz profile replay gobench sim sched
 
 build:
 	go build ./...
@@ -16,7 +16,11 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-fmtcheck: fmt
+# Count the non-test Go lines of the tracked files, outside the benchmark/
+# module and inside it: the line count a simplification is judged by.
+loc:
+	@echo "non-test Go lines outside benchmark/: $$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs cat | wc -l)"
+	@echo "non-test Go lines in benchmark/:      $$(git ls-files 'benchmark/*.go' | grep -v '_test\.go$$' | xargs cat | wc -l)"
 
 # Write the scheduler perf trajectory: the S2 placement comparison
 # (complete-only vs planner-backed, lru vs mincost), the S3 prefetch

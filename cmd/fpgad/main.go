@@ -25,7 +25,9 @@
 //
 // -json, -history and -sha apply to -compare only: its rows are the
 // gate baseline (BENCH_sched.json) and the only entries of the
-// per-commit history store that cmd/benchboard renders.
+// per-commit history store that cmd/benchboard renders. -predictor
+// applies with -prefetch only, and -compare rejects every single-run
+// flag, -v included. A flag that would be ignored exits 2.
 package main
 
 import (
@@ -115,14 +117,21 @@ func run(args []string, out, errw io.Writer) int {
 	}
 	if !*compare {
 		var rowFlags []string
+		predictor := false
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "json", "history", "sha":
 				rowFlags = append(rowFlags, "-"+f.Name)
+			case "predictor":
+				predictor = true
 			}
 		})
 		if len(rowFlags) > 0 {
 			fmt.Fprintf(errw, "fpgad: %s only apply to -compare: a single run writes no rows\n", strings.Join(rowFlags, " "))
+			return 2
+		}
+		if predictor && !*prefetchOn {
+			fmt.Fprintln(errw, "fpgad: -predictor only applies with -prefetch: without it nothing is predicted")
 			return 2
 		}
 	}
@@ -201,8 +210,8 @@ func run(args []string, out, errw io.Writer) int {
 		var single []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "sys32", "sys64", "n", "seed", "batch", "mix",
-				"policy", "plan", "prefetch", "window", "regions", "shards", "rate":
+			case "sys32", "sys64", "n", "seed", "batch", "mix", "policy", "plan",
+				"prefetch", "predictor", "window", "regions", "shards", "rate", "v":
 				single = append(single, "-"+f.Name)
 			}
 		})

@@ -22,8 +22,9 @@ func TestRunSmallWorkload(t *testing.T) {
 
 // TestRunFlagAndMixParsing is the table-driven gate on the front-end's
 // argument surface: every malformed -mix shape, unknown names for the
-// pluggable pieces, and the flags -compare and single runs exclude must
-// be rejected with exit code 2 and a diagnostic naming the problem.
+// pluggable pieces, the flags -compare and single runs exclude, and a
+// -predictor with no -prefetch to drive must be rejected with exit code 2
+// and a diagnostic naming the problem.
 func TestRunFlagAndMixParsing(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -39,11 +40,14 @@ func TestRunFlagAndMixParsing(t *testing.T) {
 		{"bare equals", []string{"-mix", "=3"}, "unknown task"},
 		{"unknown policy", []string{"-policy", "psychic"}, "unknown placement policy"},
 		{"unknown predictor", []string{"-prefetch", "-predictor", "oracle"}, "unknown predictor"},
+		{"predictor without prefetch", []string{"-n", "4", "-predictor", "bogus"}, "-predictor only applies with -prefetch"},
 		{"compare excludes policy", []string{"-compare", "-policy", "mincost"}, "-compare"},
 		{"compare excludes plan", []string{"-compare", "-plan=false"}, "-compare"},
 		{"compare excludes prefetch", []string{"-compare", "-prefetch"}, "-compare"},
 		{"compare excludes window", []string{"-compare", "-window", "2"}, "-compare"},
 		{"compare excludes regions", []string{"-compare", "-regions", "2"}, "-compare"},
+		{"compare excludes predictor", []string{"-compare", "-predictor", "freq"}, "-predictor only apply to single runs"},
+		{"compare excludes verbose", []string{"-compare", "-v"}, "-v only apply to single runs"},
 		{"compare excludes workload", []string{"-compare", "-sys32", "2", "-n", "60", "-seed", "7", "-mix", "fade"}, "-mix -n -seed -sys32 only apply"},
 		{"single run excludes rows", []string{"-json", "r.json", "-history", "h.jsonl", "-sha", "abc1234"}, "-history -json -sha only apply to -compare"},
 		{"zero regions", []string{"-regions", "0"}, "at least one region"},

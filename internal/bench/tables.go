@@ -482,15 +482,18 @@ func imageWants(s *platform.System, a tasks.ImageArgs) (b, bl, f []byte) {
 }
 
 // ConfigTimeTable is ablation A1: complete vs differential configuration
-// streams — the size/time cost BitLinker pays for state independence.
+// streams — the size/time cost BitLinker pays for state independence. It
+// turns planning off on s, a fresh system, so its planned loads stream the
+// complete configuration.
 func ConfigTimeTable(s *platform.System) *Table {
 	t := &Table{ID: "A1", Title: "Configuration time: complete vs differential partial bitstreams",
 		Columns: []string{"transition", "stream", "size", "time"}}
-	full, err := s.LoadComplete("brightness")
+	s.SetPlanning(false)
+	full, err := s.LoadModuleOn(0, "brightness")
 	must(err)
 	t.AddRow("(blank) -> brightness", "complete", fmt.Sprintf("%d B", full.Bytes), fmtNS(float64(full.Time)))
 
-	full2, err := s.LoadComplete("blend")
+	full2, err := s.LoadModuleOn(0, "blend")
 	must(err)
 	t.AddRow("brightness -> blend", "complete", fmt.Sprintf("%d B", full2.Bytes), fmtNS(float64(full2.Time)))
 
@@ -506,6 +509,8 @@ func ConfigTimeTable(s *platform.System) *Table {
 }
 
 // HazardTable is ablation A2: what happens when the §2.2 rules are broken.
+// Like A1 it turns planning off on s, a fresh system: its recovery load is
+// a complete stream.
 func HazardTable(s *platform.System) *Table {
 	t := &Table{ID: "A2", Title: "Reconfiguration correctness scenarios",
 		Columns: []string{"scenario", "bound circuit", "static design"}}
@@ -520,13 +525,14 @@ func HazardTable(s *platform.System) *Table {
 		}
 		t.AddRow(scenario, bound, static)
 	}
-	_, err := s.LoadComplete("fade")
+	s.SetPlanning(false)
+	_, err := s.LoadModuleOn(0, "fade")
 	must(err)
 	report("complete load of fade")
 	_, err = s.Mgr.LoadDifferential("blend", "") // assumes blank region
 	must(err)
 	report("differential blend assuming blank region (region held fade)")
-	_, err = s.LoadComplete("blend")
+	_, err = s.LoadModuleOn(0, "blend")
 	must(err)
 	report("recovery: complete load of blend")
 	_, err = s.Mgr.LoadDifferential("fade", "blend")

@@ -43,8 +43,8 @@ type Config struct {
 	CPU      *cpu.CPU
 	ICAPBase uint32
 	// ICAP is the HWICAP slave itself. The CPU path reaches it through the
-	// bus at ICAPBase; the direct reference is needed to arm the
-	// compressed-stream decoder front-end. nil disables compressed loads.
+	// bus at ICAPBase; the direct reference arms the compressed-stream
+	// decoder front-end.
 	ICAP *icap.HWICAP
 	// Bind attaches a behavioural core to the dock.
 	Bind func(hw.Core)
@@ -144,7 +144,7 @@ var ErrAborted = errors.New("core: load aborted at stream boundary")
 func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Device == nil || cfg.ConfigMem == nil || cfg.Baseline == nil ||
 		cfg.Assembler == nil || cfg.Loader == nil || cfg.CPU == nil ||
-		cfg.Bind == nil || cfg.Kernel == nil {
+		cfg.ICAP == nil || cfg.Bind == nil || cfg.Kernel == nil {
 		return nil, fmt.Errorf("core: incomplete manager configuration")
 	}
 	if !cfg.ConfigMem.Guarded() {
@@ -166,9 +166,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	cfg.Loader.OnDone(m.rebind)
 	return m, nil
 }
-
-// Region returns the dynamic area this manager owns.
-func (m *Manager) Region() fabric.Region { return m.cfg.Region }
 
 // SetNotify installs the observability hook: it is called, under the same
 // serialization as the load path itself, with ("hazard", reason) when the
@@ -277,16 +274,6 @@ func (m *Manager) AbortedLoads() uint64 { return m.abortedLoads }
 // DiffAssemblies reports how often AssembleDifferential actually ran —
 // repeated loads of a memoized transition do not grow this counter.
 func (m *Manager) DiffAssemblies() uint64 { return m.diffAssemblies }
-
-// StreamSize returns the size in bytes of a module's cached complete
-// configuration.
-func (m *Manager) StreamSize(name string) (int, error) {
-	e, ok := m.modules[name]
-	if !ok {
-		return 0, fmt.Errorf("core: unknown module %s", name)
-	}
-	return e.assembled.Stream.SizeBytes(), nil
-}
 
 // CompleteSize implements plan.Source: byte and frame count of the cached
 // complete configuration.
@@ -632,9 +619,6 @@ const abortCheckWords = 256
 // stream bytes but can never corrupt an execution.
 func (m *Manager) stream(words []uint32, kind plan.StreamKind, stop func() bool) (sim.Time, int, error) {
 	compressed := kind == plan.StreamCompressed
-	if compressed && m.cfg.ICAP == nil {
-		return 0, 0, fmt.Errorf("core: compressed load without an HWICAP decoder front-end")
-	}
 	c := m.cfg.CPU
 	start := m.cfg.Kernel.Now()
 	if compressed {

@@ -108,10 +108,10 @@ func TestDuplicateAndUnknown(t *testing.T) {
 	if _, err := mgr.LoadNaive("nope"); err == nil {
 		t.Fatal("unknown naive module loaded")
 	}
-	if _, err := mgr.StreamSize("nope"); err == nil {
+	if _, _, err := mgr.CompleteSize("nope"); err == nil {
 		t.Fatal("unknown stream size")
 	}
-	if n, err := mgr.StreamSize("alpha"); err != nil || n == 0 {
+	if n, _, err := mgr.CompleteSize("alpha"); err != nil || n == 0 {
 		t.Fatalf("stream size: %d %v", n, err)
 	}
 }
@@ -239,9 +239,18 @@ func rigConfig(t *testing.T, cm *fabric.ConfigMemory) (Config, func() hw.Core, *
 	}, func() hw.Core { return bound }, b
 }
 
+// TestIncompleteConfigRejected: a manager missing any of its wiring is
+// refused — the HWICAP included, whose decoder every compressed load arms.
 func TestIncompleteConfigRejected(t *testing.T) {
 	if _, err := NewManager(Config{}); err == nil {
 		t.Fatal("empty config accepted")
+	}
+	cm := fabric.NewConfigMemory(fabric.XC2VP7())
+	cm.Guard(fabric.DynamicRegion32())
+	cfg, _, _ := rigConfig(t, cm)
+	cfg.ICAP = nil
+	if _, err := NewManager(cfg); err == nil {
+		t.Fatal("config without an HWICAP accepted")
 	}
 }
 

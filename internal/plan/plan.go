@@ -7,18 +7,13 @@
 // assumed from-state, so the load path can verify the assumption at issue
 // time, making the stale-differential hazard impossible by construction.
 //
-// Transition costs are memoized per (from, to) module pair, so repeated
-// planning over a long-running workload never re-assembles a differential,
-// and a per-byte time model (calibrated from observed loads) turns stream
-// sizes into estimated configuration times for cost-aware placement.
+// The planner keeps no tables of its own: it prices every candidate through
+// its Source, which (as *core.Manager) assembles and memoizes each stream
+// once per (from, to) module pair, so repeated planning over a
+// long-running workload never re-assembles a differential.
 package plan
 
-import (
-	"fmt"
-	"sync"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // StreamKind is the kind of configuration stream a plan issues.
 type StreamKind int
@@ -79,17 +74,13 @@ type Plan struct {
 	Bytes  int
 	Frames int
 	// Raw is the decoded stream size in bytes — what the configuration
-	// port consumes. Equal to Bytes except for compressed streams. The
-	// per-byte time model is calibrated against Raw, never the wire size.
+	// port consumes. Equal to Bytes except for compressed streams.
 	Raw int
-	// Est is the estimated configuration time under the planner's
-	// calibrated per-byte model (0 for StreamNone).
-	Est sim.Time
 }
 
 // Source sizes the streams a planner may choose between. *core.Manager
-// implements it; both size queries are memoized below the interface, so
-// repeated planning is cheap.
+// implements it and memoizes every stream it sizes, so repeated planning
+// is cheap.
 type Source interface {
 	// Has reports whether the module is registered.
 	Has(name string) bool
@@ -109,37 +100,13 @@ type Source interface {
 	CompleteCompressedSize(name string) (bytes, raw, frames int, err error)
 }
 
-// DefaultFsPerByte seeds the cost model: femtoseconds of configuration time
-// per streamed byte, before any load has been observed. The figure matches
-// the measured HWICAP rate of the 32-bit system (a 367 684 B complete
-// stream in 7.814 ms).
-const DefaultFsPerByte = 21_250_000
-
-type pairKey struct{ from, to string }
-
-type pairEntry struct {
-	bytes, frames int
-	ok            bool // false: no differential exists for this pair
-}
-
-type zEntry struct {
-	bytes, raw, frames int
-	ok                 bool
-}
-
-// Planner chooses streams over one dynamic area. Safe for concurrent use.
+// Planner chooses streams over one dynamic area. Like the Source it reads,
+// it is not safe for concurrent use: the platform plans under its region's
+// system lock.
 type Planner struct {
-	src    Source
-	region string
-
-	mu        sync.Mutex
-	compress  bool
-	complete  map[string]pairEntry // complete stream sizes by module
-	pairs     map[pairKey]pairEntry
-	zpairs    map[pairKey]zEntry // compressed differential containers
-	zfull     map[string]zEntry  // compressed complete containers
-	fsPerByte float64
-	observed  uint64
+	src      Source
+	region   string
+	compress bool
 
 	// obs, when set, observes every decided plan — the trace spine
 	// records each per-transition kind/bytes decision without plan
@@ -156,54 +123,18 @@ func New(src Source) *Planner {
 // produces carries the region, so multi-region load paths and reports can
 // tell sibling regions' streams apart.
 func NewFor(region string, src Source) *Planner {
-	return &Planner{
-		src:       src,
-		region:    region,
-		complete:  make(map[string]pairEntry),
-		pairs:     make(map[pairKey]pairEntry),
-		zpairs:    make(map[pairKey]zEntry),
-		zfull:     make(map[string]zEntry),
-		fsPerByte: DefaultFsPerByte,
-	}
+	return &Planner{src: src, region: region}
 }
-
-// Region returns the dynamic region label the planner is bound to.
-func (p *Planner) Region() string { return p.region }
 
 // SetObserver installs the plan-decision observer; nil disables it. The
-// observer runs on every successful Plan call, under the caller's
-// serialization (the load paths plan under the system lock).
-func (p *Planner) SetObserver(fn func(Plan)) {
-	p.mu.Lock()
-	p.obs = fn
-	p.mu.Unlock()
-}
-
-// observe reports a decided plan to the installed observer.
-func (p *Planner) observe(pl Plan) {
-	p.mu.Lock()
-	fn := p.obs
-	p.mu.Unlock()
-	if fn != nil {
-		fn(pl)
-	}
-}
+// observer runs on every successful Plan call.
+func (p *Planner) SetObserver(fn func(Plan)) { p.obs = fn }
 
 // SetCompression toggles compressed-stream planning. Off (the default) the
 // planner's choices are byte-identical to the three-kind planner; on, the
 // compressed container joins the candidates whenever it is the smallest on
 // the wire.
-func (p *Planner) SetCompression(on bool) {
-	p.mu.Lock()
-	p.compress = on
-	p.mu.Unlock()
-}
-
-func (p *Planner) compression() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.compress
-}
+func (p *Planner) SetCompression(on bool) { p.compress = on }
 
 // Plan returns the cheapest safe stream that makes want resident, given the
 // tracked resident state. authoritative reports whether the tracked state
@@ -213,206 +144,80 @@ func (p *Planner) Plan(resident string, authoritative bool, want string) (Plan, 
 	if !p.src.Has(want) {
 		return Plan{}, fmt.Errorf("plan: unknown module %q", want)
 	}
-	if authoritative && resident == want {
-		pl := Plan{Module: want, From: resident, Kind: StreamNone, Region: p.region}
-		p.observe(pl)
-		return pl, nil
-	}
-	cb, cf, err := p.completeSize(want)
+	best, err := p.choose(resident, authoritative, want)
 	if err != nil {
 		return Plan{}, err
 	}
-	best := Plan{Module: want, Kind: StreamComplete, Bytes: cb, Frames: cf, Raw: cb,
-		Est: p.estimate(cb), Region: p.region}
-	compress := p.compression()
-	if compress {
+	if p.obs != nil {
+		p.obs(best)
+	}
+	return best, nil
+}
+
+// choose is Plan's decision, made before the observer sees it.
+func (p *Planner) choose(resident string, authoritative bool, want string) (Plan, error) {
+	if authoritative && resident == want {
+		return Plan{Module: want, From: resident, Kind: StreamNone, Region: p.region}, nil
+	}
+	cb, cf, err := p.src.CompleteSize(want)
+	if err != nil {
+		return Plan{}, err
+	}
+	best := Plan{Module: want, Kind: StreamComplete, Bytes: cb, Frames: cf, Raw: cb, Region: p.region}
+	if p.compress {
 		// The complete-based container carries no configuration-memory
 		// references, so it is as state-independent as the complete
 		// stream it decodes into.
-		if zb, zraw, zf, ok := p.fullCompressedSize(want); ok && zb < best.Bytes {
+		if zb, zraw, zf, err := p.src.CompleteCompressedSize(want); err == nil && zb < best.Bytes {
 			best = Plan{Module: want, Kind: StreamCompressed, Base: StreamComplete,
-				Bytes: zb, Frames: zf, Raw: zraw, Est: p.estimate(zraw), Region: p.region}
+				Bytes: zb, Frames: zf, Raw: zraw, Region: p.region}
 		}
 	}
 	if !authoritative {
-		p.observe(best)
 		return best, nil
 	}
 	// Safety gate: a differential — compressed or not — is only offered
 	// against an authoritative resident state, and the chosen From is
 	// carried in the plan so the manager re-verifies it at load time.
-	if db, df, ok := p.pairSize(resident, want); ok && db < best.Bytes {
+	if db, df, err := p.src.DifferentialSize(resident, want); err == nil && db < best.Bytes {
 		best = Plan{Module: want, From: resident, Kind: StreamDifferential,
-			Bytes: db, Frames: df, Raw: db, Est: p.estimate(db), Region: p.region}
+			Bytes: db, Frames: df, Raw: db, Region: p.region}
 	}
-	if compress {
-		if zb, zraw, zf, ok := p.pairCompressedSize(resident, want); ok && zb < best.Bytes {
+	if p.compress {
+		if zb, zraw, zf, err := p.src.CompressedSize(resident, want); err == nil && zb < best.Bytes {
 			best = Plan{Module: want, From: resident, Kind: StreamCompressed, Base: StreamDifferential,
-				Bytes: zb, Frames: zf, Raw: zraw, Est: p.estimate(zraw), Region: p.region}
+				Bytes: zb, Frames: zf, Raw: zraw, Region: p.region}
 		}
 	}
-	p.observe(best)
 	return best, nil
-}
-
-// Observe calibrates the per-byte cost model with a measured load. The
-// estimate converges as an exponential moving average over observed rates.
-// Callers must pass the DECODED (raw) stream size, not the wire size: the
-// configuration port consumes every decoded word at a fixed rate, so the
-// femtoseconds-per-raw-byte figure is a hardware constant, while the
-// wire-byte rate of a compressed load would read ~3x slower and skew every
-// differential estimate afterwards.
-func (p *Planner) Observe(bytes int, elapsed sim.Time) {
-	if bytes <= 0 || elapsed <= 0 {
-		return
-	}
-	rate := float64(elapsed) / float64(bytes)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.observed == 0 {
-		p.fsPerByte = rate
-	} else {
-		p.fsPerByte = 0.75*p.fsPerByte + 0.25*rate
-	}
-	p.observed++
-}
-
-// PairBytes returns the differential stream size for the (from → to)
-// transition ("" = the blank baseline), memoizing like Plan. ok is false
-// when no differential exists for the pair. Cost-aware prefetchers use the
-// (blank → module) size as a state-independent estimate of what re-hosting
-// the module later will cost: a differential's frame count is dominated by
-// the wider of the two components, so the blank-baseline pair is a stable
-// proxy for any from-state.
-func (p *Planner) PairBytes(from, to string) (int, bool) {
-	if !p.src.Has(to) {
-		return 0, false
-	}
-	b, _, ok := p.pairSize(from, to)
-	return b, ok
-}
-
-// CompleteBytes returns the module's complete stream size, memoized.
-func (p *Planner) CompleteBytes(name string) (int, error) {
-	b, _, err := p.completeSize(name)
-	return b, err
 }
 
 // RestoreBytes is the planner's state-independent estimate, in wire
 // bytes, of re-hosting the module later: the (blank → module)
 // differential, falling back to the complete stream when no differential
 // exists — exactly the candidates Plan would weigh for a future
-// transition onto a blank or unknown region. With compression enabled the
+// transition onto a blank or unknown region. A differential's frame count
+// is dominated by the wider of the two components, so the blank-baseline
+// pair is a stable proxy for any from-state. With compression enabled the
 // compressed containers join the candidates, because Plan would pick one
 // whenever it is smaller: a prefetcher's profit and eviction arithmetic
 // must price restores at the bytes a restore would actually stream, or a
 // 3x-compressible module looks three times more expensive to evict than
 // it is.
 func (p *Planner) RestoreBytes(name string) (int, error) {
-	best, ok := p.PairBytes("", name)
-	if !ok {
-		var err error
-		if best, err = p.CompleteBytes(name); err != nil {
+	best, _, err := p.src.DifferentialSize("", name)
+	if err != nil {
+		if best, _, err = p.src.CompleteSize(name); err != nil {
 			return 0, err
 		}
 	}
-	if p.compression() {
-		if zb, _, _, ok := p.fullCompressedSize(name); ok && zb < best {
+	if p.compress {
+		if zb, _, _, err := p.src.CompleteCompressedSize(name); err == nil && zb < best {
 			best = zb
 		}
-		if zb, _, _, ok := p.pairCompressedSize("", name); ok && zb < best {
+		if zb, _, _, err := p.src.CompressedSize("", name); err == nil && zb < best {
 			best = zb
 		}
 	}
 	return best, nil
-}
-
-// Pairs reports how many (from, to) transitions have been memoized.
-func (p *Planner) Pairs() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.pairs)
-}
-
-func (p *Planner) estimate(bytes int) sim.Time {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return sim.Time(p.fsPerByte * float64(bytes))
-}
-
-func (p *Planner) completeSize(name string) (int, int, error) {
-	p.mu.Lock()
-	if e, ok := p.complete[name]; ok {
-		p.mu.Unlock()
-		return e.bytes, e.frames, nil
-	}
-	p.mu.Unlock()
-	b, f, err := p.src.CompleteSize(name)
-	if err != nil {
-		return 0, 0, err
-	}
-	p.mu.Lock()
-	p.complete[name] = pairEntry{bytes: b, frames: f, ok: true}
-	p.mu.Unlock()
-	return b, f, nil
-}
-
-// fullCompressedSize memoizes complete-based container sizes; absent when
-// the source cannot compress the module's complete stream.
-func (p *Planner) fullCompressedSize(name string) (int, int, int, bool) {
-	p.mu.Lock()
-	if e, ok := p.zfull[name]; ok {
-		p.mu.Unlock()
-		return e.bytes, e.raw, e.frames, e.ok
-	}
-	p.mu.Unlock()
-	e := zEntry{}
-	if b, r, f, err := p.src.CompleteCompressedSize(name); err == nil {
-		e = zEntry{bytes: b, raw: r, frames: f, ok: true}
-	}
-	p.mu.Lock()
-	p.zfull[name] = e
-	p.mu.Unlock()
-	return e.bytes, e.raw, e.frames, e.ok
-}
-
-// pairCompressedSize memoizes differential-based container sizes like
-// pairSize, including negative results.
-func (p *Planner) pairCompressedSize(from, to string) (int, int, int, bool) {
-	key := pairKey{from, to}
-	p.mu.Lock()
-	if e, ok := p.zpairs[key]; ok {
-		p.mu.Unlock()
-		return e.bytes, e.raw, e.frames, e.ok
-	}
-	p.mu.Unlock()
-	e := zEntry{}
-	if b, r, f, err := p.src.CompressedSize(from, to); err == nil {
-		e = zEntry{bytes: b, raw: r, frames: f, ok: true}
-	}
-	p.mu.Lock()
-	p.zpairs[key] = e
-	p.mu.Unlock()
-	return e.bytes, e.raw, e.frames, e.ok
-}
-
-// pairSize memoizes the differential size table. A pair with no
-// differential (assembly error) is memoized as absent, so the planner asks
-// the assembler at most once per transition.
-func (p *Planner) pairSize(from, to string) (int, int, bool) {
-	key := pairKey{from, to}
-	p.mu.Lock()
-	if e, ok := p.pairs[key]; ok {
-		p.mu.Unlock()
-		return e.bytes, e.frames, e.ok
-	}
-	p.mu.Unlock()
-	e := pairEntry{}
-	if b, f, err := p.src.DifferentialSize(from, to); err == nil {
-		e = pairEntry{bytes: b, frames: f, ok: true}
-	}
-	p.mu.Lock()
-	p.pairs[key] = e
-	p.mu.Unlock()
-	return e.bytes, e.frames, e.ok
 }

@@ -3,16 +3,12 @@ package plan
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/sim"
 )
 
-// fakeSource is an in-memory stream catalog with call counting, so tests
-// can assert the planner memoizes instead of re-asking.
+// fakeSource is an in-memory stream catalog.
 type fakeSource struct {
 	complete map[string]int    // module -> bytes
 	diff     map[[2]string]int // (from,to) -> bytes
-	calls    map[string]int    // method+args -> count
 }
 
 func newFakeSource() *fakeSource {
@@ -25,14 +21,12 @@ func newFakeSource() *fakeSource {
 			{"b", "a"}: 130,
 			{"a", "c"}: 2000, // pathological: differential bigger than complete
 		},
-		calls: make(map[string]int),
 	}
 }
 
 func (f *fakeSource) Has(name string) bool { _, ok := f.complete[name]; return ok }
 
 func (f *fakeSource) CompleteSize(name string) (int, int, error) {
-	f.calls["complete:"+name]++
 	b, ok := f.complete[name]
 	if !ok {
 		return 0, 0, fmt.Errorf("unknown %s", name)
@@ -41,7 +35,6 @@ func (f *fakeSource) CompleteSize(name string) (int, int, error) {
 }
 
 func (f *fakeSource) DifferentialSize(from, to string) (int, int, error) {
-	f.calls[fmt.Sprintf("diff:%s->%s", from, to)]++
 	b, ok := f.diff[[2]string{from, to}]
 	if !ok {
 		return 0, 0, fmt.Errorf("no differential %s->%s", from, to)
@@ -52,7 +45,6 @@ func (f *fakeSource) DifferentialSize(from, to string) (int, int, error) {
 // Compressed containers in the fake shave 60% off the wire size of the
 // stream they encode; the raw size stays the source stream's.
 func (f *fakeSource) CompressedSize(from, to string) (int, int, int, error) {
-	f.calls[fmt.Sprintf("zdiff:%s->%s", from, to)]++
 	b, ok := f.diff[[2]string{from, to}]
 	if !ok {
 		return 0, 0, 0, fmt.Errorf("no differential %s->%s", from, to)
@@ -61,7 +53,6 @@ func (f *fakeSource) CompressedSize(from, to string) (int, int, int, error) {
 }
 
 func (f *fakeSource) CompleteCompressedSize(name string) (int, int, int, error) {
-	f.calls["zfull:"+name]++
 	b, ok := f.complete[name]
 	if !ok {
 		return 0, 0, 0, fmt.Errorf("unknown %s", name)
@@ -106,31 +97,6 @@ func TestPlanChoosesCheapestSafeStream(t *testing.T) {
 	}
 }
 
-func TestPlanMemoizesSizes(t *testing.T) {
-	src := newFakeSource()
-	p := New(src)
-	for i := 0; i < 10; i++ {
-		if _, err := p.Plan("a", true, "b"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Plan("b", true, "c"); err != nil { // pair with no differential
-			t.Fatal(err)
-		}
-	}
-	if n := src.calls["diff:a->b"]; n != 1 {
-		t.Errorf("differential a->b sized %d times, want 1 (memoized)", n)
-	}
-	if n := src.calls["diff:b->c"]; n != 1 {
-		t.Errorf("absent differential b->c probed %d times, want 1 (negative result memoized)", n)
-	}
-	if n := src.calls["complete:b"] + src.calls["complete:c"]; n != 2 {
-		t.Errorf("complete sizes asked %d times, want 2", n)
-	}
-	if p.Pairs() != 2 {
-		t.Errorf("memoized pairs = %d, want 2", p.Pairs())
-	}
-}
-
 func TestPlanCompression(t *testing.T) {
 	src := newFakeSource()
 	p := New(src)
@@ -147,11 +113,6 @@ func TestPlanCompression(t *testing.T) {
 	}
 	if got.Bytes != 120*2/5 || got.Raw != 120 || got.From != "a" {
 		t.Fatalf("compressed plan sized %+v, want wire %d raw %d from a", got, 120*2/5, 120)
-	}
-	// The time estimate prices the decoded words the port consumes, not
-	// the wire size: identical to the differential's estimate.
-	if want := sim.Time(DefaultFsPerByte * 120); got.Est != want {
-		t.Fatalf("compressed Est = %v, want raw-based %v", got.Est, want)
 	}
 
 	// Non-authoritative state: only state-independent candidates; the
@@ -204,8 +165,8 @@ func TestRestoreBytesCompression(t *testing.T) {
 		t.Fatalf("RestoreBytes(c) with compression = %d, %v; want compressed complete 900", b, err)
 	}
 
-	// Toggling back off restores the uncompressed estimate (memoized
-	// compressed sizes must not leak into the plain path).
+	// Toggling back off restores the uncompressed estimate (compressed
+	// sizes must not leak into the plain path).
 	p.SetCompression(false)
 	if b, err := p.RestoreBytes("a"); err != nil || b != 200 {
 		t.Fatalf("RestoreBytes(a) after toggle = %d, %v; want 200", b, err)
@@ -213,28 +174,4 @@ func TestRestoreBytesCompression(t *testing.T) {
 	if _, err := p.RestoreBytes("nope"); err == nil {
 		t.Fatal("unknown module estimated")
 	}
-}
-
-func TestObserveCalibratesEstimate(t *testing.T) {
-	src := newFakeSource()
-	p := New(src)
-	before, err := p.Plan("a", true, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before.Est != sim.Time(DefaultFsPerByte*before.Bytes) {
-		t.Errorf("uncalibrated estimate %v, want default %v", before.Est, sim.Time(DefaultFsPerByte*before.Bytes))
-	}
-	// Observe a load twice as slow as the default model.
-	p.Observe(1000, sim.Time(2*DefaultFsPerByte*1000))
-	after, err := p.Plan("a", true, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Est <= before.Est {
-		t.Errorf("estimate did not rise after a slow observation: %v -> %v", before.Est, after.Est)
-	}
-	// Degenerate observations are ignored.
-	p.Observe(0, 100)
-	p.Observe(100, 0)
 }

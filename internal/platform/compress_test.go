@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/plan"
 	. "repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/tasks"
 )
 
@@ -51,47 +50,6 @@ func TestCompressedLoadEndToEnd(t *testing.T) {
 	}
 	if n := s.Mgr.CompressedLoads(); n != 2 {
 		t.Errorf("CompressedLoads = %d, want 2", n)
-	}
-}
-
-// TestCompressedObserveUnskewed is the calibration regression: a compressed
-// load must feed the planner's cost model its DECODED byte count. If the
-// wire size were observed instead, the per-byte rate would read ~3x slower
-// and every later differential estimate would be skewed by the same factor.
-func TestCompressedObserveUnskewed(t *testing.T) {
-	s, err := NewSys32()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetCompression(true)
-	first, err := s.LoadModule("brightness")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Kind != plan.StreamCompressed {
-		t.Fatalf("first load %+v, want compressed", first)
-	}
-	wire1, raw1, _, err := s.Mgr.CompressedSize("", "brightness")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wire1 != first.Bytes || raw1 <= wire1 {
-		t.Fatalf("sizes: report %d B, memoized wire %d raw %d", first.Bytes, wire1, raw1)
-	}
-	// The first observation sets the rate exactly, so the next plan's
-	// estimate is fully determined by what Observe was fed.
-	p, err := s.PlanForOn(0, "blend")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Kind != plan.StreamCompressed || p.Raw <= 0 {
-		t.Fatalf("plan %+v, want compressed with raw size", p)
-	}
-	perRaw := float64(first.Time) / float64(raw1)
-	want := sim.Time(perRaw * float64(p.Raw))
-	if diff := float64(p.Est-want) / float64(want); diff > 0.01 || diff < -0.01 {
-		t.Errorf("Est = %v, want raw-calibrated %v (skewed wire-based would be ~%v)",
-			p.Est, want, sim.Time(float64(first.Time)/float64(wire1)*float64(p.Raw)))
 	}
 }
 

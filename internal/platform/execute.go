@@ -236,16 +236,15 @@ func (s *System) SetCompression(on bool) {
 func (s *System) PlanForOn(ri int, module string) (plan.Plan, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rs := s.regions[ri]
-	return s.planFor(rs, module, rs.planning)
+	return s.planFor(s.regions[ri], module)
 }
 
-// planFor chooses the stream under the system lock. With usePlanner false
-// the authoritative flag is narrowed so only the no-op (already resident)
-// and complete streams remain — the state-independent baseline.
-func (s *System) planFor(rs *regionSlot, module string, usePlanner bool) (plan.Plan, error) {
+// planFor chooses the stream under the system lock. With planning off the
+// authoritative flag is narrowed so only the no-op (already resident) and
+// complete streams remain — the state-independent baseline.
+func (s *System) planFor(rs *regionSlot, module string) (plan.Plan, error) {
 	resident, authoritative := rs.mgr.ResidentState()
-	if !usePlanner {
+	if !rs.planning {
 		authoritative = authoritative && resident == module
 	}
 	return rs.planner.Plan(resident, authoritative, module)
@@ -258,13 +257,13 @@ func (s *System) planFor(rs *regionSlot, module string, usePlanner bool) (plan.P
 // manager still re-verifies it. A non-nil stop makes the stream abortable
 // (see LoadSpeculativeOn): an abort reports Aborted with the bytes actually
 // pushed and returns core.ErrAborted.
-func (s *System) loadWith(rs *regionSlot, name string, usePlanner bool, stop func() bool) (ConfigReport, error) {
+func (s *System) loadWith(rs *regionSlot, name string, stop func() bool) (ConfigReport, error) {
 	r := ConfigReport{Module: name, Region: rs.area.R.Name, At: s.K.Now()}
 	if stop != nil && stop() {
 		r.Aborted = true
 		return r, core.ErrAborted
 	}
-	p, err := s.planFor(rs, name, usePlanner)
+	p, err := s.planFor(rs, name)
 	if err != nil {
 		return r, err
 	}
@@ -277,12 +276,6 @@ func (s *System) loadWith(rs *regionSlot, name string, usePlanner bool, stop fun
 	if rs.mgr.Current() != name {
 		return r, fmt.Errorf("platform: after loading %s region %s binds %q",
 			name, rs.area.R.Name, rs.mgr.Current())
-	}
-	if p.Kind != plan.StreamNone {
-		// Calibrate on the DECODED bytes the port consumed, not the wire
-		// size: a compressed load's wire bytes would read ~3x slower per
-		// byte and skew every differential estimate.
-		rs.planner.Observe(p.Raw, r.Time)
 	}
 	return r, nil
 }
@@ -319,8 +312,7 @@ func (s *System) RestoreEstimateOn(ri int, module string) (int, error) {
 func (s *System) LoadSpeculativeOn(ri int, name string, stop func() bool) (ConfigReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rs := s.regions[ri]
-	return s.loadWith(rs, name, rs.planning, stop)
+	return s.loadWith(s.regions[ri], name, stop)
 }
 
 // ExecuteOn reconfigures the given region with the named module (planner
@@ -336,7 +328,7 @@ func (s *System) ExecuteOn(ri int, module string, fn func() error) (ExecReport, 
 	defer s.mu.Unlock()
 	rs := s.regions[ri]
 	s.active = ri
-	cfg, err := s.loadWith(rs, module, rs.planning, nil)
+	cfg, err := s.loadWith(rs, module, nil)
 	r := ExecReport{
 		Module: module,
 		Region: rs.area.R.Name,
@@ -385,7 +377,7 @@ func (s *System) BeginExecuteOn(ri int, module string) (*LoadTicket, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rs := s.regions[ri]
-	p, err := s.planFor(rs, module, rs.planning)
+	p, err := s.planFor(rs, module)
 	if err != nil {
 		return nil, err
 	}

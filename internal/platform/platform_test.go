@@ -62,7 +62,8 @@ func TestModuleLoadBindsCore(t *testing.T) {
 	if s.Core() != nil {
 		t.Fatal("a core is bound before any configuration")
 	}
-	rep, err := s.LoadComplete("passthrough")
+	s.SetPlanning(false)
+	rep, err := s.LoadModuleOn(0, "passthrough")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,8 @@ func TestDifferentialFasterThanComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := s.LoadComplete("brightness")
+	s.SetPlanning(false)
+	full, err := s.LoadModuleOn(0, "brightness")
 	if err != nil {
 		t.Fatal(err)
 	}

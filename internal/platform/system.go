@@ -459,7 +459,7 @@ func (s *System) CurrentModule() string { return s.regions[s.active].mgr.Current
 // planner choose the cheapest safe stream (a no-op when resident, a
 // differential transition when the tracked state is authoritative, the
 // complete stream otherwise), and reports what was streamed. It takes the
-// system lock, so Status/Resident/PlanFor stay safe concurrently.
+// system lock, so Status/ResidentOn/PlanForOn stay safe concurrently.
 func (s *System) LoadModule(name string) (ConfigReport, error) {
 	return s.LoadModuleOn(0, name)
 }
@@ -469,17 +469,7 @@ func (s *System) LoadModule(name string) (ConfigReport, error) {
 func (s *System) LoadModuleOn(ri int, name string) (ConfigReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rs := s.regions[ri]
-	return s.loadWith(rs, name, rs.planning, nil)
-}
-
-// LoadComplete reconfigures region 0 with the module's complete
-// configuration stream regardless of planning mode — the state-independent
-// worst case (still a no-op when the module is already resident).
-func (s *System) LoadComplete(name string) (ConfigReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.loadWith(s.regions[0], name, false, nil)
+	return s.loadWith(s.regions[ri], name, nil)
 }
 
 // WriteMem loads bytes into external memory functionally (test and
