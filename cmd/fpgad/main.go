@@ -99,6 +99,18 @@ func run(args []string, out, errw io.Writer) int {
 		}
 		return 2
 	}
+	if *sys32 < 0 {
+		fmt.Fprintf(errw, "fpgad: -sys32 %d: a board count cannot be negative\n", *sys32)
+		return 2
+	}
+	if *sys64 < 0 {
+		fmt.Fprintf(errw, "fpgad: -sys64 %d: a board count cannot be negative\n", *sys64)
+		return 2
+	}
+	if *batch < 1 {
+		fmt.Fprintf(errw, "fpgad: -batch %d: at least one request per batch\n", *batch)
+		return 2
+	}
 	if *regions < 1 {
 		fmt.Fprintf(errw, "fpgad: -regions %d: at least one region per member\n", *regions)
 		return 2

@@ -51,6 +51,10 @@ func TestRunFlagAndMixParsing(t *testing.T) {
 		{"compare excludes workload", []string{"-compare", "-sys32", "2", "-n", "60", "-seed", "7", "-mix", "fade"}, "-mix -n -seed -sys32 only apply"},
 		{"single run excludes rows", []string{"-json", "r.json", "-history", "h.jsonl", "-sha", "abc1234"}, "-history -json -sha only apply to -compare"},
 		{"zero regions", []string{"-regions", "0"}, "at least one region"},
+		{"negative sys32", []string{"-sys32", "-3", "-sys64", "1"}, "-sys32 -3: a board count cannot be negative"},
+		{"negative sys64", []string{"-sys32", "1", "-sys64", "-1"}, "-sys64 -1: a board count cannot be negative"},
+		{"negative batch", []string{"-batch", "-2"}, "-batch -2: at least one request per batch"},
+		{"zero batch", []string{"-batch", "0"}, "-batch 0: at least one request per batch"},
 		{"oversplit regions", []string{"-sys32", "1", "-regions", "20", "-n", "2"}, "cannot host"},
 	}
 	for _, tc := range cases {

@@ -45,6 +45,9 @@ func New(dev *fabric.Device, region fabric.Region, baseline *fabric.ConfigMemory
 	return &Assembler{dev: dev, region: region, baseline: baseline, dock: dock}, nil
 }
 
+// Region returns the dynamic region the assembler configures.
+func (a *Assembler) Region() fabric.Region { return a.region }
+
 // Result is an assembled partial configuration.
 type Result struct {
 	Stream *bitstream.Stream

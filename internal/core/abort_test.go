@@ -19,7 +19,7 @@ func stopAfter(n int) func() bool {
 
 func TestAbortableLoadCompletes(t *testing.T) {
 	mgr, _, region, bound := rig(t)
-	if err := mgr.Register(testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
+	if err := register(mgr, testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
 		t.Fatal(err)
 	}
 	pl, err := plan.New(mgr).Plan("", true, "alpha")
@@ -44,7 +44,7 @@ func TestAbortableLoadCompletes(t *testing.T) {
 
 func TestAbortBeforeStartTouchesNothing(t *testing.T) {
 	mgr, _, region, _ := rig(t)
-	if err := mgr.Register(testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
+	if err := register(mgr, testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
 		t.Fatal(err)
 	}
 	pl, err := plan.New(mgr).Plan("", true, "alpha")
@@ -74,7 +74,7 @@ func TestAbortMidStreamIsSafe(t *testing.T) {
 	mgr, _, region, bound := rig(t)
 	for i, name := range []string{"alpha", "beta"} {
 		id := uint64(i + 1)
-		if err := mgr.Register(testComponent(name, region), func() hw.Core { return &testCore{id: id} }); err != nil {
+		if err := register(mgr, testComponent(name, region), func() hw.Core { return &testCore{id: id} }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,7 +1,7 @@
 // Package core implements the run-time reconfiguration manager — the
 // paper's methodology as a library. It owns one dynamic area: it keeps the
-// store of relocatable components, assembles complete partial configurations
-// with the BitLinker flow (cached per module), streams them through the
+// store of modules whose complete partial configurations the BitLinker flow
+// assembled (NewModule, once per board shape), streams them through the
 // HWICAP under CPU control, verifies that the static design was not
 // disturbed, and binds the dynamic region's behavioural core to the dock
 // after every reconfiguration by hashing the configuration contents.
@@ -33,9 +33,12 @@ type Config struct {
 	// sibling region's reconfiguration never reads as static corruption.
 	ConfigMem *fabric.ConfigMemory
 	// Baseline is the configuration image right after the initial full
-	// configuration (static design present, region blank).
+	// configuration (static design present, region blank). The manager only
+	// reads it, so boards of one shape share one.
 	Baseline *fabric.ConfigMemory
-	// Assembler is the BitLinker instance for the region.
+	// Assembler is the BitLinker instance for the region: every registered
+	// Module was assembled by it, and it assembles the manager's
+	// differential and naive streams.
 	Assembler *bitlinker.Assembler
 	// Loader is the device's configuration logic (shared with the HWICAP).
 	Loader *bitstream.Loader
@@ -52,16 +55,51 @@ type Config struct {
 	Kernel *sim.Kernel
 }
 
-// entry is one registered module.
-type entry struct {
-	comp    *bitlinker.Component
+// Module is one assembled module of a dynamic region: its relocatable
+// component placed against the region's right edge, the side the paper's
+// dock macros take, the complete partial configuration BitLinker merged
+// into the static baseline, the configuration image that stream leaves in
+// the device, and the factory of its behavioural core. All of it depends
+// only on (device, floorplan region, component), so every board of one
+// shape registers the same Module; nothing writes it after NewModule
+// returns.
+type Module struct {
+	asm     *bitlinker.Assembler
+	placed  bitlinker.Placed
 	factory func() hw.Core
-	// assembled holds the cached complete configuration.
-	assembled *bitlinker.Result
-	// target is the post-load configuration image (for differential
-	// assembly experiments).
-	target *fabric.ConfigMemory
-	loads  uint64
+	// complete is the module's complete partial configuration, target the
+	// post-load configuration image: the assumed state a differential
+	// stream away from the module is assembled against.
+	complete *bitlinker.Result
+	target   *fabric.ConfigMemory
+}
+
+// NewModule places the component against the right edge of the
+// assembler's region and assembles its complete configuration and
+// post-load image once.
+func NewModule(asm *bitlinker.Assembler, comp *bitlinker.Component, factory func() hw.Core) (*Module, error) {
+	placed := bitlinker.Placed{C: comp, ColOff: asm.Region().W - comp.W}
+	res, err := asm.Assemble(placed)
+	if err != nil {
+		return nil, fmt.Errorf("core: assembling %s: %w", comp.Name, err)
+	}
+	return &Module{asm: asm, placed: placed, factory: factory, complete: res, target: asm.Target(placed)}, nil
+}
+
+// Name returns the module's name.
+func (mod *Module) Name() string { return mod.placed.C.Name }
+
+// Complete returns the module's complete partial configuration.
+func (mod *Module) Complete() *bitlinker.Result { return mod.complete }
+
+// Target returns the configuration image the complete stream leaves in
+// the device.
+func (mod *Module) Target() *fabric.ConfigMemory { return mod.target }
+
+// entry is one registered module and how often this manager bound it.
+type entry struct {
+	mod   *Module
+	loads uint64
 }
 
 // diffKey identifies one (assumed → wanted) differential transition.
@@ -187,30 +225,39 @@ func (m *Manager) demote(reason string) {
 	m.event("demote", reason)
 }
 
-// Register adds a module: its relocatable component and behavioural factory.
-// The complete partial configuration is assembled once and cached; its
-// region hash is indexed for post-configuration binding. A module whose
-// region hash equals another module's or the blank baseline's is refused:
-// rebind could not tell the two configurations apart.
-func (m *Manager) Register(comp *bitlinker.Component, factory func() hw.Core) error {
-	if _, dup := m.modules[comp.Name]; dup {
-		return fmt.Errorf("core: module %s already registered", comp.Name)
+// Register adds a module assembled by NewModule with this manager's
+// assembler; the manager reads it and never writes it, so boards of one
+// shape register the same Module. Its region hash is indexed for
+// post-configuration binding. A second module of the same name is
+// refused, and so is a module whose region hash equals another module's
+// or the blank baseline's: rebind could not tell the two configurations
+// apart.
+func (m *Manager) Register(mod *Module) error {
+	name := mod.Name()
+	if mod.asm != m.cfg.Assembler {
+		return fmt.Errorf("core: module %s was not assembled by region %s's assembler", name, m.cfg.Region.Name)
 	}
-	placed := bitlinker.Placed{C: comp, ColOff: m.cfg.Region.W - comp.W}
-	res, err := m.cfg.Assembler.Assemble(placed)
-	if err != nil {
-		return fmt.Errorf("core: assembling %s: %w", comp.Name, err)
+	if _, dup := m.modules[name]; dup {
+		return fmt.Errorf("core: module %s already registered", name)
 	}
-	if other, dup := m.byHash[res.RegionHash]; dup {
-		return fmt.Errorf("core: module %s has the region hash of module %s", comp.Name, other.comp.Name)
+	h := mod.complete.RegionHash
+	if other, dup := m.byHash[h]; dup {
+		return fmt.Errorf("core: module %s has the region hash of module %s", name, other.mod.Name())
 	}
-	if res.RegionHash == m.baselineHash {
-		return fmt.Errorf("core: module %s has the region hash of the blank region", comp.Name)
+	if h == m.baselineHash {
+		return fmt.Errorf("core: module %s has the region hash of the blank region", name)
 	}
-	target := m.cfg.Assembler.Target(placed)
-	e := &entry{comp: comp, factory: factory, assembled: res, target: target}
-	m.modules[comp.Name] = e
-	m.byHash[res.RegionHash] = e
+	e := &entry{mod: mod}
+	m.modules[name] = e
+	m.byHash[h] = e
+	return nil
+}
+
+// Module returns the registered module of that name, nil if none is.
+func (m *Manager) Module(name string) *Module {
+	if e, ok := m.modules[name]; ok {
+		return e.mod
+	}
 	return nil
 }
 
@@ -282,7 +329,7 @@ func (m *Manager) CompleteSize(name string) (int, int, error) {
 	if !ok {
 		return 0, 0, fmt.Errorf("core: unknown module %s", name)
 	}
-	return e.assembled.Stream.SizeBytes(), e.assembled.Frames, nil
+	return e.mod.complete.Stream.SizeBytes(), e.mod.complete.Frames, nil
 }
 
 // DifferentialSize implements plan.Source: byte and frame count of the
@@ -355,7 +402,7 @@ func (m *Manager) compressedFull(name string) (*bitstream.Compressed, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: unknown module %s", name)
 	}
-	z, err := bitstream.Compress(m.cfg.Device, e.assembled.Stream, nil, e.assembled.Frames)
+	z, err := bitstream.Compress(m.cfg.Device, e.mod.complete.Stream, nil, e.mod.complete.Frames)
 	if err != nil {
 		return nil, err
 	}
@@ -373,7 +420,7 @@ func (m *Manager) assumedImage(from string) (*fabric.ConfigMemory, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: unknown assumed module %s", from)
 	}
-	return ae.target, nil
+	return ae.mod.target, nil
 }
 
 // differential returns the cached differential configuration for the
@@ -390,10 +437,8 @@ func (m *Manager) differential(from, to string) (*bitlinker.Result, error) {
 	if res, ok := m.diffs[key]; ok {
 		return res, nil
 	}
-	e := m.modules[to]
-	placed := bitlinker.Placed{C: e.comp, ColOff: m.cfg.Region.W - e.comp.W}
 	m.diffAssemblies++
-	res, err := m.cfg.Assembler.AssembleDifferential(base, placed)
+	res, err := m.cfg.Assembler.AssembleDifferential(base, m.modules[to].mod.placed)
 	if err != nil {
 		return nil, err
 	}
@@ -417,7 +462,7 @@ func (m *Manager) Load(name string) (sim.Time, error) {
 	if m.current == name && m.residentOK && !m.corrupted {
 		return 0, nil
 	}
-	t, _, err := m.stream(e.assembled.Stream.Words, plan.StreamComplete, nil)
+	t, _, err := m.stream(e.mod.complete.Stream.Words, plan.StreamComplete, nil)
 	return t, err
 }
 
@@ -489,7 +534,7 @@ func (m *Manager) resolve(p plan.Plan) ([]uint32, plan.StreamKind, error) {
 		}
 		return nil, plan.StreamNone, nil
 	case plan.StreamComplete:
-		return e.assembled.Stream.Words, plan.StreamComplete, nil
+		return e.mod.complete.Stream.Words, plan.StreamComplete, nil
 	case plan.StreamDifferential:
 		if !fromOK {
 			return nil, 0, stale("stale-differential", fmt.Sprintf("differential %q -> %s", p.From, p.Module))
@@ -588,8 +633,7 @@ func (m *Manager) LoadNaive(name string) (sim.Time, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: unknown module %s", name)
 	}
-	placed := bitlinker.Placed{C: e.comp, ColOff: m.cfg.Region.W - e.comp.W}
-	res, err := m.cfg.Assembler.AssembleNaive(placed)
+	res, err := m.cfg.Assembler.AssembleNaive(e.mod.placed)
 	if err != nil {
 		return 0, err
 	}
@@ -720,9 +764,9 @@ func (m *Manager) rebind() {
 	m.lastHash = h
 	if e, ok := m.byHash[h]; ok {
 		e.loads++
-		m.current = e.comp.Name
+		m.current = e.mod.Name()
 		m.residentOK = true
-		core := e.factory()
+		core := e.mod.factory()
 		core.Reset()
 		m.cfg.Bind(core)
 	} else if h == m.baselineHash {

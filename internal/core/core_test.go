@@ -49,12 +49,22 @@ func testComponentW(name string, region fabric.Region, w int) *bitlinker.Compone
 	}
 }
 
+// register assembles the component with the manager's own assembler and
+// registers the module.
+func register(m *Manager, comp *bitlinker.Component, factory func() hw.Core) error {
+	mod, err := NewModule(m.cfg.Assembler, comp, factory)
+	if err != nil {
+		return err
+	}
+	return m.Register(mod)
+}
+
 func TestRegisterAndLoad(t *testing.T) {
 	mgr, _, region, bound := rig(t)
-	if err := mgr.Register(testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
+	if err := register(mgr, testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Register(testComponent("beta", region), func() hw.Core { return &testCore{id: 2} }); err != nil {
+	if err := register(mgr, testComponent("beta", region), func() hw.Core { return &testCore{id: 2} }); err != nil {
 		t.Fatal(err)
 	}
 	if got := mgr.Modules(); len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
@@ -93,10 +103,10 @@ func TestRegisterAndLoad(t *testing.T) {
 
 func TestDuplicateAndUnknown(t *testing.T) {
 	mgr, _, region, _ := rig(t)
-	if err := mgr.Register(testComponent("alpha", region), func() hw.Core { return &testCore{} }); err != nil {
+	if err := register(mgr, testComponent("alpha", region), func() hw.Core { return &testCore{} }); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Register(testComponent("alpha", region), func() hw.Core { return &testCore{} }); err == nil {
+	if err := register(mgr, testComponent("alpha", region), func() hw.Core { return &testCore{} }); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
 	if _, err := mgr.Load("nope"); err == nil {
@@ -120,10 +130,10 @@ func TestDifferentialBindsBrokenOnWrongState(t *testing.T) {
 	mgr, _, region, bound := rig(t)
 	// alpha is wider than beta: a differential stream for beta leaves
 	// alpha's extra columns stale.
-	if err := mgr.Register(testComponentW("alpha", region, 12), func() hw.Core { return &testCore{id: 1} }); err != nil {
+	if err := register(mgr, testComponentW("alpha", region, 12), func() hw.Core { return &testCore{id: 1} }); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Register(testComponentW("beta", region, 6), func() hw.Core { return &testCore{id: 2} }); err != nil {
+	if err := register(mgr, testComponentW("beta", region, 6), func() hw.Core { return &testCore{id: 2} }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mgr.Load("alpha"); err != nil {
@@ -172,7 +182,7 @@ func TestNaiveLoadCorrupts(t *testing.T) {
 			t.Fatal(err)
 		}
 		mgr, _, _, _ := rigWithState(t, cm)
-		if err := mgr.Register(testComponent("alpha", region), func() hw.Core { return &testCore{} }); err != nil {
+		if err := register(mgr, testComponent("alpha", region), func() hw.Core { return &testCore{} }); err != nil {
 			t.Fatal(err)
 		}
 		if resident {
@@ -273,10 +283,10 @@ func TestUnguardedMemoryRejected(t *testing.T) {
 // transition must not re-run AssembleDifferential.
 func TestDifferentialAssemblyMemoized(t *testing.T) {
 	mgr, _, region, _ := rig(t)
-	if err := mgr.Register(testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
+	if err := register(mgr, testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Register(testComponent("beta", region), func() hw.Core { return &testCore{id: 2} }); err != nil {
+	if err := register(mgr, testComponent("beta", region), func() hw.Core { return &testCore{id: 2} }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mgr.Load("alpha"); err != nil {
@@ -316,7 +326,7 @@ func TestPlannedLoadHazardGate(t *testing.T) {
 		w    int
 	}{{"alpha", 12}, {"beta", 6}, {"gamma", 6}} {
 		id := uint64(i + 1)
-		if err := mgr.Register(testComponentW(c.name, region, c.w), func() hw.Core { return &testCore{id: id} }); err != nil {
+		if err := register(mgr, testComponentW(c.name, region, c.w), func() hw.Core { return &testCore{id: id} }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -397,10 +407,10 @@ func TestPlannedLoadHazardGate(t *testing.T) {
 // resident state at issue time.
 func TestStaleNoOpPlanRefused(t *testing.T) {
 	mgr, _, region, _ := rig(t)
-	if err := mgr.Register(testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
+	if err := register(mgr, testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Register(testComponent("beta", region), func() hw.Core { return &testCore{id: 2} }); err != nil {
+	if err := register(mgr, testComponent("beta", region), func() hw.Core { return &testCore{id: 2} }); err != nil {
 		t.Fatal(err)
 	}
 	planner := plan.New(mgr)
@@ -427,7 +437,7 @@ func TestStalePlansRefusedOnBothTransports(t *testing.T) {
 	mgr, _, region, _ := rig(t)
 	for i, name := range []string{"alpha", "beta", "gamma"} {
 		id := uint64(i + 1)
-		if err := mgr.Register(testComponent(name, region), func() hw.Core { return &testCore{id: id} }); err != nil {
+		if err := register(mgr, testComponent(name, region), func() hw.Core { return &testCore{id: id} }); err != nil {
 			t.Fatal(err)
 		}
 	}

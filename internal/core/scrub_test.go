@@ -13,7 +13,7 @@ import (
 // reload both restores authority and heals the flip.
 func TestScrubDetectsInjectedFault(t *testing.T) {
 	mgr, _, region, _ := rig(t)
-	if err := mgr.Register(testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
+	if err := register(mgr, testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mgr.Load("alpha"); err != nil {
@@ -106,7 +106,7 @@ func TestInjectFaultRejectsOutOfBand(t *testing.T) {
 // readback CRC16 must not come back.
 func TestScrubCatchesCRC16BlindDoubleUpset(t *testing.T) {
 	mgr, cm, region, _ := rig(t)
-	if err := mgr.Register(testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
+	if err := register(mgr, testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mgr.Load("alpha"); err != nil {

@@ -42,7 +42,7 @@ func newPushRig(t *testing.T) pushRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Register(testComponent("alpha", cfg.Region), func() hw.Core { return &testCore{id: 1} }); err != nil {
+	if err := register(m, testComponent("alpha", cfg.Region), func() hw.Core { return &testCore{id: 1} }); err != nil {
 		t.Fatal(err)
 	}
 	return pushRig{m: m, plb: plb}
@@ -97,7 +97,7 @@ func sameFrames(t *testing.T, a, b *fabric.ConfigMemory) bool {
 // through the armed decoder, a stream that fails its CRC check mid-way and
 // a stream aborted at a chunk boundary.
 func TestPushMatchesPerWordStores(t *testing.T) {
-	complete := func(m *Manager) []uint32 { return m.modules["alpha"].assembled.Stream.Words }
+	complete := func(m *Manager) []uint32 { return m.Module("alpha").Complete().Stream.Words }
 	cases := []struct {
 		name       string
 		words      func(m *Manager) []uint32
@@ -197,7 +197,7 @@ func dualRig(t *testing.T) (a, b *Manager) {
 				Macro:     area.Macro, PortRow0: area.Macro.Row0,
 				CLBFrames: bitlinker.SynthesizeFrames(name, "1", w, area.R.H),
 			}
-			if err := mgrs[i].Register(comp, func() hw.Core { return &testCore{} }); err != nil {
+			if err := register(mgrs[i], comp, func() hw.Core { return &testCore{} }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -254,12 +254,12 @@ func TestSiblingLoadDemotesUpsetRegion(t *testing.T) {
 // the blank region, is refused at registration.
 func TestRegisterRefusesHashCollision(t *testing.T) {
 	mgr, _, region, _ := rig(t)
-	if err := mgr.Register(testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
+	if err := register(mgr, testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
 		t.Fatal(err)
 	}
 	twin := testComponent("alpha", region)
 	twin.Name = "twin"
-	if err := mgr.Register(twin, func() hw.Core { return &testCore{id: 2} }); err == nil || !strings.Contains(err.Error(), "alpha") {
+	if err := register(mgr, twin, func() hw.Core { return &testCore{id: 2} }); err == nil || !strings.Contains(err.Error(), "alpha") {
 		t.Fatalf("a module with alpha's configuration: err = %v, want a collision with alpha", err)
 	}
 	blank := testComponent("blank", region)
@@ -269,10 +269,55 @@ func TestRegisterRefusesHashCollision(t *testing.T) {
 			clear(f)
 		}
 	}
-	if err := mgr.Register(blank, func() hw.Core { return &testCore{id: 3} }); err == nil || !strings.Contains(err.Error(), "blank") {
+	if err := register(mgr, blank, func() hw.Core { return &testCore{id: 3} }); err == nil || !strings.Contains(err.Error(), "blank") {
 		t.Fatalf("a module with the blank region's configuration: err = %v, want a collision with the blank region", err)
 	}
 	if got := mgr.Modules(); !slices.Equal(got, []string{"alpha"}) {
 		t.Fatalf("modules %v after refused registrations, want [alpha]", got)
+	}
+}
+
+// TestOneModuleManyManagers: managers over separate configuration memories
+// that share an assembler register one Module; each binds it and counts its
+// loads on its own, and a module another assembler built is refused.
+func TestOneModuleManyManagers(t *testing.T) {
+	a, _, region, _ := rig(t)
+	cm := fabric.NewConfigMemory(fabric.XC2VP7())
+	cm.Guard(region)
+	cfg, boundB, _ := rigConfig(t, cm)
+	cfg.Assembler, cfg.Baseline = a.cfg.Assembler, a.cfg.Baseline
+	b, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := NewModule(a.cfg.Assembler, testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*Manager{a, b} {
+		if err := m.Register(mod); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := a.Load("alpha"); err != nil {
+		t.Fatal(err)
+	}
+	if cur, ok := b.ResidentState(); cur != "" || !ok || b.modules["alpha"].loads != 0 || boundB() != nil {
+		t.Fatalf("a's load moved b: resident (%q, %v), alpha bound %d times on b", cur, ok, b.modules["alpha"].loads)
+	}
+	if _, err := b.Load("alpha"); err != nil {
+		t.Fatal(err)
+	}
+	if a.modules["alpha"].loads != 1 || b.modules["alpha"].loads != 1 || boundB() == nil {
+		t.Fatalf("alpha bound %d times on a and %d on b, want once each", a.modules["alpha"].loads, b.modules["alpha"].loads)
+	}
+
+	other, _, _, _ := rig(t)
+	foreign, err := NewModule(other.cfg.Assembler, testComponent("beta", region), func() hw.Core { return &testCore{id: 2} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Register(foreign); err == nil || !strings.Contains(err.Error(), "assembler") {
+		t.Fatalf("a module another assembler built: err = %v, want a refusal", err)
 	}
 }

@@ -2,6 +2,8 @@ package platform
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/bitlinker"
@@ -205,7 +207,100 @@ const (
 	dock64Stride = 1 << 16
 )
 
+// image is the boot image of one board shape, a (device, floorplan) pair:
+// the static design's baseline and, per region, the BitLinker assembler
+// and every module that fits, assembled. BitLinker merges each module into
+// the static baseline, so all of it depends only on the shape. Every board
+// of the shape clones the baseline into its own configuration memory and
+// registers the shared modules; nothing writes an image once it is built.
+type image struct {
+	dev      *fabric.Device
+	baseline *fabric.ConfigMemory
+	regions  []imageRegion
+}
+
+// imageRegion is one region's part of a boot image.
+type imageRegion struct {
+	asm     *bitlinker.Assembler
+	modules []*core.Module
+	// skipped names the modules that do not fit the region.
+	skipped []string
+}
+
+// images memoizes one boot image per shape for the life of the process:
+// each shapeKey maps to a sync.OnceValues that builds the shape's image on
+// its first call, so the memory it keeps is bounded by the distinct shapes
+// a process boots.
+var images sync.Map
+
+// shapeKey spells a validated shape out by value: the board width and
+// every area's region and bus macro. Two floorplans built apart (two
+// region.Default calls, say) share one image, and so do floorplans that
+// differ only in name, which labels a floorplan but configures nothing.
+func shapeKey(is64 bool, fp region.Floorplan) string {
+	var b strings.Builder
+	fmt.Fprint(&b, is64)
+	for _, a := range fp.Areas {
+		fmt.Fprintf(&b, " %#v %#v", a.R, *a.Macro)
+	}
+	return b.String()
+}
+
+// bootImage validates the device and floorplan and returns the shape's
+// image, building it on first use. Boards of one shape booting at once
+// wait for the one build. Validation runs for every board, so an error
+// names this board's floorplan, whose name the key leaves out.
+func bootImage(is64 bool, fp region.Floorplan) (*image, error) {
+	dev := fabric.XC2VP7()
+	if is64 {
+		dev = fabric.XC2VP30()
+	}
+	if err := dev.Validate(); err != nil {
+		return nil, err
+	}
+	if err := fp.Validate(dev); err != nil {
+		return nil, err
+	}
+	build, _ := images.LoadOrStore(shapeKey(is64, fp), sync.OnceValues(func() (*image, error) {
+		return buildImage(dev, fp)
+	}))
+	return build.(func() (*image, error))()
+}
+
+// buildImage loads the static design into a fresh configuration memory
+// and assembles every module that fits each region of the validated
+// floorplan.
+func buildImage(dev *fabric.Device, fp region.Floorplan) (*image, error) {
+	img := &image{dev: dev, baseline: fabric.NewConfigMemory(dev)}
+	loadStaticDesign(img.baseline, fp.Regions())
+	for _, a := range fp.Areas {
+		asm, err := bitlinker.New(dev, a.R, img.baseline, a.Macro)
+		if err != nil {
+			return nil, err
+		}
+		ir := imageRegion{asm: asm}
+		for _, spec := range hwcore.Specs() {
+			comp, err := hwcore.BuildComponent(spec, dev, a.R, a.Macro)
+			if err != nil {
+				ir.skipped = append(ir.skipped, spec.Name)
+				continue
+			}
+			mod, err := core.NewModule(asm, comp, spec.New)
+			if err != nil {
+				return nil, err
+			}
+			ir.modules = append(ir.modules, mod)
+		}
+		img.regions = append(img.regions, ir)
+	}
+	return img, nil
+}
+
 func build(name string, is64 bool, tm Timing, fp region.Floorplan) (*System, error) {
+	img, err := bootImage(is64, fp)
+	if err != nil {
+		return nil, err
+	}
 	s := &System{Name: name, Is64: is64, Timing: tm, Floorplan: fp}
 	s.K = sim.NewKernel()
 	s.CPUClk = sim.NewClock("cpu", tm.CPUHz)
@@ -215,23 +310,12 @@ func build(name string, is64 bool, tm Timing, fp region.Floorplan) (*System, err
 	s.OPB = bus.New(name+"-opb", s.K, s.BusClk, 4, tm.OPB)
 	s.Bridge = bus.NewBridge(s.PLB, s.OPB, bridgeBase, tm.BridgeRequestCycles, tm.BridgePostDepth)
 
-	// Fabric and configuration path.
-	if is64 {
-		s.Dev = fabric.XC2VP30()
-	} else {
-		s.Dev = fabric.XC2VP7()
-	}
-	if err := s.Dev.Validate(); err != nil {
-		return nil, err
-	}
-	if err := fp.Validate(s.Dev); err != nil {
-		return nil, err
-	}
+	// Fabric and configuration path: the board's own configuration memory
+	// starts as the shape's static design, guarded.
+	s.Dev = img.dev
 	s.Region = fp.Areas[0].R
-	s.CM = fabric.NewConfigMemory(s.Dev)
-	loadStaticDesign(s.CM, fp.Regions())
+	s.CM = img.baseline.Clone()
 	s.CM.Guard(fp.Regions()...)
-	baseline := s.CM.Clone()
 	loader := bitstream.NewLoader(s.CM)
 	s.ICAP = icap.New(s.K, s.BusClk, loader)
 
@@ -312,22 +396,19 @@ func build(name string, is64 bool, tm Timing, fp region.Floorplan) (*System, err
 	}
 
 	// One reconfiguration manager and planner per region. Every manager
-	// registers the modules that fit its region; the §2.2 hazard gate and
-	// resident tracking are therefore per region, and a sibling's
+	// registers the shape's modules that fit its region; the §2.2 hazard
+	// gate and resident tracking are therefore per region, and a sibling's
 	// reconfiguration can neither demote this region's state nor read as
 	// static corruption (the memory's guard leaves every dynamic area out
 	// of the static design).
-	for _, rs := range s.regions {
-		asm, err := bitlinker.New(s.Dev, rs.area.R, baseline, rs.area.Macro)
-		if err != nil {
-			return nil, err
-		}
+	for i, rs := range s.regions {
+		ir := img.regions[i]
 		rs.mgr, err = core.NewManager(core.Config{
 			Device:    s.Dev,
 			Region:    rs.area.R,
 			ConfigMem: s.CM,
-			Baseline:  baseline,
-			Assembler: asm,
+			Baseline:  img.baseline,
+			Assembler: ir.asm,
 			Loader:    loader,
 			CPU:       s.CPU,
 			ICAPBase:  AddrICAP,
@@ -338,16 +419,12 @@ func build(name string, is64 bool, tm Timing, fp region.Floorplan) (*System, err
 		if err != nil {
 			return nil, err
 		}
-		for _, spec := range hwcore.Specs() {
-			comp, err := hwcore.BuildComponent(spec, s.Dev, rs.area.R, rs.area.Macro)
-			if err != nil {
-				rs.skipped = append(rs.skipped, spec.Name)
-				continue
-			}
-			if err := rs.mgr.Register(comp, spec.New); err != nil {
+		for _, mod := range ir.modules {
+			if err := rs.mgr.Register(mod); err != nil {
 				return nil, err
 			}
 		}
+		rs.skipped = slices.Clone(ir.skipped)
 		rs.planner = plan.NewFor(rs.area.R.Name, rs.mgr)
 		rs.planning = true
 		rs.dma = icap.NewDMA(s.K, s.BusClk, loader)

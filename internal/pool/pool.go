@@ -45,8 +45,12 @@ type Pool struct {
 }
 
 // New boots the configured mix of systems, in parallel. Member IDs are
-// stable: 32-bit systems first, then 64-bit (or Members order).
+// stable: 32-bit systems first, then 64-bit (or Members order). A negative
+// board count is an error.
 func New(cfg Config) (*Pool, error) {
+	if cfg.Sys32 < 0 || cfg.Sys64 < 0 {
+		return nil, fmt.Errorf("pool: negative board count (sys32=%d sys64=%d)", cfg.Sys32, cfg.Sys64)
+	}
 	regions := cfg.Regions
 	if regions < 1 {
 		regions = 1

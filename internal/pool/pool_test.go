@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -33,6 +34,11 @@ func TestNewBuildsConfiguredMix(t *testing.T) {
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty pool config accepted")
+	}
+	for _, cfg := range []Config{{Sys32: -1, Sys64: 2}, {Sys32: 2, Sys64: -1}, {Sys32: -3, Sys64: 1}} {
+		if p, err := New(cfg); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("New(%+v) = %v, %v; want a negative-count error", cfg, p, err)
+		}
 	}
 }
 
@@ -113,3 +119,76 @@ func TestRegionsConfig(t *testing.T) {
 		t.Errorf("explicit single-region member region %v, want %v", got, fp.Areas[0].R)
 	}
 }
+
+// TestConcurrentBootsShareImages: two pools booting at once share every
+// board shape's image without a race. The three-region shapes are booted
+// by no other test of the package, so their two boots race for the
+// image's first build.
+func TestConcurrentBootsShareImages(t *testing.T) {
+	for _, cfg := range []Config{{Sys32: 8, Sys64: 2}, {Sys32: 8, Sys64: 2, Regions: 3}} {
+		var pools [2]*Pool
+		var wg sync.WaitGroup
+		for i := range pools {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				p, err := New(cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				pools[i] = p
+			}(i)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		stream := func(m *Member) *uint32 {
+			return &m.Sys.Mgr.Module("brightness").Complete().Stream.Words[0]
+		}
+		for _, p := range pools {
+			for _, m := range p.Members() {
+				ref := pools[0].Members()[0]
+				if m.Sys.Is64 {
+					ref = pools[0].Members()[cfg.Sys32]
+				}
+				if stream(m) != stream(ref) {
+					t.Errorf("%+v: member %d does not share its shape's brightness stream", cfg, m.ID)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPoolBoot times booting a pool whose board shapes are already
+// imaged: the per-board cost of a boot, one configuration memory cloned
+// from the shape's static design plus the board's buses, CPU, managers
+// and planners.
+func BenchmarkPoolBoot(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"sys32x32", Config{Sys32: 32}},
+		{"sys64x2-regions2", Config{Sys64: 2, Regions: 2}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			if _, err := New(bc.cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, err := New(bc.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bootSink = p
+			}
+		})
+	}
+}
+
+// bootSink keeps the benchmarked boot from being optimised away.
+var bootSink *Pool
