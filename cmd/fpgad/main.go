@@ -348,11 +348,11 @@ func run(args []string, out, errw io.Writer) int {
 			st.HiddenConfig, st.PrefetchBytes, st.PrefetchWasted)
 	}
 	for _, m := range p.Snapshot() {
+		state := "intact"
+		if m.Corrupted {
+			state = "CORRUPTED"
+		}
 		for _, r := range m.Regions {
-			state := "intact"
-			if r.Corrupted {
-				state = "CORRUPTED"
-			}
 			resident := r.Resident
 			if resident == "" {
 				resident = "(blank)"

@@ -45,7 +45,7 @@ func run(sys *platform.System) {
 
 	var swRes tasks.PatternResult
 	swTime := sys.Measure(func() { swRes = tasks.PatternMatchSW(sys, args) })
-	if _, err := sys.LoadModule("patternmatch"); err != nil {
+	if _, err := sys.LoadModuleOn(0, "patternmatch", nil); err != nil {
 		log.Fatal(err)
 	}
 	var hwRes tasks.PatternResult

@@ -19,7 +19,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("booted %s: %s, dynamic area %d CLBs (%d BRAMs)\n",
-		sys.Name, sys.Dev, sys.Region.CLBs(), sys.Region.BRAMBudget)
+		sys.Name, sys.Dev, sys.RegionAt(0).CLBs(), sys.RegionAt(0).BRAMBudget)
 
 	// Put a test image into external memory.
 	const n = 64 * 1024
@@ -46,7 +46,7 @@ func main() {
 	// stream (here a differential against the verified blank baseline),
 	// the BitLinker-assembled frames go through the HWICAP, and the
 	// behavioural core is bound by configuration hash.
-	rep, err := sys.LoadModule("brightness")
+	rep, err := sys.LoadModuleOn(0, "brightness", nil)
 	if err != nil {
 		log.Fatal(err)
 	}

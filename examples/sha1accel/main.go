@@ -21,20 +21,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := s32.LoadModule("sha1"); err != nil {
+	if _, err := s32.LoadModuleOn(0, "sha1", nil); err != nil {
 		fmt.Printf("32-bit system: %v\n", err)
-		fmt.Printf("  (as in the paper: the SHA-1 core exceeds the %d-CLB dynamic area)\n\n", s32.Region.CLBs())
+		fmt.Printf("  (as in the paper: the SHA-1 core exceeds the %d-CLB dynamic area)\n\n", s32.RegionAt(0).CLBs())
 	}
 
 	sys, err := platform.NewSys64()
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := sys.LoadModule("sha1")
+	rep, err := sys.LoadModuleOn(0, "sha1", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("64-bit system: sha1 core loaded into the %d-CLB dynamic area\n", sys.Region.CLBs())
+	fmt.Printf("64-bit system: sha1 core loaded into the %d-CLB dynamic area\n", sys.RegionAt(0).CLBs())
 	fmt.Printf("  (%s stream: %d B in %v — only the frames that differ from the blank baseline)\n\n",
 		rep.Kind, rep.Bytes, rep.Time)
 	fmt.Printf("%-10s  %-12s  %-12s  %s\n", "message", "software", "hardware", "speedup")

@@ -39,7 +39,7 @@ func main() {
 	}
 	sys := p.Members()[0].Sys
 	fmt.Printf("time-sharing %d dynamic areas of %d CLBs each (%s)\n",
-		p.Size(), sys.Region.CLBs(), sys.Dev.Name)
+		p.Size(), sys.RegionAt(0).CLBs(), sys.Dev.Name)
 	fmt.Printf("registered modules: %v\n\n", sys.Mgr.Modules())
 
 	const n = 16 * 1024 // one small frame per step
@@ -68,8 +68,9 @@ func main() {
 	fmt.Println()
 	bench.ThroughputTable(s.Stats()).Format(os.Stdout)
 	for _, m := range p.Snapshot() {
+		r := m.Regions[0] // one dynamic area per board
 		fmt.Printf("member %d: resident %-12s reconfigurations %d, config time %v, %d stream bytes, static intact: %v\n",
-			m.ID, m.Resident, m.Loads, m.LoadTime, m.StreamedBytes, !m.Corrupted)
+			m.ID, r.Resident, r.Loads, r.LoadTime, r.StreamedBytes, !m.Corrupted)
 	}
 
 	fmt.Println("\n--- three effects on two dynamic areas, prefetch on ---")
@@ -146,8 +147,9 @@ func main() {
 	st3 := s3.Stats()
 	fmt.Printf("\none dual-region board: %d/%d cache hits, visible config %v, hidden config %v\n",
 		st3.Hits, st3.Done, st3.Config, st3.HiddenConfig)
-	for _, r := range p3.Snapshot()[0].Regions {
+	board3 := p3.Snapshot()[0]
+	for _, r := range board3.Regions {
 		fmt.Printf("  region %s: resident %-12s loads %d, static intact: %v\n",
-			r.Region, r.Resident, r.Loads, !r.Corrupted)
+			r.Region, r.Resident, r.Loads, !board3.Corrupted)
 	}
 }

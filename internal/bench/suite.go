@@ -275,7 +275,7 @@ func boot(w Workload, c Case) ([]tasks.Runner, *pool.Pool, *sched.Scheduler, err
 	if c.Pin != "" {
 		for _, m := range p.Members() {
 			for ri := 0; ri < m.Sys.NumRegions(); ri++ {
-				if _, err := m.Sys.LoadModuleOn(ri, c.Pin); err != nil {
+				if _, err := m.Sys.LoadModuleOn(ri, c.Pin, nil); err != nil {
 					return nil, nil, nil, fmt.Errorf("bench: pin %s on member %d region %d: %w", c.Pin, m.ID, ri, err)
 				}
 			}

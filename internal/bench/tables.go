@@ -114,7 +114,7 @@ func Sys64() *platform.System {
 }
 
 func mustLoad(s *platform.System, mod string) {
-	if _, err := s.LoadModule(mod); err != nil {
+	if _, err := s.LoadModuleOn(0, mod, nil); err != nil {
 		panic(err)
 	}
 }
@@ -137,7 +137,7 @@ func ResourceTable(s *platform.System) *Table {
 	t.AddRow("static total", "",
 		fmt.Sprintf("%d (%.1f%%)", st.Slices, st.SlicePercent(s.Dev)),
 		fmt.Sprint(st.LUTs), fmt.Sprint(st.FFs), fmt.Sprint(st.BRAMs))
-	r := s.Region
+	r := s.RegionAt(0)
 	t.AddRow("dynamic area", "",
 		fmt.Sprintf("%d (%.1f%%)", r.Slices(), 100*float64(r.Slices())/float64(s.Dev.SliceCount())),
 		fmt.Sprint(r.LUTs()), fmt.Sprint(r.FFs()), fmt.Sprint(r.BRAMBudget))
@@ -489,11 +489,11 @@ func ConfigTimeTable(s *platform.System) *Table {
 	t := &Table{ID: "A1", Title: "Configuration time: complete vs differential partial bitstreams",
 		Columns: []string{"transition", "stream", "size", "time"}}
 	s.SetPlanning(false)
-	full, err := s.LoadModuleOn(0, "brightness")
+	full, err := s.LoadModuleOn(0, "brightness", nil)
 	must(err)
 	t.AddRow("(blank) -> brightness", "complete", fmt.Sprintf("%d B", full.Bytes), fmtNS(float64(full.Time)))
 
-	full2, err := s.LoadModuleOn(0, "blend")
+	full2, err := s.LoadModuleOn(0, "blend", nil)
 	must(err)
 	t.AddRow("brightness -> blend", "complete", fmt.Sprintf("%d B", full2.Bytes), fmtNS(float64(full2.Time)))
 
@@ -526,13 +526,13 @@ func HazardTable(s *platform.System) *Table {
 		t.AddRow(scenario, bound, static)
 	}
 	s.SetPlanning(false)
-	_, err := s.LoadModuleOn(0, "fade")
+	_, err := s.LoadModuleOn(0, "fade", nil)
 	must(err)
 	report("complete load of fade")
 	_, err = s.Mgr.LoadDifferential("blend", "") // assumes blank region
 	must(err)
 	report("differential blend assuming blank region (region held fade)")
-	_, err = s.LoadModuleOn(0, "blend")
+	_, err = s.LoadModuleOn(0, "blend", nil)
 	must(err)
 	report("recovery: complete load of blend")
 	_, err = s.Mgr.LoadDifferential("fade", "blend")

@@ -32,9 +32,6 @@ func NewBuilder(dev *fabric.Device) *Builder {
 	return &Builder{dev: dev, crcAt: -1}
 }
 
-// Err returns the first error encountered while building.
-func (b *Builder) Err() error { return b.err }
-
 // Preamble emits dummy padding, the sync word, the device IDCODE, the frame
 // length register and a CRC reset — the standard stream prologue.
 func (b *Builder) Preamble() *Builder {

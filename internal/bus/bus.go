@@ -81,7 +81,7 @@ func New(name string, k *sim.Kernel, clk *sim.Clock, width int, p Params) *Bus {
 	if p.BeatCycles <= 0 {
 		p.BeatCycles = 1
 	}
-	return &Bus{name: name, k: k, clk: clk, width: width, p: p, res: sim.NewResource(k, name)}
+	return &Bus{name: name, k: k, clk: clk, width: width, p: p, res: sim.NewResource(k)}
 }
 
 // Name returns the bus name.

@@ -61,8 +61,8 @@ func TestAbortBeforeStartTouchesNothing(t *testing.T) {
 	if _, ok := mgr.ResidentState(); !ok {
 		t.Fatal("an abort before the first word must not demote the resident state")
 	}
-	if loads, _, streamed := mgr.Stats(); loads != 0 || streamed != 0 {
-		t.Fatalf("stats after clean abort: loads=%d bytes=%d, want 0/0", loads, streamed)
+	if c := mgr.Counters(); c.Loads != 0 || c.StreamedBytes != 0 {
+		t.Fatalf("counters after clean abort: loads=%d bytes=%d, want 0/0", c.Loads, c.StreamedBytes)
 	}
 }
 
@@ -94,8 +94,8 @@ func TestAbortMidStreamIsSafe(t *testing.T) {
 	if bytes <= 0 || bytes >= pl.Bytes {
 		t.Fatalf("aborted after %d B of a %d B stream, want a strict partial", bytes, pl.Bytes)
 	}
-	if mgr.AbortedLoads() != 1 {
-		t.Fatalf("AbortedLoads = %d, want 1", mgr.AbortedLoads())
+	if n := mgr.Counters().AbortedLoads; n != 1 {
+		t.Fatalf("AbortedLoads = %d, want 1", n)
 	}
 	if _, ok := mgr.ResidentState(); ok {
 		t.Fatal("resident state still authoritative after a partial stream")

@@ -105,6 +105,35 @@ type entry struct {
 // diffKey identifies one (assumed → wanted) differential transition.
 type diffKey struct{ from, to string }
 
+// Counters are a manager's cumulative load, scrub and fault statistics.
+// Every load that occupied a configuration port counts once in Loads and
+// once under the stream kind it pushed, or under AbortedLoads when it was
+// stopped at a stream boundary:
+//
+//	Loads == CompleteLoads + DiffLoads + CompressedLoads + AbortedLoads
+//
+// DMALoads counts the loads a dock DMA engine carried, whatever their
+// kind; the rest went through CPU stores.
+type Counters struct {
+	Loads           uint64
+	LoadTime        sim.Time
+	StreamedBytes   uint64
+	CompleteLoads   uint64
+	DiffLoads       uint64
+	CompressedLoads uint64
+	AbortedLoads    uint64
+	DMALoads        uint64
+	// DiffAssemblies counts the runs of AssembleDifferential: a memoized
+	// transition loaded again does not grow it.
+	DiffAssemblies uint64
+	// ScrubPasses counts readback scrubs and ScrubFaults the passes that
+	// detected corruption; FaultsInjected counts the bit-flips InjectFault
+	// applied.
+	ScrubPasses    uint64
+	ScrubFaults    uint64
+	FaultsInjected uint64
+}
+
 // Manager is the run-time reconfiguration manager of one dynamic area.
 type Manager struct {
 	cfg     Config
@@ -134,8 +163,7 @@ type Manager struct {
 
 	// diffs caches assembled differential configurations per transition,
 	// so planning and repeated loads never re-run AssembleDifferential.
-	diffs          map[diffKey]*bitlinker.Result
-	diffAssemblies uint64
+	diffs map[diffKey]*bitlinker.Result
 	// zdiffs and zfulls cache compressed containers: per transition for
 	// differential-based ones, per module for complete-based (RLE-only)
 	// ones. The encoder reuses the memoized differential's stream, so a
@@ -143,15 +171,8 @@ type Manager struct {
 	zdiffs map[diffKey]*bitstream.Compressed
 	zfulls map[string]*bitstream.Compressed
 
-	loadCount       uint64
-	loadTime        sim.Time
-	bytesStreamed   uint64
-	diffLoads       uint64
-	completeLoads   uint64
-	compressedLoads uint64
-	dmaLoads        uint64
-	abortedLoads    uint64
-	corrupted       bool
+	stats     Counters
+	corrupted bool
 
 	// spans are the region's frame-index intervals — the injectable
 	// surface of the fault campaign, and the frames whose row band the
@@ -162,9 +183,6 @@ type Manager struct {
 	// is sticky by design.
 	spans          []region.Span
 	bandLo, bandHi int
-	scrubPasses    uint64
-	scrubFaults    uint64
-	faultsInjected uint64
 
 	// notify, when set, observes hazard-gate refusals and resident-state
 	// demotions ("hazard"/"demote" plus a short reason). The trace spine
@@ -295,32 +313,8 @@ func (m *Manager) Has(name string) bool {
 // experiment paths can trigger it).
 func (m *Manager) Corrupted() bool { return m.corrupted }
 
-// Stats reports load count, cumulative configuration time and streamed
-// bytes.
-func (m *Manager) Stats() (loads uint64, total sim.Time, bytes uint64) {
-	return m.loadCount, m.loadTime, m.bytesStreamed
-}
-
-// LoadKinds reports how many loads streamed a complete configuration and
-// how many streamed a differential one.
-func (m *Manager) LoadKinds() (complete, differential uint64) {
-	return m.completeLoads, m.diffLoads
-}
-
-// CompressedLoads reports how many loads streamed a compressed container.
-func (m *Manager) CompressedLoads() uint64 { return m.compressedLoads }
-
-// DMALoads reports how many loads went through a dock DMA engine instead of
-// CPU stores.
-func (m *Manager) DMALoads() uint64 { return m.dmaLoads }
-
-// AbortedLoads reports how many loads were stopped at a stream boundary
-// before completing (speculative streams preempted by a real request).
-func (m *Manager) AbortedLoads() uint64 { return m.abortedLoads }
-
-// DiffAssemblies reports how often AssembleDifferential actually ran —
-// repeated loads of a memoized transition do not grow this counter.
-func (m *Manager) DiffAssemblies() uint64 { return m.diffAssemblies }
+// Counters returns the manager's statistics so far.
+func (m *Manager) Counters() Counters { return m.stats }
 
 // CompleteSize implements plan.Source: byte and frame count of the cached
 // complete configuration.
@@ -437,7 +431,7 @@ func (m *Manager) differential(from, to string) (*bitlinker.Result, error) {
 	if res, ok := m.diffs[key]; ok {
 		return res, nil
 	}
-	m.diffAssemblies++
+	m.stats.DiffAssemblies++
 	res, err := m.cfg.Assembler.AssembleDifferential(base, m.modules[to].mod.placed)
 	if err != nil {
 		return nil, err
@@ -597,7 +591,7 @@ func (m *Manager) BeginPlanned(p plan.Plan, eng *icap.DMA) (*PendingLoad, error)
 	}
 	start, done, err := eng.Begin(words, kind == plan.StreamCompressed)
 	m.book(kind, 4*len(words), done-start)
-	m.dmaLoads++
+	m.stats.DMALoads++
 	if err != nil {
 		m.demote("dma-error")
 		return nil, fmt.Errorf("core: dma load of %s: %w", p.Module, err)
@@ -673,7 +667,6 @@ func (m *Manager) stream(words []uint32, kind plan.StreamKind, stop func() bool)
 		c.Sync()
 		elapsed := m.cfg.Kernel.Now() - start
 		m.book(plan.StreamNone, 4*n, elapsed)
-		m.abortedLoads++
 		m.demote("abort")
 		return elapsed, 4 * n, ErrAborted
 	}
@@ -720,19 +713,20 @@ func (m *Manager) push(words []uint32, stop func() bool) int {
 }
 
 // book counts one load that occupied a configuration port for elapsed and
-// moved bytes, under its stream kind (StreamNone, for an aborted stream,
-// counts under no kind).
+// moved bytes, under its stream kind; StreamNone books an aborted stream.
 func (m *Manager) book(kind plan.StreamKind, bytes int, elapsed sim.Time) {
-	m.loadCount++
-	m.loadTime += elapsed
-	m.bytesStreamed += uint64(bytes)
+	m.stats.Loads++
+	m.stats.LoadTime += elapsed
+	m.stats.StreamedBytes += uint64(bytes)
 	switch kind {
 	case plan.StreamDifferential:
-		m.diffLoads++
+		m.stats.DiffLoads++
 	case plan.StreamComplete:
-		m.completeLoads++
+		m.stats.CompleteLoads++
 	case plan.StreamCompressed:
-		m.compressedLoads++
+		m.stats.CompressedLoads++
+	case plan.StreamNone:
+		m.stats.AbortedLoads++
 	}
 }
 
@@ -812,27 +806,18 @@ func (m *Manager) spanChanged() bool {
 // content to compare against, and a second demotion would double-count
 // the same loss.
 func (m *Manager) Scrub() (detected bool, module string) {
-	m.scrubPasses++
+	m.stats.ScrubPasses++
 	if !m.residentOK || m.corrupted {
 		return false, ""
 	}
 	if m.cfg.ConfigMem.RegionHash(m.cfg.Region) == m.lastHash {
 		return false, ""
 	}
-	m.scrubFaults++
+	m.stats.ScrubFaults++
 	module = m.current
 	m.demote("scrub")
 	return true, module
 }
-
-// ScrubStats reports how many scrub passes ran and how many detected
-// corruption.
-func (m *Manager) ScrubStats() (passes, faults uint64) {
-	return m.scrubPasses, m.scrubFaults
-}
-
-// FaultsInjected reports how many bit-flips InjectFault applied.
-func (m *Manager) FaultsInjected() uint64 { return m.faultsInjected }
 
 // FaultSpace reports the injectable coordinate space of the region: the
 // number of span frames and the number of row-band words per frame. A
@@ -875,6 +860,6 @@ func (m *Manager) InjectFault(frame, word int, bit uint) error {
 	if err := m.cfg.ConfigMem.FlipBit(far, m.bandLo+word, bit); err != nil {
 		return err
 	}
-	m.faultsInjected++
+	m.stats.FaultsInjected++
 	return nil
 }

@@ -92,9 +92,8 @@ func TestRegisterAndLoad(t *testing.T) {
 	if err != nil || d != 0 {
 		t.Fatalf("reload: d=%v err=%v", d, err)
 	}
-	loads, total, bytes := mgr.Stats()
-	if loads != 2 || total == 0 || bytes == 0 {
-		t.Fatalf("stats: %d %v %d", loads, total, bytes)
+	if c := mgr.Counters(); c.Loads != 2 || c.LoadTime == 0 || c.StreamedBytes == 0 {
+		t.Fatalf("counters: %+v", c)
 	}
 	if mgr.Corrupted() {
 		t.Fatal("corrupted after clean loads")
@@ -300,14 +299,14 @@ func TestDifferentialAssemblyMemoized(t *testing.T) {
 			t.Fatalf("round %d beta->alpha: %v", i, err)
 		}
 	}
-	if n := mgr.DiffAssemblies(); n != 2 {
+	if n := mgr.Counters().DiffAssemblies; n != 2 {
 		t.Fatalf("AssembleDifferential ran %d times for 10 loads of 2 transitions, want 2", n)
 	}
 	// Size queries share the same cache.
 	if _, _, err := mgr.DifferentialSize("alpha", "beta"); err != nil {
 		t.Fatal(err)
 	}
-	if n := mgr.DiffAssemblies(); n != 2 {
+	if n := mgr.Counters().DiffAssemblies; n != 2 {
 		t.Fatalf("DifferentialSize re-assembled: %d assemblies", n)
 	}
 }
@@ -349,12 +348,12 @@ func TestPlannedLoadHazardGate(t *testing.T) {
 	if _, err := mgr.Load("gamma"); err != nil {
 		t.Fatal(err)
 	}
-	loads, _, bytes := mgr.Stats()
+	before := mgr.Counters()
 	if _, err := mgr.LoadPlanned(p); err == nil {
 		t.Fatal("stale differential plan was issued")
 	}
-	if l2, _, b2 := mgr.Stats(); l2 != loads || b2 != bytes {
-		t.Fatalf("stale plan touched the ICAP: loads %d->%d bytes %d->%d", loads, l2, bytes, b2)
+	if after := mgr.Counters(); after != before {
+		t.Fatalf("stale plan touched the ICAP: counters %+v -> %+v", before, after)
 	}
 	if cur := mgr.Current(); cur != "gamma" {
 		t.Fatalf("region binds %q after refused plan, want gamma", cur)
@@ -467,18 +466,14 @@ func TestStalePlansRefusedOnBothTransports(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, tr := range transports {
-			loads, total, bytes := mgr.Stats()
-			dmaLoads := mgr.DMALoads()
+			before := mgr.Counters()
 			events = nil
 			if err := tr.load(tc.p); err == nil {
 				t.Errorf("%s via %s: stale plan accepted", tc.name, tr.name)
 			}
-			if l, tt, b := mgr.Stats(); l != loads || tt != total || b != bytes {
-				t.Errorf("%s via %s: stale plan touched the port: loads %d->%d time %v->%v bytes %d->%d",
-					tc.name, tr.name, loads, l, total, tt, bytes, b)
-			}
-			if got := mgr.DMALoads(); got != dmaLoads {
-				t.Errorf("%s via %s: DMALoads %d->%d", tc.name, tr.name, dmaLoads, got)
+			if after := mgr.Counters(); after != before {
+				t.Errorf("%s via %s: stale plan touched the port: counters %+v -> %+v",
+					tc.name, tr.name, before, after)
 			}
 			if want := "hazard:" + tc.reason; len(events) != 1 || events[0] != want {
 				t.Errorf("%s via %s: notify saw %q, want [%q]", tc.name, tr.name, events, want)

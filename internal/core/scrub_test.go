@@ -62,12 +62,12 @@ func TestScrubDetectsInjectedFault(t *testing.T) {
 	if mgr.Corrupted() {
 		t.Fatal("static design corrupted: injection escaped the region band")
 	}
-	passes, faults := mgr.ScrubStats()
-	if passes != 4 || faults != 1 {
-		t.Errorf("scrub stats (%d passes, %d faults), want (4, 1)", passes, faults)
+	c := mgr.Counters()
+	if c.ScrubPasses != 4 || c.ScrubFaults != 1 {
+		t.Errorf("scrub counters (%d passes, %d faults), want (4, 1)", c.ScrubPasses, c.ScrubFaults)
 	}
-	if mgr.FaultsInjected() != 1 {
-		t.Errorf("faults injected = %d, want 1", mgr.FaultsInjected())
+	if c.FaultsInjected != 1 {
+		t.Errorf("faults injected = %d, want 1", c.FaultsInjected)
 	}
 }
 
@@ -94,8 +94,8 @@ func TestInjectFaultRejectsOutOfBand(t *testing.T) {
 			t.Errorf("%s: injection accepted", tc.name)
 		}
 	}
-	if mgr.FaultsInjected() != 0 {
-		t.Errorf("rejected injections counted: %d", mgr.FaultsInjected())
+	if n := mgr.Counters().FaultsInjected; n != 0 {
+		t.Errorf("rejected injections counted: %d", n)
 	}
 }
 

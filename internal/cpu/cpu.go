@@ -22,7 +22,6 @@ type Params struct {
 
 	OpCycles     int // simple integer ALU op
 	MulCycles    int // multiply
-	DivCycles    int // divide
 	BranchCycles int // branch, not taken
 	TakenExtra   int // extra cycles for a taken branch
 	CallCycles   int // function call prologue
@@ -48,7 +47,6 @@ func DefaultParams(clk *sim.Clock) Params {
 		Clk:            clk,
 		OpCycles:       1,
 		MulCycles:      4,
-		DivCycles:      35,
 		BranchCycles:   1,
 		TakenExtra:     2,
 		CallCycles:     4,
@@ -164,12 +162,6 @@ func (c *CPU) Op(n int) {
 func (c *CPU) Mul() {
 	c.stats.Ops++
 	c.tick(c.p.MulCycles)
-}
-
-// Div executes one divide.
-func (c *CPU) Div() {
-	c.stats.Ops++
-	c.tick(c.p.DivCycles)
 }
 
 // Branch executes a conditional branch.

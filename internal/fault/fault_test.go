@@ -169,8 +169,8 @@ func TestPoolSlotsAndApply(t *testing.T) {
 	if err := Apply(p, e); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Members()[1].Sys.Status().FaultsInjected; got != 1 {
-		t.Fatalf("member 1 reports %d injections, want 1", got)
+	if got := p.Members()[1].Sys.Status().Regions[1].FaultsInjected; got != 1 {
+		t.Fatalf("member 1 region 1 reports %d injections, want 1", got)
 	}
 	if err := Apply(p, Event{Member: 9}); err == nil {
 		t.Fatal("event for missing member accepted")
@@ -178,7 +178,9 @@ func TestPoolSlotsAndApply(t *testing.T) {
 	if err := Apply(p, Event{Member: 0, Region: 0, Frame: 1 << 20}); err == nil {
 		t.Fatal("out-of-band frame accepted")
 	}
-	if got := p.Members()[0].Sys.Status().FaultsInjected; got != 0 {
-		t.Fatalf("rejected injections counted on member 0: %d", got)
+	for _, r := range p.Members()[0].Sys.Status().Regions {
+		if r.FaultsInjected != 0 {
+			t.Fatalf("rejected injections counted on member 0 region %s: %d", r.Region, r.FaultsInjected)
+		}
 	}
 }

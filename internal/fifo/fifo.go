@@ -24,9 +24,6 @@ func New(capacity int) *F {
 	return &F{buf: make([]uint64, capacity)}
 }
 
-// Cap returns the capacity.
-func (f *F) Cap() int { return len(f.buf) }
-
 // Len returns the current occupancy.
 func (f *F) Len() int { return f.n }
 

@@ -37,9 +37,6 @@ func (s *SHA1) Reset() {
 // CyclesPerWord implements hw.Core: 80 rounds per 8 beats of block data.
 func (s *SHA1) CyclesPerWord() int { return 10 }
 
-// Blocks reports how many blocks were processed (diagnostics).
-func (s *SHA1) Blocks() uint64 { return s.blocks }
-
 // Write implements hw.Core.
 func (s *SHA1) Write(v uint64, size int) {
 	if size == 8 {
@@ -87,7 +84,6 @@ func (s *SHA1) process() {
 	s.h[2] += c
 	s.h[3] += d
 	s.h[4] += e
-	s.blocks++
 }
 
 func rotl(x uint32, n uint) uint32 { return x<<n | x>>(32-n) }

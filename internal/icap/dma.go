@@ -57,10 +57,6 @@ func (d *DMA) SetObserver(fn func(start, done sim.Time, words int, compressed bo
 	d.obs = fn
 }
 
-// BusyUntil reports when the engine's current window ends (its own port is
-// idle from then on).
-func (d *DMA) BusyUntil() sim.Time { return d.busyUntil }
-
 // Begin starts one transfer: the stream content is applied to the
 // configuration logic now, and the engine's port window [start, done) is
 // returned. start is the later of now and the end of the engine's previous

@@ -17,7 +17,7 @@ func TestPlanMemoizesSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	transitions := [][2]string{{"", "jenkins"}, {"jenkins", "fade"}, {"fade", "jenkins"}}
-	before := s.Mgr.DiffAssemblies()
+	before := s.Status().Regions[0].DiffAssemblies
 	for _, compress := range []bool{false, true} {
 		s.Planner.SetCompression(compress)
 		for i := 0; i < 10; i++ {
@@ -31,7 +31,7 @@ func TestPlanMemoizesSizes(t *testing.T) {
 			}
 		}
 	}
-	if n := s.Mgr.DiffAssemblies() - before; n != uint64(len(transitions)) {
+	if n := s.Status().Regions[0].DiffAssemblies - before; n != uint64(len(transitions)) {
 		t.Errorf("%d differentials assembled for 60 plans of %d transitions, want %d (memoized)",
 			n, len(transitions), len(transitions))
 	}

@@ -18,7 +18,7 @@ func TestCompressedLoadEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetCompression(true)
-	first, err := s.LoadModule("brightness")
+	first, err := s.LoadModuleOn(0, "brightness", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestCompressedLoadEndToEnd(t *testing.T) {
 	}
 	// A module-to-module swap decodes against the live region content (the
 	// KEEP ops copy resident frames) and must still verify end-to-end.
-	swap, err := s.LoadModule("blend")
+	swap, err := s.LoadModuleOn(0, "blend", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCompressedLoadEndToEnd(t *testing.T) {
 	if err := bl.Run(s); err != nil {
 		t.Fatalf("blend after compressed swap: %v", err)
 	}
-	if n := s.Mgr.CompressedLoads(); n != 2 {
+	if n := s.Status().Regions[0].CompressedLoads; n != 2 {
 		t.Errorf("CompressedLoads = %d, want 2", n)
 	}
 }

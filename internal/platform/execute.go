@@ -65,35 +65,16 @@ type ExecReport struct {
 // Latency is the simulated time the request occupied the system.
 func (r ExecReport) Latency() sim.Time { return r.Config + r.Work }
 
-// Resident returns the name of the module currently configured in region 0
-// — "" when blank, corrupted, or when the tracked state is not
+// ResidentOn returns the name of the module configured in the given
+// region — "" when blank, corrupted, or when the tracked state is not
 // authoritative (e.g. after an aborted speculative stream left partial
-// region content), so callers can treat it as a bitstream-cache key.
-// Unlike Mgr.Current it is safe to call while another goroutine is inside
+// region content), so callers can treat it as a bitstream-cache key. It
+// takes the system lock, so it is safe while another goroutine is inside
 // ExecuteOn.
-func (s *System) Resident() string { return s.ResidentOn(0) }
-
-// ResidentOn returns the authoritative resident module of the given
-// region, under the same contract as Resident.
 func (s *System) ResidentOn(ri int) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.regions[ri].mgr.ResidentState()
-	if !ok {
-		return ""
-	}
-	return r
-}
-
-// Supports reports whether the named module fits any of this system's
-// dynamic regions (SHA-1, for instance, does not fit the 32-bit system).
-func (s *System) Supports(module string) bool {
-	for _, rs := range s.regions {
-		if rs.mgr.Has(module) {
-			return true
-		}
-	}
-	return false
+	return s.regions[ri].resident()
 }
 
 // SupportsOn reports whether the named module fits the given region — on
@@ -103,106 +84,35 @@ func (s *System) SupportsOn(ri int, module string) bool {
 	return s.regions[ri].mgr.Has(module)
 }
 
-// Status is a consistent snapshot of the system's reconfiguration state,
-// summed over every dynamic region. Resident is region 0's authoritative
-// resident — the whole fabric of a single-region system.
+// Status is one consistent snapshot of a board, taken under the system
+// lock: its simulated time, whether a reconfiguration damaged the static
+// design, and every region's resident module and counters.
 type Status struct {
-	Resident      string
-	Now           sim.Time
-	Loads         uint64
-	LoadTime      sim.Time
-	StreamedBytes uint64
-	CompleteLoads uint64
-	DiffLoads     uint64
-	AbortedLoads  uint64
-	// ScrubPasses counts readback scrubs across the regions; ScrubFaults
-	// the passes that detected corruption; FaultsInjected the bit-flips
-	// the fault campaign applied.
-	ScrubPasses    uint64
-	ScrubFaults    uint64
-	FaultsInjected uint64
-	Corrupted      bool
+	Now       sim.Time
+	Corrupted bool
+	Regions   []RegionStatus
 }
 
-// RegionStatus is one region's slice of the system status.
+// RegionStatus is one region's part of a board's status. Resident follows
+// ResidentOn's authoritative-only contract.
 type RegionStatus struct {
-	Region         string
-	Resident       string
-	Loads          uint64
-	LoadTime       sim.Time
-	StreamedBytes  uint64
-	CompleteLoads  uint64
-	DiffLoads      uint64
-	AbortedLoads   uint64
-	ScrubPasses    uint64
-	ScrubFaults    uint64
-	FaultsInjected uint64
-	Corrupted      bool
+	Region   string
+	Resident string
+	core.Counters
 }
 
-// Status reports the resident module and manager statistics under the
-// system lock, so it is safe while another goroutine is inside ExecuteOn.
-// Resident follows the same authoritative-only contract as Resident():
-// after an aborted speculative stream the region content is partial, so
-// no module is reported.
+// Status snapshots the board under the system lock, so it is safe while
+// another goroutine is inside ExecuteOn.
 func (s *System) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var st Status
+	st := Status{Now: s.K.Now(), Regions: make([]RegionStatus, len(s.regions))}
 	for i, rs := range s.regions {
-		loads, loadTime, bytes := rs.mgr.Stats()
-		complete, diff := rs.mgr.LoadKinds()
-		st.Loads += loads
-		st.LoadTime += loadTime
-		st.StreamedBytes += bytes
-		st.CompleteLoads += complete
-		st.DiffLoads += diff
-		st.AbortedLoads += rs.mgr.AbortedLoads()
-		passes, faults := rs.mgr.ScrubStats()
-		st.ScrubPasses += passes
-		st.ScrubFaults += faults
-		st.FaultsInjected += rs.mgr.FaultsInjected()
+		st.Regions[i] = RegionStatus{Region: rs.area.R.Name, Resident: rs.resident(),
+			Counters: rs.mgr.Counters()}
 		st.Corrupted = st.Corrupted || rs.mgr.Corrupted()
-		if i == 0 {
-			if r, ok := rs.mgr.ResidentState(); ok {
-				st.Resident = r
-			}
-		}
 	}
-	st.Now = s.K.Now()
 	return st
-}
-
-// RegionStatuses reports every region's resident module and manager
-// counters under the system lock.
-func (s *System) RegionStatuses() []RegionStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]RegionStatus, len(s.regions))
-	for i, rs := range s.regions {
-		loads, loadTime, bytes := rs.mgr.Stats()
-		complete, diff := rs.mgr.LoadKinds()
-		resident, ok := rs.mgr.ResidentState()
-		if !ok {
-			resident = ""
-		}
-		passes, faults := rs.mgr.ScrubStats()
-		out[i] = RegionStatus{
-			Region:         rs.area.R.Name,
-			Resident:       resident,
-			Loads:          loads,
-			LoadTime:       loadTime,
-			StreamedBytes:  bytes,
-			CompleteLoads:  complete,
-			DiffLoads:      diff,
-			AbortedLoads:   rs.mgr.AbortedLoads(),
-			ScrubPasses:    passes,
-			ScrubFaults:    faults,
-			FaultsInjected: rs.mgr.FaultsInjected(),
-			Corrupted:      rs.mgr.Corrupted(),
-		}
-	}
-	return out
 }
 
 // SetPlanning toggles the differential-stream planner for every region of
@@ -255,7 +165,7 @@ func (s *System) planFor(rs *regionSlot, module string) (plan.Plan, error) {
 // planning and loading are one atomic step, so the plan's assumed
 // from-state cannot go stale between the choice and the stream — the
 // manager still re-verifies it. A non-nil stop makes the stream abortable
-// (see LoadSpeculativeOn): an abort reports Aborted with the bytes actually
+// (see LoadModuleOn): an abort reports Aborted with the bytes actually
 // pushed and returns core.ErrAborted.
 func (s *System) loadWith(rs *regionSlot, name string, stop func() bool) (ConfigReport, error) {
 	r := ConfigReport{Module: name, Region: rs.area.R.Name, At: s.K.Now()}
@@ -297,19 +207,24 @@ func (s *System) RestoreEstimateOn(ri int, module string) (int, error) {
 	return s.regions[ri].planner.RestoreBytes(module)
 }
 
-// LoadSpeculativeOn brings a module into the given region ahead of any
-// request — the prefetch half of overlapping reconfiguration with
-// computation. It plans like LoadModuleOn but issues the stream through
-// the abortable path, polling stop at safe boundaries, so a real request
-// that wants the region never waits for a full speculative stream: it
-// triggers stop and takes the system lock as soon as the stream parks. On
-// abort the report carries the partial byte count and Aborted=true, the
-// region's resident state is demoted to non-authoritative, and
-// core.ErrAborted is returned — the §2.2 hazard gate then forces the next
-// load of THIS region onto a complete stream (sibling regions keep their
-// authoritative state), so a stale speculative resident can never be
-// executed against.
-func (s *System) LoadSpeculativeOn(ri int, name string, stop func() bool) (ConfigReport, error) {
+// LoadModuleOn reconfigures the given region with the named module,
+// letting the planner choose the cheapest safe stream (a no-op when
+// resident, a differential transition when the tracked state is
+// authoritative, the complete stream otherwise), and reports what was
+// streamed. It takes the system lock, so Status/ResidentOn/PlanForOn stay
+// safe concurrently.
+//
+// A nil stop is a plain load. A non-nil stop makes the load speculative —
+// the prefetch half of overlapping reconfiguration with computation: stop
+// is polled at safe stream boundaries, so a real request that wants the
+// region never waits for a full speculative stream; it trips stop and
+// takes the system lock as soon as the stream parks. On abort the report
+// carries the partial byte count and Aborted=true, the region's resident
+// state is demoted to non-authoritative, and core.ErrAborted is returned —
+// the §2.2 hazard gate then forces the next load of THIS region onto a
+// complete stream (sibling regions keep their authoritative state), so a
+// stale speculative resident can never be executed against.
+func (s *System) LoadModuleOn(ri int, name string, stop func() bool) (ConfigReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.loadWith(s.regions[ri], name, stop)
@@ -327,7 +242,6 @@ func (s *System) ExecuteOn(ri int, module string, fn func() error) (ExecReport, 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rs := s.regions[ri]
-	s.active = ri
 	cfg, err := s.loadWith(rs, module, nil)
 	r := ExecReport{
 		Module: module,
@@ -341,14 +255,21 @@ func (s *System) ExecuteOn(ri int, module string, fn func() error) (ExecReport, 
 		At:            cfg.At,
 	}
 	if err != nil {
-		s.active = 0
 		return r, err
 	}
-	start := s.K.Now()
-	err = fn()
-	r.Work = s.K.Now() - start
-	s.active = 0
+	r.Work, err = s.work(ri, fn)
 	return r, err
+}
+
+// work is the work phase of ExecuteOn and FinishExecuteOn: it runs fn with
+// region ri active and returns the simulated time fn took. Runs under the
+// system lock.
+func (s *System) work(ri int, fn func() error) (sim.Time, error) {
+	s.active = ri
+	start := s.K.Now()
+	err := fn()
+	s.active = 0
+	return s.K.Now() - start, err
 }
 
 // LoadTicket is one in-flight DMA-path configuration of a region: the
@@ -396,7 +317,6 @@ func (s *System) FinishExecuteOn(t *LoadTicket, fn func() error) (ExecReport, er
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rs := t.rs
-	s.active = t.ri
 	at := s.K.Now()
 	visible, hidden := rs.mgr.FinishLoad(t.pending)
 	r := ExecReport{
@@ -411,13 +331,10 @@ func (s *System) FinishExecuteOn(t *LoadTicket, fn func() error) (ExecReport, er
 		At:            at,
 	}
 	if rs.mgr.Current() != t.module {
-		s.active = 0
 		return r, fmt.Errorf("platform: after dma load of %s region %s binds %q",
 			t.module, rs.area.R.Name, rs.mgr.Current())
 	}
-	start := s.K.Now()
-	err := fn()
-	r.Work = s.K.Now() - start
-	s.active = 0
+	var err error
+	r.Work, err = s.work(t.ri, fn)
 	return r, err
 }

@@ -1,8 +1,13 @@
 package platform
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/plan"
 )
 
 func TestExecuteCacheHitMiss(t *testing.T) {
@@ -10,12 +15,12 @@ func TestExecuteCacheHitMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Resident(); got != "" {
+	if got := s.ResidentOn(0); got != "" {
 		t.Fatalf("fresh system resident = %q, want blank", got)
 	}
-	if !s.Supports("fade") || s.Supports("sha1") {
+	if !s.SupportsOn(0, "fade") || s.SupportsOn(0, "sha1") {
 		t.Fatalf("Sys32 support: fade=%v sha1=%v, want true/false",
-			s.Supports("fade"), s.Supports("sha1"))
+			s.SupportsOn(0, "fade"), s.SupportsOn(0, "sha1"))
 	}
 	miss, err := s.ExecuteOn(0, "fade", func() error { return nil })
 	if err != nil {
@@ -31,7 +36,7 @@ func TestExecuteCacheHitMiss(t *testing.T) {
 	if !hit.CacheHit || hit.Config != 0 {
 		t.Fatalf("reload: hit=%v config=%v, want hit with zero config", hit.CacheHit, hit.Config)
 	}
-	if got := s.Resident(); got != "fade" {
+	if got := s.ResidentOn(0); got != "fade" {
 		t.Fatalf("resident = %q, want fade", got)
 	}
 }
@@ -50,7 +55,7 @@ func TestExecuteSerializes(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			_, err := s.ExecuteOn(0, mods[i%len(mods)], func() error {
-				_ = s.Resident // no nested Resident: the lock is held
+				_ = s.ResidentOn // no nested ResidentOn: the lock is held
 				s.CPU.Op(100)
 				return nil
 			})
@@ -62,5 +67,102 @@ func TestExecuteSerializes(t *testing.T) {
 	wg.Wait()
 	if s.Mgr.Corrupted() {
 		t.Fatal("static design corrupted by serialized executes")
+	}
+}
+
+// TestStatusRowsConserveLoads drives every kind of load — complete,
+// differential, compressed, DMA and one aborted speculative stream — on
+// both regions of a dual-region board and checks each status row against
+// what was issued: every row conserves its loads, counts each kind as
+// issued and counts the DMA loads. A naive load on either region then
+// reads as a corrupted board.
+func TestStatusRowsConserveLoads(t *testing.T) {
+	s, err := NewSys64N(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issued := make([]map[plan.StreamKind]uint64, s.NumRegions())
+	dma := make([]uint64, s.NumRegions())
+	for ri := range issued {
+		issued[ri] = make(map[plan.StreamKind]uint64)
+	}
+	load := func(ri int, module string) {
+		t.Helper()
+		rep, err := s.LoadModuleOn(ri, module, nil)
+		if err != nil {
+			t.Fatalf("region %d, %s: %v", ri, module, err)
+		}
+		issued[ri][rep.Kind]++
+	}
+	loadDMA := func(ri int, module string) {
+		t.Helper()
+		tk, err := s.BeginExecuteOn(ri, module)
+		if err != nil {
+			t.Fatalf("region %d, dma %s: %v", ri, module, err)
+		}
+		if _, err := s.FinishExecuteOn(tk, func() error { return nil }); err != nil {
+			t.Fatalf("region %d, dma %s: %v", ri, module, err)
+		}
+		issued[ri][tk.Plan().Kind]++
+		dma[ri]++
+	}
+
+	s.SetPlanning(false)
+	for ri := range issued {
+		load(ri, "fade")
+	}
+	s.SetPlanning(true)
+	for ri := range issued {
+		load(ri, "brightness")
+	}
+	s.SetCompression(true)
+	for ri := range issued {
+		load(ri, "blend")
+		loadDMA(ri, "jenkins")
+		loadDMA(ri, "fade")
+	}
+	var polls atomic.Int64
+	if rep, err := s.LoadModuleOn(1, "brightness", func() bool { return polls.Add(1) > 2 }); !errors.Is(err, core.ErrAborted) || !rep.Aborted {
+		t.Fatalf("speculative load returned (%+v, %v), want an abort", rep, err)
+	}
+	loadDMA(1, "blend")
+
+	st := s.Status()
+	if st.Corrupted {
+		t.Fatal("BitLinker-assembled loads corrupted the static design")
+	}
+	for ri, r := range st.Regions {
+		want := issued[ri]
+		for _, k := range []plan.StreamKind{plan.StreamComplete, plan.StreamDifferential, plan.StreamCompressed} {
+			if want[k] == 0 {
+				t.Errorf("region %s: the drive issued no %v load", r.Region, k)
+			}
+		}
+		if r.Loads != r.CompleteLoads+r.DiffLoads+r.CompressedLoads+r.AbortedLoads {
+			t.Errorf("region %s: counters %+v do not conserve loads", r.Region, r.Counters)
+		}
+		if r.CompleteLoads != want[plan.StreamComplete] || r.DiffLoads != want[plan.StreamDifferential] ||
+			r.CompressedLoads != want[plan.StreamCompressed] {
+			t.Errorf("region %s: counters %+v, issued %v", r.Region, r.Counters, want)
+		}
+		if r.DMALoads != dma[ri] {
+			t.Errorf("region %s: %d DMA loads counted, %d issued", r.Region, r.DMALoads, dma[ri])
+		}
+	}
+	if st.Regions[0].AbortedLoads != 0 || st.Regions[1].AbortedLoads != 1 {
+		t.Errorf("aborted loads (%d, %d), want (0, 1)", st.Regions[0].AbortedLoads, st.Regions[1].AbortedLoads)
+	}
+
+	for ri := 0; ri < 2; ri++ {
+		b, err := NewSys64N(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.regions[ri].mgr.LoadNaive("fade"); err != nil {
+			t.Fatal(err)
+		}
+		if !b.Status().Corrupted {
+			t.Errorf("a naive load on region %d left the board uncorrupted", ri)
+		}
 	}
 }

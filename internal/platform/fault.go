@@ -10,6 +10,8 @@ package platform
 // stream a complete configuration, which rewrites every span frame and
 // heals the flip as a side effect.
 
+import "repro/internal/sim"
+
 // ScrubReport is the outcome of one readback scrub of a dynamic region.
 type ScrubReport struct {
 	// Region names the scrubbed dynamic region.
@@ -22,6 +24,9 @@ type ScrubReport struct {
 	// region was blank) — what a repair reloads to return the slot to its
 	// pre-fault warmth.
 	Module string
+	// At is the member's simulated time when the pass ran. Trace events
+	// of the pass and of its quarantine are stamped with it.
+	At sim.Time
 }
 
 // ScrubOn runs one readback scrub pass over the region (a content hash
@@ -34,7 +39,7 @@ func (s *System) ScrubOn(ri int) ScrubReport {
 	defer s.mu.Unlock()
 	rs := s.regions[ri]
 	detected, module := rs.mgr.Scrub()
-	return ScrubReport{Region: rs.area.R.Name, Detected: detected, Module: module}
+	return ScrubReport{Region: rs.area.R.Name, Detected: detected, Module: module, At: s.K.Now()}
 }
 
 // InjectFaultOn flips one configuration bit inside the region's row band:

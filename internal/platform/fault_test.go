@@ -22,10 +22,10 @@ func TestDualRegionFaultScrubDemotesOnlyThatRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModuleOn(0, "jenkins"); err != nil {
+	if _, err := s.LoadModuleOn(0, "jenkins", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModuleOn(1, "fade"); err != nil {
+	if _, err := s.LoadModuleOn(1, "fade", nil); err != nil {
 		t.Fatal(err)
 	}
 	frames, words := s.FaultSpaceOn(1)
@@ -67,7 +67,7 @@ func TestDualRegionFaultScrubDemotesOnlyThatRegion(t *testing.T) {
 	}
 	// The complete reload overwrites every span frame: authority restored,
 	// flip healed, scrub clean again.
-	if _, err := s.LoadModuleOn(1, "fade"); err != nil {
+	if _, err := s.LoadModuleOn(1, "fade", nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.ResidentOn(1); got != "fade" {
@@ -76,10 +76,11 @@ func TestDualRegionFaultScrubDemotesOnlyThatRegion(t *testing.T) {
 	if rep := s.ScrubOn(1); rep.Detected {
 		t.Fatalf("scrub after complete reload still detects corruption: %+v", rep)
 	}
-	if s.Status().Corrupted {
+	status := s.Status()
+	if status.Corrupted {
 		t.Fatal("static design corrupted: the fault escaped the region band")
 	}
-	st := s.RegionStatuses()
+	st := status.Regions
 	if st[1].ScrubFaults != 1 || st[1].FaultsInjected != 1 {
 		t.Errorf("region 1 counters %+v, want 1 scrub fault / 1 injection", st[1])
 	}
@@ -99,7 +100,7 @@ func TestScrubAfterAbortDoesNotDoubleDemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModuleOn(1, "fade"); err != nil {
+	if _, err := s.LoadModuleOn(1, "fade", nil); err != nil {
 		t.Fatal(err)
 	}
 	// Fire the scrub from a second goroutine while the speculative stream
@@ -107,7 +108,7 @@ func TestScrubAfterAbortDoesNotDoubleDemote(t *testing.T) {
 	scrubbed := make(chan ScrubReport, 1)
 	var polls atomic.Int64
 	go func() { scrubbed <- s.ScrubOn(1) }()
-	rep, err := s.LoadSpeculativeOn(1, "blend", func() bool {
+	rep, err := s.LoadModuleOn(1, "blend", func() bool {
 		return polls.Add(1) > 2
 	})
 	if !errors.Is(err, core.ErrAborted) || !rep.Aborted {
@@ -125,11 +126,11 @@ func TestScrubAfterAbortDoesNotDoubleDemote(t *testing.T) {
 	if rep := s.ScrubOn(1); rep.Detected {
 		t.Fatalf("scrub of already-demoted region detected: %+v", rep)
 	}
-	st := s.RegionStatuses()
+	st := s.Status().Regions
 	if st[1].AbortedLoads != 1 || st[1].ScrubFaults != 0 {
 		t.Errorf("region 1 counters %+v, want 1 aborted load / 0 scrub faults", st[1])
 	}
-	if _, err := s.LoadModuleOn(1, "blend"); err != nil {
+	if _, err := s.LoadModuleOn(1, "blend", nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.ResidentOn(1); got != "blend" {

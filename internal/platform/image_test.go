@@ -121,11 +121,9 @@ func TestSharedBootEqualsFreshAssembly(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var skipped []string
 				for _, spec := range hwcore.Specs() {
 					comp, err := hwcore.BuildComponent(spec, dev, a.R, a.Macro)
 					if err != nil {
-						skipped = append(skipped, spec.Name)
 						if mgr.Has(spec.Name) {
 							t.Errorf("region %s registered %s, which does not fit it", a.R.Name, spec.Name)
 						}
@@ -151,9 +149,6 @@ func TestSharedBootEqualsFreshAssembly(t *testing.T) {
 					if cmDigest(t, mod.Target()) != cmDigest(t, target) {
 						t.Errorf("region %s, %s: post-load image differs from a fresh assembly", a.R.Name, spec.Name)
 					}
-				}
-				if !slices.Equal(s.regions[ri].skipped, skipped) {
-					t.Errorf("region %s skipped %v, want %v", a.R.Name, s.regions[ri].skipped, skipped)
 				}
 			}
 
@@ -216,7 +211,7 @@ func TestBoardsOfOneShapeStayIsolated(t *testing.T) {
 		}
 		return sums
 	}
-	if _, err := b.LoadModuleOn(1, "jenkins"); err != nil {
+	if _, err := b.LoadModuleOn(1, "jenkins", nil); err != nil {
 		t.Fatal(err)
 	}
 	bDigest, bStates, sharedBefore := cmDigest(t, b.CM), states(b), shared()
@@ -224,13 +219,12 @@ func TestBoardsOfOneShapeStayIsolated(t *testing.T) {
 	a.SetCompression(true)
 	for ri, rs := range a.regions {
 		for _, name := range rs.mgr.Modules() {
-			if _, err := a.LoadModuleOn(ri, name); err != nil {
+			if _, err := a.LoadModuleOn(ri, name, nil); err != nil {
 				t.Fatalf("region %d, %s: %v", ri, name, err)
 			}
 		}
 	}
-	_, diffs := a.regions[0].mgr.LoadKinds()
-	if diffs+a.regions[0].mgr.CompressedLoads() == 0 {
+	if c := a.regions[0].mgr.Counters(); c.DiffLoads+c.CompressedLoads == 0 {
 		t.Fatal("no load streamed against a shared post-load image")
 	}
 	if err := a.InjectFaultOn(0, 3, 2, 7); err != nil {
@@ -240,7 +234,7 @@ func TestBoardsOfOneShapeStayIsolated(t *testing.T) {
 	if !rep.Detected {
 		t.Fatal("scrub missed the injected upset")
 	}
-	if _, err := a.LoadModuleOn(0, rep.Module); err != nil {
+	if _, err := a.LoadModuleOn(0, rep.Module, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.regions[0].mgr.LoadNaive("jenkins"); err != nil {

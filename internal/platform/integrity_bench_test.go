@@ -12,7 +12,7 @@ func BenchmarkScrub(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := s.LoadModuleOn(0, "brightness"); err != nil {
+	if _, err := s.LoadModuleOn(0, "brightness", nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -47,7 +47,7 @@ func BenchmarkLoadSwap(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep, err := s.LoadModuleOn(0, mods[i%2])
+				rep, err := s.LoadModuleOn(0, mods[i%2], nil)
 				if err != nil {
 					b.Fatal(err)
 				}

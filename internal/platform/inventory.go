@@ -57,11 +57,12 @@ func (s *System) StaticTotal() fabric.Resources {
 
 // BudgetCheck verifies that static design plus dynamic area fit the device.
 func (s *System) BudgetCheck() error {
+	r := s.RegionAt(0)
 	total := s.StaticTotal().Add(fabric.Resources{
-		Slices: s.Region.Slices(),
-		LUTs:   s.Region.LUTs(),
-		FFs:    s.Region.FFs(),
-		BRAMs:  s.Region.BRAMBudget,
+		Slices: r.Slices(),
+		LUTs:   r.LUTs(),
+		FFs:    r.FFs(),
+		BRAMs:  r.BRAMBudget,
 	})
 	if !total.FitsDevice(s.Dev) {
 		return errBudget(s.Name, total, s.Dev)

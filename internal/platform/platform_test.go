@@ -1,20 +1,33 @@
 package platform
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dock"
 	"repro/internal/hw"
+	"repro/internal/hwcore"
 	"repro/internal/plan"
 	"repro/internal/sim"
 )
+
+// unfit lists the modules that do not fit region 0.
+func unfit(s *System) []string {
+	var out []string
+	for _, spec := range hwcore.Specs() {
+		if !s.SupportsOn(0, spec.Name) {
+			out = append(out, spec.Name)
+		}
+	}
+	return out
+}
 
 func TestSys32Boot(t *testing.T) {
 	s, err := NewSys32()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Is64 || s.Dock32 == nil || s.Dock64 != nil {
+	if s.Is64 || s.regions[0].dock32 == nil || s.regions[0].dock64 != nil {
 		t.Fatal("sys32 wiring wrong")
 	}
 	if s.CPU.CacheEnabled() {
@@ -23,9 +36,9 @@ func TestSys32Boot(t *testing.T) {
 	if s.CPUClk.Hz() != 200_000_000 || s.BusClk.Hz() != 50_000_000 {
 		t.Error("sys32 clock frequencies do not match §3.1")
 	}
-	// SHA-1 must be the one skipped module.
-	if len(s.Skipped) != 1 || s.Skipped[0] != "sha1" {
-		t.Errorf("skipped = %v, want [sha1]", s.Skipped)
+	// SHA-1 must be the one module that does not fit.
+	if got := unfit(s); !slices.Equal(got, []string{"sha1"}) {
+		t.Errorf("unfit = %v, want [sha1]", got)
 	}
 	if err := s.BudgetCheck(); err != nil {
 		t.Error(err)
@@ -37,7 +50,7 @@ func TestSys64Boot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Is64 || s.Dock64 == nil || s.Dock32 != nil || s.INTC == nil {
+	if !s.Is64 || s.regions[0].dock64 == nil || s.regions[0].dock32 != nil || s.INTC == nil {
 		t.Fatal("sys64 wiring wrong")
 	}
 	if !s.CPU.CacheEnabled() {
@@ -46,8 +59,8 @@ func TestSys64Boot(t *testing.T) {
 	if s.CPUClk.Hz() != 300_000_000 || s.BusClk.Hz() != 100_000_000 {
 		t.Error("sys64 clock frequencies do not match §4.1")
 	}
-	if len(s.Skipped) != 0 {
-		t.Errorf("skipped on sys64 = %v, want none", s.Skipped)
+	if got := unfit(s); len(got) != 0 {
+		t.Errorf("unfit on sys64 = %v, want none", got)
 	}
 	if err := s.BudgetCheck(); err != nil {
 		t.Error(err)
@@ -63,7 +76,7 @@ func TestModuleLoadBindsCore(t *testing.T) {
 		t.Fatal("a core is bound before any configuration")
 	}
 	s.SetPlanning(false)
-	rep, err := s.LoadModuleOn(0, "passthrough")
+	rep, err := s.LoadModuleOn(0, "passthrough", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +92,7 @@ func TestModuleLoadBindsCore(t *testing.T) {
 		t.Errorf("config time %v outside the plausible HWICAP range", rep.Time)
 	}
 	// Loading the same module again is free.
-	again, err := s.LoadModule("passthrough")
+	again, err := s.LoadModuleOn(0, "passthrough", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +115,7 @@ func TestPlannedLoadUsesDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := s.LoadModule("brightness")
+	first, err := s.LoadModuleOn(0, "brightness", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +125,7 @@ func TestPlannedLoadUsesDifferential(t *testing.T) {
 	if s.Mgr.Current() != "brightness" {
 		t.Fatalf("bound %q after planned load", s.Mgr.Current())
 	}
-	swap, err := s.LoadModule("blend")
+	swap, err := s.LoadModuleOn(0, "blend", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +137,7 @@ func TestPlannedLoadUsesDifferential(t *testing.T) {
 	}
 	// With planning disabled the same swap pays the complete stream.
 	s.SetPlanning(false)
-	back, err := s.LoadModule("brightness")
+	back, err := s.LoadModuleOn(0, "brightness", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +151,7 @@ func TestDockRoundTripThroughCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModule("passthrough"); err != nil {
+	if _, err := s.LoadModuleOn(0, "passthrough", nil); err != nil {
 		t.Fatal(err)
 	}
 	s.CPU.SW(s.DockData(), 0xDEAD0001)
@@ -152,13 +165,13 @@ func TestModuleSwapRebinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModule("jenkins"); err != nil {
+	if _, err := s.LoadModuleOn(0, "jenkins", nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.Mgr.Current() != "jenkins" {
 		t.Fatal("jenkins not current")
 	}
-	if _, err := s.LoadModule("brightness"); err != nil {
+	if _, err := s.LoadModuleOn(0, "brightness", nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.Mgr.Current() != "brightness" {
@@ -167,9 +180,8 @@ func TestModuleSwapRebinds(t *testing.T) {
 	if s.Mgr.Corrupted() {
 		t.Fatal("BitLinker-assembled swaps must never corrupt the static design")
 	}
-	loads, total, bytes := s.Mgr.Stats()
-	if loads != 2 || total == 0 || bytes == 0 {
-		t.Fatalf("manager stats: loads=%d total=%v bytes=%d", loads, total, bytes)
+	if c := s.Mgr.Counters(); c.Loads != 2 || c.LoadTime == 0 || c.StreamedBytes == 0 {
+		t.Fatalf("manager counters: %+v", c)
 	}
 }
 
@@ -181,7 +193,7 @@ func TestDifferentialHazardEndToEnd(t *testing.T) {
 	// Load fade (complete). Then load a differential stream for blend that
 	// assumes the region is blank — stale fade frames survive and the
 	// region binds the broken core.
-	if _, err := s.LoadModule("fade"); err != nil {
+	if _, err := s.LoadModuleOn(0, "fade", nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Mgr.LoadDifferential("blend", ""); err != nil {
@@ -190,7 +202,7 @@ func TestDifferentialHazardEndToEnd(t *testing.T) {
 	if s.Mgr.Current() != "" {
 		t.Fatalf("differential config on wrong state bound %q, want broken", s.Mgr.Current())
 	}
-	st, _ := s.Dock32.Read(dock.RegStatus, 4)
+	st, _ := s.regions[0].dock32.Read(dock.RegStatus, 4)
 	if st&dock.StatBroken == 0 {
 		t.Fatal("dock does not report a broken configuration")
 	}
@@ -198,7 +210,7 @@ func TestDifferentialHazardEndToEnd(t *testing.T) {
 		t.Fatal("core is not the broken model")
 	}
 	// Recovery: a complete configuration fixes the region.
-	if _, err := s.LoadModule("blend"); err != nil {
+	if _, err := s.LoadModuleOn(0, "blend", nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.Mgr.Current() != "blend" {
@@ -239,7 +251,7 @@ func TestDifferentialFasterThanComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetPlanning(false)
-	full, err := s.LoadModuleOn(0, "brightness")
+	full, err := s.LoadModuleOn(0, "brightness", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,13 +274,13 @@ func TestSys64ModuleLoadAndDock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModule("sha1"); err != nil {
+	if _, err := s.LoadModuleOn(0, "sha1", nil); err != nil {
 		t.Fatalf("sha1 must fit the 64-bit system: %v", err)
 	}
 	if s.Core().Name() != "sha1" {
 		t.Fatal("sha1 not bound")
 	}
-	if _, err := s.LoadModule("passthrough"); err != nil {
+	if _, err := s.LoadModuleOn(0, "passthrough", nil); err != nil {
 		t.Fatal(err)
 	}
 	s.CPU.SW(s.DockData(), 0x1234)

@@ -50,24 +50,25 @@ func TestDualRegionIndependentResidents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModuleOn(0, "jenkins"); err != nil {
+	if _, err := s.LoadModuleOn(0, "jenkins", nil); err != nil {
 		t.Fatal(err)
 	}
-	st0 := s.RegionStatuses()
-	if _, err := s.LoadModuleOn(1, "fade"); err != nil {
+	st0 := s.Status().Regions
+	if _, err := s.LoadModuleOn(1, "fade", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModuleOn(1, "brightness"); err != nil {
+	if _, err := s.LoadModuleOn(1, "brightness", nil); err != nil {
 		t.Fatal(err)
 	}
-	st := s.RegionStatuses()
+	status := s.Status()
+	st := status.Regions
 	if st[0].Resident != "jenkins" || st[1].Resident != "brightness" {
 		t.Fatalf("residents (%q, %q), want (jenkins, brightness)", st[0].Resident, st[1].Resident)
 	}
 	if st[0].Loads != st0[0].Loads {
 		t.Errorf("sibling loads moved region 0's counter: %d -> %d", st0[0].Loads, st[0].Loads)
 	}
-	if st[0].Corrupted || st[1].Corrupted {
+	if status.Corrupted {
 		t.Fatal("static design corrupted by dual-region loads")
 	}
 	// Both region 1 loads plan differentials against its own verified
@@ -75,11 +76,6 @@ func TestDualRegionIndependentResidents(t *testing.T) {
 	if st[1].DiffLoads != 2 || st[1].CompleteLoads != 0 {
 		t.Errorf("region 1 loads: %d complete / %d diff, want 0 / 2",
 			st[1].CompleteLoads, st[1].DiffLoads)
-	}
-	// Aggregate status sums the regions.
-	agg := s.Status()
-	if agg.Loads != st[0].Loads+st[1].Loads || agg.StreamedBytes != st[0].StreamedBytes+st[1].StreamedBytes {
-		t.Errorf("aggregate status %+v does not sum region statuses %+v", agg, st)
 	}
 }
 
@@ -126,14 +122,14 @@ func TestDualRegionAbortDemotesOnlyThatRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModuleOn(0, "jenkins"); err != nil {
+	if _, err := s.LoadModuleOn(0, "jenkins", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModuleOn(1, "fade"); err != nil {
+	if _, err := s.LoadModuleOn(1, "fade", nil); err != nil {
 		t.Fatal(err)
 	}
 	var polls atomic.Int64
-	rep, err := s.LoadSpeculativeOn(1, "blend", func() bool {
+	rep, err := s.LoadModuleOn(1, "blend", func() bool {
 		return polls.Add(1) > 2 // park a few chunks in
 	})
 	if !errors.Is(err, core.ErrAborted) || !rep.Aborted {
@@ -164,7 +160,7 @@ func TestDualRegionAbortDemotesOnlyThatRegion(t *testing.T) {
 			p0.Region, p1.Region, s.RegionAt(0).Name, s.RegionAt(1).Name)
 	}
 	// Recovery on region 1 streams complete and restores authority.
-	if _, err := s.LoadModuleOn(1, "blend"); err != nil {
+	if _, err := s.LoadModuleOn(1, "blend", nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.ResidentOn(1); got != "blend" {
@@ -186,8 +182,8 @@ func TestSingleRegionUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Region != b.Region || a.Name != b.Name || a.NumRegions() != 1 || b.NumRegions() != 1 {
-		t.Fatalf("n=1 build differs: %v vs %v", a.Region, b.Region)
+	if a.RegionAt(0) != b.RegionAt(0) || a.Name != b.Name || a.NumRegions() != 1 || b.NumRegions() != 1 {
+		t.Fatalf("n=1 build differs: %v vs %v", a.RegionAt(0), b.RegionAt(0))
 	}
 	for _, mod := range []string{"sha1", "jenkins", "brightness"} {
 		sa, _, err := a.Mgr.CompleteSize(mod)

@@ -16,14 +16,14 @@ func TestSpeculativeLoadThenHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.LoadSpeculativeOn(0, "fade", func() bool { return false })
+	rep, err := s.LoadModuleOn(0, "fade", func() bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Aborted || rep.Kind == plan.StreamNone || rep.Bytes == 0 || rep.Time == 0 {
 		t.Fatalf("speculative report %+v, want a real stream", rep)
 	}
-	if got := s.Resident(); got != "fade" {
+	if got := s.ResidentOn(0); got != "fade" {
 		t.Fatalf("resident %q after speculative load, want fade", got)
 	}
 	er, err := s.ExecuteOn(0, "fade", func() error { return nil })
@@ -37,20 +37,20 @@ func TestSpeculativeLoadThenHit(t *testing.T) {
 
 // TestSpeculativeAbortForcesCompleteReload aborts a speculative stream
 // mid-flight and checks the safety chain end to end at the platform layer:
-// Resident() stops naming the stale module, the next ExecuteOn streams a
+// ResidentOn(0) stops naming the stale module, the next ExecuteOn streams a
 // complete configuration, and the static design stays intact.
 func TestSpeculativeAbortForcesCompleteReload(t *testing.T) {
 	s, err := NewSys32()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModule("fade"); err != nil {
+	if _, err := s.LoadModuleOn(0, "fade", nil); err != nil {
 		t.Fatal(err)
 	}
 	// The first two polls are the entry checks of LoadSpeculative and
 	// LoadPlannedAbortable; the third is the first in-stream boundary.
 	polls := 0
-	rep, err := s.LoadSpeculativeOn(0, "blend", func() bool {
+	rep, err := s.LoadModuleOn(0, "blend", func() bool {
 		polls++
 		return polls >= 3
 	})
@@ -60,12 +60,11 @@ func TestSpeculativeAbortForcesCompleteReload(t *testing.T) {
 	if !rep.Aborted || rep.Bytes <= 0 {
 		t.Fatalf("abort report %+v, want partial bytes", rep)
 	}
-	if got := s.Resident(); got != "" {
-		t.Fatalf("Resident() = %q after abort, want \"\" (non-authoritative)", got)
+	if got := s.ResidentOn(0); got != "" {
+		t.Fatalf("ResidentOn(0) = %q after abort, want \"\" (non-authoritative)", got)
 	}
-	st := s.Status()
-	if st.AbortedLoads != 1 {
-		t.Fatalf("status aborted loads = %d, want 1", st.AbortedLoads)
+	if n := s.Status().Regions[0].AbortedLoads; n != 1 {
+		t.Fatalf("status aborted loads = %d, want 1", n)
 	}
 
 	er, err := s.ExecuteOn(0, "blend", func() error { return nil })
@@ -75,8 +74,8 @@ func TestSpeculativeAbortForcesCompleteReload(t *testing.T) {
 	if er.CacheHit || er.Kind != plan.StreamComplete {
 		t.Fatalf("post-abort execute report %+v, want a complete-stream miss", er)
 	}
-	if s.Resident() != "blend" || s.Status().Corrupted {
-		t.Fatalf("recovery failed: resident %q corrupted=%v", s.Resident(), s.Status().Corrupted)
+	if s.ResidentOn(0) != "blend" || s.Status().Corrupted {
+		t.Fatalf("recovery failed: resident %q corrupted=%v", s.ResidentOn(0), s.Status().Corrupted)
 	}
 }
 
@@ -88,18 +87,18 @@ func TestSpeculativeAbortBeforeStartIsFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModule("fade"); err != nil {
+	if _, err := s.LoadModuleOn(0, "fade", nil); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.LoadSpeculativeOn(0, "blend", func() bool { return true })
+	rep, err := s.LoadModuleOn(0, "blend", func() bool { return true })
 	if !errors.Is(err, core.ErrAborted) {
 		t.Fatalf("err = %v, want core.ErrAborted", err)
 	}
 	if rep.Bytes != 0 || !rep.Aborted {
 		t.Fatalf("report %+v, want clean zero-byte abort", rep)
 	}
-	if got := s.Resident(); got != "fade" {
-		t.Fatalf("Resident() = %q, want fade untouched", got)
+	if got := s.ResidentOn(0); got != "fade" {
+		t.Fatalf("ResidentOn(0) = %q, want fade untouched", got)
 	}
 }
 
@@ -126,7 +125,7 @@ func TestSpeculativeCompressedStream(t *testing.T) {
 		t.Fatalf("compressed restore estimate %d B, want < plain %d B (profit gate must price wire bytes)",
 			zRestore, plainRestore)
 	}
-	rep, err := s.LoadSpeculativeOn(0, "fade", func() bool { return false })
+	rep, err := s.LoadModuleOn(0, "fade", func() bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +154,11 @@ func TestSpeculativeCompressedAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetCompression(true)
-	if _, err := s.LoadModule("fade"); err != nil {
+	if _, err := s.LoadModuleOn(0, "fade", nil); err != nil {
 		t.Fatal(err)
 	}
 	polls := 0
-	rep, err := s.LoadSpeculativeOn(0, "blend", func() bool {
+	rep, err := s.LoadModuleOn(0, "blend", func() bool {
 		polls++
 		return polls >= 3
 	})
@@ -169,8 +168,8 @@ func TestSpeculativeCompressedAbort(t *testing.T) {
 	if !rep.Aborted || rep.Bytes <= 0 {
 		t.Fatalf("abort report %+v, want partial bytes", rep)
 	}
-	if got := s.Resident(); got != "" {
-		t.Fatalf("Resident() = %q after abort, want \"\" (non-authoritative)", got)
+	if got := s.ResidentOn(0); got != "" {
+		t.Fatalf("ResidentOn(0) = %q after abort, want \"\" (non-authoritative)", got)
 	}
 	er, err := s.ExecuteOn(0, "blend", func() error { return nil })
 	if err != nil {
@@ -182,7 +181,7 @@ func TestSpeculativeCompressedAbort(t *testing.T) {
 	if er.Kind != plan.StreamCompressed && er.Kind != plan.StreamComplete {
 		t.Fatalf("post-abort stream kind %v, want a complete-based stream", er.Kind)
 	}
-	if s.Resident() != "blend" || s.Status().Corrupted {
-		t.Fatalf("recovery failed: resident %q corrupted=%v", s.Resident(), s.Status().Corrupted)
+	if s.ResidentOn(0) != "blend" || s.Status().Corrupted {
+		t.Fatalf("recovery failed: resident %q corrupted=%v", s.ResidentOn(0), s.Status().Corrupted)
 	}
 }

@@ -21,7 +21,7 @@ func TestCorruptedStreamThroughICAP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModule("brightness"); err != nil {
+	if _, err := s.LoadModuleOn(0, "brightness", nil); err != nil {
 		t.Fatal(err)
 	}
 	// Stream a corrupted word directly at the HWICAP: a fresh sync +
@@ -36,7 +36,7 @@ func TestCorruptedStreamThroughICAP(t *testing.T) {
 	}
 	// Reset the configuration logic and reload a good module.
 	c.SW(AddrICAP+icap.RegControl, icap.CtrlReset)
-	if _, err := s.LoadModule("jenkins"); err != nil {
+	if _, err := s.LoadModuleOn(0, "jenkins", nil); err != nil {
 		t.Fatalf("recovery load failed: %v", err)
 	}
 	if s.Mgr.Current() != "jenkins" {
@@ -56,7 +56,7 @@ func TestRandomModuleSwapSchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(2006))
 	for i := 0; i < 12; i++ {
 		m := mods[rng.Intn(len(mods))]
-		if _, err := s.LoadModule(m); err != nil {
+		if _, err := s.LoadModuleOn(0, m, nil); err != nil {
 			t.Fatalf("load %d (%s): %v", i, m, err)
 		}
 		if s.Mgr.Current() != m {
@@ -65,7 +65,7 @@ func TestRandomModuleSwapSchedule(t *testing.T) {
 		if s.Mgr.Corrupted() {
 			t.Fatalf("load %d corrupted the static design", i)
 		}
-		st, _ := s.Dock32.Read(dock.RegStatus, 4)
+		st, _ := s.regions[0].dock32.Read(dock.RegStatus, 4)
 		if st&dock.StatBound == 0 || st&dock.StatBroken != 0 {
 			t.Fatalf("load %d: dock status %#x", i, st)
 		}
@@ -80,13 +80,13 @@ func TestBrokenBindingAfterDifferentialIsDetectable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModule("sha1"); err != nil {
+	if _, err := s.LoadModuleOn(0, "sha1", nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Mgr.LoadDifferential("passthrough", ""); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := s.Dock64.Read(dock.RegStatus, 4)
+	st, _ := s.regions[0].dock64.Read(dock.RegStatus, 4)
 	if st&dock.StatBroken == 0 {
 		t.Fatal("dock does not flag the broken configuration")
 	}
@@ -95,7 +95,7 @@ func TestBrokenBindingAfterDifferentialIsDetectable(t *testing.T) {
 	if v := s.CPU.LW(s.DockData()); v == 0x1234 {
 		t.Fatal("broken core accidentally echoes — garbage model too friendly")
 	}
-	if _, err := s.LoadModule("passthrough"); err != nil {
+	if _, err := s.LoadModuleOn(0, "passthrough", nil); err != nil {
 		t.Fatal(err)
 	}
 	s.CPU.SW(s.DockData(), 0x1234)

@@ -2,7 +2,6 @@ package platform
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 
@@ -13,6 +12,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dock"
 	"repro/internal/fabric"
+	"repro/internal/fifo"
 	"repro/internal/hw"
 	"repro/internal/hwcore"
 	"repro/internal/icap"
@@ -43,7 +43,6 @@ type regionSlot struct {
 	// window, so sibling regions' transfers overlap in simulated time.
 	dma      *icap.DMA
 	planning bool
-	skipped  []string
 }
 
 func (rs *regionSlot) bind(c hw.Core) {
@@ -59,6 +58,16 @@ func (rs *regionSlot) core() hw.Core {
 		return rs.dock64.Core()
 	}
 	return rs.dock32.Core()
+}
+
+// resident returns the region's authoritative resident module, "" when
+// the tracked state is not authoritative.
+func (rs *regionSlot) resident() string {
+	r, ok := rs.mgr.ResidentState()
+	if !ok {
+		return ""
+	}
+	return r
 }
 
 // System is one fully assembled platform.
@@ -82,29 +91,27 @@ type System struct {
 	GPIO *GPIO
 	INTC *intc.Controller // nil on Sys32
 
-	Dock32 *dock.OPBDock // region 0's dock; nil on Sys64
-	Dock64 *dock.PLBDock // region 0's dock; nil on Sys32
-
 	Dev  *fabric.Device
 	CM   *fabric.ConfigMemory
 	ICAP *icap.HWICAP
 
-	// Floorplan is the device's set of dynamic areas. Region, Mgr and
-	// Planner alias region 0 — the paper's fixed dynamic area, and the
-	// whole fabric of a single-region system.
+	// Floorplan is the device's set of dynamic areas; every per-region
+	// operation takes an index into it.
 	Floorplan region.Floorplan
-	Region    fabric.Region
-	Mgr       *core.Manager
-	Planner   *plan.Planner
+	// Mgr and Planner are region 0's manager and planner, bypassing the
+	// system lock. They remain because the repo benchmark's per-layer
+	// ladder (benchmark/ladder.go) drives them directly; the paper-table
+	// ablations and examples also reach the manager's experiment paths
+	// (LoadDifferential, LoadNaive) through Mgr. Every other per-region
+	// operation takes a region index.
+	Mgr     *core.Manager
+	Planner *plan.Planner
 
 	regions []*regionSlot
 	// active is the region index task code drives through DockBase/
-	// DockData/DockIRQ/Core; ExecuteOn sets it under the system lock.
+	// DockData/DockIRQ/DockFIFO/Core; ExecuteOn sets it under the system
+	// lock.
 	active int
-
-	// Skipped lists modules that do not fit region 0 (SHA-1 on the 32-bit
-	// system). Per-region fit lives on the slots (SupportsOn).
-	Skipped []string
 
 	Timing Timing
 
@@ -223,8 +230,6 @@ type image struct {
 type imageRegion struct {
 	asm     *bitlinker.Assembler
 	modules []*core.Module
-	// skipped names the modules that do not fit the region.
-	skipped []string
 }
 
 // images memoizes one boot image per shape for the life of the process:
@@ -282,8 +287,7 @@ func buildImage(dev *fabric.Device, fp region.Floorplan) (*image, error) {
 		for _, spec := range hwcore.Specs() {
 			comp, err := hwcore.BuildComponent(spec, dev, a.R, a.Macro)
 			if err != nil {
-				ir.skipped = append(ir.skipped, spec.Name)
-				continue
+				continue // the module does not fit the region
 			}
 			mod, err := core.NewModule(asm, comp, spec.New)
 			if err != nil {
@@ -313,7 +317,6 @@ func build(name string, is64 bool, tm Timing, fp region.Floorplan) (*System, err
 	// Fabric and configuration path: the board's own configuration memory
 	// starts as the shape's static design, guarded.
 	s.Dev = img.dev
-	s.Region = fp.Areas[0].R
 	s.CM = img.baseline.Clone()
 	s.CM.Guard(fp.Regions()...)
 	loader := bitstream.NewLoader(s.CM)
@@ -377,8 +380,6 @@ func build(name string, is64 bool, tm Timing, fp region.Floorplan) (*System, err
 		}
 		s.regions = append(s.regions, rs)
 	}
-	s.Dock32 = s.regions[0].dock32
-	s.Dock64 = s.regions[0].dock64
 
 	// CPU.
 	params := cpu.DefaultParams(s.CPUClk)
@@ -424,14 +425,12 @@ func build(name string, is64 bool, tm Timing, fp region.Floorplan) (*System, err
 				return nil, err
 			}
 		}
-		rs.skipped = slices.Clone(ir.skipped)
 		rs.planner = plan.NewFor(rs.area.R.Name, rs.mgr)
 		rs.planning = true
 		rs.dma = icap.NewDMA(s.K, s.BusClk, loader)
 	}
 	s.Mgr = s.regions[0].mgr
 	s.Planner = s.regions[0].planner
-	s.Skipped = s.regions[0].skipped
 	return s, nil
 }
 
@@ -524,30 +523,16 @@ func (s *System) DockData() uint32 { return s.DockBase() + dock.RegData }
 // dock (64-bit systems only).
 func (s *System) DockIRQ() int { return s.regions[s.active].irqLine }
 
+// DockFIFO returns the output FIFO of the active region's dock (64-bit
+// systems only).
+func (s *System) DockFIFO() *fifo.F { return s.regions[s.active].dock64.FIFO() }
+
 // Core returns the circuit currently bound to the active region's dock.
 func (s *System) Core() hw.Core { return s.regions[s.active].core() }
 
 // CurrentModule returns the module loaded in the active region — the
-// region a task dispatched through ExecuteOn is driving. Task code
-// verifies its module against this rather than Mgr.Current (region 0).
+// region a task dispatched through ExecuteOn is driving.
 func (s *System) CurrentModule() string { return s.regions[s.active].mgr.Current() }
-
-// LoadModule reconfigures region 0 with the named module, letting the
-// planner choose the cheapest safe stream (a no-op when resident, a
-// differential transition when the tracked state is authoritative, the
-// complete stream otherwise), and reports what was streamed. It takes the
-// system lock, so Status/ResidentOn/PlanForOn stay safe concurrently.
-func (s *System) LoadModule(name string) (ConfigReport, error) {
-	return s.LoadModuleOn(0, name)
-}
-
-// LoadModuleOn reconfigures the given region with the named module under
-// the planner.
-func (s *System) LoadModuleOn(ri int, name string) (ConfigReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.loadWith(s.regions[ri], name, nil)
-}
 
 // WriteMem loads bytes into external memory functionally (test and
 // benchmark setup; the board would receive them over the UART or JTAG).

@@ -144,23 +144,12 @@ func (p *Pool) Partition(n int) [][]*Member {
 	return groups
 }
 
-// Supports reports whether at least one member can host the module.
-func (p *Pool) Supports(module string) bool {
-	for _, m := range p.members {
-		if m.Sys.Supports(module) {
-			return true
-		}
-	}
-	return false
-}
-
-// MemberState is a point-in-time view of one platform for reporting:
-// the aggregate status plus every region's slice of it.
+// MemberState is a point-in-time view of one platform for reporting: its
+// status, taken under the member's lock once.
 type MemberState struct {
 	ID     int
 	System string
 	platform.Status
-	Regions []platform.RegionStatus
 }
 
 // Snapshot reports every member's resident modules and reconfiguration
@@ -168,8 +157,7 @@ type MemberState struct {
 func (p *Pool) Snapshot() []MemberState {
 	out := make([]MemberState, len(p.members))
 	for i, m := range p.members {
-		out[i] = MemberState{ID: m.ID, System: m.Sys.Name,
-			Status: m.Sys.Status(), Regions: m.Sys.RegionStatuses()}
+		out[i] = MemberState{ID: m.ID, System: m.Sys.Name, Status: m.Sys.Status()}
 	}
 	return out
 }

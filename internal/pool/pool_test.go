@@ -26,11 +26,10 @@ func TestNewBuildsConfiguredMix(t *testing.T) {
 			t.Errorf("member %d: %s id=%d, want %s id=%d", i, m.Sys.Name, m.ID, want, i)
 		}
 	}
-	if !p.Supports("sha1") {
-		t.Error("pool with a 64-bit member must support sha1")
-	}
-	if p32, _ := New(Config{Sys32: 1}); p32.Supports("sha1") {
-		t.Error("pure 32-bit pool must not support sha1")
+	for _, m := range p.Members() {
+		if got := m.Sys.SupportsOn(0, "sha1"); got != m.Sys.Is64 {
+			t.Errorf("member %d (%s) supports sha1: %v, want only the 64-bit members to", m.ID, m.Sys.Name, got)
+		}
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty pool config accepted")
@@ -42,40 +41,66 @@ func TestNewBuildsConfiguredMix(t *testing.T) {
 	}
 }
 
+// TestSnapshotDuringConcurrentExecution drives both regions of every
+// member from their own goroutines while snapshots are taken (run with
+// -race). Each member's status is read under its lock once, so every row
+// of every snapshot conserves its loads, and a board's rows come from one
+// instant.
 func TestSnapshotDuringConcurrentExecution(t *testing.T) {
-	p, err := New(Config{Sys32: 2})
+	p, err := New(Config{Sys32: 2, Regions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	runs := []tasks.Runner{
+		tasks.FadeRun{Seed: 1, N: 256, F: 64},
+		tasks.BrightnessRun{Seed: 2, N: 256, Delta: 9},
+	}
 	var wg sync.WaitGroup
 	for _, m := range p.Members() {
-		wg.Add(1)
-		go func(m *Member) {
-			defer wg.Done()
-			r := tasks.FadeRun{Seed: int64(m.ID), N: 256, F: 64}
-			for i := 0; i < 3; i++ {
-				if _, err := m.Sys.ExecuteOn(0, r.Module(), func() error { return r.Run(m.Sys) }); err != nil {
-					t.Error(err)
+		for ri, r := range runs {
+			wg.Add(1)
+			go func(m *Member, ri int, r tasks.Runner) {
+				defer wg.Done()
+				for i := 0; i < 3; i++ {
+					if _, err := m.Sys.ExecuteOn(ri, r.Module(), func() error { return r.Run(m.Sys) }); err != nil {
+						t.Error(err)
+					}
 				}
-			}
-		}(m)
+			}(m, ri, r)
+		}
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		wg.Wait()
 	}()
+	conserved := func(snap []MemberState) {
+		for _, st := range snap {
+			for _, r := range st.Regions {
+				if r.Loads != r.CompleteLoads+r.DiffLoads+r.CompressedLoads+r.AbortedLoads {
+					t.Errorf("member %d region %s: counters %+v do not conserve loads", st.ID, r.Region, r.Counters)
+				}
+			}
+		}
+	}
 	for alive := true; alive; {
 		select {
 		case <-done:
 			alive = false
 		default:
-			p.Snapshot() // must be race-free against ExecuteOn
+			conserved(p.Snapshot()) // must be race-free against ExecuteOn
 		}
 	}
-	for _, st := range p.Snapshot() {
-		if st.Resident != "fade" || st.Loads != 1 || st.Corrupted {
-			t.Errorf("member %d: %+v, want fade resident after exactly one load", st.ID, st)
+	snap := p.Snapshot()
+	conserved(snap)
+	for _, st := range snap {
+		if st.Corrupted {
+			t.Errorf("member %d: static design corrupted", st.ID)
+		}
+		for ri, r := range st.Regions {
+			if want := runs[ri].Module(); r.Resident != want || r.Loads != 1 {
+				t.Errorf("member %d region %s: %+v, want %s resident after exactly one load", st.ID, r.Region, r, want)
+			}
 		}
 	}
 }

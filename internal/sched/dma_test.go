@@ -92,7 +92,9 @@ func TestDMAByteConservation(t *testing.T) {
 		st := s.Stats()
 		var member uint64
 		for _, m := range p.Members() {
-			member += m.Sys.Status().StreamedBytes
+			for _, r := range m.Sys.Status().Regions {
+				member += r.StreamedBytes
+			}
 		}
 		if st.BytesStreamed != member {
 			t.Errorf("%+v: scheduler booked %d B, members streamed %d B", c, st.BytesStreamed, member)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/predict"
 	"repro/internal/tasks"
+	"repro/internal/trace"
 )
 
 // TestScrubQuarantineRepairReturnsSlotToService drives the idle-slot fault
@@ -207,6 +208,99 @@ func TestScrubRaceKeepsSpeculativeByteConservation(t *testing.T) {
 	for _, m := range p.Snapshot() {
 		if m.Corrupted {
 			t.Fatal("static design corrupted")
+		}
+	}
+}
+
+// TestScrubEventsCarryMemberTime: scrub and quarantine events are stamped
+// with the member's simulated time, which the pass reads under the member's
+// lock, not with the open-loop clock that only SubmitAt completions
+// advance. An S7-shaped drive — dual-region members, scrub on dispatch,
+// paced, one upset followed by a ScrubAll pass — must show a nonzero
+// stamp on every scrub of a member that has completed a request, each
+// quarantine at its scrub's instant, and each repair starting no earlier.
+func TestScrubEventsCarryMemberTime(t *testing.T) {
+	mix, err := ParseMix("jenkins=2,brightness=1,fade=2,blend=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := GenWorkload(7, 30, mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pool64x2(t, 2)
+	tr := trace.New()
+	var events []trace.Event // in emission order
+	tr.SetSink(func(e trace.Event) { events = append(events, e) })
+	s := New(p, Options{Batch: 1, Scrub: true, Trace: tr})
+	done := 0
+	s.SubmitWindowed(w, 1, func(r Result) {
+		if r.Err != nil {
+			t.Errorf("request %d (%s): %v", r.ID, r.Task, r.Err)
+		}
+		drainTest(s)
+		if done++; done == 10 {
+			if err := p.Members()[r.Member].Sys.InjectFaultOn(r.Region, 1, 1, 7); err != nil {
+				t.Error(err)
+			}
+			s.ScrubAll()
+			drainTest(s)
+		}
+	})
+	s.Wait()
+
+	type slot struct{ member, region int32 }
+	computed := map[int32]bool{}
+	detections := map[slot][]trace.Event{}
+	quarantines := map[slot][]trace.Event{}
+	repairs := map[slot][]trace.Event{}
+	stamped := 0
+	for _, e := range events {
+		sl := slot{e.Member, e.Region}
+		switch e.Kind {
+		case trace.KindCompute:
+			computed[e.Member] = true
+		case trace.KindScrub:
+			if computed[e.Member] {
+				if e.Ts == 0 {
+					t.Errorf("scrub of member %d region %d after its first completion stamped at 0", e.Member, e.Region)
+				}
+				stamped++
+			}
+			if e.Arg == 1 {
+				detections[sl] = append(detections[sl], e)
+			}
+		case trace.KindQuarantine:
+			quarantines[sl] = append(quarantines[sl], e)
+		case trace.KindRepair:
+			repairs[sl] = append(repairs[sl], e)
+		}
+	}
+	if stamped == 0 || len(quarantines) == 0 {
+		t.Fatalf("%d scrubs after a completion, %d quarantined slots: the drive checks nothing", stamped, len(quarantines))
+	}
+	for sl, qs := range quarantines {
+		ds := detections[sl]
+		if len(ds) != len(qs) {
+			t.Fatalf("slot %v: %d detecting scrubs, %d quarantines", sl, len(ds), len(qs))
+		}
+		var reloaded []trace.Event
+		for i, q := range qs {
+			if q.Ts != ds[i].Ts || q.Name != ds[i].Name {
+				t.Errorf("slot %v: quarantine %+v does not match its scrub %+v", sl, q, ds[i])
+			}
+			if q.Name != "" { // a blank region is repaired without a stream
+				reloaded = append(reloaded, q)
+			}
+		}
+		rs := repairs[sl]
+		if len(rs) != len(reloaded) {
+			t.Fatalf("slot %v: %d repairs for %d quarantined residents", sl, len(rs), len(reloaded))
+		}
+		for i, r := range rs {
+			if r.Ts < reloaded[i].Ts {
+				t.Errorf("slot %v: repair at %v starts before its quarantine at %v", sl, r.Ts, reloaded[i].Ts)
+			}
 		}
 	}
 }

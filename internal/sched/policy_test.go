@@ -192,11 +192,13 @@ func TestStressInvariantsMinCost(t *testing.T) {
 		if m.Corrupted {
 			t.Fatalf("member %d: static design corrupted", m.ID)
 		}
-		loads += m.Loads
-		completeLoads += m.CompleteLoads
-		diffLoads += m.DiffLoads
-		bytes += m.StreamedBytes
-		loadTime += m.LoadTime
+		for _, r := range m.Regions {
+			loads += r.Loads
+			completeLoads += r.CompleteLoads
+			diffLoads += r.DiffLoads
+			bytes += r.StreamedBytes
+			loadTime += r.LoadTime
+		}
 	}
 	if loads != st.Misses {
 		t.Errorf("snapshot loads %d != scheduler misses %d", loads, st.Misses)

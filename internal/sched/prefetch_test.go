@@ -172,10 +172,12 @@ func TestPrefetchStressNoHazard(t *testing.T) {
 		if m.Corrupted {
 			t.Fatalf("member %d: static design corrupted", m.ID)
 		}
-		loads += m.Loads
-		aborted += m.AbortedLoads
-		bytes += m.StreamedBytes
-		loadTime += m.LoadTime
+		for _, r := range m.Regions {
+			loads += r.Loads
+			aborted += r.AbortedLoads
+			bytes += r.StreamedBytes
+			loadTime += r.LoadTime
+		}
 	}
 	if loads != st.Misses+st.PrefetchLoads {
 		t.Errorf("snapshot loads %d != misses %d + speculative streams %d",

@@ -514,10 +514,6 @@ func New(p *pool.Pool, opts Options) *Scheduler {
 // Shards reports how many shards the scheduler dispatches over.
 func (s *Scheduler) Shards() int { return len(s.shards) }
 
-// Clock returns the pool-wide simulated wall clock: the maximum DoneAt of
-// any completed open-loop request so far. Zero until SubmitAt is used.
-func (s *Scheduler) Clock() sim.Time { return s.clock.Now() }
-
 // route picks the target shard for a module: round-robin among the shards
 // with a slot that can host it, so independent submitters spread across
 // the pool. Falls back to the rotation's first shard when nothing supports

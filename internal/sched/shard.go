@@ -477,7 +477,7 @@ func restoreBytes(ss *slotState, module string) int {
 // stays pending in the slot's prefetched fields until one of the two.
 func (sh *shard) runSpeculative(ss *slotState, mod string, tok *abortToken) {
 	defer sh.sc.specWG.Done()
-	rep, err := ss.m.Sys.LoadSpeculativeOn(ss.ri, mod, tok.aborted)
+	rep, err := ss.m.Sys.LoadModuleOn(ss.ri, mod, tok.aborted)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	ss.specBusy, ss.specModule, ss.specAbort = false, "", nil
@@ -643,11 +643,11 @@ func (sh *shard) bookScrubLocked(ss *slotState, rep platform.ScrubReport) bool {
 		if rep.Detected {
 			arg = 1
 		}
-		tr.Emit(trace.Event{Ts: sh.sc.clock.Now(), Kind: trace.KindScrub,
+		tr.Emit(trace.Event{Ts: rep.At, Kind: trace.KindScrub,
 			Member: int32(ss.m.ID), Region: int32(ss.ri), Name: rep.Module, Arg: arg})
 	}
 	if rep.Detected {
-		sh.quarantineLocked(ss, rep.Module)
+		sh.quarantineLocked(ss, rep)
 	}
 	return rep.Detected
 }
@@ -656,15 +656,17 @@ func (sh *shard) bookScrubLocked(ss *slotState, rep platform.ScrubReport) bool {
 // launches its background repair. The scrub already demoted the region
 // through the §2.2 hazard gate, so the repair's reload streams a complete
 // configuration that overwrites every span frame — healing the flip is a
-// side effect of the same invariant that makes abort recovery safe.
-// Called with sh.mu held.
-func (sh *shard) quarantineLocked(ss *slotState, module string) {
+// side effect of the same invariant that makes abort recovery safe. The
+// quarantine is stamped with the detecting scrub's member time. Called
+// with sh.mu held.
+func (sh *shard) quarantineLocked(ss *slotState, rep platform.ScrubReport) {
+	module := rep.Module
 	st := &sh.stats
 	st.FaultsDetected++
 	ss.quarantined = true
 	ss.resident = ""
 	if tr := sh.sc.opts.Trace; tr != nil {
-		tr.Emit(trace.Event{Ts: sh.sc.clock.Now(), Kind: trace.KindQuarantine,
+		tr.Emit(trace.Event{Ts: rep.At, Kind: trace.KindQuarantine,
 			Member: int32(ss.m.ID), Region: int32(ss.ri), Name: module})
 	}
 	// A prefetched-but-unconsumed guess sat in the corrupted region: its
@@ -687,7 +689,7 @@ func (sh *shard) runRepair(ss *slotState, module string) {
 	var rep platform.ConfigReport
 	var err error
 	if module != "" {
-		rep, err = ss.m.Sys.LoadModuleOn(ss.ri, module)
+		rep, err = ss.m.Sys.LoadModuleOn(ss.ri, module, nil)
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

@@ -15,9 +15,6 @@ type Event struct {
 	index     int // heap index, -1 once popped
 }
 
-// At returns the time at which the event fires.
-func (e *Event) At() Time { return e.at }
-
 // Cancel prevents the event from firing. Safe to call more than once.
 func (e *Event) Cancel() { e.cancelled = true }
 
@@ -57,7 +54,6 @@ type Kernel struct {
 	now    Time
 	seq    uint64
 	queue  eventHeap
-	fired  uint64
 	maxRun int
 }
 
@@ -68,13 +64,6 @@ func NewKernel() *Kernel {
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
-
-// EventsFired reports how many events have executed so far.
-func (k *Kernel) EventsFired() uint64 { return k.fired }
-
-// Pending reports how many events are scheduled (including cancelled ones
-// that have not been reaped yet).
-func (k *Kernel) Pending() int { return len(k.queue) }
 
 // Schedule arranges for fn to run delay from now. It returns the event so the
 // caller may cancel it.
@@ -110,7 +99,6 @@ func (k *Kernel) AdvanceTo(t Time) {
 			continue
 		}
 		k.now = e.at
-		k.fired++
 		e.fn()
 	}
 	k.now = t
@@ -128,7 +116,6 @@ func (k *Kernel) Step() error {
 			continue
 		}
 		k.now = e.at
-		k.fired++
 		e.fn()
 		return nil
 	}

@@ -6,7 +6,6 @@ package sim
 // feed the utilization reports.
 type Resource struct {
 	k         *Kernel
-	name      string
 	busyUntil Time
 	busyTotal Time
 	grants    uint64
@@ -14,12 +13,9 @@ type Resource struct {
 }
 
 // NewResource returns a resource bound to kernel k.
-func NewResource(k *Kernel, name string) *Resource {
-	return &Resource{k: k, name: name}
+func NewResource(k *Kernel) *Resource {
+	return &Resource{k: k}
 }
-
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
 
 // Acquire reserves the resource for hold starting at the earliest moment it
 // is free, and returns (wait, done): how long the caller must wait before the
@@ -39,14 +35,6 @@ func (r *Resource) Acquire(hold Time) (wait Time, done Time) {
 	r.grants++
 	r.waited += wait
 	return wait, done
-}
-
-// FreeAt reports when the resource next becomes free.
-func (r *Resource) FreeAt() Time {
-	if r.busyUntil < r.k.Now() {
-		return r.k.Now()
-	}
-	return r.busyUntil
 }
 
 // Stats reports cumulative occupancy, grant count, and queuing delay.

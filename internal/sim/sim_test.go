@@ -150,7 +150,7 @@ func TestKernelRunUntil(t *testing.T) {
 
 func TestResourceSerialization(t *testing.T) {
 	k := NewKernel()
-	r := NewResource(k, "bus")
+	r := NewResource(k)
 	wait, done := r.Acquire(100 * Nanosecond)
 	if wait != 0 || done != 100*Nanosecond {
 		t.Fatalf("first acquire: wait=%v done=%v", wait, done)
@@ -173,7 +173,7 @@ func TestResourceSerialization(t *testing.T) {
 
 func TestResourceUtilization(t *testing.T) {
 	k := NewKernel()
-	r := NewResource(k, "bus")
+	r := NewResource(k)
 	if r.Utilization() != 0 {
 		t.Fatal("utilization before time passes should be 0")
 	}

@@ -26,9 +26,6 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-// Nanoseconds returns t as a floating-point number of nanoseconds.
-func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
-
 // Microseconds returns t as a floating-point number of microseconds.
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
 
@@ -65,9 +62,6 @@ func NewClock(name string, hz uint64) *Clock {
 	}
 	return &Clock{name: name, hz: hz, period: Time(uint64(Second) / hz)}
 }
-
-// Name returns the clock domain name.
-func (c *Clock) Name() string { return c.name }
 
 // Hz returns the clock frequency in hertz.
 func (c *Clock) Hz() uint64 { return c.hz }

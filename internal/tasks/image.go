@@ -202,13 +202,6 @@ func combineHW(s *platform.System, a ImageArgs, cfg int) error {
 // 2040 keep it from overflowing (§4.2).
 const fifoBlockBeats = 2040
 
-// descChainAddr is where drivers build descriptor chains in memory,
-// relative to the scratch area they are given.
-type dmaPlan struct {
-	scratch uint32
-	ndesc   int
-}
-
 // writeDesc stores one descriptor with CPU stores (the driver builds the
 // chain at run time, which is part of the measured overhead).
 func writeDesc(c *cpu.CPU, addr, next, mem, length, flags uint32) {

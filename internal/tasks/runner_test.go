@@ -34,7 +34,7 @@ func TestRunnersVerifyOnBothSystems(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, r := range runners() {
-				if !s.Supports(r.Module()) {
+				if !s.SupportsOn(0, r.Module()) {
 					continue // sha1 does not fit the 32-bit dynamic area
 				}
 				rep, err := s.ExecuteOn(0, r.Module(), func() error { return r.Run(s) })
@@ -55,7 +55,7 @@ func TestRunnerVerificationCatchesWrongModule(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Load a different module than the runner needs: the driver must refuse.
-	if _, err := s.LoadModule("blend"); err != nil {
+	if _, err := s.LoadModuleOn(0, "blend", nil); err != nil {
 		t.Fatal(err)
 	}
 	r := tasks.FadeRun{Seed: 1, N: 64, F: 128}

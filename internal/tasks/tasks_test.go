@@ -31,7 +31,7 @@ func sys64(t *testing.T) *platform.System {
 
 func load(t *testing.T, s *platform.System, mod string) {
 	t.Helper()
-	if _, err := s.LoadModule(mod); err != nil {
+	if _, err := s.LoadModuleOn(0, mod, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -203,7 +203,7 @@ func TestSHA1SWHWMatchStdlib(t *testing.T) {
 
 func TestSHA1NotAvailableOn32(t *testing.T) {
 	s := sys32(t)
-	if _, err := s.LoadModule("sha1"); err == nil {
+	if _, err := s.LoadModuleOn(0, "sha1", nil); err == nil {
 		t.Fatal("sha1 must not be loadable on the 32-bit system (§4.2)")
 	}
 }
@@ -399,6 +399,36 @@ func TestTransferDMAFasterPerItem(t *testing.T) {
 		t.Logf("%v: cpu=%v/32b dma=%v/64b", kind, cpuT, dmaT)
 		if dmaPerByte >= cpuPerByte {
 			t.Errorf("%v: DMA (%.0f fs/B) not faster than CPU (%.0f fs/B)", kind, dmaPerByte, cpuPerByte)
+		}
+	}
+}
+
+// TestTransferDMAOnEitherRegion: a DMA transfer drives the active region's
+// dock — its core, output FIFO, DMA engine and interrupt line — so every
+// pattern costs the same per transfer on either region of a dual-region
+// board.
+func TestTransferDMAOnEitherRegion(t *testing.T) {
+	const n = 512
+	perTransfer := func(ri int, kind TransferKind) sim.Time {
+		t.Helper()
+		s, err := platform.NewSys64N(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var per sim.Time
+		if _, err := s.ExecuteOn(ri, "passthrough", func() (err error) {
+			per, err = TransferDMA(s, kind, n)
+			return err
+		}); err != nil {
+			t.Fatalf("region %d, %v: %v", ri, kind, err)
+		}
+		return per
+	}
+	for _, kind := range []TransferKind{TransferWrite, TransferRead, TransferInterleaved} {
+		r0, r1 := perTransfer(0, kind), perTransfer(1, kind)
+		t.Logf("%v: region 0 %v, region 1 %v per transfer", kind, r0, r1)
+		if r0 == 0 || r1 != r0 {
+			t.Errorf("%v: %v per transfer on region 0, %v on region 1; want equal and nonzero", kind, r0, r1)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/dock"
-	"repro/internal/intc"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
@@ -125,7 +124,7 @@ func TransferDMA(s *platform.System, kind TransferKind, n int) (sim.Time, error)
 		if err := runDMA(s, scratch); err != nil {
 			return 0, err
 		}
-		s.Dock64.FIFO().Reset()
+		s.DockFIFO().Reset()
 	case TransferRead:
 		// Drain pre-filled FIFO blocks to memory; refills are functional
 		// (they model a producing circuit) and cost no time.
@@ -154,9 +153,10 @@ func TransferDMA(s *platform.System, kind TransferKind, n int) (sim.Time, error)
 	return total / sim.Time(n), nil
 }
 
-// prefillFIFO loads the dock's output FIFO functionally with n words.
+// prefillFIFO loads the active region dock's output FIFO functionally with
+// n words.
 func prefillFIFO(s *platform.System, n int) {
-	core := s.Dock64.Core()
+	core, out := s.Core(), s.DockFIFO()
 	for i := 0; i < n; i++ {
 		core.Write(uint64(i), 8)
 	}
@@ -166,14 +166,8 @@ func prefillFIFO(s *platform.System, n int) {
 		if !ok {
 			break
 		}
-		if !s.Dock64.FIFO().Push(v) {
+		if !out.Push(v) {
 			break
 		}
 	}
-}
-
-// EnableDockIRQ programs the interrupt controller for the dock line (used
-// by examples).
-func EnableDockIRQ(s *platform.System) {
-	s.CPU.SW(platform.AddrINTC+intc.RegIER, 1<<uint(s.DockIRQ()))
 }
