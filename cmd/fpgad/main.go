@@ -332,7 +332,7 @@ func run(args []string, out, errw io.Writer) int {
 		fmt.Fprintln(out)
 	}
 	st := s.Stats()
-	bench.ThroughputTable(st, results...).Format(out)
+	bench.ThroughputTable(st, results).Format(out)
 	if *rate > 0 && len(sojourns) > 0 {
 		pct := bench.Percentiles(sojourns, 0.50, 0.95, 0.99)
 		fmt.Fprintf(out, "open-loop: %.0f req/s offered (simulated), sojourn p50 %v p95 %v p99 %v, makespan %v, sustained %.0f req/s (real)",

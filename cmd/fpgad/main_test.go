@@ -108,12 +108,12 @@ func TestRunFailsUnsupportedModule(t *testing.T) {
 func TestRunPrefetchWindowed(t *testing.T) {
 	var out, errw bytes.Buffer
 	code := run([]string{"-sys32", "2", "-n", "10", "-mix", "brightness=1,fade=1,blend=1",
-		"-seed", "5", "-policy", "prefetch", "-prefetch", "-predictor", "freq", "-window", "1"}, &out, &errw)
+		"-seed", "5", "-policy", "mincost", "-prefetch", "-predictor", "freq", "-window", "1"}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, errw.String())
 	}
 	got := out.String()
-	for _, want := range []string{"prefetch on (freq)", "prefetch:", "hidden config", "aborted)", "policy prefetch"} {
+	for _, want := range []string{"prefetch on (freq)", "prefetch:", "hidden config", "aborted)", "policy mincost"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}

@@ -51,11 +51,13 @@ func main() {
 			tasks.BrightnessRun{Seed: int64(step), N: n, Delta: 10 * (step + 1)},
 		)
 	}
+	var results []sched.Result
 	for _, ch := range s.SubmitAll(workload) {
 		r := <-ch
 		if r.Err != nil {
 			log.Fatal(r.Err)
 		}
+		results = append(results, r)
 		cache := "miss"
 		if r.Report.CacheHit {
 			cache = "hit"
@@ -66,7 +68,7 @@ func main() {
 	s.Wait()
 
 	fmt.Println()
-	bench.ThroughputTable(s.Stats()).Format(os.Stdout)
+	bench.ThroughputTable(s.Stats(), results).Format(os.Stdout)
 	for _, m := range p.Snapshot() {
 		r := m.Regions[0] // one dynamic area per board
 		fmt.Printf("member %d: resident %-12s reconfigurations %d, config time %v, %d stream bytes, static intact: %v\n",

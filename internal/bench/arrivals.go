@@ -62,12 +62,6 @@ func ReplayOpenLoop(arrivals, services []sim.Time, k int) (sojourn []sim.Time, m
 	return sojourn, makespan
 }
 
-// Percentile returns the nearest-rank q-quantile (0 < q <= 1) of the
-// latencies.
-func Percentile(lats []sim.Time, q float64) sim.Time {
-	return Percentiles(lats, q)[0]
-}
-
 // Percentiles returns the nearest-rank quantiles of the latencies, sorting
 // once for all requested ranks.
 func Percentiles(lats []sim.Time, qs ...float64) []sim.Time {

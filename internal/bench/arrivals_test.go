@@ -54,10 +54,7 @@ func TestReplayOpenLoopQueueing(t *testing.T) {
 	if makespan != 20 {
 		t.Fatalf("makespan %v, want 20", makespan)
 	}
-	if p := Percentile(soj, 0.99); p != 20 {
-		t.Fatalf("p99 %v, want 20", p)
-	}
-	if p := Percentile(soj, 0.50); p != 10 {
-		t.Fatalf("p50 %v, want 10", p)
+	if p := Percentiles(soj, 0.99, 0.50); p[0] != 20 || p[1] != 10 {
+		t.Fatalf("p99/p50 %v, want 20/10", p)
 	}
 }

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -80,6 +82,10 @@ func TestFiguresRender(t *testing.T) {
 	}
 }
 
+// TestThroughputTableFromScheduledWorkload renders S1 from a scheduled
+// run with one request rejected at submit (sha1 on a 32-bit pool): the
+// module rows, folded from the results, must sum to the total row, which
+// comes from the scheduler's Stats.
 func TestThroughputTableFromScheduledWorkload(t *testing.T) {
 	p, err := pool.New(pool.Config{Sys32: 1})
 	if err != nil {
@@ -90,16 +96,39 @@ func TestThroughputTableFromScheduledWorkload(t *testing.T) {
 		tasks.FadeRun{Seed: 1, N: 256, F: 40},
 		tasks.FadeRun{Seed: 2, N: 256, F: 80},
 		tasks.BrightnessRun{Seed: 3, N: 256, Delta: 4},
+		tasks.SHA1Run{Seed: 4, Len: 64},
 	}
+	var results []sched.Result
 	for _, ch := range s.SubmitAll(w) {
-		if r := <-ch; r.Err != nil {
+		r := <-ch
+		if r.Err != nil && r.Module != "sha1" {
 			t.Fatal(r.Err)
 		}
+		results = append(results, r)
 	}
 	s.Wait()
-	tb := ThroughputTable(s.Stats())
-	if len(tb.Rows) != 3 { // fade, brightness, total
-		t.Fatalf("rows = %d, want 3:\n%+v", len(tb.Rows), tb.Rows)
+	tb := ThroughputTable(s.Stats(), results)
+	if len(tb.Rows) != 4 { // brightness, fade, sha1, total
+		t.Fatalf("rows = %d, want 4:\n%+v", len(tb.Rows), tb.Rows)
+	}
+	// Columns 1-6 count requests, hits, misses, diff, cmpl and errors;
+	// column 10 counts bytes.
+	total := tb.Rows[len(tb.Rows)-1]
+	for _, col := range []int{1, 2, 3, 4, 5, 6, 10} {
+		var sum uint64
+		for _, row := range tb.Rows[:len(tb.Rows)-1] {
+			v, err := strconv.ParseUint(row[col], 10, 64)
+			if err != nil {
+				t.Fatalf("%s column %q: %v", row[0], tb.Columns[col], err)
+			}
+			sum += v
+		}
+		if fmt.Sprint(sum) != total[col] {
+			t.Errorf("%s: module rows sum to %d, total row says %s", tb.Columns[col], sum, total[col])
+		}
+	}
+	if sha1 := tb.Rows[2]; sha1[0] != "sha1" || sha1[1] != "1" || sha1[6] != "1" || sha1[9] != "-" {
+		t.Errorf("rejected sha1 row = %v, want 1 request, 1 error, no latency", sha1)
 	}
 	if hitRate := tb.Raw()[0]; hitRate <= 0 {
 		t.Fatalf("hit rate %v, want >0 (second fade rides the warm configuration)", hitRate)

@@ -11,7 +11,7 @@ import (
 // workload over the 2+2 pool, and what it costs in wasted speculative
 // bytes. The PR 2 configuration (mincost placement, differential
 // planner, no prefetch) runs first, then prefetching under both
-// predictors, then the prediction-aware placement policy on top.
+// predictors.
 //
 // The drive is Paced: members regularly sit idle while others compute —
 // the gap the prefetch pipeline fills with speculative reconfiguration.
@@ -32,7 +32,7 @@ func PrefetchSuite(w Workload) Suite {
 		Title:    "Prefetch pipeline: visible configuration time on the paced seeded workload",
 		Columns:  []string{"configuration", "hits", "pf hits", "pf abort", "config time", "hidden config", "bytes streamed", "pf bytes", "pf wasted"},
 		Workload: w,
-		Cases:    []Case{c("mincost", ""), c("mincost", "freq"), c("mincost", "markov"), c("prefetch", "markov")},
+		Cases:    []Case{c("mincost", ""), c("mincost", "freq"), c("mincost", "markov")},
 		cells: func(r Run) []string {
 			st := r.Stats
 			return []string{r.Label,

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/ref"
 	"repro/internal/sched"
@@ -545,29 +546,52 @@ func HazardTable(s *platform.System) *Table {
 }
 
 // ThroughputTable renders scheduler statistics as table S1: per-module
-// request counts, bitstream-cache hits and misses, and the simulated-time
-// split between reconfiguration and work. When the per-request results
-// are supplied, p50/p95/p99 service-latency columns appear next to the
-// counters. Raw() carries the overall cache hit rate followed by each
-// slot's simulated busy time in femtoseconds.
-func ThroughputTable(st sched.Stats, results ...sched.Result) *Table {
+// request counts, bitstream-cache hits and misses, the simulated-time split
+// between reconfiguration and work, and p50/p95/p99 service latency. The
+// module rows fold the per-request results; the total row and the busy-time
+// notes come from st. Raw() carries the overall cache hit rate followed by
+// each slot's simulated busy time in femtoseconds.
+func ThroughputTable(st sched.Stats, results []sched.Result) *Table {
 	t := &Table{ID: "S1", Title: "Scheduler throughput and bitstream-cache behaviour",
-		Columns: []string{"module", "requests", "hits", "misses", "diff", "cmpl", "errors", "config time", "work time", "avg latency", "bytes"}}
+		Columns: []string{"module", "requests", "hits", "misses", "diff", "cmpl", "errors",
+			"config time", "work time", "avg latency", "bytes", "p50", "p95", "p99"}}
+	type moduleRow struct {
+		requests, hits, misses, diffs, completes, errors, bytes uint64
+		config, work                                            sim.Time
+	}
+	rows := make(map[string]*moduleRow)
 	lats := make(map[string][]sim.Time)
-	if len(results) > 0 {
-		t.Columns = append(t.Columns, "p50", "p95", "p99")
-		for _, r := range results {
-			if r.Err != nil && r.Member < 0 {
-				continue // submit-rejected: never occupied a slot
-			}
-			lats[r.Module] = append(lats[r.Module], r.Latency())
-			lats[""] = append(lats[""], r.Latency())
+	for _, r := range results {
+		m := rows[r.Module]
+		if m == nil {
+			m = &moduleRow{}
+			rows[r.Module] = m
 		}
+		m.requests++
+		if r.Err != nil {
+			m.errors++
+		}
+		if r.Member < 0 {
+			continue // submit-rejected: never occupied a slot
+		}
+		if r.Report.CacheHit {
+			m.hits++
+		} else {
+			m.misses++
+		}
+		switch r.Report.Kind {
+		case plan.StreamDifferential:
+			m.diffs++
+		case plan.StreamComplete:
+			m.completes++
+		}
+		m.config += r.Report.Config
+		m.work += r.Report.Work
+		m.bytes += uint64(r.Report.BytesStreamed)
+		lats[r.Module] = append(lats[r.Module], r.Latency())
+		lats[""] = append(lats[""], r.Latency())
 	}
 	pcts := func(mod string) []string {
-		if len(results) == 0 {
-			return nil
-		}
 		l := lats[mod]
 		if len(l) == 0 {
 			// Every request for the module was rejected at submit: no
@@ -577,8 +601,8 @@ func ThroughputTable(st sched.Stats, results ...sched.Result) *Table {
 		p := Percentiles(l, 0.50, 0.95, 0.99)
 		return []string{fmtNS(float64(p[0])), fmtNS(float64(p[1])), fmtNS(float64(p[2]))}
 	}
-	mods := make([]string, 0, len(st.Modules))
-	for m := range st.Modules {
+	mods := make([]string, 0, len(rows))
+	for m := range rows {
 		mods = append(mods, m)
 	}
 	sort.Strings(mods)
@@ -586,15 +610,15 @@ func ThroughputTable(st sched.Stats, results ...sched.Result) *Table {
 	// requests never occupy a slot, while an errored execution still
 	// paid its configuration and partial work.
 	for _, mod := range mods {
-		ms := st.Modules[mod]
+		m := rows[mod]
 		avg := "-"
-		if n := ms.Hits + ms.Misses; n > 0 {
-			avg = fmtNS(float64(ms.Config+ms.Work) / float64(n))
+		if n := m.hits + m.misses; n > 0 {
+			avg = fmtNS(float64(m.config+m.work) / float64(n))
 		}
-		row := []string{mod, fmt.Sprint(ms.Requests), fmt.Sprint(ms.Hits), fmt.Sprint(ms.Misses),
-			fmt.Sprint(ms.Diffs), fmt.Sprint(ms.Completes),
-			fmt.Sprint(ms.Errors), fmtNS(float64(ms.Config)), fmtNS(float64(ms.Work)), avg,
-			fmt.Sprint(ms.Bytes)}
+		row := []string{mod, fmt.Sprint(m.requests), fmt.Sprint(m.hits), fmt.Sprint(m.misses),
+			fmt.Sprint(m.diffs), fmt.Sprint(m.completes),
+			fmt.Sprint(m.errors), fmtNS(float64(m.config)), fmtNS(float64(m.work)), avg,
+			fmt.Sprint(m.bytes)}
 		t.AddRow(append(row, pcts(mod)...)...)
 	}
 	avg := "-"

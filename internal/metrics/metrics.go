@@ -1,5 +1,5 @@
-// Package metrics is a small dependency-free registry of counters, gauges
-// and fixed-bucket histograms with a Prometheus-style text exposition.
+// Package metrics is a small dependency-free registry of counters and
+// fixed-bucket histograms with a Prometheus-style text exposition.
 // The trace sink feeds it (FeedTracer), so every traced run doubles as a
 // scrape target: fpgad mounts WriteText on the -pprof mux at /metrics.
 //
@@ -12,7 +12,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -30,15 +29,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value reads the counter.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram counts observations into fixed upper-bound buckets (plus the
 // implicit +Inf bucket) and tracks sum and count.
@@ -71,7 +61,6 @@ func (h *Histogram) Count() uint64 {
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 }
 
@@ -79,7 +68,6 @@ type Registry struct {
 func New() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -94,18 +82,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -149,17 +125,12 @@ func (r *Registry) WriteText(w io.Writer) {
 	for n := range r.counters {
 		cnames = append(cnames, n)
 	}
-	gnames := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
-		gnames = append(gnames, n)
-	}
 	hnames := make([]string, 0, len(r.histograms))
 	for n := range r.histograms {
 		hnames = append(hnames, n)
 	}
 	r.mu.Unlock()
 	sort.Strings(cnames)
-	sort.Strings(gnames)
 	sort.Strings(hnames)
 
 	typed := map[string]bool{}
@@ -169,13 +140,6 @@ func (r *Registry) WriteText(w io.Writer) {
 			fmt.Fprintf(w, "# TYPE %s counter\n", base)
 		}
 		fmt.Fprintf(w, "%s %d\n", n, r.Counter(n).Value())
-	}
-	for _, n := range gnames {
-		if base := baseName(n); !typed[base] {
-			typed[base] = true
-			fmt.Fprintf(w, "# TYPE %s gauge\n", base)
-		}
-		fmt.Fprintf(w, "%s %g\n", n, r.Gauge(n).Value())
 	}
 	for _, n := range hnames {
 		base, labels := baseName(n), labelSuffix(n)

@@ -15,10 +15,6 @@ func TestCounterGauge(t *testing.T) {
 	if got := r.Counter("reqs").Value(); got != 4 {
 		t.Fatalf("counter = %d, want 4", got)
 	}
-	r.Gauge("depth").Set(2.5)
-	if got := r.Gauge("depth").Value(); got != 2.5 {
-		t.Fatalf("gauge = %g, want 2.5", got)
-	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -47,7 +43,6 @@ func TestWriteTextDeterministic(t *testing.T) {
 		r := New()
 		r.Counter(`ev{kind="a"}`).Inc()
 		r.Counter(`ev{kind="b"}`).Add(2)
-		r.Gauge("g").Set(1)
 		r.Histogram("h", []float64{1, 2}).Observe(1.5)
 		return r
 	}

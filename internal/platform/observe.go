@@ -40,7 +40,7 @@ func (s *System) SetTracer(tr *trace.Tracer, member int) {
 		rs.planner.SetObserver(func(p plan.Plan) {
 			tr.Emit(trace.Event{Ts: s.K.Now(), Kind: trace.KindPlan,
 				Member: s.traceMember, Region: region,
-				Name: p.Module + " " + p.Kind.String(), Arg: int64(p.Bytes)})
+				Name: p.Module + " " + p.Kind.String(), Bytes: int64(p.Bytes)})
 		})
 		rs.dma.SetObserver(func(start, done sim.Time, words int, compressed bool) {
 			name := ""
@@ -48,7 +48,7 @@ func (s *System) SetTracer(tr *trace.Tracer, member int) {
 				name = "compressed"
 			}
 			tr.Emit(trace.Event{Ts: start, Dur: done - start, Kind: trace.KindDMAWindow,
-				Member: s.traceMember, Region: region, Name: name, Arg: int64(4 * words)})
+				Member: s.traceMember, Region: region, Name: name, Bytes: int64(4 * words)})
 		})
 	}
 }

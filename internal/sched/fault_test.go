@@ -216,9 +216,11 @@ func TestScrubRaceKeepsSpeculativeByteConservation(t *testing.T) {
 // with the member's simulated time, which the pass reads under the member's
 // lock, not with the open-loop clock that only SubmitAt completions
 // advance. An S7-shaped drive — dual-region members, scrub on dispatch,
-// paced, one upset followed by a ScrubAll pass — must show a nonzero
-// stamp on every scrub of a member that has completed a request, each
-// quarantine at its scrub's instant, and each repair starting no earlier.
+// paced, an upset in a still-blank region and one in a loaded one, each
+// followed by a ScrubAll pass — must show a nonzero stamp on every scrub
+// of a member that has completed a request, each quarantine at its
+// scrub's instant, and each quarantine resolved by exactly one repair
+// event (an instant for the blank region) starting no earlier.
 func TestScrubEventsCarryMemberTime(t *testing.T) {
 	mix, err := ParseMix("jenkins=2,brightness=1,fade=2,blend=1")
 	if err != nil {
@@ -233,6 +235,11 @@ func TestScrubEventsCarryMemberTime(t *testing.T) {
 	var events []trace.Event // in emission order
 	tr.SetSink(func(e trace.Event) { events = append(events, e) })
 	s := New(p, Options{Batch: 1, Scrub: true, Trace: tr})
+	if err := p.Members()[1].Sys.InjectFaultOn(1, 0, 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	s.ScrubAll()
+	drainTest(s)
 	done := 0
 	s.SubmitWindowed(w, 1, func(r Result) {
 		if r.Err != nil {
@@ -279,28 +286,34 @@ func TestScrubEventsCarryMemberTime(t *testing.T) {
 	if stamped == 0 || len(quarantines) == 0 {
 		t.Fatalf("%d scrubs after a completion, %d quarantined slots: the drive checks nothing", stamped, len(quarantines))
 	}
+	blank := 0
 	for sl, qs := range quarantines {
 		ds := detections[sl]
 		if len(ds) != len(qs) {
 			t.Fatalf("slot %v: %d detecting scrubs, %d quarantines", sl, len(ds), len(qs))
 		}
-		var reloaded []trace.Event
 		for i, q := range qs {
 			if q.Ts != ds[i].Ts || q.Name != ds[i].Name {
 				t.Errorf("slot %v: quarantine %+v does not match its scrub %+v", sl, q, ds[i])
 			}
-			if q.Name != "" { // a blank region is repaired without a stream
-				reloaded = append(reloaded, q)
+			if q.Name == "" {
+				blank++
 			}
 		}
 		rs := repairs[sl]
-		if len(rs) != len(reloaded) {
-			t.Fatalf("slot %v: %d repairs for %d quarantined residents", sl, len(rs), len(reloaded))
+		if len(rs) != len(qs) {
+			t.Fatalf("slot %v: %d repairs for %d quarantines", sl, len(rs), len(qs))
 		}
 		for i, r := range rs {
-			if r.Ts < reloaded[i].Ts {
-				t.Errorf("slot %v: repair at %v starts before its quarantine at %v", sl, r.Ts, reloaded[i].Ts)
+			if r.Ts < qs[i].Ts {
+				t.Errorf("slot %v: repair at %v starts before its quarantine at %v", sl, r.Ts, qs[i].Ts)
 			}
 		}
+	}
+	if len(repairs) != len(quarantines) {
+		t.Fatalf("repairs on %d slots, quarantines on %d", len(repairs), len(quarantines))
+	}
+	if blank == 0 {
+		t.Fatal("no blank region was quarantined")
 	}
 }

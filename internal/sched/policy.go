@@ -35,10 +35,6 @@ type Candidate struct {
 	// aborts the stream; the scheduler leaves Plan unset, so cost-aware
 	// policies prefer a quiet slot when one exists.
 	Speculating bool
-	// ReuseProb is the predictor's estimate that the slot's resident
-	// module is the next one requested (0 without a predictor). Policies
-	// can use it to avoid evicting a module that is about to be wanted.
-	ReuseProb float64
 	// GroupMate marks a slot whose member already received an assignment
 	// earlier in the current dispatch round. In DMA mode a miss placed
 	// there opens its port window alongside the sibling's, so the two
@@ -76,26 +72,6 @@ func (lruPolicy) Pick(module string, cands []Candidate) int {
 	return best
 }
 
-// scoredPick is the shared selection loop of the cost-aware policies: a
-// member with the module resident wins outright, otherwise the lowest
-// score does, with ties falling back to LRU order.
-func scoredPick(module string, cands []Candidate, score func(Candidate) float64) int {
-	best := 0
-	for i, c := range cands {
-		if c.Resident == module {
-			return i
-		}
-		if i == 0 {
-			continue
-		}
-		cs, bs := score(c), score(cands[best])
-		if cs < bs || (cs == bs && c.LastUsed < cands[best].LastUsed) {
-			best = i
-		}
-	}
-	return best
-}
-
 // minCostPolicy picks the idle member whose resident module minimizes the
 // planned configuration cost of the transition — the cost-aware placement
 // the differential planner enables: members whose resident state makes the
@@ -111,9 +87,17 @@ func (minCostPolicy) Name() string { return "mincost" }
 func (minCostPolicy) NeedsPlan() bool { return true }
 
 func (minCostPolicy) Pick(module string, cands []Candidate) int {
-	return scoredPick(module, cands, func(c Candidate) float64 {
-		return float64(planBytes(c))
-	})
+	best := 0
+	for i, c := range cands {
+		if c.Resident == module {
+			return i
+		}
+		cb, bb := planBytes(c), planBytes(cands[best])
+		if cb < bb || (cb == bb && c.LastUsed < cands[best].LastUsed) {
+			best = i
+		}
+	}
+	return best
 }
 
 // planBytes is a candidate's planned stream size, with an unplannable
@@ -123,34 +107,6 @@ func planBytes(c Candidate) int {
 		return int(^uint(0) >> 1)
 	}
 	return c.Plan.Bytes
-}
-
-// prefetchPolicy is the placement-aware companion of the prefetcher: it
-// places a miss like mincost, but charges each candidate the expected cost
-// of evicting its resident module — the predictor's estimate that the
-// resident is wanted next, scaled by the worst planned stream among the
-// candidates (a dimensionally honest stand-in for the reload it would
-// cause). A member whose resident module is about to be requested is
-// therefore spared unless every alternative is much more expensive.
-// Without a predictor every ReuseProb is 0 and the policy degenerates to
-// mincost.
-type prefetchPolicy struct{}
-
-func (prefetchPolicy) Name() string { return "prefetch" }
-
-// NeedsPlan tells the scheduler to fill Candidate.Plan.
-func (prefetchPolicy) NeedsPlan() bool { return true }
-
-func (prefetchPolicy) Pick(module string, cands []Candidate) int {
-	worst := 0
-	for _, c := range cands {
-		if c.PlanOK && c.Plan.Bytes > worst {
-			worst = c.Plan.Bytes
-		}
-	}
-	return scoredPick(module, cands, func(c Candidate) float64 {
-		return float64(planBytes(c)) + c.ReuseProb*float64(worst)
-	})
 }
 
 // gangPolicy co-locates the misses of one dispatch round: a slot whose
@@ -190,10 +146,9 @@ func (gangPolicy) Pick(module string, cands []Candidate) int {
 
 // policies registers the built-in placement policies by name.
 var policies = map[string]Policy{
-	"lru":      lruPolicy{},
-	"mincost":  minCostPolicy{},
-	"prefetch": prefetchPolicy{},
-	"gang":     gangPolicy{},
+	"lru":     lruPolicy{},
+	"mincost": minCostPolicy{},
+	"gang":    gangPolicy{},
 }
 
 // PolicyNames lists the registered placement policies, sorted.

@@ -117,7 +117,7 @@ func TestPrefetchStressNoHazard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy, _ := PolicyByName("prefetch")
+	policy, _ := PolicyByName("mincost")
 	s := New(p, Options{Batch: 3, Policy: policy, Prefetch: true})
 
 	// Closed loop with a window of 2: members regularly go idle while

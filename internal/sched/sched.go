@@ -11,10 +11,10 @@
 // Otherwise a pluggable placement policy chooses the miss victim among the
 // idle slots — "lru" evicts the least-recently-dispatched, "mincost" the
 // slot whose resident module minimizes the planned (differential-aware)
-// configuration cost of the transition, "prefetch" mincost with an
-// eviction penalty for modules the predictor expects back. Dispatch order
-// is FIFO over schedulable requests; an optional batch window pulls up to
-// Batch-1 queued requests for the same module forward so they ride a warm
+// configuration cost of the transition, "gang" co-locates one round's
+// misses on sibling regions of one member. Dispatch order is FIFO over
+// schedulable requests; an optional batch window pulls up to Batch-1
+// queued requests for the same module forward so they ride a warm
 // configuration, bounding how far any request can be overtaken.
 //
 // With Options.Prefetch the scheduler also overlaps reconfiguration with
@@ -38,6 +38,11 @@
 // atomics, so no pool-wide lock exists anywhere on the dispatch path. One
 // shard reproduces the pre-shard scheduler's dispatch order byte for byte
 // — the dispatch-order goldens pin that equivalence.
+//
+// Each shard keeps one book: every fact the scheduler counts is one
+// trace.Event, booked through shard.book, which folds it into the shard's
+// Stats (Stats.fold) and forwards it to the tracer when one is set. A
+// traced run's events therefore fold back to exactly its Stats.
 package sched
 
 import (
@@ -45,6 +50,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/pool"
 	"repro/internal/predict"
@@ -66,10 +72,10 @@ type Options struct {
 	// Prefetch enables speculative configuration of idle slots with the
 	// predictor's next-module guesses.
 	Prefetch bool
-	// Predictor guides prefetching and fills Candidate.ReuseProb; it is
-	// trained online from the arrival stream and shared by all shards
-	// (implementations serialize internally). nil with Prefetch enabled
-	// selects the default markov predictor.
+	// Predictor guides prefetching; it is trained online from the
+	// arrival stream and shared by all shards (implementations serialize
+	// internally). nil with Prefetch enabled selects the default markov
+	// predictor.
 	Predictor predict.Predictor
 	// Scrub runs a readback scrub (region content hash against the
 	// verified one) of the dispatched slot before each batch executes. A
@@ -97,8 +103,9 @@ type Options struct {
 	// config/compute/complete spans plus prefetch, scrub, quarantine and
 	// repair events, all stamped with simulated time. New threads it
 	// through every member's platform layer too (plan decisions, hazard
-	// verdicts, demotions, DMA windows). nil (the default) disables
-	// tracing entirely — the hot path then constructs no events at all.
+	// verdicts, demotions, DMA windows). nil (the default) records
+	// nothing: the scheduler still folds each event into Stats and then
+	// drops it.
 	Trace *trace.Tracer
 }
 
@@ -129,44 +136,14 @@ type Result struct {
 // (reconfiguration plus work).
 func (r Result) Latency() sim.Time { return r.Report.Latency() }
 
-// ModuleStats aggregates per-module outcomes.
-type ModuleStats struct {
-	Requests uint64
-	Hits     uint64
-	Misses   uint64
-	Config   sim.Time
-	Work     sim.Time
-	Errors   uint64
-	// Bytes counts configuration bytes streamed for this module's
-	// requests; Diffs, Completes and Compressed split its misses by
-	// stream kind.
-	Bytes      uint64
-	Diffs      uint64
-	Completes  uint64
-	Compressed uint64
-}
-
-// add merges another module's worth of counters into m.
-func (m *ModuleStats) add(o ModuleStats) {
-	m.Requests += o.Requests
-	m.Hits += o.Hits
-	m.Misses += o.Misses
-	m.Config += o.Config
-	m.Work += o.Work
-	m.Errors += o.Errors
-	m.Bytes += o.Bytes
-	m.Diffs += o.Diffs
-	m.Completes += o.Completes
-	m.Compressed += o.Compressed
-}
-
 // SlotID names one scheduling slot: a member and a region index inside it.
 type SlotID struct {
 	Member int
 	Region int
 }
 
-// Stats aggregates scheduler-wide outcomes.
+// Stats aggregates scheduler-wide outcomes. Every counter is a fold of the
+// scheduler's event stream (see fold), except PrefetchPending.
 type Stats struct {
 	Requests uint64 // submitted
 	Done     uint64 // completed (including errors)
@@ -175,7 +152,6 @@ type Stats struct {
 	Config   sim.Time // total simulated reconfiguration time
 	Work     sim.Time // total simulated work time
 	Errors   uint64
-	Modules  map[string]ModuleStats
 	// Slots names each scheduling slot; BusyTime is the slot's simulated
 	// busy time (config+work), indexed alike. Pool order (member, region)
 	// regardless of how the slots are sharded.
@@ -227,8 +203,9 @@ type Stats struct {
 	PrefetchConsumed uint64
 	PrefetchWasted   uint64
 	// PrefetchPending is the byte total of completed speculative streams
-	// still sitting resident unconsumed, summed from the slots when Stats
-	// is taken. Conservation holds at every quiesced point:
+	// still sitting resident unconsumed: slot state, not an event, so
+	// Scheduler.Stats sums it from the slots. Conservation holds at every
+	// quiesced point:
 	//   PrefetchBytes == PrefetchConsumed + PrefetchWasted + PrefetchPending
 	// (between a stream's completion and its accounting the left side
 	// briefly leads). TestSpeculativeByteConservation pins the equality.
@@ -265,9 +242,10 @@ type Stats struct {
 }
 
 // addScalars sums another stats block's scalar counters (everything except
-// Requests/Done, which are scheduler-level atomics, and Slots/BusyTime,
-// which Stats() stitches in pool order) into s.
+// Slots/BusyTime, which Stats() stitches in pool order) into s.
 func (s *Stats) addScalars(o Stats) {
+	s.Requests += o.Requests
+	s.Done += o.Done
 	s.Hits += o.Hits
 	s.Misses += o.Misses
 	s.Config += o.Config
@@ -298,10 +276,83 @@ func (s *Stats) addScalars(o Stats) {
 	s.Repairs += o.Repairs
 	s.RepairBytes += o.RepairBytes
 	s.RepairConfig += o.RepairConfig
-	for k, v := range o.Modules {
-		m := s.Modules[k]
-		m.add(v)
-		s.Modules[k] = m
+}
+
+// fold books one event into the counters; it is the only place a counter
+// moves. si indexes the event's slot in Slots and BusyTime (-1 for a
+// scheduler-level event). Kinds no counter reads, such as dispatch and the
+// platform layer's plan, hazard, demote and dma-window, fold to nothing.
+func (s *Stats) fold(si int, e trace.Event) {
+	switch e.Kind {
+	case trace.KindSubmit:
+		s.Requests++
+	case trace.KindSteal:
+		s.Steals++
+		s.StolenRequests += uint64(e.Arg)
+	case trace.KindConfig:
+		s.Config += e.Dur
+		s.BusyTime[si] += e.Dur
+	case trace.KindCompute:
+		s.Work += e.Dur
+		s.BusyTime[si] += e.Dur
+	case trace.KindOverlap:
+		s.OverlapConfig += e.Dur
+	case trace.KindComplete:
+		s.Done++
+		if e.Err {
+			s.Errors++
+		}
+		if e.Member < 0 {
+			return // rejected at submit: never reached a slot
+		}
+		if e.Hit {
+			s.Hits++
+		} else {
+			s.Misses++
+		}
+		s.BytesStreamed += uint64(e.Bytes)
+		k := plan.StreamKind(e.Stream)
+		switch k {
+		case plan.StreamDifferential:
+			s.DiffLoads++
+		case plan.StreamComplete:
+			s.CompleteLoads++
+		case plan.StreamCompressed:
+			s.CompressedLoads++
+		}
+		if e.DMA && k != plan.StreamNone {
+			s.DMALoads++
+		}
+	case trace.KindPrefetchLaunch:
+		s.PrefetchIssued++
+	case trace.KindPrefetchConfig:
+		s.PrefetchBytes += uint64(e.Bytes)
+		s.PrefetchConfig += e.Dur
+		if e.Bytes > 0 {
+			s.PrefetchLoads++
+		}
+		if e.Err {
+			s.PrefetchAborted++
+			s.PrefetchWasted += uint64(e.Bytes)
+		} else {
+			s.PrefetchCompleted++
+		}
+	case trace.KindPrefetchHit:
+		s.PrefetchHits++
+		s.PrefetchConsumed += uint64(e.Bytes)
+		s.HiddenConfig += sim.Time(e.Arg)
+	case trace.KindPrefetchWaste:
+		s.PrefetchWasted += uint64(e.Bytes)
+	case trace.KindScrub:
+		s.ScrubPasses++
+	case trace.KindQuarantine:
+		s.FaultsDetected++
+	case trace.KindRequeue:
+		s.Requeues += uint64(e.Arg)
+	case trace.KindRepair:
+		s.Repairs++
+		s.RepairBytes += uint64(e.Bytes)
+		s.RepairConfig += e.Dur
 	}
 }
 
@@ -341,6 +392,7 @@ func (a *abortToken) aborted() bool { return a.flag.Load() }
 type slotState struct {
 	m  *pool.Member
 	ri int // region index within the member
+	si int // index in the shard's slots, Stats.Slots and Stats.BusyTime
 	// busy marks a slot with a dispatched batch in flight.
 	busy bool
 	// resident caches the slot's authoritative resident module as of the
@@ -437,13 +489,12 @@ type Scheduler struct {
 	clock sim.WallClock
 
 	// Lock-free hot-path counters. nextID hands out submission IDs, done
-	// the pool-wide completion sequence, requests the submission count,
-	// inflight the accepted-but-undelivered count (Drained's fast path);
-	// rr rotates the round-robin router. None of them ever takes a lock,
-	// so shards never serialize on shared identity state.
+	// the pool-wide completion sequence (Result.Seq), inflight the
+	// accepted-but-undelivered count (Drained's fast path); rr rotates the
+	// round-robin router. None of them ever takes a lock, so shards never
+	// serialize on shared identity state.
 	rr       atomic.Uint64
 	nextID   atomic.Uint64
-	requests atomic.Uint64
 	done     atomic.Uint64
 	inflight atomic.Int64
 	// stopped (set by Wait, cleared by Submit) keeps a drained scheduler
@@ -479,12 +530,11 @@ func New(p *pool.Pool, opts Options) *Scheduler {
 	s.shards = make([]*shard, len(groups))
 	for i, g := range groups {
 		sh := &shard{sc: s, id: i, freeAt: make(map[*pool.Member]sim.Time)}
-		sh.stats.Modules = make(map[string]ModuleStats)
 		for _, m := range g {
 			memberShard[m.ID] = i
 			memberBase[m.ID] = len(sh.slots)
 			for ri := 0; ri < m.Sys.NumRegions(); ri++ {
-				sh.slots = append(sh.slots, &slotState{m: m, ri: ri})
+				sh.slots = append(sh.slots, &slotState{m: m, ri: ri, si: len(sh.slots)})
 				sh.stats.Slots = append(sh.stats.Slots, SlotID{Member: m.ID, Region: ri})
 			}
 		}
@@ -680,19 +730,15 @@ func (s *Scheduler) Drained() bool {
 	return true
 }
 
-// Stats returns a copy of the aggregate counters: the atomic identity
-// counters, the per-shard counter blocks summed, and Slots/BusyTime
-// stitched back into pool (member, region) order.
+// Stats returns a copy of the aggregate counters: the per-shard counter
+// blocks summed, PrefetchPending summed from the slots, and
+// Slots/BusyTime stitched back into pool (member, region) order.
 func (s *Scheduler) Stats() Stats {
-	agg := Stats{Modules: make(map[string]ModuleStats)}
+	var agg Stats
 	per := make([]Stats, len(s.shards))
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		st := sh.stats
-		st.Modules = make(map[string]ModuleStats, len(sh.stats.Modules))
-		for k, v := range sh.stats.Modules {
-			st.Modules[k] = v
-		}
 		st.Slots = append([]SlotID(nil), sh.stats.Slots...)
 		st.BusyTime = append([]sim.Time(nil), sh.stats.BusyTime...)
 		for _, ss := range sh.slots {
@@ -702,8 +748,6 @@ func (s *Scheduler) Stats() Stats {
 		per[i] = st
 		agg.addScalars(st)
 	}
-	agg.Requests = s.requests.Load()
-	agg.Done = s.done.Load()
 	for _, ref := range s.slotOrder {
 		agg.Slots = append(agg.Slots, per[ref.shard].Slots[ref.idx])
 		agg.BusyTime = append(agg.BusyTime, per[ref.shard].BusyTime[ref.idx])

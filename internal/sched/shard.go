@@ -25,6 +25,8 @@ import (
 // blocks on a victim, so no lock-order cycle can form. Cross-shard
 // hot-path counters (submission IDs, completion sequence, in-flight count)
 // live as atomics on the Scheduler.
+//
+// Every counter in stats moves through book, under mu.
 type shard struct {
 	sc *Scheduler
 	id int
@@ -80,13 +82,10 @@ func (sh *shard) submitLocked(t tasks.Runner, arrival sim.Time, openLoop bool) <
 	ch := make(chan Result, 1)
 	sc.stopped.Store(false)
 	req := &request{id: sc.nextID.Add(1), task: t, ch: ch, arrival: arrival, openLoop: openLoop}
-	sc.requests.Add(1)
-	if tr := sc.opts.Trace; tr != nil {
-		// Scheduler-level instant (member/region -1): closed-loop
-		// submissions carry Ts 0, open-loop ones their arrival stamp.
-		tr.Emit(trace.Event{Ts: arrival, Kind: trace.KindSubmit,
-			Member: -1, Region: -1, ID: req.id, Name: t.Module()})
-	}
+	// Scheduler-level instant (member/region -1): closed-loop submissions
+	// carry Ts 0, open-loop ones their arrival stamp.
+	sh.book(-1, trace.Event{Ts: arrival, Kind: trace.KindSubmit,
+		Member: -1, Region: -1, ID: req.id, Name: t.Module()})
 	if sc.opts.Predictor != nil {
 		// Train on the arrival stream — including requests that fail below:
 		// the workload asked for the module either way.
@@ -94,11 +93,8 @@ func (sh *shard) submitLocked(t tasks.Runner, arrival sim.Time, openLoop bool) <
 	}
 	if !sc.supported(t.Module()) {
 		sc.done.Add(1)
-		sh.stats.Errors++
-		ms := sh.stats.Modules[t.Module()]
-		ms.Requests++
-		ms.Errors++
-		sh.stats.Modules[t.Module()] = ms
+		sh.book(-1, trace.Event{Ts: arrival, Kind: trace.KindComplete, Err: true,
+			Member: -1, Region: -1, ID: req.id, Name: t.Module()})
 		ch <- Result{ID: req.id, Task: t.Name(), Module: t.Module(),
 			Member: -1, Region: -1, Err: errUnsupported(t.Module())}
 		return ch
@@ -169,14 +165,12 @@ func (sh *shard) dispatchLocked() {
 		sh.tick++
 		ss.lastUsed = sh.tick
 		assigned[ss.m.ID] = true
-		if tr := sc.opts.Trace; tr != nil {
-			// Placement instant on the chosen slot's track; Arg carries the
-			// batch size riding this dispatch.
-			tr.Emit(trace.Event{Ts: sc.clock.Now(), Kind: trace.KindDispatch,
-				Member: int32(ss.m.ID), Region: int32(ss.ri),
-				ID: head.id, Name: head.task.Module(), Arg: int64(len(batch))})
-		}
-		round = append(round, assignment{ss: ss, si: si, batch: batch})
+		// Placement instant on the chosen slot's track; Arg carries the
+		// batch size riding this dispatch.
+		sh.book(si, trace.Event{Ts: sc.clock.Now(), Kind: trace.KindDispatch,
+			Member: int32(ss.m.ID), Region: int32(ss.ri),
+			ID: head.id, Name: head.task.Module(), Arg: int64(len(batch))})
+		round = append(round, assignment{ss: ss, batch: batch})
 	}
 	if len(round) > 0 {
 		// One goroutine per member: a member's assignments of this round
@@ -241,13 +235,9 @@ func (sh *shard) stealLocked() bool {
 		if len(take) > 0 {
 			sh.stealTick++
 			sh.pending = append(sh.pending, take...)
-			sh.stats.Steals++
-			sh.stats.StolenRequests += uint64(len(take))
-			if tr := sh.sc.opts.Trace; tr != nil {
-				tr.Emit(trace.Event{Ts: sh.sc.clock.Now(), Kind: trace.KindSteal,
-					Member: -1, Region: -1, ID: take[0].id,
-					Name: take[0].task.Module(), Arg: int64(len(take))})
-			}
+			sh.book(-1, trace.Event{Ts: sh.sc.clock.Now(), Kind: trace.KindSteal,
+				Member: -1, Region: -1, ID: take[0].id,
+				Name: take[0].task.Module(), Arg: int64(len(take))})
 			return true
 		}
 	}
@@ -257,7 +247,6 @@ func (sh *shard) stealLocked() bool {
 // assignment is one dispatched (slot, batch) pair of a round.
 type assignment struct {
 	ss    *slotState
-	si    int
 	batch []*request
 }
 
@@ -306,9 +295,6 @@ func (sh *shard) pickLocked(assigned map[int]bool) (int, int) {
 						cands[i].Plan, cands[i].PlanOK = p, true
 					}
 				}
-			}
-			if sc.opts.Predictor != nil {
-				cands[i].ReuseProb = sc.opts.Predictor.Prob(cands[i].Resident)
 			}
 		}
 		if len(cands) > 0 {
@@ -449,11 +435,8 @@ func (sh *shard) prefetchLocked() {
 		speculating++
 		ss.specBusy, ss.specModule = true, bestMod
 		ss.specAbort = &abortToken{}
-		sh.stats.PrefetchIssued++
-		if tr := sc.opts.Trace; tr != nil {
-			tr.Emit(trace.Event{Ts: sc.clock.Now(), Kind: trace.KindPrefetchLaunch,
-				Member: int32(ss.m.ID), Region: int32(ss.ri), Name: bestMod})
-		}
+		sh.book(ss.si, trace.Event{Ts: sc.clock.Now(), Kind: trace.KindPrefetchLaunch,
+			Member: int32(ss.m.ID), Region: int32(ss.ri), Name: bestMod})
 		sc.specWG.Add(1)
 		go sh.runSpeculative(ss, bestMod, ss.specAbort)
 	}
@@ -471,34 +454,23 @@ func restoreBytes(ss *slotState, module string) int {
 }
 
 // runSpeculative drives one speculative load to completion or abort and
-// records its outcome. Every speculative byte is booked exactly once:
-// either as waste (here, on abort or on a completed stream that outran
-// its abort) or as consumed (on the prefetch hit that uses it) or it
-// stays pending in the slot's prefetched fields until one of the two.
+// books its outcome in one prefetch-config event. Every speculative byte
+// is booked exactly once: either as waste (an aborted stream, or a
+// completed one that outran its abort) or as consumed (on the prefetch hit
+// that uses it) or it stays pending in the slot's prefetched fields until
+// one of the two.
 func (sh *shard) runSpeculative(ss *slotState, mod string, tok *abortToken) {
 	defer sh.sc.specWG.Done()
 	rep, err := ss.m.Sys.LoadModuleOn(ss.ri, mod, tok.aborted)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	ss.specBusy, ss.specModule, ss.specAbort = false, "", nil
-	st := &sh.stats
-	st.PrefetchBytes += uint64(rep.Bytes)
-	st.PrefetchConfig += rep.Time
-	if rep.Bytes > 0 {
-		st.PrefetchLoads++
-	}
-	if tr := sh.sc.opts.Trace; tr != nil {
-		if rep.Time > 0 {
-			// The speculative stream's port span; conservation: these
-			// spans sum per slot to Stats.PrefetchConfig.
-			tr.Emit(trace.Event{Ts: rep.At, Dur: rep.Time, Kind: trace.KindPrefetchConfig,
-				Member: int32(ss.m.ID), Region: int32(ss.ri), Name: mod, Arg: int64(rep.Bytes)})
-		}
-		if err != nil {
-			tr.Emit(trace.Event{Ts: rep.At + rep.Time, Kind: trace.KindPrefetchAbort,
-				Member: int32(ss.m.ID), Region: int32(ss.ri), Name: mod, Arg: int64(rep.Bytes)})
-		}
-	}
+	member, region := int32(ss.m.ID), int32(ss.ri)
+	// The stream's port span (an instant when nothing streamed); Err marks
+	// an abort by a real dispatch or (defensively) a failed plan, whose
+	// bytes are waste by definition.
+	sh.book(ss.si, trace.Event{Ts: rep.At, Dur: rep.Time, Kind: trace.KindPrefetchConfig,
+		Err: err != nil, Member: member, Region: region, Name: mod, Bytes: int64(rep.Bytes)})
 	hitPending := ss.specHitPending
 	ss.specHitPending = false
 	// Refresh the cached resident — but only when the slot was neither
@@ -517,41 +489,26 @@ func (sh *shard) runSpeculative(ss *slotState, mod string, tok *abortToken) {
 		}
 	}
 	switch {
-	case err == nil && rep.Kind != plan.StreamNone:
-		st.PrefetchCompleted++
-		switch {
-		case hitPending:
-			// A request is riding this stream to a hit right now.
-			st.PrefetchHits++
-			st.PrefetchConsumed += uint64(rep.Bytes)
-			st.HiddenConfig += rep.Time
-			if tr := sh.sc.opts.Trace; tr != nil {
-				tr.Emit(trace.Event{Ts: rep.At + rep.Time, Kind: trace.KindPrefetchHit,
-					Member: int32(ss.m.ID), Region: int32(ss.ri), Name: mod, Arg: int64(rep.Bytes)})
-			}
-		case tok.aborted():
-			// The stream outran its abort: a dispatch for a different
-			// module (or Wait) claimed the slot while the last words
-			// were going out. The guessed resident is about to be
-			// overwritten — marking it prefetched now could outlive the
-			// preempting load's record and starve the slot, so the
-			// bytes are waste directly.
-			st.PrefetchWasted += uint64(rep.Bytes)
-		default:
-			ss.prefetched = mod
-			ss.prefetchedBytes = rep.Bytes
-			ss.prefetchedTime = rep.Time
-		}
-	case err == nil:
-		// The module was already resident when the stream was about to be
-		// planned (a racing real load beat us to it): nothing streamed,
-		// nothing to consume — and any rider paid its own configuration.
-		st.PrefetchCompleted++
+	case err != nil || rep.Kind == plan.StreamNone:
+		// Booked in full above. A stream that found the module already
+		// resident (a racing real load beat it) streamed nothing, and any
+		// rider paid its own configuration.
+	case hitPending:
+		// A request is riding this stream to a hit right now.
+		sh.book(ss.si, trace.Event{Ts: rep.At + rep.Time, Kind: trace.KindPrefetchHit,
+			Member: member, Region: region, Name: mod, Arg: int64(rep.Time), Bytes: int64(rep.Bytes)})
+	case tok.aborted():
+		// The stream outran its abort: a dispatch for a different module
+		// (or Wait) claimed the slot while the last words were going out.
+		// The guessed resident is about to be overwritten — marking it
+		// prefetched now could outlive the preempting load's record and
+		// starve the slot, so the bytes are waste directly.
+		sh.book(ss.si, trace.Event{Ts: rep.At + rep.Time, Kind: trace.KindPrefetchWaste,
+			Member: member, Region: region, Name: mod, Bytes: int64(rep.Bytes)})
 	default:
-		// Aborted by a real dispatch, or (defensively) a failed plan:
-		// whatever was streamed is waste by definition.
-		st.PrefetchAborted++
-		st.PrefetchWasted += uint64(rep.Bytes)
+		ss.prefetched = mod
+		ss.prefetchedBytes = rep.Bytes
+		ss.prefetchedTime = rep.Time
 	}
 	if !ss.busy {
 		// The slot is idle again (completed or abandoned stream with no
@@ -584,7 +541,9 @@ func (sh *shard) runGroup(group []assignment) {
 				// The batch never ran: bounce it back to the head of the
 				// queue in order and let dispatch place the requests
 				// elsewhere (or wait out the repair).
-				sh.stats.Requeues += uint64(len(a.batch))
+				sh.book(a.ss.si, trace.Event{Ts: rep.At, Kind: trace.KindRequeue,
+					Member: int32(a.ss.m.ID), Region: int32(a.ss.ri),
+					ID: a.batch[0].id, Name: a.batch[0].task.Module(), Arg: int64(len(a.batch))})
 				sh.pending = append(append([]*request(nil), a.batch...), sh.pending...)
 				a.ss.busy = false
 				sh.dispatchLocked()
@@ -620,7 +579,7 @@ func (sh *shard) runGroup(group []assignment) {
 			}
 			res := Result{ID: req.id, Task: t.Name(), Module: t.Module(),
 				Member: ss.m.ID, Region: ss.ri, System: sys.Name, Report: rep, Err: err}
-			sh.record(a.si, &res, req)
+			sh.record(ss, &res, req)
 			req.ch <- res
 			sc.inflight.Add(-1)
 			sc.wg.Done()
@@ -632,20 +591,17 @@ func (sh *shard) runGroup(group []assignment) {
 	}
 }
 
-// bookScrubLocked books one readback scrub pass over the slot: it counts
-// the pass, emits its trace event and, on a detection, quarantines the
-// slot. Reports whether the pass detected corruption. Called with sh.mu
-// held, after the pass itself ran under the member's lock.
+// bookScrubLocked books one readback scrub pass over the slot and, on a
+// detection, quarantines the slot. Reports whether the pass detected
+// corruption. Called with sh.mu held, after the pass itself ran under the
+// member's lock.
 func (sh *shard) bookScrubLocked(ss *slotState, rep platform.ScrubReport) bool {
-	sh.stats.ScrubPasses++
-	if tr := sh.sc.opts.Trace; tr != nil {
-		arg := int64(0)
-		if rep.Detected {
-			arg = 1
-		}
-		tr.Emit(trace.Event{Ts: rep.At, Kind: trace.KindScrub,
-			Member: int32(ss.m.ID), Region: int32(ss.ri), Name: rep.Module, Arg: arg})
+	arg := int64(0)
+	if rep.Detected {
+		arg = 1
 	}
+	sh.book(ss.si, trace.Event{Ts: rep.At, Kind: trace.KindScrub,
+		Member: int32(ss.m.ID), Region: int32(ss.ri), Name: rep.Module, Arg: arg})
 	if rep.Detected {
 		sh.quarantineLocked(ss, rep)
 	}
@@ -660,49 +616,39 @@ func (sh *shard) bookScrubLocked(ss *slotState, rep platform.ScrubReport) bool {
 // quarantine is stamped with the detecting scrub's member time. Called
 // with sh.mu held.
 func (sh *shard) quarantineLocked(ss *slotState, rep platform.ScrubReport) {
-	module := rep.Module
-	st := &sh.stats
-	st.FaultsDetected++
 	ss.quarantined = true
 	ss.resident = ""
-	if tr := sh.sc.opts.Trace; tr != nil {
-		tr.Emit(trace.Event{Ts: rep.At, Kind: trace.KindQuarantine,
-			Member: int32(ss.m.ID), Region: int32(ss.ri), Name: module})
-	}
+	member, region := int32(ss.m.ID), int32(ss.ri)
+	sh.book(ss.si, trace.Event{Ts: rep.At, Kind: trace.KindQuarantine,
+		Member: member, Region: region, Name: rep.Module})
 	// A prefetched-but-unconsumed guess sat in the corrupted region: its
 	// bytes can never be consumed now, so they are waste — booked here,
 	// exactly once, keeping the speculative conservation law intact.
 	if ss.prefetched != "" {
-		st.PrefetchWasted += uint64(ss.prefetchedBytes)
+		sh.book(ss.si, trace.Event{Ts: rep.At, Kind: trace.KindPrefetchWaste,
+			Member: member, Region: region, Name: ss.prefetched, Bytes: int64(ss.prefetchedBytes)})
 		ss.prefetched, ss.prefetchedBytes, ss.prefetchedTime = "", 0, 0
 	}
 	sh.sc.repairWG.Add(1)
-	go sh.runRepair(ss, module)
+	go sh.runRepair(ss, rep.Module, rep.At)
 }
 
 // runRepair restores a quarantined slot off the request path: reload the
 // module the fault evicted (a complete stream, by the hazard gate), then
 // return the slot to service warm. A blank region needs no stream — its
-// next real load is complete by construction — so that repair is free.
-func (sh *shard) runRepair(ss *slotState, module string) {
+// next real load is complete by construction — so its repair is an
+// instant at the quarantine's time, at.
+func (sh *shard) runRepair(ss *slotState, module string, at sim.Time) {
 	defer sh.sc.repairWG.Done()
-	var rep platform.ConfigReport
+	rep := platform.ConfigReport{At: at}
 	var err error
 	if module != "" {
 		rep, err = ss.m.Sys.LoadModuleOn(ss.ri, module, nil)
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	st := &sh.stats
-	st.Repairs++
-	st.RepairBytes += uint64(rep.Bytes)
-	st.RepairConfig += rep.Time
-	if tr := sh.sc.opts.Trace; tr != nil && module != "" {
-		// The healing reload's span; conservation: repair spans sum per
-		// slot to Stats.RepairConfig.
-		tr.Emit(trace.Event{Ts: rep.At, Dur: rep.Time, Kind: trace.KindRepair,
-			Member: int32(ss.m.ID), Region: int32(ss.ri), Name: module, Arg: int64(rep.Bytes)})
-	}
+	sh.book(ss.si, trace.Event{Ts: rep.At, Dur: rep.Time, Kind: trace.KindRepair,
+		Member: int32(ss.m.ID), Region: int32(ss.ri), Name: module, Bytes: int64(rep.Bytes)})
 	ss.quarantined = false
 	if module != "" && err == nil {
 		ss.resident = module
@@ -743,16 +689,14 @@ func (sh *shard) scrubAll() int {
 	return detected
 }
 
-// record books one completed request into the shard's counters, assigns
-// its pool-wide completion sequence, and (for open-loop submissions)
-// computes its wall-clock sojourn. Fills res.Seq and the open-loop fields
-// in place.
-func (sh *shard) record(si int, res *Result, req *request) {
+// record books one completed request — its spans, its complete event and
+// what it did to the slot's prefetched module — assigns its pool-wide
+// completion sequence, and (for open-loop submissions) computes its
+// wall-clock sojourn. Fills res.Seq and the open-loop fields in place.
+func (sh *shard) record(ss *slotState, res *Result, req *request) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	st := &sh.stats
 	res.Seq = sh.sc.done.Add(1)
-	ss := sh.slots[si]
 	// Refresh the cached resident: a clean execution leaves its module
 	// configured and verified; after an error the region's content is not
 	// trustworthy, so the slot reads as blank (worst case, never unsafe —
@@ -778,87 +722,57 @@ func (sh *shard) record(si int, res *Result, req *request) {
 		res.Sojourn = done - req.arrival
 		sh.sc.clock.Advance(done)
 	}
-	if tr := sh.sc.opts.Trace; tr != nil {
-		rep := &res.Report
-		member, region := int32(ss.m.ID), int32(ss.ri)
-		if rep.ConfigHidden > 0 {
-			tr.Emit(trace.Event{Ts: rep.At - rep.ConfigHidden, Dur: rep.ConfigHidden,
-				Kind: trace.KindOverlap, Member: member, Region: region,
-				ID: req.id, Name: res.Module, Arg: int64(rep.BytesStreamed)})
-		}
-		if rep.Config > 0 {
-			// Conservation: config spans sum per slot to Stats.Config.
-			tr.Emit(trace.Event{Ts: rep.At, Dur: rep.Config,
-				Kind: trace.KindConfig, Member: member, Region: region,
-				ID: req.id, Name: res.Module, Arg: int64(rep.BytesStreamed)})
-		}
-		if rep.Work > 0 {
-			tr.Emit(trace.Event{Ts: rep.At + rep.Config, Dur: rep.Work,
-				Kind: trace.KindCompute, Member: member, Region: region,
-				ID: req.id, Name: res.Module})
-		}
-		doneTs := rep.At + rep.Config + rep.Work
-		arg := int64(rep.Latency())
-		if req.openLoop {
-			doneTs, arg = res.DoneAt, int64(res.Sojourn)
-		}
-		tr.Emit(trace.Event{Ts: doneTs, Kind: trace.KindComplete,
-			Member: member, Region: region, ID: req.id, Name: res.Module, Arg: arg})
+	rep := &res.Report
+	member, region, bytes := int32(ss.m.ID), int32(ss.ri), int64(rep.BytesStreamed)
+	if rep.ConfigHidden > 0 {
+		sh.book(ss.si, trace.Event{Ts: rep.At - rep.ConfigHidden, Dur: rep.ConfigHidden,
+			Kind: trace.KindOverlap, Member: member, Region: region,
+			ID: req.id, Name: res.Module, Bytes: bytes})
 	}
-	st.Config += res.Report.Config
-	st.Work += res.Report.Work
-	st.BusyTime[si] += res.Report.Latency()
-	st.BytesStreamed += uint64(res.Report.BytesStreamed)
-	m := st.Modules[res.Module]
-	m.Requests++
-	m.Config += res.Report.Config
-	m.Work += res.Report.Work
-	m.Bytes += uint64(res.Report.BytesStreamed)
-	switch res.Report.Kind {
-	case plan.StreamDifferential:
-		st.DiffLoads++
-		m.Diffs++
-	case plan.StreamComplete:
-		st.CompleteLoads++
-		m.Completes++
-	case plan.StreamCompressed:
-		st.CompressedLoads++
-		m.Compressed++
+	if rep.Config > 0 {
+		sh.book(ss.si, trace.Event{Ts: rep.At, Dur: rep.Config,
+			Kind: trace.KindConfig, Member: member, Region: region,
+			ID: req.id, Name: res.Module, Bytes: bytes})
 	}
-	if res.Report.DMA && res.Report.Kind != plan.StreamNone {
-		st.DMALoads++
+	if rep.Work > 0 {
+		sh.book(ss.si, trace.Event{Ts: rep.At + rep.Config, Dur: rep.Work,
+			Kind: trace.KindCompute, Member: member, Region: region,
+			ID: req.id, Name: res.Module})
 	}
-	st.OverlapConfig += res.Report.ConfigHidden
-	if res.Report.CacheHit {
-		st.Hits++
-		m.Hits++
-	} else {
-		st.Misses++
-		m.Misses++
+	doneTs := rep.At + rep.Config + rep.Work
+	arg := int64(rep.Latency())
+	if req.openLoop {
+		doneTs, arg = res.DoneAt, int64(res.Sojourn)
 	}
+	sh.book(ss.si, trace.Event{Ts: doneTs, Kind: trace.KindComplete,
+		Stream: uint8(rep.Kind), Hit: rep.CacheHit, DMA: rep.DMA, Err: res.Err != nil,
+		Member: member, Region: region, ID: req.id, Name: res.Module, Arg: arg, Bytes: bytes})
 	// Consume the slot's prefetched module: the first hit on it banks
 	// the speculative stream time as hidden; a real load replacing it
 	// books the speculative bytes as wasted.
-	if ss.prefetched != "" {
-		switch {
-		case res.Report.CacheHit && res.Module == ss.prefetched:
-			st.PrefetchHits++
-			st.PrefetchConsumed += uint64(ss.prefetchedBytes)
-			st.HiddenConfig += ss.prefetchedTime
-			if tr := sh.sc.opts.Trace; tr != nil {
-				tr.Emit(trace.Event{Ts: res.Report.At, Kind: trace.KindPrefetchHit,
-					Member: int32(ss.m.ID), Region: int32(ss.ri), ID: req.id,
-					Name: ss.prefetched, Arg: int64(ss.prefetchedBytes)})
-			}
-			ss.prefetched, ss.prefetchedBytes, ss.prefetchedTime = "", 0, 0
-		case res.Report.Kind != plan.StreamNone:
-			st.PrefetchWasted += uint64(ss.prefetchedBytes)
-			ss.prefetched, ss.prefetchedBytes, ss.prefetchedTime = "", 0, 0
-		}
+	if ss.prefetched == "" {
+		return
 	}
-	if res.Err != nil {
-		st.Errors++
-		m.Errors++
+	switch {
+	case rep.CacheHit && res.Module == ss.prefetched:
+		sh.book(ss.si, trace.Event{Ts: rep.At, Kind: trace.KindPrefetchHit,
+			Member: member, Region: region, ID: req.id, Name: ss.prefetched,
+			Arg: int64(ss.prefetchedTime), Bytes: int64(ss.prefetchedBytes)})
+	case rep.Kind != plan.StreamNone:
+		sh.book(ss.si, trace.Event{Ts: rep.At, Kind: trace.KindPrefetchWaste,
+			Member: member, Region: region, ID: req.id, Name: ss.prefetched,
+			Bytes: int64(ss.prefetchedBytes)})
+	default:
+		return
 	}
-	st.Modules[res.Module] = m
+	ss.prefetched, ss.prefetchedBytes, ss.prefetchedTime = "", 0, 0
+}
+
+// book is the shard's one booking path: it folds the event into the
+// shard's counters and forwards it to the tracer, a no-op when
+// Options.Trace is nil. si is the event's slot, -1 for a scheduler-level
+// event. Called with sh.mu held.
+func (sh *shard) book(si int, e trace.Event) {
+	sh.stats.fold(si, e)
+	sh.sc.opts.Trace.Emit(e)
 }

@@ -2,11 +2,15 @@ package sched
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/pool"
+	"repro/internal/predict"
 	"repro/internal/sim"
+	"repro/internal/tasks"
 	"repro/internal/trace"
 )
 
@@ -126,5 +130,192 @@ func TestTraceDisabledZeroOverheadDispatch(t *testing.T) {
 	if a := res.AllocsPerOp(); a != 0 {
 		t.Fatalf("disabled-trace dispatch guard allocates %d/op, want 0", a)
 	}
+	s.Wait()
+}
+
+// foldTrace folds a traced run's events into a fresh Stats with want's
+// slot layout, mapping each event's (member, region) track to its slot.
+func foldTrace(events []trace.Event, want Stats) Stats {
+	got := Stats{Slots: want.Slots, BusyTime: make([]sim.Time, len(want.BusyTime))}
+	index := make(map[SlotID]int, len(want.Slots))
+	for i, sl := range want.Slots {
+		index[sl] = i
+	}
+	for _, e := range events {
+		si, ok := index[SlotID{Member: int(e.Member), Region: int(e.Region)}]
+		if !ok {
+			si = -1
+		}
+		got.fold(si, e)
+	}
+	return got
+}
+
+// TestTraceFoldsToStats holds the scheduler to its one book: on six drives
+// that between them reach every counter — prefetch hits, overwritten and
+// aborted guesses, DMA and compressed loads, upsets with scrubs, requeues
+// and repairs, steals and submit-rejected requests — folding the traced
+// run's events into a fresh Stats rebuilds s.Stats() exactly, except
+// PrefetchPending, which is summed from slot state. Each drive also checks
+// that it reached what it is there for.
+func TestTraceFoldsToStats(t *testing.T) {
+	mix, err := ParseMix("sha1=1,jenkins=2,patternmatch=1,brightness=2,blend=2,fade=2,transfer=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload := func(t *testing.T, seed int64, n int) []tasks.Runner {
+		w, err := GenWorkload(seed, n, mix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	markov := func(t *testing.T) predict.Predictor {
+		pred, err := predict.New("markov")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pred
+	}
+	clean := func(t *testing.T) func(Result) {
+		return func(r Result) {
+			if r.Err != nil {
+				t.Errorf("request %d (%s): %v", r.ID, r.Task, r.Err)
+			}
+		}
+	}
+	drives := []struct {
+		name  string
+		drive func(t *testing.T, tr *trace.Tracer) *Scheduler
+		check func(st Stats) bool
+	}{
+		{"paced-mincost-markov", func(t *testing.T, tr *trace.Tracer) *Scheduler {
+			p, err := pool.New(pool.Config{Sys32: 2, Sys64: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := New(p, Options{Batch: 4, Policy: policies["mincost"], Prefetch: true, Predictor: markov(t), Trace: tr})
+			s.SubmitWindowed(workload(t, 7, 60), 1, func(r Result) {
+				clean(t)(r)
+				drainTest(s)
+			})
+			drainTest(s)
+			return s
+		}, func(st Stats) bool { return st.PrefetchWasted > 0 && st.HiddenConfig > 0 }},
+		{"windowed-prefetch", func(t *testing.T, tr *trace.Tracer) *Scheduler {
+			p, err := pool.New(pool.Config{Sys32: 2, Sys64: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := New(p, Options{Batch: 3, Policy: policies["mincost"], Prefetch: true, Trace: tr})
+			s.SubmitWindowed(workload(t, 99, 60), 2, clean(t))
+			return s
+		}, func(st Stats) bool { return st.PrefetchIssued > 0 }},
+		{"paired-gang-dma-compressed", func(t *testing.T, tr *trace.Tracer) *Scheduler {
+			p := pool64x2(t, 2)
+			p.SetCompression(true)
+			s := New(p, Options{Batch: 4, Policy: policies["gang"], DMA: true, Trace: tr})
+			w := workload(t, 7, 40)
+			for i := 0; i < len(w); i += 2 {
+				for _, ch := range s.SubmitBatch(w[i:min(i+2, len(w))]) {
+					clean(t)(<-ch)
+				}
+				drainTest(s)
+			}
+			return s
+		}, func(st Stats) bool { return st.DMALoads > 0 && st.CompressedLoads > 0 && st.OverlapConfig > 0 }},
+		{"paced-upsets-scrub", func(t *testing.T, tr *trace.Tracer) *Scheduler {
+			p := pool64x2(t, 2)
+			scs, err := fault.Campaign("uniform", 7, 60, fault.PoolSlots(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := New(p, Options{Batch: 4, Policy: policies["mincost"], Scrub: true, Trace: tr})
+			// An upset in a still-blank region: its repair streams nothing.
+			if err := p.Members()[1].Sys.InjectFaultOn(1, 0, 0, 3); err != nil {
+				t.Fatal(err)
+			}
+			s.ScrubAll()
+			drainTest(s)
+			cur, done := scs[0].Cursor(), 0
+			s.SubmitWindowed(workload(t, 7, 60), 1, func(r Result) {
+				clean(t)(r)
+				drainTest(s)
+				done++
+				due := cur.Due(done)
+				for _, e := range due {
+					if err := fault.Apply(p, e); err != nil {
+						t.Error(err)
+					}
+				}
+				if len(due) > 0 {
+					s.ScrubAll()
+					drainTest(s)
+				}
+			})
+			return s
+		}, func(st Stats) bool { return st.FaultsDetected > 0 && st.Repairs == st.FaultsDetected }},
+		{"dispatch-scrub-requeue", func(t *testing.T, tr *trace.Tracer) *Scheduler {
+			p := pool64x2(t, 1)
+			s := New(p, Options{Scrub: true, Trace: tr})
+			warm := <-s.Submit(tasks.JenkinsRun{Seed: 1, Len: 256, InitVal: 3})
+			clean(t)(warm)
+			drainTest(s)
+			clean(t)(<-s.Submit(tasks.FadeRun{Seed: 2, N: 256, F: 9}))
+			drainTest(s)
+			if err := p.Members()[0].Sys.InjectFaultOn(warm.Region, 1, 1, 7); err != nil {
+				t.Fatal(err)
+			}
+			clean(t)(<-s.Submit(tasks.JenkinsRun{Seed: 3, Len: 256, InitVal: 3}))
+			return s
+		}, func(st Stats) bool { return st.Requeues > 0 }},
+		{"sharded-steals-rejects", func(t *testing.T, tr *trace.Tracer) *Scheduler {
+			s := New(pool32(t, 4), Options{Batch: 2, Policy: policies["mincost"], Shards: 4, Trace: tr})
+			for _, ch := range s.SubmitAll(workload(t, 7, 80)) {
+				if r := <-ch; r.Err != nil && (r.Module != "sha1" || r.Member != -1) {
+					t.Errorf("request %d (%s): %v", r.ID, r.Task, r.Err)
+				}
+			}
+			return s
+		}, func(st Stats) bool { return st.Errors > 0 && st.Steals > 0 }},
+	}
+	for _, d := range drives {
+		t.Run(d.name, func(t *testing.T) {
+			tr := trace.New()
+			s := d.drive(t, tr)
+			s.Wait()
+			want := s.Stats()
+			if !d.check(want) {
+				t.Fatalf("drive reached nothing it is there for: %+v", want)
+			}
+			got := foldTrace(tr.Events(), want)
+			want.PrefetchPending = 0
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trace folds to\n%+v\nStats() is\n%+v", got, want)
+			}
+		})
+	}
+}
+
+// TestTraceOffBookAllocatesNothing: with Options.Trace nil, booking any
+// kind the scheduler books only folds it into the shard's Stats, which
+// allocates nothing.
+func TestTraceOffBookAllocatesNothing(t *testing.T) {
+	s := New(pool32(t, 1), Options{})
+	sh := s.shards[0]
+	kinds := []trace.Kind{trace.KindSubmit, trace.KindDispatch, trace.KindSteal,
+		trace.KindConfig, trace.KindOverlap, trace.KindCompute, trace.KindComplete,
+		trace.KindPrefetchLaunch, trace.KindPrefetchConfig, trace.KindPrefetchHit,
+		trace.KindPrefetchWaste, trace.KindScrub, trace.KindQuarantine,
+		trace.KindRequeue, trace.KindRepair}
+	sh.mu.Lock()
+	for _, k := range kinds {
+		e := trace.Event{Ts: 1, Dur: 2, Kind: k, Stream: 1, Member: 0, Region: 0,
+			ID: 3, Name: "fade", Arg: 4, Bytes: 5}
+		if a := testing.AllocsPerRun(100, func() { sh.book(0, e) }); a != 0 {
+			t.Errorf("book(%v) allocates %v/op with tracing off", k, a)
+		}
+	}
+	sh.mu.Unlock()
 	s.Wait()
 }

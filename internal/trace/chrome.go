@@ -119,6 +119,21 @@ func WriteChrome(w io.Writer, events []Event) error {
 		if e.Arg != 0 {
 			args["arg"] = e.Arg
 		}
+		if e.Bytes != 0 {
+			args["bytes"] = e.Bytes
+		}
+		if e.Stream != 0 {
+			args["stream"] = e.Stream
+		}
+		if e.Hit {
+			args["hit"] = true
+		}
+		if e.DMA {
+			args["dma"] = true
+		}
+		if e.Err {
+			args["err"] = true
+		}
 		if len(args) > 0 {
 			ce.Args = args
 		}

@@ -7,10 +7,10 @@
 // the rendered JSON is byte-identical too. That determinism is what lets
 // sojourn percentiles graduate from informational columns to gated SLOs.
 //
-// A nil *Tracer is a valid no-op recorder, and instrumentation sites
-// additionally guard emission with a nil check so the disabled path
-// constructs no Event at all — tracing off costs nothing on the dispatch
-// hot path (pinned by a benchmark assertion in the sched tests).
+// A nil *Tracer is a valid no-op recorder. The scheduler builds every
+// event whether or not a tracer is set, because its counters are folds of
+// the same events; with tracing off an event is folded and dropped, which
+// allocates nothing (pinned by the sched tests).
 package trace
 
 import (
@@ -25,25 +25,35 @@ import (
 // paper's cost split: where reconfiguration time goes (config transfer,
 // overlap, compute) and what the control plane did around it (dispatch,
 // steal, plan, hazard verdict, prefetch, scrub, quarantine, repair).
+// Every scheduler counter is a fold of these events (sched.Stats.fold), so
+// each kind's doc names the fields that fold reads.
 type Kind uint8
 
 const (
 	// KindSubmit: a request entered a shard queue (scheduler-level).
 	KindSubmit Kind = iota
-	// KindDispatch: a request was placed on a (member, region) slot.
+	// KindDispatch: a request was placed on a (member, region) slot
+	// (Arg = batch size riding the dispatch).
 	KindDispatch
-	// KindSteal: an idle shard stole a queued request from a victim.
+	// KindSteal: an idle shard stole queued requests from a victim
+	// (scheduler-level; Arg = requests moved).
 	KindSteal
-	// KindConfig: visible configuration transfer on a slot (span).
+	// KindConfig: visible configuration transfer on a slot (span; Bytes =
+	// the request's streamed bytes).
 	KindConfig
 	// KindOverlap: configuration time hidden behind dispatch/work/sibling
-	// loads on the DMA path (span ending where the visible wait begins).
+	// loads on the DMA path (span ending where the visible wait begins;
+	// Bytes = the request's streamed bytes).
 	KindOverlap
 	// KindCompute: the placed module's execution on the fabric (span).
 	KindCompute
-	// KindComplete: a request finished (instant; Arg = latency/sojourn fs).
+	// KindComplete: a request finished (instant; Arg = latency/sojourn fs,
+	// Bytes = streamed bytes, Stream/Hit/DMA/Err = its outcome). A request
+	// rejected at submit completes on the scheduler track (Member -1) with
+	// Err set.
 	KindComplete
-	// KindPlan: the planner chose a stream kind for a transition.
+	// KindPlan: the planner chose a stream kind for a transition (Bytes =
+	// the planned stream's size).
 	KindPlan
 	// KindHazard: the §2.2 gate refused a stale plan.
 	KindHazard
@@ -51,21 +61,31 @@ const (
 	KindDemote
 	// KindPrefetchLaunch: a speculative load was launched on an idle slot.
 	KindPrefetchLaunch
-	// KindPrefetchConfig: the speculative stream's port time (span).
+	// KindPrefetchConfig: the end of one speculative load — a span of its
+	// port time, an instant when nothing streamed (Bytes = bytes streamed;
+	// Err set when the stream was aborted or failed, its bytes then waste).
 	KindPrefetchConfig
 	// KindPrefetchHit: a completed speculative load was consumed by a
-	// real request (instant; Arg = prefetched bytes consumed).
+	// real request (instant; Bytes = prefetched bytes consumed, Arg = the
+	// hidden stream time in fs).
 	KindPrefetchHit
-	// KindPrefetchAbort: a real request preempted the speculative stream.
-	KindPrefetchAbort
+	// KindPrefetchWaste: completed speculative bytes that can no longer
+	// be consumed — overwritten by a real load, quarantined with their
+	// region, or outrun by their abort (instant; Bytes = bytes wasted).
+	KindPrefetchWaste
 	// KindScrub: one readback scrub of a region (Arg = 1 when the
 	// pass detected corruption).
 	KindScrub
 	// KindQuarantine: a faulted slot was pulled from dispatch.
 	KindQuarantine
-	// KindRepair: the healing complete reload of a quarantined slot (span).
+	// KindRequeue: a dispatch scrub bounced a batch off its quarantined
+	// slot back to the queue head (Arg = requests bounced).
+	KindRequeue
+	// KindRepair: the healing complete reload of a quarantined slot (span;
+	// Bytes = bytes streamed). A blank region's repair streams nothing and
+	// is an instant.
 	KindRepair
-	// KindDMAWindow: a dock DMA engine's port window (span; Arg = wire
+	// KindDMAWindow: a dock DMA engine's port window (span; Bytes = wire
 	// bytes, Name = "compressed" when the decoder front-end was armed).
 	KindDMAWindow
 )
@@ -73,8 +93,8 @@ const (
 var kindNames = [...]string{
 	"submit", "dispatch", "steal", "config", "overlap", "compute",
 	"complete", "plan", "hazard", "demote", "prefetch-launch",
-	"prefetch-config", "prefetch-hit", "prefetch-abort", "scrub",
-	"quarantine", "repair", "dma-window",
+	"prefetch-config", "prefetch-hit", "prefetch-waste", "scrub",
+	"quarantine", "requeue", "repair", "dma-window",
 }
 
 // String returns the kind as a short stable label.
@@ -87,17 +107,27 @@ func (k Kind) String() string {
 
 // Event is one trace record. Spans carry Dur > 0; instants carry Dur == 0.
 // Member/Region place the event on a slot track; -1 means scheduler-level
-// (no slot yet). Name is the module or reason, Arg an event-specific
-// scalar (bytes, latency, victim shard).
+// (no slot yet). Name is the module or reason, Bytes the configuration
+// bytes the event moved and Arg the kind's other scalar (latency, batch
+// size, hidden time, requests moved). A complete event also carries the
+// request's outcome: Stream holds its plan.StreamKind (a number here, so
+// this package need not import plan), Hit a bitstream-cache hit, DMA a
+// load through a dock engine, and Err a failed request; Err also marks an
+// aborted speculative stream.
 type Event struct {
 	Ts     sim.Time
 	Dur    sim.Time
 	Kind   Kind
+	Stream uint8
+	Hit    bool
+	DMA    bool
+	Err    bool
 	Member int32
 	Region int32
 	ID     uint64
 	Name   string
 	Arg    int64
+	Bytes  int64
 }
 
 // Tracer buffers events under a mutex. The zero value is ready to use; a
@@ -111,10 +141,6 @@ type Tracer struct {
 
 // New returns an empty tracer.
 func New() *Tracer { return &Tracer{} }
-
-// Enabled reports whether emissions are recorded. Instrumentation sites
-// use the nil check directly so the disabled path builds no Event.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // SetSink installs a callback invoked under the tracer lock for every
 // emitted event — the metrics registry feeds from here.
@@ -201,7 +227,22 @@ func less(a, b Event) bool {
 	if a.Name != b.Name {
 		return a.Name < b.Name
 	}
-	return a.Arg < b.Arg
+	if a.Arg != b.Arg {
+		return a.Arg < b.Arg
+	}
+	if a.Bytes != b.Bytes {
+		return a.Bytes < b.Bytes
+	}
+	if a.Stream != b.Stream {
+		return a.Stream < b.Stream
+	}
+	if a.Hit != b.Hit {
+		return !a.Hit
+	}
+	if a.DMA != b.DMA {
+		return !a.DMA
+	}
+	return !a.Err && b.Err
 }
 
 // SumDur totals the durations of one event kind on one (member, region)
