@@ -124,6 +124,35 @@ func (l *Loader) WriteWord(w uint32) error {
 	return l.err
 }
 
+// Inert reports how many FDRI frame-data words are left in the current
+// packet: words WriteWord only folds into the CRC and the frame buffer,
+// fires no callback for, and whose value decides nothing until the packet
+// commits after its last word. It is 0 on error, before sync and outside
+// an FDRI packet.
+func (l *Loader) Inert() int {
+	if l.err != nil || !l.synced || l.pendReg != RegFDRI {
+		return 0
+	}
+	return l.pendWords
+}
+
+// WriteWords feeds at most Inert() words with the effect of WriteWord on
+// each: the CRC runs over the slice, and the packet's frames commit when
+// its last word arrives.
+func (l *Loader) WriteWords(ws []uint32) {
+	if len(ws) == 0 {
+		return
+	}
+	if len(ws) > l.Inert() {
+		panic(fmt.Sprintf("bitstream: WriteWords of %d words with %d inert", len(ws), l.Inert()))
+	}
+	l.crc = crcStream(l.crc, RegFDRI, ws)
+	l.fdri = append(l.fdri, ws...)
+	if l.pendWords -= len(ws); l.pendWords == 0 {
+		l.commitFrames()
+	}
+}
+
 // Load feeds a whole stream.
 func (l *Loader) Load(s *Stream) error {
 	for _, w := range s.Words {

@@ -16,10 +16,11 @@ type Bridge struct {
 	base uint32
 	// RequestCycles is the bridge's PLB-side handshake latency.
 	RequestCycles int
-	// PostDepth is the posted-write queue depth.
-	PostDepth int
 
-	posted []uint64 // completion times (femtoseconds) of in-flight writes
+	// posted holds the OPB completion times of the last writes, one per
+	// slot of the posted-write queue, oldest first; those at or before now
+	// have retired. They only grow, since the OPB serves in order.
+	posted []sim.Time
 	reads  uint64
 	writes uint64
 }
@@ -28,10 +29,7 @@ type Bridge struct {
 // lives on (used only for clock conversion); base is the OPB address the
 // bridge's PLB window begins at.
 func NewBridge(plb, opb *Bus, base uint32, requestCycles, postDepth int) *Bridge {
-	if postDepth < 1 {
-		postDepth = 1
-	}
-	return &Bridge{opb: opb, plb: plb, base: base, RequestCycles: requestCycles, PostDepth: postDepth}
+	return &Bridge{opb: opb, plb: plb, base: base, RequestCycles: requestCycles, posted: make([]sim.Time, max(postDepth, 1))}
 }
 
 // Name implements Slave.
@@ -81,57 +79,64 @@ func (br *Bridge) Write(addr uint32, val uint64, size int) int {
 }
 
 // WriteStream implements StreamSlave: the OPB target is resolved once, and
-// each word is then forwarded and posted exactly as Write does.
-func (br *Bridge) WriteStream(addr uint32, size int) func(val uint64) int {
+// each word is then forwarded and posted exactly as Write does. The sink
+// takes inert runs in bulk when its OPB target does.
+func (br *Bridge) WriteStream(addr uint32, size int) Sink {
 	st, err := br.opb.OpenStream(br.base+addr, size)
 	if size > 4 || err != nil {
-		return func(val uint64) int { return br.Write(addr, val, size) }
+		return SinkFunc(func(val uint64) int { return br.Write(addr, val, size) })
 	}
-	return func(val uint64) int {
-		br.writes++
-		return br.post(st.Post(val))
+	if st.Bulk() {
+		return &bridgeBulk{bridgeSink{br, st}}
 	}
+	return &bridgeSink{br, st}
 }
 
-// post queues one forwarded write that retires on the OPB at done and
-// returns the PLB-side wait cycles: the handshake, plus a stall until the
-// oldest write retires when the queue is full.
-func (br *Bridge) post(done sim.Time) int {
-	br.reapPosted()
-	stall := 0
-	if len(br.posted) >= br.PostDepth {
-		// Queue full: the PLB side stalls until the oldest write retires.
-		oldest := br.posted[0]
-		br.posted = append(br.posted[:0], br.posted[1:]...)
-		if now := uint64(br.plb.k.Now()); oldest > now {
-			stall = int(br.plb.clk.CyclesIn(sim.Time(oldest-now))) + 1
-		}
+// bridgeSink forwards a run of single writes to its OPB stream.
+type bridgeSink struct {
+	br *Bridge
+	st Stream
+}
+
+func (s *bridgeSink) Write(val uint64) int {
+	s.br.writes++
+	return s.br.post(s.st.Post(val))
+}
+
+// bridgeBulk is a bridgeSink whose OPB target is a BulkSink.
+type bridgeBulk struct{ bridgeSink }
+
+func (s *bridgeBulk) Inert() int { return s.st.Inert() }
+
+func (s *bridgeBulk) Record(ch *sim.Chain) {
+	for i := range s.br.posted {
+		ch.Time(&s.br.posted[i])
 	}
-	br.posted = append(br.posted, uint64(done))
+	ch.Count(&s.br.writes)
+	s.st.Record(ch)
+}
+
+func (s *bridgeBulk) WriteWords(ws []uint32) { s.st.WriteWords(ws) }
+
+// post queues one forwarded write that retires on the OPB at done in the
+// oldest slot and returns the PLB-side wait cycles: the handshake, plus a
+// stall until the oldest write retires when every slot is still in
+// flight.
+func (br *Bridge) post(done sim.Time) int {
+	stall := 0
+	if oldest, now := br.posted[0], br.plb.k.Now(); oldest > now {
+		stall = int(br.plb.clk.CyclesIn(oldest-now)) + 1
+	}
+	copy(br.posted, br.posted[1:])
+	br.posted[len(br.posted)-1] = done
 	return br.RequestCycles + stall
 }
 
 // drainTime returns how long from now until all posted writes retire.
 func (br *Bridge) drainTime() sim.Time {
-	br.reapPosted()
-	if len(br.posted) == 0 {
-		return 0
-	}
-	last := br.posted[len(br.posted)-1]
-	now := uint64(br.plb.k.Now())
+	last, now := br.posted[len(br.posted)-1], br.plb.k.Now()
 	if last <= now {
 		return 0
 	}
-	return sim.Time(last - now)
-}
-
-// reapPosted drops the writes that have retired by now. It compacts the
-// queue in place, so its backing array is reused rather than reallocated.
-func (br *Bridge) reapPosted() {
-	now := uint64(br.plb.k.Now())
-	i := 0
-	for i < len(br.posted) && br.posted[i] <= now {
-		i++
-	}
-	br.posted = append(br.posted[:0], br.posted[i:]...)
+	return last - now
 }

@@ -25,13 +25,40 @@ type Slave interface {
 }
 
 // StreamSlave is implemented by slaves that can resolve the target of a run
-// of writes to one address once. WriteStream returns a function with the
-// effect of Write(addr, val, size) for each val; a slave that forwards the
-// run (the bridge) or feeds it to an engine (the HWICAP write FIFO) skips
-// its per-word dispatch.
+// of writes to one address once. WriteStream returns the run's Sink; a
+// slave that forwards the run (the bridge) or feeds it to an engine (the
+// HWICAP write FIFO) skips its per-word dispatch.
 type StreamSlave interface {
 	Slave
-	WriteStream(addr uint32, size int) func(val uint64) int
+	WriteStream(addr uint32, size int) Sink
+}
+
+// Sink takes a run of writes to one slave address: Write has the effect of
+// the slave's Write(addr, val, size) and returns its wait cycles.
+type Sink interface {
+	Write(val uint64) int
+}
+
+// SinkFunc adapts a function to a Sink.
+type SinkFunc func(val uint64) int
+
+// Write calls f(val).
+func (f SinkFunc) Write(val uint64) int { return f(val) }
+
+// BulkSink is a Sink that can take a run of inert words in one step. An
+// inert word's timing does not depend on its value, and writing it fires
+// no callback and schedules no event, so every Write of a run of them is
+// the same max-plus step of the timing state the sink records; a
+// sim.Chain advances that state, and WriteWords does the rest.
+type BulkSink interface {
+	Sink
+	// Inert reports how many of the next words written are inert.
+	Inert() int
+	// Record registers in ch every time and counter a Write moves.
+	Record(ch *sim.Chain)
+	// WriteWords has the functional effect of one Write per word for at
+	// most Inert() words, leaving their timing to the chain.
+	WriteWords(ws []uint32)
 }
 
 // BurstSlave is implemented by slaves that support multi-beat bursts (memory
@@ -92,9 +119,6 @@ func (b *Bus) Clock() *sim.Clock { return b.clk }
 
 // Width returns the data width in bytes.
 func (b *Bus) Width() int { return b.width }
-
-// Utilization reports the bus occupancy fraction since time zero.
-func (b *Bus) Utilization() float64 { return b.res.Utilization() }
 
 // Stats reports transaction counts.
 func (b *Bus) Stats() (reads, writes, bursts uint64) { return b.reads, b.writes, b.bursts }
@@ -227,7 +251,8 @@ func (b *Bus) wrote(cycles, waits int) sim.Time {
 type Stream struct {
 	b      *Bus
 	cycles int // writeCycles of the access size
-	write  func(val uint64) int
+	sink   Sink
+	bulk   BulkSink // sink, when it takes inert runs in bulk
 }
 
 // OpenStream resolves addr for a run of size-byte writes. A StreamSlave
@@ -242,20 +267,40 @@ func (b *Bus) OpenStream(addr uint32, size int) (Stream, error) {
 	}
 	st := Stream{b: b, cycles: b.writeCycles(size)}
 	if ss, ok := s.(StreamSlave); ok {
-		st.write = ss.WriteStream(off, size)
+		st.sink = ss.WriteStream(off, size)
 	} else {
-		st.write = func(val uint64) int { return s.Write(off, val, size) }
+		st.sink = SinkFunc(func(val uint64) int { return s.Write(off, val, size) })
 	}
+	st.bulk, _ = st.sink.(BulkSink)
 	return st, nil
 }
 
 // Post is WritePosted for one word of the stream: it performs the write
 // and occupies the bus, and returns the completion time without advancing
 // the kernel.
-func (st Stream) Post(val uint64) sim.Time {
-	_, done := st.b.res.Acquire(st.b.wrote(st.cycles, st.write(val)))
+func (st *Stream) Post(val uint64) sim.Time {
+	_, done := st.b.res.Acquire(st.b.wrote(st.cycles, st.sink.Write(val)))
 	return done
 }
+
+// Bulk reports whether the stream's target is a BulkSink. Inert, Record
+// and WriteWords apply only to such a stream; they extend the sink's to
+// the bus's own busy-until mark and write count.
+func (st *Stream) Bulk() bool { return st.bulk != nil }
+
+// Inert reports how many of the next words posted are inert.
+func (st *Stream) Inert() int { return st.bulk.Inert() }
+
+// Record registers in ch every time and counter a Post moves.
+func (st *Stream) Record(ch *sim.Chain) {
+	st.b.res.Record(ch)
+	ch.Count(&st.b.writes)
+	st.bulk.Record(ch)
+}
+
+// WriteWords has the functional effect of one Post per word for at most
+// Inert() words, leaving their timing to the chain.
+func (st *Stream) WriteWords(ws []uint32) { st.bulk.WriteWords(ws) }
 
 // BurstRead performs a functional+timed burst read of beats bus-width beats
 // starting at addr, in the background (no kernel advance). It returns the

@@ -178,8 +178,13 @@ func TestPeekPokeHaveNoTimingEffect(t *testing.T) {
 	if k.Now() != 0 {
 		t.Fatal("peek/poke advanced time")
 	}
-	if u := b.Utilization(); u != 0 {
-		t.Fatalf("utilization = %f after peek/poke", u)
+	// The bus is still free: a write (arb 2 + 0 BRAM waits + 1 beat = 3
+	// cycles) completes 60 ns from now, with no wait behind the poke.
+	if err := b.Write(0x10, 1, 4); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 60*sim.Nanosecond {
+		t.Fatalf("write after peek/poke completed at %v, want 60ns", k.Now())
 	}
 }
 

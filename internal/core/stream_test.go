@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bitlinker"
+	"repro/internal/bitstream"
 	"repro/internal/bus"
 	"repro/internal/cpu"
 	"repro/internal/fabric"
@@ -72,6 +73,17 @@ func (r pushRig) state() pushState {
 	return s
 }
 
+// tail reads the HWICAP status, stores two more words one SW at a time and
+// reads it again. A busy-until mark or post-queue entry a push left wrong
+// shows in the time these take or in the busy bit.
+func (r pushRig) tail() [2]uint32 {
+	cfg := r.m.cfg
+	first := cfg.CPU.LW(cfg.ICAPBase + icap.RegStatus)
+	cfg.CPU.SW(cfg.ICAPBase+icap.RegWriteFIFO, bitstream.DummyWord)
+	cfg.CPU.SW(cfg.ICAPBase+icap.RegWriteFIFO, bitstream.DummyWord)
+	return [2]uint32{first, cfg.CPU.LW(cfg.ICAPBase + icap.RegStatus)}
+}
+
 // sameFrames reports whether two configuration memories hold equal frames.
 func sameFrames(t *testing.T, a, b *fabric.ConfigMemory) bool {
 	t.Helper()
@@ -92,10 +104,11 @@ func sameFrames(t *testing.T, a, b *fabric.ConfigMemory) bool {
 
 // TestPushMatchesPerWordStores: the chunked push leaves a rig whose CPU
 // posts its HWICAP stores exactly as one SW per word does — kernel time,
-// CPU, bus, HWICAP and loader counters, configuration memory and the
-// region's binding — for a complete stream, a compressed container
-// through the armed decoder, a stream that fails its CRC check mid-way and
-// a stream aborted at a chunk boundary.
+// CPU, bus, HWICAP and loader counters, configuration memory, the
+// region's binding, and the time and status of a status read, two more
+// stores and another read — for a complete stream, a compressed
+// container through the armed decoder, a stream that fails its CRC check
+// mid-way and a stream aborted at a chunk boundary.
 func TestPushMatchesPerWordStores(t *testing.T) {
 	complete := func(m *Manager) []uint32 { return m.Module("alpha").Complete().Stream.Words }
 	cases := []struct {
@@ -143,6 +156,14 @@ func TestPushMatchesPerWordStores(t *testing.T) {
 			if nRef != want || nGot != want {
 				t.Fatalf("pushed %d words per word and %d chunked, want %d", nRef, nGot, want)
 			}
+			if tc.compressed {
+				if a, b := ref.m.cfg.ICAP.DisarmDecoder(), got.m.cfg.ICAP.DisarmDecoder(); a != nil || b != nil {
+					t.Fatalf("container rejected: per-word %v, chunked %v", a, b)
+				}
+			}
+			if a, b := ref.tail(), got.tail(); a != b {
+				t.Fatalf("status after the push: per-word %#x, chunked %#x", a, b)
+			}
 			ref.m.cfg.CPU.Sync()
 			got.m.cfg.CPU.Sync()
 			if a, b := ref.state(), got.state(); a != b {
@@ -152,11 +173,6 @@ func TestPushMatchesPerWordStores(t *testing.T) {
 				t.Error("the stores never filled the write buffer: the posted path went untested")
 			} else if (st.loaderErr != "") != tc.fails {
 				t.Errorf("loader error %q, want one: %v", st.loaderErr, tc.fails)
-			}
-			if tc.compressed {
-				if a, b := ref.m.cfg.ICAP.DisarmDecoder(), got.m.cfg.ICAP.DisarmDecoder(); a != nil || b != nil {
-					t.Fatalf("container rejected: per-word %v, chunked %v", a, b)
-				}
 			}
 			if !sameFrames(t, ref.m.cfg.ConfigMem, got.m.cfg.ConfigMem) {
 				t.Fatal("chunked push left different configuration frames")

@@ -89,14 +89,19 @@ type CPU struct {
 	dc    *dcache
 	attr  []RegionAttr
 	guard []RegionAttr
-	wbuf  []sim.Time
+	// wbuf holds the completion times of the last WBufDepth posted
+	// stores, oldest first; those at or before now have retired. They only
+	// grow, since the bus serves in order.
+	wbuf []sim.Time
+	// chain is StoreStream's timing record, kept to reuse its arrays.
+	chain sim.Chain
 
 	stats Stats
 }
 
 // New returns a core attached to its data-side bus.
 func New(k *sim.Kernel, p Params, b *bus.Bus) *CPU {
-	c := &CPU{k: k, p: p, bus: b}
+	c := &CPU{k: k, p: p, bus: b, wbuf: make([]sim.Time, max(p.WBufDepth, 0))}
 	if p.CacheSize > 0 {
 		c.dc = newDCache(p.CacheSize, p.CacheWays, p.CacheLine)
 	}
@@ -234,6 +239,17 @@ func (c *CPU) store(addr uint32, val uint32, size int) {
 // posted store, the write-buffer stall. The bus resolves addr once for the
 // whole run — the loop software runs to push a configuration stream into
 // the HWICAP write FIFO.
+//
+// When the target is a bus.BulkSink (the write FIFO with its decoder
+// disarmed), a run of inert words (FDRI frame data) is not stored one by
+// one. StoreStream stores one of them with the whole chain's timing state
+// recorded around it: the write buffer on a posted path, both buses, the
+// bridge's post queue, the HWICAP and every counter they move. Each step
+// is a max-plus function of that state taken relative to now, so once the
+// store leaves it as it found it, the rest of the run repeats the step:
+// the chain advances them in one sim.Chain.Skip, which ends before the
+// next pending event, and the words go to the loader in bulk. Every other
+// word, and every word to any other target, is stored one at a time.
 func (c *CPU) StoreStream(addr uint32, words []uint32) {
 	st, err := c.bus.OpenStream(addr, 4)
 	if err != nil || c.cacheable(addr) {
@@ -243,14 +259,45 @@ func (c *CPU) StoreStream(addr uint32, words []uint32) {
 		return
 	}
 	posted := c.posts(addr)
-	for _, w := range words {
-		c.stats.Stores++
-		c.tick(c.p.StoreCycles)
-		if done := st.Post(uint64(w)); posted {
-			c.retire(done)
-		} else {
-			c.k.AdvanceTo(done)
+	if !st.Bulk() {
+		for _, w := range words {
+			c.storeWord(&st, w, posted)
 		}
+		return
+	}
+	ch := &c.chain
+	ch.Reset(c.k)
+	ch.Count(&c.stats.Stores, &c.stats.PostedStalls)
+	if posted {
+		for i := range c.wbuf {
+			ch.Time(&c.wbuf[i])
+		}
+	}
+	st.Record(ch)
+	for i := 0; i < len(words); i++ {
+		// The inert words after this one, within the call.
+		run := min(st.Inert(), len(words)-i) - 1
+		if run <= 0 {
+			c.storeWord(&st, words[i], posted)
+			continue
+		}
+		ch.Mark()
+		c.storeWord(&st, words[i], posted)
+		if n := ch.Skip(run); n > 0 {
+			st.WriteWords(words[i+1 : i+1+n])
+			i += n
+		}
+	}
+}
+
+// storeWord is one uncached SW of w through the open stream st.
+func (c *CPU) storeWord(st *bus.Stream, w uint32, posted bool) {
+	c.stats.Stores++
+	c.tick(c.p.StoreCycles)
+	if done := st.Post(uint64(w)); posted {
+		c.retire(done)
+	} else {
+		c.k.AdvanceTo(done)
 	}
 }
 
@@ -259,23 +306,16 @@ func (c *CPU) StoreStream(addr uint32, words []uint32) {
 // the CPU only stalls when the buffer is full.
 func (c *CPU) posts(addr uint32) bool { return c.p.WBufDepth > 0 && !c.guarded(addr) }
 
-// retire enters a posted store completing at done into the write buffer.
-// Retired entries are reaped first, compacting the buffer in place so its
-// backing array is reused; a full buffer stalls until its oldest entry
-// retires.
+// retire enters a posted store completing at done into the write buffer,
+// in place of its oldest entry. When that entry is still in flight every
+// entry is, and the buffer is full: the core stalls until it retires.
 func (c *CPU) retire(done sim.Time) {
-	now := c.k.Now()
-	i := 0
-	for i < len(c.wbuf) && c.wbuf[i] <= now {
-		i++
-	}
-	c.wbuf = append(c.wbuf[:0], c.wbuf[i:]...)
-	if len(c.wbuf) >= c.p.WBufDepth {
+	if oldest := c.wbuf[0]; oldest > c.k.Now() {
 		c.stats.PostedStalls++
-		c.k.AdvanceTo(c.wbuf[0])
-		c.wbuf = append(c.wbuf[:0], c.wbuf[1:]...)
+		c.k.AdvanceTo(oldest)
 	}
-	c.wbuf = append(c.wbuf, done)
+	copy(c.wbuf, c.wbuf[1:])
+	c.wbuf[len(c.wbuf)-1] = done
 }
 
 // dcAccess runs the cache timing model for a cacheable access.
@@ -356,12 +396,8 @@ func (c *CPU) InvalidateRange(addr uint32, size int) {
 
 // Sync drains the write buffer and waits for the bus to go idle (msync).
 func (c *CPU) Sync() {
-	if len(c.wbuf) > 0 {
-		last := c.wbuf[len(c.wbuf)-1]
-		if last > c.k.Now() {
-			c.k.AdvanceTo(last)
-		}
-		c.wbuf = c.wbuf[:0]
+	if n := len(c.wbuf); n > 0 && c.wbuf[n-1] > c.k.Now() {
+		c.k.AdvanceTo(c.wbuf[n-1])
 	}
 	c.tick(1)
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitstream"
+	"repro/internal/bus"
 	"repro/internal/sim"
 )
 
@@ -52,7 +53,6 @@ type HWICAP struct {
 
 	busyUntil sim.Time
 	words     uint64
-	stalls    uint64
 }
 
 // New returns a HWICAP bound to the device's configuration loader.
@@ -137,13 +137,38 @@ func (h *HWICAP) Write(addr uint32, val uint64, size int) int {
 }
 
 // WriteStream implements bus.StreamSlave: a run of writes to the write
-// FIFO pushes each word straight to the engine, as Write does.
-func (h *HWICAP) WriteStream(addr uint32, size int) func(val uint64) int {
-	if addr == RegWriteFIFO {
-		return h.push
+// FIFO pushes each word straight to the engine, as Write does. With the
+// decoder disarmed the sink takes inert runs in bulk.
+func (h *HWICAP) WriteStream(addr uint32, size int) bus.Sink {
+	switch {
+	case addr != RegWriteFIFO:
+		return bus.SinkFunc(func(val uint64) int { return h.Write(addr, val, size) })
+	case h.dec != nil:
+		return bus.SinkFunc(h.push)
 	}
-	return func(val uint64) int { return h.Write(addr, val, size) }
+	return fifoSink{h}
 }
+
+// fifoSink is the write FIFO with the decoder disarmed. Its inert words are
+// FDRI frame data: each takes one port slot whatever its value, and the
+// loader only folds it into the CRC and the packet's frame buffer.
+type fifoSink struct{ h *HWICAP }
+
+func (s fifoSink) Write(val uint64) int { return s.h.push(val) }
+
+func (s fifoSink) Inert() int {
+	if s.h.dec != nil {
+		return 0
+	}
+	return s.h.loader.Inert()
+}
+
+func (s fifoSink) Record(ch *sim.Chain) {
+	ch.Time(&s.h.busyUntil)
+	ch.Count(&s.h.words)
+}
+
+func (s fifoSink) WriteWords(ws []uint32) { s.h.loader.WriteWords(ws) }
 
 // push accepts one stream word into the write FIFO and returns the OPB
 // wait cycles.
@@ -172,9 +197,7 @@ func (h *HWICAP) push(val uint64) int {
 	h.busyUntil += sim.Time(consumed) * drain
 	waits := 1
 	if backlog := h.busyUntil - now; backlog > sim.Time(h.bufWords)*drain {
-		extra := int(h.clk.CyclesIn(backlog - sim.Time(h.bufWords)*drain))
-		waits += extra
-		h.stalls++
+		waits += int(h.clk.CyclesIn(backlog - sim.Time(h.bufWords)*drain))
 	}
 	return waits
 }

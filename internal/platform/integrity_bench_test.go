@@ -1,6 +1,10 @@
 package platform
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/plan"
+)
 
 // The integrity path on the dual-region 64-bit system: what a scrubbed
 // dispatch pays to check a region, and what a reconfiguration pays to
@@ -28,32 +32,49 @@ func BenchmarkScrub(b *testing.B) {
 // and blend: the planner's stream pushed by CPU stores through the bus,
 // bridge and HWICAP into the loader, then every manager's rebind with its
 // static-design check. It runs on both boards and reports the host cost
-// per streamed word (ns/word) beside ns/op.
+// per streamed word (ns/word) beside ns/op. sys32-compressed streams the
+// compressed containers through the armed decoder, which stores every
+// word one at a time, and also reports the host cost per decoded word
+// (ns/raw-word).
 func BenchmarkLoadSwap(b *testing.B) {
 	for _, board := range []struct {
-		name string
-		new  func() (*System, error)
+		name       string
+		new        func() (*System, error)
+		compressed bool
 	}{
-		{"sys32", NewSys32},
-		{"sys64x2", func() (*System, error) { return NewSys64N(2) }},
+		{"sys32", NewSys32, false},
+		{"sys64x2", func() (*System, error) { return NewSys64N(2) }, false},
+		{"sys32-compressed", NewSys32, true},
 	} {
 		b.Run(board.name, func(b *testing.B) {
 			s, err := board.new()
 			if err != nil {
 				b.Fatal(err)
 			}
+			s.SetCompression(board.compressed)
 			mods := [2]string{"brightness", "blend"}
-			words := 0
+			words, raw := 0, 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if board.compressed {
+					p, err := s.PlanForOn(0, mods[i%2])
+					if err != nil || p.Kind != plan.StreamCompressed {
+						b.Fatalf("plan %+v, err %v: want a compressed stream", p, err)
+					}
+					raw += p.Raw / 4
+				}
 				rep, err := s.LoadModuleOn(0, mods[i%2], nil)
 				if err != nil {
 					b.Fatal(err)
 				}
 				words += rep.Bytes / 4
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(words), "ns/word")
+			ns := float64(b.Elapsed().Nanoseconds())
+			b.ReportMetric(ns/float64(words), "ns/word")
+			if board.compressed {
+				b.ReportMetric(ns/float64(raw), "ns/raw-word")
+			}
 		})
 	}
 }

@@ -65,6 +65,15 @@ func NewKernel() *Kernel {
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
 
+// NextAt returns the time of the earliest pending event, or the largest
+// Time when none is pending. A cancelled event not yet passed still counts.
+func (k *Kernel) NextAt() Time {
+	if len(k.queue) == 0 {
+		return ^Time(0)
+	}
+	return k.queue[0].at
+}
+
 // Schedule arranges for fn to run delay from now. It returns the event so the
 // caller may cancel it.
 func (k *Kernel) Schedule(delay Time, fn func()) *Event {

@@ -2,14 +2,10 @@ package sim
 
 // Resource models a shared, serially-occupied resource such as a bus. A
 // transaction acquires the resource for a hold time; if the resource is busy,
-// the transaction queues behind the current occupant. Occupancy statistics
-// feed the utilization reports.
+// the transaction queues behind the current occupant.
 type Resource struct {
 	k         *Kernel
 	busyUntil Time
-	busyTotal Time
-	grants    uint64
-	waited    Time
 }
 
 // NewResource returns a resource bound to kernel k.
@@ -31,22 +27,8 @@ func (r *Resource) Acquire(hold Time) (wait Time, done Time) {
 	wait = start - now
 	done = start + hold
 	r.busyUntil = done
-	r.busyTotal += hold
-	r.grants++
-	r.waited += wait
 	return wait, done
 }
 
-// Stats reports cumulative occupancy, grant count, and queuing delay.
-func (r *Resource) Stats() (busy Time, grants uint64, waited Time) {
-	return r.busyTotal, r.grants, r.waited
-}
-
-// Utilization reports the fraction of elapsed simulated time the resource was
-// occupied. It returns 0 before any time has elapsed.
-func (r *Resource) Utilization() float64 {
-	if r.k.Now() == 0 {
-		return 0
-	}
-	return float64(r.busyTotal) / float64(r.k.Now())
-}
+// Record registers the resource's busy-until mark in ch.
+func (r *Resource) Record(ch *Chain) { ch.Time(&r.busyUntil) }

@@ -165,23 +165,6 @@ func TestResourceSerialization(t *testing.T) {
 	if wait != 0 || done != 510*Nanosecond {
 		t.Fatalf("idle acquire: wait=%v done=%v", wait, done)
 	}
-	busy, grants, waited := r.Stats()
-	if busy != 160*Nanosecond || grants != 3 || waited != 100*Nanosecond {
-		t.Fatalf("stats: busy=%v grants=%d waited=%v", busy, grants, waited)
-	}
-}
-
-func TestResourceUtilization(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k)
-	if r.Utilization() != 0 {
-		t.Fatal("utilization before time passes should be 0")
-	}
-	r.Acquire(50 * Nanosecond)
-	k.Advance(100 * Nanosecond)
-	if u := r.Utilization(); u < 0.49 || u > 0.51 {
-		t.Fatalf("utilization = %f, want ~0.5", u)
-	}
 }
 
 // Property: advancing in arbitrary chunks fires every scheduled event exactly
@@ -219,5 +202,58 @@ func TestKernelAdvanceChunksProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChainSkip: a step that leaves every time as far ahead of now as it
+// found it is repeated in one Skip. A time already past counts as 0 ahead
+// and stays where it is, even though, unsigned, it lies "before" now by a
+// different amount after every step. A time still ahead moves with now, a
+// counter by its step's increment, and the skip ends strictly before the
+// next pending event.
+func TestChainSkip(t *testing.T) {
+	k := NewKernel()
+	k.Advance(100 * Nanosecond)
+	idle := 40 * Nanosecond // a busy-until mark long past
+	var busy Time
+	var steps, words uint64
+	step := func() {
+		steps++
+		words += 2
+		k.Advance(10 * Nanosecond)
+		busy = k.Now() + 5*Nanosecond
+	}
+	var ch Chain
+	ch.Reset(k)
+	ch.Time(&idle, &busy)
+	ch.Count(&steps, &words)
+
+	ch.Mark()
+	step() // busy was past; now it is 5 ns ahead: no repeat yet
+	if n := ch.Skip(100); n != 0 || k.Now() != 110*Nanosecond {
+		t.Fatalf("first step skipped %d at %v, want 0 at 110ns", n, k.Now())
+	}
+	ch.Mark()
+	step()
+	if n := ch.Skip(100); n != 100 {
+		t.Fatalf("repeated step skipped %d, want 100", n)
+	}
+	if k.Now() != 1120*Nanosecond || busy != 1125*Nanosecond || idle != 40*Nanosecond || steps != 102 || words != 204 {
+		t.Fatalf("after the skip: now %v, busy %v, idle %v, %d steps, %d words; want 1120ns, 1125ns, 40ns, 102, 204",
+			k.Now(), busy, idle, steps, words)
+	}
+
+	fired := false
+	k.ScheduleAt(1180*Nanosecond, func() { fired = true })
+	ch.Mark()
+	step()
+	// The event is due right as the fifth step would end: only four fit.
+	if n := ch.Skip(100); n != 4 || k.Now() != 1170*Nanosecond || fired {
+		t.Fatalf("skip toward an event: %d steps to %v (fired %v), want 4 to 1170ns before it fires", n, k.Now(), fired)
+	}
+	ch.Mark()
+	step()
+	if n := ch.Skip(100); n != 0 || !fired || steps != 108 {
+		t.Fatalf("a step that fired an event skipped %d (fired %v, %d steps), want 0 after it fired, 108 steps", n, fired, steps)
 	}
 }
