@@ -9,13 +9,14 @@ import (
 // Compressed configuration streams (the fourth stream kind).
 //
 // A compressed stream is an opcode encoding of an ordinary configuration
-// stream: the decoder reproduces the original stream words one by one and
-// feeds them to the configuration logic, so the packet state machine, the
-// running stream CRC and the frame-commit rules are exactly those of an
-// uncompressed load. On top of the stream CRC the container carries its own
-// decode-side CRC over every decoded word (folded with the FDRI register
-// address, the readback-scrub convention), so a damaged container is caught
-// even when the damage hides inside an opcode rather than a data word.
+// stream: the decoder reproduces the original stream words, one op's
+// expansion at a time, and feeds them to the configuration logic in
+// order, so the packet state machine, the running stream CRC and the
+// frame-commit rules are exactly those of an uncompressed load. On top of
+// the stream CRC the container carries its own decode-side CRC over every
+// decoded word (folded with the FDRI register address, the readback-scrub
+// convention), so a damaged container is caught even when the damage
+// hides inside an opcode rather than a data word.
 //
 // Four opcodes, tag in the top 8 bits of the op word:
 //
@@ -330,8 +331,11 @@ func wordsEqual(a, b []uint32) bool {
 	return true
 }
 
-// Decoder streams a compressed container into a loader, one container word
-// at a time, reproducing the original stream words. It verifies the
+// Decoder streams a compressed container into a loader, reproducing the
+// original stream words. It expands one op at a time: the op's words are
+// appended to the decoded output as one slice, and that new tail goes to
+// the loader in one call (Loader.write), which folds the container CRC
+// and the stream CRC over FDRI frame data in one pass. It verifies the
 // container's decode CRC when the declared word count has been emitted;
 // structural damage (bad magic, bad opcode, overrun, trailing input) and
 // CRC mismatches latch a sticky error. Loader-side errors stay the
@@ -344,17 +348,14 @@ type Decoder struct {
 	rawWords int
 	wantCRC  uint16
 	crc      uint16
-	emitted  int
-	out      []uint32
+	out      []uint32 // every word decoded so far
 	err      error
 	done     bool
 
-	litLeft   int
-	pendN     int
-	pendOff   int
-	pendIsCM  bool
-	pendIsRef bool
-	pendIsRun bool
+	litLeft int
+	op      int // the RUN, CM or REF tag whose payload word comes next
+	opN     int
+	opOff   int // a CM op's offset into its frame
 }
 
 const (
@@ -370,6 +371,10 @@ func NewDecoder(l *Loader) *Decoder {
 	return &Decoder{l: l}
 }
 
+// Reset readies the decoder for a new container. It keeps the output
+// buffer, so an engine decoding one container after another grows it once.
+func (d *Decoder) Reset() { *d = Decoder{l: d.l, out: d.out[:0]} }
+
 // Err returns the sticky decode error, if any.
 func (d *Decoder) Err() error { return d.err }
 
@@ -378,7 +383,7 @@ func (d *Decoder) Err() error { return d.err }
 func (d *Decoder) Done() bool { return d.done }
 
 // Emitted reports how many raw stream words have been produced so far.
-func (d *Decoder) Emitted() int { return d.emitted }
+func (d *Decoder) Emitted() int { return len(d.out) }
 
 func (d *Decoder) fail(err error) (int, error) {
 	if d.err == nil {
@@ -387,30 +392,35 @@ func (d *Decoder) fail(err error) (int, error) {
 	return 0, d.err
 }
 
-// emit produces one decoded stream word.
-func (d *Decoder) emit(w uint32) error {
-	if d.emitted >= d.rawWords {
-		d.err = fmt.Errorf("bitstream: decode: output overruns declared %d words", d.rawWords)
-		return d.err
-	}
-	d.out = append(d.out, w)
-	d.crc = crcUpdate(d.crc, RegFDRI, w)
-	d.emitted++
-	// Configuration-logic errors are sticky in the loader and surface via
-	// the ICAP status register, as for an uncompressed stream.
-	_ = d.l.WriteWord(w)
-	if d.emitted == d.rawWords {
-		if d.crc != d.wantCRC {
-			d.err = fmt.Errorf("bitstream: decode: CRC mismatch: container %#04x, computed %#04x", d.wantCRC, d.crc)
-			return d.err
+// Write consumes container words with the effect of WriteWord on each, but
+// takes a run of literals as one slice. It stops after the first word that
+// leaves the decoder or the loader with an error, and returns how many
+// words it consumed and that error, the decoder's before the loader's.
+func (d *Decoder) Write(ws []uint32) (int, error) {
+	for i := 0; i < len(ws); {
+		var err error
+		if d.litLeft > 0 && d.err == nil && !d.done {
+			var n int
+			n, err = d.lits(ws[i:min(i+d.litLeft, len(ws))])
+			i += n
+		} else {
+			_, err = d.WriteWord(ws[i])
+			i++
 		}
-		d.done = true
+		if err == nil {
+			err = d.l.Err()
+		}
+		if err != nil {
+			return i, err
+		}
 	}
-	return nil
+	return len(ws), nil
 }
 
 // WriteWord consumes one container word and returns how many raw stream
-// words it caused to be emitted into the loader.
+// words it caused to be emitted into the loader. On error the count leaves
+// out the word that failed: the one past the declared count, or the last
+// one, whose container CRC did not match.
 func (d *Decoder) WriteWord(w uint32) (int, error) {
 	if d.err != nil {
 		return 0, d.err
@@ -441,96 +451,132 @@ func (d *Decoder) WriteWord(w uint32) (int, error) {
 		return 0, nil
 	case dsOp:
 		if d.litLeft > 0 {
-			d.litLeft--
-			if err := d.emit(w); err != nil {
+			lit := [1]uint32{w}
+			if _, err := d.lits(lit[:]); err != nil {
 				return 0, err
 			}
 			return 1, nil
 		}
-		tag := int(w >> 24)
-		switch tag {
+		switch tag := int(w >> 24); tag {
 		case opLit:
-			n := int(w & maxLitRun)
-			if n == 0 {
+			if d.litLeft = int(w & maxLitRun); d.litLeft == 0 {
 				return d.fail(fmt.Errorf("bitstream: decode: zero-length literal run"))
 			}
-			d.litLeft = n
-			return 0, nil
-		case opRun:
-			d.pendN = int(w & maxLitRun)
-			d.pendIsRun, d.pendIsCM, d.pendIsRef = true, false, false
+		case opRun, opRef:
+			d.op, d.opN = tag, int(w&maxLitRun)
 			d.state = dsPayload
-			return 0, nil
 		case opCM:
-			d.pendOff = int(w >> 12 & maxCMRun)
-			d.pendN = int(w & maxCMRun)
-			d.pendIsCM, d.pendIsRun, d.pendIsRef = true, false, false
+			d.op, d.opOff, d.opN = tag, int(w>>12&maxCMRun), int(w&maxCMRun)
 			d.state = dsPayload
-			return 0, nil
-		case opRef:
-			d.pendN = int(w & maxLitRun)
-			d.pendIsRef, d.pendIsRun, d.pendIsCM = true, false, false
-			d.state = dsPayload
-			return 0, nil
 		default:
 			return d.fail(fmt.Errorf("bitstream: decode: bad opcode %#08x", w))
 		}
+		return 0, nil
 	case dsPayload:
 		d.state = dsOp
-		n := d.pendN
-		if n == 0 {
-			return d.fail(fmt.Errorf("bitstream: decode: zero-length run"))
-		}
-		switch {
-		case d.pendIsRun:
-			for i := 0; i < n; i++ {
-				if err := d.emit(w); err != nil {
-					return i, err
-				}
-			}
-			return n, nil
-		case d.pendIsCM:
-			// The KEEP op: copy from the live configuration memory. The
-			// frame still holds its pre-load content — the loader commits
-			// FDRI packets only at packet end, and the encoder never
-			// CM-references a frame an earlier packet rewrote.
-			frame, err := d.l.cm.ReadFrame(fabric.ParseFAR(w))
-			if err != nil {
-				return d.fail(fmt.Errorf("bitstream: decode: CM reference: %w", err))
-			}
-			if d.pendOff+n > len(frame) {
-				return d.fail(fmt.Errorf("bitstream: decode: CM run [%d,%d) exceeds frame length %d", d.pendOff, d.pendOff+n, len(frame)))
-			}
-			for i := 0; i < n; i++ {
-				if err := d.emit(frame[d.pendOff+i]); err != nil {
-					return i, err
-				}
-			}
-			return n, nil
-		case d.pendIsRef:
-			off := int(w)
-			if off < 0 || off+n > len(d.out) {
-				return d.fail(fmt.Errorf("bitstream: decode: back-reference [%d,%d) exceeds %d decoded words", off, off+n, len(d.out)))
-			}
-			for i := 0; i < n; i++ {
-				if err := d.emit(d.out[off+i]); err != nil {
-					return i, err
-				}
-			}
-			return n, nil
-		}
-		return d.fail(fmt.Errorf("bitstream: decode: internal payload state"))
+		return d.payload(w)
 	}
 	return d.fail(fmt.Errorf("bitstream: decode: internal state %d", d.state))
 }
 
-// Decode feeds the whole container through a fresh decoder into the loader.
+// payload expands the pending RUN, CM or REF op whose payload word is w.
+func (d *Decoder) payload(w uint32) (int, error) {
+	n := d.opN
+	if n == 0 {
+		return d.fail(fmt.Errorf("bitstream: decode: zero-length run"))
+	}
+	start := len(d.out)
+	// An op running past the declared count emits the words that fit and
+	// then overruns.
+	k := min(n, d.rawWords-start)
+	switch d.op {
+	case opRun:
+		d.out = append(d.out, make([]uint32, k)...)
+		run := d.out[start:]
+		for i := range run {
+			run[i] = w
+		}
+	case opCM:
+		// The KEEP op: copy from the live configuration memory. The frame
+		// still holds its pre-load content — the loader commits FDRI
+		// packets only at packet end, and the encoder never CM-references
+		// a frame an earlier packet rewrote.
+		far := fabric.ParseFAR(w)
+		if _, err := d.l.dev.FrameIndex(far); err != nil {
+			return d.fail(fmt.Errorf("bitstream: decode: CM reference: %w", err))
+		}
+		if flen := d.l.dev.FrameLen(); d.opOff+n > flen {
+			return d.fail(fmt.Errorf("bitstream: decode: CM run [%d,%d) exceeds frame length %d", d.opOff, d.opOff+n, flen))
+		}
+		d.out, _ = d.l.cm.AppendFrame(d.out, far, d.opOff, d.opOff+k) // address and range checked above
+	case opRef:
+		off := int(w)
+		if off < 0 || off+n > start {
+			return d.fail(fmt.Errorf("bitstream: decode: back-reference [%d,%d) exceeds %d decoded words", off, off+n, start))
+		}
+		d.out = append(d.out, d.out[off:off+k]...)
+	}
+	d.feed(start, false)
+	if err := d.end(); err != nil {
+		return k - 1, err
+	}
+	if k < n {
+		d.err = fmt.Errorf("bitstream: decode: output overruns declared %d words", d.rawWords)
+		return k, d.err
+	}
+	return k, nil
+}
+
+// lits emits literal container words, no more than the declared count
+// leaves room for, and returns how many it consumed. It stops at the
+// literal that leaves the loader with an error, as a word-by-word feed
+// that checks the loader after each container word does.
+func (d *Decoder) lits(ws []uint32) (int, error) {
+	start := len(d.out)
+	d.out = append(d.out, ws[:min(len(ws), d.rawWords-start)]...)
+	d.feed(start, true)
+	n := len(d.out) - start
+	d.litLeft -= n
+	return n, d.end()
+}
+
+// feed hands the words decoded since start to the loader and folds them
+// into the container CRC. The loader stops at its first error; the words
+// it did not take still fold into the container CRC, unless stop cuts
+// the output at the word that set the error.
+func (d *Decoder) feed(start int, stop bool) {
+	// Loader errors stay the loader's: they surface through its Err.
+	n, _ := d.l.write(d.out[start:], &d.crc)
+	if stop && d.l.err != nil {
+		d.out = d.out[:start+max(n, 1)]
+	}
+	d.crc = crcStream(d.crc, RegFDRI, d.out[start+n:])
+}
+
+// end checks the container CRC once the declared word count is out.
+func (d *Decoder) end() error {
+	if len(d.out) != d.rawWords {
+		return nil
+	}
+	if d.crc != d.wantCRC {
+		d.err = fmt.Errorf("bitstream: decode: CRC mismatch: container %#04x, computed %#04x", d.wantCRC, d.crc)
+		return d.err
+	}
+	d.done = true
+	return nil
+}
+
+// Decode feeds the whole container through a fresh decoder into the
+// loader. A loader error stops Write but not the decode: it stays the
+// loader's, as on the word-by-word path.
 func (c *Compressed) Decode(l *Loader) error {
 	d := NewDecoder(l)
-	for _, w := range c.Words {
-		if _, err := d.WriteWord(w); err != nil {
+	for ws := c.Words; len(ws) > 0; {
+		n, _ := d.Write(ws)
+		if err := d.Err(); err != nil {
 			return err
 		}
+		ws = ws[n:]
 	}
 	if !d.Done() {
 		return fmt.Errorf("bitstream: decode: container truncated (%d of %d words emitted)", d.Emitted(), d.rawWords)

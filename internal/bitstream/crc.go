@@ -64,8 +64,15 @@ func crcUpdate(crc uint16, reg Reg, data uint32) uint16 {
 
 // crcFold is crcUpdate with the register term B(reg, 0) already looked up.
 func crcFold(crc, regTerm uint16, data uint32) uint16 {
-	return crcState[0][byte(crc)] ^ crcState[1][crc>>8] ^ regTerm ^
-		crcData[0][byte(data)] ^ crcData[1][byte(data>>8)] ^
+	return crcTerm(regTerm, data) ^ crcState[0][byte(crc)] ^ crcState[1][crc>>8]
+}
+
+// crcTerm is B(reg, data), the part of an update that does not depend on
+// the running CRC. The folds XOR it in before the state lookups: Go keeps
+// the XOR chain in source order, and with the state last only the final
+// two XORs of a word wait for the previous word's CRC.
+func crcTerm(regTerm uint16, data uint32) uint16 {
+	return regTerm ^ crcData[0][byte(data)] ^ crcData[1][byte(data>>8)] ^
 		crcData[2][byte(data>>16)] ^ crcData[3][data>>24]
 }
 
@@ -76,6 +83,19 @@ func crcStream(crc uint16, reg Reg, words []uint32) uint16 {
 		crc = crcFold(crc, regTerm, w)
 	}
 	return crc
+}
+
+// crcStream2 folds the same words into two running CRCs in one pass,
+// computing each word's data term once: the loader's stream CRC and the
+// decoder's container CRC both fold decoded FDRI frame data.
+func crcStream2(a, b uint16, reg Reg, words []uint32) (uint16, uint16) {
+	regTerm := crcReg[reg&0x1F]
+	for _, w := range words {
+		t := crcTerm(regTerm, w)
+		a = t ^ crcState[0][byte(a)] ^ crcState[1][a>>8]
+		b = t ^ crcState[0][byte(b)] ^ crcState[1][b>>8]
+	}
+	return a, b
 }
 
 // FrameCRC folds one frame's words into a running CRC, exactly as the

@@ -140,13 +140,52 @@ func (l *Loader) Inert() int {
 // each: the CRC runs over the slice, and the packet's frames commit when
 // its last word arrives.
 func (l *Loader) WriteWords(ws []uint32) {
-	if len(ws) == 0 {
-		return
-	}
 	if len(ws) > l.Inert() {
 		panic(fmt.Sprintf("bitstream: WriteWords of %d words with %d inert", len(ws), l.Inert()))
 	}
 	l.crc = crcStream(l.crc, RegFDRI, ws)
+	l.frameData(ws)
+}
+
+// Write feeds ws with the effect of WriteWord on each word: runs of inert
+// words go through the CRC and the frame buffer as one slice, every other
+// word goes one at a time. It stops after the first word that sets an
+// error and returns how many words it consumed (0 when the error predates
+// the call).
+func (l *Loader) Write(ws []uint32) (int, error) { return l.write(ws, nil) }
+
+// write is Write that also folds every word it consumes, as FDRI data,
+// into *also when that is not nil: the decoder's container CRC covers the
+// same words, and over an inert run both CRCs fold in one pass.
+func (l *Loader) write(ws []uint32, also *uint16) (int, error) {
+	for i := 0; i < len(ws); {
+		if l.err != nil {
+			return i, l.err
+		}
+		if n := min(l.Inert(), len(ws)-i); n > 0 {
+			// WriteWords keeps the single CRC's loop out of this one,
+			// where it would run short of registers.
+			if run := ws[i : i+n]; also == nil {
+				l.WriteWords(run)
+			} else {
+				l.crc, *also = crcStream2(l.crc, *also, RegFDRI, run)
+				l.frameData(run)
+			}
+			i += n
+			continue
+		}
+		if also != nil {
+			*also = crcUpdate(*also, RegFDRI, ws[i])
+		}
+		_ = l.WriteWord(ws[i]) // sticky: the next iteration returns it
+		i++
+	}
+	return len(ws), l.err
+}
+
+// frameData appends an inert run, already folded into the CRC, to the
+// packet's frame buffer and commits the packet at its last word.
+func (l *Loader) frameData(ws []uint32) {
 	l.fdri = append(l.fdri, ws...)
 	if l.pendWords -= len(ws); l.pendWords == 0 {
 		l.commitFrames()
@@ -155,12 +194,8 @@ func (l *Loader) WriteWords(ws []uint32) {
 
 // Load feeds a whole stream.
 func (l *Loader) Load(s *Stream) error {
-	for _, w := range s.Words {
-		if err := l.WriteWord(w); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := l.Write(s.Words)
+	return err
 }
 
 func (l *Loader) fail(err error) {

@@ -90,13 +90,21 @@ func (cm *ConfigMemory) ChangedSince(lo, hi int, epoch uint64) bool {
 
 // ReadFrame returns a copy of the frame at far (configuration readback).
 func (cm *ConfigMemory) ReadFrame(far FAR) ([]uint32, error) {
+	return cm.AppendFrame(nil, far, 0, cm.dev.FrameLen())
+}
+
+// AppendFrame appends words [lo, hi) of the frame at far to dst and
+// returns the extended slice: a readback of part of a frame without a copy
+// of the whole.
+func (cm *ConfigMemory) AppendFrame(dst []uint32, far FAR, lo, hi int) ([]uint32, error) {
 	i, err := cm.dev.FrameIndex(far)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := make([]uint32, len(cm.frames[i]))
-	copy(out, cm.frames[i])
-	return out, nil
+	if lo < 0 || hi < lo || hi > len(cm.frames[i]) {
+		return dst, fmt.Errorf("fabric: words [%d,%d) outside the %d-word frame %v", lo, hi, len(cm.frames[i]), far)
+	}
+	return append(dst, cm.frames[i][lo:hi]...), nil
 }
 
 // FlipBit inverts a single configuration bit in place — the soft-error

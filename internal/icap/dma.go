@@ -33,6 +33,12 @@ type DMA struct {
 	k      *sim.Kernel
 	clk    *sim.Clock
 	loader *bitstream.Loader
+	// dec is the engine's decompressor, made at its first compressed
+	// transfer and reset for each container, so its output buffer is
+	// allocated once. A failed transfer drops it: a damaged header can
+	// declare up to 2^28 words, and no such buffer may outlive the
+	// transfer.
+	dec *bitstream.Decoder
 
 	busyUntil sim.Time
 	transfers uint64
@@ -78,31 +84,30 @@ func (d *DMA) Begin(words []uint32, compressed bool) (start, done sim.Time, err 
 	}
 	if err := d.feed(words, compressed); err != nil {
 		d.loader.Reset()
+		d.dec = nil
 		return start, done, err
 	}
 	return start, done, nil
 }
 
+// feed applies the transfer's content: a raw stream goes to the loader in
+// one call, a compressed container through the decompressor, which expands
+// each op as one slice. Either stops at the first word that leaves the
+// decoder or the loader with an error.
 func (d *DMA) feed(words []uint32, compressed bool) error {
 	if compressed {
-		dec := bitstream.NewDecoder(d.loader)
-		for _, w := range words {
-			if _, err := dec.WriteWord(w); err != nil {
-				return err
-			}
-			if err := d.loader.Err(); err != nil {
-				return err
-			}
+		if d.dec == nil {
+			d.dec = bitstream.NewDecoder(d.loader)
 		}
-		if !dec.Done() {
-			return fmt.Errorf("icap: dma: compressed container incomplete (%d words decoded)", dec.Emitted())
+		d.dec.Reset()
+		if _, err := d.dec.Write(words); err != nil {
+			return err
 		}
-	} else {
-		for _, w := range words {
-			if err := d.loader.WriteWord(w); err != nil {
-				return err
-			}
+		if !d.dec.Done() {
+			return fmt.Errorf("icap: dma: compressed container incomplete (%d words decoded)", d.dec.Emitted())
 		}
+	} else if _, err := d.loader.Write(words); err != nil {
+		return err
 	}
 	if err := d.loader.Err(); err != nil {
 		return err

@@ -42,14 +42,19 @@ type HWICAP struct {
 	// bytesPerCycle bytes per ICAP cycle.
 	bufWords int
 
-	// dec, when armed, sits between the write FIFO and the configuration
-	// logic: software pushes compressed container words and the decoder
-	// expands them in flight. The drain time is charged per DECODED word —
-	// the byte-wide configuration port consumes every expanded word at the
-	// same 4 cycles/word, so compression shrinks the wire traffic, not the
-	// CPU-path port time.
-	dec    *bitstream.Decoder
-	decErr error
+	// dec, while decoding, sits between the write FIFO and the
+	// configuration logic: software pushes compressed container words and
+	// the decoder expands them in flight. The drain time is charged per
+	// DECODED word — the byte-wide configuration port consumes every
+	// expanded word at the same 4 cycles/word, so compression shrinks the
+	// wire traffic, not the CPU-path port time. dec is made at the first
+	// ArmDecoder and reset by each later one, keeping its output buffer,
+	// until a failed container drops it.
+	dec *bitstream.Decoder
+	// armed runs from ArmDecoder to DisarmDecoder. decoding is armed with
+	// no reset since: a reset takes the decoder out of the FIFO path, and
+	// DisarmDecoder still reports the container it cut short.
+	armed, decoding bool
 
 	busyUntil sim.Time
 	words     uint64
@@ -69,34 +74,33 @@ func (h *HWICAP) Loader() *bitstream.Loader { return h.loader }
 // WordsWritten reports how many stream words software pushed.
 func (h *HWICAP) WordsWritten() uint64 { return h.words }
 
-// ArmDecoder inserts a fresh compressed-stream decoder in front of the
+// ArmDecoder inserts a reset compressed-stream decoder in front of the
 // configuration logic. Subsequent FIFO writes are container words.
 func (h *HWICAP) ArmDecoder() {
-	h.dec = bitstream.NewDecoder(h.loader)
-	h.decErr = nil
+	if h.dec == nil {
+		h.dec = bitstream.NewDecoder(h.loader)
+	}
+	h.dec.Reset()
+	h.armed, h.decoding = true, true
 }
 
 // DisarmDecoder removes the decoder and reports whether the container
-// decoded completely and cleanly. Decode errors are also visible in the
-// status register while the decoder is armed.
+// decoded completely and cleanly: nil when it was not armed, an error when
+// a reset cut the container short. Decode errors are also visible in the
+// status register while the decoder sits in the FIFO path.
 func (h *HWICAP) DisarmDecoder() error {
-	d := h.dec
-	h.dec = nil
-	err := h.decErr
-	h.decErr = nil
-	if err != nil {
-		return err
-	}
-	if d == nil {
+	if !h.armed {
 		return nil
 	}
-	if err := d.Err(); err != nil {
-		return err
+	h.armed, h.decoding = false, false
+	err := h.dec.Err()
+	if err == nil && !h.dec.Done() {
+		err = fmt.Errorf("icap: compressed container incomplete (%d words decoded)", h.dec.Emitted())
 	}
-	if !d.Done() {
-		return fmt.Errorf("icap: compressed container incomplete (%d words decoded)", d.Emitted())
+	if err != nil {
+		h.dec = nil // with its output buffer, however large the header declared
 	}
-	return nil
+	return err
 }
 
 // Read implements bus.Slave.
@@ -107,7 +111,7 @@ func (h *HWICAP) Read(addr uint32, size int) (uint64, int) {
 		if h.loader.Done() {
 			s |= StatDone
 		}
-		if h.loader.Err() != nil || h.decErr != nil {
+		if h.loader.Err() != nil || h.decoding && h.dec.Err() != nil {
 			s |= StatError
 		}
 		if h.k.Now() < h.busyUntil {
@@ -127,8 +131,7 @@ func (h *HWICAP) Write(addr uint32, val uint64, size int) int {
 	case RegControl:
 		if val&CtrlReset != 0 {
 			h.loader.Reset()
-			h.dec = nil
-			h.decErr = nil
+			h.decoding = false
 		}
 		return 1
 	default:
@@ -143,7 +146,7 @@ func (h *HWICAP) WriteStream(addr uint32, size int) bus.Sink {
 	switch {
 	case addr != RegWriteFIFO:
 		return bus.SinkFunc(func(val uint64) int { return h.Write(addr, val, size) })
-	case h.dec != nil:
+	case h.decoding:
 		return bus.SinkFunc(h.push)
 	}
 	return fifoSink{h}
@@ -157,7 +160,7 @@ type fifoSink struct{ h *HWICAP }
 func (s fifoSink) Write(val uint64) int { return s.h.push(val) }
 
 func (s fifoSink) Inert() int {
-	if s.h.dec != nil {
+	if s.h.decoding {
 		return 0
 	}
 	return s.h.loader.Inert()
@@ -185,12 +188,8 @@ func (h *HWICAP) push(val uint64) int {
 	// the status register, as on hardware. With the decoder armed the port
 	// drains one slot per DECODED word the container word expanded into.
 	consumed := 1
-	if h.dec != nil {
-		n, err := h.dec.WriteWord(uint32(val))
-		if err != nil && h.decErr == nil {
-			h.decErr = err
-		}
-		consumed = n
+	if h.decoding {
+		consumed, _ = h.dec.WriteWord(uint32(val)) // sticky: DisarmDecoder and the status register report it
 	} else {
 		_ = h.loader.WriteWord(uint32(val))
 	}

@@ -35,16 +35,19 @@ func BenchmarkScrub(b *testing.B) {
 // per streamed word (ns/word) beside ns/op. sys32-compressed streams the
 // compressed containers through the armed decoder, which stores every
 // word one at a time, and also reports the host cost per decoded word
-// (ns/raw-word).
+// (ns/raw-word). sys64x2-dma-compressed hands the same containers to the
+// region's dock DMA engine (BeginExecuteOn, then FinishExecuteOn), whose
+// decompressor expands each op as one slice.
 func BenchmarkLoadSwap(b *testing.B) {
 	for _, board := range []struct {
-		name       string
-		new        func() (*System, error)
-		compressed bool
+		name            string
+		new             func() (*System, error)
+		compressed, dma bool
 	}{
-		{"sys32", NewSys32, false},
-		{"sys64x2", func() (*System, error) { return NewSys64N(2) }, false},
-		{"sys32-compressed", NewSys32, true},
+		{"sys32", NewSys32, false, false},
+		{"sys64x2", func() (*System, error) { return NewSys64N(2) }, false, false},
+		{"sys32-compressed", NewSys32, true, false},
+		{"sys64x2-dma-compressed", func() (*System, error) { return NewSys64N(2) }, true, true},
 	} {
 		b.Run(board.name, func(b *testing.B) {
 			s, err := board.new()
@@ -57,6 +60,20 @@ func BenchmarkLoadSwap(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if board.dma {
+					t, err := s.BeginExecuteOn(0, mods[i%2])
+					if err != nil {
+						b.Fatal(err)
+					}
+					if p := t.Plan(); p.Kind != plan.StreamCompressed {
+						b.Fatalf("plan %+v: want a compressed stream", p)
+					}
+					if _, err := s.FinishExecuteOn(t, func() error { return nil }); err != nil {
+						b.Fatal(err)
+					}
+					words, raw = words+t.Plan().Bytes/4, raw+t.Plan().Raw/4
+					continue
+				}
 				if board.compressed {
 					p, err := s.PlanForOn(0, mods[i%2])
 					if err != nil || p.Kind != plan.StreamCompressed {
