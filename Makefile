@@ -79,11 +79,13 @@ tracedemo:
 # damaged compressed containers must never decode to divergent frames, and
 # arbitrary words pushed through the bus, bridge, HWICAP and loader by
 # cpu.StoreStream must leave exactly the state one SW per word leaves.
+# Minimizing a new-coverage input is capped at 10 runs, so each target
+# spends its 10 seconds exploring instead of minimizing.
 fuzz:
-	go test -run '^$$' -fuzz FuzzLoaderDifferentialStream -fuzztime 10s ./internal/bitstream
-	go test -run '^$$' -fuzz FuzzCompressedStream -fuzztime 10s ./internal/bitstream
-	go test -run '^$$' -fuzz FuzzRegionPlanner -fuzztime 10s ./internal/plan
-	go test -run '^$$' -fuzz FuzzStoreStream -fuzztime 10s ./internal/cpu
+	go test -run '^$$' -fuzz FuzzLoaderDifferentialStream -fuzztime 10s -fuzzminimizetime 10x ./internal/bitstream
+	go test -run '^$$' -fuzz FuzzCompressedStream -fuzztime 10s -fuzzminimizetime 10x ./internal/bitstream
+	go test -run '^$$' -fuzz FuzzRegionPlanner -fuzztime 10s -fuzzminimizetime 10x ./internal/plan
+	go test -run '^$$' -fuzz FuzzStoreStream -fuzztime 10s -fuzzminimizetime 10x ./internal/cpu
 
 # Profile the sharded dispatcher under a saturating open-loop drive: CPU
 # and mutex-contention profiles land in artifacts/profile for

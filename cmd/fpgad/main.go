@@ -297,26 +297,25 @@ func run(args []string, out, errw io.Writer) int {
 	switch {
 	case *rate > 0:
 		// Open-loop: every request carries its generated Poisson arrival
-		// stamp and submission never waits for completions; the
-		// scheduler's wall-clock overlay turns the stamps into sojourn
-		// (queue wait + service) per request.
+		// stamp, counted from the pool's ready time, and submission never
+		// waits for completions; its member's clock advances to the stamp,
+		// so the result's sojourn is queue wait plus service.
 		arr, err := bench.GenArrivals(*seed, *n, sim.Time(float64(sim.Second) / *rate))
 		if err != nil {
 			fmt.Fprintln(errw, "fpgad:", err)
 			return 2
 		}
+		ready := bench.ReadyTime(p)
 		chs := make([]<-chan sched.Result, len(w))
 		for i := range w {
-			chs[i] = s.SubmitAt(w[i], arr[i])
+			chs[i] = s.SubmitAt(w[i], ready+arr[i])
 		}
 		for _, ch := range chs {
 			r := <-ch
 			report(r)
 			if r.Err == nil {
 				sojourns = append(sojourns, r.Sojourn)
-				if r.DoneAt > makespan {
-					makespan = r.DoneAt
-				}
+				makespan = max(makespan, r.DoneAt-ready)
 			}
 		}
 	case *window > 0:

@@ -145,7 +145,7 @@ func TestRunFloorplanSubcommand(t *testing.T) {
 		t.Fatalf("exit %d, stderr:\n%s", code, errw.String())
 	}
 	got := out.String()
-	for _, want := range []string{"floorplan of sys32x2", "floorplan of sys64x2",
+	for _, want := range []string{"floorplan of sys32x2", "floorplan of sys64x2", "F5",
 		"dynamic area dynamic64.a", "dynamic area dynamic32.b", "ICAP stream addressing"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)

@@ -78,9 +78,9 @@ func scalingCases(cfg pool.Config, shards []int, rhos []float64) []Case {
 // back-to-back rather than pacing arrival stamps against the host clock,
 // because a one-core host sleeping between submissions would measure its
 // own timer, not the scheduler. Queueing behaviour versus arrival rate
-// comes from the stamps through the scheduler's wall-clock overlay
-// (Result.Sojourn); real elapsed time measures dispatch capacity under a
-// fully backlogged queue — the same saturated regime every cell shares.
+// comes from the stamps: a member's clock advances to each arrival before
+// serving it (Result.Sojourn). Real elapsed time measures dispatch
+// capacity under a fully backlogged queue, the regime every cell shares.
 func ScalingSuite() Suite {
 	return Suite{
 		ID:       "S6",
@@ -105,7 +105,7 @@ func ScalingSuite() Suite {
 			}
 			return append(notes,
 				"all-hit capacity drive: the module is pre-warmed into every slot, so the request path streams zero configuration bytes and real throughput isolates the dispatcher",
-				"sojourn percentiles (queue wait + service) come from the scheduler's simulated wall-clock overlay over the generated arrival stamps; real throughput is host wall-clock and never gated",
+				"sojourn percentiles (queue wait + service) are measured on each member's simulated clock, which advances to every generated arrival stamp before serving it; real throughput is host wall-clock and never gated",
 				"submission is back-to-back from concurrent feeders — open-loop in simulated time — so every cell measures dispatch capacity under a fully backlogged queue",
 				"under full backlog, placement is completion-driven and bursts onto whichever member last freed, so the sojourn chains concentrate beyond the balanced k-server ideal the S9 replay assumes — the S9/S6 percentile gap is that imbalance, measured")
 		},

@@ -7,7 +7,7 @@ import (
 )
 
 // SLOSuite is table S9: deterministic sojourn percentiles of a pinned-
-// placement service trace replayed through the k-server overlay under
+// placement service trace replayed through the k-server queue under
 // the S6 arrival traces — the same pool, seed, workload, module, arrival
 // process and offered loads, so the rows are the deterministic twins of
 // the S6 poisson column. Where S6 drives the live sharded scheduler

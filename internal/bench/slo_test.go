@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/pool"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -82,6 +83,63 @@ func TestSLORunsShape(t *testing.T) {
 	}
 	if hi < lo {
 		t.Errorf("saturated p99 %v below underloaded p99 %v", hi, lo)
+	}
+}
+
+// TestOneServerIsReplayArithmetic ties the live open-loop scheduler to the
+// replay S9 gates: one single-region board and one submitter in arrival
+// order, batch 1, so the board serves the requests first come, first
+// served. Arrivals count from the board's clock. With misses in the mix,
+// every live sojourn must equal ReplayOpenLoop's one-server sojourn over
+// the live latencies exactly.
+func TestOneServerIsReplayArithmetic(t *testing.T) {
+	mix, err := sched.ParseMix("jenkins=2,brightness=1,fade=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := sched.GenWorkload(7, 60, mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pool.New(pool.Config{Sys32: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals, err := GenArrivals(7, len(reqs), 2*sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ready := ReadyTime(p)
+	s := sched.New(p, sched.Options{Batch: 1})
+	chs := make([]<-chan sched.Result, len(reqs))
+	for i, r := range reqs {
+		chs[i] = s.SubmitAt(r, ready+arrivals[i])
+	}
+	lats := make([]sim.Time, len(reqs))
+	sojourns := make([]sim.Time, len(reqs))
+	for i, ch := range chs {
+		r := <-ch
+		if r.Err != nil {
+			t.Fatalf("request %d (%s): %v", r.ID, r.Task, r.Err)
+		}
+		lats[i], sojourns[i] = r.Latency(), r.Sojourn
+	}
+	s.Wait()
+	if st := s.Stats(); st.Misses == 0 || st.Hits == 0 {
+		t.Fatalf("%d misses, %d hits: the drive needs both", st.Misses, st.Hits)
+	}
+	want, _ := ReplayOpenLoop(arrivals, lats, 1)
+	queued := 0
+	for i := range want {
+		if sojourns[i] != want[i] {
+			t.Errorf("request %d: live sojourn %v, one-server replay %v", i+1, sojourns[i], want[i])
+		}
+		if sojourns[i] > lats[i] {
+			queued++
+		}
+	}
+	if queued == 0 || queued == len(want) {
+		t.Fatalf("%d of %d requests queued: the drive needs idle and busy arrivals", queued, len(want))
 	}
 }
 

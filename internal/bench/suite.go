@@ -199,6 +199,7 @@ func Drive(w Workload, c Case) (Run, error) {
 			fail(err)
 			break
 		}
+		ready := ReadyTime(p)
 		chs := make([]<-chan sched.Result, len(reqs))
 		// Collect the boot and pin garbage now so no row pays another
 		// row's GC debt during its timed drive.
@@ -214,7 +215,7 @@ func Drive(w Workload, c Case) (Run, error) {
 				// arrival-ordered up to feeder interleaving (concurrent
 				// front-ends).
 				for i := f; i < len(reqs); i += feeders {
-					chs[i] = s.SubmitAt(reqs[i], arrivals[i])
+					chs[i] = s.SubmitAt(reqs[i], ready+arrivals[i])
 				}
 			}()
 		}
@@ -222,7 +223,7 @@ func Drive(w Workload, c Case) (Run, error) {
 		for _, ch := range chs {
 			r := <-ch
 			record(r, r.Sojourn)
-			run.Makespan = max(run.Makespan, r.DoneAt)
+			run.Makespan = max(run.Makespan, r.DoneAt-ready)
 		}
 	}
 	// Let the tail speculation land before Wait: Wait aborts whatever is
@@ -282,6 +283,16 @@ func boot(w Workload, c Case) ([]tasks.Runner, *pool.Pool, *sched.Scheduler, err
 		}
 	}
 	return reqs, p, sched.New(p, opts), nil
+}
+
+// ReadyTime is the latest member clock of a booted pool, the time an
+// open-loop drive's arrivals and makespan count from.
+func ReadyTime(p *pool.Pool) sim.Time {
+	var t sim.Time
+	for _, m := range p.Snapshot() {
+		t = max(t, m.Now)
+	}
+	return t
 }
 
 // settle busy-waits until the scheduler has fully drained — no pending

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/plan"
+	"repro/internal/sim"
 )
 
 func TestExecuteCacheHitMiss(t *testing.T) {
@@ -38,6 +39,45 @@ func TestExecuteCacheHitMiss(t *testing.T) {
 	}
 	if got := s.ResidentOn(0); got != "fade" {
 		t.Fatalf("resident = %q, want fade", got)
+	}
+}
+
+// TestAdvanceToIdlesForward: an idle board's clock moves forward to a
+// later time and never back, and the requests it serves after the wait
+// start there and take exactly the time they take on a board that never
+// waited.
+func TestAdvanceToIdlesForward(t *testing.T) {
+	waited, err := NewSys32()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewSys32()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wait = sim.Millisecond
+	at := fresh.Now() + wait
+	waited.AdvanceTo(at)
+	waited.AdvanceTo(at - sim.Microsecond)
+	if waited.Now() != at {
+		t.Fatalf("clock at %v after advancing to %v and back", waited.Now(), at)
+	}
+	for i, mod := range []string{"fade", "fade", "blend"} {
+		work := func(s *System) func() error { return func() error { s.CPU.Op(100); return nil } }
+		a, err := waited.ExecuteOn(0, mod, work(waited))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fresh.ExecuteOn(0, mod, work(fresh))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 && a.At != at {
+			t.Fatalf("first request after the wait starts at %v, want %v", a.At, at)
+		}
+		if a.At-b.At != wait || a.Config != b.Config || a.Work != b.Work || a.BytesStreamed != b.BytesStreamed {
+			t.Fatalf("%s after the wait: %+v; without it: %+v", mod, a, b)
+		}
 	}
 }
 

@@ -491,6 +491,16 @@ func staticWord(seed uint64, i int) uint32 {
 // Now returns the current simulated time.
 func (s *System) Now() sim.Time { return s.K.Now() }
 
+// AdvanceTo moves the board's clock forward to t under the system lock,
+// firing due events on the way; it does nothing when t is not later.
+func (s *System) AdvanceTo(t sim.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t > s.K.Now() {
+		s.K.AdvanceTo(t)
+	}
+}
+
 // Measure runs fn and returns the simulated time it consumed.
 func (s *System) Measure(fn func()) sim.Time {
 	start := s.K.Now()

@@ -214,10 +214,10 @@ func TestScrubRaceKeepsSpeculativeByteConservation(t *testing.T) {
 
 // TestScrubEventsCarryMemberTime: scrub and quarantine events are stamped
 // with the member's simulated time, which the pass reads under the member's
-// lock, not with the open-loop clock that only SubmitAt completions
-// advance. An S7-shaped drive — dual-region members, scrub on dispatch,
-// paced, an upset in a still-blank region and one in a loaded one, each
-// followed by a ScrubAll pass — must show a nonzero stamp on every scrub
+// lock, not with a submission's arrival (0 for a Submit request). An
+// S7-shaped drive — dual-region members, scrub on dispatch, paced, an
+// upset in a still-blank region and one in a loaded one, each followed
+// by a ScrubAll pass — must show a nonzero stamp on every scrub
 // of a member that has completed a request, each quarantine at its
 // scrub's instant, and each quarantine resolved by exactly one repair
 // event (an instant for the blank region) starting no earlier.

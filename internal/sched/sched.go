@@ -121,13 +121,11 @@ type Result struct {
 	Report platform.ExecReport
 	Err    error
 
-	// Open-loop accounting — all zero unless the request was submitted
-	// through SubmitAt. Times are on the pool-wide simulated wall clock:
-	// the request arrives at Arrival, starts when its member's timeline
-	// frees up (Start), and finishes at DoneAt; Sojourn = DoneAt - Arrival
-	// is queue wait plus service, the latency an open-loop client sees.
+	// Times on the member's clock: the request arrives at Arrival (its
+	// SubmitAt stamp, else Report.At) and finishes at DoneAt = Report.At +
+	// Latency; Sojourn = DoneAt - Arrival is queue wait plus service. A
+	// request rejected at submit has Arrival = DoneAt = its stamp.
 	Arrival sim.Time
-	Start   sim.Time
 	DoneAt  sim.Time
 	Sojourn sim.Time
 }
@@ -214,10 +212,9 @@ type Stats struct {
 	// prefetch hits — time the pipeline moved off the request critical
 	// path; PrefetchConfig is all speculative configuration time. A
 	// request riding an in-flight stream credits the full stream time, so
-	// under continuous arrivals HiddenConfig is an upper bound on the
-	// truly overlapped time: the rider's wait for the stream remainder is
-	// queue-wait, which the per-member simulated-time model does not
-	// measure anywhere (waiting for a busy member is likewise uncounted).
+	// HiddenConfig is an upper bound on the truly overlapped time: the
+	// rider's wait for the stream remainder is queue wait, which only
+	// SubmitAt requests measure (Result.Sojourn - Result.Latency()).
 	HiddenConfig   sim.Time
 	PrefetchConfig sim.Time
 
@@ -370,9 +367,9 @@ type request struct {
 	id   uint64
 	task tasks.Runner
 	ch   chan Result
-	// arrival stamps the request's open-loop simulated arrival time;
-	// openLoop marks requests submitted through SubmitAt, whose record
-	// computes the wall-clock sojourn overlay.
+	// arrival stamps the request's simulated arrival on its member's
+	// clock; openLoop marks requests submitted through SubmitAt, whose
+	// member advances to the arrival before serving them.
 	arrival  sim.Time
 	openLoop bool
 }
@@ -484,9 +481,6 @@ type Scheduler struct {
 
 	shards    []*shard
 	slotOrder []slotRef
-	// clock is the pool-wide simulated wall clock: every open-loop
-	// completion advances it to the request's simulated finish time.
-	clock sim.WallClock
 
 	// Lock-free hot-path counters. nextID hands out submission IDs, done
 	// the pool-wide completion sequence (Result.Seq), inflight the
@@ -529,7 +523,7 @@ func New(p *pool.Pool, opts Options) *Scheduler {
 	memberBase := make(map[int]int)  // member ID -> first shard-local slot
 	s.shards = make([]*shard, len(groups))
 	for i, g := range groups {
-		sh := &shard{sc: s, id: i, freeAt: make(map[*pool.Member]sim.Time)}
+		sh := &shard{sc: s, id: i}
 		for _, m := range g {
 			memberShard[m.ID] = i
 			memberBase[m.ID] = len(sh.slots)
@@ -591,12 +585,10 @@ func (s *Scheduler) Submit(t tasks.Runner) <-chan Result {
 }
 
 // SubmitAt queues a task request stamped with its open-loop simulated
-// arrival time. The result additionally carries the wall-clock overlay
-// (Arrival/Start/DoneAt/Sojourn): the request starts when it has both
-// arrived and found its member's timeline free, so sojourn measures queue
-// wait plus service — the open-loop latency dimension the per-member
-// simulated-time model cannot see. Arrival times should be non-decreasing
-// per submitter, as a real request stream's are.
+// arrival time on the members' clocks. The member serving it first
+// advances its clock to the arrival, so Result.Sojourn is queue wait plus
+// service. Arrival times should be non-decreasing per submitter, as a
+// real request stream's are.
 func (s *Scheduler) SubmitAt(t tasks.Runner, arrival sim.Time) <-chan Result {
 	return s.submit(t, arrival, true)
 }

@@ -42,10 +42,6 @@ type shard struct {
 	// stealTick rotates the victim scan start so repeated steals spread
 	// over the other shards instead of always draining the next neighbour.
 	stealTick uint64
-	// freeAt is the open-loop wall-clock overlay: per member, the simulated
-	// time its timeline frees up. Sibling regions serialize on the member's
-	// single kernel, so the overlay is per member.
-	freeAt map[*pool.Member]sim.Time
 }
 
 // supportsModule reports whether any of the shard's slots can host the
@@ -96,7 +92,8 @@ func (sh *shard) submitLocked(t tasks.Runner, arrival sim.Time, openLoop bool) <
 		sh.book(-1, trace.Event{Ts: arrival, Kind: trace.KindComplete, Err: true,
 			Member: -1, Region: -1, ID: req.id, Name: t.Module()})
 		ch <- Result{ID: req.id, Task: t.Name(), Module: t.Module(),
-			Member: -1, Region: -1, Err: errUnsupported(t.Module())}
+			Member: -1, Region: -1, Err: errUnsupported(t.Module()),
+			Arrival: arrival, DoneAt: arrival}
 		return ch
 	}
 	sc.wg.Add(1)
@@ -165,9 +162,9 @@ func (sh *shard) dispatchLocked() {
 		sh.tick++
 		ss.lastUsed = sh.tick
 		assigned[ss.m.ID] = true
-		// Placement instant on the chosen slot's track; Arg carries the
-		// batch size riding this dispatch.
-		sh.book(si, trace.Event{Ts: sc.clock.Now(), Kind: trace.KindDispatch,
+		// Placement instant on the chosen slot's track, at the head's
+		// arrival; Arg carries the batch size riding this dispatch.
+		sh.book(si, trace.Event{Ts: head.arrival, Kind: trace.KindDispatch,
 			Member: int32(ss.m.ID), Region: int32(ss.ri),
 			ID: head.id, Name: head.task.Module(), Arg: int64(len(batch))})
 		round = append(round, assignment{ss: ss, batch: batch})
@@ -235,7 +232,7 @@ func (sh *shard) stealLocked() bool {
 		if len(take) > 0 {
 			sh.stealTick++
 			sh.pending = append(sh.pending, take...)
-			sh.book(-1, trace.Event{Ts: sh.sc.clock.Now(), Kind: trace.KindSteal,
+			sh.book(-1, trace.Event{Ts: take[0].arrival, Kind: trace.KindSteal,
 				Member: -1, Region: -1, ID: take[0].id,
 				Name: take[0].task.Module(), Arg: int64(len(take))})
 			return true
@@ -435,7 +432,8 @@ func (sh *shard) prefetchLocked() {
 		speculating++
 		ss.specBusy, ss.specModule = true, bestMod
 		ss.specAbort = &abortToken{}
-		sh.book(ss.si, trace.Event{Ts: sc.clock.Now(), Kind: trace.KindPrefetchLaunch,
+		// Stamped with the quiet target member's clock, read under its lock.
+		sh.book(ss.si, trace.Event{Ts: ss.m.Sys.Status().Now, Kind: trace.KindPrefetchLaunch,
 			Member: int32(ss.m.ID), Region: int32(ss.ri), Name: bestMod})
 		sc.specWG.Add(1)
 		go sh.runSpeculative(ss, bestMod, ss.specAbort)
@@ -535,6 +533,7 @@ func (sh *shard) runGroup(group []assignment) {
 			// speculative stream in flight on this slot is serialized out
 			// first, and an aborted one reads as already-demoted, never as
 			// a fresh fault.
+			arrive(a.ss, a.batch[0])
 			rep := a.ss.m.Sys.ScrubOn(a.ss.ri)
 			sh.mu.Lock()
 			if sh.bookScrubLocked(a.ss, rep) {
@@ -560,6 +559,7 @@ func (sh *shard) runGroup(group []assignment) {
 			// On a Begin error the ticket stays nil and the head falls back
 			// to ExecuteOn, which re-plans after the demotion and reports
 			// whatever happens through the normal path.
+			arrive(a.ss, a.batch[0])
 			tickets[i], _ = a.ss.m.Sys.BeginExecuteOn(a.ss.ri, a.batch[0].task.Module())
 		}
 	}
@@ -570,6 +570,7 @@ func (sh *shard) runGroup(group []assignment) {
 			run := func() error { return t.Run(sys) }
 			var rep platform.ExecReport
 			var err error
+			arrive(ss, req)
 			if bi == 0 && tickets[i] != nil {
 				rep, err = sys.FinishExecuteOn(tickets[i], run)
 			} else {
@@ -588,6 +589,14 @@ func (sh *shard) runGroup(group []assignment) {
 		ss.busy = false
 		sh.dispatchLocked()
 		sh.mu.Unlock()
+	}
+}
+
+// arrive advances the member's clock to a SubmitAt request's arrival
+// before a platform call serves it, a no-op once the clock is past it.
+func arrive(ss *slotState, req *request) {
+	if req.openLoop {
+		ss.m.Sys.AdvanceTo(req.arrival)
 	}
 }
 
@@ -690,9 +699,8 @@ func (sh *shard) scrubAll() int {
 }
 
 // record books one completed request — its spans, its complete event and
-// what it did to the slot's prefetched module — assigns its pool-wide
-// completion sequence, and (for open-loop submissions) computes its
-// wall-clock sojourn. Fills res.Seq and the open-loop fields in place.
+// what it did to the slot's prefetched module — and fills its pool-wide
+// completion sequence res.Seq and its time fields in place.
 func (sh *shard) record(ss *slotState, res *Result, req *request) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -706,23 +714,12 @@ func (sh *shard) record(ss *slotState, res *Result, req *request) {
 	} else {
 		ss.resident = ""
 	}
-	if req.openLoop {
-		// The open-loop wall-clock overlay: the request starts when it has
-		// both arrived and found its member's timeline free; sibling
-		// regions serialize on the member's single kernel, so the overlay
-		// is per member. Sojourn is queue wait plus service — the latency
-		// dimension the per-member simulated-time model cannot see.
-		start := req.arrival
-		if f := sh.freeAt[ss.m]; f > start {
-			start = f
-		}
-		done := start + res.Report.Latency()
-		sh.freeAt[ss.m] = done
-		res.Arrival, res.Start, res.DoneAt = req.arrival, start, done
-		res.Sojourn = done - req.arrival
-		sh.sc.clock.Advance(done)
-	}
 	rep := &res.Report
+	res.Arrival, res.DoneAt = rep.At, rep.At+rep.Latency()
+	if req.openLoop {
+		res.Arrival = req.arrival
+	}
+	res.Sojourn = res.DoneAt - res.Arrival
 	member, region, bytes := int32(ss.m.ID), int32(ss.ri), int64(rep.BytesStreamed)
 	if rep.ConfigHidden > 0 {
 		sh.book(ss.si, trace.Event{Ts: rep.At - rep.ConfigHidden, Dur: rep.ConfigHidden,
@@ -739,14 +736,10 @@ func (sh *shard) record(ss *slotState, res *Result, req *request) {
 			Kind: trace.KindCompute, Member: member, Region: region,
 			ID: req.id, Name: res.Module})
 	}
-	doneTs := rep.At + rep.Config + rep.Work
-	arg := int64(rep.Latency())
-	if req.openLoop {
-		doneTs, arg = res.DoneAt, int64(res.Sojourn)
-	}
-	sh.book(ss.si, trace.Event{Ts: doneTs, Kind: trace.KindComplete,
+	sh.book(ss.si, trace.Event{Ts: res.DoneAt, Kind: trace.KindComplete,
 		Stream: uint8(rep.Kind), Hit: rep.CacheHit, DMA: rep.DMA, Err: res.Err != nil,
-		Member: member, Region: region, ID: req.id, Name: res.Module, Arg: arg, Bytes: bytes})
+		Member: member, Region: region, ID: req.id, Name: res.Module,
+		Arg: int64(res.Sojourn), Bytes: bytes})
 	// Consume the slot's prefetched module: the first hit on it banks
 	// the speculative stream time as hidden; a real load replacing it
 	// books the speculative bytes as wasted.

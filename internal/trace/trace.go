@@ -1,11 +1,11 @@
 // Package trace is the deterministic event spine of the simulator: an
 // allocation-light span/event recorder keyed exclusively to the simulated
-// clock (a member's sim.Kernel timeline or the cross-member sim.WallClock
-// overlay — never host time). Because every timestamp is simulated, a
-// traced run is byte-reproducible: two identical drives emit identical
-// event sets, and the Chrome exporter sorts them under a total order, so
-// the rendered JSON is byte-identical too. That determinism is what lets
-// sojourn percentiles graduate from informational columns to gated SLOs.
+// clock (the members' sim.Kernel timelines — never host time). Because
+// every timestamp is simulated, a traced run is byte-reproducible: two
+// identical drives emit identical event sets, and the Chrome exporter
+// sorts them under a total order, so the rendered JSON is byte-identical
+// too. That determinism is what lets sojourn percentiles graduate from
+// informational columns to gated SLOs.
 //
 // A nil *Tracer is a valid no-op recorder. The scheduler builds every
 // event whether or not a tracer is set, because its counters are folds of
@@ -47,10 +47,10 @@ const (
 	KindOverlap
 	// KindCompute: the placed module's execution on the fabric (span).
 	KindCompute
-	// KindComplete: a request finished (instant; Arg = latency/sojourn fs,
-	// Bytes = streamed bytes, Stream/Hit/DMA/Err = its outcome). A request
-	// rejected at submit completes on the scheduler track (Member -1) with
-	// Err set.
+	// KindComplete: a request finished (instant at the end of its service;
+	// Arg = sojourn fs, Bytes = streamed bytes, Stream/Hit/DMA/Err = its
+	// outcome). A request rejected at submit completes at its arrival on
+	// the scheduler track (Member -1) with Err set.
 	KindComplete
 	// KindPlan: the planner chose a stream kind for a transition (Bytes =
 	// the planned stream's size).
