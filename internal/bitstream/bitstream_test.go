@@ -362,8 +362,17 @@ func TestBuildLoadProperty(t *testing.T) {
 // The table form of the CRC update equals the bit-serial definition: from
 // every one of the 65536 states, for every register address 0-31 with a
 // random data word, plus random (register, data) pairs and the all-ones
-// word.
+// word. The four-word step's tables equal four bit-serial steps: A⁴ from
+// every state with zero data, the data term of every byte value at every
+// byte position of every word slot from the zero state, and every
+// register's term with zero data.
 func TestCRCTableMatchesSerial(t *testing.T) {
+	serial4 := func(crc uint16, reg Reg, words [4]uint32) uint16 {
+		for _, w := range words {
+			crc = crcSerial(crc, reg, w)
+		}
+		return crc
+	}
 	rng := rand.New(rand.NewSource(1))
 	for s := 0; s < 1<<16; s++ {
 		crc := uint16(s)
@@ -376,24 +385,57 @@ func TestCRCTableMatchesSerial(t *testing.T) {
 		check(Reg(rng.Intn(32)), rng.Uint32())
 		check(Reg(rng.Intn(32)), rng.Uint32())
 		check(Reg(s%32), 0xFFFFFFFF)
+		if got, want := crcState4[0][byte(crc)]^crcState4[1][crc>>8], serial4(crc, 0, [4]uint32{}); got != want {
+			t.Fatalf("A⁴ tables map %#04x to %#04x, four bit-serial steps to %#04x", crc, got, want)
+		}
+	}
+	for b := 0; b < 256; b++ {
+		for j := 0; j < 4; j++ {
+			for k := 0; k < 4; k++ {
+				var words [4]uint32
+				words[j] = uint32(b) << (8 * k)
+				if got, want := crcData4[4*j+k][b], serial4(0, 0, words); got != want {
+					t.Fatalf("data table of word %d byte %d at %#02x = %#04x, four bit-serial steps %#04x", j, k, b, got, want)
+				}
+			}
+		}
+	}
+	for r := 0; r < 32; r++ {
+		if got, want := crcReg4[r], serial4(0, Reg(r), [4]uint32{}); got != want {
+			t.Fatalf("register term of %d over four words = %#04x, four bit-serial steps %#04x", r, got, want)
+		}
 	}
 }
 
-// Folding a stream through crcStream and FrameCRC gives the same CRC as
-// folding it word by word through the bit-serial definition.
+// Folding a stream through crcStream, crcStream2 (into both of its CRCs)
+// and FrameCRC gives the same CRC as folding it word by word through the
+// bit-serial definition: at every length 0-11, so every tail after the
+// four-word steps, at one frame of each device, and at random lengths.
 func TestCRCStreamMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	lengths := []int{fabric.XC2VP7().FrameLen(), fabric.XC2VP30().FrameLen()}
+	for n := 0; n < 12; n++ {
+		lengths = append(lengths, n)
+	}
 	for n := 0; n < 200; n++ {
-		words := randFrame(rng, rng.Intn(300))
+		lengths = append(lengths, rng.Intn(300))
+	}
+	for _, n := range lengths {
+		words := randFrame(rng, n)
 		reg := Reg(rng.Intn(32))
-		start := uint16(rng.Intn(1 << 16))
-		want, wantFDRI := start, start
+		start, other := uint16(rng.Intn(1<<16)), uint16(rng.Intn(1<<16))
+		want, wantOther, wantFDRI := start, other, start
 		for _, w := range words {
 			want = crcSerial(want, reg, w)
+			wantOther = crcSerial(wantOther, reg, w)
 			wantFDRI = crcSerial(wantFDRI, RegFDRI, w)
 		}
 		if got := crcStream(start, reg, words); got != want {
 			t.Fatalf("crcStream over %d words to reg %d = %#04x, bit-serial %#04x", len(words), reg, got, want)
+		}
+		if got, gotOther := crcStream2(start, other, reg, words); got != want || gotOther != wantOther {
+			t.Fatalf("crcStream2 over %d words to reg %d = %#04x, %#04x, bit-serial %#04x, %#04x",
+				len(words), reg, got, gotOther, want, wantOther)
 		}
 		if got := FrameCRC(start, words); got != wantFDRI {
 			t.Fatalf("FrameCRC over %d words = %#04x, bit-serial %#04x", len(words), got, wantFDRI)

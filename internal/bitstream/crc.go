@@ -37,23 +37,46 @@ func crcSerial(crc uint16, reg Reg, data uint32) uint16 {
 // The byte tables of crc' = A(crc) ⊕ B(reg, data): crcState[k] is A on
 // state byte k, crcData[k] is B on data byte k, crcReg is B on the 5-bit
 // register address.
+//
+// Four words w₀…w₃ fold in one step, as A⁴(crc) ⊕ Σⱼ A³⁻ʲ(B(reg, wⱼ)):
+// crcState4[k] is A⁴ on state byte k, crcData4[4j+k] is A³⁻ʲ∘B on byte k
+// of word j, and crcReg4 is the register's share of the sum,
+// (A³ ⊕ A² ⊕ A ⊕ 1)(B(reg, 0)). Only the step's two state lookups wait
+// for the previous step's CRC.
 var (
-	crcState [2][256]uint16
-	crcData  [4][256]uint16
-	crcReg   [32]uint16
+	crcState  [2][256]uint16
+	crcData   [4][256]uint16
+	crcReg    [32]uint16
+	crcState4 [2][256]uint16
+	crcData4  [16][256]uint16
+	crcReg4   [32]uint16
 )
 
 func init() {
+	// serial4 folds four words written to reg into crc bit by bit.
+	serial4 := func(crc uint16, reg Reg, words [4]uint32) uint16 {
+		for _, w := range words {
+			crc = crcSerial(crc, reg, w)
+		}
+		return crc
+	}
 	for i := 0; i < 256; i++ {
 		for k := range crcState {
 			crcState[k][i] = crcSerial(uint16(i)<<(8*k), 0, 0)
+			crcState4[k][i] = serial4(uint16(i)<<(8*k), 0, [4]uint32{})
 		}
 		for k := range crcData {
 			crcData[k][i] = crcSerial(0, 0, uint32(i)<<(8*k))
+			for j := 0; j < 4; j++ {
+				var words [4]uint32
+				words[j] = uint32(i) << (8 * k)
+				crcData4[4*j+k][i] = serial4(0, 0, words)
+			}
 		}
 	}
 	for r := range crcReg {
 		crcReg[r] = crcSerial(0, Reg(r), 0)
+		crcReg4[r] = serial4(0, Reg(r), [4]uint32{})
 	}
 }
 
@@ -76,9 +99,21 @@ func crcTerm(regTerm uint16, data uint32) uint16 {
 		crcData[2][byte(data>>16)] ^ crcData[3][data>>24]
 }
 
-// crcStream folds a sequence of data words written to one register.
+// crcStream folds a sequence of data words written to one register, four
+// words per table step and the tail one word at a time. The sixteen data
+// lookups of a step are written out in the loop body: behind a call the
+// compiler does not inline, the four-word step gains little.
 func crcStream(crc uint16, reg Reg, words []uint32) uint16 {
-	regTerm := crcReg[reg&0x1F]
+	regTerm, regTerm4 := crcReg[reg&0x1F], crcReg4[reg&0x1F]
+	for ; len(words) >= 4; words = words[4:] {
+		w0, w1, w2, w3 := words[0], words[1], words[2], words[3]
+		t := regTerm4 ^
+			crcData4[0][byte(w0)] ^ crcData4[1][byte(w0>>8)] ^ crcData4[2][byte(w0>>16)] ^ crcData4[3][w0>>24] ^
+			crcData4[4][byte(w1)] ^ crcData4[5][byte(w1>>8)] ^ crcData4[6][byte(w1>>16)] ^ crcData4[7][w1>>24] ^
+			crcData4[8][byte(w2)] ^ crcData4[9][byte(w2>>8)] ^ crcData4[10][byte(w2>>16)] ^ crcData4[11][w2>>24] ^
+			crcData4[12][byte(w3)] ^ crcData4[13][byte(w3>>8)] ^ crcData4[14][byte(w3>>16)] ^ crcData4[15][w3>>24]
+		crc = t ^ crcState4[0][byte(crc)] ^ crcState4[1][crc>>8]
+	}
 	for _, w := range words {
 		crc = crcFold(crc, regTerm, w)
 	}
@@ -86,10 +121,20 @@ func crcStream(crc uint16, reg Reg, words []uint32) uint16 {
 }
 
 // crcStream2 folds the same words into two running CRCs in one pass,
-// computing each word's data term once: the loader's stream CRC and the
+// computing each step's data term once: the loader's stream CRC and the
 // decoder's container CRC both fold decoded FDRI frame data.
 func crcStream2(a, b uint16, reg Reg, words []uint32) (uint16, uint16) {
-	regTerm := crcReg[reg&0x1F]
+	regTerm, regTerm4 := crcReg[reg&0x1F], crcReg4[reg&0x1F]
+	for ; len(words) >= 4; words = words[4:] {
+		w0, w1, w2, w3 := words[0], words[1], words[2], words[3]
+		t := regTerm4 ^
+			crcData4[0][byte(w0)] ^ crcData4[1][byte(w0>>8)] ^ crcData4[2][byte(w0>>16)] ^ crcData4[3][w0>>24] ^
+			crcData4[4][byte(w1)] ^ crcData4[5][byte(w1>>8)] ^ crcData4[6][byte(w1>>16)] ^ crcData4[7][w1>>24] ^
+			crcData4[8][byte(w2)] ^ crcData4[9][byte(w2>>8)] ^ crcData4[10][byte(w2>>16)] ^ crcData4[11][w2>>24] ^
+			crcData4[12][byte(w3)] ^ crcData4[13][byte(w3>>8)] ^ crcData4[14][byte(w3>>16)] ^ crcData4[15][w3>>24]
+		a = t ^ crcState4[0][byte(a)] ^ crcState4[1][a>>8]
+		b = t ^ crcState4[0][byte(b)] ^ crcState4[1][b>>8]
+	}
 	for _, w := range words {
 		t := crcTerm(regTerm, w)
 		a = t ^ crcState[0][byte(a)] ^ crcState[1][a>>8]

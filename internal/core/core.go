@@ -155,11 +155,10 @@ type Manager struct {
 	// is authoritative it is also the verified content a scrub compares
 	// against.
 	lastHash uint64
-	// hashedAt is the configuration memory's epoch when rebind last hashed
-	// the region (0 until the first hash): lastHash is the region's content
-	// hash as of then, so while no span frame has changed since, a rebind
-	// knows the hash without computing it.
-	hashedAt uint64
+	// hasher keeps the region's frame hashes: a rebind rehashes only the
+	// frames written or flipped since the hasher's last look, a scrub
+	// reads them all.
+	hasher *fabric.RegionHasher
 
 	// diffs caches assembled differential configurations per transition,
 	// so planning and repeated loads never re-run AssembleDifferential.
@@ -211,6 +210,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		modules:      make(map[string]*entry),
 		byHash:       make(map[uint64]*entry),
 		baselineHash: cfg.Baseline.RegionHash(cfg.Region),
+		hasher:       cfg.ConfigMem.Hasher(cfg.Region),
 		diffs:        make(map[diffKey]*bitlinker.Result),
 		zdiffs:       make(map[diffKey]*bitstream.Compressed),
 		zfulls:       make(map[string]*bitstream.Compressed),
@@ -736,15 +736,10 @@ func (m *Manager) book(kind plan.StreamKind, bytes int, elapsed sim.Time) {
 // fires every region's rebind; a sibling's stream leaves this region's
 // hash unchanged and is skipped, so only the affected region re-binds —
 // and an aborted stream (which never fires rebind) demotes only its own
-// region's resident state. A sibling's stream writes none of this region's
-// span frames, so over an authoritative state the hash is not even
-// computed: it is still lastHash.
+// region's resident state. The hasher rehashes only the span frames the
+// stream wrote: none for a sibling's stream.
 func (m *Manager) rebind() {
-	h := m.lastHash
-	if m.hashedAt == 0 || !m.residentOK || m.corrupted || m.spanChanged() {
-		h = m.cfg.ConfigMem.RegionHash(m.cfg.Region)
-		m.hashedAt = m.cfg.ConfigMem.Epoch()
-	}
+	h := m.hasher.Hash()
 	if h == m.lastHash && m.residentOK && !m.corrupted {
 		// Sibling-region stream (or a band-identical overwrite): keep this
 		// region's binding, but never skip the static-design check — a
@@ -780,37 +775,27 @@ func (m *Manager) rebind() {
 	}
 }
 
-// spanChanged reports whether a frame write or bit flip has touched any of
-// the region's span frames since rebind last hashed them.
-func (m *Manager) spanChanged() bool {
-	for _, sp := range m.spans {
-		if m.cfg.ConfigMem.ChangedSince(sp.Lo, sp.Hi, m.hashedAt) {
-			return true
-		}
-	}
-	return false
-}
-
-// Scrub runs one readback pass over the region: it hashes the region's
-// content on every pass, whatever the frame epochs say, and compares it
-// with lastHash, the hash the last rebind verified. Each FNV-1a step
-// folds one whole word and is a bijection of the hash state, so every
-// single-word change, and so every single-bit upset, changes the hash,
-// and unlike a linear CRC it has no structured blind pairs of flips. A mismatch means the resident configuration took a soft
-// error: the tracked resident state is demoted to non-authoritative
-// (detected=true, module names what was lost — "" for a blank region),
-// and the §2.2 hazard gate forces the region's next load onto a complete
-// stream, which overwrites every span frame and thereby heals the flip. A
-// region whose state is already non-authoritative (aborted speculative
-// stream, earlier detection) is not re-scrubbed: it has no verified
-// content to compare against, and a second demotion would double-count
-// the same loss.
+// Scrub runs one readback pass over the region: it reads every band word
+// on every pass, four frames at a time, whatever the frame stamps say, and
+// compares the region hash with lastHash, the hash the last rebind
+// verified. Each FNV-1a step folds one whole word, or one frame hash, and
+// is a bijection of the hash state, so every single-word change, and so
+// every single-bit upset, changes the hash, and unlike a linear CRC it has
+// no structured blind pairs of flips. A mismatch means the resident
+// configuration took a soft error: the tracked resident state is demoted
+// to non-authoritative (detected=true, module names what was lost — ""
+// for a blank region), and the §2.2 hazard gate forces the region's next
+// load onto a complete stream, which overwrites every span frame and
+// thereby heals the flip. A region whose state is already
+// non-authoritative (aborted speculative stream, earlier detection) is not
+// re-scrubbed: it has no verified content to compare against, and a
+// second demotion would double-count the same loss.
 func (m *Manager) Scrub() (detected bool, module string) {
 	m.stats.ScrubPasses++
 	if !m.residentOK || m.corrupted {
 		return false, ""
 	}
-	if m.cfg.ConfigMem.RegionHash(m.cfg.Region) == m.lastHash {
+	if m.hasher.Read() == m.lastHash {
 		return false, ""
 	}
 	m.stats.ScrubFaults++

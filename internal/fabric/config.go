@@ -1,6 +1,9 @@
 package fabric
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ConfigMemory holds the current contents of the device's configuration
 // memory, frame by frame. It is the state that partial bitstreams mutate and
@@ -11,15 +14,19 @@ type ConfigMemory struct {
 	writes uint64
 	// epoch counts frame writes and bit flips; stamp[i] is its value at
 	// frame i's latest one, so a reader that noted the epoch can tell
-	// whether any frame it covers has changed since.
+	// which of the frames it covers have changed since.
 	epoch uint64
 	stamp []uint64
-	// owned marks, per frame, the words some guarded region owns; every
-	// other word is static design. nil until Guard. disturbed records that
-	// a frame write or bit flip has changed a static word since.
-	owned     [][]bool
+	// static holds, per column (CLB columns, then BRAM columns, as frames
+	// are numbered), the word ranges of its frames that no guarded region
+	// owns: the static design. nil until Guard. disturbed records that a
+	// frame write or bit flip has changed a static word since.
+	static    [][]span
 	disturbed bool
 }
+
+// span is a half-open interval [lo, hi) of frame words or frame indexes.
+type span struct{ lo, hi int }
 
 // NewConfigMemory returns the configuration memory of an erased device
 // (all-zero frames).
@@ -51,16 +58,16 @@ func (cm *ConfigMemory) WriteFrame(far FAR, data []uint32) error {
 	if err != nil {
 		return err
 	}
-	if cm.owned != nil && !cm.disturbed {
-		owned := cm.owned[i]
-		for wi, w := range cm.frames[i] {
-			if !owned[wi] && w != data[wi] {
+	f := cm.frames[i]
+	if cm.static != nil && !cm.disturbed {
+		for _, s := range cm.static[cm.dev.column(i)] {
+			if !slices.Equal(f[s.lo:s.hi], data[s.lo:s.hi]) {
 				cm.disturbed = true
 				break
 			}
 		}
 	}
-	copy(cm.frames[i], data)
+	copy(f, data)
 	cm.writes++
 	cm.touch(i)
 	return nil
@@ -120,21 +127,16 @@ func (cm *ConfigMemory) FlipBit(far FAR, word int, bit uint) error {
 		return fmt.Errorf("fabric: bit (%d,%d) outside the %d-word frame geometry",
 			word, bit, cm.dev.FrameLen())
 	}
-	if cm.owned != nil && !cm.owned[i][word] {
-		cm.disturbed = true
+	if cm.static != nil {
+		for _, s := range cm.static[cm.dev.column(i)] {
+			if word >= s.lo && word < s.hi {
+				cm.disturbed = true
+			}
+		}
 	}
 	cm.frames[i][word] ^= 1 << bit
 	cm.touch(i)
 	return nil
-}
-
-// frame returns the live frame slice (internal use).
-func (cm *ConfigMemory) frame(far FAR) []uint32 {
-	i, err := cm.dev.FrameIndex(far)
-	if err != nil {
-		panic(err)
-	}
-	return cm.frames[i]
 }
 
 // Clone returns a deep copy of the frames — used to snapshot the static
@@ -150,80 +152,219 @@ func (cm *ConfigMemory) Clone() *ConfigMemory {
 }
 
 // The content binding hash is 64-bit FNV-1a taken over whole 32-bit words
-// instead of bytes. It is not a cryptographic hash; it binds configuration
-// contents to behavioural models.
+// instead of bytes, in two levels: each frame's band words hash to a frame
+// hash, and the frame hashes fold, in frame order, into the region hash. It
+// is not a cryptographic hash; it binds configuration contents to
+// behavioural models.
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 )
 
-// fnvWord folds one whole 32-bit word into the hash. Each step is a
-// bijection of the state for a fixed word and injective in the word for a
-// fixed state, so changing any single word of a sequence changes its hash.
-func fnvWord(h uint64, w uint32) uint64 { return (h ^ uint64(w)) * fnvPrime }
+// fnvFold folds one value into the hash. Each step is a bijection of the
+// state for a fixed value and injective in the value for a fixed state, so
+// changing any single value of a sequence changes its hash: a changed band
+// word changes its frame hash, and a changed frame hash the region hash.
+func fnvFold(h, v uint64) uint64 { return (h ^ v) * fnvPrime }
+
+// fnvWord folds one whole 32-bit word into the hash.
+func fnvWord(h uint64, w uint32) uint64 { return fnvFold(h, uint64(w)) }
+
+// bandHash is the frame hash of one frame's band words.
+func bandHash(band []uint32) uint64 {
+	h := uint64(fnvOffset)
+	for _, w := range band {
+		h = fnvWord(h, w)
+	}
+	return h
+}
+
+// bandHashes sets sums[k] to the frame hash of words [lo, hi) of frame
+// first+k, four frames per bandHash4 pass.
+func (cm *ConfigMemory) bandHashes(sums []uint64, first, lo, hi int) {
+	k := 0
+	for ; k+4 <= len(sums); k += 4 {
+		fs := cm.frames[first+k : first+k+4]
+		sums[k], sums[k+1], sums[k+2], sums[k+3] = bandHash4(fs[0][lo:hi], fs[1][lo:hi], fs[2][lo:hi], fs[3][lo:hi])
+	}
+	for ; k < len(sums); k++ {
+		sums[k] = bandHash(cm.frames[first+k][lo:hi])
+	}
+}
+
+// bandHash4 returns the frame hashes of four equally long bands. It runs
+// their four multiply-xor chains in one loop, so the multiply latency that
+// bounds one chain overlaps; each result is bandHash's. It stays a call of
+// its own: inlined, the caller's variables crowd the chains out of their
+// registers.
+func bandHash4(b0, b1, b2, b3 []uint32) (h0, h1, h2, h3 uint64) {
+	b1, b2, b3 = b1[:len(b0)], b2[:len(b0)], b3[:len(b0)]
+	h0, h1, h2, h3 = fnvOffset, fnvOffset, fnvOffset, fnvOffset
+	for j, w := range b0 {
+		h0 = fnvWord(h0, w)
+		h1 = fnvWord(h1, b1[j])
+		h2 = fnvWord(h2, b2[j])
+		h3 = fnvWord(h3, b3[j])
+	}
+	return h0, h1, h2, h3
+}
+
+// regionFrames returns the indexes of the frames whose row band the region
+// owns, in hash order: the frames of every enclosed CLB column, then the
+// content frames of every enclosed BRAM column. Each run is consecutive,
+// as the region's columns are and the sorted BRAM columns they enclose.
+func (d *Device) regionFrames(r Region) [2]span {
+	clb := span{r.Col0 * FramesPerCLBColumn, (r.Col0 + r.W) * FramesPerCLBColumn}
+	var bram span
+	for i, pos := range d.BRAMColPos {
+		if r.enclosesBRAM(pos) {
+			first := d.Cols*FramesPerCLBColumn + i*FramesPerBRAMColumn
+			if bram.hi == 0 {
+				bram.lo = first
+			}
+			bram.hi = first + FramesPerBRAMColumn
+		}
+	}
+	return [2]span{clb, bram}
+}
 
 // RegionHash hashes the configuration bits owned by the region: for every
 // enclosed CLB column, the frame words of the row band across all frames of
 // the column; for every enclosed BRAM column, the same band of its content
-// frames. The hash identifies which circuit is currently configured in the
-// region.
+// frames. Each frame's band hashes to a frame hash, and the frame hashes
+// fold in that order. The hash identifies which circuit is currently
+// configured in the region.
 func (cm *ConfigMemory) RegionHash(r Region) uint64 {
-	h := uint64(fnvOffset)
 	lo, hi := cm.dev.RowWordRange(r.Row0, r.H)
-	for col := r.Col0; col < r.Col0+r.W; col++ {
-		for minor := 0; minor < FramesPerCLBColumn; minor++ {
-			f := cm.frame(FAR{Block: BlockCLB, Major: col, Minor: minor})
-			for _, w := range f[lo:hi] {
-				h = fnvWord(h, w)
-			}
-		}
-	}
-	for _, bcol := range cm.dev.BRAMColumns(r) {
-		for minor := 0; minor < FramesPerBRAMColumn; minor++ {
-			f := cm.frame(FAR{Block: BlockBRAM, Major: bcol, Minor: minor})
-			for _, w := range f[lo:hi] {
-				h = fnvWord(h, w)
+	h := uint64(fnvOffset)
+	var sums [4]uint64
+	for _, run := range cm.dev.regionFrames(r) {
+		for i := run.lo; i < run.hi; i += len(sums) {
+			part := sums[:min(len(sums), run.hi-i)]
+			cm.bandHashes(part, i, lo, hi)
+			for _, s := range part {
+				h = fnvFold(h, s)
 			}
 		}
 	}
 	return h
 }
 
+// RegionHasher keeps a region's frame hashes and the epoch they were taken
+// at, so that hashing the region again after a configuration stream
+// rehashes only the frames the stream wrote. Its state is one frame hash
+// per region frame.
+type RegionHasher struct {
+	cm     *ConfigMemory
+	runs   [2]span // the region's frames (regionFrames)
+	lo, hi int     // the row band's words
+	sums   []uint64
+	seen   uint64
+}
+
+// Hasher returns a hasher of the region in this memory. It reads every
+// band word once, so it starts from the content and not from the frame
+// stamps: a Clone's frames carry none.
+func (cm *ConfigMemory) Hasher(r Region) *RegionHasher {
+	rh := &RegionHasher{cm: cm, runs: cm.dev.regionFrames(r)}
+	rh.lo, rh.hi = cm.dev.RowWordRange(r.Row0, r.H)
+	rh.sums = make([]uint64, rh.runs[0].hi-rh.runs[0].lo+rh.runs[1].hi-rh.runs[1].lo)
+	rh.Read()
+	return rh
+}
+
+// Hash returns RegionHash of the region's current content. It rehashes the
+// frames a frame write or bit flip stamped since the hasher's last Hash or
+// Read, and trusts its frame hashes of the others.
+func (rh *RegionHasher) Hash() uint64 {
+	sums := rh.sums
+	for _, run := range rh.runs {
+		stamp := rh.cm.stamp[run.lo:run.hi]
+		for i := 0; i < len(stamp); {
+			if stamp[i] <= rh.seen {
+				i++
+				continue
+			}
+			j := i + 1
+			for j < len(stamp) && stamp[j] > rh.seen {
+				j++
+			}
+			rh.cm.bandHashes(sums[i:j], run.lo+i, rh.lo, rh.hi)
+			i = j
+		}
+		sums = sums[len(stamp):]
+	}
+	return rh.fold()
+}
+
+// Read returns RegionHash of the region's current content, rehashing every
+// band word whatever the stamps say: a readback of the region.
+func (rh *RegionHasher) Read() uint64 {
+	sums := rh.sums
+	for _, run := range rh.runs {
+		n := run.hi - run.lo
+		rh.cm.bandHashes(sums[:n], run.lo, rh.lo, rh.hi)
+		sums = sums[n:]
+	}
+	return rh.fold()
+}
+
+// fold notes the epoch the frame hashes now stand for and folds them into
+// the region hash.
+func (rh *RegionHasher) fold() uint64 {
+	rh.seen = rh.cm.epoch
+	h := uint64(fnvOffset)
+	for _, s := range rh.sums {
+		h = fnvFold(h, s)
+	}
+	return h
+}
+
 // Guard marks every frame word outside the given regions' row bands as
 // static design and clears Disturbed. A region owns its row band of every
-// frame of the columns it encloses; the owned words of a column are worked
-// out once, shared by all its frames. From then on a frame write or bit
-// flip that changes a static word sets Disturbed: the §2.2 hazard of a
+// frame of the columns it encloses; the static word ranges of a column are
+// worked out once, shared by all its frames. From then on a frame write or
+// bit flip that changes a static word sets Disturbed: the §2.2 hazard of a
 // partial configuration rewriting static rows that share its full-height
 // frames (the hazard BitLinker exists to prevent).
 func (cm *ConfigMemory) Guard(regions ...Region) {
-	cm.owned = make([][]bool, 0, len(cm.frames))
-	// Columns in frame index order: CLB columns, then BRAM columns.
-	guardColumn := func(b BlockType, encloses func(Region) bool) {
-		owned := make([]bool, cm.dev.FrameLen())
+	cm.static = make([][]span, 0, cm.dev.Cols+len(cm.dev.BRAMColPos))
+	inBand := make([]bool, cm.dev.FrameLen())
+	guardColumn := func(encloses func(Region) bool) {
+		clear(inBand)
 		for _, r := range regions {
 			if encloses(r) {
 				lo, hi := cm.dev.RowWordRange(r.Row0, r.H)
 				for wi := lo; wi < hi; wi++ {
-					owned[wi] = true
+					inBand[wi] = true
 				}
 			}
 		}
-		for range FramesFor(b) {
-			cm.owned = append(cm.owned, owned)
+		var static []span
+		for wi, in := range inBand {
+			if in {
+				continue
+			}
+			if n := len(static); n > 0 && static[n-1].hi == wi {
+				static[n-1].hi++
+			} else {
+				static = append(static, span{wi, wi + 1})
+			}
 		}
+		cm.static = append(cm.static, static)
 	}
+	// Columns in frame index order: CLB columns, then BRAM columns.
 	for col := 0; col < cm.dev.Cols; col++ {
-		guardColumn(BlockCLB, func(r Region) bool { return r.ContainsCol(col) })
+		guardColumn(func(r Region) bool { return r.ContainsCol(col) })
 	}
 	for _, pos := range cm.dev.BRAMColPos {
-		guardColumn(BlockBRAM, func(r Region) bool { return r.enclosesBRAM(pos) })
+		guardColumn(func(r Region) bool { return r.enclosesBRAM(pos) })
 	}
 	cm.disturbed = false
 }
 
 // Guarded reports whether Guard has marked the static design.
-func (cm *ConfigMemory) Guarded() bool { return cm.owned != nil }
+func (cm *ConfigMemory) Guarded() bool { return cm.static != nil }
 
 // Disturbed reports whether a frame write or bit flip has changed a static
 // word since Guard. It is sticky: writing the old value back does not

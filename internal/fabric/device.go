@@ -154,14 +154,6 @@ func (d *Device) RowWordRange(row0, h int) (lo, hi int) {
 	return frameOverheadWords + wordsPerRow*row0, frameOverheadWords + wordsPerRow*(row0+h)
 }
 
-// FramesFor returns the number of frames per column for the block type.
-func FramesFor(b BlockType) int {
-	if b == BlockBRAM {
-		return FramesPerBRAMColumn
-	}
-	return FramesPerCLBColumn
-}
-
 // MajorCount returns the number of columns in the block type's address space.
 func (d *Device) MajorCount(b BlockType) int {
 	if b == BlockBRAM {

@@ -435,6 +435,121 @@ func TestChangedSinceTracksWritesAndFlips(t *testing.T) {
 	check("a bit flip")
 }
 
+// TestRegionHasherMatchesRead: a hasher's Hash, which rehashes only the
+// frames stamped since its last look, equals a full Read and RegionHash
+// after every step of a seeded mix of frame writes (band changes,
+// band-identical rewrites and static-only changes, in the region's span,
+// a sibling's span and static frames) and bit flips inside and outside
+// the bands, with Hash called at random points. Once made, each region's
+// incremental hasher never reads in full, so stale frame hashes would
+// accumulate. A hasher made on a Clone, whose frames carry no stamps,
+// starts from the content.
+func TestRegionHasherMatchesRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, c := range []struct {
+		d       *Device
+		regions []Region
+	}{
+		{XC2VP7(), []Region{DynamicRegion32()}},
+		{XC2VP30(), []Region{DynamicRegion64(), DynamicRegion64B()}},
+	} {
+		d := c.d
+		cm := NewConfigMemory(d)
+		for _, f := range cm.frames {
+			for i := range f {
+				f[i] = rng.Uint32()
+			}
+		}
+		cm.Guard(c.regions...)
+		var hashers, readers []*RegionHasher
+		spans := make([][]int, len(c.regions))
+		inSpan := make([]bool, d.NumFrames())
+		for ri, r := range c.regions {
+			hashers = append(hashers, cm.Hasher(r))
+			readers = append(readers, cm.Hasher(r))
+			for _, run := range d.regionFrames(r) {
+				for fi := run.lo; fi < run.hi; fi++ {
+					spans[ri] = append(spans[ri], fi)
+					inSpan[fi] = true
+				}
+			}
+		}
+		var static []int
+		for fi, in := range inSpan {
+			if !in {
+				static = append(static, fi)
+			}
+		}
+		check := func(step int) {
+			t.Helper()
+			for ri, r := range c.regions {
+				want := cm.RegionHash(r)
+				if got := hashers[ri].Hash(); got != want {
+					t.Fatalf("%s step %d: %s Hash = %#x, RegionHash %#x", d.Name, step, r.Name, got, want)
+				}
+				if got := readers[ri].Read(); got != want {
+					t.Fatalf("%s step %d: %s Read = %#x, RegionHash %#x", d.Name, step, r.Name, got, want)
+				}
+			}
+		}
+		for step := range 2000 {
+			// A frame of a random region's span (the region, or its
+			// sibling's from the other region's view) or a static frame,
+			// and that region's band.
+			ri := rng.Intn(len(c.regions))
+			fi := spans[ri][rng.Intn(len(spans[ri]))]
+			if rng.Intn(4) == 0 {
+				fi = static[rng.Intn(len(static))]
+			}
+			lo, hi := d.RowWordRange(c.regions[ri].Row0, c.regions[ri].H)
+			outside := rng.Intn(d.FrameLen() - (hi - lo))
+			if outside >= lo {
+				outside += hi - lo
+			}
+			far, _ := d.FARAt(fi)
+			frame, _ := cm.ReadFrame(far)
+			kind := []string{"write band", "rewrite unchanged", "write outside band", "flip in band", "flip outside band", "hash"}[rng.Intn(6)]
+			var err error
+			switch kind {
+			case "write band":
+				frame[lo+rng.Intn(hi-lo)] ^= 1 << uint(rng.Intn(32))
+				err = cm.WriteFrame(far, frame)
+			case "rewrite unchanged":
+				err = cm.WriteFrame(far, frame)
+			case "write outside band":
+				frame[outside] = rng.Uint32()
+				err = cm.WriteFrame(far, frame)
+			case "flip in band":
+				err = cm.FlipBit(far, lo+rng.Intn(hi-lo), uint(rng.Intn(32)))
+			case "flip outside band":
+				err = cm.FlipBit(far, outside, uint(rng.Intn(32)))
+			case "hash":
+				check(step)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(2000)
+
+		clone := cm.Clone()
+		for ri, r := range c.regions {
+			rh := clone.Hasher(r)
+			if got, want := rh.Hash(), clone.RegionHash(r); got != want {
+				t.Fatalf("%s: a hasher made on a clone hashes %s as %#x, RegionHash %#x", d.Name, r.Name, got, want)
+			}
+			far, _ := d.FARAt(spans[ri][rng.Intn(len(spans[ri]))])
+			lo, _ := d.RowWordRange(r.Row0, r.H)
+			if err := clone.FlipBit(far, lo, 0); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := rh.Hash(), clone.RegionHash(r); got != want {
+				t.Fatalf("%s: after a flip in a clone, %s Hash = %#x, RegionHash %#x", d.Name, r.Name, got, want)
+			}
+		}
+	}
+}
+
 func TestResources(t *testing.T) {
 	a := Resources{Slices: 100, LUTs: 150, FFs: 120, BRAMs: 2}
 	b := Resources{Slices: 50, LUTs: 60, FFs: 70, BRAMs: 1}
@@ -533,7 +648,7 @@ func staticHashPerWord(cm *ConfigMemory, regions ...Region) uint64 {
 	h := uint64(fnvOffset)
 	for col := 0; col < cm.dev.Cols; col++ {
 		for minor := 0; minor < FramesPerCLBColumn; minor++ {
-			f := cm.frame(FAR{Block: BlockCLB, Major: col, Minor: minor})
+			f := frameAt(cm, FAR{Block: BlockCLB, Major: col, Minor: minor})
 			for wi, w := range f {
 				if wordInRegions(cm.dev, regions, col, wi, false, 0) {
 					continue
@@ -544,7 +659,7 @@ func staticHashPerWord(cm *ConfigMemory, regions ...Region) uint64 {
 	}
 	for bcol := range cm.dev.BRAMColPos {
 		for minor := 0; minor < FramesPerBRAMColumn; minor++ {
-			f := cm.frame(FAR{Block: BlockBRAM, Major: bcol, Minor: minor})
+			f := frameAt(cm, FAR{Block: BlockBRAM, Major: bcol, Minor: minor})
 			for wi, w := range f {
 				if wordInRegions(cm.dev, regions, 0, wi, true, bcol) {
 					continue
@@ -554,6 +669,15 @@ func staticHashPerWord(cm *ConfigMemory, regions ...Region) uint64 {
 		}
 	}
 	return h
+}
+
+// frameAt returns the live frame at far.
+func frameAt(cm *ConfigMemory, far FAR) []uint32 {
+	i, err := cm.dev.FrameIndex(far)
+	if err != nil {
+		panic(err)
+	}
+	return cm.frames[i]
 }
 
 // wordInRegions reports whether frame word index wi of the given column
@@ -733,3 +857,50 @@ func TestCloneCarriesNoGuard(t *testing.T) {
 		t.Error("unguarded clone reports a disturbance")
 	}
 }
+
+// BenchmarkRegionHash times the region hash of XC2VP30's dynamic64 (1024
+// frames of 72 band words) per band word of the region: read rehashes
+// every band word, as a scrub does; rebind writes one band word of one
+// region frame and hashes the region again, as a rebind after a one-frame
+// stream does.
+func BenchmarkRegionHash(b *testing.B) {
+	d, r := XC2VP30(), DynamicRegion64()
+	cm := NewConfigMemory(d)
+	rng := rand.New(rand.NewSource(1))
+	for _, f := range cm.frames {
+		for i := range f {
+			f[i] = rng.Uint32()
+		}
+	}
+	rh := cm.Hasher(r)
+	lo, hi := d.RowWordRange(r.Row0, r.H)
+	words := len(rh.sums) * (hi - lo)
+	far := FAR{Block: BlockCLB, Major: r.Col0, Minor: 0}
+	frame, err := cm.ReadFrame(far)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		hash func(i int) uint64
+	}{
+		{"read", func(int) uint64 { return rh.Read() }},
+		{"rebind", func(i int) uint64 {
+			frame[lo] = uint32(i)
+			if err := cm.WriteFrame(far, frame); err != nil {
+				b.Fatal(err)
+			}
+			return rh.Hash()
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hashSink = c.hash(i)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*words), "ns/band-word")
+		})
+	}
+}
+
+var hashSink uint64

@@ -62,6 +62,15 @@ func (d *Device) FARAt(index int) (FAR, error) {
 	return FAR{Block: BlockBRAM, Major: index / FramesPerBRAMColumn, Minor: index % FramesPerBRAMColumn}, nil
 }
 
+// column returns the column of frame index i, numbered as frames are: CLB
+// columns first, then BRAM columns.
+func (d *Device) column(i int) int {
+	if clb := d.Cols * FramesPerCLBColumn; i >= clb {
+		return d.Cols + (i-clb)/FramesPerBRAMColumn
+	}
+	return i / FramesPerCLBColumn
+}
+
 // NextFAR returns the frame address following f in linear order, supporting
 // the auto-increment behaviour of consecutive FDRI frame writes. ok is false
 // when f is the last frame of the device.

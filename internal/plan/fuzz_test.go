@@ -23,6 +23,8 @@ type fuzzArea struct {
 	placed   map[string]bitlinker.Placed
 	images   map[string]*fabric.ConfigMemory // post-load region images ("" = baseline)
 	complete map[string]*bitlinker.Result
+	// hasher hashes the area in the world's live memory, across loads.
+	hasher *fabric.RegionHasher
 }
 
 type fuzzWorld struct {
@@ -30,6 +32,10 @@ type fuzzWorld struct {
 	fp       region.Floorplan
 	baseline *fabric.ConfigMemory
 	areas    []*fuzzArea
+	// live takes every fuzzed stream in turn, whatever it was assembled
+	// against, so its areas' hashers see a long run of loads. A fuzz
+	// worker runs one input at a time.
+	live *fabric.ConfigMemory
 }
 
 var (
@@ -117,7 +123,7 @@ func buildFuzzWorld() (*fuzzWorld, error) {
 			}
 		}
 	}
-	w := &fuzzWorld{dev: dev, fp: fp, baseline: cm}
+	w := &fuzzWorld{dev: dev, fp: fp, baseline: cm, live: cm.Clone()}
 	widths := []int{4, 7, 11, 15}
 	for _, a := range fp.Areas {
 		asm, err := bitlinker.New(dev, a.R, cm, a.Macro)
@@ -131,6 +137,7 @@ func buildFuzzWorld() (*fuzzWorld, error) {
 			placed:   make(map[string]bitlinker.Placed),
 			images:   map[string]*fabric.ConfigMemory{"": cm},
 			complete: make(map[string]*bitlinker.Result),
+			hasher:   w.live.Hasher(a.R),
 		}
 		for _, wd := range widths {
 			if wd > a.R.W {
@@ -175,7 +182,9 @@ func fuzzSetup(t interface{ Fatal(...any) }) *fuzzWorld {
 // stream must stay inside the region's own frame spans (region-relative
 // offsets can never alias a sibling or the static design), reproduce the
 // wanted region hash, leave the sibling region and the static image
-// untouched, and agree byte-for-byte with the planner's sizing.
+// untouched, and agree byte-for-byte with the planner's sizing. Every
+// stream also lands in one live memory, where each area's RegionHasher
+// must equal RegionHash after every load.
 func FuzzRegionPlanner(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(1))
 	f.Add(uint8(1), uint8(4), uint8(2))
@@ -246,6 +255,17 @@ func FuzzRegionPlanner(f *testing.F) {
 		}
 		if img.Disturbed() {
 			t.Fatalf("differential %q -> %q disturbed the static design", from, to)
+		}
+		// The incremental region hash after the same load into the live
+		// memory: each area's hasher rehashes only the frames written since
+		// its last look, and must still equal a full hash.
+		if err := bitstream.NewLoader(w.live).Load(res.Stream); err != nil {
+			t.Fatalf("loading differential %q -> %q into the live memory: %v", from, to, err)
+		}
+		for _, a := range w.areas {
+			if got, want := a.hasher.Hash(), w.live.RegionHash(a.area.R); got != want {
+				t.Fatalf("after differential %q -> %q, %s hasher = %#x, RegionHash %#x", from, to, a.area.R.Name, got, want)
+			}
 		}
 	})
 }
