@@ -111,6 +111,10 @@ func run(args []string, out, errw io.Writer) int {
 		fmt.Fprintf(errw, "fpgad: -batch %d: at least one request per batch\n", *batch)
 		return 2
 	}
+	if *window < 0 {
+		fmt.Fprintf(errw, "fpgad: -window %d: a window cannot be negative (0 submits every request upfront)\n", *window)
+		return 2
+	}
 	if *regions < 1 {
 		fmt.Fprintf(errw, "fpgad: -regions %d: at least one region per member\n", *regions)
 		return 2

@@ -55,6 +55,7 @@ func TestRunFlagAndMixParsing(t *testing.T) {
 		{"negative sys64", []string{"-sys32", "1", "-sys64", "-1"}, "-sys64 -1: a board count cannot be negative"},
 		{"negative batch", []string{"-batch", "-2"}, "-batch -2: at least one request per batch"},
 		{"zero batch", []string{"-batch", "0"}, "-batch 0: at least one request per batch"},
+		{"negative window", []string{"-sys32", "1", "-n", "4", "-window", "-1"}, "-window -1: a window cannot be negative (0 submits every request upfront)"},
 		{"oversplit regions", []string{"-sys32", "1", "-regions", "20", "-n", "2"}, "cannot host"},
 	}
 	for _, tc := range cases {

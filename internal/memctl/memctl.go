@@ -5,7 +5,10 @@
 // cost only what is touched.
 package memctl
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 const pageBits = 16 // 64 KB pages
 const pageSize = 1 << pageBits
@@ -60,41 +63,35 @@ func (m *Memory) Size() int { return m.size }
 // Stats returns access counts.
 func (m *Memory) Stats() (reads, writes uint64) { return m.reads, m.writes }
 
-// page returns the backing page for addr, allocating on demand when write
-// is true; a nil return means an untouched page (reads as zero) or an
-// out-of-range address.
-func (m *Memory) page(addr uint32, write bool) []byte {
-	if int(addr) >= m.size {
-		return nil
+// store copies data into memory at addr one page-sized chunk at a time,
+// allocating each page it touches. The range must lie inside memory.
+func (m *Memory) store(addr uint32, data []byte) {
+	for len(data) > 0 {
+		idx := addr >> pageBits
+		p := m.pages[idx]
+		if p == nil {
+			p = make([]byte, pageSize)
+			m.pages[idx] = p
+		}
+		n := copy(p[addr&(pageSize-1):], data)
+		data = data[n:]
+		addr += uint32(n)
 	}
-	idx := addr >> pageBits
-	p := m.pages[idx]
-	if p == nil && write {
-		p = make([]byte, pageSize)
-		m.pages[idx] = p
-	}
-	return p
 }
 
-// byteAt reads one byte functionally.
-func (m *Memory) byteAt(addr uint32) byte {
-	if int(addr) >= m.size {
-		return 0xFF // floating bus
+// load copies memory at addr into out one page-sized chunk at a time. out
+// arrives zeroed, so an untouched page, which reads as zero, copies
+// nothing. The range must lie inside memory.
+func (m *Memory) load(addr uint32, out []byte) {
+	for len(out) > 0 {
+		off := addr & (pageSize - 1)
+		n := min(len(out), pageSize-int(off))
+		if p := m.pages[addr>>pageBits]; p != nil {
+			copy(out[:n], p[off:])
+		}
+		out = out[n:]
+		addr += uint32(n)
 	}
-	p := m.pages[addr>>pageBits]
-	if p == nil {
-		return 0
-	}
-	return p[addr&(pageSize-1)]
-}
-
-// setByte writes one byte functionally.
-func (m *Memory) setByte(addr uint32, v byte) {
-	p := m.page(addr, true)
-	if p == nil {
-		return
-	}
-	p[addr&(pageSize-1)] = v
 }
 
 // Read implements bus.Slave.
@@ -128,9 +125,17 @@ func (m *Memory) PeekBE(addr uint32, size int) uint64 {
 	if int(addr)+size > m.size {
 		return ^uint64(0)
 	}
+	off := int(addr & (pageSize - 1))
+	if off+size > pageSize { // straddles two pages
+		var b [8]byte
+		m.load(addr, b[8-size:])
+		return binary.BigEndian.Uint64(b[:])
+	}
 	var v uint64
-	for i := 0; i < size; i++ {
-		v = v<<8 | uint64(m.byteAt(addr+uint32(i)))
+	if p := m.pages[addr>>pageBits]; p != nil {
+		for _, c := range p[off : off+size] {
+			v = v<<8 | uint64(c)
+		}
 	}
 	return v
 }
@@ -141,10 +146,9 @@ func (m *Memory) PokeBE(addr uint32, val uint64, size int) {
 	if int(addr)+size > m.size {
 		return
 	}
-	for i := size - 1; i >= 0; i-- {
-		m.setByte(addr+uint32(i), byte(val))
-		val >>= 8
-	}
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], val)
+	m.store(addr, b[8-size:])
 }
 
 // LoadBytes copies raw bytes into memory at addr (test/program loading).
@@ -152,9 +156,7 @@ func (m *Memory) LoadBytes(addr uint32, data []byte) error {
 	if int(addr)+len(data) > m.size {
 		return fmt.Errorf("memctl: %s: load of %d bytes at %#x out of range", m.name, len(data), addr)
 	}
-	for i, b := range data {
-		m.setByte(addr+uint32(i), b)
-	}
+	m.store(addr, data)
 	return nil
 }
 
@@ -164,8 +166,6 @@ func (m *Memory) ReadBytes(addr uint32, size int) ([]byte, error) {
 		return nil, fmt.Errorf("memctl: %s: read of %d bytes at %#x out of range", m.name, size, addr)
 	}
 	out := make([]byte, size)
-	for i := range out {
-		out[i] = m.byteAt(addr + uint32(i))
-	}
+	m.load(addr, out)
 	return out, nil
 }

@@ -2,6 +2,8 @@ package memctl
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -121,5 +123,165 @@ func TestPeekPokeRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The byte-wise accessors the page-wise ones replaced: one page-map lookup
+// per byte. They are the reference TestPageWiseMatchesByteWise holds
+// PeekBE, PokeBE, LoadBytes and ReadBytes to.
+
+func (m *Memory) byteAt(addr uint32) byte {
+	if int(addr) >= m.size {
+		return 0xFF // floating bus
+	}
+	p := m.pages[addr>>pageBits]
+	if p == nil {
+		return 0
+	}
+	return p[addr&(pageSize-1)]
+}
+
+func (m *Memory) setByte(addr uint32, v byte) {
+	if int(addr) >= m.size {
+		return
+	}
+	idx := addr >> pageBits
+	p := m.pages[idx]
+	if p == nil {
+		p = make([]byte, pageSize)
+		m.pages[idx] = p
+	}
+	p[addr&(pageSize-1)] = v
+}
+
+func (m *Memory) refPeekBE(addr uint32, size int) uint64 {
+	if int(addr)+size > m.size {
+		return ^uint64(0)
+	}
+	var v uint64
+	for i := 0; i < size; i++ {
+		v = v<<8 | uint64(m.byteAt(addr+uint32(i)))
+	}
+	return v
+}
+
+func (m *Memory) refPokeBE(addr uint32, val uint64, size int) {
+	if int(addr)+size > m.size {
+		return
+	}
+	for i := size - 1; i >= 0; i-- {
+		m.setByte(addr+uint32(i), byte(val))
+		val >>= 8
+	}
+}
+
+func (m *Memory) refLoadBytes(addr uint32, data []byte) error {
+	if int(addr)+len(data) > m.size {
+		return fmt.Errorf("memctl: %s: load of %d bytes at %#x out of range", m.name, len(data), addr)
+	}
+	for i, b := range data {
+		m.setByte(addr+uint32(i), b)
+	}
+	return nil
+}
+
+func (m *Memory) refReadBytes(addr uint32, size int) ([]byte, error) {
+	if int(addr)+size > m.size {
+		return nil, fmt.Errorf("memctl: %s: read of %d bytes at %#x out of range", m.name, size, addr)
+	}
+	out := make([]byte, size)
+	for i := range out {
+		out[i] = m.byteAt(addr + uint32(i))
+	}
+	return out, nil
+}
+
+// TestPageWiseMatchesByteWise drives two memories with one seeded sequence
+// of accesses, one through the page-wise accessors (and Read/Write, which
+// call them) and one through the byte-wise reference, and requires equal
+// values, errors, Stats() and pages after every access. Addresses cluster
+// on both sides of each 64 KB page boundary, at the top of memory and past
+// it; loads and reads run up to 200 KB, across several pages.
+func TestPageWiseMatchesByteWise(t *testing.T) {
+	const size = 5*pageSize + 1000 // the top page is partial
+	got, want := New("m", size, 2, 3, -1), New("m", size, 2, 3, -1)
+	rng := rand.New(rand.NewSource(26))
+	addr := func() uint32 {
+		switch rng.Intn(4) {
+		case 0: // a page boundary, either side
+			return uint32(rng.Intn(size/pageSize+1)*pageSize + rng.Intn(17) - 8)
+		case 1: // the top of memory and past it
+			return uint32(size + rng.Intn(17) - 12)
+		default:
+			return uint32(rng.Intn(size + 16))
+		}
+	}
+	length := func() int {
+		if rng.Intn(3) == 0 {
+			return rng.Intn(17)
+		}
+		return rng.Intn(200 << 10)
+	}
+	for op := 0; op < 3000; op++ {
+		a := addr() // below a boundary at 0 wraps far past memory
+		width := []int{1, 2, 4, 8}[rng.Intn(4)]
+		what := ""
+		switch rng.Intn(6) {
+		case 0:
+			what = "PokeBE"
+			v := rng.Uint64()
+			got.PokeBE(a, v, width)
+			want.refPokeBE(a, v, width)
+		case 1:
+			what = "Write"
+			v := rng.Uint64()
+			gw := got.Write(a, v, width)
+			want.writes++
+			want.refPokeBE(a, v, width)
+			if gw != want.writeWaits {
+				t.Fatalf("op %d: Write waits %d", op, gw)
+			}
+		case 2:
+			what = "PeekBE"
+			if g, w := got.PeekBE(a, width), want.refPeekBE(a, width); g != w {
+				t.Fatalf("op %d: PeekBE(%#x, %d) = %#x, want %#x", op, a, width, g, w)
+			}
+		case 3:
+			what = "Read"
+			g, gw := got.Read(a, width)
+			want.reads++
+			if w := want.refPeekBE(a, width); g != w || gw != want.readWaits {
+				t.Fatalf("op %d: Read(%#x, %d) = %#x/%d, want %#x/%d", op, a, width, g, gw, w, want.readWaits)
+			}
+		case 4:
+			what = "LoadBytes"
+			data := make([]byte, length())
+			rng.Read(data)
+			ge, we := got.LoadBytes(a, data), want.refLoadBytes(a, data)
+			if fmt.Sprint(ge) != fmt.Sprint(we) {
+				t.Fatalf("op %d: LoadBytes(%#x, %d bytes) error %v, want %v", op, a, len(data), ge, we)
+			}
+		case 5:
+			what = "ReadBytes"
+			n := length()
+			g, ge := got.ReadBytes(a, n)
+			w, we := want.refReadBytes(a, n)
+			if fmt.Sprint(ge) != fmt.Sprint(we) || !bytes.Equal(g, w) || (g == nil) != (w == nil) {
+				t.Fatalf("op %d: ReadBytes(%#x, %d) differs (errors %v, %v)", op, a, n, ge, we)
+			}
+		}
+		gr, gw := got.Stats()
+		wr, ww := want.Stats()
+		if gr != wr || gw != ww {
+			t.Fatalf("op %d (%s): Stats %d/%d, want %d/%d", op, what, gr, gw, wr, ww)
+		}
+		if len(got.pages) != len(want.pages) {
+			t.Fatalf("op %d (%s at %#x): %d pages, want %d", op, what, a, len(got.pages), len(want.pages))
+		}
+	}
+	for idx, w := range want.pages {
+		if !bytes.Equal(got.pages[idx], w) {
+			t.Fatalf("page %d differs", idx)
+		}
 	}
 }

@@ -151,10 +151,3 @@ func mix(a, b, c uint32) (uint32, uint32, uint32) {
 	c ^= b >> 15
 	return a, b, c
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

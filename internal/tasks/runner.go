@@ -39,9 +39,11 @@ const (
 	runScratchOff = 0x60_0000 // padding / stack scratch
 )
 
+// runnerData is the n-byte payload rand.New(rand.NewSource(seed)).Read
+// yields, drawn from a jumpSource.
 func runnerData(seed int64, n int) []byte {
 	b := make([]byte, n)
-	rand.New(rand.NewSource(seed)).Read(b)
+	rand.New(newJumpSource(seed)).Read(b)
 	return b
 }
 
@@ -118,7 +120,7 @@ func (r PatternRun) Name() string   { return fmt.Sprintf("patternmatch/%dx%d", r
 func (r PatternRun) Module() string { return "patternmatch" }
 
 func (r PatternRun) Run(s *platform.System) error {
-	rng := rand.New(rand.NewSource(r.Seed))
+	rng := rand.New(newJumpSource(r.Seed))
 	im := ref.NewBinaryImage(r.W, r.H)
 	for i := range im.Words {
 		im.Words[i] = rng.Uint32()
