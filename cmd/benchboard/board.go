@@ -16,7 +16,7 @@ type point struct {
 	sha      string
 	value    float64
 	tol      float64 // the row's tolerance_pct (0 = the gate default)
-	flagged  bool    // fails the gate band vs its predecessor (or a recorded benchdiff fail)
+	flagged  bool    // a gated metric that fails its band vs its predecessor
 	deltaPct float64 // vs predecessor (0 for the first point / zero baseline)
 }
 
@@ -69,9 +69,7 @@ func metricRank(name string) int {
 	return len(metricOrder)
 }
 
-// loadCharts reads the history and assembles the chart panels. Sample
-// entries (no verdict) carry the values; benchdiff verdict entries only
-// contribute their recorded failures as flags.
+// loadCharts reads the history and assembles the chart panels.
 func loadCharts(path string) ([]*chart, int, error) {
 	entries, skipped, err := gate.LoadEntries(path)
 	if err != nil {
@@ -79,18 +77,11 @@ func loadCharts(path string) ([]*chart, int, error) {
 	}
 	type sampleKey struct{ sha, suite, metric string }
 	samples := make(map[sampleKey]gate.Entry)
-	failed := make(map[sampleKey]bool)
 	var keyOrder []sampleKey // file order of first appearance — keeps charts deterministic
 	var shaOrder []string
 	shaSeen := make(map[string]bool)
 	for _, e := range entries {
 		k := sampleKey{e.SHA, e.Suite, e.Metric}
-		if e.Verdict != "" {
-			if e.Verdict == "fail" {
-				failed[k] = true
-			}
-			continue
-		}
 		// Last write wins: a re-run of the same commit refreshes its row.
 		if _, seen := samples[k]; !seen {
 			keyOrder = append(keyOrder, k)
@@ -126,7 +117,7 @@ func loadCharts(path string) ([]*chart, int, error) {
 				c.series = append(c.series, series{label: label})
 			}
 			si := labelSeen[ck][label]
-			c.series[si].points = append(c.series[si].points, point{sha: sha, value: e.Value, tol: e.TolerancePct, flagged: failed[k]})
+			c.series[si].points = append(c.series[si].points, point{sha: sha, value: e.Value, tol: e.TolerancePct})
 		}
 	}
 	charts := make([]*chart, 0, len(byChart))
@@ -159,15 +150,15 @@ func loadCharts(path string) ([]*chart, int, error) {
 
 // annotate holds each point of a series to its predecessor through
 // gate.Compare, as cmd/benchdiff holds a fresh run to its baseline: the
-// predecessor's row tolerance picks the band, as the baseline's does there.
+// predecessor's row tolerance picks the band, as the baseline's does
+// there, and only a metric gate.Gated names is flagged.
 func annotate(c *chart, s *series) {
+	gated := gate.Gated(c.suite, c.metric)
 	for i := 1; i < len(s.points); i++ {
 		prev := s.points[i-1]
 		v := gate.Compare(c.suite, c.metric, prev.tol, prev.value, s.points[i].value)
 		s.points[i].deltaPct = v.DeltaPct
-		if !v.Pass {
-			s.points[i].flagged = true
-		}
+		s.points[i].flagged = gated && !v.Pass
 	}
 }
 

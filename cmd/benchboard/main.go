@@ -2,15 +2,17 @@
 // (artifacts/bench/history.jsonl) into the repo's perf trajectory — the
 // config-time / wire-bytes / availability / sustained-rate curves across
 // commits that a single BENCH_sched.json snapshot cannot show. The
-// history is written by `fpgad -compare -history` (one entry per S-suite
-// row and metric) and `benchdiff -history` (the gate's verdicts).
+// history is written by `fpgad -compare -history`: one entry per S-suite
+// row and metric.
 //
 // -md renders an EXPERIMENTS-style trajectory table per suite and metric;
 // -svg writes one chart per (suite, metric) beside it.
 //
-// A point is flagged when gate.Compare fails it against its predecessor —
-// the comparison cmd/benchdiff makes, with the same band per suite, metric
-// and row tolerance — or when its recorded benchdiff verdict was "fail".
+// A point is flagged when its metric is one gate.Gated names and
+// gate.Compare fails it against its predecessor — the rule and the
+// comparison cmd/benchdiff applies, with the same band per suite, metric
+// and row tolerance. The host-dependent metrics of S2 and S6 are plotted
+// but never flagged.
 //
 // Usage:
 //

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/bench/gate"
 )
 
 // appendRows appends one commit's rows to the history, as
@@ -70,23 +69,31 @@ func TestLoadChartsAndRegressionFlag(t *testing.T) {
 	}
 }
 
-// TestLoadChartsRecordedVerdict: a benchdiff "fail" verdict flags the
-// matching sample even when the predecessor band alone would pass.
-func TestLoadChartsRecordedVerdict(t *testing.T) {
+// TestFlagsOnlyGatedMetrics: the board flags a point only when its metric
+// is one the gate judges. A 50% fall of S6's host-dependent throughput
+// renders unflagged; a 20% fall of S4's deterministic hidden config time
+// fails its 15% band.
+func TestFlagsOnlyGatedMetrics(t *testing.T) {
 	history := filepath.Join(t.TempDir(), "history.jsonl")
-	err := gate.AppendEntries(history, []gate.Entry{
-		{SHA: "aaa111", Suite: "S4", Metric: "paired/config_ms", Value: 2.0, Unit: "ms", Deterministic: true},
-		{SHA: "aaa111", Suite: "S4", Metric: "paired/config_ms", Value: 2.0, Unit: "ms", Deterministic: true, Verdict: "fail", DeltaPct: 20},
-	})
+	s6 := func(rps float64) bench.Row {
+		return bench.Row{Table: "S6", Label: "shards-8/rho-4/poisson", ThroughputRPS: rps, P99Ms: 50}
+	}
+	hidden := func(ms float64) bench.Row {
+		r := s4(2.0, 1024)
+		r.HiddenMs = ms
+		return r
+	}
+	appendRows(t, history, "aaa111", s6(20000), hidden(10))
+	appendRows(t, history, "bbb222", s6(10000), hidden(8))
+	charts, _, err := loadCharts(history)
 	if err != nil {
 		t.Fatal(err)
 	}
-	charts, _, err := loadCharts(history)
-	if err != nil || len(charts) != 1 {
-		t.Fatalf("charts: %v %d", err, len(charts))
+	if p := findChart(t, charts, "S6", "throughput_rps").series[0].points[1]; p.flagged || p.deltaPct != -50 {
+		t.Errorf("S6 throughput -50%%: %+v, want unflagged", p)
 	}
-	if p := charts[0].series[0].points[0]; !p.flagged {
-		t.Errorf("recorded benchdiff fail not surfaced: %+v", p)
+	if p := findChart(t, charts, "S4", "hidden_ms").series[0].points[1]; !p.flagged {
+		t.Errorf("S4 hidden_ms -20%%: %+v, want flagged", p)
 	}
 }
 

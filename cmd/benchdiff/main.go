@@ -1,24 +1,23 @@
 // Command benchdiff is the CI bench-regression gate: it compares a fresh
 // scheduler bench run (fpgad -compare -json) against the committed
-// baseline, matching records by (table, label) and checking the two
-// metrics that summarize the reconfiguration bill — visible configuration
-// time and request-path bytes streamed. Either metric regressing past the
-// threshold on any configuration fails the gate; configurations present
-// only in the fresh run are reported but never fail (new rows are how the
-// bench grows). A perf improvement is reported as a negative delta — and
-// is the cue to re-commit the baseline so the win is locked in.
+// baseline, matching rows by (table, label) and checking every metric of
+// the row that gate.Gated names — visible configuration time and
+// request-path bytes streamed on every row, and every recorded metric of
+// a deterministic suite (S3/S4 hidden config, S7 availability and repair
+// time, S8 overlap and availability, S9 sojourn percentiles). Any gated
+// metric regressing past its band on any configuration fails the gate;
+// configurations present only in the fresh run are reported but never
+// fail (new rows are how the bench grows). A perf improvement is reported
+// as a negative delta for a time or byte count — and is the cue to
+// re-commit the baseline so the win is locked in.
 //
 // Every comparison goes through gate.Compare, which cmd/benchboard calls
-// too, so a trajectory flag and a gate verdict cannot disagree. With
-// -history (plus -sha), every comparison's verdict is appended to the
-// per-commit history store benchboard plots.
+// too, so a trajectory flag and a gate verdict cannot disagree. A row's
+// own tolerance_pct overrides the gate's default band.
 //
 // Usage:
 //
 //	benchdiff -baseline BENCH_sched.json -fresh BENCH_fresh.json
-//	benchdiff -baseline BENCH_sched.json -fresh BENCH_fresh.json -max-regress 10
-//	benchdiff -baseline BENCH_sched.json -fresh BENCH_fresh.json \
-//	    -history artifacts/bench/history.jsonl -sha abc1234
 package main
 
 import (
@@ -29,54 +28,17 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/bench"
 	"repro/internal/bench/gate"
 )
-
-// record is the subset of bench.Row the gate reads. Records
-// written before the table field existed key on ("", label) and still
-// match themselves. A baseline record may carry its own tolerance band
-// (tolerance_pct) when its configuration is inherently noisy — the
-// SubmitAll S2 rows react to goroutine completion order — overriding the
-// gate's default; the deterministic S3/S4/S7 rows and the paired-drive S8
-// load-path rows gate at the 15% band.
-type record struct {
-	Table         string  `json:"table"`
-	Label         string  `json:"label"`
-	ConfigMs      float64 `json:"config_ms"`
-	BytesStreamed uint64  `json:"bytes_streamed"`
-	TolerancePct  float64 `json:"tolerance_pct"`
-
-	// SLO percentile columns, gated only on the S9 rows — the one suite
-	// whose sojourn percentiles are deterministic (pinned placement plus
-	// arithmetic replay) rather than host-dependent.
-	P50Ms float64 `json:"p50_ms"`
-	P95Ms float64 `json:"p95_ms"`
-	P99Ms float64 `json:"p99_ms"`
-}
-
-// gatedMetric is one metric comparison: the display name (historic
-// output format), the history metric name (the JSON field), and the
-// baseline and fresh values. gate.Compare picks its band and direction.
-type gatedMetric struct {
-	name      string
-	metric    string
-	base, now float64
-	unit      string
-}
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(errw)
-	basePath := fs.String("baseline", "BENCH_sched.json", "committed baseline records")
-	freshPath := fs.String("fresh", "", "fresh bench records to gate")
-	maxRegress := fs.Float64("max-regress", gate.DefaultTolerancePct,
-		"max allowed regression in percent, per configuration and metric")
-	historyPath := fs.String("history", "",
-		"append each comparison's verdict to this per-commit history file (JSONL; plotted by cmd/benchboard)")
-	shaFlag := fs.String("sha", "",
-		"commit id keying the -history entries (required with -history)")
+	basePath := fs.String("baseline", "BENCH_sched.json", "committed baseline rows")
+	freshPath := fs.String("fresh", "", "fresh bench rows to gate")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -85,14 +47,6 @@ func run(args []string, out, errw io.Writer) int {
 	}
 	if *freshPath == "" {
 		fmt.Fprintln(errw, "benchdiff: -fresh is required")
-		return 2
-	}
-	if *historyPath != "" && *shaFlag == "" {
-		fmt.Fprintln(errw, "benchdiff: -history needs -sha (the commit id keying the entries)")
-		return 2
-	}
-	if *maxRegress <= 0 {
-		fmt.Fprintf(errw, "benchdiff: -max-regress %g: the band must be positive\n", *maxRegress)
 		return 2
 	}
 	base, err := load(*basePath)
@@ -110,88 +64,57 @@ func run(args []string, out, errw io.Writer) int {
 		return 2
 	}
 
-	freshBy := make(map[string]record, len(fresh))
+	freshBy := make(map[string]bench.Row, len(fresh))
 	for _, r := range fresh {
 		freshBy[key(r)] = r
 	}
-	keys := make([]string, 0, len(base))
-	baseBy := make(map[string]record, len(base))
+	inBase := make(map[string]bool, len(base))
 	for _, r := range base {
-		baseBy[key(r)] = r
-		keys = append(keys, key(r))
+		inBase[key(r)] = true
 	}
-	sort.Strings(keys)
+	sort.SliceStable(base, func(i, j int) bool { return key(base[i]) < key(base[j]) })
 
-	var verdicts []gate.Entry
 	failures := 0
-	for _, k := range keys {
-		b := baseBy[k]
+	for _, b := range base {
+		k := key(b)
 		f, ok := freshBy[k]
 		if !ok {
 			fmt.Fprintf(errw, "benchdiff: FAIL %s: configuration missing from fresh run\n", k)
 			failures++
 			continue
 		}
-		allowed := *maxRegress
-		if b.TolerancePct > 0 {
-			allowed = b.TolerancePct
-		}
-		metrics := []gatedMetric{
-			{"config time", "config_ms", b.ConfigMs, f.ConfigMs, "ms"},
-			{"bytes streamed", "bytes_streamed", float64(b.BytesStreamed), float64(f.BytesStreamed), "B"},
-		}
-		if b.Table == "S9" {
-			// The deterministic SLO suite promotes its sojourn percentiles
-			// to gated columns; everywhere else they are informational.
-			metrics = append(metrics,
-				gatedMetric{"p50 sojourn", "p50_ms", b.P50Ms, f.P50Ms, "ms"},
-				gatedMetric{"p95 sojourn", "p95_ms", b.P95Ms, f.P95Ms, "ms"},
-				gatedMetric{"p99 sojourn", "p99_ms", b.P99Ms, f.P99Ms, "ms"})
-		}
-		for _, m := range metrics {
-			v := gate.Compare(b.Table, m.metric, allowed, m.base, m.now)
+		// One table lists one set of metrics, so the fresh row's i-th
+		// metric is the baseline's.
+		fm := f.Metrics()
+		for i, m := range b.Metrics() {
+			if !gate.Gated(b.Table, m.Name) {
+				continue
+			}
+			now := fm[i].Value
+			v := gate.Compare(b.Table, m.Name, b.TolerancePct, m.Value, now)
 			status := "ok  "
 			if !v.Pass {
 				status = "FAIL"
 				failures++
 			}
-			if v.Zero {
+			fmt.Fprintf(out, "%s %-32s %-14s %12.3f %s -> %12.3f %s  ", status, k, m.Name, m.Value, m.Unit, now, m.Unit)
+			switch {
+			case v.Zero && gate.HigherBetter(m.Name):
+				fmt.Fprintln(out, "(zero baseline, nothing to fall from)")
+			case v.Zero:
 				// A percentage of zero is undefined, so the zero-baseline
 				// rows gate the absolute delta (see internal/bench/gate).
-				fmt.Fprintf(out, "%s %-32s %-14s %12.3f %s -> %12.3f %s  (zero baseline, allowed +%.3g %s absolute)\n",
-					status, k, m.name, m.base, m.unit, m.now, m.unit, v.Allowed, m.unit)
-			} else {
-				fmt.Fprintf(out, "%s %-32s %-14s %12.3f %s -> %12.3f %s  (%+.1f%%, allowed +%.0f%%)\n",
-					status, k, m.name, m.base, m.unit, m.now, m.unit, v.DeltaPct, v.Allowed)
-			}
-			if *historyPath != "" {
-				verdict := "ok"
-				if !v.Pass {
-					verdict = "fail"
-				}
-				verdicts = append(verdicts, gate.Entry{
-					SHA:           *shaFlag,
-					Suite:         f.Table,
-					Metric:        f.Label + "/" + m.metric,
-					Value:         m.now,
-					Unit:          m.unit,
-					Deterministic: gate.SuiteDeterministic(f.Table),
-					TolerancePct:  b.TolerancePct,
-					Verdict:       verdict,
-					DeltaPct:      v.DeltaPct,
-				})
+				fmt.Fprintf(out, "(zero baseline, allowed +%.3g %s absolute)\n", v.Allowed, m.Unit)
+			case gate.HigherBetter(m.Name):
+				fmt.Fprintf(out, "(%+.1f%%, allowed -%.0f%%)\n", v.DeltaPct, v.Allowed)
+			default:
+				fmt.Fprintf(out, "(%+.1f%%, allowed +%.0f%%)\n", v.DeltaPct, v.Allowed)
 			}
 		}
 	}
 	for _, r := range fresh {
-		if _, ok := baseBy[key(r)]; !ok {
+		if !inBase[key(r)] {
 			fmt.Fprintf(out, "new  %-32s (not in baseline; commit the fresh records to start gating it)\n", key(r))
-		}
-	}
-	if *historyPath != "" {
-		if err := gate.AppendEntries(*historyPath, verdicts); err != nil {
-			fmt.Fprintln(errw, "benchdiff:", err)
-			return 2
 		}
 	}
 	if failures > 0 {
@@ -199,20 +122,20 @@ func run(args []string, out, errw io.Writer) int {
 			failures)
 		return 1
 	}
-	fmt.Fprintf(out, "benchdiff: %d configuration(s) within tolerance of baseline\n", len(keys))
+	fmt.Fprintf(out, "benchdiff: %d configuration(s) within tolerance of baseline\n", len(base))
 	return 0
 }
 
-func key(r record) string { return r.Table + "/" + r.Label }
+func key(r bench.Row) string { return r.Table + "/" + r.Label }
 
-func load(path string) ([]record, error) {
+func load(path string) ([]bench.Row, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var recs []record
-	if err := json.Unmarshal(data, &recs); err != nil {
+	var rows []bench.Row
+	if err := json.Unmarshal(data, &rows); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return recs, nil
+	return rows, nil
 }

@@ -1,11 +1,11 @@
 package main
 
 import (
-	"repro/internal/bench/gate"
-
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -134,19 +134,6 @@ func TestNewConfigurationIsReportedNotFailed(t *testing.T) {
 	}
 }
 
-func TestThresholdFlag(t *testing.T) {
-	dir := t.TempDir()
-	b := write(t, dir, "base.json", baseline)
-	f := write(t, dir, "fresh.json", `[
-	  {"table":"S2","label":"mincost+planner","config_ms":31.0,"bytes_streamed":1900000},
-	  {"table":"S3","label":"mincost+prefetch-freq","config_ms":19.0,"bytes_streamed":1300000}
-	]`)
-	var out, errw bytes.Buffer
-	if code := run([]string{"-baseline", b, "-fresh", f, "-max-regress", "2"}, &out, &errw); code != 1 {
-		t.Fatalf("exit %d, want 1 at 2%% threshold", code)
-	}
-}
-
 func TestBadInputs(t *testing.T) {
 	dir := t.TempDir()
 	b := write(t, dir, "base.json", baseline)
@@ -228,66 +215,66 @@ func TestZeroBaselineGating(t *testing.T) {
 	}
 }
 
-// TestHistoryVerdicts: with -history/-sha, every comparison's verdict
-// lands in the per-commit store — the same entries cmd/benchboard reads
-// so a dashboard flag and a gate verdict can never disagree.
-func TestHistoryVerdicts(t *testing.T) {
+// TestGatedMetrics: benchdiff compares exactly the metrics gate.Gated
+// names, each in its own direction. S7 availability and S8 overlap
+// regress by falling, so a 20% fall fails their 15% band; S6 throughput
+// and p99 swing with the host, so halving one and doubling the other
+// passes while the row's all-hit zeros hold.
+func TestGatedMetrics(t *testing.T) {
+	const (
+		s7 = `{"table":"S7","label":"rate-0.05+scrub","config_ms":19.8,"bytes_streamed":1827228,"repair_ms":1.5,"availability":%g,"tolerance_pct":15}`
+		s8 = `{"table":"S8","label":"compressed+dma","config_ms":5.8,"bytes_streamed":1000000,"overlap_ms":%g,"availability":0.19,"tolerance_pct":15}`
+		s6 = `{"table":"S6","label":"shards-8/rho-4/poisson","config_ms":0,"bytes_streamed":0,"throughput_rps":%g,"p99_ms":%g}`
+	)
+	rows := func(avail, overlap, rps, p99 float64) string {
+		return "[" + fmt.Sprintf(s7, avail) + "," + fmt.Sprintf(s8, overlap) + "," + fmt.Sprintf(s6, rps, p99) + "]"
+	}
 	dir := t.TempDir()
-	b := write(t, dir, "base.json", baseline)
-	f := write(t, dir, "fresh.json", `[
-	  {"table":"S2","label":"mincost+planner","config_ms":33.0,"bytes_streamed":2000000},
-	  {"table":"S3","label":"mincost+prefetch-freq","config_ms":30.0,"bytes_streamed":1310000}
-	]`)
-	history := filepath.Join(dir, "history.jsonl")
-	var out, errw bytes.Buffer
-	code := run([]string{"-baseline", b, "-fresh", f, "-history", history, "-sha", "abc1234"}, &out, &errw)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1 (S3 config time regressed +58%%)", code)
-	}
-	entries, skipped, err := gate.LoadEntries(history)
-	if err != nil || skipped != 0 {
-		t.Fatalf("load history: err=%v skipped=%d", err, skipped)
-	}
-	if len(entries) != 4 {
-		t.Fatalf("%d history entries, want 2 records x 2 metrics", len(entries))
-	}
-	byMetric := make(map[string]gate.Entry)
-	for _, e := range entries {
-		if e.SHA != "abc1234" || e.Verdict == "" {
-			t.Errorf("entry %+v: want sha abc1234 and a verdict", e)
-		}
-		byMetric[e.Suite+"/"+e.Metric] = e
-	}
-	if e := byMetric["S3/mincost+prefetch-freq/config_ms"]; e.Verdict != "fail" || !e.Deterministic {
-		t.Errorf("regressed S3 row recorded as %+v, want deterministic fail", e)
-	}
-	if e := byMetric["S2/mincost+planner/config_ms"]; e.Verdict != "ok" || e.Deterministic {
-		t.Errorf("passing S2 row recorded as %+v, want host-dependent ok", e)
+	b := write(t, dir, "base.json", rows(0.5, 1.2, 20000, 50))
+	for _, c := range []struct {
+		name  string
+		fresh string
+		fail  string // the one failing "key metric", "" when the gate passes
+	}{
+		{"S7 availability falls 20%", rows(0.4, 1.2, 20000, 50), "S7/rate-0.05+scrub availability"},
+		{"S8 overlap falls 20%", rows(0.5, 0.96, 20000, 50), "S8/compressed+dma overlap_ms"},
+		{"S6 throughput halves, p99 doubles", rows(0.5, 1.2, 10000, 100), ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := write(t, dir, "fresh.json", c.fresh)
+			var out, errw bytes.Buffer
+			code := run([]string{"-baseline", b, "-fresh", f}, &out, &errw)
+			var fails []string
+			for _, line := range strings.Split(out.String(), "\n") {
+				if strings.HasPrefix(line, "FAIL") {
+					fields := strings.Fields(line)
+					fails = append(fails, fields[1]+" "+fields[2])
+				}
+			}
+			want, wantCode := []string{c.fail}, 1
+			if c.fail == "" {
+				want, wantCode = nil, 0
+			}
+			if code != wantCode || !slices.Equal(fails, want) {
+				t.Errorf("exit %d, failing %q; want exit %d, failing %q:\n%s", code, fails, wantCode, want, out.String())
+			}
+			for _, m := range []string{"throughput_rps", "p99_ms"} {
+				if strings.Contains(out.String(), m) {
+					t.Errorf("host-dependent %s compared:\n%s", m, out.String())
+				}
+			}
+		})
 	}
 }
 
-// TestHistoryNeedsSha: -history without -sha is a usage error.
-func TestHistoryNeedsSha(t *testing.T) {
+// TestRunFlags: benchdiff takes exactly -baseline and -fresh.
+func TestRunFlags(t *testing.T) {
 	dir := t.TempDir()
 	b := write(t, dir, "base.json", baseline)
-	var out, errw bytes.Buffer
-	code := run([]string{"-baseline", b, "-fresh", b, "-history", filepath.Join(dir, "h.jsonl")}, &out, &errw)
-	if code != 2 || !strings.Contains(errw.String(), "-history needs -sha") {
-		t.Fatalf("exit %d, stderr %q", code, errw.String())
-	}
-}
-
-// TestMaxRegressMustBePositive: a row without its own tolerance takes
-// the -max-regress band, and a zero or negative band is a usage error,
-// not a silent fall-back to the gate default.
-func TestMaxRegressMustBePositive(t *testing.T) {
-	dir := t.TempDir()
-	b := write(t, dir, "base.json", baseline)
-	for _, mr := range []string{"0", "-5"} {
+	for _, extra := range [][]string{{"-max-regress", "10"}, {"-history", "h.jsonl"}, {"-sha", "abc1234"}} {
 		var out, errw bytes.Buffer
-		code := run([]string{"-baseline", b, "-fresh", b, "-max-regress", mr}, &out, &errw)
-		if code != 2 || !strings.Contains(errw.String(), "must be positive") {
-			t.Errorf("-max-regress %s: exit %d, stderr %q", mr, code, errw.String())
+		if code := run(append([]string{"-baseline", b, "-fresh", b}, extra...), &out, &errw); code != 2 {
+			t.Errorf("%v: exit %d, want 2", extra, code)
 		}
 	}
 }

@@ -3,9 +3,9 @@
 // cmd/benchdiff (the CI pass/fail gate), internal/bench's Writer (which
 // appends every S-suite metric to the history), and cmd/benchboard
 // (which renders the history and flags the points this package would
-// fail). Both callers judge a metric through Compare, so a trajectory
-// annotation and a gate verdict cannot disagree about what counts as a
-// regression.
+// fail). Both callers ask Gated which metrics count and judge each one
+// through Compare, so a trajectory annotation and a gate verdict cannot
+// disagree about what counts as a regression.
 //
 // Two gating regimes coexist, keyed on the baseline value:
 //
@@ -64,10 +64,10 @@ func band(suite, metric string, tolerancePct float64) float64 {
 	return Allowed(tolerancePct)
 }
 
-// higherBetter reports whether a metric regresses by falling: hidden and
+// HigherBetter reports whether a metric regresses by falling: hidden and
 // overlapped config time, availability and throughput. Everything else
 // (times, bytes) regresses by growing.
-func higherBetter(metric string) bool {
+func HigherBetter(metric string) bool {
 	switch metric {
 	case "availability", "throughput_rps", "sim_throughput_rps", "hidden_ms", "overlap_ms":
 		return true
@@ -83,7 +83,7 @@ func higherBetter(metric string) bool {
 // cmd/benchdiff and cmd/benchboard both judge through it.
 func Compare(suite, metric string, tolerancePct, base, fresh float64) Verdict {
 	allowed := band(suite, metric, tolerancePct)
-	if higherBetter(metric) {
+	if HigherBetter(metric) {
 		return CheckHigherBetter(base, fresh, allowed)
 	}
 	eps := ConfigMsZeroEps
@@ -133,11 +133,9 @@ func CheckHigherBetter(base, fresh, allowedPct float64) Verdict {
 }
 
 // SuiteDeterministic reports whether a bench suite's rows reproduce
-// byte-identically run to run on one machine, which decides how their
-// history gates: deterministic rows hold their tolerance band exactly,
-// while host-dependent rows (concurrent SubmitAll placement in S2, real
-// wall-clock dispatch throughput in S6) are informational — their gated metrics still pin through config_ms /
-// bytes_streamed, but their measured fields swing with the host.
+// byte-identically run to run on one machine: S3, S4, S7, S8 and S9.
+// The rows of S2 (concurrent SubmitAll placement) and S6 (real
+// wall-clock dispatch throughput) swing with the host.
 func SuiteDeterministic(suite string) bool {
 	switch suite {
 	case "S3", "S4", "S7", "S8", "S9":
@@ -145,4 +143,13 @@ func SuiteDeterministic(suite string) bool {
 	default:
 		return false
 	}
+}
+
+// Gated reports whether a suite's metric is held to its band: config_ms
+// and bytes_streamed on every row, and every recorded metric of a
+// deterministic suite. The other metrics of a host-dependent suite (S6
+// throughput and p99) are informational. cmd/benchdiff gates exactly
+// these metrics and cmd/benchboard flags only these.
+func Gated(suite, metric string) bool {
+	return metric == "config_ms" || metric == "bytes_streamed" || SuiteDeterministic(suite)
 }

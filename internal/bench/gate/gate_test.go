@@ -115,6 +115,33 @@ func TestSuiteDeterministic(t *testing.T) {
 	}
 }
 
+// TestGated: the economy pair gates on every row, every metric of a
+// deterministic suite gates, and a host-dependent suite's own metrics
+// stay informational.
+func TestGated(t *testing.T) {
+	cases := []struct {
+		suite, metric string
+		want          bool
+	}{
+		{"S2", "config_ms", true},
+		{"S6", "bytes_streamed", true},
+		{"S6", "throughput_rps", false},
+		{"S6", "p99_ms", false},
+		{"S3", "hidden_ms", true},
+		{"S4", "hidden_ms", true},
+		{"S7", "availability", true},
+		{"S7", "repair_ms", true},
+		{"S8", "overlap_ms", true},
+		{"S8", "availability", true},
+		{"S9", "p95_ms", true},
+	}
+	for _, c := range cases {
+		if got := Gated(c.suite, c.metric); got != c.want {
+			t.Errorf("Gated(%s, %s) = %v, want %v", c.suite, c.metric, got, c.want)
+		}
+	}
+}
+
 func TestSplitMetric(t *testing.T) {
 	cases := []struct{ in, label, name string }{
 		{"lru+planner/config_ms", "lru+planner", "config_ms"},
@@ -139,7 +166,7 @@ func TestHistoryAppendLoadRoundTrip(t *testing.T) {
 		t.Fatalf("append: %v", err)
 	}
 	second := []Entry{
-		{SHA: "bbb222", Suite: "S3", Metric: "depth-2/config_ms", Value: 1.10, Unit: "ms", Deterministic: true, Verdict: "ok", DeltaPct: -12},
+		{SHA: "bbb222", Suite: "S3", Metric: "depth-2/config_ms", Value: 1.10, Unit: "ms", Deterministic: true},
 	}
 	if err := AppendEntries(path, second); err != nil {
 		t.Fatalf("second append: %v", err)

@@ -12,9 +12,7 @@ import (
 // Entry is one line of the append-only per-commit metric history
 // (artifacts/bench/history.jsonl): a single measured value keyed by commit
 // SHA, suite and metric. `fpgad -compare -history` appends one entry per
-// (label, metric) of every S-suite row; cmd/benchdiff appends its
-// comparison verdicts under the same schema so cmd/benchboard's regression
-// annotations and the CI gate share one record of what happened.
+// (label, metric) of every S-suite row; it is the store's only writer.
 type Entry struct {
 	SHA   string `json:"sha"`
 	Suite string `json:"suite"`
@@ -30,12 +28,6 @@ type Entry struct {
 	Deterministic bool `json:"deterministic"`
 	// TolerancePct is the row's gate band (0 = the gate default).
 	TolerancePct float64 `json:"tolerance_pct,omitempty"`
-
-	// Verdict ("ok" or "fail") and DeltaPct are set only on entries
-	// appended by cmd/benchdiff -history: the gate's outcome for this
-	// metric against the committed baseline.
-	Verdict  string  `json:"verdict,omitempty"`
-	DeltaPct float64 `json:"delta_pct,omitempty"`
 }
 
 // SplitMetric splits an Entry.Metric into its configuration label and
@@ -86,7 +78,7 @@ func AppendEntries(path string, entries []Entry) error {
 // not a complete JSON object (a torn tail from a killed run, editor
 // garbage, a partial append) is skipped and counted rather than failing
 // the read, mirroring internal/fault's JSONL reader. Entries missing a
-// SHA, suite or metric are damage too — a verdict no consumer could key.
+// SHA, suite or metric are damage too — a value no consumer could key.
 func ReadEntries(r io.Reader) (entries []Entry, skipped int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

@@ -2,11 +2,11 @@ package bench
 
 // Row is one bench table row in the on-disk layout of BENCH_sched.json —
 // the format the CI bench gate (cmd/benchdiff) keys on table+label and
-// diffs config_ms / bytes_streamed against, and the only record type the
-// suites emit. The field ORDER and omitempty tags are load-bearing,
-// because the committed baseline is diffed byte-for-byte (a golden test
-// pins the round trip). A row carries what its run measured: counters a
-// drive cannot produce stay zero and are omitted.
+// diffs the gated metrics of, and the only record type the suites emit.
+// The field ORDER and omitempty tags are load-bearing, because the
+// committed baseline is diffed byte-for-byte (a golden test pins the
+// round trip). A row carries what its run measured: counters a drive
+// cannot produce stay zero and are omitted.
 type Row struct {
 	Table         string  `json:"table"`
 	Label         string  `json:"label"`
@@ -80,8 +80,9 @@ type Metric struct {
 }
 
 // Metrics lists the quantities the row contributes to the history: the
-// CI-gated pair the whole bench economy is priced in, then its suite's
-// own columns.
+// pair the whole bench economy is priced in, then its suite's own
+// columns. cmd/benchdiff compares the ones gate.Gated names: the pair on
+// every row, and every metric of a deterministic suite.
 func (r Row) Metrics() []Metric {
 	ms := []Metric{
 		{Name: "config_ms", Value: r.ConfigMs, Unit: "ms"},

@@ -5,7 +5,6 @@ package cpu
 // data lives in the simulated memories, so the cache influences time, never
 // values.
 type dcache struct {
-	ways     int
 	lineBits uint
 	setBits  uint
 	sets     [][]dline
@@ -40,7 +39,7 @@ func newDCache(size, ways, line int) *dcache {
 	for i := range sets {
 		sets[i], backing = backing[:ways:ways], backing[ways:]
 	}
-	return &dcache{ways: ways, lineBits: lineBits, setBits: setBits, sets: sets}
+	return &dcache{lineBits: lineBits, setBits: setBits, sets: sets}
 }
 
 func (d *dcache) index(addr uint32) (set int, tag uint32) {

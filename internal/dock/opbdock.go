@@ -38,7 +38,6 @@ type OPBDock struct {
 	ReadWaits  int
 	WriteWaits int
 
-	lastIn        uint64
 	wordsIn       uint64
 	wordsOut      uint64
 	writesDropped uint64
@@ -81,7 +80,6 @@ func (d *OPBDock) Read(addr uint32, size int) (uint64, int) {
 func (d *OPBDock) Write(addr uint32, val uint64, size int) int {
 	switch addr {
 	case RegData:
-		d.lastIn = val & 0xFFFFFFFF
 		if d.core == nil {
 			d.writesDropped++
 			return d.WriteWaits

@@ -16,7 +16,6 @@ type SHA1 struct {
 	block   [16]uint32
 	n       int
 	readIdx int
-	blocks  uint64
 }
 
 // NewSHA1 returns a reset SHA-1 core.

@@ -209,14 +209,11 @@ func FuzzRegionPlanner(f *testing.F) {
 			// acceptable failure.
 			return
 		}
-		// The planner must size this exact stream and carry the region.
-		pl := plan.NewFor(fa.area.R.Name, fuzzSource{fa})
+		// The planner must size this exact stream.
+		pl := plan.New(fuzzSource{fa})
 		p, err := pl.Plan(from, true, to)
 		if err != nil {
 			t.Fatalf("plan %q -> %q: %v", from, to, err)
-		}
-		if p.Region != fa.area.R.Name {
-			t.Fatalf("plan carries region %q, want %q", p.Region, fa.area.R.Name)
 		}
 		if p.Kind == plan.StreamDifferential && p.Bytes != res.Stream.SizeBytes() {
 			t.Fatalf("plan sized %d B, assembled stream is %d B", p.Bytes, res.Stream.SizeBytes())

@@ -57,12 +57,6 @@ type Plan struct {
 	Module string
 	From   string
 	Kind   StreamKind
-	// Region names the dynamic region the plan targets ("" on a planner
-	// not bound to a region). On a multi-region device every stream is
-	// planned per (region, resident → wanted) pair: the same transition
-	// can cost differently on two regions, and the load path must issue
-	// the stream against the region the sizes were computed for.
-	Region string
 	// Base names the stream a compressed container decodes into
 	// (StreamComplete or StreamDifferential); StreamNone otherwise. A
 	// complete-based container uses no configuration-memory references and
@@ -105,30 +99,13 @@ type Source interface {
 // system lock.
 type Planner struct {
 	src      Source
-	region   string
 	compress bool
-
-	// obs, when set, observes every decided plan — the trace spine
-	// records each per-transition kind/bytes decision without plan
-	// depending on the tracer package.
-	obs func(p Plan)
 }
 
 // New returns a planner over the stream source.
 func New(src Source) *Planner {
-	return NewFor("", src)
+	return &Planner{src: src}
 }
-
-// NewFor returns a planner bound to a named dynamic region: every plan it
-// produces carries the region, so multi-region load paths and reports can
-// tell sibling regions' streams apart.
-func NewFor(region string, src Source) *Planner {
-	return &Planner{src: src, region: region}
-}
-
-// SetObserver installs the plan-decision observer; nil disables it. The
-// observer runs on every successful Plan call.
-func (p *Planner) SetObserver(fn func(Plan)) { p.obs = fn }
 
 // SetCompression toggles compressed-stream planning. Off (the default) the
 // planner's choices are byte-identical to the three-kind planner; on, the
@@ -144,33 +121,21 @@ func (p *Planner) Plan(resident string, authoritative bool, want string) (Plan, 
 	if !p.src.Has(want) {
 		return Plan{}, fmt.Errorf("plan: unknown module %q", want)
 	}
-	best, err := p.choose(resident, authoritative, want)
-	if err != nil {
-		return Plan{}, err
-	}
-	if p.obs != nil {
-		p.obs(best)
-	}
-	return best, nil
-}
-
-// choose is Plan's decision, made before the observer sees it.
-func (p *Planner) choose(resident string, authoritative bool, want string) (Plan, error) {
 	if authoritative && resident == want {
-		return Plan{Module: want, From: resident, Kind: StreamNone, Region: p.region}, nil
+		return Plan{Module: want, From: resident, Kind: StreamNone}, nil
 	}
 	cb, cf, err := p.src.CompleteSize(want)
 	if err != nil {
 		return Plan{}, err
 	}
-	best := Plan{Module: want, Kind: StreamComplete, Bytes: cb, Frames: cf, Raw: cb, Region: p.region}
+	best := Plan{Module: want, Kind: StreamComplete, Bytes: cb, Frames: cf, Raw: cb}
 	if p.compress {
 		// The complete-based container carries no configuration-memory
 		// references, so it is as state-independent as the complete
 		// stream it decodes into.
 		if zb, zraw, zf, err := p.src.CompleteCompressedSize(want); err == nil && zb < best.Bytes {
 			best = Plan{Module: want, Kind: StreamCompressed, Base: StreamComplete,
-				Bytes: zb, Frames: zf, Raw: zraw, Region: p.region}
+				Bytes: zb, Frames: zf, Raw: zraw}
 		}
 	}
 	if !authoritative {
@@ -181,12 +146,12 @@ func (p *Planner) choose(resident string, authoritative bool, want string) (Plan
 	// carried in the plan so the manager re-verifies it at load time.
 	if db, df, err := p.src.DifferentialSize(resident, want); err == nil && db < best.Bytes {
 		best = Plan{Module: want, From: resident, Kind: StreamDifferential,
-			Bytes: db, Frames: df, Raw: db, Region: p.region}
+			Bytes: db, Frames: df, Raw: db}
 	}
 	if p.compress {
 		if zb, zraw, zf, err := p.src.CompressedSize(resident, want); err == nil && zb < best.Bytes {
 			best = Plan{Module: want, From: resident, Kind: StreamCompressed, Base: StreamDifferential,
-				Bytes: zb, Frames: zf, Raw: zraw, Region: p.region}
+				Bytes: zb, Frames: zf, Raw: zraw}
 		}
 	}
 	return best, nil

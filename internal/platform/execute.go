@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/plan"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // ConfigReport describes one reconfiguration of a dynamic region: which
@@ -160,20 +161,35 @@ func (s *System) planFor(rs *regionSlot, module string) (plan.Plan, error) {
 	return rs.planner.Plan(resident, authoritative, module)
 }
 
-// loadWith plans and executes one reconfiguration of the slot's region.
+// planLoad plans the stream the load path is about to execute on region
+// ri and, on a traced board, books it as a plan event. PlanForOn and
+// RestoreEstimateOn only price streams, so they book nothing. Runs under
+// the system lock.
+func (s *System) planLoad(ri int, module string) (plan.Plan, error) {
+	p, err := s.planFor(s.regions[ri], module)
+	if err == nil && s.tracer != nil {
+		s.tracer.Emit(trace.Event{Ts: s.K.Now(), Kind: trace.KindPlan,
+			Member: s.traceMember, Region: int32(ri),
+			Name: p.Module + " " + p.Kind.String(), Bytes: int64(p.Bytes)})
+	}
+	return p, err
+}
+
+// loadWith plans and executes one reconfiguration of region ri.
 // Must run under the system lock (or on a single-threaded system):
 // planning and loading are one atomic step, so the plan's assumed
 // from-state cannot go stale between the choice and the stream — the
 // manager still re-verifies it. A non-nil stop makes the stream abortable
 // (see LoadModuleOn): an abort reports Aborted with the bytes actually
 // pushed and returns core.ErrAborted.
-func (s *System) loadWith(rs *regionSlot, name string, stop func() bool) (ConfigReport, error) {
+func (s *System) loadWith(ri int, name string, stop func() bool) (ConfigReport, error) {
+	rs := s.regions[ri]
 	r := ConfigReport{Module: name, Region: rs.area.R.Name, At: s.K.Now()}
 	if stop != nil && stop() {
 		r.Aborted = true
 		return r, core.ErrAborted
 	}
-	p, err := s.planFor(rs, name)
+	p, err := s.planLoad(ri, name)
 	if err != nil {
 		return r, err
 	}
@@ -227,7 +243,7 @@ func (s *System) RestoreEstimateOn(ri int, module string) (int, error) {
 func (s *System) LoadModuleOn(ri int, name string, stop func() bool) (ConfigReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.loadWith(s.regions[ri], name, stop)
+	return s.loadWith(ri, name, stop)
 }
 
 // ExecuteOn reconfigures the given region with the named module (planner
@@ -241,11 +257,10 @@ func (s *System) LoadModuleOn(ri int, name string, stop func() bool) (ConfigRepo
 func (s *System) ExecuteOn(ri int, module string, fn func() error) (ExecReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rs := s.regions[ri]
-	cfg, err := s.loadWith(rs, module, nil)
+	cfg, err := s.loadWith(ri, module, nil)
 	r := ExecReport{
 		Module: module,
-		Region: rs.area.R.Name,
+		Region: cfg.Region,
 		// A failed load is never a cache hit: the zero ConfigReport of a
 		// planning error carries StreamNone without meaning it.
 		CacheHit:      err == nil && cfg.Kind == plan.StreamNone,
@@ -298,7 +313,7 @@ func (s *System) BeginExecuteOn(ri int, module string) (*LoadTicket, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rs := s.regions[ri]
-	p, err := s.planFor(rs, module)
+	p, err := s.planLoad(ri, module)
 	if err != nil {
 		return nil, err
 	}

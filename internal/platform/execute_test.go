@@ -2,6 +2,7 @@ package platform
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/plan"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func TestExecuteCacheHitMiss(t *testing.T) {
@@ -39,6 +41,78 @@ func TestExecuteCacheHitMiss(t *testing.T) {
 	}
 	if got := s.ResidentOn(0); got != "fade" {
 		t.Fatalf("resident = %q, want fade", got)
+	}
+}
+
+// TestPlanEventsAreExecutedPlans: a traced board books one plan event
+// per stream its load path executes — through ExecuteOn, LoadModuleOn and
+// BeginExecuteOn, a cache hit's no-op included — naming the executed kind
+// and bytes, and nothing for the PlanForOn and RestoreEstimateOn cost
+// queries that placement and prefetch sizing make.
+func TestPlanEventsAreExecutedPlans(t *testing.T) {
+	s, err := NewSys64N(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Compressed plans tell a plan's wire bytes, which the event
+	// carries, from its decoded size.
+	s.SetCompression(true)
+	tr := trace.New()
+	s.SetTracer(tr, 3)
+	var want []trace.Event
+	// expect prices the next stream of region ri, runs load and expects
+	// the load path to have executed exactly that plan.
+	expect := func(ri int, module string, load func() (plan.StreamKind, error)) {
+		t.Helper()
+		p, err := s.PlanForOn(ri, module)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RestoreEstimateOn(ri, module); err != nil {
+			t.Fatal(err)
+		}
+		k, err := load()
+		if err != nil {
+			t.Fatalf("region %d, %s: %v", ri, module, err)
+		}
+		if k != p.Kind {
+			t.Fatalf("region %d, %s: loaded %v, priced %v", ri, module, k, p.Kind)
+		}
+		want = append(want, trace.Event{Kind: trace.KindPlan, Member: 3, Region: int32(ri),
+			Name: module + " " + p.Kind.String(), Bytes: int64(p.Bytes)})
+	}
+	execute := func(ri int, module string) func() (plan.StreamKind, error) {
+		return func() (plan.StreamKind, error) {
+			r, err := s.ExecuteOn(ri, module, func() error { return nil })
+			return r.Kind, err
+		}
+	}
+	expect(0, "fade", execute(0, "fade"))
+	expect(0, "fade", execute(0, "fade"))
+	expect(1, "jenkins", func() (plan.StreamKind, error) {
+		r, err := s.LoadModuleOn(1, "jenkins", nil)
+		return r.Kind, err
+	})
+	expect(1, "fade", func() (plan.StreamKind, error) {
+		tk, err := s.BeginExecuteOn(1, "fade")
+		if err != nil {
+			return plan.StreamNone, err
+		}
+		_, err = s.FinishExecuteOn(tk, func() error { return nil })
+		return tk.Plan().Kind, err
+	})
+	var got []trace.Event
+	for _, e := range tr.Events() {
+		if e.Kind == trace.KindPlan {
+			e.Ts = 0
+			got = append(got, e)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("plan events\n%+v\nwant one per executed stream\n%+v", got, want)
+	}
+	if want[1].Name != "fade none" {
+		t.Errorf("a warm ExecuteOn planned %q, want the no-op plan", want[1].Name)
 	}
 }
 

@@ -1,14 +1,14 @@
 package platform
 
 // Trace wiring: SetTracer threads one tracer through a board's regions —
-// the planner's per-transition decisions, the manager's §2.2 hazard
-// verdicts and resident-state demotions, and each region dock's DMA port
-// windows. Every event is stamped with the member's simulated kernel time
-// at the moment the underlying hook fires (all hooks run under the system
-// lock's serialization), so a traced run is reproducible byte for byte.
+// the manager's §2.2 hazard verdicts and resident-state demotions, and
+// each region dock's DMA port windows — and the load path books each plan
+// it executes (planLoad, in execute.go). Every event is stamped with the
+// member's simulated kernel time at the moment it happens (all of them
+// under the system lock's serialization), so a traced run is reproducible
+// byte for byte.
 
 import (
-	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -24,7 +24,6 @@ func (s *System) SetTracer(tr *trace.Tracer, member int) {
 	for ri, rs := range s.regions {
 		if tr == nil {
 			rs.mgr.SetNotify(nil)
-			rs.planner.SetObserver(nil)
 			rs.dma.SetObserver(nil)
 			continue
 		}
@@ -36,11 +35,6 @@ func (s *System) SetTracer(tr *trace.Tracer, member int) {
 			}
 			tr.Emit(trace.Event{Ts: s.K.Now(), Kind: kind,
 				Member: s.traceMember, Region: region, Name: reason})
-		})
-		rs.planner.SetObserver(func(p plan.Plan) {
-			tr.Emit(trace.Event{Ts: s.K.Now(), Kind: trace.KindPlan,
-				Member: s.traceMember, Region: region,
-				Name: p.Module + " " + p.Kind.String(), Bytes: int64(p.Bytes)})
 		})
 		rs.dma.SetObserver(func(start, done sim.Time, words int, compressed bool) {
 			name := ""

@@ -122,10 +122,10 @@ type System struct {
 	// simultaneously — sibling activity interleaves on this lock.
 	mu sync.Mutex
 
-	// tracer, when set by SetTracer, receives plan decisions, hazard
-	// verdicts, demotions and DMA port windows from this board's regions,
-	// stamped with the member's simulated kernel time; traceMember is the
-	// pool member ID the events carry.
+	// tracer, when set by SetTracer, receives the plans the load path
+	// executes, hazard verdicts, demotions and DMA port windows from this
+	// board's regions, stamped with the member's simulated kernel time;
+	// traceMember is the pool member ID the events carry.
 	tracer      *trace.Tracer
 	traceMember int32
 }
@@ -425,7 +425,7 @@ func build(name string, is64 bool, tm Timing, fp region.Floorplan) (*System, err
 				return nil, err
 			}
 		}
-		rs.planner = plan.NewFor(rs.area.R.Name, rs.mgr)
+		rs.planner = plan.New(rs.mgr)
 		rs.planning = true
 		rs.dma = icap.NewDMA(s.K, s.BusClk, loader)
 	}

@@ -318,7 +318,7 @@ func (sh *shard) pickLocked(assigned map[int]bool) (int, int) {
 // each shard serves its own request stream.
 func (sh *shard) prefetchLocked() {
 	sc := sh.sc
-	if !sc.opts.Prefetch || sc.stopped.Load() || sc.opts.Predictor == nil {
+	if !sc.opts.Prefetch || sc.stopped.Load() {
 		return
 	}
 	speculating := 0

@@ -52,8 +52,10 @@ const (
 	// outcome). A request rejected at submit completes at its arrival on
 	// the scheduler track (Member -1) with Err set.
 	KindComplete
-	// KindPlan: the planner chose a stream kind for a transition (Bytes =
-	// the planned stream's size).
+	// KindPlan: a board's load path executed a plan, a cache hit's no-op
+	// included; the cost queries of placement and prefetch sizing book
+	// none (Name = "<module> <stream kind>", Bytes = the planned stream's
+	// size).
 	KindPlan
 	// KindHazard: the §2.2 gate refused a stale plan.
 	KindHazard
