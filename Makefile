@@ -1,4 +1,4 @@
-.PHONY: build test race vet fmt loc bench benchgate benchboard-md tracedemo fuzz profile replay gobench sim sched
+.PHONY: build test race vet fmt loc bench benchgate benchboard-md tracedemo fuzz profile gobench sim sched
 
 build:
 	go build ./...
@@ -97,18 +97,6 @@ profile:
 		-shards 4 -rate 2000000 \
 		-cpuprofile artifacts/profile/cpu.pprof -mutexprofile artifacts/profile/mutex.pprof
 	@echo "profiles: artifacts/profile/cpu.pprof artifacts/profile/mutex.pprof"
-
-# Fault replay: generate the seeded S7 upset campaign as a JSONL artifact,
-# then replay it against the scheduled pool and write the availability
-# records. Both steps are deterministic for a fixed seed: rerunning
-# reproduces artifacts/fault-replay byte for byte.
-replay:
-	mkdir -p artifacts/fault-replay
-	go run ./cmd/faultreplay -scenario sweep -n 60 -seed 7 \
-		-out artifacts/fault-replay/fault_scenarios.jsonl
-	go run ./cmd/faultreplay -scenario sweep -n 60 -seed 7 \
-		-replay artifacts/fault-replay/fault_scenarios.jsonl \
-		-json artifacts/fault-replay/BENCH_replay.json
 
 # Go benchmark harness (paper tables + scheduler economics).
 gobench:

@@ -27,7 +27,9 @@
 // gate baseline (BENCH_sched.json) and the only entries of the
 // per-commit history store that cmd/benchboard renders. -predictor
 // applies with -prefetch only, and -compare rejects every single-run
-// flag, -v included. A flag that would be ignored exits 2.
+// flag, -v included. floorplan is the only argument: it comes after the
+// flags and takes only -sys32, -sys64 and -regions. A flag or argument
+// that would be ignored exits 2.
 package main
 
 import (
@@ -98,6 +100,27 @@ func run(args []string, out, errw io.Writer) int {
 			return 0
 		}
 		return 2
+	}
+	// Parsing stops at the first argument that is not a flag, so anything
+	// after it would go unread.
+	if rest := fs.Args(); len(rest) > 0 && (rest[0] != "floorplan" || len(rest) > 1) {
+		fmt.Fprintf(errw, "fpgad: unexpected arguments %q: the only argument is floorplan, after all flags\n", rest)
+		return 2
+	}
+	if fs.Arg(0) == "floorplan" {
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "sys32", "sys64", "regions":
+			default:
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			fmt.Fprintf(errw, "fpgad: floorplan prints the pool's floorplans and exits; %s do not apply to it\n",
+				strings.Join(ignored, " "))
+			return 2
+		}
 	}
 	if *sys32 < 0 {
 		fmt.Fprintf(errw, "fpgad: -sys32 %d: a board count cannot be negative\n", *sys32)

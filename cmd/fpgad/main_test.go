@@ -22,9 +22,10 @@ func TestRunSmallWorkload(t *testing.T) {
 
 // TestRunFlagAndMixParsing is the table-driven gate on the front-end's
 // argument surface: every malformed -mix shape, unknown names for the
-// pluggable pieces, the flags -compare and single runs exclude, and a
-// -predictor with no -prefetch to drive must be rejected with exit code 2
-// and a diagnostic naming the problem.
+// pluggable pieces, the flags -compare, single runs and floorplan
+// exclude, a -predictor with no -prefetch to drive, and any argument but
+// a trailing floorplan must be rejected with exit code 2 and a
+// diagnostic naming the problem.
 func TestRunFlagAndMixParsing(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -57,6 +58,9 @@ func TestRunFlagAndMixParsing(t *testing.T) {
 		{"zero batch", []string{"-batch", "0"}, "-batch 0: at least one request per batch"},
 		{"negative window", []string{"-sys32", "1", "-n", "4", "-window", "-1"}, "-window -1: a window cannot be negative (0 submits every request upfront)"},
 		{"oversplit regions", []string{"-sys32", "1", "-regions", "20", "-n", "2"}, "cannot host"},
+		{"stray argument", []string{"-sys32", "1", "-n", "2", "bogus"}, `unexpected arguments ["bogus"]`},
+		{"flags after floorplan", []string{"-sys32", "0", "-sys64", "1", "floorplan", "-regions", "2"}, `unexpected arguments ["floorplan" "-regions" "2"]`},
+		{"floorplan excludes compare", []string{"-compare", "-json", "X", "floorplan"}, "-compare -json do not apply to it"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,28 +7,26 @@ import (
 	"repro/internal/pool"
 )
 
-// faultPool is the committed S7 pool: two dual-region 64-bit boards.
-var faultPool = pool.Config{Sys64: 2, Regions: 2}
-
-// FaultScenarios expands the named fault.Campaign preset for the
-// workload against the pool's geometry. A scratch pool is booted only to
-// measure each region's fault space; the suite's runs boot their own.
-func FaultScenarios(w Workload, cfg pool.Config, campaign string) ([]fault.Scenario, error) {
+// FaultSuite is table S7: availability and tail latency versus upset
+// rate, one row per scenario of the "sweep" fault.Campaign. Each row
+// drives the workload Paced over two dual-region 64-bit boards under
+// mincost placement with dispatch scrubbing on, injecting the scenario's
+// due events after each completion and following every injection with a
+// full scrub pass. The campaign is generated from the workload's seed and
+// length, and the injection points ride the deterministic completion
+// count, so the same workload always produces the same rows.
+func FaultSuite(w Workload) (Suite, error) {
+	// A scratch pool is booted only to measure each region's fault
+	// space; the suite's runs boot their own.
+	cfg := pool.Config{Sys64: 2, Regions: 2}
 	p, err := pool.New(cfg)
 	if err != nil {
-		return nil, err
+		return Suite{}, err
 	}
-	return fault.Campaign(campaign, w.Seed, w.N, fault.PoolSlots(p))
-}
-
-// FaultSuite is table S7: availability and tail latency versus upset
-// rate, one row per scenario. Each row drives the workload Paced over
-// the pool under mincost placement with dispatch scrubbing on, injecting
-// the scenario's due events after each completion and following every
-// injection with a full scrub pass. The injection points ride the
-// deterministic completion count, so the same (workload, scenario)
-// always produces the same row.
-func FaultSuite(w Workload, cfg pool.Config, scenarios []fault.Scenario) Suite {
+	scenarios, err := fault.Campaign("sweep", w.Seed, w.N, fault.PoolSlots(p))
+	if err != nil {
+		return Suite{}, err
+	}
 	cases := make([]Case, len(scenarios))
 	for i, sc := range scenarios {
 		cases[i] = Case{Label: sc.Name + "+scrub", Pool: cfg, Policy: "mincost", Scrub: true, Fault: sc, Drive: Paced}
@@ -52,7 +50,8 @@ func FaultSuite(w Workload, cfg pool.Config, scenarios []fault.Scenario) Suite {
 		notes: func([]Run) []string {
 			return []string{
 				"rate is the per-completion upset probability; every injected flip lands inside a region band (recoverable by a complete reload)",
-				"an upset costs availability (repair streams) and tail latency (requeues), never correctness: all requests complete, the static design stays intact",
+				"an upset costs repair bandwidth, never correctness: all requests complete and the static design stays intact",
+				"nothing is requeued: the scrub pass after each injection catches the flip on the settled pool before the next dispatch (TestFaultRequeueOnDispatchScrub pins the requeue path)",
 				"detected can trail injected: a flip overwritten by the region's next complete stream is healed before any readback sees it",
 			}
 		},
@@ -60,5 +59,5 @@ func FaultSuite(w Workload, cfg pool.Config, scenarios []fault.Scenario) Suite {
 			row.Availability = r.Availability()
 			row.P99Ms = ms(r.Pct(0.99)[0])
 		},
-	}
+	}, nil
 }

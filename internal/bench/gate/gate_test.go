@@ -183,9 +183,9 @@ func TestHistoryAppendLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadEntriesTolerant mirrors internal/fault's JSONL reader: damaged
-// or truncated lines are skipped and counted, never fatal — a crashed
-// bench run must not poison the whole history.
+// TestReadEntriesTolerant: damaged or truncated lines are skipped and
+// counted, never fatal — a crashed bench run must not poison the whole
+// history.
 func TestReadEntriesTolerant(t *testing.T) {
 	raw := strings.Join([]string{
 		`{"sha":"aaa111","suite":"S4","metric":"paired/config_ms","value":2.5,"unit":"ms","deterministic":true}`,

@@ -77,8 +77,8 @@ func AppendEntries(path string, entries []Entry) error {
 // ReadEntries decodes a history stream, tolerating damage: a line that is
 // not a complete JSON object (a torn tail from a killed run, editor
 // garbage, a partial append) is skipped and counted rather than failing
-// the read, mirroring internal/fault's JSONL reader. Entries missing a
-// SHA, suite or metric are damage too — a value no consumer could key.
+// the read. Entries missing a SHA, suite or metric are damage too — a
+// value no consumer could key.
 func ReadEntries(r io.Reader) (entries []Entry, skipped int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

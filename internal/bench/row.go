@@ -52,7 +52,7 @@ type Row struct {
 	Steals           uint64  `json:"steals,omitempty"`
 	StolenRequests   uint64  `json:"stolen_requests,omitempty"`
 
-	// S7 fault-replay fields; zero for the other tables.
+	// S7 fault fields; zero for the other tables.
 	FaultsInjected uint64  `json:"faults_injected,omitempty"`
 	FaultsDetected uint64  `json:"faults_detected,omitempty"`
 	Requeues       uint64  `json:"requeues,omitempty"`

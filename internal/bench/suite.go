@@ -327,20 +327,19 @@ type Suite struct {
 
 // Suites returns the S-suites in table order — S2, S3, S4, S6, S7, S8,
 // S9 — with S2–S4, S7 and S8 on the given workload (the committed one is
-// DefaultWorkload) and S6/S9 on their own capacity workload. S7 runs the
-// "sweep" fault campaign.
+// DefaultWorkload) and S6/S9 on their own capacity workload.
 func Suites(w Workload) ([]Suite, error) {
 	region, err := RegionSuite(w)
 	if err != nil {
 		return nil, err
 	}
-	scenarios, err := FaultScenarios(w, faultPool, "sweep")
+	faults, err := FaultSuite(w)
 	if err != nil {
 		return nil, err
 	}
 	return []Suite{
 		PlacementSuite(w), PrefetchSuite(w), region, ScalingSuite(),
-		FaultSuite(w, faultPool, scenarios), CompressSuite(w), SLOSuite(),
+		faults, CompressSuite(w), SLOSuite(),
 	}, nil
 }
 

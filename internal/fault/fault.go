@@ -1,19 +1,17 @@
-// Package fault generates, serializes, and replays configuration-memory
-// upset scenarios against a pool of simulated platforms. A scenario is a
+// Package fault generates and injects configuration-memory upset
+// scenarios against a pool of simulated platforms. A scenario is a
 // seeded, fully deterministic schedule of single-bit flips — "after the
 // k-th request completes, flip bit b of word w of frame f in region r of
-// member m" — so a fault campaign can be written to a JSONL artifact once
-// and re-run bit-identically by the replay bench and by CI. Injection
-// itself is delegated to platform.InjectFaultOn, which restricts flips to
-// the region's own frame band: every scenario event is a recoverable
-// region fault, never sticky static-design damage.
+// member m". A campaign is generated from (preset, seed, n, pool), not
+// stored: the same inputs always give the same schedule, so every drive
+// regenerates its campaign where it runs it. Injection itself is
+// delegated to platform.InjectFaultOn, which restricts flips to the
+// region's own frame band: every scenario event is a recoverable region
+// fault, never sticky static-design damage.
 package fault
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 
 	"repro/internal/pool"
@@ -25,24 +23,21 @@ import (
 // Frame and Word are span-local coordinates inside the target region's
 // fault space (see platform.FaultSpaceOn).
 type Event struct {
-	AfterDone int  `json:"after_done"`
-	Member    int  `json:"member"`
-	Region    int  `json:"region"`
-	Frame     int  `json:"frame"`
-	Word      int  `json:"word"`
-	Bit       uint `json:"bit"`
+	AfterDone int
+	Member    int
+	Region    int
+	Frame     int
+	Word      int
+	Bit       uint
 }
 
-// Scenario is a named, seeded fault schedule for one workload run.
-// Rate is the per-request upset probability the schedule was drawn with;
-// Requests is the workload length it was sized for. Events are ordered
-// by AfterDone.
+// Scenario is a named fault schedule for one workload run. Rate is the
+// per-request upset probability the schedule was drawn with. Events are
+// ordered by AfterDone.
 type Scenario struct {
-	Name     string  `json:"name"`
-	Seed     int64   `json:"seed"`
-	Rate     float64 `json:"rate"`
-	Requests int     `json:"requests"`
-	Events   []Event `json:"-"`
+	Name   string
+	Rate   float64
+	Events []Event
 }
 
 // Slot describes one injectable (member, region) target and the size of
@@ -68,8 +63,8 @@ func PoolSlots(p *pool.Pool) []Slot {
 }
 
 // Apply injects one event into the pool. The platform rejects
-// out-of-band coordinates, so a malformed or stale artifact cannot
-// corrupt static state.
+// coordinates outside the region's band, so an event never damages the
+// static design.
 func Apply(p *pool.Pool, e Event) error {
 	members := p.Members()
 	if e.Member < 0 || e.Member >= len(members) {
@@ -83,29 +78,13 @@ func Apply(p *pool.Pool, e Event) error {
 // chosen slot, frame, word, and bit. The same (seed, n, rate, slots)
 // always yields the same schedule.
 func Generate(name string, seed int64, n int, rate float64, slots []Slot) Scenario {
-	sc := Scenario{Name: name, Seed: seed, Rate: rate, Requests: n}
+	sc := Scenario{Name: name, Rate: rate}
 	rng := rand.New(rand.NewSource(seed))
 	for done := 1; done <= n; done++ {
 		if rng.Float64() >= rate {
 			continue
 		}
 		sc.Events = append(sc.Events, draw(rng, done, slots))
-	}
-	return sc
-}
-
-// Burst draws a clustered scenario: the same expected number of upsets
-// as Generate at the given rate, but concentrated (at 3x intensity) in
-// the middle third of the workload — the correlated-upset shape that
-// stresses quarantine backlog rather than steady-state repair.
-func Burst(name string, seed int64, n int, rate float64, slots []Slot) Scenario {
-	sc := Scenario{Name: name, Seed: seed, Rate: rate, Requests: n}
-	rng := rand.New(rand.NewSource(seed))
-	for done := n / 3; done < 2*n/3; done++ {
-		if rng.Float64() >= rate*3 {
-			continue
-		}
-		sc.Events = append(sc.Events, draw(rng, done+1, slots))
 	}
 	return sc
 }
@@ -129,7 +108,6 @@ var Rates = []float64{0, 0.05, 0.15, 0.3}
 //
 //	sweep   — one uniform scenario per rate in Rates ("rate-0", "rate-0.05", ...)
 //	uniform — a single uniform scenario at rate 0.15
-//	burst   — a single clustered scenario at rate 0.15
 func Campaign(preset string, seed int64, n int, slots []Slot) ([]Scenario, error) {
 	switch preset {
 	case "sweep":
@@ -140,10 +118,8 @@ func Campaign(preset string, seed int64, n int, slots []Slot) ([]Scenario, error
 		return out, nil
 	case "uniform":
 		return []Scenario{Generate("uniform", seed, n, 0.15, slots)}, nil
-	case "burst":
-		return []Scenario{Burst("burst", seed, n, 0.15, slots)}, nil
 	}
-	return nil, fmt.Errorf("fault: unknown campaign %q (want sweep, uniform, or burst)", preset)
+	return nil, fmt.Errorf("fault: unknown campaign %q (want sweep or uniform)", preset)
 }
 
 // Cursor walks a scenario's events in completion order.
@@ -163,94 +139,4 @@ func (c *Cursor) Due(done int) []Event {
 		c.next++
 	}
 	return c.events[start:c.next]
-}
-
-// scenarioLine and faultLine are the two JSONL record kinds: a scenario
-// header followed by one line per event, so the artifact is greppable
-// and diffs line-by-line.
-type scenarioLine struct {
-	Kind     string  `json:"kind"`
-	Name     string  `json:"name"`
-	Seed     int64   `json:"seed"`
-	Rate     float64 `json:"rate"`
-	Requests int     `json:"requests"`
-	Events   int     `json:"events"`
-}
-
-type faultLine struct {
-	Kind string `json:"kind"`
-	Event
-}
-
-// Write serializes scenarios as JSONL: each scenario emits a
-// {"kind":"scenario",...} header line followed by its
-// {"kind":"fault",...} event lines.
-func Write(w io.Writer, scenarios []Scenario) error {
-	enc := json.NewEncoder(w)
-	for _, sc := range scenarios {
-		if err := enc.Encode(scenarioLine{Kind: "scenario", Name: sc.Name, Seed: sc.Seed,
-			Rate: sc.Rate, Requests: sc.Requests, Events: len(sc.Events)}); err != nil {
-			return err
-		}
-		for _, e := range sc.Events {
-			if err := enc.Encode(faultLine{Kind: "fault", Event: e}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Read parses a JSONL artifact written by Write. Fault lines attach to
-// the most recent scenario header; the header's event count is checked
-// so a truncated artifact is caught rather than silently replayed short.
-func Read(r io.Reader) ([]Scenario, error) {
-	var out []Scenario
-	var want []int
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var kind struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(line, &kind); err != nil {
-			return nil, fmt.Errorf("fault: line %d: %w", lineNo, err)
-		}
-		switch kind.Kind {
-		case "scenario":
-			var h scenarioLine
-			if err := json.Unmarshal(line, &h); err != nil {
-				return nil, fmt.Errorf("fault: line %d: %w", lineNo, err)
-			}
-			out = append(out, Scenario{Name: h.Name, Seed: h.Seed, Rate: h.Rate, Requests: h.Requests})
-			want = append(want, h.Events)
-		case "fault":
-			if len(out) == 0 {
-				return nil, fmt.Errorf("fault: line %d: fault before any scenario header", lineNo)
-			}
-			var f faultLine
-			if err := json.Unmarshal(line, &f); err != nil {
-				return nil, fmt.Errorf("fault: line %d: %w", lineNo, err)
-			}
-			out[len(out)-1].Events = append(out[len(out)-1].Events, f.Event)
-		default:
-			return nil, fmt.Errorf("fault: line %d: unknown kind %q", lineNo, kind.Kind)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	for i := range out {
-		if len(out[i].Events) != want[i] {
-			return nil, fmt.Errorf("fault: scenario %q has %d events, header promised %d (truncated artifact?)",
-				out[i].Name, len(out[i].Events), want[i])
-		}
-	}
-	return out, nil
 }

@@ -17,9 +17,10 @@ import (
 // Config sizes the pool: how many 32-bit and 64-bit systems to build, and
 // how many independently reconfigurable regions each member's dynamic area
 // is split into (0 or 1 = the paper's fixed single-region floorplan).
-// Members, when non-empty, overrides the counts entirely: each spec builds
-// one member with an explicit floorplan — how benchmark pools compare
-// region granularities at equal total fabric.
+// Members, when non-empty, replaces the counts: each spec builds one
+// member with an explicit floorplan — how benchmark pools compare region
+// granularities at equal total fabric — and Sys32, Sys64 and Regions must
+// stay zero.
 type Config struct {
 	Sys32   int
 	Sys64   int
@@ -46,30 +47,28 @@ type Pool struct {
 
 // New boots the configured mix of systems, in parallel. Member IDs are
 // stable: 32-bit systems first, then 64-bit (or Members order). A negative
-// board count is an error.
+// board or region count is an error, and so are counts beside Members.
 func New(cfg Config) (*Pool, error) {
-	if cfg.Sys32 < 0 || cfg.Sys64 < 0 {
-		return nil, fmt.Errorf("pool: negative board count (sys32=%d sys64=%d)", cfg.Sys32, cfg.Sys64)
+	if cfg.Sys32 < 0 || cfg.Sys64 < 0 || cfg.Regions < 0 {
+		return nil, fmt.Errorf("pool: negative board or region count (sys32=%d sys64=%d regions=%d)",
+			cfg.Sys32, cfg.Sys64, cfg.Regions)
 	}
-	regions := cfg.Regions
-	if regions < 1 {
-		regions = 1
+	if len(cfg.Members) > 0 && cfg.Sys32+cfg.Sys64+cfg.Regions > 0 {
+		return nil, fmt.Errorf("pool: Members builds every member itself, so sys32=%d sys64=%d regions=%d would go unused",
+			cfg.Sys32, cfg.Sys64, cfg.Regions)
 	}
+	regions := max(cfg.Regions, 1)
 	builders := make([]func() (*platform.System, error), 0, cfg.Sys32+cfg.Sys64+len(cfg.Members))
-	if len(cfg.Members) > 0 {
-		for _, spec := range cfg.Members {
-			spec := spec
-			builders = append(builders, func() (*platform.System, error) {
-				return platform.NewSystem(spec.Is64, spec.Floorplan)
-			})
-		}
-	} else {
-		for i := 0; i < cfg.Sys32; i++ {
-			builders = append(builders, func() (*platform.System, error) { return platform.NewSys32N(regions) })
-		}
-		for i := 0; i < cfg.Sys64; i++ {
-			builders = append(builders, func() (*platform.System, error) { return platform.NewSys64N(regions) })
-		}
+	for _, spec := range cfg.Members {
+		builders = append(builders, func() (*platform.System, error) {
+			return platform.NewSystem(spec.Is64, spec.Floorplan)
+		})
+	}
+	for i := 0; i < cfg.Sys32; i++ {
+		builders = append(builders, func() (*platform.System, error) { return platform.NewSys32N(regions) })
+	}
+	for i := 0; i < cfg.Sys64; i++ {
+		builders = append(builders, func() (*platform.System, error) { return platform.NewSys64N(regions) })
 	}
 	n := len(builders)
 	if n <= 0 {

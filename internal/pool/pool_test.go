@@ -34,9 +34,25 @@ func TestNewBuildsConfiguredMix(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty pool config accepted")
 	}
-	for _, cfg := range []Config{{Sys32: -1, Sys64: 2}, {Sys32: 2, Sys64: -1}, {Sys32: -3, Sys64: 1}} {
-		if p, err := New(cfg); err == nil || !strings.Contains(err.Error(), "negative") {
-			t.Errorf("New(%+v) = %v, %v; want a negative-count error", cfg, p, err)
+	fp, err := region.Default(false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := []MemberSpec{{Floorplan: fp}}
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Sys32: -1, Sys64: 2}, "negative"},
+		{Config{Sys32: 2, Sys64: -1}, "negative"},
+		{Config{Sys32: -3, Sys64: 1}, "negative"},
+		{Config{Sys32: 1, Regions: -4}, "negative"},
+		{Config{Sys32: 3, Regions: 5, Members: one}, "would go unused"},
+		{Config{Sys64: 1, Members: one}, "would go unused"},
+		{Config{Regions: 2, Members: one}, "would go unused"},
+	} {
+		if p, err := New(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("New(%+v) = %v, %v; want an error naming %q", tc.cfg, p, err, tc.want)
 		}
 	}
 }

@@ -271,7 +271,25 @@ func TestTraceFoldsToStats(t *testing.T) {
 		}, func(st Stats) bool { return st.Requeues > 0 }},
 		{"sharded-steals-rejects", func(t *testing.T, tr *trace.Tracer) *Scheduler {
 			s := New(pool32(t, 4), Options{Batch: 2, Policy: policies["mincost"], Shards: 4, Trace: tr})
-			for _, ch := range s.SubmitAll(workload(t, 7, 80)) {
+			w := workload(t, 7, 80)
+			// Queue the head of the workload on shard 0 without dispatching,
+			// so shard 1's dispatch round finds no local work and steals:
+			// the drive reaches a steal whatever the goroutine timing of the
+			// rest of the run (as in TestShardStealTakesOldestPrefix).
+			var chs []<-chan Result
+			victim, thief := s.shards[0], s.shards[1]
+			victim.mu.Lock()
+			for _, r := range w[:8] {
+				chs = append(chs, victim.submitLocked(r, 0, false))
+			}
+			victim.mu.Unlock()
+			thief.mu.Lock()
+			thief.dispatchLocked()
+			thief.mu.Unlock()
+			victim.mu.Lock()
+			victim.dispatchLocked()
+			victim.mu.Unlock()
+			for _, ch := range append(chs, s.SubmitAll(w[8:])...) {
 				if r := <-ch; r.Err != nil && (r.Module != "sha1" || r.Member != -1) {
 					t.Errorf("request %d (%s): %v", r.ID, r.Task, r.Err)
 				}
