@@ -47,7 +47,10 @@ func (c *chart) title() string {
 		t += " (" + c.unit + ")"
 	}
 	if !c.det {
-		t += " — host-dependent, informational"
+		t += " — host-dependent"
+		if !gate.Gated(c.suite, c.metric) {
+			t += ", informational"
+		}
 	}
 	return t
 }

@@ -149,6 +149,34 @@ func TestFlagsFollowGateBands(t *testing.T) {
 	}
 }
 
+// TestTitlesCallOnlyUngatedMetricsInformational: a chart title says
+// "informational" only for a metric the gate does not judge. S2's and
+// S6's config time and streamed bytes are host-dependent yet gated; S6's
+// throughput and p99 are informational; S4's are neither.
+func TestTitlesCallOnlyUngatedMetricsInformational(t *testing.T) {
+	history := filepath.Join(t.TempDir(), "history.jsonl")
+	appendRows(t, history, "aaa111",
+		bench.Row{Table: "S2", Label: "lru+planner", ConfigMs: 29.525, BytesStreamed: 1800648, TolerancePct: 40},
+		bench.Row{Table: "S6", Label: "shards-8/rho-4/poisson", ThroughputRPS: 20000, P99Ms: 50},
+		s4(2.0, 1024))
+	charts, _, err := loadCharts(history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ suite, metric, want string }{
+		{"S2", "config_ms", "S2 config_ms (ms) — host-dependent"},
+		{"S2", "bytes_streamed", "S2 bytes_streamed (B) — host-dependent"},
+		{"S6", "bytes_streamed", "S6 bytes_streamed (B) — host-dependent"},
+		{"S6", "throughput_rps", "S6 throughput_rps (req/s) — host-dependent, informational"},
+		{"S6", "p99_ms", "S6 p99_ms (ms) — host-dependent, informational"},
+		{"S4", "config_ms", "S4 config_ms (ms)"},
+	} {
+		if got := findChart(t, charts, tc.suite, tc.metric).title(); got != tc.want {
+			t.Errorf("title %q, want %q", got, tc.want)
+		}
+	}
+}
+
 func TestMarkdownStableAcrossRenders(t *testing.T) {
 	dir := t.TempDir()
 	history := filepath.Join(dir, "history.jsonl")

@@ -24,7 +24,7 @@ type Entry struct {
 	Unit   string  `json:"unit"`
 	// Deterministic mirrors gate.SuiteDeterministic for the suite: true
 	// rows reproduce byte-identically and gate hard, false rows are
-	// host-dependent and informational.
+	// host-dependent and gate only the metrics Gated names.
 	Deterministic bool `json:"deterministic"`
 	// TolerancePct is the row's gate band (0 = the gate default).
 	TolerancePct float64 `json:"tolerance_pct,omitempty"`

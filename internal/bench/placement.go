@@ -11,9 +11,10 @@ import (
 // workload over a 2+2 pool — the PR 1 baseline (lru placement, complete
 // streams only), the planner under the same placement, and the planner
 // with cost-aware placement. The drive is concurrent, so placement
-// follows goroutine completion order and rows swing up to ~30% run to
-// run: they carry a wide tolerance band, still far inside the 5x
-// planner-vs-complete signal they guard.
+// follows goroutine completion order: rows carry a 40% tolerance band,
+// still far inside the 5x planner-vs-complete signal they guard, yet
+// bytes_streamed has read up to +84.8% over the baseline (see
+// Row.TolerancePct).
 func PlacementSuite(w Workload) Suite {
 	cfg := pool.Config{Sys32: 2, Sys64: 2}
 	return Suite{

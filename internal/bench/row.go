@@ -65,9 +65,11 @@ type Row struct {
 	// CI gate (cmd/benchdiff) fails, overriding the gate's default. The
 	// paced S3 rows are deterministic and gate tight; the SubmitAll S2
 	// rows react to goroutine completion order (placement follows whoever
-	// finishes first) and swing up to ~30% run to run, so they carry a
-	// wider band — still far inside the 5x planner-vs-complete signal
-	// they guard.
+	// finishes first), so they carry a 40% band, still far inside the 5x
+	// planner-vs-complete signal they guard. Their bytes_streamed has
+	// been measured up to +84.8% over the baseline, failing the band in
+	// about one gate run in ten; a deterministic executor (ROADMAP item
+	// 3) is the fix, not a wider band.
 	TolerancePct float64 `json:"tolerance_pct,omitempty"`
 }
 

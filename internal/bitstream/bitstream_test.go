@@ -1,7 +1,6 @@
 package bitstream
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -208,59 +207,6 @@ func TestLoaderReusableAcrossConfigs(t *testing.T) {
 	}
 	if _, configs, _ := l.Stats(); configs != 3 {
 		t.Fatalf("configs = %d, want 3", configs)
-	}
-}
-
-func TestStreamBytesRoundTrip(t *testing.T) {
-	f := func(words []uint32) bool {
-		s := &Stream{Device: "XC2VP7", Words: words}
-		back, err := FromBytes("XC2VP7", s.Bytes())
-		if err != nil {
-			return false
-		}
-		if len(back.Words) != len(words) {
-			return false
-		}
-		for i := range words {
-			if back.Words[i] != words[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FromBytes("X", []byte{1, 2, 3}); err == nil {
-		t.Fatal("unaligned byte stream accepted")
-	}
-}
-
-func TestContainerRoundTrip(t *testing.T) {
-	s := &Stream{Device: "XC2VP30", Words: []uint32{1, 2, 3, SyncWord}}
-	blob, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Stream
-	if err := back.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	if back.Device != s.Device || len(back.Words) != len(s.Words) {
-		t.Fatalf("roundtrip mismatch: %+v", back)
-	}
-	for i := range s.Words {
-		if back.Words[i] != s.Words[i] {
-			t.Fatal("word mismatch")
-		}
-	}
-	if err := back.UnmarshalBinary([]byte("nope")); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	blob2 := bytes.Clone(blob)
-	blob2 = blob2[:len(blob2)-1]
-	if err := back.UnmarshalBinary(blob2); err == nil {
-		t.Fatal("truncated container accepted")
 	}
 }
 

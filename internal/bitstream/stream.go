@@ -1,10 +1,5 @@
 package bitstream
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
 // Stream is a built configuration stream: the 32-bit words fed to the
 // configuration port, plus the device it targets.
 type Stream struct {
@@ -14,69 +9,3 @@ type Stream struct {
 
 // SizeBytes returns the stream size in bytes as transferred through ICAP.
 func (s *Stream) SizeBytes() int { return 4 * len(s.Words) }
-
-// Bytes serializes the stream words big-endian, the byte order of the
-// SelectMAP/ICAP interface.
-func (s *Stream) Bytes() []byte {
-	out := make([]byte, 4*len(s.Words))
-	for i, w := range s.Words {
-		binary.BigEndian.PutUint32(out[4*i:], w)
-	}
-	return out
-}
-
-// FromBytes reconstructs stream words from ICAP byte order. The length must
-// be a multiple of four.
-func FromBytes(device string, data []byte) (*Stream, error) {
-	if len(data)%4 != 0 {
-		return nil, fmt.Errorf("bitstream: byte stream length %d not word-aligned", len(data))
-	}
-	words := make([]uint32, len(data)/4)
-	for i := range words {
-		words[i] = binary.BigEndian.Uint32(data[4*i:])
-	}
-	return &Stream{Device: device, Words: words}, nil
-}
-
-// container file format for cmd/bitlinker: magic, device name, word count,
-// words. All integers big-endian.
-var containerMagic = [4]byte{'X', 'B', 'F', '1'}
-
-// MarshalBinary encodes the stream in the XBF1 container format.
-func (s *Stream) MarshalBinary() ([]byte, error) {
-	name := []byte(s.Device)
-	if len(name) > 255 {
-		return nil, fmt.Errorf("bitstream: device name too long")
-	}
-	out := make([]byte, 0, 4+1+len(name)+4+4*len(s.Words))
-	out = append(out, containerMagic[:]...)
-	out = append(out, byte(len(name)))
-	out = append(out, name...)
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(s.Words)))
-	out = append(out, n[:]...)
-	return append(out, s.Bytes()...), nil
-}
-
-// UnmarshalBinary decodes the XBF1 container format.
-func (s *Stream) UnmarshalBinary(data []byte) error {
-	if len(data) < 9 || [4]byte(data[:4]) != containerMagic {
-		return fmt.Errorf("bitstream: not an XBF1 container")
-	}
-	nameLen := int(data[4])
-	if len(data) < 5+nameLen+4 {
-		return fmt.Errorf("bitstream: truncated container header")
-	}
-	name := string(data[5 : 5+nameLen])
-	wc := int(binary.BigEndian.Uint32(data[5+nameLen:]))
-	body := data[5+nameLen+4:]
-	if len(body) != 4*wc {
-		return fmt.Errorf("bitstream: container declares %d words, body has %d bytes", wc, len(body))
-	}
-	parsed, err := FromBytes(name, body)
-	if err != nil {
-		return err
-	}
-	*s = *parsed
-	return nil
-}

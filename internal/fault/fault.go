@@ -62,9 +62,9 @@ func PoolSlots(p *pool.Pool) []Slot {
 	return out
 }
 
-// Apply injects one event into the pool. The platform rejects
-// coordinates outside the region's band, so an event never damages the
-// static design.
+// Apply injects one event into the pool. The platform rejects a region
+// the board does not have and coordinates outside the region's band, so
+// an event never damages the static design.
 func Apply(p *pool.Pool, e Event) error {
 	members := p.Members()
 	if e.Member < 0 || e.Member >= len(members) {

@@ -128,6 +128,11 @@ func TestPoolSlotsAndApply(t *testing.T) {
 	if err := Apply(p, Event{Member: 0, Region: 0, Frame: 1 << 20}); err == nil {
 		t.Fatal("out-of-band frame accepted")
 	}
+	for _, region := range []int{2, -1} {
+		if err := Apply(p, Event{Member: 0, Region: region}); err == nil {
+			t.Fatalf("event for missing region %d accepted", region)
+		}
+	}
 	for _, r := range p.Members()[0].Sys.Status().Regions {
 		if r.FaultsInjected != 0 {
 			t.Fatalf("rejected injections counted on member 0 region %s: %d", r.Region, r.FaultsInjected)

@@ -10,7 +10,11 @@ package platform
 // stream a complete configuration, which rewrites every span frame and
 // heals the flip as a side effect.
 
-import "repro/internal/sim"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // ScrubReport is the outcome of one readback scrub of a dynamic region.
 type ScrubReport struct {
@@ -45,8 +49,12 @@ func (s *System) ScrubOn(ri int) ScrubReport {
 // InjectFaultOn flips one configuration bit inside the region's row band:
 // frame indexes the region's span frames, word its band words, bit the bit
 // within the word. The flip mutates configuration memory directly (an SEU,
-// not a stream) and goes unnoticed until a scrub or rebind looks.
+// not a stream) and goes unnoticed until a scrub or rebind looks. A region
+// the board does not have is an error, like a frame or word outside it.
 func (s *System) InjectFaultOn(ri, frame, word int, bit uint) error {
+	if ri < 0 || ri >= len(s.regions) {
+		return fmt.Errorf("platform: fault targets region %d of %d", ri, len(s.regions))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.regions[ri].mgr.InjectFault(frame, word, bit)
