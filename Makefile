@@ -76,9 +76,11 @@ tracedemo:
 # Fuzz smoke: the loader must reject damaged differential streams without
 # wedging (CRC or state-machine error, never silent misconfiguration),
 # multi-region differentials must stay inside their region's frame spans,
-# damaged compressed containers must never decode to divergent frames, and
+# damaged compressed containers must never decode to divergent frames,
 # arbitrary words pushed through the bus, bridge, HWICAP and loader by
-# cpu.StoreStream must leave exactly the state one SW per word leaves.
+# cpu.StoreStream must leave exactly the state one SW per word leaves, and
+# arbitrary words fed from memory into the OPB Dock by cpu.Feed must leave
+# exactly the state the driver's per-word loop leaves.
 # Minimizing a new-coverage input is capped at 10 runs, so each target
 # spends its 10 seconds exploring instead of minimizing.
 fuzz:
@@ -86,6 +88,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzCompressedStream -fuzztime 10s -fuzzminimizetime 10x ./internal/bitstream
 	go test -run '^$$' -fuzz FuzzRegionPlanner -fuzztime 10s -fuzzminimizetime 10x ./internal/plan
 	go test -run '^$$' -fuzz FuzzStoreStream -fuzztime 10s -fuzzminimizetime 10x ./internal/cpu
+	go test -run '^$$' -fuzz FuzzFeed -fuzztime 10s -fuzzminimizetime 10x ./internal/cpu
 
 # Profile the sharded dispatcher under a saturating open-loop drive: CPU
 # and mutex-contention profiles land in artifacts/profile for

@@ -39,6 +39,16 @@ func (br *Bridge) Name() string { return "plb2opb-bridge" }
 // the two 32-bit OPB transfers it is narrowed into, as on the OPB itself.
 func (br *Bridge) Stats() (reads, writes uint64) { return br.reads, br.writes }
 
+// Record registers in ch every time and counter a forwarded access moves in
+// the bridge: its post queue and its read and write counts. The OPB
+// registers its own.
+func (br *Bridge) Record(ch *sim.Chain) {
+	for i := range br.posted {
+		ch.Time(&br.posted[i])
+	}
+	ch.Count(&br.reads, &br.writes)
+}
+
 // Read implements Slave: the PLB-side wait states cover the complete OPB
 // transaction plus bridge overhead.
 func (br *Bridge) Read(addr uint32, size int) (uint64, int) {
@@ -109,10 +119,7 @@ type bridgeBulk struct{ bridgeSink }
 func (s *bridgeBulk) Inert() int { return s.st.Inert() }
 
 func (s *bridgeBulk) Record(ch *sim.Chain) {
-	for i := range s.br.posted {
-		ch.Time(&s.br.posted[i])
-	}
-	ch.Count(&s.br.writes)
+	s.br.Record(ch)
 	s.st.Record(ch)
 }
 

@@ -61,6 +61,23 @@ type BulkSink interface {
 	WriteWords(ws []uint32)
 }
 
+// PlainSlave is a Slave whose single accesses have plain timing: their wait
+// states depend on the address and size alone, never on the value or on
+// the slave's state, and an access schedules no event. A driver loop of
+// such accesses repeats one step of the bus timing, which cpu.Feed
+// advances in closed form.
+type PlainSlave interface {
+	Slave
+	PlainTiming()
+}
+
+// WordReader is a PlainSlave that reads a run of consecutive 32-bit words
+// in one call, with the effect of one Read(addr+4i, 4) per word.
+type WordReader interface {
+	PlainSlave
+	ReadWords(addr uint32, ws []uint32)
+}
+
 // BurstSlave is implemented by slaves that support multi-beat bursts (memory
 // controllers, the PLB Dock). BurstWaits returns the wait cycles for an
 // n-beat burst in addition to the per-beat cycles.
@@ -123,6 +140,13 @@ func (b *Bus) Width() int { return b.width }
 // Stats reports transaction counts.
 func (b *Bus) Stats() (reads, writes, bursts uint64) { return b.reads, b.writes, b.bursts }
 
+// Record registers in ch every time and counter a transaction moves on the
+// bus: its busy-until mark and its read, write and burst counts.
+func (b *Bus) Record(ch *sim.Chain) {
+	b.res.Record(ch)
+	ch.Count(&b.reads, &b.writes, &b.bursts)
+}
+
 // Map attaches a slave at [base, base+size). Overlaps are rejected.
 func (b *Bus) Map(base, size uint32, s Slave) error {
 	if size == 0 {
@@ -145,6 +169,44 @@ func (b *Bus) decode(addr uint32) (Slave, uint32, error) {
 		}
 	}
 	return nil, 0, fmt.Errorf("bus %s: no slave at address %#08x (bus error)", b.name, addr)
+}
+
+// Target is an address resolved with no timing effect: the slave that
+// owns it and the address within that slave, behind the bridge when the
+// address lies behind it.
+type Target struct {
+	Slave Slave
+	Off   uint32
+	bus   *Bus    // the bus the address was resolved on
+	br    *Bridge // the bridge an access crosses, nil when it crosses none
+}
+
+// Resolve finds the slave owning addr as a transaction would, forwarding
+// through the bridge to the slave behind it, but occupies, queues and
+// counts nothing.
+func (b *Bus) Resolve(addr uint32) (Target, error) {
+	s, off, err := b.decode(addr)
+	if err != nil {
+		return Target{}, err
+	}
+	br, ok := s.(*Bridge)
+	if !ok {
+		return Target{Slave: s, Off: off, bus: b}, nil
+	}
+	t, err := br.opb.Resolve(br.base + off)
+	t.bus, t.br = b, br
+	return t, err
+}
+
+// Record registers in ch every time and counter a single access to the
+// target moves on its way: the bus it was resolved on and, behind the
+// bridge, the bridge and the bus beyond it.
+func (t Target) Record(ch *sim.Chain) {
+	t.bus.Record(ch)
+	if t.br != nil {
+		t.br.Record(ch)
+		t.br.opb.Record(ch)
+	}
 }
 
 // checkSize validates an access size against the bus width.
@@ -293,8 +355,7 @@ func (st *Stream) Inert() int { return st.bulk.Inert() }
 
 // Record registers in ch every time and counter a Post moves.
 func (st *Stream) Record(ch *sim.Chain) {
-	st.b.res.Record(ch)
-	ch.Count(&st.b.writes)
+	st.b.Record(ch)
 	st.bulk.Record(ch)
 }
 
@@ -394,21 +455,23 @@ func (b *Bus) checkBurst(addr uint32, beats int) error {
 }
 
 // Peek reads functionally with no timing effect (debugger/test access).
+// Behind the bridge it reads the slave there directly.
 func (b *Bus) Peek(addr uint32, size int) (uint64, error) {
-	s, off, err := b.decode(addr)
+	t, err := b.Resolve(addr)
 	if err != nil {
 		return 0, err
 	}
-	v, _ := s.Read(off, size)
+	v, _ := t.Slave.Read(t.Off, size)
 	return v, nil
 }
 
-// Poke writes functionally with no timing effect.
+// Poke writes functionally with no timing effect, through the bridge as
+// Peek reads.
 func (b *Bus) Poke(addr uint32, val uint64, size int) error {
-	s, off, err := b.decode(addr)
+	t, err := b.Resolve(addr)
 	if err != nil {
 		return err
 	}
-	s.Write(off, val, size)
+	t.Slave.Write(t.Off, val, size)
 	return nil
 }

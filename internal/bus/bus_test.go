@@ -186,6 +186,47 @@ func TestPeekPokeHaveNoTimingEffect(t *testing.T) {
 	if k.Now() != 60*sim.Nanosecond {
 		t.Fatalf("write after peek/poke completed at %v, want 60ns", k.Now())
 	}
+
+	// Behind the bridge, Peek and Poke reach the OPB slave directly: the
+	// OPB, the bridge's post queue and its counts are left as they were,
+	// so a bridged read takes as long as on an untouched rig.
+	bridged := func() (*sim.Kernel, *Bus, *Bus, *Bridge) {
+		k := sim.NewKernel()
+		clk := sim.NewClock("c", 50_000_000)
+		plb := New("plb", k, clk, 8, Params{ArbCycles: 2, ReadExtra: 2, BeatCycles: 1})
+		opb := New("opb", k, clk, 4, Params{ArbCycles: 2, ReadExtra: 1, BeatCycles: 1})
+		if err := opb.Map(0, 1<<20, memctl.NewSRAM()); err != nil {
+			t.Fatal(err)
+		}
+		br := NewBridge(plb, opb, 0, 1, 2)
+		if err := plb.Map(0x2000_0000, 1<<20, br); err != nil {
+			t.Fatal(err)
+		}
+		return k, plb, opb, br
+	}
+	k0, plb0, _, _ := bridged()
+	if _, err := plb0.Read(0x2000_0100, 4); err != nil {
+		t.Fatal(err)
+	}
+	k, plb, opb, br := bridged()
+	if err := plb.Poke(0x2000_0100, 0x1234, 4); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := plb.Peek(0x2000_0100, 4); err != nil || v != 0x1234 {
+		t.Fatalf("bridged peek = %#x, %v; want 0x1234", v, err)
+	}
+	rd, wr := br.Stats()
+	ord, owr, _ := opb.Stats()
+	if k.Now() != 0 || rd != 0 || wr != 0 || ord != 0 || owr != 0 {
+		t.Fatalf("bridged peek/poke: now %v, bridge %d reads %d writes, OPB %d reads %d writes; want all 0",
+			k.Now(), rd, wr, ord, owr)
+	}
+	if v, err := plb.Read(0x2000_0100, 4); err != nil || v != 0x1234 {
+		t.Fatalf("bridged read = %#x, %v", v, err)
+	}
+	if k.Now() != k0.Now() {
+		t.Fatalf("bridged read after peek/poke completed at %v, want %v as on an untouched rig", k.Now(), k0.Now())
+	}
 }
 
 func TestBridgeReadSlowerThanDirect(t *testing.T) {

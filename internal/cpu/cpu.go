@@ -11,6 +11,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bus"
 	"repro/internal/sim"
@@ -93,10 +94,39 @@ type CPU struct {
 	// stores, oldest first; those at or before now have retired. They only
 	// grow, since the bus serves in order.
 	wbuf []sim.Time
-	// chain is StoreStream's timing record, kept to reuse its arrays.
-	chain sim.Chain
+	// chain is StoreStream's and Feed's timing record, holding the cells
+	// of the path held names; feedBuf carries the words of Feed's skipped
+	// groups.
+	chain   sim.Chain
+	held    chainPath
+	feedBuf [256]uint32
 
 	stats Stats
+}
+
+// chainPath names the cells a CPU's chain holds: those of StoreStream's
+// path to dst (src zero), or of Feed's paths to dst and from src (its
+// offset zeroed). The bus map is fixed once a board is built, so one path
+// registers the same cells on every call, and a call along the path the
+// chain holds keeps them. The zero chainPath (ok false) holds nothing.
+type chainPath struct {
+	ok  bool
+	dst uint32
+	src bus.Target
+}
+
+// hold makes the chain hold path p's cells, and reports whether they must
+// be registered: the chain is reset, and holds the core's own cells, when
+// it held another path's.
+func (c *CPU) hold(p chainPath) bool {
+	p.ok = true
+	if c.held == p {
+		return false
+	}
+	c.held = p
+	c.chain.Reset(c.k)
+	c.record(&c.chain)
+	return true
 }
 
 // New returns a core attached to its data-side bus.
@@ -138,13 +168,15 @@ func (c *CPU) guarded(addr uint32) bool {
 	return false
 }
 
-func (c *CPU) cacheable(addr uint32) bool {
+// cacheable reports whether any byte of [addr, addr+size) is cacheable.
+func (c *CPU) cacheable(addr uint32, size int) bool {
 	if c.dc == nil {
 		return false
 	}
+	lo, hi := uint64(addr), uint64(addr)+uint64(size)
 	for _, a := range c.attr {
-		if addr >= a.Base && addr-a.Base < a.Size {
-			return a.Cacheable
+		if a.Cacheable && lo < uint64(a.Base)+uint64(a.Size) && uint64(a.Base) < hi {
+			return true
 		}
 	}
 	return false
@@ -192,7 +224,7 @@ func (c *CPU) load(addr uint32, size int) uint32 {
 	}
 	c.stats.Loads++
 	c.tick(c.p.LoadCycles)
-	if c.cacheable(addr) {
+	if c.cacheable(addr, size) {
 		c.dcAccess(addr, false)
 		v, err := c.bus.Peek(addr, size) // data is functionally in memory
 		if err != nil {
@@ -214,7 +246,7 @@ func (c *CPU) store(addr uint32, val uint32, size int) {
 	}
 	c.stats.Stores++
 	c.tick(c.p.StoreCycles)
-	if c.cacheable(addr) {
+	if c.cacheable(addr, size) {
 		c.dcAccess(addr, true)
 		if err := c.bus.Poke(addr, uint64(val), size); err != nil {
 			panic(fmt.Sprintf("cpu: store %#x: %v", addr, err))
@@ -252,7 +284,7 @@ func (c *CPU) store(addr uint32, val uint32, size int) {
 // word, and every word to any other target, is stored one at a time.
 func (c *CPU) StoreStream(addr uint32, words []uint32) {
 	st, err := c.bus.OpenStream(addr, 4)
-	if err != nil || c.cacheable(addr) {
+	if err != nil || c.cacheable(addr, 4) {
 		for _, w := range words {
 			c.SW(addr, w)
 		}
@@ -266,14 +298,9 @@ func (c *CPU) StoreStream(addr uint32, words []uint32) {
 		return
 	}
 	ch := &c.chain
-	ch.Reset(c.k)
-	ch.Count(&c.stats.Stores, &c.stats.PostedStalls)
-	if posted {
-		for i := range c.wbuf {
-			ch.Time(&c.wbuf[i])
-		}
+	if c.hold(chainPath{dst: addr}) {
+		st.Record(ch)
 	}
-	st.Record(ch)
 	for i := 0; i < len(words); i++ {
 		// The inert words after this one, within the call.
 		run := min(st.Inert(), len(words)-i) - 1
@@ -298,6 +325,107 @@ func (c *CPU) storeWord(st *bus.Stream, w uint32, posted bool) {
 		c.retire(done)
 	} else {
 		c.k.AdvanceTo(done)
+	}
+}
+
+// Feed runs the driver loop that moves words from memory into a device
+// register: n groups of size words, read from consecutive addresses from
+// src on, each word one LW (byte-reversed, as lwbrx, when swap) and one SW
+// to the one address dst, and after each group ops ALU ops and a taken
+// branch. It has the effect and timing of that loop.
+//
+// When neither address is cacheable, the destination resolves to a
+// bus.PlainSlave and the whole source range to another slave, a
+// bus.WordReader, every group is one max-plus step of the path's timing
+// state: the core's counters and write buffer, the buses' busy-until marks
+// and counts, the bridge's post queue and counts. Feed runs each group
+// with that state recorded in a sim.Chain around it, as StoreStream does
+// for inert words. Once a group leaves the state, relative to now, as it
+// found it, Chain.Skip advances the remaining groups at once, strictly
+// before the next pending event, and their words move functionally from
+// the source slave to the destination slave, which count them as their
+// own Read and Write do. Every other feed runs group by group.
+func (c *CPU) Feed(dst, src uint32, n, size, ops int, swap bool) {
+	d, s, r := c.feedTargets(dst, src, n, size)
+	if r == nil {
+		for g := range n {
+			c.feedGroup(dst, src+uint32(4*size*g), size, ops, swap)
+		}
+		return
+	}
+	ch := &c.chain
+	path := chainPath{dst: dst, src: s}
+	path.src.Off = 0
+	if c.hold(path) {
+		d.Record(ch)
+		s.Record(ch)
+	}
+	for g := 0; g < n; g++ {
+		ch.Mark()
+		c.feedGroup(dst, src+uint32(4*size*g), size, ops, swap)
+		k := ch.Skip(n - g - 1)
+		for off, left := s.Off+uint32(4*size*(g+1)), k*size; left > 0; {
+			ws := c.feedBuf[:min(left, len(c.feedBuf))]
+			r.ReadWords(off, ws)
+			for _, w := range ws {
+				if swap {
+					w = bits.ReverseBytes32(w)
+				}
+				d.Slave.Write(d.Off, uint64(w), 4)
+			}
+			off += uint32(4 * len(ws))
+			left -= len(ws)
+		}
+		g += k
+	}
+}
+
+// feedTargets resolves a feed's destination register and the first and
+// last words of its source with no timing effect. It returns the source
+// slave as a reader when the feed can skip: more than one group, nothing
+// cacheable, and the targets two slaves that declare plain timing, the
+// source range within one mapping.
+func (c *CPU) feedTargets(dst, src uint32, n, size int) (d, s bus.Target, r bus.WordReader) {
+	words := n * size
+	if n < 2 || size < 1 || c.cacheable(dst, 4) || c.cacheable(src, 4*words) {
+		return d, s, nil
+	}
+	d, err := c.bus.Resolve(dst)
+	if err != nil {
+		return d, s, nil
+	}
+	if s, err = c.bus.Resolve(src); err != nil {
+		return d, s, nil
+	}
+	last, err := c.bus.Resolve(src + uint32(4*(words-1)))
+	last.Off -= uint32(4 * (words - 1))
+	r, _ = s.Slave.(bus.WordReader)
+	if _, plain := d.Slave.(bus.PlainSlave); err != nil || last != s || !plain || d.Slave == s.Slave {
+		r = nil
+	}
+	return d, s, r
+}
+
+// feedGroup is one group of a Feed, one instruction at a time.
+func (c *CPU) feedGroup(dst, src uint32, size, ops int, swap bool) {
+	for i := range size {
+		w := c.LW(src + uint32(4*i))
+		if swap {
+			w = bits.ReverseBytes32(w)
+		}
+		c.SW(dst, w)
+	}
+	c.Op(ops)
+	c.Branch(true)
+}
+
+// record registers in ch the core's own timing state: every Stats counter
+// and the write buffer.
+func (c *CPU) record(ch *sim.Chain) {
+	s := &c.stats
+	ch.Count(&s.Ops, &s.Branches, &s.Loads, &s.Stores, &s.CacheHits, &s.CacheMisses, &s.Evictions, &s.PostedStalls, &s.IRQs)
+	for i := range c.wbuf {
+		ch.Time(&c.wbuf[i])
 	}
 }
 

@@ -97,6 +97,10 @@ func (d *OPBDock) Write(addr uint32, val uint64, size int) int {
 	}
 }
 
+// PlainTiming implements bus.PlainSlave: a register's wait states are
+// fixed, and the bound circuit takes and gives its words functionally.
+func (d *OPBDock) PlainTiming() {}
+
 func (d *OPBDock) statusBits() uint64 {
 	var s uint64
 	if d.core != nil {

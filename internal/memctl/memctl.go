@@ -107,6 +107,10 @@ func (m *Memory) Write(addr uint32, val uint64, size int) int {
 	return m.writeWaits
 }
 
+// PlainTiming implements bus.PlainSlave: a single access waits its kind's
+// fixed wait states, whatever the address, value or contents.
+func (m *Memory) PlainTiming() {}
+
 // BurstWaits implements bus.BurstSlave when bursts are supported.
 func (m *Memory) BurstWaits(addr uint32, beats int, write bool) int {
 	if m.burstFirstWaits < 0 {
@@ -117,6 +121,30 @@ func (m *Memory) BurstWaits(addr uint32, beats int, write bool) int {
 		return beats * m.readWaits
 	}
 	return m.burstFirstWaits
+}
+
+// ReadWords implements bus.WordReader: it fills ws as one Read(addr+4i, 4)
+// per word would, counting as many reads, and looks each page up once.
+func (m *Memory) ReadWords(addr uint32, ws []uint32) {
+	m.reads += uint64(len(ws))
+	var page []byte
+	idx := ^uint32(0)
+	for i := range ws {
+		a := addr + uint32(4*i)
+		off := a & (pageSize - 1)
+		if int(a)+4 > m.size || off+4 > pageSize {
+			ws[i] = uint32(m.PeekBE(a, 4))
+			continue
+		}
+		if a>>pageBits != idx {
+			idx = a >> pageBits
+			page = m.pages[idx]
+		}
+		ws[i] = 0
+		if page != nil {
+			ws[i] = binary.BigEndian.Uint32(page[off:])
+		}
+	}
 }
 
 // PeekBE reads big-endian without timing effects. Out-of-range reads return

@@ -198,7 +198,8 @@ func (m *Memory) refReadBytes(addr uint32, size int) ([]byte, error) {
 
 // TestPageWiseMatchesByteWise drives two memories with one seeded sequence
 // of accesses, one through the page-wise accessors (and Read/Write, which
-// call them) and one through the byte-wise reference, and requires equal
+// call them, and ReadWords, a run of word Reads) and one through the
+// byte-wise reference, and requires equal
 // values, errors, Stats() and pages after every access. Addresses cluster
 // on both sides of each 64 KB page boundary, at the top of memory and past
 // it; loads and reads run up to 200 KB, across several pages.
@@ -226,7 +227,7 @@ func TestPageWiseMatchesByteWise(t *testing.T) {
 		a := addr() // below a boundary at 0 wraps far past memory
 		width := []int{1, 2, 4, 8}[rng.Intn(4)]
 		what := ""
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0:
 			what = "PokeBE"
 			v := rng.Uint64()
@@ -268,6 +269,16 @@ func TestPageWiseMatchesByteWise(t *testing.T) {
 			w, we := want.refReadBytes(a, n)
 			if fmt.Sprint(ge) != fmt.Sprint(we) || !bytes.Equal(g, w) || (g == nil) != (w == nil) {
 				t.Fatalf("op %d: ReadBytes(%#x, %d) differs (errors %v, %v)", op, a, n, ge, we)
+			}
+		case 6:
+			what = "ReadWords"
+			ws := make([]uint32, length()/4)
+			got.ReadWords(a, ws)
+			want.reads += uint64(len(ws))
+			for i, g := range ws {
+				if w := uint32(want.refPeekBE(a+uint32(4*i), 4)); g != w {
+					t.Fatalf("op %d: ReadWords(%#x) word %d = %#x, want %#x", op, a, i, g, w)
+				}
 			}
 		}
 		gr, gw := got.Stats()

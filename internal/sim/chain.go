@@ -1,9 +1,14 @@
 package sim
 
+import "slices"
+
 // Chain is the timing state of a pipeline of components, such as the path
 // of a store from the CPU across the buses into a device: every absolute
 // time the components hold (busy-until marks, queued completions) and
-// every counter a step moves, registered by address.
+// every counter a step moves, registered by address. Each component
+// registers its own cells through one method; a path that passes a
+// component twice registers it twice, and the chain keeps each cell once,
+// so it moves once per step.
 //
 // Each step of such a pipeline waits with max and advances with +, so what
 // it does depends only on that state taken relative to now, a time already
@@ -28,11 +33,25 @@ func (ch *Chain) Reset(k *Kernel) {
 	ch.times, ch.counts = ch.times[:0], ch.counts[:0]
 }
 
-// Time registers absolute times the chain's steps read and move.
-func (ch *Chain) Time(ts ...*Time) { ch.times = append(ch.times, ts...) }
+// Time registers absolute times the chain's steps read and move. A time
+// already registered is not added again.
+func (ch *Chain) Time(ts ...*Time) {
+	for _, t := range ts {
+		if !slices.Contains(ch.times, t) {
+			ch.times = append(ch.times, t)
+		}
+	}
+}
 
-// Count registers counters the chain's steps move.
-func (ch *Chain) Count(cs ...*uint64) { ch.counts = append(ch.counts, cs...) }
+// Count registers counters the chain's steps move. A counter already
+// registered is not added again.
+func (ch *Chain) Count(cs ...*uint64) {
+	for _, c := range cs {
+		if !slices.Contains(ch.counts, c) {
+			ch.counts = append(ch.counts, c)
+		}
+	}
+}
 
 // Mark records the chain's state before one step.
 func (ch *Chain) Mark() {

@@ -210,7 +210,7 @@ func TestKernelAdvanceChunksProperty(t *testing.T) {
 // and stays where it is, even though, unsigned, it lies "before" now by a
 // different amount after every step. A time still ahead moves with now, a
 // counter by its step's increment, and the skip ends strictly before the
-// next pending event.
+// next pending event. A cell registered twice still moves once.
 func TestChainSkip(t *testing.T) {
 	k := NewKernel()
 	k.Advance(100 * Nanosecond)
@@ -227,6 +227,8 @@ func TestChainSkip(t *testing.T) {
 	ch.Reset(k)
 	ch.Time(&idle, &busy)
 	ch.Count(&steps, &words)
+	ch.Time(&busy) // a second component on the path holds the same cells
+	ch.Count(&words)
 
 	ch.Mark()
 	step() // busy was past; now it is 5 ns ahead: no repeat yet

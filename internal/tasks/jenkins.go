@@ -14,13 +14,6 @@ type JenkinsArgs struct {
 	InitVal uint32
 }
 
-// leWord loads a little-endian-composed word from big-endian memory with a
-// single byte-reversed load (the PowerPC lwbrx instruction).
-func leWord(c *cpu.CPU, addr uint32) uint32 {
-	v := c.LW(addr)
-	return v<<24 | v>>24 | v<<8&0xFF0000 | v>>8&0xFF00
-}
-
 // leTail composes up to n tail bytes little-endian (byte loads, as the C
 // code's fall-through switch does).
 func leTail(c *cpu.CPU, addr uint32, n int) uint32 {
@@ -89,17 +82,13 @@ func JenkinsHW(s *platform.System, a JenkinsArgs) (uint32, error) {
 	c.Op(6)
 	c.SW(d, uint32(a.KeyLen))
 	c.SW(d, a.InitVal)
-	addr := a.KeyAddr
-	n := a.KeyLen
-	for n >= 12 {
-		c.SW(d, leWord(c, addr))
-		c.SW(d, leWord(c, addr+4))
-		c.SW(d, leWord(c, addr+8))
-		c.Op(6)
-		c.Branch(true)
-		addr += 12
-		n -= 12
-	}
+	// Each full round: three little-endian words, each a byte-reversed
+	// load (lwbrx) from big-endian memory stored to the dock, then the
+	// loop's pointer and counter upkeep.
+	rounds := a.KeyLen / 12
+	c.Feed(d, a.KeyAddr, rounds, 3, 6, true)
+	addr := a.KeyAddr + uint32(12*rounds)
+	n := a.KeyLen - 12*rounds
 	// Tail round, composed exactly as the hardware expects.
 	var tw [3]uint32
 	tw[0] = leTail(c, addr, min(n, 4))

@@ -5,6 +5,7 @@ import (
 	"crypto/sha1"
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/platform"
 	"repro/internal/ref"
@@ -54,7 +55,7 @@ type SHA1Run struct {
 	Len  int
 }
 
-func (r SHA1Run) Name() string   { return fmt.Sprintf("sha1/%dB", r.Len) }
+func (r SHA1Run) Name() string   { return "sha1/" + strconv.Itoa(r.Len) + "B" }
 func (r SHA1Run) Module() string { return "sha1" }
 
 func (r SHA1Run) Run(s *platform.System) error {
@@ -89,7 +90,7 @@ type JenkinsRun struct {
 	InitVal uint32
 }
 
-func (r JenkinsRun) Name() string   { return fmt.Sprintf("jenkins/%dB", r.Len) }
+func (r JenkinsRun) Name() string   { return "jenkins/" + strconv.Itoa(r.Len) + "B" }
 func (r JenkinsRun) Module() string { return "jenkins" }
 
 func (r JenkinsRun) Run(s *platform.System) error {
@@ -116,7 +117,9 @@ type PatternRun struct {
 	Threshold int
 }
 
-func (r PatternRun) Name() string   { return fmt.Sprintf("patternmatch/%dx%d", r.W, r.H) }
+func (r PatternRun) Name() string {
+	return "patternmatch/" + strconv.Itoa(r.W) + "x" + strconv.Itoa(r.H)
+}
 func (r PatternRun) Module() string { return "patternmatch" }
 
 func (r PatternRun) Run(s *platform.System) error {
@@ -187,7 +190,7 @@ type BrightnessRun struct {
 	Delta int
 }
 
-func (r BrightnessRun) Name() string   { return fmt.Sprintf("brightness/%dpx", r.N) }
+func (r BrightnessRun) Name() string   { return "brightness/" + strconv.Itoa(r.N) + "px" }
 func (r BrightnessRun) Module() string { return "brightness" }
 
 func (r BrightnessRun) Run(s *platform.System) error {
@@ -211,7 +214,7 @@ type BlendRun struct {
 	N    int
 }
 
-func (r BlendRun) Name() string   { return fmt.Sprintf("blend/%dpx", r.N) }
+func (r BlendRun) Name() string   { return "blend/" + strconv.Itoa(r.N) + "px" }
 func (r BlendRun) Module() string { return "blend" }
 
 func (r BlendRun) Run(s *platform.System) error {
@@ -235,7 +238,7 @@ type FadeRun struct {
 	F    int
 }
 
-func (r FadeRun) Name() string   { return fmt.Sprintf("fade/%dpx", r.N) }
+func (r FadeRun) Name() string   { return "fade/" + strconv.Itoa(r.N) + "px" }
 func (r FadeRun) Module() string { return "fade" }
 
 func (r FadeRun) Run(s *platform.System) error {
@@ -259,7 +262,9 @@ type TransferRun struct {
 	Words int
 }
 
-func (r TransferRun) Name() string   { return fmt.Sprintf("transfer/%s/%dw", r.Kind, r.Words) }
+func (r TransferRun) Name() string {
+	return "transfer/" + r.Kind.String() + "/" + strconv.Itoa(r.Words) + "w"
+}
 func (r TransferRun) Module() string { return "passthrough" }
 
 func (r TransferRun) Run(s *platform.System) error {

@@ -1,6 +1,7 @@
 package tasks_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/platform"
@@ -61,5 +62,35 @@ func TestRunnerVerificationCatchesWrongModule(t *testing.T) {
 	r := tasks.FadeRun{Seed: 1, N: 64, F: 128}
 	if err := r.Run(s); err == nil {
 		t.Fatal("fade runner succeeded with blend loaded")
+	}
+}
+
+// TestRunnerNamesMatchSprintf holds every runner's label, built with
+// strconv, to the fmt.Sprintf form it replaces, byte for byte, at several
+// sizes (zero and negative included) and for every transfer kind.
+func TestRunnerNamesMatchSprintf(t *testing.T) {
+	kinds := []tasks.TransferKind{tasks.TransferWrite, tasks.TransferRead, tasks.TransferInterleaved, tasks.TransferKind(7)}
+	for _, n := range []int{0, 1, 7, 12, 600, 1087, 65536, -3} {
+		for _, c := range []struct {
+			r    tasks.Runner
+			want string
+		}{
+			{tasks.SHA1Run{Len: n}, fmt.Sprintf("sha1/%dB", n)},
+			{tasks.JenkinsRun{Len: n}, fmt.Sprintf("jenkins/%dB", n)},
+			{tasks.PatternRun{W: n, H: n + 5}, fmt.Sprintf("patternmatch/%dx%d", n, n+5)},
+			{tasks.BrightnessRun{N: n}, fmt.Sprintf("brightness/%dpx", n)},
+			{tasks.BlendRun{N: n}, fmt.Sprintf("blend/%dpx", n)},
+			{tasks.FadeRun{N: n}, fmt.Sprintf("fade/%dpx", n)},
+		} {
+			if got := c.r.Name(); got != c.want {
+				t.Errorf("%T.Name() = %q, want %q", c.r, got, c.want)
+			}
+		}
+		for _, k := range kinds {
+			r := tasks.TransferRun{Kind: k, Words: n}
+			if got, want := r.Name(), fmt.Sprintf("transfer/%s/%dw", k, n); got != want {
+				t.Errorf("TransferRun.Name() = %q, want %q", got, want)
+			}
+		}
 	}
 }

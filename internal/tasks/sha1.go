@@ -116,12 +116,7 @@ func SHA1HW(s *platform.System, a SHA1Args) ([5]uint32, error) {
 	c.Call()
 	c.Op(30) // driver setup
 	for _, blockAddr := range blocks {
-		for t := 0; t < 16; t++ {
-			w := c.LW(blockAddr + uint32(4*t))
-			c.SW(d, w)
-			c.Op(2)
-			c.Branch(true)
-		}
+		c.Feed(d, blockAddr, 16, 1, 2, false)
 	}
 	c.Sync()
 	var h [5]uint32

@@ -53,12 +53,7 @@ func TransferCPU(s *platform.System, kind TransferKind, n int) (sim.Time, error)
 	start := s.Now()
 	switch kind {
 	case TransferWrite:
-		for i := 0; i < n; i++ {
-			w := c.LW(mem + uint32(4*i))
-			c.SW(d, w)
-			c.Op(4)
-			c.Branch(true)
-		}
+		c.Feed(d, mem, n, 1, 4, false)
 	case TransferRead:
 		for i := 0; i < n; i++ {
 			w := c.LW(d)
