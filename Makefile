@@ -77,6 +77,8 @@ tracedemo:
 # wedging (CRC or state-machine error, never silent misconfiguration),
 # multi-region differentials must stay inside their region's frame spans,
 # damaged compressed containers must never decode to divergent frames,
+# the loader's per-frame CRC fold must equal the per-word fold over
+# fuzzed frames, bands, starting CRCs, guard trips and flush points,
 # arbitrary words pushed through the bus, bridge, HWICAP and loader by
 # cpu.StoreStream must leave exactly the state one SW per word leaves, and
 # arbitrary words fed from memory into the OPB Dock by cpu.Feed must leave
@@ -86,6 +88,7 @@ tracedemo:
 fuzz:
 	go test -run '^$$' -fuzz FuzzLoaderDifferentialStream -fuzztime 10s -fuzzminimizetime 10x ./internal/bitstream
 	go test -run '^$$' -fuzz FuzzCompressedStream -fuzztime 10s -fuzzminimizetime 10x ./internal/bitstream
+	go test -run '^$$' -fuzz FuzzFrameFold -fuzztime 10s -fuzzminimizetime 10x ./internal/bitstream
 	go test -run '^$$' -fuzz FuzzRegionPlanner -fuzztime 10s -fuzzminimizetime 10x ./internal/plan
 	go test -run '^$$' -fuzz FuzzStoreStream -fuzztime 10s -fuzzminimizetime 10x ./internal/cpu
 	go test -run '^$$' -fuzz FuzzFeed -fuzztime 10s -fuzzminimizetime 10x ./internal/cpu

@@ -373,7 +373,10 @@ func NewDecoder(l *Loader) *Decoder {
 
 // Reset readies the decoder for a new container. It keeps the output
 // buffer, so an engine decoding one container after another grows it once.
-func (d *Decoder) Reset() { *d = Decoder{l: d.l, out: d.out[:0]} }
+func (d *Decoder) Reset() {
+	d.l.flush() // words of a packet the last container left open are its own
+	*d = Decoder{l: d.l, out: d.out[:0]}
+}
 
 // Err returns the sticky decode error, if any.
 func (d *Decoder) Err() error { return d.err }
@@ -558,6 +561,7 @@ func (d *Decoder) end() error {
 	if len(d.out) != d.rawWords {
 		return nil
 	}
+	d.l.flush() // the raw words may end inside a packet
 	if d.crc != d.wantCRC {
 		d.err = fmt.Errorf("bitstream: decode: CRC mismatch: container %#04x, computed %#04x", d.wantCRC, d.crc)
 		return d.err

@@ -1,5 +1,7 @@
 package bitstream
 
+import "sync"
+
 // The configuration logic maintains a running 16-bit CRC over every
 // register-write data word together with the register address, as on
 // Virtex-II (polynomial x^16 + x^15 + x^2 + 1, i.e. 0x8005). Writing the
@@ -80,6 +82,44 @@ func init() {
 	}
 }
 
+// crcPow is A^k in the form of crcState, which is A: the map on each byte
+// of the state.
+type crcPow [2][256]uint16
+
+// apply returns A^k(crc).
+func (p *crcPow) apply(crc uint16) uint16 { return p[0][byte(crc)] ^ p[1][crc>>8] }
+
+// crcPows memoizes crcPowOf. A device needs a few k: its frame length and
+// the distances from each region band's end to the frame's.
+var crcPows struct {
+	sync.Mutex
+	m map[int]*crcPow
+}
+
+// crcPowOf returns A^k, built once per k per process.
+func crcPowOf(k int) *crcPow {
+	crcPows.Lock()
+	defer crcPows.Unlock()
+	if p := crcPows.m[k]; p != nil {
+		return p
+	}
+	p := new(crcPow)
+	for b := range p {
+		for i := range p[b] {
+			x := uint16(i) << (8 * b)
+			for range k {
+				x = crcState[0][byte(x)] ^ crcState[1][x>>8]
+			}
+			p[b][i] = x
+		}
+	}
+	if crcPows.m == nil {
+		crcPows.m = make(map[int]*crcPow)
+	}
+	crcPows.m[k] = p
+	return p
+}
+
 // crcUpdate folds one (register, data) pair into the running CRC.
 func crcUpdate(crc uint16, reg Reg, data uint32) uint16 {
 	return crcFold(crc, crcReg[reg&0x1F], data)
@@ -122,7 +162,8 @@ func crcStream(crc uint16, reg Reg, words []uint32) uint16 {
 
 // crcStream2 folds the same words into two running CRCs in one pass,
 // computing each step's data term once: the loader's stream CRC and the
-// decoder's container CRC both fold decoded FDRI frame data.
+// decoder's container CRC both fold decoded FDRI frame data, word by word
+// where the loader cannot fold a frame at once.
 func crcStream2(a, b uint16, reg Reg, words []uint32) (uint16, uint16) {
 	regTerm, regTerm4 := crcReg[reg&0x1F], crcReg4[reg&0x1F]
 	for ; len(words) >= 4; words = words[4:] {

@@ -2,6 +2,9 @@ package bitstream
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fabric"
@@ -211,4 +214,128 @@ func TestBitFlippedDifferentialFailsCRC(t *testing.T) {
 	if l.Done() {
 		t.Fatal("bit-flipped stream reported completion")
 	}
+}
+
+// FuzzFrameFold drives two FDRI packets of frames through a guarded
+// loader that folds each frame's data into its CRC, and a container CRC,
+// as the frame commits. The fuzzer picks the packet's first frame (it may
+// run past the device's last), its length, two regions whose bands are
+// the owned ranges, both starting CRCs, the frame of the second packet
+// whose static word differs from the memory's, tripping the guard (or
+// none), and the word of the second packet where a flush folds the
+// pending words. Both CRCs must equal crcStream over the packet's words,
+// and the error, frames written, Stats, guard verdict and frames must be
+// those of a loader that folds every word as it arrives.
+func FuzzFrameFold(f *testing.F) {
+	f.Add(uint16(100), uint8(3), uint32(0x04050A1E), uint16(0x1234), uint16(0xBEEF), uint8(255), uint16(500), uint64(1))
+	f.Add(uint16(22*30+20), uint8(6), uint32(0x01280203), uint16(0), uint16(0), uint8(2), uint16(0), uint64(7))
+	f.Add(uint16(9999), uint8(7), uint32(0), uint16(1), uint16(2), uint8(0), uint16(9999), uint64(3))
+	f.Fuzz(func(t *testing.T, first uint16, frames uint8, bands uint32, crc0, also0 uint16, trip uint8, flushAt uint16, seed uint64) {
+		dev := fabric.XC2VP7()
+		flen, n := dev.FrameLen(), 1+int(frames%8)
+		start := int(first) % dev.NumFrames()
+		var regions []fabric.Region
+		for k := 0; k < 2; k++ {
+			row0 := int(byte(bands>>(16*k))) % dev.Rows
+			h := 1 + int(byte(bands>>(16*k+8)))%(dev.Rows-row0)
+			regions = append(regions, fabric.Region{Name: "r", Col0: 2 + k, W: dev.Cols - 4, Row0: row0, H: h})
+		}
+		rng := rand.New(rand.NewSource(int64(seed)))
+		cm := fabric.NewConfigMemory(dev)
+		for i := range dev.NumFrames() {
+			far, _ := dev.FARAt(i)
+			frame := make([]uint32, flen)
+			for j := range frame {
+				frame[j] = rng.Uint32()
+			}
+			if err := cm.WriteFrame(far, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cm.Guard(regions...)
+		ref := cm.Clone()
+		ref.Guard(regions...)
+		l, rl := NewLoader(cm), NewLoader(ref)
+		setup := func(l *Loader, pass int) {
+			farWord, _ := dev.FARAt(start)
+			if pass == 0 {
+				_ = l.WriteWord(SyncWord)
+			}
+			for _, w := range []uint32{
+				type1Header(opWrite, RegFLR, 1), uint32(flen),
+				type1Header(opWrite, RegCMD, 1), uint32(CmdWCFG),
+				type1Header(opWrite, RegFAR, 1), farWord.Word(),
+				type1Header(opWrite, RegFDRI, 0), type2Header(opWrite, (n+1)*flen)} {
+				if err := l.WriteWord(w); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.crc = crc0
+		}
+		for pass := 0; pass < 2; pass++ {
+			// The frames' current content with their band words redrawn,
+			// and on the second pass one static word changed, then the
+			// pad frame.
+			var data []uint32
+			for k := 0; k <= n; k++ {
+				frame := make([]uint32, flen)
+				if i := start + k; k < n && i < dev.NumFrames() {
+					far, _ := dev.FARAt(i)
+					frame, _ = cm.ReadFrame(far)
+					for _, r := range cm.Owned(i) {
+						for j := r.Lo; j < r.Hi; j++ {
+							frame[j] = rng.Uint32()
+						}
+					}
+					if pass == 1 && k == int(trip) {
+						frame[0] ^= 1 << (seed % 32)
+					}
+				}
+				data = append(data, frame...)
+			}
+			setup(l, pass)
+			setup(rl, pass)
+			also, refAlso := also0, also0
+			cut := int(flushAt) % (len(data) + 1)
+			if pass == 0 {
+				cut = 0
+			}
+			if _, err := l.write(data[:cut], &also); err == nil {
+				l.flush()
+				_, _ = l.write(data[cut:], &also)
+			}
+			for _, w := range data {
+				refAlso = crcUpdate(refAlso, RegFDRI, w)
+				_ = rl.WriteWord(w)
+				rl.flush()
+			}
+			l.flush()
+			if want := crcStream(crc0, RegFDRI, data); l.crc != want || rl.crc != want {
+				t.Fatalf("pass %d: CRC %#04x, per-word %#04x, crcStream %#04x", pass, l.crc, rl.crc, want)
+			}
+			if want := crcStream(also0, RegFDRI, data); also != want || refAlso != want {
+				t.Fatalf("pass %d: container CRC %#04x, per-word %#04x, crcStream %#04x", pass, also, refAlso, want)
+			}
+			if a, b := fmt.Sprint(l.Err()), fmt.Sprint(rl.Err()); a != b {
+				t.Fatalf("pass %d: error %s, per-word %s", pass, a, b)
+			}
+			f1, c1, e1 := l.Stats()
+			f2, c2, e2 := rl.Stats()
+			if [3]uint64{f1, c1, e1} != [3]uint64{f2, c2, e2} || cm.Disturbed() != ref.Disturbed() {
+				t.Fatalf("pass %d: stats %v disturbed %v, per-word %v %v", pass,
+					[3]uint64{f1, c1, e1}, cm.Disturbed(), [3]uint64{f2, c2, e2}, ref.Disturbed())
+			}
+			for i := range dev.NumFrames() {
+				far, _ := dev.FARAt(i)
+				a, _ := cm.ReadFrame(far)
+				b, _ := ref.ReadFrame(far)
+				if !slices.Equal(a, b) {
+					t.Fatalf("pass %d: frame %v differs from the per-word load's", pass, far)
+				}
+			}
+			if l.Err() != nil {
+				return
+			}
+		}
+	})
 }

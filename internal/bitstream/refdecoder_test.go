@@ -8,7 +8,8 @@ import (
 
 // refDecoder is the word-by-word form of Decoder and its test oracle: it
 // emits every decoded word into the loader through WriteWord, one at a
-// time, and folds the container CRC over each. It verifies the
+// time, and folds the container CRC and, by a flush, the loader's CRC
+// over each as it arrives. It verifies the
 // container's decode CRC when the declared word count has been emitted;
 // structural damage (bad magic, bad opcode, overrun, trailing input) and
 // CRC mismatches latch a sticky error. Loader-side errors stay the
@@ -65,6 +66,7 @@ func (d *refDecoder) emit(w uint32) error {
 	// Configuration-logic errors are sticky in the loader and surface via
 	// the ICAP status register, as for an uncompressed stream.
 	_ = d.l.WriteWord(w)
+	d.l.flush()
 	if d.emitted == d.rawWords {
 		if d.crc != d.wantCRC {
 			d.err = fmt.Errorf("bitstream: decode: CRC mismatch: container %#04x, computed %#04x", d.wantCRC, d.crc)

@@ -112,6 +112,7 @@ type Bus struct {
 	width int // bytes per beat: 4 (OPB) or 8 (PLB)
 	p     Params
 	maps  []mapping
+	last  [2]int // the mappings decode matched last, the latest first
 	res   *sim.Resource
 
 	reads, writes, bursts uint64
@@ -161,10 +162,23 @@ func (b *Bus) Map(base, size uint32, s Slave) error {
 	return nil
 }
 
-// decode finds the slave owning addr.
+// decode finds the slave owning addr. It tries the two mappings it matched
+// last first: a software loop keeps hitting one slave, or two in turn (the
+// source and the device register of a feed), and as mappings never
+// overlap, the first match is the only one. One remembered mapping would
+// miss on every access of a two-slave loop, where its extra check and
+// store cost more than the plain scan.
 func (b *Bus) decode(addr uint32) (Slave, uint32, error) {
-	for _, m := range b.maps {
+	for _, i := range b.last {
+		if i < len(b.maps) {
+			if m := b.maps[i]; addr >= m.base && addr-m.base < m.size {
+				return m.slave, addr - m.base, nil
+			}
+		}
+	}
+	for i, m := range b.maps {
 		if addr >= m.base && addr-m.base < m.size {
+			b.last[0], b.last[1] = i, b.last[0]
 			return m.slave, addr - m.base, nil
 		}
 	}

@@ -698,18 +698,12 @@ func (m *Manager) stream(words []uint32, kind plan.StreamKind, stop func() bool)
 	return elapsed, bytes, nil
 }
 
-// push stores the words into the HWICAP write FIFO, one cpu.StoreStream per
-// abortCheckWords chunk, polling a non-nil stop before every chunk but the
-// first. It returns how many words it pushed: fewer than len(words) when
-// stop tripped.
+// push stores the words into the HWICAP write FIFO in one
+// cpu.StoreStream, polling a non-nil stop before every abortCheckWords-th
+// word after the first. It returns how many words it pushed: fewer than
+// len(words) when stop tripped.
 func (m *Manager) push(words []uint32, stop func() bool) int {
-	for i := 0; i < len(words); i += abortCheckWords {
-		if stop != nil && i > 0 && stop() {
-			return i
-		}
-		m.cfg.CPU.StoreStream(m.cfg.ICAPBase+icap.RegWriteFIFO, words[i:min(i+abortCheckWords, len(words))])
-	}
-	return len(words)
+	return m.cfg.CPU.StoreStream(m.cfg.ICAPBase+icap.RegWriteFIFO, words, stop, abortCheckWords)
 }
 
 // book counts one load that occupied a configuration port for elapsed and

@@ -266,11 +266,14 @@ func (c *CPU) store(addr uint32, val uint32, size int) {
 	}
 }
 
-// StoreStream stores every word to the one address addr, with the effect
+// StoreStream stores the words to the one address addr, with the effect
 // and timing of one SW per word: the tick, the bus transaction and, for a
 // posted store, the write-buffer stall. The bus resolves addr once for the
 // whole run — the loop software runs to push a configuration stream into
-// the HWICAP write FIFO.
+// the HWICAP write FIFO. A non-nil stop is polled before every every-th
+// word after the first (words[every], words[2*every], ...), and when it
+// reports true StoreStream stores nothing more. It returns how many words
+// it stored.
 //
 // When the target is a bus.BulkSink (the write FIFO with its decoder
 // disarmed), a run of inert words (FDRI frame data) is not stored one by
@@ -280,41 +283,62 @@ func (c *CPU) store(addr uint32, val uint32, size int) {
 // is a max-plus function of that state taken relative to now, so once the
 // store leaves it as it found it, the rest of the run repeats the step:
 // the chain advances them in one sim.Chain.Skip, which ends before the
-// next pending event, and the words go to the loader in bulk. Every other
-// word, and every word to any other target, is stored one at a time.
-func (c *CPU) StoreStream(addr uint32, words []uint32) {
+// next pending event, and the words go to the loader in bulk. A Skip that
+// applied every step it was asked for, up to a poll, continues past the
+// poll with another Skip and no store in between. Every other word, and
+// every word to any other target, is stored one at a time.
+func (c *CPU) StoreStream(addr uint32, words []uint32, stop func() bool, every int) int {
 	st, err := c.bus.OpenStream(addr, 4)
-	if err != nil || c.cacheable(addr, 4) {
-		for _, w := range words {
-			c.SW(addr, w)
-		}
-		return
-	}
-	posted := c.posts(addr)
-	if !st.Bulk() {
-		for _, w := range words {
-			c.storeWord(&st, w, posted)
-		}
-		return
-	}
+	plain := err != nil || c.cacheable(addr, 4)
+	posted := !plain && c.posts(addr)
+	bulk := !plain && st.Bulk()
 	ch := &c.chain
-	if c.hold(chainPath{dst: addr}) {
+	if bulk && c.hold(chainPath{dst: addr}) {
 		st.Record(ch)
 	}
-	for i := 0; i < len(words); i++ {
-		// The inert words after this one, within the call.
-		run := min(st.Inert(), len(words)-i) - 1
-		if run <= 0 {
-			c.storeWord(&st, words[i], posted)
-			continue
+	poll := len(words) // the index of the next word stop is polled before
+	if stop != nil && every > 0 {
+		poll = every
+	}
+	// skipping is set while the last Skip applied every step it was asked
+	// for: the words after it continue its run.
+	skipping := false
+	for i := 0; i < len(words); {
+		if i == poll {
+			if stop() {
+				return i
+			}
+			poll += every
 		}
-		ch.Mark()
-		c.storeWord(&st, words[i], posted)
-		if n := ch.Skip(run); n > 0 {
-			st.WriteWords(words[i+1 : i+1+n])
+		// The inert words from this one on, up to the next poll.
+		run := 0
+		if bulk {
+			run = min(st.Inert(), poll-i, len(words)-i)
+		}
+		switch {
+		case skipping && run > 0:
+			n := ch.Skip(run)
+			st.WriteWords(words[i : i+n])
 			i += n
+			skipping = n == run
+		case run > 1:
+			ch.Mark()
+			c.storeWord(&st, words[i], posted)
+			i++
+			n := ch.Skip(run - 1)
+			st.WriteWords(words[i : i+n])
+			i += n
+			skipping = n == run-1
+		case plain:
+			c.SW(addr, words[i])
+			i++
+		default:
+			c.storeWord(&st, words[i], posted)
+			i++
+			skipping = false
 		}
 	}
+	return len(words)
 }
 
 // storeWord is one uncached SW of w through the open stream st.

@@ -363,7 +363,7 @@ func TestFeedAndStoreStreamShareTheChain(t *testing.T) {
 	for _, w := range ws {
 		ref.c.SW(feedFIFO, w)
 	}
-	got.c.StoreStream(feedFIFO, ws)
+	got.c.StoreStream(feedFIFO, ws, nil, 0)
 	plainFeed(ref.c, fc.dst, fc.src, fc.n, fc.size, fc.ops, fc.swap)
 	got.c.Feed(fc.dst, fc.src, fc.n, fc.size, fc.ops, fc.swap)
 	if a, b := ref.state(), got.state(); a != b {

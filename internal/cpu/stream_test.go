@@ -132,12 +132,13 @@ func sameFrames(tb testing.TB, a, b *fabric.ConfigMemory) bool {
 }
 
 // checkStoreStream pushes words into the write FIFO of two identical rigs,
-// by one SW per word on one and by StoreStream calls of at most chunk
-// words (all of them for chunk 0) on the other, with an event due eventAt
-// from the start on both. It fails unless the event finds both rigs in the
-// same state, a status read, two more SWs and another read then agree, and
-// both rigs end in the same state. It returns the states the per-word
-// rig's event found.
+// by one SW per word on one and by one StoreStream on the other, whose
+// stop is polled every chunk words (never for chunk 0) and never trips,
+// with an event due eventAt from the start on both. It fails unless the
+// stop is polled before exactly the words a chunked push polls before,
+// the event finds both rigs in the same state, a status read, two more
+// SWs and another read then agree, and both rigs end in the same state.
+// It returns the states the per-word rig's event found.
 func checkStoreStream(t *testing.T, words []uint32, guarded, armed bool, chunk int, eventAt sim.Time) []rigState {
 	ref, got := newICAPRig(t, guarded), newICAPRig(t, guarded)
 	for _, r := range []*icapRig{ref, got} {
@@ -149,11 +150,20 @@ func checkStoreStream(t *testing.T, words []uint32, guarded, armed bool, chunk i
 	for _, w := range words {
 		ref.c.SW(rigICAP+icap.RegWriteFIFO, w)
 	}
-	if chunk <= 0 {
-		chunk = max(len(words), 1)
+	var polled []uint64
+	stop := func() bool {
+		polled = append(polled, got.hi.WordsWritten())
+		return false
 	}
-	for i := 0; i < len(words); i += chunk {
-		got.c.StoreStream(rigICAP+icap.RegWriteFIFO, words[i:min(i+chunk, len(words))])
+	if n := got.c.StoreStream(rigICAP+icap.RegWriteFIFO, words, stop, chunk); n != len(words) {
+		t.Fatalf("StoreStream stored %d of %d words", n, len(words))
+	}
+	var want []uint64
+	for i := chunk; chunk > 0 && i < len(words); i += chunk {
+		want = append(want, uint64(i))
+	}
+	if !slices.Equal(polled, want) {
+		t.Fatalf("stop polled after words %v, want %v", polled, want)
 	}
 	if armed {
 		a, b := ref.hi.DisarmDecoder(), got.hi.DisarmDecoder()
@@ -202,8 +212,8 @@ func rigStream(tb testing.TB) *bitstream.Stream {
 
 // TestStoreStreamMatchesPerWordSW: a configuration stream pushed with
 // StoreStream leaves the rig exactly as one SW per word does, on the
-// guarded (blocking) path and the posted one, whole or in chunks, with a
-// compressed container through the armed decoder, and with a stream whose
+// guarded (blocking) path and the posted one, with its stop polled every
+// 7 or 256 words or never, with a compressed container through the armed decoder, and with a stream whose
 // CRC check fails. An event due in the middle of the frame data, between
 // two words' steps or right as one word's store ends, finds both rigs in
 // the same state.
@@ -229,7 +239,7 @@ func TestStoreStreamMatchesPerWordSW(t *testing.T) {
 		}
 	}
 	r := newICAPRig(t, true)
-	r.c.StoreStream(rigICAP+icap.RegWriteFIFO, bad)
+	r.c.StoreStream(rigICAP+icap.RegWriteFIFO, bad, nil, 0)
 	if r.hi.Loader().Err() == nil {
 		t.Fatal("the damaged stream loaded cleanly")
 	}
@@ -330,12 +340,14 @@ func newFakeRig(t *testing.T, fc fakeConfig) *fakeRig {
 }
 
 // TestStoreStreamSkipsInertRuns: without this test, a skip that never
-// fires would pass every oracle. A 10,000-word inert run pushed in
-// 256-word chunks must be stored at most twice per chunk one word at a
-// time, after a first chunk that fills the bridge's post queue and the
-// write buffer, and every other word in bulk. A read through the bridge,
-// two more stores and another read must then end at the same time, with
-// the same counters, as after one SW per word.
+// fires would pass every oracle. A 10,000-word inert run pushed in one
+// StoreStream whose stop is polled every 256 words must be stored at most
+// 32 words one at a time, while the first words fill the bridge's post
+// queue and the write buffer, and every other word in bulk: after each
+// poll the skip continues with no store of its own. A read through the
+// bridge, two more stores and another read must then end at the same
+// time, with the same counters, as after one SW per word. A stop that
+// trips at its third poll leaves the rig as 768 SWs do.
 //
 // The posted rig runs at the 64-bit board's clocks. On the guarded rig the
 // OPB runs at the CPU's 200 MHz and the FIFO waits 18 cycles, so a word's
@@ -343,43 +355,52 @@ func newFakeRig(t *testing.T, fc fakeConfig) *fakeRig {
 // between two stores, the post queue holds writes still in flight, which
 // the skip must move too.
 func TestStoreStreamSkipsInertRuns(t *testing.T) {
-	const words, chunk = 10_000, 256
+	const words, every = 10_000, 256
 	for _, fc := range []fakeConfig{
 		{guarded: true, cpuHz: 200_000_000, plbHz: 50_000_000, opbHz: 200_000_000, waits: 18},
 		{guarded: false, cpuHz: 300_000_000, plbHz: 100_000_000, opbHz: 100_000_000, waits: 1},
 	} {
-		ref, got := newFakeRig(t, fc), newFakeRig(t, fc)
-		ws := make([]uint32, words)
-		for _, w := range ws {
-			ref.c.SW(rigICAP, w)
-		}
-		for i := 0; i < words; i += chunk {
-			limit := 2
-			if i == 0 {
-				limit = 32
+		for _, abortAt := range []int{0, 3} {
+			n := words
+			if abortAt > 0 {
+				n = abortAt * every
 			}
-			before := got.fifo.perWord
-			got.c.StoreStream(rigICAP, ws[i:min(i+chunk, words)])
-			if n := got.fifo.perWord - before; n > limit {
-				t.Fatalf("%+v: chunk at word %d stored %d words one at a time, want at most %d", fc, i, n, limit)
+			ref, got := newFakeRig(t, fc), newFakeRig(t, fc)
+			ws := make([]uint32, words)
+			for _, w := range ws[:n] {
+				ref.c.SW(rigICAP, w)
 			}
-		}
-		if n := got.fifo.perWord + got.fifo.bulk; n != words {
-			t.Fatalf("%+v: %d words stored one at a time and %d in bulk, want %d in all", fc, got.fifo.perWord, got.fifo.bulk, words)
-		}
-		for _, r := range []*fakeRig{ref, got} {
-			r.c.LW(rigICAP)
-			r.c.SW(rigICAP, 0)
-			r.c.SW(rigICAP, 0)
-			r.c.LW(rigICAP)
-			r.c.Sync()
-		}
-		_, refWrites, _ := ref.plb.Stats()
-		_, gotWrites, _ := got.plb.Stats()
-		if ref.k.Now() != got.k.Now() || ref.c.Stats() != got.c.Stats() || refWrites != gotWrites || ref.fifo.words != got.fifo.words {
-			t.Fatalf("%+v: skipped stream ends at %v with %+v, %d bus writes, %d FIFO words;"+
-				" per-word SW at %v with %+v, %d, %d", fc,
-				got.k.Now(), got.c.Stats(), gotWrites, got.fifo.words, ref.k.Now(), ref.c.Stats(), refWrites, ref.fifo.words)
+			polls := 0
+			stop := func() bool {
+				polls++
+				return polls == abortAt
+			}
+			if stored := got.c.StoreStream(rigICAP, ws, stop, every); stored != n {
+				t.Fatalf("%+v: StoreStream stored %d words, want %d", fc, stored, n)
+			}
+			if want := (n - 1) / every; abortAt == 0 && polls != want {
+				t.Fatalf("%+v: stop polled %d times, want %d", fc, polls, want)
+			}
+			if got.fifo.perWord > 32 {
+				t.Fatalf("%+v: %d words stored one at a time, want at most 32", fc, got.fifo.perWord)
+			}
+			if m := got.fifo.perWord + got.fifo.bulk; m != n {
+				t.Fatalf("%+v: %d words stored one at a time and %d in bulk, want %d in all", fc, got.fifo.perWord, got.fifo.bulk, n)
+			}
+			for _, r := range []*fakeRig{ref, got} {
+				r.c.LW(rigICAP)
+				r.c.SW(rigICAP, 0)
+				r.c.SW(rigICAP, 0)
+				r.c.LW(rigICAP)
+				r.c.Sync()
+			}
+			_, refWrites, _ := ref.plb.Stats()
+			_, gotWrites, _ := got.plb.Stats()
+			if ref.k.Now() != got.k.Now() || ref.c.Stats() != got.c.Stats() || refWrites != gotWrites || ref.fifo.words != got.fifo.words {
+				t.Fatalf("%+v: skipped stream ends at %v with %+v, %d bus writes, %d FIFO words;"+
+					" per-word SW at %v with %+v, %d, %d", fc,
+					got.k.Now(), got.c.Stats(), gotWrites, got.fifo.words, ref.k.Now(), ref.c.Stats(), refWrites, ref.fifo.words)
+			}
 		}
 	}
 }

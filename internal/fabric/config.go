@@ -1,8 +1,9 @@
 package fabric
 
 import (
+	"bytes"
 	"fmt"
-	"slices"
+	"unsafe"
 )
 
 // ConfigMemory holds the current contents of the device's configuration
@@ -19,14 +20,17 @@ type ConfigMemory struct {
 	stamp []uint64
 	// static holds, per column (CLB columns, then BRAM columns, as frames
 	// are numbered), the word ranges of its frames that no guarded region
-	// owns: the static design. nil until Guard. disturbed records that a
-	// frame write or bit flip has changed a static word since.
-	static    [][]span
-	disturbed bool
+	// owns: the static design; owned holds the rest, the guarded regions'
+	// row bands. Both are nil until Guard, and guards counts its calls.
+	// disturbed records that a frame write or bit flip has changed a
+	// static word since.
+	static, owned [][]Span
+	guards        uint64
+	disturbed     bool
 }
 
-// span is a half-open interval [lo, hi) of frame words or frame indexes.
-type span struct{ lo, hi int }
+// Span is a half-open interval [Lo, Hi) of frame words or frame indexes.
+type Span struct{ Lo, Hi int }
 
 // NewConfigMemory returns the configuration memory of an erased device
 // (all-zero frames).
@@ -61,7 +65,7 @@ func (cm *ConfigMemory) WriteFrame(far FAR, data []uint32) error {
 	f := cm.frames[i]
 	if cm.static != nil && !cm.disturbed {
 		for _, s := range cm.static[cm.dev.column(i)] {
-			if !slices.Equal(f[s.lo:s.hi], data[s.lo:s.hi]) {
+			if !wordsEqual(f[s.Lo:s.Hi], data[s.Lo:s.Hi]) {
 				cm.disturbed = true
 				break
 			}
@@ -71,6 +75,18 @@ func (cm *ConfigMemory) WriteFrame(far FAR, data []uint32) error {
 	cm.writes++
 	cm.touch(i)
 	return nil
+}
+
+// wordsEqual reports whether a and b hold the same words. It compares their
+// memory as bytes, which bytes.Equal hands to the runtime's memequal: over
+// a frame's static range several times faster than a loop over words.
+func wordsEqual(a, b []uint32) bool {
+	return len(a) == len(b) && bytes.Equal(wordBytes(a), wordBytes(b))
+}
+
+// wordBytes is the memory of ws, as bytes.
+func wordBytes(ws []uint32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ws))), 4*len(ws))
 }
 
 // touch stamps frame i with a new epoch.
@@ -129,7 +145,7 @@ func (cm *ConfigMemory) FlipBit(far FAR, word int, bit uint) error {
 	}
 	if cm.static != nil {
 		for _, s := range cm.static[cm.dev.column(i)] {
-			if word >= s.lo && word < s.hi {
+			if word >= s.Lo && word < s.Hi {
 				cm.disturbed = true
 			}
 		}
@@ -213,19 +229,19 @@ func bandHash4(b0, b1, b2, b3 []uint32) (h0, h1, h2, h3 uint64) {
 // owns, in hash order: the frames of every enclosed CLB column, then the
 // content frames of every enclosed BRAM column. Each run is consecutive,
 // as the region's columns are and the sorted BRAM columns they enclose.
-func (d *Device) regionFrames(r Region) [2]span {
-	clb := span{r.Col0 * FramesPerCLBColumn, (r.Col0 + r.W) * FramesPerCLBColumn}
-	var bram span
+func (d *Device) regionFrames(r Region) [2]Span {
+	clb := Span{r.Col0 * FramesPerCLBColumn, (r.Col0 + r.W) * FramesPerCLBColumn}
+	var bram Span
 	for i, pos := range d.BRAMColPos {
 		if r.enclosesBRAM(pos) {
 			first := d.Cols*FramesPerCLBColumn + i*FramesPerBRAMColumn
-			if bram.hi == 0 {
-				bram.lo = first
+			if bram.Hi == 0 {
+				bram.Lo = first
 			}
-			bram.hi = first + FramesPerBRAMColumn
+			bram.Hi = first + FramesPerBRAMColumn
 		}
 	}
-	return [2]span{clb, bram}
+	return [2]Span{clb, bram}
 }
 
 // RegionHash hashes the configuration bits owned by the region: for every
@@ -239,8 +255,8 @@ func (cm *ConfigMemory) RegionHash(r Region) uint64 {
 	h := uint64(fnvOffset)
 	var sums [4]uint64
 	for _, run := range cm.dev.regionFrames(r) {
-		for i := run.lo; i < run.hi; i += len(sums) {
-			part := sums[:min(len(sums), run.hi-i)]
+		for i := run.Lo; i < run.Hi; i += len(sums) {
+			part := sums[:min(len(sums), run.Hi-i)]
 			cm.bandHashes(part, i, lo, hi)
 			for _, s := range part {
 				h = fnvFold(h, s)
@@ -253,13 +269,18 @@ func (cm *ConfigMemory) RegionHash(r Region) uint64 {
 // RegionHasher keeps a region's frame hashes and the epoch they were taken
 // at, so that hashing the region again after a configuration stream
 // rehashes only the frames the stream wrote. Its state is one frame hash
-// per region frame.
+// per region frame and, once the region is read back, a snapshot of the
+// band words each frame hash was taken from.
 type RegionHasher struct {
 	cm     *ConfigMemory
-	runs   [2]span // the region's frames (regionFrames)
+	runs   [2]Span // the region's frames (regionFrames)
 	lo, hi int     // the row band's words
 	sums   []uint64
-	seen   uint64
+	// snap holds, one row of hi-lo words per frame in sums order, the band
+	// words each frame hash was taken from. It is nil until the first
+	// Read, so a region that is never read back carries none.
+	snap []uint32
+	seen uint64
 }
 
 // Hasher returns a hasher of the region in this memory. It reads every
@@ -268,8 +289,9 @@ type RegionHasher struct {
 func (cm *ConfigMemory) Hasher(r Region) *RegionHasher {
 	rh := &RegionHasher{cm: cm, runs: cm.dev.regionFrames(r)}
 	rh.lo, rh.hi = cm.dev.RowWordRange(r.Row0, r.H)
-	rh.sums = make([]uint64, rh.runs[0].hi-rh.runs[0].lo+rh.runs[1].hi-rh.runs[1].lo)
-	rh.Read()
+	rh.sums = make([]uint64, rh.runs[0].Hi-rh.runs[0].Lo+rh.runs[1].Hi-rh.runs[1].Lo)
+	rh.rehashAll()
+	rh.fold()
 	return rh
 }
 
@@ -277,9 +299,9 @@ func (cm *ConfigMemory) Hasher(r Region) *RegionHasher {
 // frames a frame write or bit flip stamped since the hasher's last Hash or
 // Read, and trusts its frame hashes of the others.
 func (rh *RegionHasher) Hash() uint64 {
-	sums := rh.sums
+	k := 0 // the sums index of the run's first frame
 	for _, run := range rh.runs {
-		stamp := rh.cm.stamp[run.lo:run.hi]
+		stamp := rh.cm.stamp[run.Lo:run.Hi]
 		for i := 0; i < len(stamp); {
 			if stamp[i] <= rh.seen {
 				i++
@@ -289,24 +311,72 @@ func (rh *RegionHasher) Hash() uint64 {
 			for j < len(stamp) && stamp[j] > rh.seen {
 				j++
 			}
-			rh.cm.bandHashes(sums[i:j], run.lo+i, rh.lo, rh.hi)
+			rh.rehash(k+i, k+j, run.Lo+i)
 			i = j
 		}
-		sums = sums[len(stamp):]
+		k += len(stamp)
 	}
 	return rh.fold()
 }
 
-// Read returns RegionHash of the region's current content, rehashing every
-// band word whatever the stamps say: a readback of the region.
+// Read returns RegionHash of the region's current content, reading every
+// band word whatever the stamps say: a readback of the region. It compares
+// each frame's band with the words its frame hash was taken from and
+// rehashes the frames whose band differs.
 func (rh *RegionHasher) Read() uint64 {
-	sums := rh.sums
+	if rh.snap == nil {
+		rh.snap = make([]uint32, len(rh.sums)*(rh.hi-rh.lo))
+		rh.rehashAll()
+		return rh.fold()
+	}
+	k := 0
 	for _, run := range rh.runs {
-		n := run.hi - run.lo
-		rh.cm.bandHashes(sums[:n], run.lo, rh.lo, rh.hi)
-		sums = sums[n:]
+		frames := rh.cm.frames[run.Lo:run.Hi]
+		for i := 0; i < len(frames); {
+			if rh.holds(k+i, frames[i]) {
+				i++
+				continue
+			}
+			j := i + 1
+			for j < len(frames) && !rh.holds(k+j, frames[j]) {
+				j++
+			}
+			rh.rehash(k+i, k+j, run.Lo+i)
+			i = j
+		}
+		k += len(frames)
 	}
 	return rh.fold()
+}
+
+// holds reports whether snapshot row k holds frame's band words.
+func (rh *RegionHasher) holds(k int, frame []uint32) bool {
+	w := rh.hi - rh.lo
+	return wordsEqual(frame[rh.lo:rh.hi], rh.snap[k*w:(k+1)*w])
+}
+
+// rehashAll rehashes every frame of the region.
+func (rh *RegionHasher) rehashAll() {
+	k := 0
+	for _, run := range rh.runs {
+		n := run.Hi - run.Lo
+		rh.rehash(k, k+n, run.Lo)
+		k += n
+	}
+}
+
+// rehash sets the frame hashes sums[a:b], those of the frames from first
+// on, and their snapshot rows once there is a snapshot: a row always holds
+// the words its frame hash was taken from.
+func (rh *RegionHasher) rehash(a, b, first int) {
+	rh.cm.bandHashes(rh.sums[a:b], first, rh.lo, rh.hi)
+	if rh.snap == nil {
+		return
+	}
+	w := rh.hi - rh.lo
+	for k, f := range rh.cm.frames[first : first+b-a] {
+		copy(rh.snap[(a+k)*w:(a+k+1)*w], f[rh.lo:rh.hi])
+	}
 }
 
 // fold notes the epoch the frame hashes now stand for and folds them into
@@ -328,7 +398,8 @@ func (rh *RegionHasher) fold() uint64 {
 // partial configuration rewriting static rows that share its full-height
 // frames (the hazard BitLinker exists to prevent).
 func (cm *ConfigMemory) Guard(regions ...Region) {
-	cm.static = make([][]span, 0, cm.dev.Cols+len(cm.dev.BRAMColPos))
+	cols := cm.dev.Cols + len(cm.dev.BRAMColPos)
+	cm.static, cm.owned = make([][]Span, 0, cols), make([][]Span, 0, cols)
 	inBand := make([]bool, cm.dev.FrameLen())
 	guardColumn := func(encloses func(Region) bool) {
 		clear(inBand)
@@ -340,18 +411,20 @@ func (cm *ConfigMemory) Guard(regions ...Region) {
 				}
 			}
 		}
-		var static []span
+		var static, owned []Span
 		for wi, in := range inBand {
+			spans := &static
 			if in {
-				continue
+				spans = &owned
 			}
-			if n := len(static); n > 0 && static[n-1].hi == wi {
-				static[n-1].hi++
+			if n := len(*spans); n > 0 && (*spans)[n-1].Hi == wi {
+				(*spans)[n-1].Hi++
 			} else {
-				static = append(static, span{wi, wi + 1})
+				*spans = append(*spans, Span{wi, wi + 1})
 			}
 		}
 		cm.static = append(cm.static, static)
+		cm.owned = append(cm.owned, owned)
 	}
 	// Columns in frame index order: CLB columns, then BRAM columns.
 	for col := 0; col < cm.dev.Cols; col++ {
@@ -360,8 +433,24 @@ func (cm *ConfigMemory) Guard(regions ...Region) {
 	for _, pos := range cm.dev.BRAMColPos {
 		guardColumn(func(r Region) bool { return r.enclosesBRAM(pos) })
 	}
+	cm.guards++
 	cm.disturbed = false
 }
+
+// Owned returns the word ranges of frame i that the guarded regions own,
+// the complement of its static ranges: none for a frame no region
+// encloses, nil before Guard. The ranges are shared; callers must not
+// change them.
+func (cm *ConfigMemory) Owned(i int) []Span {
+	if cm.owned == nil {
+		return nil
+	}
+	return cm.owned[cm.dev.column(i)]
+}
+
+// GuardEpoch counts the calls of Guard. The static design, its
+// Guard-time content and Owned change only when it does.
+func (cm *ConfigMemory) GuardEpoch() uint64 { return cm.guards }
 
 // Guarded reports whether Guard has marked the static design.
 func (cm *ConfigMemory) Guarded() bool { return cm.static != nil }

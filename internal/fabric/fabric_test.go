@@ -442,8 +442,13 @@ func TestChangedSinceTracksWritesAndFlips(t *testing.T) {
 // a sibling's span and static frames) and bit flips inside and outside
 // the bands, with Hash called at random points. Once made, each region's
 // incremental hasher never reads in full, so stale frame hashes would
-// accumulate. A hasher made on a Clone, whose frames carry no stamps,
-// starts from the content.
+// accumulate. A third hasher per region calls Hash or Read at random, and
+// at some steps reads, flips a band bit, hashes, flips it back and reads:
+// Read rehashes only the frames whose band differs from the words their
+// hash was taken from, so a Hash that did not refresh that snapshot would
+// leave the flipped frame's hash standing. A hasher that never reads
+// carries no snapshot. A hasher made on a Clone, whose frames carry no
+// stamps, starts from the content.
 func TestRegionHasherMatchesRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, c := range []struct {
@@ -461,14 +466,15 @@ func TestRegionHasherMatchesRead(t *testing.T) {
 			}
 		}
 		cm.Guard(c.regions...)
-		var hashers, readers []*RegionHasher
+		var hashers, readers, mixed []*RegionHasher
 		spans := make([][]int, len(c.regions))
 		inSpan := make([]bool, d.NumFrames())
 		for ri, r := range c.regions {
 			hashers = append(hashers, cm.Hasher(r))
 			readers = append(readers, cm.Hasher(r))
+			mixed = append(mixed, cm.Hasher(r))
 			for _, run := range d.regionFrames(r) {
-				for fi := run.lo; fi < run.hi; fi++ {
+				for fi := run.Lo; fi < run.Hi; fi++ {
 					spans[ri] = append(spans[ri], fi)
 					inSpan[fi] = true
 				}
@@ -490,6 +496,31 @@ func TestRegionHasherMatchesRead(t *testing.T) {
 				if got := readers[ri].Read(); got != want {
 					t.Fatalf("%s step %d: %s Read = %#x, RegionHash %#x", d.Name, step, r.Name, got, want)
 				}
+				look, got := "Hash", uint64(0)
+				if rng.Intn(2) == 0 {
+					got = mixed[ri].Hash()
+				} else {
+					look, got = "Read", mixed[ri].Read()
+				}
+				if got != want {
+					t.Fatalf("%s step %d: %s mixed %s = %#x, RegionHash %#x", d.Name, step, r.Name, look, got, want)
+				}
+			}
+		}
+		// look checks the mixed hasher's Read, or its Hash, against
+		// RegionHash.
+		look := func(step, ri int, read bool) {
+			t.Helper()
+			var got uint64
+			name := "Read"
+			if read {
+				got = mixed[ri].Read()
+			} else {
+				got, name = mixed[ri].Hash(), "Hash"
+			}
+			want := cm.RegionHash(c.regions[ri])
+			if got != want {
+				t.Fatalf("%s step %d: %s %s around a flip and back = %#x, RegionHash %#x", d.Name, step, c.regions[ri].Name, name, got, want)
 			}
 		}
 		for step := range 2000 {
@@ -508,7 +539,7 @@ func TestRegionHasherMatchesRead(t *testing.T) {
 			}
 			far, _ := d.FARAt(fi)
 			frame, _ := cm.ReadFrame(far)
-			kind := []string{"write band", "rewrite unchanged", "write outside band", "flip in band", "flip outside band", "hash"}[rng.Intn(6)]
+			kind := []string{"write band", "rewrite unchanged", "write outside band", "flip in band", "flip outside band", "hash", "flip and back"}[rng.Intn(7)]
 			var err error
 			switch kind {
 			case "write band":
@@ -525,12 +556,27 @@ func TestRegionHasherMatchesRead(t *testing.T) {
 				err = cm.FlipBit(far, outside, uint(rng.Intn(32)))
 			case "hash":
 				check(step)
+			case "flip and back":
+				word, bit := lo+rng.Intn(hi-lo), uint(rng.Intn(32))
+				first := rng.Intn(2) == 0
+				look(step, ri, first)
+				if err = cm.FlipBit(far, word, bit); err == nil {
+					look(step, ri, !first)
+					err = cm.FlipBit(far, word, bit)
+				}
+				look(step, ri, first)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
 		check(2000)
+		for ri := range c.regions {
+			if hashers[ri].snap != nil || readers[ri].snap == nil {
+				t.Fatalf("%s: a hasher that never read carries a snapshot (%v), or one that read carries none (%v)",
+					d.Name, hashers[ri].snap != nil, readers[ri].snap == nil)
+			}
+		}
 
 		clone := cm.Clone()
 		for ri, r := range c.regions {

@@ -435,3 +435,65 @@ func TestCoreResets(t *testing.T) {
 		_ = c.Read()
 	}
 }
+
+// TestOutQueueReusesItsArray: an output queue popped as fast as it is
+// pushed, as the PLB Dock drains a core, allocates nothing once warm, and
+// every refill pops in push order, however full it ran before. A core's
+// Reset empties its queue and keeps the array.
+func TestOutQueueReusesItsArray(t *testing.T) {
+	var o outQueue
+	next, want := uint64(0), uint64(0)
+	cycle := func(n int) {
+		for range n {
+			o.push(next)
+			next++
+		}
+		for range n {
+			v, ok := o.pop()
+			if !ok || v != want {
+				t.Fatalf("pop = %d, %v; want %d in push order", v, ok, want)
+			}
+			want++
+		}
+		if v, ok := o.pop(); ok {
+			t.Fatalf("pop from an emptied queue = %d", v)
+		}
+	}
+	for _, n := range []int{1, 7, 3, 64, 1, 2} {
+		cycle(n)
+	}
+	// Interleaved: pops that leave part of the queue, then a refill.
+	o.push(100)
+	o.push(101)
+	if v, _ := o.pop(); v != 100 {
+		t.Fatalf("pop = %d, want 100", v)
+	}
+	o.push(102)
+	for _, w := range []uint64{101, 102} {
+		if v, ok := o.pop(); !ok || v != w {
+			t.Fatalf("pop = %d, %v; want %d", v, ok, w)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, func() { cycle(1) }); n != 0 {
+		t.Errorf("a warm push/pop cycle allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { cycle(64) }); n != 0 {
+		t.Errorf("a warm 64-word refill allocates %v times, want 0", n)
+	}
+	// A core's Reset keeps its queue's array: a transfer after it
+	// allocates nothing either.
+	pt := NewPassthrough()
+	pt.Write(1, 4)
+	if n := testing.AllocsPerRun(100, func() {
+		pt.Reset()
+		pt.Write(2, 4)
+		if v, ok := pt.PopOut(); !ok || v != 2 {
+			t.Fatalf("PopOut after Reset = %d, %v; want 2", v, ok)
+		}
+		if _, ok := pt.PopOut(); ok {
+			t.Fatal("Reset left an output queued")
+		}
+	}); n != 0 {
+		t.Errorf("Reset, push and pop allocate %v times, want 0", n)
+	}
+}

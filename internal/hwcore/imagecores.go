@@ -11,16 +11,26 @@ package hwcore
 // readable ("the resulting pixels are packed in groups of four, before
 // being read back by the CPU").
 
-// outQueue is a small helper for stream outputs feeding the dock FIFO.
-type outQueue struct{ q []uint64 }
+// outQueue is a small helper for stream outputs feeding the dock FIFO. It
+// pops from a head index and, once empty, starts over at the front of its
+// array, so a queue drained as fast as it fills reuses one array; a core's
+// Reset empties it and keeps the array too.
+type outQueue struct {
+	q    []uint64
+	head int
+}
+
+func (o *outQueue) reset() { o.q, o.head = o.q[:0], 0 }
 
 func (o *outQueue) push(v uint64) { o.q = append(o.q, v) }
 func (o *outQueue) pop() (uint64, bool) {
-	if len(o.q) == 0 {
+	if o.head == len(o.q) {
 		return 0, false
 	}
-	v := o.q[0]
-	o.q = o.q[1:]
+	v := o.q[o.head]
+	if o.head++; o.head == len(o.q) {
+		o.reset()
+	}
 	return v, true
 }
 
@@ -44,7 +54,10 @@ func NewBrightness() *Brightness { b := &Brightness{}; b.Reset(); return b }
 func (b *Brightness) Name() string { return "brightness" }
 
 // Reset implements hw.Core.
-func (b *Brightness) Reset() { *b = Brightness{} }
+func (b *Brightness) Reset() {
+	*b = Brightness{out: b.out}
+	b.out.reset()
+}
 
 // CyclesPerWord implements hw.Core: one word per cycle (parallel adders).
 func (b *Brightness) CyclesPerWord() int { return 1 }
@@ -128,7 +141,8 @@ func (b *Blend) Reset() {
 			v = 255
 		}
 		return v
-	}}
+	}, out: b.c.out}
+	b.c.out.reset()
 }
 
 // CyclesPerWord implements hw.Core.
@@ -159,10 +173,11 @@ func (f *Fade) Name() string { return "fade" }
 
 // Reset implements hw.Core.
 func (f *Fade) Reset() {
-	*f = Fade{}
-	f.c = combiner{apply: func(a, b int) int {
+	*f = Fade{c: combiner{out: f.c.out}}
+	f.c.apply = func(a, b int) int {
 		return b + ((a-b)*f.f)>>8
-	}}
+	}
+	f.c.out.reset()
 }
 
 // CyclesPerWord implements hw.Core: the multipliers pipeline one word per
@@ -201,7 +216,10 @@ func NewPassthrough() *Passthrough { return &Passthrough{} }
 func (p *Passthrough) Name() string { return "passthrough" }
 
 // Reset implements hw.Core.
-func (p *Passthrough) Reset() { *p = Passthrough{} }
+func (p *Passthrough) Reset() {
+	*p = Passthrough{out: p.out}
+	p.out.reset()
+}
 
 // CyclesPerWord implements hw.Core.
 func (p *Passthrough) CyclesPerWord() int { return 1 }

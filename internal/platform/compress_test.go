@@ -92,8 +92,8 @@ func TestDMASiblingOverlap(t *testing.T) {
 	if elapsed >= serialized {
 		t.Errorf("no wall-clock win: elapsed %v >= serialized %v", elapsed, serialized)
 	}
-	if s.ResidentOn(0) != "jenkins" || s.ResidentOn(1) != "fade" {
-		t.Fatalf("residents (%q, %q) after DMA loads", s.ResidentOn(0), s.ResidentOn(1))
+	if s.Status().Regions[0].Resident != "jenkins" || s.Status().Regions[1].Resident != "fade" {
+		t.Fatalf("residents (%q, %q) after DMA loads", s.Status().Regions[0].Resident, s.Status().Regions[1].Resident)
 	}
 	// A repeat Begin on a warm region is a zero-window cache hit.
 	th, err := s.BeginExecuteOn(0, "jenkins")

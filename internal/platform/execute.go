@@ -66,18 +66,6 @@ type ExecReport struct {
 // Latency is the simulated time the request occupied the system.
 func (r ExecReport) Latency() sim.Time { return r.Config + r.Work }
 
-// ResidentOn returns the name of the module configured in the given
-// region — "" when blank, corrupted, or when the tracked state is not
-// authoritative (e.g. after an aborted speculative stream left partial
-// region content), so callers can treat it as a bitstream-cache key. It
-// takes the system lock, so it is safe while another goroutine is inside
-// ExecuteOn.
-func (s *System) ResidentOn(ri int) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.regions[ri].resident()
-}
-
 // SupportsOn reports whether the named module fits the given region — on
 // an uneven floorplan a module can fit one region and not its sibling
 // (e.g. a region with no enclosed BRAM columns cannot host patternmatch).
@@ -94,8 +82,11 @@ type Status struct {
 	Regions   []RegionStatus
 }
 
-// RegionStatus is one region's part of a board's status. Resident follows
-// ResidentOn's authoritative-only contract.
+// RegionStatus is one region's part of a board's status. Resident is the
+// name of the module configured in the region — "" when blank, corrupted,
+// or when the tracked state is not authoritative (e.g. after an aborted
+// speculative stream left partial region content), so callers can treat
+// it as a bitstream-cache key.
 type RegionStatus struct {
 	Region   string
 	Resident string
@@ -227,8 +218,8 @@ func (s *System) RestoreEstimateOn(ri int, module string) (int, error) {
 // letting the planner choose the cheapest safe stream (a no-op when
 // resident, a differential transition when the tracked state is
 // authoritative, the complete stream otherwise), and reports what was
-// streamed. It takes the system lock, so Status/ResidentOn/PlanForOn stay
-// safe concurrently.
+// streamed. It takes the system lock, so Status and PlanForOn stay safe
+// concurrently.
 //
 // A nil stop is a plain load. A non-nil stop makes the load speculative —
 // the prefetch half of overlapping reconfiguration with computation: stop

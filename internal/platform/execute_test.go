@@ -18,7 +18,7 @@ func TestExecuteCacheHitMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ResidentOn(0); got != "" {
+	if got := s.Status().Regions[0].Resident; got != "" {
 		t.Fatalf("fresh system resident = %q, want blank", got)
 	}
 	if !s.SupportsOn(0, "fade") || s.SupportsOn(0, "sha1") {
@@ -39,7 +39,7 @@ func TestExecuteCacheHitMiss(t *testing.T) {
 	if !hit.CacheHit || hit.Config != 0 {
 		t.Fatalf("reload: hit=%v config=%v, want hit with zero config", hit.CacheHit, hit.Config)
 	}
-	if got := s.ResidentOn(0); got != "fade" {
+	if got := s.Status().Regions[0].Resident; got != "fade" {
 		t.Fatalf("resident = %q, want fade", got)
 	}
 }
@@ -169,7 +169,7 @@ func TestExecuteSerializes(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			_, err := s.ExecuteOn(0, mods[i%len(mods)], func() error {
-				_ = s.ResidentOn // no nested ResidentOn: the lock is held
+				_ = s.Status // no nested Status: the lock is held
 				s.CPU.Op(100)
 				return nil
 			})

@@ -44,10 +44,10 @@ func TestDualRegionFaultScrubDemotesOnlyThatRegion(t *testing.T) {
 	if !rep.Detected || rep.Module != "fade" {
 		t.Fatalf("scrub of faulted region 1 reports %+v, want detection of fade", rep)
 	}
-	if got := s.ResidentOn(1); got != "" {
+	if got := s.Status().Regions[1].Resident; got != "" {
 		t.Fatalf("faulted region 1 reports resident %q, want none", got)
 	}
-	if got := s.ResidentOn(0); got != "jenkins" {
+	if got := s.Status().Regions[0].Resident; got != "jenkins" {
 		t.Fatalf("sibling region 0 demoted to %q by region 1's fault", got)
 	}
 	// Region 0 still plans differentials; region 1 is hazard-gated.
@@ -70,7 +70,7 @@ func TestDualRegionFaultScrubDemotesOnlyThatRegion(t *testing.T) {
 	if _, err := s.LoadModuleOn(1, "fade", nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ResidentOn(1); got != "fade" {
+	if got := s.Status().Regions[1].Resident; got != "fade" {
 		t.Fatalf("region 1 resident %q after repair, want fade", got)
 	}
 	if rep := s.ScrubOn(1); rep.Detected {
@@ -133,7 +133,7 @@ func TestScrubAfterAbortDoesNotDoubleDemote(t *testing.T) {
 	if _, err := s.LoadModuleOn(1, "blend", nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ResidentOn(1); got != "blend" {
+	if got := s.Status().Regions[1].Resident; got != "blend" {
 		t.Fatalf("region 1 resident %q after recovery, want blend", got)
 	}
 	if rep := s.ScrubOn(1); rep.Detected {

@@ -135,10 +135,10 @@ func TestDualRegionAbortDemotesOnlyThatRegion(t *testing.T) {
 	if !errors.Is(err, core.ErrAborted) || !rep.Aborted {
 		t.Fatalf("speculative load returned (%+v, %v), want abort", rep, err)
 	}
-	if got := s.ResidentOn(1); got != "" {
+	if got := s.Status().Regions[1].Resident; got != "" {
 		t.Fatalf("aborted region 1 reports resident %q, want none", got)
 	}
-	if got := s.ResidentOn(0); got != "jenkins" {
+	if got := s.Status().Regions[0].Resident; got != "jenkins" {
 		t.Fatalf("sibling region 0 demoted to %q by region 1's abort", got)
 	}
 	p0, err := s.PlanForOn(0, "blend")
@@ -159,7 +159,7 @@ func TestDualRegionAbortDemotesOnlyThatRegion(t *testing.T) {
 	if _, err := s.LoadModuleOn(1, "blend", nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ResidentOn(1); got != "blend" {
+	if got := s.Status().Regions[1].Resident; got != "blend" {
 		t.Fatalf("region 1 resident %q after recovery, want blend", got)
 	}
 	if s.Status().Corrupted {

@@ -23,7 +23,7 @@ func TestSpeculativeLoadThenHit(t *testing.T) {
 	if rep.Aborted || rep.Kind == plan.StreamNone || rep.Bytes == 0 || rep.Time == 0 {
 		t.Fatalf("speculative report %+v, want a real stream", rep)
 	}
-	if got := s.ResidentOn(0); got != "fade" {
+	if got := s.Status().Regions[0].Resident; got != "fade" {
 		t.Fatalf("resident %q after speculative load, want fade", got)
 	}
 	er, err := s.ExecuteOn(0, "fade", func() error { return nil })
@@ -37,7 +37,7 @@ func TestSpeculativeLoadThenHit(t *testing.T) {
 
 // TestSpeculativeAbortForcesCompleteReload aborts a speculative stream
 // mid-flight and checks the safety chain end to end at the platform layer:
-// ResidentOn(0) stops naming the stale module, the next ExecuteOn streams a
+// region 0's Resident stops naming the stale module, the next ExecuteOn streams a
 // complete configuration, and the static design stays intact.
 func TestSpeculativeAbortForcesCompleteReload(t *testing.T) {
 	s, err := NewSys32()
@@ -60,8 +60,8 @@ func TestSpeculativeAbortForcesCompleteReload(t *testing.T) {
 	if !rep.Aborted || rep.Bytes <= 0 {
 		t.Fatalf("abort report %+v, want partial bytes", rep)
 	}
-	if got := s.ResidentOn(0); got != "" {
-		t.Fatalf("ResidentOn(0) = %q after abort, want \"\" (non-authoritative)", got)
+	if got := s.Status().Regions[0].Resident; got != "" {
+		t.Fatalf("region 0 resident %q after abort, want \"\" (non-authoritative)", got)
 	}
 	if n := s.Status().Regions[0].AbortedLoads; n != 1 {
 		t.Fatalf("status aborted loads = %d, want 1", n)
@@ -74,8 +74,8 @@ func TestSpeculativeAbortForcesCompleteReload(t *testing.T) {
 	if er.CacheHit || er.Kind != plan.StreamComplete {
 		t.Fatalf("post-abort execute report %+v, want a complete-stream miss", er)
 	}
-	if s.ResidentOn(0) != "blend" || s.Status().Corrupted {
-		t.Fatalf("recovery failed: resident %q corrupted=%v", s.ResidentOn(0), s.Status().Corrupted)
+	if s.Status().Regions[0].Resident != "blend" || s.Status().Corrupted {
+		t.Fatalf("recovery failed: resident %q corrupted=%v", s.Status().Regions[0].Resident, s.Status().Corrupted)
 	}
 }
 
@@ -97,8 +97,8 @@ func TestSpeculativeAbortBeforeStartIsFree(t *testing.T) {
 	if rep.Bytes != 0 || !rep.Aborted {
 		t.Fatalf("report %+v, want clean zero-byte abort", rep)
 	}
-	if got := s.ResidentOn(0); got != "fade" {
-		t.Fatalf("ResidentOn(0) = %q, want fade untouched", got)
+	if got := s.Status().Regions[0].Resident; got != "fade" {
+		t.Fatalf("region 0 resident %q, want fade untouched", got)
 	}
 }
 
@@ -168,8 +168,8 @@ func TestSpeculativeCompressedAbort(t *testing.T) {
 	if !rep.Aborted || rep.Bytes <= 0 {
 		t.Fatalf("abort report %+v, want partial bytes", rep)
 	}
-	if got := s.ResidentOn(0); got != "" {
-		t.Fatalf("ResidentOn(0) = %q after abort, want \"\" (non-authoritative)", got)
+	if got := s.Status().Regions[0].Resident; got != "" {
+		t.Fatalf("region 0 resident %q after abort, want \"\" (non-authoritative)", got)
 	}
 	er, err := s.ExecuteOn(0, "blend", func() error { return nil })
 	if err != nil {
@@ -181,7 +181,7 @@ func TestSpeculativeCompressedAbort(t *testing.T) {
 	if er.Kind != plan.StreamCompressed && er.Kind != plan.StreamComplete {
 		t.Fatalf("post-abort stream kind %v, want a complete-based stream", er.Kind)
 	}
-	if s.ResidentOn(0) != "blend" || s.Status().Corrupted {
-		t.Fatalf("recovery failed: resident %q corrupted=%v", s.ResidentOn(0), s.Status().Corrupted)
+	if s.Status().Regions[0].Resident != "blend" || s.Status().Corrupted {
+		t.Fatalf("recovery failed: resident %q corrupted=%v", s.Status().Regions[0].Resident, s.Status().Corrupted)
 	}
 }

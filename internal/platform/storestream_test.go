@@ -205,7 +205,7 @@ func TestStoreStreamMatchesPerWordSWOnBoards(t *testing.T) {
 				for _, w := range tc.words {
 					ref.CPU.SW(AddrICAP+icap.RegWriteFIFO, w)
 				}
-				got.CPU.StoreStream(AddrICAP+icap.RegWriteFIFO, tc.words)
+				got.CPU.StoreStream(AddrICAP+icap.RegWriteFIFO, tc.words, nil, 0)
 				if tc.compressed {
 					if e1, e2 := ref.ICAP.DisarmDecoder(), got.ICAP.DisarmDecoder(); e1 != nil || e2 != nil {
 						t.Fatalf("container rejected: per-word %v, stream %v", e1, e2)

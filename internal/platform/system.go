@@ -117,7 +117,7 @@ type System struct {
 
 	// mu serializes simulated activity. A System models one board: its
 	// kernel, CPU and manager are single-threaded, so concurrent users
-	// (the scheduler's pool workers) must go through ExecuteOn/ResidentOn,
+	// (the scheduler's pool workers) must go through ExecuteOn/Status,
 	// which take this lock. Two regions of one board never compute
 	// simultaneously — sibling activity interleaves on this lock.
 	mu sync.Mutex

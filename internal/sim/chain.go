@@ -69,12 +69,16 @@ func (ch *Chain) Mark() {
 // and left every time as far ahead of now as Mark found it, Skip applies up
 // to limit more of the same step at once and returns how many it applied:
 // now and every time still ahead move n·Δ, every counter n·δ, and the kernel
-// stops strictly before its next pending event, so that event fires at its
-// own time. The steps must schedule no event. Otherwise Skip returns 0 and
-// changes nothing.
+// stops strictly before its next pending event, the earlier of the one
+// Mark saw and the one pending now, so that event fires at its own time.
+// The steps must schedule no event. Otherwise Skip returns 0 and changes
+// nothing.
+//
+// After applying n steps, Skip re-bases the mark one step back, so a
+// following Skip, with nothing moved in between, continues the same run.
 func (ch *Chain) Skip(limit int) int {
-	now := ch.k.Now()
-	if now >= ch.next || limit <= 0 {
+	now, next := ch.k.Now(), min(ch.next, ch.k.NextAt())
+	if now >= next || limit <= 0 {
 		return 0
 	}
 	for i, t := range ch.times {
@@ -84,7 +88,7 @@ func (ch *Chain) Skip(limit int) int {
 	}
 	d, n := now-ch.now, Time(limit)
 	if d > 0 {
-		n = min(n, (ch.next-1-now)/d)
+		n = min(n, (next-1-now)/d)
 	}
 	if n == 0 {
 		return 0
@@ -94,9 +98,18 @@ func (ch *Chain) Skip(limit int) int {
 			*t += n * d
 		}
 	}
-	for i, c := range ch.counts {
-		*c += uint64(n) * (*c - ch.c0[i])
+	// The mark moves with the run: it now stands one step behind the
+	// state, as it stood behind the step taken since Mark.
+	ch.now += n * d
+	for i := range ch.t0 {
+		ch.t0[i] += n * d
 	}
+	for i, c := range ch.counts {
+		step := *c - ch.c0[i]
+		*c += uint64(n) * step
+		ch.c0[i] = *c - step
+	}
+	ch.next = next
 	ch.k.AdvanceTo(now + n*d)
 	return int(n)
 }

@@ -210,7 +210,9 @@ func TestKernelAdvanceChunksProperty(t *testing.T) {
 // and stays where it is, even though, unsigned, it lies "before" now by a
 // different amount after every step. A time still ahead moves with now, a
 // counter by its step's increment, and the skip ends strictly before the
-// next pending event. A cell registered twice still moves once.
+// next pending event. A cell registered twice still moves once. Skips that
+// continue a run end where one Skip of their sum and the per-step loop
+// end, and an event scheduled between two of them fires at its own time.
 func TestChainSkip(t *testing.T) {
 	k := NewKernel()
 	k.Advance(100 * Nanosecond)
@@ -257,5 +259,72 @@ func TestChainSkip(t *testing.T) {
 	step()
 	if n := ch.Skip(100); n != 0 || !fired || steps != 108 {
 		t.Fatalf("a step that fired an event skipped %d (fired %v, %d steps), want 0 after it fired, 108 steps", n, fired, steps)
+	}
+
+	// Continued Skips against one Skip of their sum and the plain loop.
+	type rig struct {
+		k            *Kernel
+		idle, busy   Time
+		steps, words uint64
+		ch           Chain
+	}
+	newRig := func() *rig {
+		r := &rig{k: NewKernel(), idle: 40 * Nanosecond}
+		r.k.Advance(100 * Nanosecond)
+		r.ch.Reset(r.k)
+		r.ch.Time(&r.idle, &r.busy)
+		r.ch.Count(&r.steps, &r.words)
+		return r
+	}
+	stepOf := func(r *rig) {
+		r.steps++
+		r.words += 2
+		r.k.Advance(10 * Nanosecond)
+		r.busy = r.k.Now() + 5*Nanosecond
+	}
+	// Each rig takes two plain steps and then 2+57 more: by the loop, by
+	// one Skip of 57, or by Skips of 20, 30 and 7.
+	loop, one, cont := newRig(), newRig(), newRig()
+	for _, r := range []*rig{loop, one, cont} {
+		stepOf(r)
+		r.ch.Mark()
+		stepOf(r)
+	}
+	for range 57 {
+		stepOf(loop)
+	}
+	if n := one.ch.Skip(57); n != 57 {
+		t.Fatalf("one Skip applied %d steps, want 57", n)
+	}
+	for _, limit := range []int{20, 30, 7} {
+		if n := cont.ch.Skip(limit); n != limit {
+			t.Fatalf("a continued Skip applied %d steps, want %d", n, limit)
+		}
+	}
+	state := func(r *rig) [5]uint64 {
+		return [5]uint64{uint64(r.k.Now()), uint64(r.idle), uint64(r.busy), r.steps, r.words}
+	}
+	if a, b, c := state(loop), state(one), state(cont); a != b || a != c {
+		t.Fatalf("loop %v, one Skip %v, continued Skips %v: want all alike", a, b, c)
+	}
+
+	// An event scheduled between two Skips, 33 ns on: the second Skip
+	// stops strictly before it, and the steps after it find it fired at
+	// its own time.
+	r := newRig()
+	stepOf(r)
+	r.ch.Mark()
+	stepOf(r)
+	r.ch.Skip(5)
+	due := r.k.Now() + 33*Nanosecond
+	var firedAt Time
+	r.k.ScheduleAt(due, func() { firedAt = r.k.Now() })
+	if n := r.ch.Skip(100); n != 3 || r.k.Now() != due-3*Nanosecond || firedAt != 0 {
+		t.Fatalf("Skip toward an event scheduled after the mark: %d steps to %v (fired at %v), want 3 to %v",
+			n, r.k.Now(), firedAt, due-3*Nanosecond)
+	}
+	stepOf(r)
+	if firedAt != due {
+		t.Fatalf("the event fired at %v, want %v", firedAt, due)
 	}
 }

@@ -18,7 +18,7 @@ import (
 //
 // Run is called with the named module already configured in the dynamic
 // area and with the system lock held (inside platform.ExecuteOn); it must
-// drive only the system it is given and must not call ExecuteOn or ResidentOn
+// drive only the system it is given and must not call ExecuteOn or Status
 // on it.
 type Runner interface {
 	// Name is a descriptive label ("jenkins/1024B").
