@@ -22,9 +22,9 @@ loc:
 	@echo "non-test Go lines outside benchmark/: $$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs cat | wc -l)"
 	@echo "non-test Go lines in benchmark/:      $$(git ls-files 'benchmark/*.go' | grep -v '_test\.go$$' | xargs cat | wc -l)"
 
-# Write the scheduler perf trajectory: the S2 placement comparison
-# (complete-only vs planner-backed, lru vs mincost), the S3 prefetch
-# comparison (visible config time with and without speculative loads), the
+# Write the scheduler perf trajectory: the S3 stream-planning, placement
+# and prefetch comparison (complete-only vs planner-backed, lru vs
+# mincost, visible config time with and without speculative loads), the
 # S4 region-granularity comparison (single- vs dual-region boards at equal
 # total fabric), the S6 scaling sweep (sharded dispatch throughput and
 # sojourn percentiles vs offered load, on its own committed 32-board
@@ -47,9 +47,8 @@ bench:
 # metric of the deterministic suites — S3/S4 hidden config, S7
 # availability and repair time, S8 overlap and availability, and the S9
 # sojourn p50/p95/p99 (the repo's latency SLOs, at a 1% band). The rest
-# gate at 15% unless a row carries its own band (the concurrency-noisy S2
-# rows); S6's all-hit zeros gate absolutely, while its host-dependent
-# throughput and percentiles stay informational. The gate writes nothing
+# gate at 15%; S6's all-hit zeros gate absolutely, while its
+# host-dependent throughput and percentiles stay informational. The gate writes nothing
 # but its scratch file, which it removes. After an intended perf change,
 # run `make bench` and commit the refreshed baseline.
 benchgate:

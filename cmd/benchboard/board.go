@@ -15,7 +15,6 @@ import (
 type point struct {
 	sha      string
 	value    float64
-	tol      float64 // the row's tolerance_pct (0 = the gate default)
 	flagged  bool    // a gated metric that fails its band vs its predecessor
 	deltaPct float64 // vs predecessor (0 for the first point / zero baseline)
 }
@@ -59,7 +58,7 @@ func (c *chart) title() string {
 // first, then the derived qualities.
 var metricOrder = []string{
 	"config_ms", "bytes_streamed", "hidden_ms", "overlap_ms",
-	"availability", "repair_ms", "throughput_rps", "sim_throughput_rps",
+	"availability", "repair_ms", "throughput_rps",
 	"p50_ms", "p95_ms", "p99_ms",
 }
 
@@ -120,7 +119,7 @@ func loadCharts(path string) ([]*chart, int, error) {
 				c.series = append(c.series, series{label: label})
 			}
 			si := labelSeen[ck][label]
-			c.series[si].points = append(c.series[si].points, point{sha: sha, value: e.Value, tol: e.TolerancePct})
+			c.series[si].points = append(c.series[si].points, point{sha: sha, value: e.Value})
 		}
 	}
 	charts := make([]*chart, 0, len(byChart))
@@ -152,14 +151,13 @@ func loadCharts(path string) ([]*chart, int, error) {
 }
 
 // annotate holds each point of a series to its predecessor through
-// gate.Compare, as cmd/benchdiff holds a fresh run to its baseline: the
-// predecessor's row tolerance picks the band, as the baseline's does
-// there, and only a metric gate.Gated names is flagged.
+// gate.Compare, as cmd/benchdiff holds a fresh run to its baseline, and
+// flags only a metric gate.Gated names.
 func annotate(c *chart, s *series) {
 	gated := gate.Gated(c.suite, c.metric)
 	for i := 1; i < len(s.points); i++ {
 		prev := s.points[i-1]
-		v := gate.Compare(c.suite, c.metric, prev.tol, prev.value, s.points[i].value)
+		v := gate.Compare(c.suite, c.metric, prev.value, s.points[i].value)
 		s.points[i].deltaPct = v.DeltaPct
 		s.points[i].flagged = gated && !v.Pass
 	}

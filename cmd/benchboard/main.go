@@ -10,10 +10,11 @@
 //
 // A point is flagged when its metric is one gate.Gated names and
 // gate.Compare fails it against its predecessor — the rule and the
-// comparison cmd/benchdiff applies, with the same band per suite, metric
-// and row tolerance. Only S6's throughput and p99 are plotted but never
-// flagged: S2's and S6's config time and streamed bytes are
-// host-dependent too, yet gated like every other suite's.
+// comparison cmd/benchdiff applies, with the same band per suite and
+// metric. Only S6's throughput and p99 are plotted but never flagged:
+// S6's config time and streamed bytes are host-dependent too, and so are
+// those of the closed S2 series, yet they are gated like every other
+// suite's.
 //
 // Usage:
 //

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,7 +25,7 @@ func appendRows(t *testing.T, history, sha string, rows ...bench.Row) {
 func s4(configMs float64, bytesStreamed uint64) bench.Row {
 	return bench.Row{
 		Table: "S4", Label: "paired", Policy: "mincost", Planner: true,
-		ConfigMs: configMs, BytesStreamed: bytesStreamed, TolerancePct: 15,
+		ConfigMs: configMs, BytesStreamed: bytesStreamed,
 	}
 }
 
@@ -98,13 +100,14 @@ func TestFlagsOnlyGatedMetrics(t *testing.T) {
 }
 
 // TestFlagsFollowGateBands: the board holds each point to the band
-// cmd/benchdiff holds the same row to. The four S2 rises of the
-// committed history pass the S2 rows' 40% band, so they render
-// unflagged; a 1.5% rise of an S9 sojourn percentile fails its 1% band.
+// cmd/benchdiff holds the same row to. The committed history's closed S2
+// series swung with the host; four of its rises pass 15%, the band of
+// every suite but S9's percentiles, so they render flagged. A 1.5% rise
+// of an S9 sojourn percentile fails its 1% band.
 func TestFlagsFollowGateBands(t *testing.T) {
 	history := filepath.Join(t.TempDir(), "history.jsonl")
 	s2 := func(label string, configMs float64, bytesStreamed uint64) bench.Row {
-		return bench.Row{Table: "S2", Label: label, ConfigMs: configMs, BytesStreamed: bytesStreamed, TolerancePct: 40}
+		return bench.Row{Table: "S2", Label: label, ConfigMs: configMs, BytesStreamed: bytesStreamed}
 	}
 	s9 := func(p99 float64) bench.Row {
 		return bench.Row{Table: "S9", Label: "rho-1/poisson", P50Ms: 0.102, P95Ms: 0.195, P99Ms: p99}
@@ -132,13 +135,33 @@ func TestFlagsFollowGateBands(t *testing.T) {
 	}
 	out := string(data)
 	for _, row := range []string{
-		"| 193d10f | 11156072 | 1734468 | 1369680 |",
-		"| 395b3c0 | 10154656 | 2056944 | 1745628 |",
-		"| 395b3c0 | 163.633 | 31.619 | 27.676 |",
+		"| 193d10f | 174.482 | 28.564 | 23.040 |",
+		"| 395b3c0 | 163.633 | 31.619 | **27.676** ⚠ |",
+		"| 193d10f | **11156072** ⚠ | 1734468 | 1369680 |",
+		"| 395b3c0 | 10154656 | **2056944** ⚠ | **1745628** ⚠ |",
 	} {
 		if !strings.Contains(out, row) {
-			t.Errorf("markdown lacks the unflagged row %q:\n%s", row, out)
+			t.Errorf("markdown lacks the row %q:\n%s", row, out)
 		}
+	}
+	var flags []string
+	for _, c := range charts {
+		for _, s := range c.series {
+			for _, p := range s.points {
+				if c.suite == "S2" && p.flagged {
+					flags = append(flags, fmt.Sprintf("%s %s %s %+.1f%%", p.sha, s.label, c.metric, p.deltaPct))
+				}
+			}
+		}
+	}
+	want := []string{
+		"395b3c0 mincost+planner config_ms +20.1%",
+		"193d10f lru+complete-only bytes_streamed +21.9%",
+		"395b3c0 lru+planner bytes_streamed +18.6%",
+		"395b3c0 mincost+planner bytes_streamed +27.4%",
+	}
+	if !slices.Equal(flags, want) {
+		t.Errorf("S2 flags %q, want %q", flags, want)
 	}
 	p99 := findChart(t, charts, "S9", "p99_ms").series[0].points
 	if len(p99) != 2 || !p99[1].flagged {
@@ -150,13 +173,13 @@ func TestFlagsFollowGateBands(t *testing.T) {
 }
 
 // TestTitlesCallOnlyUngatedMetricsInformational: a chart title says
-// "informational" only for a metric the gate does not judge. S2's and
-// S6's config time and streamed bytes are host-dependent yet gated; S6's
-// throughput and p99 are informational; S4's are neither.
+// "informational" only for a metric the gate does not judge. The closed
+// S2 series' and S6's config time and streamed bytes are host-dependent
+// yet gated; S6's throughput and p99 are informational; S4's are neither.
 func TestTitlesCallOnlyUngatedMetricsInformational(t *testing.T) {
 	history := filepath.Join(t.TempDir(), "history.jsonl")
 	appendRows(t, history, "aaa111",
-		bench.Row{Table: "S2", Label: "lru+planner", ConfigMs: 29.525, BytesStreamed: 1800648, TolerancePct: 40},
+		bench.Row{Table: "S2", Label: "lru+planner", ConfigMs: 29.525, BytesStreamed: 1800648},
 		bench.Row{Table: "S6", Label: "shards-8/rho-4/poisson", ThroughputRPS: 20000, P99Ms: 50},
 		s4(2.0, 1024))
 	charts, _, err := loadCharts(history)

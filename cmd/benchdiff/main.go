@@ -12,8 +12,9 @@
 // re-commit the baseline so the win is locked in.
 //
 // Every comparison goes through gate.Compare, which cmd/benchboard calls
-// too, so a trajectory flag and a gate verdict cannot disagree. A row's
-// own tolerance_pct overrides the gate's default band.
+// too, so a trajectory flag and a gate verdict cannot disagree. The band
+// follows the suite and metric alone: 1% for the S9 sojourn percentiles,
+// 15% for everything else.
 //
 // Usage:
 //
@@ -91,7 +92,7 @@ func run(args []string, out, errw io.Writer) int {
 				continue
 			}
 			now := fm[i].Value
-			v := gate.Compare(b.Table, m.Name, b.TolerancePct, m.Value, now)
+			v := gate.Compare(b.Table, m.Name, m.Value, now)
 			status := "ok  "
 			if !v.Pass {
 				status = "FAIL"

@@ -20,7 +20,7 @@
 //	fpgad -pprof localhost:6060                  # live net/http/pprof + /metrics with mutex profiling
 //	fpgad -cpuprofile cpu.out -mutexprofile mtx.out
 //	fpgad -trace trace.json                      # Chrome trace-event JSON (Perfetto/chrome://tracing)
-//	fpgad -compare -json BENCH_sched.json        # S2 + S3 + S4 + S6 + S7 + S8 + S9 on the committed workload
+//	fpgad -compare -json BENCH_sched.json        # S3 + S4 + S6 + S7 + S8 + S9 on the committed workload
 //	fpgad -compare -json BENCH_sched.json -history artifacts/bench/history.jsonl -sha abc1234
 //
 // -json, -history and -sha apply to -compare only: its rows are the
@@ -86,7 +86,7 @@ func run(args []string, out, errw io.Writer) int {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	mutexProfile := fs.String("mutexprofile", "", "write a mutex-contention profile of the whole run to this file")
 	compare := fs.Bool("compare", false,
-		"run the S2 placement, S3 prefetch, S4 region, S6 scaling, S7 fault, S8 compression and S9 latency-SLO suites on their committed workloads instead of a single run")
+		"run the S3 planning/placement/prefetch, S4 region, S6 scaling, S7 fault, S8 compression and S9 latency-SLO suites on their committed workloads instead of a single run")
 	jsonPath := fs.String("json", "", "with -compare, write the suites' rows to this file")
 	historyPath := fs.String("history", "",
 		"with -compare, append every row's metrics to this per-commit history file (JSONL; rendered by cmd/benchboard)")
@@ -401,13 +401,13 @@ func run(args []string, out, errw io.Writer) int {
 	return 0
 }
 
-// runCompare runs every committed S-suite in table order — S2 placement,
-// S3 prefetch, S4 region granularity, S6 shard scaling, S7 fault
-// availability, S8 load paths, S9 latency SLOs — printing each table and
-// optionally emitting the combined rows the CI bench gate diffs and
-// appending their metrics to the per-commit history store. A non-empty
-// tracePath records the S8 paired drive (the densest deterministic
-// load-path exercise) as Chrome trace-event JSON.
+// runCompare runs every committed S-suite in table order — S3 stream
+// planning, placement and prefetch, S4 region granularity, S6 shard
+// scaling, S7 fault availability, S8 load paths, S9 latency SLOs —
+// printing each table and optionally emitting the combined rows the CI
+// bench gate diffs and appending their metrics to the per-commit history
+// store. A non-empty tracePath records the S8 paired drive (the densest
+// deterministic load-path exercise) as Chrome trace-event JSON.
 func runCompare(jsonPath, historyPath, sha string,
 	tracer *trace.Tracer, tracePath string, out, errw io.Writer) int {
 	w := bench.DefaultWorkload()

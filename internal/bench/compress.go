@@ -20,11 +20,10 @@ import (
 func CompressSuite(w Workload) Suite {
 	cfg := pool.Config{Sys64: 2, Regions: 2}
 	return Suite{
-		ID:        "S8",
-		Title:     "Compressed containers and DMA-overlapped configuration on the paired seeded workload",
-		Columns:   []string{"configuration", "hits", "misses", "diff", "complete", "compressed", "dma", "config time", "overlap config", "bytes streamed", "availability"},
-		Workload:  w,
-		Tolerance: 15,
+		ID:       "S8",
+		Title:    "Compressed containers and DMA-overlapped configuration on the paired seeded workload",
+		Columns:  []string{"configuration", "hits", "misses", "diff", "complete", "compressed", "dma", "config time", "overlap config", "bytes streamed", "availability"},
+		Workload: w,
 		Cases: []Case{
 			{Label: "complete", Pool: cfg, Policy: "mincost", CompleteOnly: true, Drive: Paired},
 			{Label: "diff", Pool: cfg, Policy: "mincost", Drive: Paired},

@@ -8,9 +8,9 @@
 //     shared by the fpgasim command and the Go benchmark harness.
 //
 //   - The scheduler suites (S1–S9): seeded, reproducible drives of the
-//     multi-system pool — S2 placement, S3 prefetch, S4 region
-//     granularity, S6 sharded-dispatch scaling, S7 fault availability,
-//     S8 compressed/DMA load paths, S9 latency SLOs.
+//     multi-system pool — S3 stream planning, placement and prefetch, S4
+//     region granularity, S6 sharded-dispatch scaling, S7 fault
+//     availability, S8 compressed/DMA load paths, S9 latency SLOs.
 //
 // Each suite is one Suite value: a Workload, a list of Cases (one table
 // row each) and the functions that read a Run's scheduler Stats into
@@ -21,6 +21,6 @@
 // BENCH_sched.json baseline that cmd/benchdiff gates CI on, and the
 // append-only per-commit history store (artifacts/bench/history.jsonl)
 // that cmd/benchboard renders as the repo's perf trajectory. The tolerance
-// rules both consumers share live in the nested package
-// internal/bench/gate.
+// rules both consumers share, one band per suite and metric, live in the
+// nested package internal/bench/gate.
 package bench

@@ -32,12 +32,11 @@ func FaultSuite(w Workload) (Suite, error) {
 		cases[i] = Case{Label: sc.Name + "+scrub", Pool: cfg, Policy: "mincost", Scrub: true, Fault: sc, Drive: Paced}
 	}
 	return Suite{
-		ID:        "S7",
-		Title:     "Availability under injected configuration upsets with readback scrubbing",
-		Columns:   []string{"scenario", "rate", "injected", "detected", "requeued", "repaired", "availability", "config time", "repair time", "p99 latency"},
-		Workload:  w,
-		Cases:     cases,
-		Tolerance: 15,
+		ID:       "S7",
+		Title:    "Availability under injected configuration upsets with readback scrubbing",
+		Columns:  []string{"scenario", "rate", "injected", "detected", "requeued", "repaired", "availability", "config time", "repair time", "p99 latency"},
+		Workload: w,
+		Cases:    cases,
 		cells: func(r Run) []string {
 			st := r.Stats
 			return []string{r.Fault.Name, fmt.Sprintf("%.2g", r.Fault.Rate),

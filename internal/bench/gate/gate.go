@@ -10,8 +10,9 @@
 // Two gating regimes coexist, keyed on the baseline value:
 //
 //   - A nonzero baseline gates on relative growth: the fresh value may
-//     exceed the baseline by at most the record's tolerance band (its own
-//     tolerance_pct when it carries one, DefaultTolerancePct otherwise).
+//     exceed the baseline by at most the band of its suite and metric,
+//     SLOTolerancePct for the S9 sojourn percentiles and
+//     DefaultTolerancePct for everything else.
 //
 //   - A zero baseline gates on absolute growth against a per-metric
 //     epsilon. A percentage of zero is undefined: scaling any band by a
@@ -22,10 +23,8 @@
 //     path is a hard failure, not a percentage.
 package gate
 
-// DefaultTolerancePct is the gate's default relative band: a metric may
-// grow this many percent over its nonzero baseline before the gate fails.
-// Records from inherently noisy configurations carry their own wider
-// tolerance_pct, which overrides the default.
+// DefaultTolerancePct is the gate's relative band: a metric may grow this
+// many percent over its nonzero baseline before the gate fails.
 const DefaultTolerancePct = 15
 
 // Per-metric absolute epsilons for zero baselines. Visible configuration
@@ -37,31 +36,22 @@ const (
 	BytesZeroEps    = 0
 )
 
-// Allowed resolves a record's effective relative band: its own tolerance
-// when it carries one, the gate default otherwise.
-func Allowed(tolerancePct float64) float64 {
-	if tolerancePct > 0 {
-		return tolerancePct
-	}
-	return DefaultTolerancePct
-}
-
 // SLOTolerancePct is the band of the S9 sojourn percentiles. They
 // reproduce byte-identically, so any drift at all is a real latency
 // change.
 const SLOTolerancePct = 1
 
 // band resolves the relative band, in percent, that a suite's metric is
-// held to: SLOTolerancePct for the S9 sojourn percentiles, otherwise the
-// row's own tolerance, or the default when it carries none.
-func band(suite, metric string, tolerancePct float64) float64 {
+// held to: SLOTolerancePct for the S9 sojourn percentiles,
+// DefaultTolerancePct otherwise.
+func band(suite, metric string) float64 {
 	if suite == "S9" {
 		switch metric {
 		case "p50_ms", "p95_ms", "p99_ms":
 			return SLOTolerancePct
 		}
 	}
-	return Allowed(tolerancePct)
+	return DefaultTolerancePct
 }
 
 // HigherBetter reports whether a metric regresses by falling: hidden and
@@ -69,7 +59,7 @@ func band(suite, metric string, tolerancePct float64) float64 {
 // (times, bytes) regresses by growing.
 func HigherBetter(metric string) bool {
 	switch metric {
-	case "availability", "throughput_rps", "sim_throughput_rps", "hidden_ms", "overlap_ms":
+	case "availability", "throughput_rps", "hidden_ms", "overlap_ms":
 		return true
 	default:
 		return false
@@ -77,12 +67,12 @@ func HigherBetter(metric string) bool {
 }
 
 // Compare judges a fresh value of a suite's metric against its baseline,
-// in the metric's direction and under the band of the suite, metric and
-// row tolerance (0 = the default). Zero baselines of streamed bytes admit
-// no growth at all; every other zero baseline admits ConfigMsZeroEps.
-// cmd/benchdiff and cmd/benchboard both judge through it.
-func Compare(suite, metric string, tolerancePct, base, fresh float64) Verdict {
-	allowed := band(suite, metric, tolerancePct)
+// in the metric's direction and under the band of the suite and metric.
+// Zero baselines of streamed bytes admit no growth at all; every other
+// zero baseline admits ConfigMsZeroEps. cmd/benchdiff and cmd/benchboard
+// both judge through it.
+func Compare(suite, metric string, base, fresh float64) Verdict {
+	allowed := band(suite, metric)
 	if HigherBetter(metric) {
 		return CheckHigherBetter(base, fresh, allowed)
 	}
@@ -134,8 +124,9 @@ func CheckHigherBetter(base, fresh, allowedPct float64) Verdict {
 
 // SuiteDeterministic reports whether a bench suite's rows reproduce
 // byte-identically run to run on one machine: S3, S4, S7, S8 and S9.
-// The rows of S2 (concurrent SubmitAll placement) and S6 (real
-// wall-clock dispatch throughput) swing with the host.
+// The rows of S6 (real wall-clock dispatch throughput) swing with the
+// host, and so did those of the closed S2 series in the history, whose
+// concurrent drive placed requests in goroutine completion order.
 func SuiteDeterministic(suite string) bool {
 	switch suite {
 	case "S3", "S4", "S7", "S8", "S9":

@@ -68,36 +68,29 @@ func TestCheckHigherBetter(t *testing.T) {
 	}
 }
 
-func TestAllowed(t *testing.T) {
-	if got := Allowed(0); got != DefaultTolerancePct {
-		t.Errorf("Allowed(0) = %v, want default %v", got, DefaultTolerancePct)
-	}
-	if got := Allowed(40); got != 40 {
-		t.Errorf("Allowed(40) = %v, want the per-record override", got)
-	}
-}
-
-// TestCompare: the band follows the suite, metric and row tolerance, and
-// the direction and zero-baseline epsilon follow the metric.
+// TestCompare: the band follows the suite and metric alone, and the
+// direction and zero-baseline epsilon follow the metric. The closed S2
+// series of the history gets no wider band than any other suite.
 func TestCompare(t *testing.T) {
 	cases := []struct {
-		suite, metric  string
-		tol, base, now float64
-		wantPass       bool
+		suite, metric string
+		base, now     float64
+		wantPass      bool
 	}{
-		{"S2", "bytes_streamed", 40, 100, 130, true}, // the row's own band
-		{"S3", "config_ms", 0, 100, 116, false},      // the 15% default
-		{"S9", "p99_ms", 0, 100, 101.5, false},       // the 1% SLO band
-		{"S9", "config_ms", 0, 100, 101.5, true},     // S9's other metrics
-		{"S6", "p99_ms", 0, 100, 101.5, true},        // percentiles elsewhere
-		{"S7", "availability", 15, 0.9, 0.7, false},  // falls past the band
-		{"S7", "availability", 15, 0.9, 1.0, true},   // rises
-		{"S6", "bytes_streamed", 0, 0, 1, false},     // any byte on zero
-		{"S6", "config_ms", 0, 0, 0.005, true},       // config-time epsilon
+		{"S2", "bytes_streamed", 100, 130, false}, // the 15% band
+		{"S3", "config_ms", 100, 116, false},      // the 15% band
+		{"S3", "config_ms", 100, 115, true},       // at the band
+		{"S9", "p99_ms", 100, 101.5, false},       // the 1% SLO band
+		{"S9", "config_ms", 100, 101.5, true},     // S9's other metrics
+		{"S6", "p99_ms", 100, 101.5, true},        // percentiles elsewhere
+		{"S7", "availability", 0.9, 0.7, false},   // falls past the band
+		{"S7", "availability", 0.9, 1.0, true},    // rises
+		{"S6", "bytes_streamed", 0, 1, false},     // any byte on zero
+		{"S6", "config_ms", 0, 0.005, true},       // config-time epsilon
 	}
 	for _, c := range cases {
-		if v := Compare(c.suite, c.metric, c.tol, c.base, c.now); v.Pass != c.wantPass {
-			t.Errorf("%s %s tol %g: %g -> %g: %+v, want pass=%v", c.suite, c.metric, c.tol, c.base, c.now, v, c.wantPass)
+		if v := Compare(c.suite, c.metric, c.base, c.now); v.Pass != c.wantPass {
+			t.Errorf("%s %s: %g -> %g: %+v, want pass=%v", c.suite, c.metric, c.base, c.now, v, c.wantPass)
 		}
 	}
 }
@@ -160,7 +153,7 @@ func TestHistoryAppendLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nested", "history.jsonl")
 	first := []Entry{
 		{SHA: "aaa111", Suite: "S3", Metric: "depth-2/config_ms", Value: 1.25, Unit: "ms", Deterministic: true},
-		{SHA: "aaa111", Suite: "S2", Metric: "lru/bytes_streamed", Value: 4096, Unit: "B", TolerancePct: 40},
+		{SHA: "aaa111", Suite: "S2", Metric: "lru/bytes_streamed", Value: 4096, Unit: "B"},
 	}
 	if err := AppendEntries(path, first); err != nil {
 		t.Fatalf("append: %v", err)

@@ -26,8 +26,6 @@ type Entry struct {
 	// rows reproduce byte-identically and gate hard, false rows are
 	// host-dependent and gate only the metrics Gated names.
 	Deterministic bool `json:"deterministic"`
-	// TolerancePct is the row's gate band (0 = the gate default).
-	TolerancePct float64 `json:"tolerance_pct,omitempty"`
 }
 
 // SplitMetric splits an Entry.Metric into its configuration label and

@@ -43,9 +43,53 @@ func TestPrefetchHidesVisibleConfigTime(t *testing.T) {
 	}
 }
 
+// TestPlannerBeatsCompleteOnlyBaseline is the acceptance criterion of the
+// transition-aware refactor, on S3's paced seeded workload: the planner
+// strictly reduces both visible configuration time and configuration
+// bytes streamed versus the complete-only baseline (lru placement,
+// complete streams only), under lru and under cost-aware placement
+// alike; and cost-aware placement beats lru on both.
+func TestPlannerBeatsCompleteOnlyBaseline(t *testing.T) {
+	s := PrefetchSuite(DefaultWorkload())
+	var runs []Run
+	for _, i := range []int{4, 3, 0} { // lru+complete-only, lru+noprefetch, mincost+noprefetch
+		r, err := Drive(s.Workload, s.Cases[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, r)
+	}
+	base := runs[0]
+	if !base.CompleteOnly || base.Stats.DiffLoads != 0 {
+		t.Fatalf("baseline %s issued %d differential loads, want a complete-only run", base.Label, base.Stats.DiffLoads)
+	}
+	for _, r := range runs[1:] {
+		st, bst := r.Stats, base.Stats
+		if st.Done != bst.Done || st.Errors != 0 {
+			t.Fatalf("%s: %d done %d errors, want %d clean", r.Label, st.Done, st.Errors, bst.Done)
+		}
+		if st.Config >= bst.Config {
+			t.Errorf("%s config time %v not below baseline %v", r.Label, st.Config, bst.Config)
+		}
+		if st.BytesStreamed >= bst.BytesStreamed {
+			t.Errorf("%s streamed %d B, not below baseline %d B", r.Label, st.BytesStreamed, bst.BytesStreamed)
+		}
+		if st.CompleteLoads != 0 {
+			t.Errorf("%s paid %d complete streams; every miss should plan a differential on this workload",
+				r.Label, st.CompleteLoads)
+		}
+	}
+	lru, mincost := runs[1], runs[2]
+	if mincost.Stats.Config >= lru.Stats.Config || mincost.Stats.BytesStreamed >= lru.Stats.BytesStreamed {
+		t.Errorf("%s: %v and %d B, want below %s's %v and %d B", mincost.Label, mincost.Stats.Config,
+			mincost.Stats.BytesStreamed, lru.Label, lru.Stats.Config, lru.Stats.BytesStreamed)
+	}
+}
+
 // TestPrefetchTableShape checks the S3 content beyond the shared suite
 // shape: the no-prefetch baseline leads, every prefetch row gets a hiding
-// note against it, and the rows record the paced window and predictor.
+// note against it, the lru rows get the planner-vs-complete-only note,
+// and the rows record the paced window and predictor.
 func TestPrefetchTableShape(t *testing.T) {
 	w := DefaultWorkload()
 	w.N = 24 // smaller workload: this test checks content, not magnitude
@@ -59,8 +103,11 @@ func TestPrefetchTableShape(t *testing.T) {
 	}
 	var sb strings.Builder
 	s.Table(runs).Format(&sb)
-	if got := strings.Count(sb.String(), "hides"); got != len(runs)-1 {
+	if got := strings.Count(sb.String(), "hides"); got != 2 {
 		t.Errorf("%d hiding notes, want one per prefetch row:\n%s", got, sb.String())
+	}
+	if !strings.Contains(sb.String(), "lru+noprefetch vs lru+complete-only:") {
+		t.Errorf("no planner-vs-complete-only note:\n%s", sb.String())
 	}
 	rows := s.Rows(runs)
 	if rows[0].Window != 1 || rows[2].Predictor != "markov" {

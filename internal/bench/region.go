@@ -53,11 +53,10 @@ func RegionSuite(w Workload) (Suite, error) {
 		return Case{Label: label, Pool: cfg, Policy: "mincost", Predictor: predictor, Drive: Paced}
 	}
 	return Suite{
-		ID:        "S4",
-		Title:     "Region granularity at equal total fabric on the paced seeded workload",
-		Columns:   []string{"configuration", "boards", "slots", "hits", "misses", "pf hits", "config time", "hidden config", "bytes streamed"},
-		Workload:  w,
-		Tolerance: 15,
+		ID:       "S4",
+		Title:    "Region granularity at equal total fabric on the paced seeded workload",
+		Columns:  []string{"configuration", "boards", "slots", "hits", "misses", "pf hits", "config time", "hidden config", "bytes streamed"},
+		Workload: w,
 		Cases: []Case{
 			c("4x1-half+mincost", single, ""),
 			c("2x2-half+mincost", dual, ""),

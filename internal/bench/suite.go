@@ -15,7 +15,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Mix is the module mix of the committed S2–S4, S7 and S8 workload.
+// Mix is the module mix of the committed S3, S4, S7 and S8 workload.
 const Mix = "sha1=1,jenkins=2,patternmatch=1,brightness=2,blend=2,fade=2,transfer=1"
 
 // Workload is the seeded request stream a suite drives: sched.GenWorkload
@@ -29,21 +29,18 @@ type Workload struct {
 }
 
 // DefaultWorkload is the committed seeded 60-request mixed workload of
-// S2, S3, S4, S7 and S8.
+// S3, S4, S7 and S8.
 func DefaultWorkload() Workload { return Workload{Seed: 7, N: 60, Mix: Mix, Batch: 4} }
 
 // DriveKind selects how Drive submits a workload.
 type DriveKind int
 
 const (
-	// Concurrent submits every request upfront (SubmitAll). Placement
-	// follows goroutine completion order, so the run is host-dependent.
-	Concurrent DriveKind = iota
 	// Paced submits one request at a time and settles the pool (member
 	// released, speculative streams landed) after each completion.
 	// Requests arrive against settled state, so the run is deterministic
 	// and measures prediction and placement rather than host jitter.
-	Paced
+	Paced DriveKind = iota
 	// Paired submits two requests per SubmitBatch against a settled pool,
 	// so the round-aware gang policy can co-locate a round's two misses on
 	// sibling regions of one member. Deterministic like Paced.
@@ -158,11 +155,6 @@ func Drive(w Workload, c Case) (Run, error) {
 	}
 	var start time.Time
 	switch c.Drive {
-	case Concurrent:
-		for _, ch := range s.SubmitAll(reqs) {
-			r := <-ch
-			record(r, r.Latency())
-		}
 	case Paced:
 		cur, done := c.Fault.Cursor(), 0
 		s.SubmitWindowed(reqs, 1, func(r sched.Result) {
@@ -311,9 +303,6 @@ type Suite struct {
 	Columns   []string
 	Workload  Workload
 	Cases     []Case
-	// Tolerance is every row's CI-gate band in percent (0 = the gate
-	// default).
-	Tolerance float64
 
 	cells func(Run) []string
 	notes func([]Run) []string
@@ -325,8 +314,8 @@ type Suite struct {
 	run func(Suite) ([]Run, error)
 }
 
-// Suites returns the S-suites in table order — S2, S3, S4, S6, S7, S8,
-// S9 — with S2–S4, S7 and S8 on the given workload (the committed one is
+// Suites returns the S-suites in table order — S3, S4, S6, S7, S8, S9 —
+// with S3, S4, S7 and S8 on the given workload (the committed one is
 // DefaultWorkload) and S6/S9 on their own capacity workload.
 func Suites(w Workload) ([]Suite, error) {
 	region, err := RegionSuite(w)
@@ -338,7 +327,7 @@ func Suites(w Workload) ([]Suite, error) {
 		return nil, err
 	}
 	return []Suite{
-		PlacementSuite(w), PrefetchSuite(w), region, ScalingSuite(),
+		PrefetchSuite(w), region, ScalingSuite(),
 		faults, CompressSuite(w), SLOSuite(),
 	}, nil
 }
@@ -378,8 +367,7 @@ func (s Suite) Rows(runs []Run) []Row {
 	return rows
 }
 
-// row lowers one run to its wire row under the suite's table ID and
-// tolerance band.
+// row lowers one run to its wire row under the suite's table ID.
 func (s Suite) row(r Run) Row {
 	st := r.Stats
 	var busy float64
@@ -423,8 +411,6 @@ func (s Suite) row(r Run) Row {
 		Requeues:       st.Requeues,
 		Repairs:        st.Repairs,
 		RepairMs:       ms(st.RepairConfig),
-
-		TolerancePct: s.Tolerance,
 	}
 	if st.Done > 0 {
 		row.SimUsPerReq = busy / float64(st.Done)

@@ -70,8 +70,29 @@ func TestSuiteShape(t *testing.T) {
 			}
 		})
 	}
-	if got := strings.Join(ids, " "); got != "S2 S3 S4 S6 S7 S8 S9" {
-		t.Errorf("suites %s, want S2 S3 S4 S6 S7 S8 S9 in table order", got)
+	if got := strings.Join(ids, " "); got != "S3 S4 S6 S7 S8 S9" {
+		t.Errorf("suites %s, want S3 S4 S6 S7 S8 S9 in table order", got)
+	}
+}
+
+// TestSuiteDeterminismMatchesDrives: the gate holds a suite to every
+// recorded metric exactly when its rows reproduce, and a row reproduces
+// exactly when its drive places requests against settled state. So
+// gate.SuiteDeterministic must name the suites none of whose cases drives
+// OpenLoop, the one drive whose placement follows the host.
+func TestSuiteDeterminismMatchesDrives(t *testing.T) {
+	suites, err := Suites(DefaultWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range suites {
+		settled := true
+		for _, c := range s.Cases {
+			settled = settled && c.Drive != OpenLoop
+		}
+		if got := gate.SuiteDeterministic(s.ID); got != settled {
+			t.Errorf("%s: gate.SuiteDeterministic = %v, but its drives are settled = %v", s.ID, got, settled)
+		}
 	}
 }
 
@@ -105,7 +126,7 @@ func checkRowsGolden(t *testing.T, suite string, rows []Row) {
 // while the other requests keep running.
 func TestDriveFailureDrains(t *testing.T) {
 	w := DefaultWorkload()
-	for _, kind := range []DriveKind{Concurrent, Paced, Paired, OpenLoop} {
+	for _, kind := range []DriveKind{Paced, Paired, OpenLoop} {
 		before := runtime.NumGoroutine()
 		run, err := Drive(w, Case{Label: "sys32", Pool: pool.Config{Sys32: 1}, Policy: "lru", Rho: 1, Drive: kind})
 		if err == nil || !strings.Contains(err.Error(), "sha1") {

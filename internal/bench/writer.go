@@ -49,7 +49,6 @@ func (w Writer) HistoryEntries(sha string) []gate.Entry {
 				Value:         m.Value,
 				Unit:          m.Unit,
 				Deterministic: gate.SuiteDeterministic(r.Table),
-				TolerancePct:  r.TolerancePct,
 			})
 		}
 	}

@@ -51,8 +51,8 @@ func DecodeRecords(data []byte) ([]Row, error) {
 }
 
 // TestHistoryEntriesGolden pins every history entry the committed
-// baseline lowers to — suite, label/metric key, value, unit,
-// determinism and tolerance band, in emission order — so the set of
+// baseline lowers to — suite, label/metric key, value, unit and
+// determinism, in emission order — so the set of
 // metrics each suite contributes to artifacts/bench/history.jsonl cannot
 // drift silently.
 func TestHistoryEntriesGolden(t *testing.T) {
@@ -90,7 +90,7 @@ func TestHistoryEntriesGolden(t *testing.T) {
 // reads it back through the gate reader.
 func TestWriterAppendHistoryRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sub", "history.jsonl")
-	w := NewWriter(Row{Table: "S4", Label: "paired", Policy: "mincost", Planner: true, ConfigMs: 3.25, BytesStreamed: 99, TolerancePct: 15})
+	w := NewWriter(Row{Table: "S4", Label: "paired", Policy: "mincost", Planner: true, ConfigMs: 3.25, BytesStreamed: 99})
 	if err := w.AppendHistory(path, "d00d1e"); err != nil {
 		t.Fatalf("append: %v", err)
 	}

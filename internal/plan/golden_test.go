@@ -17,7 +17,7 @@ type goldenRow struct {
 // BEFORE the multi-region refactor (PR 4 behaviour) and must never drift:
 // a single-region system's plans stay byte-identical through any floorplan
 // generalization. The CI bench gate cross-checks the same property on the
-// aggregate S2/S3 rows.
+// aggregate S3 rows.
 var goldenSys32 = []goldenRow{
 	{"", "complete:blend", 367684, 744},
 	{"", "complete:brightness", 367684, 744},
