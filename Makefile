@@ -17,10 +17,12 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Count the non-test Go lines of the tracked files, outside the benchmark/
-# module and inside it: the line count a simplification is judged by.
+# module and inside it: the line count a simplification is judged by. The
+# third line counts the tracked test Go lines outside benchmark/.
 loc:
 	@echo "non-test Go lines outside benchmark/: $$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs cat | wc -l)"
 	@echo "non-test Go lines in benchmark/:      $$(git ls-files 'benchmark/*.go' | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@echo "test Go lines outside benchmark/:     $$(git ls-files '*_test.go' | grep -v '^benchmark/' | xargs cat | wc -l)"
 
 # Write the scheduler perf trajectory: the S3 stream-planning, placement
 # and prefetch comparison (complete-only vs planner-backed, lru vs

@@ -4,7 +4,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/pool"
 )
 
 // faultSweep drives the full S7 rate sweep on the committed workload; -short
@@ -123,5 +127,37 @@ func TestFaultRunDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same scenario, different outcomes:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestDriveRefusesUninjectedFaults: only a Paced drive injects a case's
+// fault events, so a Paired or OpenLoop case that carries one must fail,
+// naming its drive, rather than report as injected an upset nothing
+// injected. Under Paced the same event is injected, detected by the scrub
+// pass that follows it and repaired.
+func TestDriveRefusesUninjectedFaults(t *testing.T) {
+	w := DefaultWorkload()
+	w.N = 12
+	c := Case{Label: "one-upset", Pool: pool.Config{Sys64: 2, Regions: 2}, Policy: "mincost", Scrub: true,
+		Fault: fault.Scenario{Name: "one-upset", Rate: 0.3, Events: []fault.Event{
+			{AfterDone: 10, Member: 0, Region: 1, Frame: 199, Word: 62, Bit: 7},
+		}}}
+	for _, d := range []struct {
+		name string
+		kind DriveKind
+		rho  float64
+	}{{"Paired", Paired, 0}, {"OpenLoop", OpenLoop, 1}} {
+		c.Drive, c.Rho = d.kind, d.rho
+		if _, err := Drive(w, c); err == nil || !strings.Contains(err.Error(), d.name) {
+			t.Errorf("%s drive with a fault event: err = %v, want a refusal naming %s", d.name, err, d.name)
+		}
+	}
+	c.Drive, c.Rho = Paced, 0
+	r, err := Drive(w, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats; st.FaultsDetected != 1 || st.Repairs != 1 {
+		t.Fatalf("Paced drive: %d detected, %d repaired, want the one event detected and repaired", st.FaultsDetected, st.Repairs)
 	}
 }

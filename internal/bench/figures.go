@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/platform"
-	"repro/internal/region"
 )
 
 // Figure1 renders the generic system architecture of figure 1.
@@ -111,8 +110,8 @@ func Floorplan(w io.Writer, s *platform.System) {
 		fmt.Fprintf(w, "  dynamic area %s: cols [%d,%d) rows [%d,%d) = %d CLBs (%d slices, %.1f%% of device), %d BRAMs\n",
 			r.Name, r.Col0, r.Col0+r.W, r.Row0, r.Row0+r.H, r.CLBs(), r.Slices(),
 			100*float64(r.Slices())/float64(d.SliceCount()), r.BRAMBudget)
-		for _, sp := range region.Spans(d, r) {
-			fmt.Fprintf(w, "    ICAP stream addressing: frames [%d,%d) (%d frames)\n", sp.Lo, sp.Hi, sp.Frames())
+		for _, sp := range d.Frames(r) {
+			fmt.Fprintf(w, "    ICAP stream addressing: frames [%d,%d) (%d frames)\n", sp.Lo, sp.Hi, sp.Len())
 		}
 	}
 	if s.Is64 {

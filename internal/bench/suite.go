@@ -51,6 +51,18 @@ const (
 	OpenLoop
 )
 
+func (k DriveKind) String() string {
+	switch k {
+	case Paced:
+		return "Paced"
+	case Paired:
+		return "Paired"
+	case OpenLoop:
+		return "OpenLoop"
+	}
+	return fmt.Sprintf("DriveKind(%d)", int(k))
+}
+
 // Case is one configuration row of a suite: the pool it boots, the
 // scheduler and load-path settings, and how the workload is driven.
 type Case struct {
@@ -67,7 +79,8 @@ type Case struct {
 	DMA       bool
 	Scrub     bool
 	// Fault is injected between Paced completions; every injection is
-	// followed by a full scrub pass.
+	// followed by a full scrub pass. Drive refuses fault events under
+	// any other drive.
 	Fault fault.Scenario
 	// Pin is loaded into every slot before the drive ("" = blank pool).
 	Pin    string
@@ -133,9 +146,15 @@ func (r Run) SimThroughput() float64 {
 // and returns the run. Whether or not a request fails, Drive settles and
 // drains the scheduler before it returns — no request, speculative or
 // repair goroutine outlives the call — and a member left with a corrupted
-// static design fails the run. The first error wins.
+// static design fails the run. The first error wins. A case that carries
+// fault events under a drive other than Paced fails before it boots: only
+// Paced injects them.
 func Drive(w Workload, c Case) (Run, error) {
 	run := Run{Case: c}
+	if len(c.Fault.Events) > 0 && c.Drive != Paced {
+		return run, fmt.Errorf("bench: %s carries %d fault events, but a %v drive injects none (only Paced does)",
+			c.Label, len(c.Fault.Events), c.Drive)
+	}
 	reqs, p, s, err := boot(w, c)
 	if err != nil {
 		return run, err

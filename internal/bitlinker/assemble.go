@@ -2,6 +2,7 @@ package bitlinker
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitstream"
 	"repro/internal/busmacro"
@@ -28,8 +29,9 @@ type Assembler struct {
 }
 
 // New returns an assembler for the region. baseline must hold the static
-// design's configuration; dock is the bus macro offered by the static side
-// (nil if the region has no dock).
+// design's configuration and not change afterwards, since the images the
+// assembler builds share its frames; dock is the bus macro offered by the
+// static side (nil if the region has no dock).
 func New(dev *fabric.Device, region fabric.Region, baseline *fabric.ConfigMemory, dock *busmacro.Macro) (*Assembler, error) {
 	if err := dev.ValidateRegion(region); err != nil {
 		return nil, err
@@ -88,35 +90,25 @@ func (a *Assembler) AssembleDifferential(assumed *fabric.ConfigMemory, placement
 	}
 	target := a.targetImage(placements)
 	var runs []bitstream.FrameRun
-	cur := -1 // index into runs of the run being extended, -1 if none
-	frames := 0
-	a.forEachRegionFAR(func(far fabric.FAR) {
-		want, _ := target.ReadFrame(far)
-		have, _ := assumed.ReadFrame(far)
-		same := true
-		for i := range want {
-			if want[i] != have[i] {
-				same = false
-				break
+	var want, have []uint32
+	frames, last := 0, -1 // last is the index of the last differing frame
+	for _, run := range a.dev.Frames(a.region) {
+		for i := run.Lo; i < run.Hi; i++ {
+			far, _ := a.dev.FARAt(i)
+			want, _ = target.AppendFrame(want[:0], far, 0, a.dev.FrameLen())
+			have, _ = assumed.AppendFrame(have[:0], far, 0, a.dev.FrameLen())
+			if slices.Equal(want, have) {
+				continue
 			}
-		}
-		if same {
-			cur = -1
-			return
-		}
-		frames++
-		if cur >= 0 {
-			// Extend the current run when far follows its last frame.
-			startIdx, _ := a.dev.FrameIndex(runs[cur].Start)
-			farIdx, _ := a.dev.FrameIndex(far)
-			if farIdx == startIdx+len(runs[cur].Frames) {
-				runs[cur].Frames = append(runs[cur].Frames, want)
-				return
+			frames++
+			if last >= 0 && i == last+1 {
+				runs[len(runs)-1].Frames = append(runs[len(runs)-1].Frames, slices.Clone(want))
+			} else {
+				runs = append(runs, bitstream.FrameRun{Start: far, Frames: [][]uint32{slices.Clone(want)}})
 			}
+			last = i
 		}
-		runs = append(runs, bitstream.FrameRun{Start: far, Frames: [][]uint32{want}})
-		cur = len(runs) - 1
-	})
+	}
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("bitlinker: differential configuration is empty (target equals assumed image)")
 	}
@@ -214,15 +206,17 @@ func (a *Assembler) check(placements []Placed) error {
 
 // targetImage builds the post-configuration image: the static baseline with
 // the region band replaced by the assembled components (blank where no
-// component is placed).
+// component is placed). It is an Overlay of the baseline, so only the
+// region's frames are copied.
 func (a *Assembler) targetImage(placements []Placed) *fabric.ConfigMemory {
-	return a.stampInto(a.baseline.Clone(), placements)
+	return a.stampInto(a.baseline.Overlay(), placements)
 }
 
 // Target returns the configuration image the placements would leave in the
 // device: the static baseline with the region band holding the assembled
 // components. Callers use it as the assumed-state input of differential
-// assembly.
+// assembly. It shares the baseline's frames outside the region, so the
+// baseline must not change while the image is in use.
 func (a *Assembler) Target(placements ...Placed) *fabric.ConfigMemory {
 	return a.targetImage(placements)
 }
@@ -232,27 +226,19 @@ func (a *Assembler) Target(placements ...Placed) *fabric.ConfigMemory {
 // content for enclosed BRAM columns.
 func (a *Assembler) stampInto(base *fabric.ConfigMemory, placements []Placed) *fabric.ConfigMemory {
 	r := a.region
-	lo, _ := a.dev.RowWordRange(r.Row0, r.H)
+	lo, hi := a.dev.RowWordRange(r.Row0, r.H)
+	var frame []uint32
 	for col := 0; col < r.W; col++ {
-		abs := r.Col0 + col
 		for minor := 0; minor < fabric.FramesPerCLBColumn; minor++ {
-			far := fabric.FAR{Block: fabric.BlockCLB, Major: abs, Minor: minor}
-			frame, _ := base.ReadFrame(far)
-			for row := 0; row < r.H; row++ {
-				for w := 0; w < wordsPerRow; w++ {
-					frame[lo+wordsPerRow*row+w] = 0
-				}
-			}
+			far := fabric.FAR{Block: fabric.BlockCLB, Major: r.Col0 + col, Minor: minor}
+			frame, _ = base.AppendFrame(frame[:0], far, 0, a.dev.FrameLen())
+			clear(frame[lo:hi])
 			for _, p := range placements {
 				if col < p.ColOff || col >= p.ColOff+p.C.W {
 					continue
 				}
-				src := p.C.CLBFrames[col-p.ColOff][minor]
-				for row := 0; row < p.C.H; row++ {
-					for w := 0; w < wordsPerRow; w++ {
-						frame[lo+wordsPerRow*(p.RowOff+row)+w] = src[wordsPerRow*row+w]
-					}
-				}
+				plo, phi := a.dev.RowWordRange(r.Row0+p.RowOff, p.C.H)
+				copy(frame[plo:phi], p.C.CLBFrames[col-p.ColOff][minor])
 			}
 			if err := base.WriteFrame(far, frame); err != nil {
 				panic(err) // addresses are constructed in range
@@ -263,10 +249,8 @@ func (a *Assembler) stampInto(base *fabric.ConfigMemory, placements []Placed) *f
 		pos := a.dev.BRAMColPos[bcol]
 		for minor := 0; minor < fabric.FramesPerBRAMColumn; minor++ {
 			far := fabric.FAR{Block: fabric.BlockBRAM, Major: bcol, Minor: minor}
-			frame, _ := base.ReadFrame(far)
-			for i := lo; i < lo+wordsPerRow*r.H; i++ {
-				frame[i] = 0
-			}
+			frame, _ = base.AppendFrame(frame[:0], far, 0, a.dev.FrameLen())
+			clear(frame[lo:hi])
 			for _, p := range placements {
 				if p.C.Resources.BRAMs == 0 {
 					continue
@@ -275,7 +259,7 @@ func (a *Assembler) stampInto(base *fabric.ConfigMemory, placements []Placed) *f
 				// neighbours of the column lie inside its span.
 				c0 := r.Col0 + p.ColOff
 				if pos >= c0 && pos+1 < c0+p.C.W {
-					for i := lo; i < lo+wordsPerRow*r.H; i++ {
+					for i := lo; i < hi; i++ {
 						frame[i] = splitmix(p.C.BRAMSeed ^ uint64(bi)<<32 ^ uint64(minor)<<16 ^ uint64(i))
 					}
 				}
@@ -289,49 +273,21 @@ func (a *Assembler) stampInto(base *fabric.ConfigMemory, placements []Placed) *f
 }
 
 // regionRuns converts the region's frames in the target image into frame
-// runs for the stream builder: one run covering all CLB columns (they are
-// contiguous in frame address space) plus one run per enclosed BRAM column.
+// runs for the stream builder, one per Frames run: all CLB columns (they
+// are contiguous in frame address space), then each enclosed BRAM column.
 func (a *Assembler) regionRuns(target *fabric.ConfigMemory) ([]bitstream.FrameRun, int) {
-	r := a.region
-	var clbFrames [][]uint32
-	for col := 0; col < r.W; col++ {
-		for minor := 0; minor < fabric.FramesPerCLBColumn; minor++ {
-			f, _ := target.ReadFrame(fabric.FAR{Block: fabric.BlockCLB, Major: r.Col0 + col, Minor: minor})
-			clbFrames = append(clbFrames, f)
+	var runs []bitstream.FrameRun
+	total := 0
+	for _, run := range a.dev.Frames(a.region) {
+		fr := bitstream.FrameRun{Frames: make([][]uint32, 0, run.Len())}
+		fr.Start, _ = a.dev.FARAt(run.Lo)
+		for i := run.Lo; i < run.Hi; i++ {
+			far, _ := a.dev.FARAt(i)
+			f, _ := target.ReadFrame(far)
+			fr.Frames = append(fr.Frames, f)
 		}
-	}
-	runs := []bitstream.FrameRun{{
-		Start:  fabric.FAR{Block: fabric.BlockCLB, Major: r.Col0, Minor: 0},
-		Frames: clbFrames,
-	}}
-	total := len(clbFrames)
-	for _, bcol := range a.dev.BRAMColumns(r) {
-		var frames [][]uint32
-		for minor := 0; minor < fabric.FramesPerBRAMColumn; minor++ {
-			f, _ := target.ReadFrame(fabric.FAR{Block: fabric.BlockBRAM, Major: bcol, Minor: minor})
-			frames = append(frames, f)
-		}
-		runs = append(runs, bitstream.FrameRun{
-			Start:  fabric.FAR{Block: fabric.BlockBRAM, Major: bcol, Minor: 0},
-			Frames: frames,
-		})
-		total += len(frames)
+		runs = append(runs, fr)
+		total += run.Len()
 	}
 	return runs, total
-}
-
-// forEachRegionFAR visits every frame address owned by the region, in linear
-// order.
-func (a *Assembler) forEachRegionFAR(fn func(fabric.FAR)) {
-	r := a.region
-	for col := 0; col < r.W; col++ {
-		for minor := 0; minor < fabric.FramesPerCLBColumn; minor++ {
-			fn(fabric.FAR{Block: fabric.BlockCLB, Major: r.Col0 + col, Minor: minor})
-		}
-	}
-	for _, bcol := range a.dev.BRAMColumns(r) {
-		for minor := 0; minor < fabric.FramesPerBRAMColumn; minor++ {
-			fn(fabric.FAR{Block: fabric.BlockBRAM, Major: bcol, Minor: minor})
-		}
-	}
 }

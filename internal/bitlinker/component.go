@@ -15,9 +15,6 @@ import (
 	"repro/internal/fabric"
 )
 
-// wordsPerRow mirrors the fabric frame layout (3 words per CLB row).
-const wordsPerRow = 3
-
 // Component is the relocatable configuration of one dynamic module, as
 // produced by the component design flow: frame data covering its own
 // footprint (relative coordinates), its resource needs, and the bus-macro
@@ -34,7 +31,8 @@ type Component struct {
 	// PortRow0 is the component-relative row where the macro ports sit.
 	PortRow0 int
 	// CLBFrames holds the configuration band: CLBFrames[c][m] is the
-	// frame-band data (wordsPerRow*H words) of relative column c, minor m.
+	// frame-band data (fabric.WordsPerRow*H words) of relative column c,
+	// minor m.
 	CLBFrames [][][]uint32
 	// BRAMSeed determinizes the content stamped into BRAM columns the
 	// component encloses (block RAM initialization).
@@ -56,9 +54,9 @@ func (c *Component) Validate() error {
 				c.Name, col, len(c.CLBFrames[col]), fabric.FramesPerCLBColumn)
 		}
 		for m := range c.CLBFrames[col] {
-			if len(c.CLBFrames[col][m]) != wordsPerRow*c.H {
+			if len(c.CLBFrames[col][m]) != fabric.WordsPerRow*c.H {
 				return fmt.Errorf("bitlinker: component %s frame (%d,%d) has %d words, want %d",
-					c.Name, col, m, len(c.CLBFrames[col][m]), wordsPerRow*c.H)
+					c.Name, col, m, len(c.CLBFrames[col][m]), fabric.WordsPerRow*c.H)
 			}
 		}
 	}
@@ -82,7 +80,7 @@ func SynthesizeFrames(name, version string, w, h int) [][][]uint32 {
 	for c := range frames {
 		frames[c] = make([][]uint32, fabric.FramesPerCLBColumn)
 		for m := range frames[c] {
-			f := make([]uint32, wordsPerRow*h)
+			f := make([]uint32, fabric.WordsPerRow*h)
 			for i := range f {
 				f[i] = splitmix(seed ^ uint64(c)<<40 ^ uint64(m)<<20 ^ uint64(i))
 			}

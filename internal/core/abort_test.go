@@ -79,7 +79,7 @@ func TestAbortMidStreamIsSafe(t *testing.T) {
 		}
 	}
 	pln := plan.New(mgr)
-	if _, err := mgr.Load("alpha"); err != nil {
+	if _, err := mgr.LoadPlanned(completePlan("alpha")); err != nil {
 		t.Fatal(err)
 	}
 

@@ -19,7 +19,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/icap"
 	"repro/internal/plan"
-	"repro/internal/region"
 	"repro/internal/sim"
 )
 
@@ -180,7 +179,7 @@ type Manager struct {
 	// because a flip outside it (static content sharing the region's
 	// full-height frames) would read as static-design corruption, which
 	// is sticky by design.
-	spans          []region.Span
+	spans          []fabric.Span
 	bandLo, bandHi int
 
 	// notify, when set, observes hazard-gate refusals and resident-state
@@ -217,7 +216,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		residentOK:   true, // the initial full configuration leaves the region blank
 	}
 	m.lastHash = m.baselineHash
-	m.spans = region.Spans(cfg.Device, cfg.Region)
+	m.spans = cfg.Device.Frames(cfg.Region)
 	m.bandLo, m.bandHi = cfg.Device.RowWordRange(cfg.Region.Row0, cfg.Region.H)
 	cfg.Loader.OnDone(m.rebind)
 	return m, nil
@@ -438,26 +437,6 @@ func (m *Manager) differential(from, to string) (*bitlinker.Result, error) {
 	}
 	m.diffs[key] = res
 	return res, nil
-}
-
-// Load reconfigures the dynamic area with the named module's complete
-// configuration, streaming it through the HWICAP under CPU control. It
-// returns the configuration time. Loading the already-current module is a
-// no-op (the paper's systems likewise keep a configuration until another
-// task needs the area).
-func (m *Manager) Load(name string) (sim.Time, error) {
-	e, ok := m.modules[name]
-	if !ok {
-		return 0, fmt.Errorf("core: unknown module %s", name)
-	}
-	// The shortcut requires an authoritative resident state: after an
-	// aborted stream m.current may still name the old module while the
-	// region content is unknown — then the module must really be loaded.
-	if m.current == name && m.residentOK && !m.corrupted {
-		return 0, nil
-	}
-	t, _, err := m.stream(e.mod.complete.Stream.Words, plan.StreamComplete, nil)
-	return t, err
 }
 
 // LoadDifferential loads the cached differential configuration for the
@@ -803,7 +782,7 @@ func (m *Manager) Scrub() (detected bool, module string) {
 // fault campaign draws (frame, word, bit) coordinates inside this space.
 func (m *Manager) FaultSpace() (frames, words int) {
 	for _, sp := range m.spans {
-		frames += sp.Frames()
+		frames += sp.Len()
 	}
 	return frames, m.bandHi - m.bandLo
 }
@@ -820,11 +799,11 @@ func (m *Manager) InjectFault(frame, word int, bit uint) error {
 	fi := -1
 	rest := frame
 	for _, sp := range m.spans {
-		if rest < sp.Frames() {
+		if rest < sp.Len() {
 			fi = sp.Lo + rest
 			break
 		}
-		rest -= sp.Frames()
+		rest -= sp.Len()
 	}
 	if frame < 0 || fi < 0 {
 		return fmt.Errorf("core: fault frame %d outside region %s's spans", frame, m.cfg.Region.Name)

@@ -59,6 +59,12 @@ func register(m *Manager, comp *bitlinker.Component, factory func() hw.Core) err
 	return m.Register(mod)
 }
 
+// completePlan is the plan that streams the module's complete
+// configuration, whatever the region holds.
+func completePlan(name string) plan.Plan {
+	return plan.Plan{Module: name, Kind: plan.StreamComplete}
+}
+
 func TestRegisterAndLoad(t *testing.T) {
 	mgr, _, region, bound := rig(t)
 	if err := register(mgr, testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
@@ -70,7 +76,7 @@ func TestRegisterAndLoad(t *testing.T) {
 	if got := mgr.Modules(); len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
 		t.Fatalf("modules = %v", got)
 	}
-	d, err := mgr.Load("alpha")
+	d, err := mgr.LoadPlanned(completePlan("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +87,19 @@ func TestRegisterAndLoad(t *testing.T) {
 		t.Fatal("alpha not bound")
 	}
 	// Swap and check rebinding.
-	if _, err := mgr.Load("beta"); err != nil {
+	if _, err := mgr.LoadPlanned(completePlan("beta")); err != nil {
 		t.Fatal(err)
 	}
 	if mgr.Current() != "beta" || bound().Read() != 2 {
 		t.Fatal("beta not bound after swap")
 	}
-	// Re-loading the current module is free.
-	d, err = mgr.Load("beta")
+	// Re-loading the current module is free: the planner plans no stream.
+	resident, ok := mgr.ResidentState()
+	p, err := plan.New(mgr).Plan(resident, ok, "beta")
+	if err != nil || p.Kind != plan.StreamNone {
+		t.Fatalf("reload plan %+v err %v, want no-op", p, err)
+	}
+	d, err = mgr.LoadPlanned(p)
 	if err != nil || d != 0 {
 		t.Fatalf("reload: d=%v err=%v", d, err)
 	}
@@ -108,7 +119,7 @@ func TestDuplicateAndUnknown(t *testing.T) {
 	if err := register(mgr, testComponent("alpha", region), func() hw.Core { return &testCore{} }); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
-	if _, err := mgr.Load("nope"); err == nil {
+	if _, err := mgr.LoadPlanned(completePlan("nope")); err == nil {
 		t.Fatal("unknown module loaded")
 	}
 	if _, err := mgr.LoadDifferential("nope", ""); err == nil {
@@ -135,7 +146,7 @@ func TestDifferentialBindsBrokenOnWrongState(t *testing.T) {
 	if err := register(mgr, testComponentW("beta", region, 6), func() hw.Core { return &testCore{id: 2} }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.Load("alpha"); err != nil {
+	if _, err := mgr.LoadPlanned(completePlan("alpha")); err != nil {
 		t.Fatal(err)
 	}
 	// Differential for beta assuming a blank region — wrong, alpha is there.
@@ -149,7 +160,7 @@ func TestDifferentialBindsBrokenOnWrongState(t *testing.T) {
 		t.Fatal("expected BrokenCore")
 	}
 	// Differential with the right assumption works.
-	if _, err := mgr.Load("beta"); err != nil {
+	if _, err := mgr.LoadPlanned(completePlan("beta")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mgr.LoadDifferential("alpha", "beta"); err != nil {
@@ -185,7 +196,7 @@ func TestNaiveLoadCorrupts(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resident {
-			if _, err := mgr.Load("alpha"); err != nil {
+			if _, err := mgr.LoadPlanned(completePlan("alpha")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -288,7 +299,7 @@ func TestDifferentialAssemblyMemoized(t *testing.T) {
 	if err := register(mgr, testComponent("beta", region), func() hw.Core { return &testCore{id: 2} }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.Load("alpha"); err != nil {
+	if _, err := mgr.LoadPlanned(completePlan("alpha")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -330,7 +341,7 @@ func TestPlannedLoadHazardGate(t *testing.T) {
 		}
 	}
 	planner := plan.New(mgr)
-	if _, err := mgr.Load("alpha"); err != nil {
+	if _, err := mgr.LoadPlanned(completePlan("alpha")); err != nil {
 		t.Fatal(err)
 	}
 	resident, ok := mgr.ResidentState()
@@ -345,7 +356,7 @@ func TestPlannedLoadHazardGate(t *testing.T) {
 	if p.Kind != plan.StreamDifferential || p.From != "alpha" {
 		t.Fatalf("plan %+v, want differential from alpha", p)
 	}
-	if _, err := mgr.Load("gamma"); err != nil {
+	if _, err := mgr.LoadPlanned(completePlan("gamma")); err != nil {
 		t.Fatal(err)
 	}
 	before := mgr.Counters()
@@ -374,7 +385,7 @@ func TestPlannedLoadHazardGate(t *testing.T) {
 	// Poison the tracked state with the legacy hazard API: a differential
 	// for narrow beta that wrongly assumes a blank region while wide alpha
 	// is resident leaves unrecognized region content.
-	if _, err := mgr.Load("alpha"); err != nil {
+	if _, err := mgr.LoadPlanned(completePlan("alpha")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mgr.LoadDifferential("beta", ""); err != nil {
@@ -413,14 +424,14 @@ func TestStaleNoOpPlanRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	planner := plan.New(mgr)
-	if _, err := mgr.Load("alpha"); err != nil {
+	if _, err := mgr.LoadPlanned(completePlan("alpha")); err != nil {
 		t.Fatal(err)
 	}
 	p, err := planner.Plan("alpha", true, "alpha")
 	if err != nil || p.Kind != plan.StreamNone {
 		t.Fatalf("plan %+v err %v, want no-op", p, err)
 	}
-	if _, err := mgr.Load("beta"); err != nil {
+	if _, err := mgr.LoadPlanned(completePlan("beta")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mgr.LoadPlanned(p); err == nil {
@@ -441,7 +452,7 @@ func TestStalePlansRefusedOnBothTransports(t *testing.T) {
 		}
 	}
 	// Every plan below assumes alpha is resident; gamma is.
-	if _, err := mgr.Load("gamma"); err != nil {
+	if _, err := mgr.LoadPlanned(completePlan("gamma")); err != nil {
 		t.Fatal(err)
 	}
 	var events []string

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bitstream"
 	"repro/internal/hw"
+	"repro/internal/plan"
 )
 
 // TestScrubDetectsInjectedFault drives the manager-level fault loop: a
@@ -16,7 +17,7 @@ func TestScrubDetectsInjectedFault(t *testing.T) {
 	if err := register(mgr, testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.Load("alpha"); err != nil {
+	if _, err := mgr.LoadPlanned(completePlan("alpha")); err != nil {
 		t.Fatal(err)
 	}
 	if detected, _ := mgr.Scrub(); detected {
@@ -44,9 +45,14 @@ func TestScrubDetectsInjectedFault(t *testing.T) {
 	if detected, _ := mgr.Scrub(); detected {
 		t.Fatal("second scrub double-demoted the region")
 	}
-	// Repair: reloading the lost module streams complete (the gate refuses
-	// the free-reload shortcut on non-authoritative state) and heals.
-	d, err := mgr.Load("alpha")
+	// Repair: reloading the lost module streams complete (the planner
+	// plans no free reload on non-authoritative state) and heals.
+	resident, ok := mgr.ResidentState()
+	p, err := plan.New(mgr).Plan(resident, ok, "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := mgr.LoadPlanned(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +115,7 @@ func TestScrubCatchesCRC16BlindDoubleUpset(t *testing.T) {
 	if err := register(mgr, testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.Load("alpha"); err != nil {
+	if _, err := mgr.LoadPlanned(completePlan("alpha")); err != nil {
 		t.Fatal(err)
 	}
 	spanCRC := func() uint16 {

@@ -231,10 +231,10 @@ func TestSiblingLoadDemotesUpsetRegion(t *testing.T) {
 		a, b := dualRig(t)
 		var demotions []string
 		a.SetNotify(func(event, reason string) { demotions = append(demotions, event+":"+reason) })
-		if _, err := a.Load("a1"); err != nil {
+		if _, err := a.LoadPlanned(completePlan("a1")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.Load("b1"); err != nil {
+		if _, err := b.LoadPlanned(completePlan("b1")); err != nil {
 			t.Fatal(err)
 		}
 		if upset {
@@ -242,7 +242,7 @@ func TestSiblingLoadDemotesUpsetRegion(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := b.Load("b2"); err != nil {
+		if _, err := b.LoadPlanned(completePlan("b2")); err != nil {
 			t.Fatal(err)
 		}
 		if cur, ok := b.ResidentState(); !ok || cur != "b2" {
@@ -315,13 +315,13 @@ func TestOneModuleManyManagers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := a.Load("alpha"); err != nil {
+	if _, err := a.LoadPlanned(completePlan("alpha")); err != nil {
 		t.Fatal(err)
 	}
 	if cur, ok := b.ResidentState(); cur != "" || !ok || b.modules["alpha"].loads != 0 || boundB() != nil {
 		t.Fatalf("a's load moved b: resident (%q, %v), alpha bound %d times on b", cur, ok, b.modules["alpha"].loads)
 	}
-	if _, err := b.Load("alpha"); err != nil {
+	if _, err := b.LoadPlanned(completePlan("alpha")); err != nil {
 		t.Fatal(err)
 	}
 	if a.modules["alpha"].loads != 1 || b.modules["alpha"].loads != 1 || boundB() == nil {

@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"unsafe"
 )
 
@@ -18,19 +19,19 @@ type ConfigMemory struct {
 	// which of the frames it covers have changed since.
 	epoch uint64
 	stamp []uint64
-	// static holds, per column (CLB columns, then BRAM columns, as frames
-	// are numbered), the word ranges of its frames that no guarded region
-	// owns: the static design; owned holds the rest, the guarded regions'
-	// row bands. Both are nil until Guard, and guards counts its calls.
+	// static and owned are the guarded regions' Bands: per Column, the
+	// word ranges of its frames that no guarded region owns (the static
+	// design) and the rest, the regions' row bands. Both are nil until
+	// Guard, and guards counts its calls.
 	// disturbed records that a frame write or bit flip has changed a
 	// static word since.
 	static, owned [][]Span
 	guards        uint64
 	disturbed     bool
+	// shared marks the frames an Overlay still shares with the memory it
+	// was made from; nil when it shares none.
+	shared []bool
 }
-
-// Span is a half-open interval [Lo, Hi) of frame words or frame indexes.
-type Span struct{ Lo, Hi int }
 
 // NewConfigMemory returns the configuration memory of an erased device
 // (all-zero frames).
@@ -64,12 +65,16 @@ func (cm *ConfigMemory) WriteFrame(far FAR, data []uint32) error {
 	}
 	f := cm.frames[i]
 	if cm.static != nil && !cm.disturbed {
-		for _, s := range cm.static[cm.dev.column(i)] {
+		for _, s := range cm.static[cm.dev.Column(i)] {
 			if !wordsEqual(f[s.Lo:s.Hi], data[s.Lo:s.Hi]) {
 				cm.disturbed = true
 				break
 			}
 		}
+	}
+	if cm.shared != nil && cm.shared[i] {
+		f = make([]uint32, len(f))
+		cm.frames[i], cm.shared[i] = f, false
 	}
 	copy(f, data)
 	cm.writes++
@@ -144,11 +149,14 @@ func (cm *ConfigMemory) FlipBit(far FAR, word int, bit uint) error {
 			word, bit, cm.dev.FrameLen())
 	}
 	if cm.static != nil {
-		for _, s := range cm.static[cm.dev.column(i)] {
+		for _, s := range cm.static[cm.dev.Column(i)] {
 			if word >= s.Lo && word < s.Hi {
 				cm.disturbed = true
 			}
 		}
+	}
+	if cm.shared != nil && cm.shared[i] {
+		cm.frames[i], cm.shared[i] = slices.Clone(cm.frames[i]), false
 	}
 	cm.frames[i][word] ^= 1 << bit
 	cm.touch(i)
@@ -165,6 +173,21 @@ func (cm *ConfigMemory) Clone() *ConfigMemory {
 	}
 	out.writes = cm.writes
 	return out
+}
+
+// Overlay returns a memory with this one's content that shares its frames
+// until it changes them: its first write or bit flip of a frame copies the
+// frame, so the overlay never changes this memory, and only the frames it
+// has changed take memory of their own. Like Clone it carries no guard.
+// This memory must not change while an overlay of it is in use: the
+// overlay reads every frame it has not changed from here.
+func (cm *ConfigMemory) Overlay() *ConfigMemory {
+	shared := make([]bool, len(cm.frames))
+	for i := range shared {
+		shared[i] = true
+	}
+	return &ConfigMemory{dev: cm.dev, frames: slices.Clone(cm.frames), writes: cm.writes,
+		stamp: make([]uint64, len(cm.frames)), shared: shared}
 }
 
 // The content binding hash is 64-bit FNV-1a taken over whole 32-bit words
@@ -225,25 +248,6 @@ func bandHash4(b0, b1, b2, b3 []uint32) (h0, h1, h2, h3 uint64) {
 	return h0, h1, h2, h3
 }
 
-// regionFrames returns the indexes of the frames whose row band the region
-// owns, in hash order: the frames of every enclosed CLB column, then the
-// content frames of every enclosed BRAM column. Each run is consecutive,
-// as the region's columns are and the sorted BRAM columns they enclose.
-func (d *Device) regionFrames(r Region) [2]Span {
-	clb := Span{r.Col0 * FramesPerCLBColumn, (r.Col0 + r.W) * FramesPerCLBColumn}
-	var bram Span
-	for i, pos := range d.BRAMColPos {
-		if r.enclosesBRAM(pos) {
-			first := d.Cols*FramesPerCLBColumn + i*FramesPerBRAMColumn
-			if bram.Hi == 0 {
-				bram.Lo = first
-			}
-			bram.Hi = first + FramesPerBRAMColumn
-		}
-	}
-	return [2]Span{clb, bram}
-}
-
 // RegionHash hashes the configuration bits owned by the region: for every
 // enclosed CLB column, the frame words of the row band across all frames of
 // the column; for every enclosed BRAM column, the same band of its content
@@ -254,7 +258,7 @@ func (cm *ConfigMemory) RegionHash(r Region) uint64 {
 	lo, hi := cm.dev.RowWordRange(r.Row0, r.H)
 	h := uint64(fnvOffset)
 	var sums [4]uint64
-	for _, run := range cm.dev.regionFrames(r) {
+	for _, run := range cm.dev.Frames(r) {
 		for i := run.Lo; i < run.Hi; i += len(sums) {
 			part := sums[:min(len(sums), run.Hi-i)]
 			cm.bandHashes(part, i, lo, hi)
@@ -273,8 +277,8 @@ func (cm *ConfigMemory) RegionHash(r Region) uint64 {
 // band words each frame hash was taken from.
 type RegionHasher struct {
 	cm     *ConfigMemory
-	runs   [2]Span // the region's frames (regionFrames)
-	lo, hi int     // the row band's words
+	runs   []Span // the region's frames (Device.Frames)
+	lo, hi int    // the row band's words
 	sums   []uint64
 	// snap holds, one row of hi-lo words per frame in sums order, the band
 	// words each frame hash was taken from. It is nil until the first
@@ -287,9 +291,13 @@ type RegionHasher struct {
 // band word once, so it starts from the content and not from the frame
 // stamps: a Clone's frames carry none.
 func (cm *ConfigMemory) Hasher(r Region) *RegionHasher {
-	rh := &RegionHasher{cm: cm, runs: cm.dev.regionFrames(r)}
+	rh := &RegionHasher{cm: cm, runs: cm.dev.Frames(r)}
 	rh.lo, rh.hi = cm.dev.RowWordRange(r.Row0, r.H)
-	rh.sums = make([]uint64, rh.runs[0].Hi-rh.runs[0].Lo+rh.runs[1].Hi-rh.runs[1].Lo)
+	n := 0
+	for _, run := range rh.runs {
+		n += run.Len()
+	}
+	rh.sums = make([]uint64, n)
 	rh.rehashAll()
 	rh.fold()
 	return rh
@@ -359,9 +367,8 @@ func (rh *RegionHasher) holds(k int, frame []uint32) bool {
 func (rh *RegionHasher) rehashAll() {
 	k := 0
 	for _, run := range rh.runs {
-		n := run.Hi - run.Lo
-		rh.rehash(k, k+n, run.Lo)
-		k += n
+		rh.rehash(k, k+run.Len(), run.Lo)
+		k += run.Len()
 	}
 }
 
@@ -391,48 +398,13 @@ func (rh *RegionHasher) fold() uint64 {
 }
 
 // Guard marks every frame word outside the given regions' row bands as
-// static design and clears Disturbed. A region owns its row band of every
-// frame of the columns it encloses; the static word ranges of a column are
-// worked out once, shared by all its frames. From then on a frame write or
-// bit flip that changes a static word sets Disturbed: the §2.2 hazard of a
-// partial configuration rewriting static rows that share its full-height
-// frames (the hazard BitLinker exists to prevent).
+// static design and clears Disturbed. The static and owned word ranges of
+// every column are Bands', shared by all its frames. From then on a frame
+// write or bit flip that changes a static word sets Disturbed: the §2.2
+// hazard of a partial configuration rewriting static rows that share its
+// full-height frames (the hazard BitLinker exists to prevent).
 func (cm *ConfigMemory) Guard(regions ...Region) {
-	cols := cm.dev.Cols + len(cm.dev.BRAMColPos)
-	cm.static, cm.owned = make([][]Span, 0, cols), make([][]Span, 0, cols)
-	inBand := make([]bool, cm.dev.FrameLen())
-	guardColumn := func(encloses func(Region) bool) {
-		clear(inBand)
-		for _, r := range regions {
-			if encloses(r) {
-				lo, hi := cm.dev.RowWordRange(r.Row0, r.H)
-				for wi := lo; wi < hi; wi++ {
-					inBand[wi] = true
-				}
-			}
-		}
-		var static, owned []Span
-		for wi, in := range inBand {
-			spans := &static
-			if in {
-				spans = &owned
-			}
-			if n := len(*spans); n > 0 && (*spans)[n-1].Hi == wi {
-				(*spans)[n-1].Hi++
-			} else {
-				*spans = append(*spans, Span{wi, wi + 1})
-			}
-		}
-		cm.static = append(cm.static, static)
-		cm.owned = append(cm.owned, owned)
-	}
-	// Columns in frame index order: CLB columns, then BRAM columns.
-	for col := 0; col < cm.dev.Cols; col++ {
-		guardColumn(func(r Region) bool { return r.ContainsCol(col) })
-	}
-	for _, pos := range cm.dev.BRAMColPos {
-		guardColumn(func(r Region) bool { return r.enclosesBRAM(pos) })
-	}
+	cm.static, cm.owned = cm.dev.Bands(regions...)
 	cm.guards++
 	cm.disturbed = false
 }
@@ -445,7 +417,7 @@ func (cm *ConfigMemory) Owned(i int) []Span {
 	if cm.owned == nil {
 		return nil
 	}
-	return cm.owned[cm.dev.column(i)]
+	return cm.owned[cm.dev.Column(i)]
 }
 
 // GuardEpoch counts the calls of Guard. The static design, its

@@ -4,6 +4,12 @@
 // frame-addressed configuration memory in which every frame spans the full
 // height of the device.
 //
+// The package is the one place a region becomes frames and frame words:
+// Device.Frames gives the frame runs whose row band a region owns, and
+// Device.Bands splits every column's words into the static ranges and the
+// ranges the regions own. The region hash, the static-design guard, the
+// assembler and the manager's fault space all read these two answers.
+//
 // The geometry constants of the two concrete devices are chosen so that the
 // published capacities hold exactly: XC2VP7 has 4928 slices and 44 BRAMs,
 // XC2VP30 has 13696 slices and 136 BRAMs, with the PowerPC 405 hard blocks
@@ -38,16 +44,16 @@ func (b BlockType) String() string {
 }
 
 // Frame geometry. A frame configures one vertical stripe of a column over the
-// full device height: wordsPerRow words of configuration per CLB row plus a
+// full device height: WordsPerRow words of configuration per CLB row plus a
 // fixed overhead (clock row and padding), as in Virtex-II.
 const (
 	// FramesPerCLBColumn is the number of frames in a CLB column.
 	FramesPerCLBColumn = 22
 	// FramesPerBRAMColumn is the number of frames in a BRAM content column.
 	FramesPerBRAMColumn = 64
-	// wordsPerRow is the number of 32-bit frame words holding the bits of
+	// WordsPerRow is the number of 32-bit frame words holding the bits of
 	// one CLB row within one frame.
-	wordsPerRow = 3
+	WordsPerRow = 3
 	// frameOverheadWords covers the clock row and pad words of each frame.
 	frameOverheadWords = 3
 )
@@ -136,7 +142,7 @@ func (d *Device) FFCount() int { return 2 * d.SliceCount() }
 func (d *Device) BRAMCount() int { return len(d.BRAMColPos) * d.BRAMsPerCol }
 
 // FrameLen returns the length of every configuration frame, in 32-bit words.
-func (d *Device) FrameLen() int { return frameOverheadWords + wordsPerRow*d.Rows }
+func (d *Device) FrameLen() int { return frameOverheadWords + WordsPerRow*d.Rows }
 
 // NumFrames returns the total number of configuration frames of the device.
 func (d *Device) NumFrames() int {
@@ -151,7 +157,7 @@ func (d *Device) ConfigBits() int { return d.NumFrames() * d.FrameLen() * 32 }
 // component's row band into a full-height frame without disturbing the bits
 // above and below.
 func (d *Device) RowWordRange(row0, h int) (lo, hi int) {
-	return frameOverheadWords + wordsPerRow*row0, frameOverheadWords + wordsPerRow*(row0+h)
+	return frameOverheadWords + WordsPerRow*row0, frameOverheadWords + WordsPerRow*(row0+h)
 }
 
 // MajorCount returns the number of columns in the block type's address space.

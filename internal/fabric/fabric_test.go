@@ -307,6 +307,100 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// An overlay reads as the memory it was made from, and its writes and
+// flips, first and later ones, stay its own: the source, a clone of the
+// overlay and the overlay's own hash, stamps and guard all see only what
+// was done to each.
+func TestOverlayCopiesOnWrite(t *testing.T) {
+	d, r := XC2VP30(), DynamicRegion64()
+	rng := rand.New(rand.NewSource(3))
+	cm := NewConfigMemory(d)
+	frame := make([]uint32, d.FrameLen())
+	for i := range d.NumFrames() {
+		for w := range frame {
+			frame[w] = rng.Uint32()
+		}
+		far, _ := d.FARAt(i)
+		if err := cm.WriteFrame(far, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(a, b *ConfigMemory) bool {
+		for i := range d.NumFrames() {
+			far, _ := d.FARAt(i)
+			fa, _ := a.ReadFrame(far)
+			fb, _ := b.ReadFrame(far)
+			if !slices.Equal(fa, fb) {
+				return false
+			}
+		}
+		return true
+	}
+	src := cm.Clone()
+	ov := cm.Overlay()
+	if !same(ov, cm) || ov.RegionHash(r) != cm.RegionHash(r) || ov.FrameWrites() != cm.FrameWrites() {
+		t.Fatal("a fresh overlay does not read as its source")
+	}
+	if ov.Guarded() || ov.Epoch() != 0 {
+		t.Fatalf("a fresh overlay carries state: Guarded = %v, Epoch = %d", ov.Guarded(), ov.Epoch())
+	}
+	lo, _ := d.RowWordRange(r.Row0, r.H)
+	band := d.Frames(r)[0].Lo // a frame whose band the region owns
+	bandFAR, _ := d.FARAt(band)
+	other, _ := d.FARAt(band + 1)
+	want, _ := ov.ReadFrame(bandFAR)
+	want[lo]++
+	if err := ov.WriteFrame(bandFAR, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := ov.FlipBit(other, lo, 3); err != nil {
+		t.Fatal(err)
+	}
+	clone := ov.Clone()
+	want[lo]++ // a second write and flip land on frames the overlay owns
+	if err := ov.WriteFrame(bandFAR, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := ov.FlipBit(other, lo+1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !same(cm, src) {
+		t.Fatal("writes and flips to the overlay changed its source")
+	}
+	if got, _ := ov.ReadFrame(bandFAR); !slices.Equal(got, want) {
+		t.Error("the overlay does not read its own write")
+	}
+	have, _ := cm.ReadFrame(other)
+	got, _ := ov.ReadFrame(other)
+	have[lo] ^= 1 << 3
+	have[lo+1] ^= 1
+	if !slices.Equal(got, have) {
+		t.Error("the overlay does not read its own flips")
+	}
+	if got, _ := clone.ReadFrame(bandFAR); got[lo] != want[lo]-1 {
+		t.Errorf("a clone of the overlay follows the overlay's later write: word %#x, want %#x", got[lo], want[lo]-1)
+	}
+	if ov.RegionHash(r) == cm.RegionHash(r) {
+		t.Error("the overlay's band changed but its region hash did not")
+	}
+	if !ov.ChangedSince(band, band+2, 0) || ov.ChangedSince(band+2, d.NumFrames(), 0) || ov.Epoch() != 4 {
+		t.Errorf("overlay stamps: Epoch = %d, want 4 on frames %d and %d only", ov.Epoch(), band, band+1)
+	}
+	// A guard on an overlay compares a write with the shared frame it
+	// replaces: a static word changed on a frame never written before
+	// disturbs it.
+	g := cm.Overlay()
+	g.Guard(r)
+	static, _ := g.ReadFrame(FAR{Block: BlockCLB, Major: 0, Minor: 0})
+	static[0]++
+	if err := g.WriteFrame(FAR{Block: BlockCLB, Major: 0, Minor: 0}, static); err != nil {
+		t.Fatal(err)
+	}
+	if !g.Disturbed() || !same(cm, src) {
+		t.Errorf("guarded overlay: Disturbed = %v after a static write; source unchanged = %v", g.Disturbed(), same(cm, src))
+	}
+}
+
 // Property: the region hash is a pure function of the region's bits — random
 // writes confined to the region band never disturb the static design, and
 // restoring the region's frames restores its hash.
@@ -473,7 +567,7 @@ func TestRegionHasherMatchesRead(t *testing.T) {
 			hashers = append(hashers, cm.Hasher(r))
 			readers = append(readers, cm.Hasher(r))
 			mixed = append(mixed, cm.Hasher(r))
-			for _, run := range d.regionFrames(r) {
+			for _, run := range d.Frames(r) {
 				for fi := run.Lo; fi < run.Hi; fi++ {
 					spans[ri] = append(spans[ri], fi)
 					inSpan[fi] = true

@@ -62,9 +62,9 @@ func (d *Device) FARAt(index int) (FAR, error) {
 	return FAR{Block: BlockBRAM, Major: index / FramesPerBRAMColumn, Minor: index % FramesPerBRAMColumn}, nil
 }
 
-// column returns the column of frame index i, numbered as frames are: CLB
-// columns first, then BRAM columns.
-func (d *Device) column(i int) int {
+// Column returns the column of frame index i, numbered as frames are: CLB
+// columns first, then BRAM columns. Bands indexes its ranges by it.
+func (d *Device) Column(i int) int {
 	if clb := d.Cols * FramesPerCLBColumn; i >= clb {
 		return d.Cols + (i-clb)/FramesPerBRAMColumn
 	}

@@ -59,6 +59,63 @@ func (d *Device) BRAMColumns(r Region) []int {
 	return cols
 }
 
+// Span is a half-open interval [Lo, Hi) of frame words or frame indexes.
+type Span struct{ Lo, Hi int }
+
+// Len returns the number of words or frames in the span.
+func (s Span) Len() int { return s.Hi - s.Lo }
+
+// Frames returns the indexes of the frames whose row band the region owns,
+// as runs in frame order: one run over the frames of every enclosed CLB
+// column, which are consecutive, then one run over the content frames of
+// each enclosed BRAM column. It is the ICAP stream addressing of the
+// region: its complete stream writes exactly these frames, its hash and
+// scrub read their bands, and its fault space counts them.
+func (d *Device) Frames(r Region) []Span {
+	out := []Span{{r.Col0 * FramesPerCLBColumn, (r.Col0 + r.W) * FramesPerCLBColumn}}
+	for _, b := range d.BRAMColumns(r) {
+		lo := d.Cols*FramesPerCLBColumn + b*FramesPerBRAMColumn
+		out = append(out, Span{lo, lo + FramesPerBRAMColumn})
+	}
+	return out
+}
+
+// Bands splits the words of every column's frames, indexed by Column, into
+// the static ranges and the ranges the regions own. A region owns its row
+// band of every frame of its Frames runs, so every frame of a column
+// shares the column's split. A column no region encloses owns nothing and
+// is static from end to end.
+func (d *Device) Bands(regions ...Region) (static, owned [][]Span) {
+	cols, flen := d.Cols+len(d.BRAMColPos), d.FrameLen()
+	inBand := make([]bool, cols*flen)
+	for _, r := range regions {
+		lo, hi := d.RowWordRange(r.Row0, r.H)
+		for _, run := range d.Frames(r) {
+			for c := d.Column(run.Lo); c <= d.Column(run.Hi-1); c++ {
+				band := inBand[c*flen:][lo:hi]
+				for wi := range band {
+					band[wi] = true
+				}
+			}
+		}
+	}
+	static, owned = make([][]Span, cols), make([][]Span, cols)
+	for c := range cols {
+		for wi, in := range inBand[c*flen : (c+1)*flen] {
+			spans := &static[c]
+			if in {
+				spans = &owned[c]
+			}
+			if n := len(*spans); n > 0 && (*spans)[n-1].Hi == wi {
+				(*spans)[n-1].Hi++
+			} else {
+				*spans = append(*spans, Span{wi, wi + 1})
+			}
+		}
+	}
+	return static, owned
+}
+
 // bramBlockSpan returns the half-open row interval of block k in a BRAM
 // column holding n blocks over the device height.
 func (d *Device) bramBlockSpan(k int) (lo, hi int) {

@@ -6,8 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
+	"repro/internal/hwcore"
 	"repro/internal/plan"
 	. "repro/internal/platform"
+	"repro/internal/region"
 	"repro/internal/tasks"
 )
 
@@ -192,6 +195,88 @@ func TestSingleRegionUnchanged(t *testing.T) {
 		}
 		if sa != sb {
 			t.Errorf("%s complete stream: %d B vs %d B", mod, sa, sb)
+		}
+	}
+}
+
+// TestRegionFramesAgree: every consumer of a region's geometry agrees with
+// fabric's Device.Frames. On each board shape, with planning off, each
+// fitting module's first load streams complete and stamps exactly the
+// frames of the region's runs; the fault space is those frames by the
+// band's words; the guard marks the band of every such frame as owned; and
+// no frame outside every region's runs has owned words.
+func TestRegionFramesAgree(t *testing.T) {
+	fp, err := region.Default(true, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boards := []struct {
+		name string
+		boot func() (*System, error)
+	}{
+		{"sys32", NewSys32},
+		{"sys64", NewSys64},
+		{"sys32x2", func() (*System, error) { return NewSys32N(2) }},
+		{"sys64x2", func() (*System, error) { return NewSys64N(2) }},
+		{"half64", func() (*System, error) {
+			return NewSystem(true, region.Floorplan{Name: "half64", Areas: fp.Areas[:1]})
+		}},
+	}
+	for _, b := range boards {
+		s, err := b.boot()
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		s.SetPlanning(false)
+		dev := s.Dev
+		owner := make([]int, dev.NumFrames()) // region index + 1, 0 outside every region
+		for ri := 0; ri < s.NumRegions(); ri++ {
+			r := s.RegionAt(ri)
+			lo, hi := dev.RowWordRange(r.Row0, r.H)
+			frames := 0
+			for _, run := range dev.Frames(r) {
+				frames += run.Len()
+				for i := run.Lo; i < run.Hi; i++ {
+					owner[i] = ri + 1
+					if got := s.CM.Owned(i); len(got) != 1 || got[0] != (fabric.Span{Lo: lo, Hi: hi}) {
+						t.Fatalf("%s %s: frame %d owns %v, want the band [%d,%d)", b.name, r.Name, i, got, lo, hi)
+					}
+				}
+			}
+			if f, w := s.FaultSpaceOn(ri); f != frames || w != hi-lo {
+				t.Fatalf("%s %s: fault space (%d, %d), want (%d, %d)", b.name, r.Name, f, w, frames, hi-lo)
+			}
+		}
+		for i, o := range owner {
+			if o == 0 && len(s.CM.Owned(i)) != 0 {
+				t.Fatalf("%s: frame %d lies outside every region's runs but owns %v", b.name, i, s.CM.Owned(i))
+			}
+		}
+		for ri := 0; ri < s.NumRegions(); ri++ {
+			loaded := 0
+			for _, spec := range hwcore.Specs() {
+				if !s.SupportsOn(ri, spec.Name) {
+					continue
+				}
+				epoch := s.CM.Epoch()
+				rep, err := s.LoadModuleOn(ri, spec.Name, nil)
+				if err != nil {
+					t.Fatalf("%s region %d: load %s: %v", b.name, ri, spec.Name, err)
+				}
+				if rep.Kind != plan.StreamComplete {
+					t.Fatalf("%s region %d: %s streamed %v with planning off, want complete", b.name, ri, spec.Name, rep.Kind)
+				}
+				for i, o := range owner {
+					if stamped := s.CM.ChangedSince(i, i+1, epoch); stamped != (o == ri+1) {
+						t.Fatalf("%s region %d: %s's complete load stamped frame %d: %v, want %v",
+							b.name, ri, spec.Name, i, stamped, o == ri+1)
+					}
+				}
+				loaded++
+			}
+			if loaded == 0 {
+				t.Fatalf("%s region %d: no module fits", b.name, ri)
+			}
 		}
 	}
 }

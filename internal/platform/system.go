@@ -435,48 +435,25 @@ func build(name string, is64 bool, tm Timing, fp region.Floorplan) (*System, err
 }
 
 // loadStaticDesign fills the configuration memory with the static design's
-// image: deterministic content everywhere except the dynamic region bands,
-// which the initial configuration leaves blank. Every region blanks its
-// own row band inside its own columns — the same per-column fill the
-// single-region floorplan always used.
+// image: deterministic content everywhere except the regions' owned word
+// ranges, which the initial configuration leaves blank. The ranges are the
+// Bands the memory's guard marks, so the blank words are exactly those no
+// static word covers.
 func loadStaticDesign(cm *fabric.ConfigMemory, regions []fabric.Region) {
 	dev := cm.Device()
-	type band struct{ lo, hi int }
-	clbBand := make(map[int]band)
-	bramBand := make(map[int]band)
-	for _, r := range regions {
-		lo, hi := dev.RowWordRange(r.Row0, r.H)
-		for c := r.Col0; c < r.Col0+r.W; c++ {
-			clbBand[c] = band{lo, hi}
-		}
-		for _, b := range dev.BRAMColumns(r) {
-			bramBand[b] = band{lo, hi}
-		}
-	}
+	_, owned := dev.Bands(regions...)
 	frame := make([]uint32, dev.FrameLen())
-	fill := func(far fabric.FAR, b band, blank bool) {
+	for i := range dev.NumFrames() {
+		far, _ := dev.FARAt(i)
 		seed := uint64(far.Word()) ^ 0x57A71C_DE5160
-		for i := range frame {
-			if blank && i >= b.lo && i < b.hi {
-				frame[i] = 0
-				continue
-			}
-			frame[i] = staticWord(seed, i)
+		for w := range frame {
+			frame[w] = staticWord(seed, w)
+		}
+		for _, s := range owned[dev.Column(i)] {
+			clear(frame[s.Lo:s.Hi])
 		}
 		if err := cm.WriteFrame(far, frame); err != nil {
 			panic(err)
-		}
-	}
-	for col := 0; col < dev.Cols; col++ {
-		b, blank := clbBand[col]
-		for minor := 0; minor < fabric.FramesPerCLBColumn; minor++ {
-			fill(fabric.FAR{Block: fabric.BlockCLB, Major: col, Minor: minor}, b, blank)
-		}
-	}
-	for bcol := range dev.BRAMColPos {
-		b, blank := bramBand[bcol]
-		for minor := 0; minor < fabric.FramesPerBRAMColumn; minor++ {
-			fill(fabric.FAR{Block: fabric.BlockBRAM, Major: bcol, Minor: minor}, b, blank)
 		}
 	}
 }

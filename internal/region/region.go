@@ -4,8 +4,10 @@
 // independently reconfigurable regions, each behind its own bus macro —
 // the "two separate dynamic areas" §4.1 names as future work. A Floorplan
 // is that generalization: N column-disjoint regions, each with its own
-// dock macro, frame-address span and resident state, so reconfiguring one
-// region can never touch a sibling's frames.
+// dock macro and resident state, so reconfiguring one region can never
+// touch a sibling's frames. The package holds floorplans only: which
+// frames and frame words a region owns is fabric's answer
+// (fabric.Device.Frames and Bands).
 //
 // Column-disjointness is the load-bearing rule. Virtex-II configuration
 // frames span the full device height, so two regions sharing a CLB column
@@ -13,7 +15,8 @@
 // assume the other's current (dynamic, unknowable at assembly time)
 // content — exactly the §2.2 stale-state hazard, now between regions.
 // Validate therefore rejects floorplans whose regions, enclosed BRAM
-// columns, or dock-macro boundary columns overlap in any column.
+// columns, or dock-macro boundary columns overlap in any column, so the
+// Frames runs of sibling areas never intersect.
 package region
 
 import (
@@ -94,40 +97,6 @@ func (f Floorplan) Validate(dev *fabric.Device) error {
 		}
 	}
 	return nil
-}
-
-// Span is a half-open interval of the device's linear frame numbering —
-// the ICAP stream addressing one region owns. A region's complete stream
-// writes only frames inside its spans; Validate guarantees the spans of
-// sibling areas never intersect.
-type Span struct {
-	Lo, Hi int // frame indices, [Lo, Hi)
-}
-
-// Frames returns the number of frames in the span.
-func (s Span) Frames() int { return s.Hi - s.Lo }
-
-// Spans returns the frame-index intervals a region's configuration streams
-// may address on the device: one contiguous CLB run covering the region's
-// columns, plus one run per enclosed BRAM column.
-func Spans(dev *fabric.Device, r fabric.Region) []Span {
-	lo, _ := dev.FrameIndex(fabric.FAR{Block: fabric.BlockCLB, Major: r.Col0})
-	out := []Span{{Lo: lo, Hi: lo + r.W*fabric.FramesPerCLBColumn}}
-	for _, bcol := range dev.BRAMColumns(r) {
-		blo, _ := dev.FrameIndex(fabric.FAR{Block: fabric.BlockBRAM, Major: bcol})
-		out = append(out, Span{Lo: blo, Hi: blo + fabric.FramesPerBRAMColumn})
-	}
-	return out
-}
-
-// Contains reports whether the frame index falls inside any of the spans.
-func Contains(spans []Span, frame int) bool {
-	for _, s := range spans {
-		if frame >= s.Lo && frame < s.Hi {
-			return true
-		}
-	}
-	return false
 }
 
 // Single returns the one-area floorplan of the paper's fixed dynamic area

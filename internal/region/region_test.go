@@ -126,8 +126,8 @@ func TestSpansDisjoint(t *testing.T) {
 		}
 		owner := make(map[int]int)
 		for i, a := range fp.Areas {
-			for _, sp := range Spans(tc.dev, a.R) {
-				if sp.Frames() <= 0 {
+			for _, sp := range tc.dev.Frames(a.R) {
+				if sp.Len() <= 0 {
 					t.Fatalf("area %d: empty span %+v", i, sp)
 				}
 				for f := sp.Lo; f < sp.Hi; f++ {
@@ -142,27 +142,32 @@ func TestSpansDisjoint(t *testing.T) {
 }
 
 // TestSpansMatchRegionGeometry: a region's CLB span counts exactly
-// W*FramesPerCLBColumn frames starting at its first column.
+// W*FramesPerCLBColumn frames starting at its first column, and each
+// enclosed BRAM column adds one run of its content frames.
 func TestSpansMatchRegionGeometry(t *testing.T) {
 	dev := fabric.XC2VP30()
 	r := fabric.DynamicRegion64()
-	spans := Spans(dev, r)
+	spans := dev.Frames(r)
 	if len(spans) == 0 {
 		t.Fatal("no spans")
 	}
 	clb := spans[0]
-	if clb.Frames() != r.W*fabric.FramesPerCLBColumn {
-		t.Fatalf("CLB span %d frames, want %d", clb.Frames(), r.W*fabric.FramesPerCLBColumn)
+	if clb.Len() != r.W*fabric.FramesPerCLBColumn {
+		t.Fatalf("CLB span %d frames, want %d", clb.Len(), r.W*fabric.FramesPerCLBColumn)
 	}
 	wantLo, _ := dev.FrameIndex(fabric.FAR{Block: fabric.BlockCLB, Major: r.Col0})
 	if clb.Lo != wantLo {
 		t.Fatalf("CLB span starts at frame %d, want %d", clb.Lo, wantLo)
 	}
-	if got, want := len(spans)-1, len(dev.BRAMColumns(r)); got != want {
+	bcols := dev.BRAMColumns(r)
+	if got, want := len(spans)-1, len(bcols); got != want {
 		t.Fatalf("%d BRAM spans, want %d", got, want)
 	}
-	if Contains(spans, clb.Lo-1) || !Contains(spans, clb.Lo) {
-		t.Fatal("Contains disagrees with span bounds")
+	for i, b := range bcols {
+		lo, _ := dev.FrameIndex(fabric.FAR{Block: fabric.BlockBRAM, Major: b})
+		if sp := spans[1+i]; sp.Lo != lo || sp.Len() != fabric.FramesPerBRAMColumn {
+			t.Fatalf("BRAM span %d is %+v, want %d frames from frame %d", i, sp, fabric.FramesPerBRAMColumn, lo)
+		}
 	}
 }
 
