@@ -1,10 +1,12 @@
 // Package core implements the run-time reconfiguration manager — the
 // paper's methodology as a library. It owns one dynamic area: it keeps the
 // store of modules whose complete partial configurations the BitLinker flow
-// assembled (NewModule, once per board shape), streams them through the
-// HWICAP under CPU control, verifies that the static design was not
-// disturbed, and binds the dynamic region's behavioural core to the dock
-// after every reconfiguration by hashing the configuration contents.
+// assembled (NewModule, once per board shape), reads the differential and
+// compressed streams between them from the region's Memo (once per board
+// shape too), streams them through the HWICAP under CPU control, verifies
+// that the static design was not disturbed, and binds the dynamic region's
+// behavioural core to the dock after every reconfiguration by hashing the
+// configuration contents.
 package core
 
 import (
@@ -31,14 +33,13 @@ type Config struct {
 	// floorplan: the static design is everything outside all of them, so a
 	// sibling region's reconfiguration never reads as static corruption.
 	ConfigMem *fabric.ConfigMemory
-	// Baseline is the configuration image right after the initial full
-	// configuration (static design present, region blank). The manager only
-	// reads it, so boards of one shape share one.
-	Baseline *fabric.ConfigMemory
-	// Assembler is the BitLinker instance for the region: every registered
-	// Module was assembled by it, and it assembles the manager's
-	// differential and naive streams.
-	Assembler *bitlinker.Assembler
+	// Memo is the region's transition memo, shared by every board of the
+	// shape. Its assembler is the region's BitLinker instance: every
+	// registered Module was assembled by it, and it assembles the naive
+	// streams. Its baseline is the configuration image right after the
+	// initial full configuration (static design present, region blank).
+	// The manager's differential and compressed streams are the memo's.
+	Memo *Memo
 	// Loader is the device's configuration logic (shared with the HWICAP).
 	Loader *bitstream.Loader
 	// CPU drives the HWICAP; ICAPBase is its bus address.
@@ -101,9 +102,6 @@ type entry struct {
 	loads uint64
 }
 
-// diffKey identifies one (assumed → wanted) differential transition.
-type diffKey struct{ from, to string }
-
 // Counters are a manager's cumulative load, scrub and fault statistics.
 // Every load that occupied a configuration port counts once in Loads and
 // once under the stream kind it pushed, or under AbortedLoads when it was
@@ -122,8 +120,10 @@ type Counters struct {
 	CompressedLoads uint64
 	AbortedLoads    uint64
 	DMALoads        uint64
-	// DiffAssemblies counts the runs of AssembleDifferential: a memoized
-	// transition loaded again does not grow it.
+	// DiffAssemblies counts the runs of AssembleDifferential by the
+	// region's memo. Every board of the shape shares the memo, so it is
+	// the shape region's count, not this manager's: a transition any board
+	// has assembled, loaded or sized again on any board, does not grow it.
 	DiffAssemblies uint64
 	// ScrubPasses counts readback scrubs and ScrubFaults the passes that
 	// detected corruption; FaultsInjected counts the bit-flips InjectFault
@@ -159,16 +159,6 @@ type Manager struct {
 	// reads them all.
 	hasher *fabric.RegionHasher
 
-	// diffs caches assembled differential configurations per transition,
-	// so planning and repeated loads never re-run AssembleDifferential.
-	diffs map[diffKey]*bitlinker.Result
-	// zdiffs and zfulls cache compressed containers: per transition for
-	// differential-based ones, per module for complete-based (RLE-only)
-	// ones. The encoder reuses the memoized differential's stream, so a
-	// compressed size query costs one encode per pair, ever.
-	zdiffs map[diffKey]*bitstream.Compressed
-	zfulls map[string]*bitstream.Compressed
-
 	stats     Counters
 	corrupted bool
 
@@ -196,8 +186,8 @@ var ErrAborted = errors.New("core: load aborted at stream boundary")
 
 // NewManager returns a manager for the configured dynamic area.
 func NewManager(cfg Config) (*Manager, error) {
-	if cfg.Device == nil || cfg.ConfigMem == nil || cfg.Baseline == nil ||
-		cfg.Assembler == nil || cfg.Loader == nil || cfg.CPU == nil ||
+	if cfg.Device == nil || cfg.ConfigMem == nil || cfg.Memo == nil ||
+		cfg.Loader == nil || cfg.CPU == nil ||
 		cfg.ICAP == nil || cfg.Bind == nil || cfg.Kernel == nil {
 		return nil, fmt.Errorf("core: incomplete manager configuration")
 	}
@@ -208,11 +198,8 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg:          cfg,
 		modules:      make(map[string]*entry),
 		byHash:       make(map[uint64]*entry),
-		baselineHash: cfg.Baseline.RegionHash(cfg.Region),
+		baselineHash: cfg.Memo.baseline.RegionHash(cfg.Region),
 		hasher:       cfg.ConfigMem.Hasher(cfg.Region),
-		diffs:        make(map[diffKey]*bitlinker.Result),
-		zdiffs:       make(map[diffKey]*bitstream.Compressed),
-		zfulls:       make(map[string]*bitstream.Compressed),
 		residentOK:   true, // the initial full configuration leaves the region blank
 	}
 	m.lastHash = m.baselineHash
@@ -242,16 +229,16 @@ func (m *Manager) demote(reason string) {
 	m.event("demote", reason)
 }
 
-// Register adds a module assembled by NewModule with this manager's
-// assembler; the manager reads it and never writes it, so boards of one
-// shape register the same Module. Its region hash is indexed for
+// Register adds a module assembled by NewModule with the assembler of this
+// manager's memo; the manager reads it and never writes it, so boards of
+// one shape register the same Module. Its region hash is indexed for
 // post-configuration binding. A second module of the same name is
 // refused, and so is a module whose region hash equals another module's
 // or the blank baseline's: rebind could not tell the two configurations
 // apart.
 func (m *Manager) Register(mod *Module) error {
 	name := mod.Name()
-	if mod.asm != m.cfg.Assembler {
+	if mod.asm != m.cfg.Memo.asm {
 		return fmt.Errorf("core: module %s was not assembled by region %s's assembler", name, m.cfg.Region.Name)
 	}
 	if _, dup := m.modules[name]; dup {
@@ -312,8 +299,13 @@ func (m *Manager) Has(name string) bool {
 // experiment paths can trigger it).
 func (m *Manager) Corrupted() bool { return m.corrupted }
 
-// Counters returns the manager's statistics so far.
-func (m *Manager) Counters() Counters { return m.stats }
+// Counters returns the manager's statistics so far, with the shape
+// region's DiffAssemblies.
+func (m *Manager) Counters() Counters {
+	c := m.stats
+	c.DiffAssemblies = m.cfg.Memo.Assemblies()
+	return c
+}
 
 // CompleteSize implements plan.Source: byte and frame count of the cached
 // complete configuration.
@@ -326,8 +318,8 @@ func (m *Manager) CompleteSize(name string) (int, int, error) {
 }
 
 // DifferentialSize implements plan.Source: byte and frame count of the
-// (from → to) differential stream. The assembled result is memoized, so
-// planning shares the cache with the load path.
+// (from → to) differential stream. The assembled result is the memo's, so
+// planning shares it with the load path and with every board of the shape.
 func (m *Manager) DifferentialSize(from, to string) (int, int, error) {
 	res, err := m.differential(from, to)
 	if err != nil {
@@ -337,9 +329,8 @@ func (m *Manager) DifferentialSize(from, to string) (int, int, error) {
 }
 
 // CompressedSize implements plan.Source: wire bytes, decoded bytes and
-// frame count of the compressed container for the (from → to) transition.
-// The container is encoded from the memoized differential and itself
-// memoized, so sizing shares the cache with the load path.
+// frame count of the compressed container for the (from → to) transition,
+// the memo's like the differential it encodes.
 func (m *Manager) CompressedSize(from, to string) (int, int, int, error) {
 	z, err := m.compressedDiff(from, to)
 	if err != nil {
@@ -359,87 +350,54 @@ func (m *Manager) CompleteCompressedSize(name string) (int, int, int, error) {
 	return z.SizeBytes(), z.RawBytes(), z.Frames, nil
 }
 
-// compressedDiff returns the cached compressed container for the
-// transition, encoding it at most once per (from, to) pair. The encoder
-// diffs against the same assumed image the differential was built from, so
-// its configuration-memory KEEP references are valid exactly when the
-// differential itself is — under the §2.2 residency gate.
-func (m *Manager) compressedDiff(from, to string) (*bitstream.Compressed, error) {
-	key := diffKey{from: from, to: to}
-	if z, ok := m.zdiffs[key]; ok {
-		return z, nil
+// transition resolves a (from → to) pair of registered module names to
+// the memo's key: from "" is the blank region.
+func (m *Manager) transition(from, to string) (*Module, *Module, error) {
+	te, ok := m.modules[to]
+	if !ok {
+		return nil, nil, fmt.Errorf("core: unknown module %s", to)
 	}
-	res, err := m.differential(from, to)
-	if err != nil {
-		return nil, err
+	if from == "" {
+		return nil, te.mod, nil
 	}
-	base, err := m.assumedImage(from)
-	if err != nil {
-		return nil, err
+	fe, ok := m.modules[from]
+	if !ok {
+		return nil, nil, fmt.Errorf("core: unknown assumed module %s", from)
 	}
-	z, err := bitstream.Compress(m.cfg.Device, res.Stream, base, res.Frames)
-	if err != nil {
-		return nil, err
-	}
-	m.zdiffs[key] = z
-	return z, nil
+	return fe.mod, te.mod, nil
 }
 
-// compressedFull returns the cached RLE-only container for the module's
+// differential returns the memo's differential configuration for the
+// transition.
+func (m *Manager) differential(from, to string) (*bitlinker.Result, error) {
+	fm, tm, err := m.transition(from, to)
+	if err != nil {
+		return nil, err
+	}
+	return m.cfg.Memo.Differential(fm, tm)
+}
+
+// compressedDiff returns the memo's compressed container for the
+// transition.
+func (m *Manager) compressedDiff(from, to string) (*bitstream.Compressed, error) {
+	fm, tm, err := m.transition(from, to)
+	if err != nil {
+		return nil, err
+	}
+	return m.cfg.Memo.Compressed(fm, tm)
+}
+
+// compressedFull returns the memo's RLE-only container for the module's
 // complete stream.
 func (m *Manager) compressedFull(name string) (*bitstream.Compressed, error) {
-	if z, ok := m.zfulls[name]; ok {
-		return z, nil
-	}
 	e, ok := m.modules[name]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown module %s", name)
 	}
-	z, err := bitstream.Compress(m.cfg.Device, e.mod.complete.Stream, nil, e.mod.complete.Frames)
-	if err != nil {
-		return nil, err
-	}
-	m.zfulls[name] = z
-	return z, nil
+	return m.cfg.Memo.CompleteCompressed(e.mod)
 }
 
-// assumedImage resolves a from-state name to its configuration image: the
-// blank baseline for "", the module's post-load target otherwise.
-func (m *Manager) assumedImage(from string) (*fabric.ConfigMemory, error) {
-	if from == "" {
-		return m.cfg.Baseline, nil
-	}
-	ae, ok := m.modules[from]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown assumed module %s", from)
-	}
-	return ae.mod.target, nil
-}
-
-// differential returns the cached differential configuration for the
-// transition, assembling it at most once per (from, to) pair.
-func (m *Manager) differential(from, to string) (*bitlinker.Result, error) {
-	if _, ok := m.modules[to]; !ok {
-		return nil, fmt.Errorf("core: unknown module %s", to)
-	}
-	base, err := m.assumedImage(from)
-	if err != nil {
-		return nil, err
-	}
-	key := diffKey{from: from, to: to}
-	if res, ok := m.diffs[key]; ok {
-		return res, nil
-	}
-	m.stats.DiffAssemblies++
-	res, err := m.cfg.Assembler.AssembleDifferential(base, m.modules[to].mod.placed)
-	if err != nil {
-		return nil, err
-	}
-	m.diffs[key] = res
-	return res, nil
-}
-
-// LoadDifferential loads the cached differential configuration for the
+// LoadDifferential loads the memo's differential configuration for the
 // named module, valid only if the region currently holds assumed's
 // configuration. This is the smaller/faster stream of §2.2 — and the hazard
 // demonstration when assumed does not match reality. Production code goes
@@ -606,7 +564,7 @@ func (m *Manager) LoadNaive(name string) (sim.Time, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: unknown module %s", name)
 	}
-	res, err := m.cfg.Assembler.AssembleNaive(e.mod.placed)
+	res, err := m.cfg.Memo.asm.AssembleNaive(e.mod.placed)
 	if err != nil {
 		return 0, err
 	}

@@ -49,10 +49,10 @@ func testComponentW(name string, region fabric.Region, w int) *bitlinker.Compone
 	}
 }
 
-// register assembles the component with the manager's own assembler and
-// registers the module.
+// register assembles the component with the assembler of the manager's
+// memo and registers the module.
 func register(m *Manager, comp *bitlinker.Component, factory func() hw.Core) error {
-	mod, err := NewModule(m.cfg.Assembler, comp, factory)
+	mod, err := NewModule(m.cfg.Memo.asm, comp, factory)
 	if err != nil {
 		return err
 	}
@@ -252,8 +252,8 @@ func rigConfig(t *testing.T, cm *fabric.ConfigMemory) (Config, func() hw.Core, *
 	}
 	var bound hw.Core
 	return Config{
-		Device: dev, Region: region, ConfigMem: cm, Baseline: baseline,
-		Assembler: asm, Loader: loader, CPU: c, ICAPBase: 0x4100_0000, ICAP: hi,
+		Device: dev, Region: region, ConfigMem: cm, Memo: NewMemo(asm, baseline),
+		Loader: loader, CPU: c, ICAPBase: 0x4100_0000, ICAP: hi,
 		Bind:   func(core hw.Core) { bound = core },
 		Kernel: k,
 	}, func() hw.Core { return bound }, b

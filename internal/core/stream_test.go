@@ -198,9 +198,11 @@ func dualRig(t *testing.T) (a, b *Manager) {
 		c := cfg
 		c.Region = area.R
 		c.Bind = func(hw.Core) {}
-		if c.Assembler, err = bitlinker.New(cfg.Device, area.R, cfg.Baseline, area.Macro); err != nil {
+		asm, err := bitlinker.New(cfg.Device, area.R, cfg.Memo.baseline, area.Macro)
+		if err != nil {
 			t.Fatal(err)
 		}
+		c.Memo = NewMemo(asm, cfg.Memo.baseline)
 		if mgrs[i], err = NewManager(c); err != nil {
 			t.Fatal(err)
 		}
@@ -301,12 +303,12 @@ func TestOneModuleManyManagers(t *testing.T) {
 	cm := fabric.NewConfigMemory(fabric.XC2VP7())
 	cm.Guard(region)
 	cfg, boundB, _ := rigConfig(t, cm)
-	cfg.Assembler, cfg.Baseline = a.cfg.Assembler, a.cfg.Baseline
+	cfg.Memo = a.cfg.Memo
 	b, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod, err := NewModule(a.cfg.Assembler, testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} })
+	mod, err := NewModule(a.cfg.Memo.asm, testComponent("alpha", region), func() hw.Core { return &testCore{id: 1} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +331,7 @@ func TestOneModuleManyManagers(t *testing.T) {
 	}
 
 	other, _, _, _ := rig(t)
-	foreign, err := NewModule(other.cfg.Assembler, testComponent("beta", region), func() hw.Core { return &testCore{id: 2} })
+	foreign, err := NewModule(other.cfg.Memo.asm, testComponent("beta", region), func() hw.Core { return &testCore{id: 2} })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -289,7 +289,7 @@ type RegionHasher struct {
 
 // Hasher returns a hasher of the region in this memory. It reads every
 // band word once, so it starts from the content and not from the frame
-// stamps: a Clone's frames carry none.
+// stamps: a Clone's or an Overlay's frames carry none.
 func (cm *ConfigMemory) Hasher(r Region) *RegionHasher {
 	rh := &RegionHasher{cm: cm, runs: cm.dev.Frames(r)}
 	rh.lo, rh.hi = cm.dev.RowWordRange(r.Row0, r.H)

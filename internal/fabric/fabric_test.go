@@ -386,18 +386,42 @@ func TestOverlayCopiesOnWrite(t *testing.T) {
 	if !ov.ChangedSince(band, band+2, 0) || ov.ChangedSince(band+2, d.NumFrames(), 0) || ov.Epoch() != 4 {
 		t.Errorf("overlay stamps: Epoch = %d, want 4 on frames %d and %d only", ov.Epoch(), band, band+1)
 	}
-	// A guard on an overlay compares a write with the shared frame it
-	// replaces: a static word changed on a frame never written before
-	// disturbs it.
-	g := cm.Overlay()
-	g.Guard(r)
-	static, _ := g.ReadFrame(FAR{Block: BlockCLB, Major: 0, Minor: 0})
-	static[0]++
-	if err := g.WriteFrame(FAR{Block: BlockCLB, Major: 0, Minor: 0}, static); err != nil {
-		t.Fatal(err)
-	}
-	if !g.Disturbed() || !same(cm, src) {
-		t.Errorf("guarded overlay: Disturbed = %v after a static write; source unchanged = %v", g.Disturbed(), same(cm, src))
+	// A guard on an overlay checks a write against the shared frame it
+	// replaces and a flip against the shared word: a static word changed
+	// on a frame the overlay still shares disturbs it, the overlay reads
+	// its change and the source keeps its frame.
+	staticFAR := FAR{Block: BlockCLB, Major: 0, Minor: 0} // outside the region
+	for _, change := range []struct {
+		name  string
+		apply func(g *ConfigMemory, want []uint32) error
+	}{
+		{"write", func(g *ConfigMemory, want []uint32) error {
+			want[0]++
+			return g.WriteFrame(staticFAR, want)
+		}},
+		{"flip", func(g *ConfigMemory, want []uint32) error {
+			want[0] ^= 1 << 5
+			return g.FlipBit(staticFAR, 0, 5)
+		}},
+	} {
+		g := cm.Overlay()
+		g.Guard(r)
+		if g.Disturbed() {
+			t.Fatalf("guarded overlay (%s): disturbed before any change", change.name)
+		}
+		want, _ := cm.ReadFrame(staticFAR)
+		if err := change.apply(g, want); err != nil {
+			t.Fatal(err)
+		}
+		if !g.Disturbed() {
+			t.Errorf("guarded overlay: a static %s to a shared frame did not disturb it", change.name)
+		}
+		if got, _ := g.ReadFrame(staticFAR); !slices.Equal(got, want) {
+			t.Errorf("guarded overlay: it does not read its own static %s", change.name)
+		}
+		if !same(cm, src) {
+			t.Errorf("guarded overlay: a static %s changed the source", change.name)
+		}
 	}
 }
 

@@ -8,9 +8,10 @@
 // time, making the stale-differential hazard impossible by construction.
 //
 // The planner keeps no tables of its own: it prices every candidate through
-// its Source, which (as *core.Manager) assembles and memoizes each stream
-// once per (from, to) module pair, so repeated planning over a
-// long-running workload never re-assembles a differential.
+// its Source, which (as *core.Manager) reads each stream from its shape
+// region's memo, assembled once per (from, to) module pair for every board
+// of the shape, so repeated planning over a long-running workload never
+// re-assembles a differential.
 package plan
 
 import "fmt"
@@ -73,8 +74,8 @@ type Plan struct {
 }
 
 // Source sizes the streams a planner may choose between. *core.Manager
-// implements it and memoizes every stream it sizes, so repeated planning
-// is cheap.
+// implements it through its shape region's memo, which keeps every stream
+// it sizes, so repeated planning is cheap.
 type Source interface {
 	// Has reports whether the module is registered.
 	Has(name string) bool

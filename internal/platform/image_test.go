@@ -4,11 +4,14 @@ import (
 	"hash/fnv"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/bitlinker"
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/hwcore"
+	"repro/internal/plan"
 	"repro/internal/region"
 )
 
@@ -175,8 +178,8 @@ func TestSharedBootEqualsFreshAssembly(t *testing.T) {
 // module, differential and compressed streams included, taking an upset,
 // scrubbing and repairing it, and corrupting its static design with a
 // naive load — stays on that board. Its twin's configuration memory and
-// resident state, the shared static baseline and every shared stream and
-// post-load image are untouched.
+// resident state, the shared static baseline and every shared stream,
+// post-load image, memoized differential and container are untouched.
 func TestBoardsOfOneShapeStayIsolated(t *testing.T) {
 	a, err := NewSys64N(2)
 	if err != nil {
@@ -202,19 +205,65 @@ func TestBoardsOfOneShapeStayIsolated(t *testing.T) {
 		}
 		return out
 	}
+	// shared digests the image, and in every region's memo the streams
+	// board A's loads below can read: each module's complete container,
+	// and the differential and its container of every step of the chain
+	// blank → first module → … → last module, in A's (name) order. The
+	// first call builds them.
 	shared := func() []uint64 {
+		t.Helper()
 		sums := []uint64{cmDigest(t, img.baseline)}
-		for _, ir := range img.regions {
-			for _, mod := range ir.modules {
+		for ri, ir := range img.regions {
+			var from *core.Module
+			for _, name := range a.regions[ri].mgr.Modules() {
+				mod := a.regions[ri].mgr.Module(name)
 				sums = append(sums, wordsDigest(mod.Complete().Stream.Words), cmDigest(t, mod.Target()))
+				zf, err := ir.memo.CompleteCompressed(mod)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := ir.memo.Differential(from, mod)
+				if err != nil {
+					t.Fatal(err)
+				}
+				zd, err := ir.memo.Compressed(from, mod)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sums = append(sums, wordsDigest(zf.Words), wordsDigest(d.Stream.Words), wordsDigest(zd.Words))
+				from = mod
 			}
 		}
 		return sums
+	}
+	assemblies := func() (n uint64) {
+		for _, ir := range img.regions {
+			n += ir.memo.Assemblies()
+		}
+		return n
 	}
 	if _, err := b.LoadModuleOn(1, "jenkins", nil); err != nil {
 		t.Fatal(err)
 	}
 	bDigest, bStates, sharedBefore := cmDigest(t, b.CM), states(b), shared()
+	built := assemblies()
+	// readsShapeMemo checks that board A counts its shape's assemblies,
+	// those shared() made included: it reads the shape's memo.
+	readsShapeMemo := func(when string) {
+		t.Helper()
+		for ri, ir := range img.regions {
+			if n, want := a.regions[ri].mgr.Counters().DiffAssemblies, ir.memo.Assemblies(); n != want {
+				t.Errorf("%s, board A's region %d counts %d assemblies, the shape's memo %d", when, ri, n, want)
+			}
+		}
+	}
+	readsShapeMemo("before its loads")
+	checkShared := func(after string) {
+		t.Helper()
+		if !slices.Equal(shared(), sharedBefore) {
+			t.Errorf("the shared boot image changed after board A's %s", after)
+		}
+	}
 
 	a.SetCompression(true)
 	for ri, rs := range a.regions {
@@ -227,6 +276,11 @@ func TestBoardsOfOneShapeStayIsolated(t *testing.T) {
 	if c := a.regions[0].mgr.Counters(); c.DiffLoads+c.CompressedLoads == 0 {
 		t.Fatal("no load streamed against a shared post-load image")
 	}
+	if n := assemblies(); n != built {
+		t.Errorf("board A's loads assembled %d differentials; the memo held every stream they read", n-built)
+	}
+	readsShapeMemo("after its loads")
+	checkShared("planned and compressed loads")
 	if err := a.InjectFaultOn(0, 3, 2, 7); err != nil {
 		t.Fatal(err)
 	}
@@ -237,12 +291,14 @@ func TestBoardsOfOneShapeStayIsolated(t *testing.T) {
 	if _, err := a.LoadModuleOn(0, rep.Module, nil); err != nil {
 		t.Fatal(err)
 	}
+	checkShared("upset and repair")
 	if _, err := a.regions[0].mgr.LoadNaive("jenkins"); err != nil {
 		t.Fatal(err)
 	}
 	if !a.regions[0].mgr.Corrupted() {
 		t.Fatal("the naive load did not corrupt board A's static design")
 	}
+	checkShared("naive load")
 
 	if cmDigest(t, b.CM) != bDigest {
 		t.Error("board B's configuration memory changed")
@@ -255,8 +311,102 @@ func TestBoardsOfOneShapeStayIsolated(t *testing.T) {
 			t.Errorf("board B's region %d reads corrupted", ri)
 		}
 	}
-	if !slices.Equal(shared(), sharedBefore) {
-		t.Error("the shared boot image changed")
+}
+
+// coldShape drops the shape's boot image from the process's cache, so the
+// next board of the shape builds the image afresh, its memos empty.
+// Boards booted before keep the image they booted from.
+func coldShape(is64 bool, fp region.Floorplan) { images.Delete(shapeKey(is64, fp)) }
+
+// TestTransitionsOncePerShape: boards of one shape share each region's
+// transition memo. Two boards that drive the same differential and
+// compressed transitions assemble each pair once between them; eight
+// boards booting and planning one pair at once assemble it once; and a
+// plan whose streams the memo holds allocates nothing.
+func TestTransitionsOncePerShape(t *testing.T) {
+	fp := region.Single32()
+	coldShape(false, fp)
+	// shapeCount is the assembly count of the shape's memo, the one every
+	// board of the shape must read.
+	shapeCount := func() uint64 {
+		img, err := bootImage(false, fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img.regions[0].memo.Assemblies()
+	}
+	steps := []struct {
+		compress bool
+		modules  []string
+	}{
+		{false, []string{"jenkins", "fade", "jenkins"}},
+		{true, []string{"fade", "jenkins"}},
+	}
+	var warm *System
+	for i := 0; i < 2; i++ {
+		s, err := NewSys32()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, step := range steps {
+			s.SetCompression(step.compress)
+			for _, name := range step.modules {
+				if _, err := s.LoadModuleOn(0, name, nil); err != nil {
+					t.Fatalf("board %d, %s: %v", i, name, err)
+				}
+			}
+		}
+		// The chain's pairs: blank → jenkins, jenkins → fade, fade → jenkins.
+		row := s.Status().Regions[0]
+		if row.DiffLoads == 0 || row.CompressedLoads == 0 {
+			t.Fatalf("board %d streamed %d differential and %d compressed loads, want both kinds", i, row.DiffLoads, row.CompressedLoads)
+		}
+		if n := shapeCount(); n != 3 || row.DiffAssemblies != n {
+			t.Errorf("after board %d: %d differentials assembled for 3 pairs, want 3; the board counts %d", i, n, row.DiffAssemblies)
+		}
+		warm = s
+	}
+
+	coldShape(false, fp)
+	var boards [8]*System
+	var wg sync.WaitGroup
+	for i := range boards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := NewSys32()
+			if err == nil {
+				_, err = s.PlanForOn(0, "jenkins")
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			boards[i] = s
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if n := shapeCount(); n != 1 {
+		t.Errorf("8 boards booted at once: %d differentials assembled for one pair, want 1", n)
+	}
+	for i, s := range boards {
+		if n := s.Status().Regions[0].DiffAssemblies; n != 1 {
+			t.Errorf("board %d of 8 booted at once counts %d assemblies, want the shape's 1", i, n)
+		}
+	}
+
+	if got, err := warm.PlanForOn(0, "fade"); err != nil || got.Kind == plan.StreamNone {
+		t.Fatalf("warm plan jenkins -> fade: %+v, %v", got, err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := warm.PlanForOn(0, "fade"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a warm PlanForOn allocates %.0f times, want 0", n)
 	}
 }
 

@@ -215,11 +215,13 @@ const (
 )
 
 // image is the boot image of one board shape, a (device, floorplan) pair:
-// the static design's baseline and, per region, the BitLinker assembler
-// and every module that fits, assembled. BitLinker merges each module into
-// the static baseline, so all of it depends only on the shape. Every board
-// of the shape clones the baseline into its own configuration memory and
-// registers the shared modules; nothing writes an image once it is built.
+// the static design's baseline and, per region, every module that fits,
+// assembled, and the memo of the transitions between them. BitLinker
+// merges each module into the static baseline, so all of it depends only
+// on the shape. Every board of the shape boots its configuration memory
+// as an overlay of the baseline, registers the shared modules and reads
+// the shared memos; nothing writes the baseline or a module once the
+// image is built, and the memos only fill in.
 type image struct {
 	dev      *fabric.Device
 	baseline *fabric.ConfigMemory
@@ -228,14 +230,14 @@ type image struct {
 
 // imageRegion is one region's part of a boot image.
 type imageRegion struct {
-	asm     *bitlinker.Assembler
+	memo    *core.Memo
 	modules []*core.Module
 }
 
 // images memoizes one boot image per shape for the life of the process:
 // each shapeKey maps to a sync.OnceValues that builds the shape's image on
 // its first call, so the memory it keeps is bounded by the distinct shapes
-// a process boots.
+// a process boots and the transitions their boards ask for.
 var images sync.Map
 
 // shapeKey spells a validated shape out by value: the board width and
@@ -272,9 +274,9 @@ func bootImage(is64 bool, fp region.Floorplan) (*image, error) {
 	return build.(func() (*image, error))()
 }
 
-// buildImage loads the static design into a fresh configuration memory
-// and assembles every module that fits each region of the validated
-// floorplan.
+// buildImage loads the static design into a fresh configuration memory,
+// assembles every module that fits each region of the validated floorplan
+// and gives each region an empty transition memo.
 func buildImage(dev *fabric.Device, fp region.Floorplan) (*image, error) {
 	img := &image{dev: dev, baseline: fabric.NewConfigMemory(dev)}
 	loadStaticDesign(img.baseline, fp.Regions())
@@ -283,7 +285,7 @@ func buildImage(dev *fabric.Device, fp region.Floorplan) (*image, error) {
 		if err != nil {
 			return nil, err
 		}
-		ir := imageRegion{asm: asm}
+		ir := imageRegion{memo: core.NewMemo(asm, img.baseline)}
 		for _, spec := range hwcore.Specs() {
 			comp, err := hwcore.BuildComponent(spec, dev, a.R, a.Macro)
 			if err != nil {
@@ -315,9 +317,11 @@ func build(name string, is64 bool, tm Timing, fp region.Floorplan) (*System, err
 	s.Bridge = bus.NewBridge(s.PLB, s.OPB, bridgeBase, tm.BridgeRequestCycles, tm.BridgePostDepth)
 
 	// Fabric and configuration path: the board's own configuration memory
-	// starts as the shape's static design, guarded.
+	// starts as the shape's static design, guarded. It is an overlay of the
+	// shape's baseline, so it copies a frame only when the board first
+	// writes or flips it.
 	s.Dev = img.dev
-	s.CM = img.baseline.Clone()
+	s.CM = img.baseline.Overlay()
 	s.CM.Guard(fp.Regions()...)
 	loader := bitstream.NewLoader(s.CM)
 	s.ICAP = icap.New(s.K, s.BusClk, loader)
@@ -397,19 +401,19 @@ func build(name string, is64 bool, tm Timing, fp region.Floorplan) (*System, err
 	}
 
 	// One reconfiguration manager and planner per region. Every manager
-	// registers the shape's modules that fit its region; the §2.2 hazard
-	// gate and resident tracking are therefore per region, and a sibling's
-	// reconfiguration can neither demote this region's state nor read as
-	// static corruption (the memory's guard leaves every dynamic area out
-	// of the static design).
+	// registers the shape's modules that fit its region and reads the
+	// shape region's memo; the §2.2 hazard gate and resident tracking are
+	// per region and per board, and a sibling's reconfiguration can
+	// neither demote this region's state nor read as static corruption
+	// (the memory's guard leaves every dynamic area out of the static
+	// design).
 	for i, rs := range s.regions {
 		ir := img.regions[i]
 		rs.mgr, err = core.NewManager(core.Config{
 			Device:    s.Dev,
 			Region:    rs.area.R,
 			ConfigMem: s.CM,
-			Baseline:  img.baseline,
-			Assembler: ir.asm,
+			Memo:      ir.memo,
 			Loader:    loader,
 			CPU:       s.CPU,
 			ICAPBase:  AddrICAP,

@@ -203,29 +203,41 @@ func TestConcurrentBootsShareImages(t *testing.T) {
 }
 
 // BenchmarkPoolBoot times booting a pool whose board shapes are already
-// imaged: the per-board cost of a boot, one configuration memory cloned
-// from the shape's static design plus the board's buses, CPU, managers
-// and planners.
+// imaged: the per-board cost of a boot, one configuration memory overlaid
+// on the shape's static design plus the board's buses, CPU, managers and
+// planners. The -jenkins case then executes jenkins on every member's
+// first region, as the benchmark's hit-dispatch set-up does: each board
+// streams the blank → jenkins differential its shape's memo holds.
 func BenchmarkPoolBoot(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		cfg  Config
+		warm string // the module every member first executes; "" for none
 	}{
-		{"sys32x32", Config{Sys32: 32}},
-		{"sys64x2-regions2", Config{Sys64: 2, Regions: 2}},
+		{"sys32x32", Config{Sys32: 32}, ""},
+		{"sys64x2-regions2", Config{Sys64: 2, Regions: 2}, ""},
+		{"sys32x32-jenkins", Config{Sys32: 32}, "jenkins"},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			if _, err := New(bc.cfg); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			boot := func() {
 				p, err := New(bc.cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
+				if bc.warm != "" {
+					for _, m := range p.Members() {
+						if _, err := m.Sys.ExecuteOn(0, bc.warm, func() error { return nil }); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
 				bootSink = p
+			}
+			boot()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				boot()
 			}
 		})
 	}

@@ -47,7 +47,8 @@ type Candidate struct {
 // module resident) directly without consulting the policy. Pick is called
 // with a non-empty candidate slice (every entry idle and supporting the
 // module) and returns an index INTO the slice. Implementations must be
-// deterministic functions of the candidates.
+// deterministic functions of the candidates, and must not retain cands:
+// the scheduler reuses its backing array for the next request.
 type Policy interface {
 	Name() string
 	Pick(module string, cands []Candidate) int

@@ -73,8 +73,12 @@ func TestMinCostPlacementPicksCheaperMember(t *testing.T) {
 	p := pool32(t, 2)
 	policy, _ := PolicyByName("mincost")
 	s := New(p, Options{Policy: policy})
+	// A result is sent before its slot is released: drain before each
+	// next submission, so both members are idle when blend is placed.
 	r1 := <-s.Submit(tasks.JenkinsRun{Seed: 1, Len: 128})
+	settleSched(s)
 	r2 := <-s.Submit(tasks.PatternRun{Seed: 2, W: 32, H: 16, Threshold: 56})
+	settleSched(s)
 	if r1.Err != nil || r2.Err != nil {
 		t.Fatalf("warmup errors: %v / %v", r1.Err, r2.Err)
 	}

@@ -475,8 +475,9 @@ type slotRef struct {
 type Scheduler struct {
 	opts Options
 	// planAware: the policy reads Candidate.Plan, so pickLocked must fill
-	// it (the first fill per transition assembles the differential — a
-	// one-time cost under the shard lock; later fills are memoized).
+	// it (the first fill per transition and board shape assembles the
+	// differential — a one-time cost under the shard lock; later fills,
+	// on any board of the shape, read the shape's memo).
 	planAware bool
 
 	shards    []*shard

@@ -207,9 +207,13 @@ func TestAffinityPrefersWarmMember(t *testing.T) {
 	// Warm member selection is deterministic here: the first dispatch goes
 	// to the LRU member (member 0), the second must go to... member 1 only
 	// if member 0 is busy; serialize instead: run fade, then brightness
-	// (evicts nothing on the other member), then fade again.
+	// (evicts nothing on the other member), then fade again. A result is
+	// sent before its slot is released, so each request waits for the
+	// scheduler to drain before the next is submitted.
 	r1 := <-s.Submit(tasks.FadeRun{Seed: 1, N: 256, F: 10})
+	settleSched(s)
 	r2 := <-s.Submit(tasks.BrightnessRun{Seed: 2, N: 256, Delta: 3})
+	settleSched(s)
 	r3 := <-s.Submit(tasks.FadeRun{Seed: 3, N: 256, F: 20})
 	s.Wait()
 	for _, r := range []Result{r1, r2, r3} {
@@ -224,4 +228,35 @@ func TestAffinityPrefersWarmMember(t *testing.T) {
 	if r2.Member == r1.Member {
 		t.Fatalf("second request reused member %d; want the LRU (blank) member", r1.Member)
 	}
+}
+
+// TestWarmMissPickAllocatesNothing: weighing a miss against every idle
+// slot — building the candidates, sizing each slot's plan through its
+// shape's transition memo and asking the policy — allocates nothing once
+// the shard's candidate buffer and the memo are warm.
+func TestWarmMissPickAllocatesNothing(t *testing.T) {
+	p := pool32(t, 4)
+	for _, m := range p.Members() {
+		if _, err := m.Sys.ExecuteOn(0, "jenkins", func() error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pol, err := PolicyByName("mincost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(p, Options{Policy: pol})
+	sh := s.shards[0]
+	sh.mu.Lock()
+	sh.submitLocked(tasks.FadeRun{Seed: 1, N: 64, F: 77}, 0, false)
+	assigned := make(map[int]bool)
+	if ri, si := sh.pickLocked(assigned); ri != 0 || si < 0 {
+		t.Errorf("pickLocked = (%d, %d), want the pending fade on a slot", ri, si)
+	}
+	if a := testing.AllocsPerRun(100, func() { sh.pickLocked(assigned) }); a != 0 {
+		t.Errorf("a warm miss through pickLocked allocates %v times, want 0", a)
+	}
+	sh.dispatchLocked()
+	sh.mu.Unlock()
+	s.Wait()
 }

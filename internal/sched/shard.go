@@ -42,6 +42,9 @@ type shard struct {
 	// stealTick rotates the victim scan start so repeated steals spread
 	// over the other shards instead of always draining the next neighbour.
 	stealTick uint64
+	// cands is pickLocked's candidate buffer, reset for every pending
+	// request it weighs, so a dispatch round allocates no candidate lists.
+	cands []Candidate
 }
 
 // supportsModule reports whether any of the shard's slots can host the
@@ -254,7 +257,7 @@ func (sh *shard) pickLocked(assigned map[int]bool) (int, int) {
 	sc := sh.sc
 	for ri, req := range sh.pending {
 		mod := req.task.Module()
-		var cands []Candidate
+		cands := sh.cands[:0]
 		hit := -1
 		for si, ss := range sh.slots {
 			if ss.busy || ss.quarantined || ss.scrubbing || !ss.supports(mod) {
@@ -272,6 +275,7 @@ func (sh *shard) pickLocked(assigned map[int]bool) (int, int) {
 			}
 			cands = append(cands, c)
 		}
+		sh.cands = cands
 		// Cache hit: dispatch there without consulting the policy (every
 		// built-in policy would pick it anyway), skipping the per-slot
 		// plan sizing below.
